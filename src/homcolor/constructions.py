@@ -19,6 +19,7 @@ from .core import (
     GradedSpace,
     LinearMap,
     Vec,
+    _mul,
     is_derivation,
     is_morphism,
     is_multiplicative,
@@ -357,16 +358,13 @@ class _MPEval:
         return {j: self.B.context.one}
 
     def alA(self, i: int) -> Vec:
-        return self.A.alpha_image(i)
+        return self.A._alpha_images[i]
 
     def beB(self, j: int) -> Vec:
-        return self.B.alpha_image(j)
-
-    def mulA(self, role: str, x: Vec, y: Vec) -> Vec:
-        return self.A.mul(role, x, y)
+        return self.B._alpha_images[j]
 
     def mulB(self, role: str, x: Vec, y: Vec) -> Vec:
-        return self.B.mul(role, x, y)
+        return _mul(self.B.product(role).table, x, y)
 
     def actA(self, name: str, x: Vec, v: Vec) -> Vec:
         """Action of an A-vector on a B-vector."""

@@ -6,6 +6,13 @@ more role-tagged bilinear products stored sparsely as structure constants,
 and an even twisting map.  Vectors are sparse dicts mapping basis index to
 :class:`~homcolor.scalars.Scalar`; all operations are pure and presentations
 are immutable after validation, so they can be shared freely.
+
+The checking code reads a presentation's frozen data directly: the
+index-keyed :func:`_mul`, each product's cells as vectors, the n x n sign
+table and the twist images.  Those tables are built lazily, once per product
+or presentation (idempotently, so threads sharing a presentation may race to
+build one), and nothing mutates them; the public accessors (``mul``,
+``mul_basis``, ``alpha_image``, ``LinearMap.image``) hand out fresh dicts.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ __all__ = [
     "vec_sub",
     "vec_neg",
     "vec_scale",
-    "vec_is_zero",
     "vec_to_names",
     "is_multiplicative",
     "is_derivation",
@@ -57,6 +63,8 @@ def role_sort_key(role: str) -> tuple[int, str]:
 
 
 def vec_add(a: Vec, b: Vec) -> Vec:
+    if not a:
+        return dict(b)
     out = dict(a)
     for i, s in b.items():
         t = out.get(i)
@@ -73,7 +81,18 @@ def vec_neg(a: Vec) -> Vec:
 
 
 def vec_sub(a: Vec, b: Vec) -> Vec:
-    return vec_add(a, vec_neg(b))
+    out = dict(a)
+    for i, s in b.items():
+        t = out.get(i)
+        if t is None:
+            out[i] = -s
+        else:
+            t = t - s
+            if t.terms:
+                out[i] = t
+            else:
+                del out[i]
+    return out
 
 
 def vec_scale(s: Scalar, a: Vec) -> Vec:
@@ -85,10 +104,6 @@ def vec_scale(s: Scalar, a: Vec) -> Vec:
         if not u.is_zero():
             out[i] = u
     return out
-
-
-def vec_is_zero(a: Vec) -> bool:
-    return not a
 
 
 def vec_to_names(space: "GradedSpace", a: Vec) -> tuple[tuple[str, str], ...]:
@@ -236,6 +251,8 @@ class LinearMap:
 
     def apply(self, v: Vec) -> Vec:
         out: Vec = {}
+        if not v:
+            return out
         for i, s in v.items():
             for j, t in self.columns[i]:
                 u = s * t
@@ -298,7 +315,7 @@ class BilinearProduct:
     construction, and iteration order is row-major by (i, j) then k.
     """
 
-    __slots__ = ("space", "context", "table")
+    __slots__ = ("space", "context", "table", "_vecs")
 
     def __init__(
         self,
@@ -327,9 +344,16 @@ class BilinearProduct:
         self.space = space
         self.context = context
         self.table = table
+        self._vecs: dict[tuple[int, int], Vec] | None = None
 
     def mul_basis(self, i: int, j: int) -> tuple[tuple[int, Scalar], ...]:
         return self.table.get((i, j), ())
+
+    def _vec_table(self) -> dict[tuple[int, int], Vec]:
+        """The nonzero cells as shared vectors; callers must not mutate them."""
+        if self._vecs is None:
+            self._vecs = {key: dict(cell) for key, cell in self.table.items()}
+        return self._vecs
 
     def entries(self):
         """Deterministic (i, j, k, scalar) iteration, row-major then k."""
@@ -351,7 +375,7 @@ class BilinearProduct:
 class AlgebraPresentation:
     """Graded basis, role-tagged products, and an even twisting map."""
 
-    __slots__ = ("space", "bichar", "context", "products", "alpha", "_alpha_images")
+    __slots__ = ("space", "bichar", "context", "products", "alpha", "_alpha_images", "_signs")
 
     def __init__(
         self,
@@ -380,6 +404,7 @@ class AlgebraPresentation:
         self.products = {role: products[role] for role in sorted(products, key=role_sort_key)}
         self.alpha = alpha
         self._alpha_images = tuple(alpha.image(i) for i in range(space.dim))
+        self._signs: tuple[tuple[int, ...], ...] | None = None
 
     # -- basic access ---------------------------------------------------------
 
@@ -408,7 +433,14 @@ class AlgebraPresentation:
 
     def eps(self, i: int, j: int) -> int:
         """Commutation-factor sign between basis elements i and j."""
-        return self.bichar.sign(self.space.degree(i), self.space.degree(j))
+        return self.sign_table()[i][j]
+
+    def sign_table(self) -> tuple[tuple[int, ...], ...]:
+        """``sign_table()[i][j]`` is :meth:`eps` of i and j, computed once."""
+        if self._signs is None:
+            degrees, sign = self.space.degrees, self.bichar.sign
+            self._signs = tuple(tuple(sign(a, b) for b in degrees) for a in degrees)
+        return self._signs
 
     def basis(self, i: int) -> Vec:
         return {i: self.context.one}
@@ -432,27 +464,17 @@ class AlgebraPresentation:
     # -- multiplication --------------------------------------------------------
 
     def mul(self, role: str, x: Vec | Mapping[str, ScalarLike], y: Vec | Mapping[str, ScalarLike]) -> Vec:
-        """Bilinear extension of the structure constants of ``role``."""
+        """Bilinear extension of the structure constants of ``role``.
+
+        Accepts name-keyed mappings and unnormalized values; the result is a
+        fresh index-keyed vector.
+        """
         product = self.product(role)
         if not isinstance(x, dict) or any(not isinstance(k, int) for k in x):
             x = self.vector(x)
         if not isinstance(y, dict) or any(not isinstance(k, int) for k in y):
             y = self.vector(y)
-        out: Vec = {}
-        for i, s in x.items():
-            for j, t in y.items():
-                st = s * t
-                if st.is_zero():
-                    continue
-                for k, c in product.mul_basis(i, j):
-                    u = st * c
-                    prev = out.get(k)
-                    u = u if prev is None else prev + u
-                    if u.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = u
-        return out
+        return _mul(product.table, x, y)
 
     def mul_basis(self, role: str, i: int, j: int) -> Vec:
         return dict(self.product(role).mul_basis(i, j))
@@ -485,6 +507,35 @@ class AlgebraPresentation:
         )
 
 
+def _mul(table: Mapping[tuple[int, int], Sequence[tuple[int, Scalar]]], x: Vec, y: Vec) -> Vec:
+    """Bilinear product of index-keyed vectors through a product's ``table``.
+
+    The scalars form an integral domain (see :mod:`homcolor.scalars`), so
+    a product of nonzero coefficients is never zero; only sums can cancel.
+    """
+    out: Vec = {}
+    if not x or not y:
+        return out
+    for i, s in x.items():
+        for j, t in y.items():
+            cell = table.get((i, j))
+            if cell is None:
+                continue
+            st = s * t
+            for k, c in cell:
+                u = st * c
+                prev = out.get(k)
+                if prev is None:
+                    out[k] = u
+                else:
+                    u = prev + u
+                    if u.terms:
+                        out[k] = u
+                    else:
+                        del out[k]
+    return out
+
+
 # -- structural checks ---------------------------------------------------------
 
 
@@ -500,13 +551,15 @@ def is_multiplicative(
     """
     m = presentation.alpha if mapping is None else mapping
     product = presentation.product(role)
+    table, cells = product.table, product._vec_table()
     n = presentation.dim
+    images = [m.image(i) for i in range(n)]
     check = f"multiplicative[{role}]"
     for i in range(n):
-        mi = m.image(i)
+        mi = images[i]
         for j in range(n):
-            lhs = m.apply(dict(product.mul_basis(i, j)))
-            rhs = presentation.mul(role, mi, m.image(j))
+            lhs = m.apply(cells.get((i, j), {}))
+            rhs = _mul(table, mi, images[j])
             defect = vec_sub(lhs, rhs)
             if defect:
                 return CheckReport(
@@ -534,18 +587,17 @@ def is_derivation(
             detail=f"map is homogeneous of degree {derivation.degree}, not {d}",
         )
     product = presentation.product(role)
+    table, cells = product.table, product._vec_table()
     n = presentation.dim
+    images = [derivation.image(i) for i in range(n)]
     for i in range(n):
-        sign = presentation.eps_deg(d, presentation.space.degree(i))
-        di = derivation.image(i)
+        sign = presentation.context.scalar(presentation.eps_deg(d, presentation.space.degree(i)))
+        di, bi = images[i], presentation.basis(i)
         for j in range(n):
-            lhs = derivation.apply(dict(product.mul_basis(i, j)))
+            lhs = derivation.apply(cells.get((i, j), {}))
             rhs = vec_add(
-                presentation.mul(role, di, presentation.basis(j)),
-                vec_scale(
-                    presentation.context.scalar(sign),
-                    presentation.mul(role, presentation.basis(i), derivation.image(j)),
-                ),
+                _mul(table, di, presentation.basis(j)),
+                vec_scale(sign, _mul(table, bi, images[j])),
             )
             defect = vec_sub(lhs, rhs)
             if defect:
@@ -571,13 +623,15 @@ def morphism_suite(
     if f.source != source.space or f.target != target.space:
         raise ValueError("map does not go between the two presentations")
     report = SuiteReport(kind="morphism")
+    images = [f.image(i) for i in range(source.dim)]
     for role in source.roles:
+        cells, table = source.products[role]._vec_table(), target.products[role].table
         found = None
         for i in range(source.dim):
-            fi = f.image(i)
+            fi = images[i]
             for j in range(source.dim):
-                lhs = f.apply(source.mul_basis(role, i, j))
-                rhs = target.mul(role, fi, f.image(j))
+                lhs = f.apply(cells.get((i, j), {}))
+                rhs = _mul(table, fi, images[j])
                 defect = vec_sub(lhs, rhs)
                 if defect:
                     found = CheckReport(
@@ -592,7 +646,7 @@ def morphism_suite(
         report.checks.append(found or CheckReport(check=f"morphism:product[{role}]", status=PASS))
     found = None
     for i in range(source.dim):
-        defect = vec_sub(f.apply(source.alpha_image(i)), target.alpha.apply(f.image(i)))
+        defect = vec_sub(f.apply(source._alpha_images[i]), target.alpha.apply(images[i]))
         if defect:
             found = CheckReport(
                 check="morphism:twist",

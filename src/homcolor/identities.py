@@ -25,6 +25,7 @@ from typing import Callable, Mapping
 from .core import (
     AlgebraPresentation,
     Vec,
+    _mul,
     is_multiplicative,
     vec_add,
     vec_neg,
@@ -63,18 +64,22 @@ def arity4_cap(override: int | None = None) -> int:
 
 
 class _Eval:
-    """Per-check evaluation context: bound roles and cached twist images."""
+    """Per-check evaluation context over the presentation's frozen tables:
+    product tables and cell vectors per role slot, signs, twist images.
 
-    __slots__ = ("A", "roles", "_al", "_al2")
+    Defects never mutate the vectors these hand out.
+    """
+
+    __slots__ = ("A", "tables", "cells", "signs", "_al", "_al2")
 
     def __init__(self, A: AlgebraPresentation, roles: Mapping[str, str]):
         self.A = A
-        self.roles = dict(roles)
-        self._al = tuple(A.alpha_image(i) for i in range(A.dim))
+        products = {slot: A.product(role) for slot, role in roles.items()}
+        self.tables = {slot: p.table for slot, p in products.items()}
+        self.cells = {slot: p._vec_table() for slot, p in products.items()}
+        self.signs = A.sign_table()
+        self._al = A._alpha_images
         self._al2 = None
-
-    def b(self, i: int) -> Vec:
-        return {i: self.A.context.one}
 
     def al(self, i: int) -> Vec:
         return self._al[i]
@@ -85,13 +90,13 @@ class _Eval:
         return self._al2[i]
 
     def mb(self, slot: str, i: int, j: int) -> Vec:
-        return self.A.mul_basis(self.roles[slot], i, j)
+        return self.cells[slot].get((i, j)) or {}
 
     def mul(self, slot: str, x: Vec, y: Vec) -> Vec:
-        return self.A.mul(self.roles[slot], x, y)
+        return _mul(self.tables[slot], x, y)
 
     def e(self, i: int, j: int) -> int:
-        return self.A.eps(i, j)
+        return self.signs[i][j]
 
     def e2(self, i: int, j: int, k: int) -> int:
         """Sign between deg(e_i) + deg(e_j) and deg(e_k)."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping
 
 __all__ = [
     "PASS",
@@ -80,10 +79,6 @@ class CheckReport:
         if self.detail:
             parts.append(self.detail)
         return "  ".join(parts)
-
-
-def witness_names(names: Mapping[int, str] | list[str], indices) -> tuple[str, ...]:
-    return tuple(names[i] for i in indices)
 
 
 @dataclass

@@ -98,8 +98,23 @@ class ActionBundle:
         """Action of an algebra vector: linear extension over its components."""
         family = self.actions[name]
         out: Vec = {}
+        if not x or not v:
+            return out
         for i, s in x.items():
-            out = vec_add(out, {k: s * t for k, t in family[i].apply(v).items()})
+            columns = family[i].columns
+            for j, t in v.items():
+                st = s * t
+                for k, c in columns[j]:
+                    u = st * c
+                    prev = out.get(k)
+                    if prev is None:
+                        out[k] = u
+                    else:
+                        u = prev + u
+                        if u.terms:
+                            out[k] = u
+                        else:
+                            del out[k]
         return out
 
 
@@ -130,26 +145,33 @@ KIND_ACTIONS: dict[BimoduleKind, tuple[str, ...]] = {
 
 
 class _BEval:
-    """Shared shorthand for condition defects: products, actions, signs."""
+    """Shared shorthand for condition defects over frozen data: product cell
+    vectors, twist images, beta images, actions and signs.
 
-    __slots__ = ("A", "M", "slots")
+    Defects never mutate the vectors these hand out.
+    """
+
+    __slots__ = ("A", "M", "cells", "signs", "_al", "_beta")
 
     def __init__(self, A: AlgebraPresentation, M: ActionBundle, slots: Mapping[str, str]):
         self.A = A
         self.M = M
-        self.slots = dict(slots)
+        self.cells = {slot: A.product(role)._vec_table() for slot, role in slots.items()}
+        self.signs = A.sign_table()
+        self._al = A._alpha_images
+        self._beta = tuple(M.beta.image(v) for v in range(M.module.dim))
 
     def bv(self, v: int) -> Vec:
         return {v: self.A.context.one}
 
     def beta(self, v: int) -> Vec:
-        return self.M.beta.image(v)
+        return self._beta[v]
 
     def al(self, i: int) -> Vec:
-        return self.A.alpha_image(i)
+        return self._al[i]
 
     def mb(self, slot: str, i: int, j: int) -> Vec:
-        return self.A.mul_basis(self.slots[slot], i, j)
+        return self.cells[slot].get((i, j)) or {}
 
     def act(self, name: str, i: int, v: Vec) -> Vec:
         return self.M.act(name, i, v)
@@ -159,7 +181,7 @@ class _BEval:
 
     # sign helpers: aa = algebra/algebra, am = algebra/module, etc.
     def e_aa(self, i: int, j: int) -> int:
-        return self.A.eps(i, j)
+        return self.signs[i][j]
 
     def e_am(self, i: int, v: int) -> int:
         return self.A.eps_deg(self.A.space.degree(i), self.M.module.degree(v))

@@ -8,9 +8,13 @@ symbols (``sqrt2`` with radicand 2, reduced by ``sqrt2*sqrt2 = 2``).
 Canonical form is a sorted tuple of (monomial, coefficient) pairs with
 nonzero ``Fraction`` coefficients; root symbols carry exponent at most one
 after reduction, and zero is the empty sum, so equal values are structurally
-equal.  Uniqueness of the form assumes the declared radicands are
-multiplicatively independent modulo squares (a single root, as the bundled
-fixtures use, is always fine).
+equal.  The form is unique only when the declared radicands are
+multiplicatively independent modulo rational squares, so a context refuses
+any root set in which some nonempty subset of radicands multiplies to a
+rational square: ``{"r": 4}`` (4 is a square) and ``{"r": 2, "s": 8}``
+(2 * 8 = 16) are both rejected.  By Besicovitch's theorem the reduced root
+monomials of an accepted set are linearly independent over Q(params), so a
+zero test is exact and the scalars form an integral domain.
 
 Division is deliberately absent: identity checking never divides.
 """
@@ -63,6 +67,31 @@ def _as_fraction(value: int | str | Fraction) -> Fraction:
     raise ScalarError(f"not an exact rational: {value!r}")
 
 
+def _is_rational_square(q: Fraction) -> bool:
+    # Fractions are kept in lowest terms, so q is a square iff both parts are.
+    p, d = q.numerator, q.denominator
+    return math.isqrt(p) ** 2 == p and math.isqrt(d) ** 2 == d
+
+
+def _check_independent(roots: list[tuple[str, Fraction]]) -> None:
+    """Refuse roots some nonempty subset of whose radicands multiplies to a
+    rational square; such roots satisfy a relation the canonical form does
+    not apply.  Visits the 2^k - 1 subsets of k roots in Gray-code order, so
+    each step multiplies or divides by one radicand."""
+    value, subset = Fraction(1), 0
+    for step in range(1, 1 << len(roots)):
+        bit = (step & -step).bit_length() - 1
+        subset ^= 1 << bit
+        q = roots[bit][1]
+        value = value * q if subset >> bit & 1 else value / q
+        if _is_rational_square(value):
+            names = ", ".join(name for i, (name, _) in enumerate(roots) if subset >> i & 1)
+            raise ScalarError(
+                f"the radicand product of roots {names} is {value}, a rational square; "
+                "declared roots must be independent modulo squares"
+            )
+
+
 class ScalarContext:
     """Declared symbol universe for a family of scalars.
 
@@ -95,6 +124,7 @@ class ScalarContext:
         radicands = list(root_items.values())
         if len(set(radicands)) != len(radicands):
             raise ScalarError("duplicate radicands make sqrt(q) syntax ambiguous")
+        _check_independent(sorted(root_items.items()))
 
         self.params = params
         self.roots = dict(sorted(root_items.items()))
@@ -241,28 +271,46 @@ class Scalar:
             return self.context.scalar(other)
         return None
 
+    # Operands from the very same context skip ``_coerce``; equal-but-distinct
+    # and foreign contexts, ints and Fractions still go through it.  The fast
+    # paths below return the canonical form the general loops would build.
+
     def __add__(self, other: object) -> "Scalar":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        if not self.terms:
+        if type(other) is Scalar and other.context is self.context:
+            rhs = other
+        else:
+            rhs = self._coerce(other)
+            if rhs is None:
+                return NotImplemented
+        a, b = self.terms, rhs.terms
+        if not a:
             return rhs
-        if not rhs.terms:
+        if not b:
             return self
-        acc = dict(self.terms)
-        for mono, coeff in rhs.terms:
+        if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
+            coeff = a[0][1] + b[0][1]
+            return Scalar(self.context, ((a[0][0], coeff),)) if coeff else self.context._zero
+        acc = dict(a)
+        for mono, coeff in b:
             acc[mono] = acc.get(mono, Fraction(0)) + coeff
         return self.context._from_mapping(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.context, tuple((m, -c) for m, c in self.terms))
+        return Scalar(self.context, tuple([(m, -c) for m, c in self.terms]))
 
     def __sub__(self, other: object) -> "Scalar":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
+        if type(other) is Scalar and other.context is self.context:
+            rhs = other
+        else:
+            rhs = self._coerce(other)
+            if rhs is None:
+                return NotImplemented
+        a, b = self.terms, rhs.terms
+        if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
+            coeff = a[0][1] - b[0][1]
+            return Scalar(self.context, ((a[0][0], coeff),)) if coeff else self.context._zero
         return self + (-rhs)
 
     def __rsub__(self, other: object) -> "Scalar":
@@ -272,20 +320,35 @@ class Scalar:
         return rhs + (-self)
 
     def __mul__(self, other: object) -> "Scalar":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        if not self.terms or not rhs.terms:
-            return self.context.zero
+        if type(other) is Scalar and other.context is self.context:
+            rhs = other
+        else:
+            rhs = self._coerce(other)
+            if rhs is None:
+                return NotImplemented
+        a, b = self.terms, rhs.terms
         ctx = self.context
+        if not a or not b:
+            return ctx._zero
+        # A constant factor (nonzero in canonical form) scales each
+        # coefficient and keeps the monomial order, so no re-sort is needed.
+        if len(b) == 1 and not b[0][0]:
+            return self._scaled(b[0][1])
+        if len(a) == 1 and not a[0][0]:
+            return rhs._scaled(a[0][1])
         acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in rhs.terms:
+        for m1, c1 in a:
+            for m2, c2 in b:
                 mono, factor = ctx._mul_monomials(m1, m2)
                 acc[mono] = acc.get(mono, Fraction(0)) + c1 * c2 * factor
         return ctx._from_mapping(acc)
 
     __rmul__ = __mul__
+
+    def _scaled(self, coeff: Fraction) -> "Scalar":
+        if coeff == 1:
+            return self
+        return Scalar(self.context, tuple([(m, c * coeff) for m, c in self.terms]))
 
     def __pow__(self, n: int) -> "Scalar":
         if not isinstance(n, int) or n < 0:

@@ -42,6 +42,23 @@ class TestCheck:
         assert code == 3
         assert "not graded" in capsys.readouterr().err
 
+    def test_square_radicand_exits_three(self, tmp_path, capsys):
+        # With r = sqrt(4) = 2 this product is commutative, but r*r = 4 does
+        # not make r - 2 zero in the canonical form, so the loader must
+        # refuse the root instead of reporting an EPS_COMM failure.
+        doc = {
+            "format": 1,
+            "group": {"torsion": [], "free": 0},
+            "bichar": [],
+            "basis": [{"name": name, "deg": []} for name in ("e1", "e2", "e3")],
+            "products": {"dot": [["e1", "e2", [["e3", "r"]]], ["e2", "e1", [["e3", "2"]]]]},
+            "roots": {"r": "4"},
+        }
+        path = tmp_path / "square_radicand.json"
+        path.write_text(json.dumps(doc))
+        assert run("check", path, "--kind", "eps_comm_assoc") == 3
+        assert "rational square" in capsys.readouterr().err
+
     def test_gi_precondition_exits_two(self, fixtures_dir, tmp_path):
         pair = tmp_path / "pair.json"
         assert run(

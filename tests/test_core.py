@@ -18,6 +18,7 @@ from homcolor.core import (
     vec_to_names,
 )
 from homcolor.grading import super_z2
+from homcolor.identities import StructureKind, run_suite
 
 
 class TestMul:
@@ -214,3 +215,36 @@ class TestMorphism:
             morphism_suite(ident, hnp_4dim, hnp_4dim.with_products(
                 {"dot": hnp_4dim.products["dot"]}
             ))
+
+
+class TestAliasing:
+    """Checks share a presentation's frozen tables, so what the public
+    accessors return must be fresh: mutating it cannot change a verdict."""
+
+    @staticmethod
+    def reports(A) -> str:
+        return run_suite(A, StructureKind.HNP).to_json() + morphism_suite(A.alpha, A, A).describe()
+
+    @staticmethod
+    def scribble(A) -> None:
+        junk = A.context.scalar(7)
+        for i in range(A.dim):
+            for vec in (A.alpha_image(i), A.alpha.image(i)):
+                vec.clear()
+                vec[i] = junk
+            for j in range(A.dim):
+                for role in A.roles:
+                    for vec in (A.mul_basis(role, i, j), A.mul(role, A.basis(i), A.basis(j))):
+                        vec.clear()
+                        vec[0] = junk
+
+    def test_mutating_public_results_leaves_reports_unchanged(self):
+        from tests.conftest import load
+
+        expected = self.reports(load("hnp_admissible_multiplicative_4dim.json"))
+        assert "witness" in expected  # a failing check, so defect bytes count too
+        A = load("hnp_admissible_multiplicative_4dim.json")
+        self.scribble(A)  # before any lazy table exists
+        assert self.reports(A) == expected
+        self.scribble(A)  # after the tables are built
+        assert self.reports(A) == expected

@@ -1,5 +1,6 @@
 """Scalar tower: canonical forms, parsing, and evaluation homomorphisms."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,20 @@ class TestContext:
         conflicting = ScalarContext(roots={"sqrt2": 3})
         with pytest.raises(ScalarError):
             ctx.union(conflicting)
+
+    def test_square_radicand_rejected(self):
+        for q in (4, 1, "9/4"):
+            with pytest.raises(ScalarError, match="rational square"):
+                ScalarContext(roots={"r": q})
+
+    def test_dependent_radicands_rejected(self):
+        for roots in ({"r": 2, "s": 8}, {"r": 2, "s": "1/2"}, {"r": 2, "s": 3, "t": 6}):
+            with pytest.raises(ScalarError, match="rational square"):
+                ScalarContext(roots=roots)
+
+    def test_independent_radicands_accepted(self):
+        ctx = ScalarContext(roots={"r": 2, "s": 3, "t": 5})
+        assert (ctx.root("r") * ctx.root("s")).terms == (((("r", 1), ("s", 1)), Fraction(1)),)
 
     def test_rebase_into_union(self, ctx):
         merged = ctx.union(ScalarContext(params=["nu1"]))
@@ -218,3 +233,105 @@ def test_fractional_radicand():
     assert root * root == half.parse("1/2")
     assert half.parse("sqrt(1/2) * sqrt(1/2) - 1/2").is_zero()
     assert abs(root.eval_float() - 0.7071067811865476) < 1e-12
+
+
+# -- fast paths of Scalar arithmetic against a term-by-term expansion ----------
+
+
+def _rank(ctx):
+    """Canonical symbol order, restated here: roots, then params, by name."""
+    return {name: i for i, name in enumerate([*sorted(ctx.roots), *sorted(ctx.params)])}
+
+
+def _canonical(ctx, mapping):
+    rank = _rank(ctx)
+    kept = [(m, c) for m, c in mapping.items() if c != 0]
+    return tuple(sorted(kept, key=lambda mc: tuple((rank[s], e) for s, e in mc[0])))
+
+
+def naive_mul(ctx, a, b):
+    rank = _rank(ctx)
+    out: dict = {}
+    for mono_a, coeff_a in a.terms:
+        for mono_b, coeff_b in b.terms:
+            exps: dict = {}
+            for sym, e in (*mono_a, *mono_b):
+                exps[sym] = exps.get(sym, 0) + e
+            coeff = coeff_a * coeff_b
+            mono = []
+            for sym in sorted(exps, key=rank.__getitem__):
+                e = exps[sym]
+                if sym in ctx.roots:
+                    coeff *= ctx.roots[sym] ** (e // 2)
+                    e %= 2
+                if e:
+                    mono.append((sym, e))
+            out[tuple(mono)] = out.get(tuple(mono), 0) + coeff
+    return _canonical(ctx, out)
+
+
+def naive_add(ctx, a, b, sign=1):
+    out = dict(a.terms)
+    for mono, coeff in b.terms:
+        out[mono] = out.get(mono, 0) + sign * coeff
+    return _canonical(ctx, out)
+
+
+_CONSTANTS = st.sampled_from([0, 1, -1, 2, -3, Fraction(-1, 2), Fraction(3, 7)])
+
+
+@st.composite
+def monomials(draw, ctx):
+    """Single-term scalars, so equal monomials (and cancellations) are common."""
+    atom = draw(st.sampled_from(["1", "lambda1", "sqrt2", "sqrt2*lambda1", "lambda1*mu2"]))
+    return ctx.scalar(draw(_CONSTANTS.filter(bool))) * ctx.parse(atom)
+
+
+class TestFastPaths:
+    @given(a=scalars(_CTX), k=_CONSTANTS)
+    def test_constant_operands_match_naive_expansion(self, a, k):
+        c = _CTX.scalar(k)
+        for x, y in ((a, c), (c, a)):
+            assert (x * y).terms == naive_mul(_CTX, x, y)
+            assert (x + y).terms == naive_add(_CTX, x, y)
+            assert (x - y).terms == naive_add(_CTX, x, y, -1)
+        # plain numbers take the coercing path and must agree with it
+        assert (a * k).terms == (k * a).terms == naive_mul(_CTX, a, c)
+        assert (a + k).terms == (k + a).terms == naive_add(_CTX, a, c)
+        assert (a - k).terms == naive_add(_CTX, a, c, -1)
+        assert (k - a).terms == naive_add(_CTX, c, a, -1)
+
+    @given(a=monomials(_CTX), b=monomials(_CTX))
+    def test_single_terms_match_naive_expansion(self, a, b):
+        assert (a * b).terms == naive_mul(_CTX, a, b)
+        assert (a + b).terms == naive_add(_CTX, a, b)
+        assert (a - b).terms == naive_add(_CTX, a, b, -1)
+
+    @given(a=scalars(_CTX), b=scalars(_CTX))
+    def test_general_operands_match_naive_expansion(self, a, b):
+        assert (a * b).terms == naive_mul(_CTX, a, b)
+        assert (a + b).terms == naive_add(_CTX, a, b)
+        assert (a - b).terms == naive_add(_CTX, a, b, -1)
+
+    def test_equal_but_distinct_contexts_combine(self):
+        first = ScalarContext(params=["lambda1"], roots={"sqrt2": 2})
+        second = ScalarContext(params=["lambda1"], roots={"sqrt2": 2})
+        assert first is not second and first == second
+        a, two, one = first.parse("lambda1 + sqrt2"), second.scalar(2), second.one
+        assert a * two == two * a == first.parse("2*lambda1 + 2*sqrt2")
+        assert a * one == one * a == a
+        assert a + two == two + a == first.parse("lambda1 + sqrt2 + 2")
+        assert a - two == first.parse("lambda1 + sqrt2 - 2")
+        assert two - a == first.parse("2 - lambda1 - sqrt2")
+        assert first.param("lambda1") - second.param("lambda1") == first.zero
+
+    def test_mismatched_contexts_raise(self, ctx):
+        other = ScalarContext(params=["lambda1"])
+        lam = ctx.param("lambda1")
+        for op in (operator.add, operator.sub, operator.mul):
+            # constants and matching monomials must not slip past the check
+            for rhs in (other.param("lambda1"), other.one, other.scalar(3)):
+                with pytest.raises(ContextMismatchError):
+                    op(lam, rhs)
+                with pytest.raises(ContextMismatchError):
+                    op(rhs, lam)
