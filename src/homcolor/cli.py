@@ -88,21 +88,14 @@ def cmd_check(args) -> int:
     kind = args.kind
     if kind in STRUCTURE_KINDS:
         suite = run_suite(
-            presentation,
-            STRUCTURE_KINDS[kind],
-            workers=args.workers,
-            arity4_dim_cap=args.arity4_cap,
+            presentation, STRUCTURE_KINDS[kind], arity4_dim_cap=args.arity4_cap
         )
     elif kind == "gi":
-        suite = check_gi_identities(
-            presentation, workers=args.workers, arity4_dim_cap=args.arity4_cap
-        )
+        suite = check_gi_identities(presentation, arity4_dim_cap=args.arity4_cap)
     elif kind in BIMODULE_KINDS:
         if bundle is None:
             raise LoadError("input has no 'module' block, required for bimodule kinds")
-        suite = check_bimodule(
-            presentation, bundle, BIMODULE_KINDS[kind], workers=args.workers
-        )
+        suite = check_bimodule(presentation, bundle, BIMODULE_KINDS[kind])
     else:
         raise LoadError(f"unknown kind {kind!r}")
     return _emit(suite, args, kind)
@@ -112,9 +105,7 @@ def cmd_construct(args) -> int:
     name = args.name
     if name == "matched-pair":
         pair = load_matched_pair_file(args.inputs[0])
-        result = matched_pair_double(
-            pair, MATCHED_KINDS[args.kind or "hnp"], force=args.force, workers=args.workers
-        )
+        result = matched_pair_double(pair, MATCHED_KINDS[args.kind or "hnp"], force=args.force)
     else:
         presentation, bundle = load_presentation_file(args.inputs[0])
         if name == "commutator":
@@ -137,11 +128,10 @@ def cmd_construct(args) -> int:
                 bundle,
                 BIMODULE_KINDS[args.kind or "assoc_bimodule"],
                 force=args.force,
-                workers=args.workers,
             )
         elif name == "tensor":
             other, _ = load_presentation_file(args.inputs[1])
-            result = tensor_product(presentation, other, force=args.force, workers=args.workers)
+            result = tensor_product(presentation, other, force=args.force)
         elif name == "quotient":
             result = quotient(presentation, [n.strip() for n in args.ideal.split(",")])
         elif name == "derivation-product":
@@ -163,12 +153,7 @@ def cmd_construct(args) -> int:
         verify = args.verify
         if verify == "auto" and name == "matched-pair":
             verify = double_suite_kind(MATCHED_KINDS[args.kind or "hnp"]).value
-        suite = run_suite(
-            result,
-            STRUCTURE_KINDS[verify],
-            workers=args.workers,
-            arity4_dim_cap=args.arity4_cap,
-        )
+        suite = run_suite(result, STRUCTURE_KINDS[verify], arity4_dim_cap=args.arity4_cap)
         print(suite.describe())
         return _STATUS_EXIT[suite.status]
     return EXIT_PASS
@@ -235,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--report", help="write a JSON report to this path")
     check.add_argument("--subst", action="append", default=[], metavar="NAME=VALUE")
-    check.add_argument("--workers", type=int, default=1)
     check.add_argument("--arity4-cap", type=int, default=None, dest="arity4_cap")
     check.add_argument("--timings", action="store_true", help="include timings in reports")
     check.set_defaults(func=cmd_check)
@@ -265,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     construct.add_argument("--kind", default=None, help="bimodule or matched-pair kind")
     construct.add_argument("--ideal", default="", help="comma-separated basis names")
     construct.add_argument("--map", default=None, help="JSON file with a 'map' matrix")
-    construct.add_argument("--workers", type=int, default=1)
     construct.add_argument("--arity4-cap", type=int, default=None, dest="arity4_cap")
     construct.set_defaults(func=cmd_construct)
 

@@ -9,7 +9,7 @@ probed contrapositively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -23,12 +23,12 @@ from .core import (
     is_derivation,
     is_morphism,
     is_multiplicative,
+    scan_check,
     vec_add,
     vec_neg,
     vec_sub,
-    vec_to_names,
 )
-from .identities import StructureKind, run_suite, scan_tuples
+from .identities import StructureKind, run_suite
 from .reports import FAIL, PASS, CheckReport, PreconditionError, SuiteReport
 from .representations import ActionBundle, BimoduleKind, check_bimodule
 from .scalars import Scalar
@@ -208,7 +208,6 @@ def semidirect_sum(
     kind: BimoduleKind,
     product_roles: Mapping[str, str] | None = None,
     force: bool = False,
-    workers: int = 1,
 ) -> AlgebraPresentation:
     """Direct sum with the module, products extended by the bundle's actions.
 
@@ -217,7 +216,7 @@ def semidirect_sum(
     """
     from .representations import _resolve_slots
 
-    report = check_bimodule(presentation, bundle, kind, product_roles, workers=workers)
+    report = check_bimodule(presentation, bundle, kind, product_roles)
     if not report.passed and not force:
         raise PreconditionError("bundle fails the bimodule conditions", (report,))
     slots = _resolve_slots(kind, product_roles)
@@ -674,23 +673,13 @@ _MP_ROLE_SLOTS: dict[MatchedPairKind, dict[str, str]] = {
 def check_matched_pair(
     pair: MatchedPairData,
     kind: MatchedPairKind,
-    workers: int = 1,
 ) -> SuiteReport:
     """Cross-bimodule checks in both directions plus the side conditions."""
     report = SuiteReport(kind=f"matched_pair[{kind.value}]")
     for bim_kind, roles in _MP_BIMODULES[kind]:
         for direction, algebra, bundle in (("ab", pair.a, pair.ab), ("ba", pair.b, pair.ba)):
-            sub = check_bimodule(algebra, bundle, bim_kind, roles, workers=workers)
-            for check in sub.checks:
-                report.checks.append(
-                    CheckReport(
-                        check=f"{direction}:{check.check}",
-                        status=check.status,
-                        witness=check.witness,
-                        defect=check.defect,
-                        seconds=check.seconds,
-                    )
-                )
+            sub = check_bimodule(algebra, bundle, bim_kind, roles)
+            report.checks.extend(replace(c, check=f"{direction}:{c.check}") for c in sub.checks)
     slots = _MP_ROLE_SLOTS[kind]
     base = _MPEval(pair.a, pair.b, pair.ab, pair.ba, **{
         k: v for k, v in (("dot", slots.get("dot")), ("novikov", slots.get("novikov")), ("lie", slots.get("bracket"))) if v
@@ -700,23 +689,14 @@ def check_matched_pair(
             ("ab", base, pair.a, pair.b),
             ("ba", base.swap(), pair.b, pair.a),
         ):
-            hit = scan_tuples(
-                (left.dim, right.dim, right.dim),
-                workers,
-                lambda t: defect_fn(ev, *t),
-            )
-            if hit is None:
-                report.checks.append(CheckReport(check=f"{direction}:{label}", status=PASS))
-            else:
-                (x, a, b), defect = hit
-                report.checks.append(
-                    CheckReport(
-                        check=f"{direction}:{label}",
-                        status=FAIL,
-                        witness=(left.names[x], right.names[a], right.names[b]),
-                        defect=vec_to_names(right.space, defect),
-                    )
+            report.checks.append(
+                scan_check(
+                    f"{direction}:{label}",
+                    (left.names, right.names, right.names),
+                    lambda t: defect_fn(ev, *t),
+                    right.space,
                 )
+            )
     return report
 
 
@@ -724,10 +704,9 @@ def matched_pair_double(
     pair: MatchedPairData,
     kind: MatchedPairKind,
     force: bool = False,
-    workers: int = 1,
 ) -> AlgebraPresentation:
     """The double: direct sum carrying the matched-pair product formulas."""
-    report = check_matched_pair(pair, kind, workers=workers)
+    report = check_matched_pair(pair, kind)
     if not report.passed and not force:
         raise PreconditionError("matched-pair conditions fail", (report,))
 
@@ -806,7 +785,6 @@ def tensor_product(
     left: AlgebraPresentation,
     right: AlgebraPresentation,
     force: bool = False,
-    workers: int = 1,
 ) -> AlgebraPresentation:
     """Tensor product of two admissible dot/diamond presentations.
 
@@ -822,7 +800,7 @@ def tensor_product(
         right = rebase_presentation(right, ctx)
     failed = []
     for side in (left, right):
-        suite = run_suite(side, StructureKind.ADMISSIBLE_HNP, workers=workers)
+        suite = run_suite(side, StructureKind.ADMISSIBLE_HNP)
         if not suite.passed:
             failed.append(suite)
     if failed and not force:
@@ -917,52 +895,38 @@ def _subset_indices(presentation: AlgebraPresentation, subset: Iterable[str | in
     return tuple(sorted(set(out)))
 
 
-def _closure_failure(
-    presentation: AlgebraPresentation, inside: set[int], vec: Vec
-) -> Vec:
-    return {k: s for k, s in vec.items() if k not in inside}
-
-
 def _check_closures(
     presentation: AlgebraPresentation,
     subset: Iterable[str | int],
     two_sided: bool,
     check_name: str,
 ) -> CheckReport:
-    members = _subset_indices(presentation, subset)
-    inside = set(members)
-    names = presentation.names
-    for i in members:
-        leak = _closure_failure(presentation, inside, presentation.alpha_image(i))
-        if leak:
-            return CheckReport(
-                check=check_name,
-                status=FAIL,
-                witness=(names[i],),
-                defect=vec_to_names(presentation.space, leak),
-                detail="twist closure",
-            )
-    n = presentation.dim
+    inside = set(_subset_indices(presentation, subset))
+    names, space = presentation.names, presentation.space
+
+    def leak(vec: Vec) -> Vec:
+        return {k: s for k, s in vec.items() if k not in inside}
+
+    def twist_leak(t):
+        (i,) = t
+        return leak(presentation._alpha_images[i]) if i in inside else {}
+
+    found = scan_check(check_name, (names,), twist_leak, space, detail="twist closure")
+    if not found.passed:
+        return found
     for role in presentation.roles:
-        for i in range(n):
-            for j in range(n):
-                if two_sided:
-                    relevant = i in inside or j in inside
-                else:
-                    relevant = i in inside and j in inside
-                if not relevant:
-                    continue
-                leak = _closure_failure(
-                    presentation, inside, presentation.mul_basis(role, i, j)
-                )
-                if leak:
-                    return CheckReport(
-                        check=check_name,
-                        status=FAIL,
-                        witness=(names[i], names[j]),
-                        defect=vec_to_names(presentation.space, leak),
-                        detail=f"product[{role}] closure",
-                    )
+        cells = presentation.products[role]._vec_table()
+
+        def product_leak(t):
+            i, j = t
+            relevant = (i in inside or j in inside) if two_sided else (i in inside and j in inside)
+            return leak(cells.get(t, {})) if relevant else {}
+
+        found = scan_check(
+            check_name, (names, names), product_leak, space, detail=f"product[{role}] closure"
+        )
+        if not found.passed:
+            return found
     return CheckReport(check=check_name, status=PASS)
 
 
@@ -1025,7 +989,6 @@ def novikov_from_derivation(
     derivation: LinearMap,
     to_role: str = "diamond",
     force: bool = False,
-    workers: int = 1,
 ) -> AlgebraPresentation:
     """Add the product x o y = x . D(y) induced by an even derivation D.
 
@@ -1036,7 +999,7 @@ def novikov_from_derivation(
     if to_role in presentation.products:
         raise ValueError(f"presentation already has a product {to_role!r}")
     failed: list = []
-    suite = run_suite(presentation, StructureKind.EPS_COMM_ASSOC, workers=workers)
+    suite = run_suite(presentation, StructureKind.EPS_COMM_ASSOC)
     if not suite.passed:
         failed.append(suite)
     der = is_derivation(presentation, "dot", derivation)

@@ -10,15 +10,17 @@ are immutable after validation, so they can be shared freely.
 The checking code reads a presentation's frozen data directly: the
 index-keyed :func:`_mul`, each product's cells as vectors, the n x n sign
 table and the twist images.  Those tables are built lazily, once per product
-or presentation (idempotently, so threads sharing a presentation may race to
-build one), and nothing mutates them; the public accessors (``mul``,
+or presentation, and nothing mutates them; the public accessors (``mul``,
 ``mul_basis``, ``alpha_image``, ``LinearMap.image``) hand out fresh dicts.
+Every check that scans basis tuples goes through :func:`scan_check`.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Sequence
+import time
+from itertools import product as iter_product
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .grading import AbelianGroup, Bicharacter, GroupElement
 from .reports import FAIL, PASS, CheckReport, SuiteReport
@@ -37,6 +39,7 @@ __all__ = [
     "vec_neg",
     "vec_scale",
     "vec_to_names",
+    "scan_check",
     "is_multiplicative",
     "is_derivation",
     "morphism_suite",
@@ -536,6 +539,45 @@ def _mul(table: Mapping[tuple[int, int], Sequence[tuple[int, Scalar]]], x: Vec, 
     return out
 
 
+# -- scanning -------------------------------------------------------------------
+
+
+def scan_check(
+    check: str,
+    axes: Sequence[Sequence[str]],
+    defect: Callable[[tuple[int, ...]], Vec],
+    space: GradedSpace,
+    roles: tuple[tuple[str, str], ...] = (),
+    detail: str = "",
+) -> CheckReport:
+    """Scan index tuples in lexicographic order and report the first failure.
+
+    ``axes`` holds one basis-name table per tuple position; ``defect`` maps
+    an index tuple to a vector of ``space``.  The tuples are visited one at
+    a time, in a single lexicographic scan that stops at the first nonzero
+    defect, so a failure always carries the smallest failing tuple.  The
+    report is PASS, or FAIL with the tuple's names and its defect; it
+    records the scan time, and ``roles`` and ``detail`` pass through.
+    """
+    started = time.perf_counter()
+    for t in iter_product(*(range(len(names)) for names in axes)):
+        found = defect(t)
+        if found:
+            return CheckReport(
+                check=check,
+                status=FAIL,
+                roles=roles,
+                witness=tuple(names[i] for names, i in zip(axes, t)),
+                defect=vec_to_names(space, found),
+                detail=detail,
+                seconds=time.perf_counter() - started,
+            )
+    return CheckReport(
+        check=check, status=PASS, roles=roles, detail=detail,
+        seconds=time.perf_counter() - started,
+    )
+
+
 # -- structural checks ---------------------------------------------------------
 
 
@@ -552,23 +594,14 @@ def is_multiplicative(
     m = presentation.alpha if mapping is None else mapping
     product = presentation.product(role)
     table, cells = product.table, product._vec_table()
-    n = presentation.dim
-    images = [m.image(i) for i in range(n)]
-    check = f"multiplicative[{role}]"
-    for i in range(n):
-        mi = images[i]
-        for j in range(n):
-            lhs = m.apply(cells.get((i, j), {}))
-            rhs = _mul(table, mi, images[j])
-            defect = vec_sub(lhs, rhs)
-            if defect:
-                return CheckReport(
-                    check=check,
-                    status=FAIL,
-                    witness=(presentation.names[i], presentation.names[j]),
-                    defect=vec_to_names(presentation.space, defect),
-                )
-    return CheckReport(check=check, status=PASS)
+    images = [m.image(i) for i in range(presentation.dim)]
+
+    def defect(t):
+        i, j = t
+        return vec_sub(m.apply(cells.get(t, {})), _mul(table, images[i], images[j]))
+
+    names = presentation.names
+    return scan_check(f"multiplicative[{role}]", (names, names), defect, presentation.space)
 
 
 def is_derivation(
@@ -590,24 +623,21 @@ def is_derivation(
     table, cells = product.table, product._vec_table()
     n = presentation.dim
     images = [derivation.image(i) for i in range(n)]
-    for i in range(n):
-        sign = presentation.context.scalar(presentation.eps_deg(d, presentation.space.degree(i)))
-        di, bi = images[i], presentation.basis(i)
-        for j in range(n):
-            lhs = derivation.apply(cells.get((i, j), {}))
-            rhs = vec_add(
-                _mul(table, di, presentation.basis(j)),
-                vec_scale(sign, _mul(table, bi, images[j])),
-            )
-            defect = vec_sub(lhs, rhs)
-            if defect:
-                return CheckReport(
-                    check=f"derivation[{role}]",
-                    status=FAIL,
-                    witness=(presentation.names[i], presentation.names[j]),
-                    defect=vec_to_names(presentation.space, defect),
-                )
-    return CheckReport(check=f"derivation[{role}]", status=PASS)
+    signs = [
+        presentation.context.scalar(presentation.eps_deg(d, presentation.space.degree(i)))
+        for i in range(n)
+    ]
+
+    def defect(t):
+        i, j = t
+        rhs = vec_add(
+            _mul(table, images[i], presentation.basis(j)),
+            vec_scale(signs[i], _mul(table, presentation.basis(i), images[j])),
+        )
+        return vec_sub(derivation.apply(cells.get(t, {})), rhs)
+
+    names = presentation.names
+    return scan_check(f"derivation[{role}]", (names, names), defect, presentation.space)
 
 
 def morphism_suite(
@@ -624,38 +654,23 @@ def morphism_suite(
         raise ValueError("map does not go between the two presentations")
     report = SuiteReport(kind="morphism")
     images = [f.image(i) for i in range(source.dim)]
+    names = source.names
     for role in source.roles:
         cells, table = source.products[role]._vec_table(), target.products[role].table
-        found = None
-        for i in range(source.dim):
-            fi = images[i]
-            for j in range(source.dim):
-                lhs = f.apply(cells.get((i, j), {}))
-                rhs = _mul(table, fi, images[j])
-                defect = vec_sub(lhs, rhs)
-                if defect:
-                    found = CheckReport(
-                        check=f"morphism:product[{role}]",
-                        status=FAIL,
-                        witness=(source.names[i], source.names[j]),
-                        defect=vec_to_names(target.space, defect),
-                    )
-                    break
-            if found:
-                break
-        report.checks.append(found or CheckReport(check=f"morphism:product[{role}]", status=PASS))
-    found = None
-    for i in range(source.dim):
-        defect = vec_sub(f.apply(source._alpha_images[i]), target.alpha.apply(images[i]))
-        if defect:
-            found = CheckReport(
-                check="morphism:twist",
-                status=FAIL,
-                witness=(source.names[i],),
-                defect=vec_to_names(target.space, defect),
-            )
-            break
-    report.checks.append(found or CheckReport(check="morphism:twist", status=PASS))
+
+        def defect(t):
+            i, j = t
+            return vec_sub(f.apply(cells.get(t, {})), _mul(table, images[i], images[j]))
+
+        report.checks.append(
+            scan_check(f"morphism:product[{role}]", (names, names), defect, target.space)
+        )
+
+    def twist_defect(t):
+        (i,) = t
+        return vec_sub(f.apply(source._alpha_images[i]), target.alpha.apply(images[i]))
+
+    report.checks.append(scan_check("morphism:twist", (names,), twist_defect, target.space))
     return report
 
 

@@ -103,10 +103,6 @@ class Bicharacter:
             parity += a[i] * b[j]
         return -1 if parity % 2 else 1
 
-    def scalar(self, context, a: GroupElement, b: GroupElement):
-        """The same value as an exact scalar of ``context``."""
-        return context.scalar(self.sign(a, b))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Bicharacter)

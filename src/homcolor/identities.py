@@ -3,23 +3,18 @@
 Each identity is a single defect expression folding both sides of the
 defining equation; a check evaluates the defect on every basis tuple of the
 identity's arity and passes iff every defect is the zero scalar vector,
-polynomial-identically when parameters are present.  Failures report the
-lexicographically smallest failing tuple together with its defect vector.
-
-The tuple space can be partitioned across workers; each worker scans its
-own slice in lexicographic order and reports its first failure, and the
-merged witness is the minimum, so the result does not depend on the worker
-count.
+polynomial-identically when parameters are present.  The tuples are scanned
+once, in lexicographic order, by :func:`~homcolor.core.scan_check`, so a
+failure reports the lexicographically smallest failing tuple together with
+its defect vector.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, product as iter_product
 from typing import Callable, Mapping
 
 from .core import (
@@ -27,12 +22,12 @@ from .core import (
     Vec,
     _mul,
     is_multiplicative,
+    scan_check,
     vec_add,
     vec_neg,
     vec_sub,
-    vec_to_names,
 )
-from .reports import FAIL, PASS, PRECONDITION_FAILED, CheckReport, SuiteReport
+from .reports import PRECONDITION_FAILED, CheckReport, SuiteReport
 
 __all__ = [
     "IdentityId",
@@ -45,7 +40,6 @@ __all__ = [
     "check_gi_identities",
     "required_roles",
     "arity4_cap",
-    "scan_tuples",
 ]
 
 DEFAULT_ARITY4_CAP = 12
@@ -358,41 +352,10 @@ def required_roles(kind: StructureKind) -> tuple[str, ...]:
     return tuple(sorted(roles))
 
 
-# -- scanning engine -----------------------------------------------------------
-
-
-def scan_tuples(
-    dims: tuple[int, ...],
-    workers: int,
-    evaluate: Callable[[tuple[int, ...]], Vec],
-) -> tuple[tuple[int, ...], Vec] | None:
-    """First failing tuple in lexicographic order, or None.
-
-    Workers own interleaved slices of the lexicographic enumeration; each
-    reports the first failure in its own slice and the merge takes the
-    smallest, so the witness is independent of the worker count.
-    """
-    ranges = tuple(range(d) for d in dims)
-
-    def scan_slice(offset: int) -> tuple[tuple[int, ...], Vec] | None:
-        for t in islice(iter_product(*ranges), offset, None, max(workers, 1)):
-            defect = evaluate(t)
-            if defect:
-                return t, defect
-        return None
-
-    if workers <= 1:
-        return scan_slice(0)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        hits = [hit for hit in pool.map(scan_slice, range(workers)) if hit is not None]
-    return min(hits, key=lambda hit: hit[0]) if hits else None
-
-
 def check_identity(
     presentation: AlgebraPresentation,
     tag: str,
     roles: Mapping[str, str] | None = None,
-    workers: int = 1,
     arity4_dim_cap: int | None = None,
 ) -> CheckReport:
     """Evaluate one catalogued identity on every basis tuple of its arity."""
@@ -409,10 +372,10 @@ def check_identity(
     for role in binding.values():
         presentation.product(role)  # raises MissingRoleError
 
-    started = time.perf_counter()
     role_items = tuple(sorted(binding.items()))
 
     if spec.needs_multiplicative:
+        started = time.perf_counter()
         failed = []
         for role in sorted(set(binding.values())):
             sub = is_multiplicative(presentation, role)
@@ -438,25 +401,18 @@ def check_identity(
             )
 
     ev = _Eval(presentation, binding)
-    hit = scan_tuples((n,) * spec.arity, workers, lambda t: spec.defect(ev, t))
-    seconds = time.perf_counter() - started
-    if hit is None:
-        return CheckReport(check=tag, status=PASS, roles=role_items, seconds=seconds)
-    indices, defect = hit
-    return CheckReport(
-        check=tag,
-        status=FAIL,
+    return scan_check(
+        tag,
+        (presentation.names,) * spec.arity,
+        lambda t: spec.defect(ev, t),
+        presentation.space,
         roles=role_items,
-        witness=tuple(presentation.names[i] for i in indices),
-        defect=vec_to_names(presentation.space, defect),
-        seconds=seconds,
     )
 
 
 def run_suite(
     presentation: AlgebraPresentation,
     kind: StructureKind,
-    workers: int = 1,
     arity4_dim_cap: int | None = None,
 ) -> SuiteReport:
     """All member identities of a structure kind; verdict is the conjunction."""
@@ -465,16 +421,13 @@ def run_suite(
     report = SuiteReport(kind=kind.value)
     for tag, override in SUITE_MEMBERS[kind]:
         report.checks.append(
-            check_identity(
-                presentation, tag, roles=override, workers=workers, arity4_dim_cap=arity4_dim_cap
-            )
+            check_identity(presentation, tag, roles=override, arity4_dim_cap=arity4_dim_cap)
         )
     return report
 
 
 def check_gi_identities(
     presentation: AlgebraPresentation,
-    workers: int = 1,
     arity4_dim_cap: int | None = None,
 ) -> SuiteReport:
     """The four bracket/product interchange identities GI_1..GI_4.
@@ -485,7 +438,7 @@ def check_gi_identities(
     """
     report = SuiteReport(kind="gi")
     failed: list[CheckReport] = []
-    base = run_suite(presentation, StructureKind.TRANSPOSED_POISSON, workers=workers)
+    base = run_suite(presentation, StructureKind.TRANSPOSED_POISSON)
     failed.extend(c for c in base.checks if not c.passed)
     for role in ("dot", "bracket"):
         sub = is_multiplicative(presentation, role)
@@ -503,6 +456,6 @@ def check_gi_identities(
         return report
     for tag in ("GI_1", "GI_2", "GI_3", "GI_4"):
         report.checks.append(
-            check_identity(presentation, tag, workers=workers, arity4_dim_cap=arity4_dim_cap)
+            check_identity(presentation, tag, arity4_dim_cap=arity4_dim_cap)
         )
     return report

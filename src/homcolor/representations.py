@@ -6,13 +6,13 @@ matrix of e_i shifts module degrees by deg(e_i), which is enforced at
 construction, so violations are load errors rather than check failures.
 
 :func:`check_bimodule` evaluates the condition list of a
-:class:`BimoduleKind` over (algebra basis)^2 x (module basis), reporting the
-smallest failing tuple exactly as the identity engine does.
+:class:`BimoduleKind` over (algebra basis)^2 x (module basis) through the
+same lexicographic scan as the identity engine, reporting the smallest
+failing tuple.
 """
 
 from __future__ import annotations
 
-import time
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -22,13 +22,12 @@ from .core import (
     LinearMap,
     Vec,
     is_morphism,
+    scan_check,
     vec_add,
     vec_neg,
     vec_sub,
-    vec_to_names,
 )
-from .identities import scan_tuples
-from .reports import FAIL, PASS, CheckReport, PreconditionError, SuiteReport
+from .reports import PreconditionError, SuiteReport
 from .scalars import ScalarContext
 
 __all__ = [
@@ -387,7 +386,6 @@ def check_bimodule(
     bundle: ActionBundle,
     kind: BimoduleKind,
     product_roles: Mapping[str, str] | None = None,
-    workers: int = 1,
 ) -> SuiteReport:
     """Evaluate every condition of ``kind`` over basis pairs times module basis."""
     if bundle.algebra_space != presentation.space:
@@ -399,31 +397,23 @@ def check_bimodule(
         bundle.action(name)
 
     ev = _BEval(presentation, bundle, slots)
-    n = presentation.dim
-    m = bundle.module.dim
+    axes = (presentation.names, presentation.names, bundle.module.names)
     report = SuiteReport(kind=kind.value)
     for label, defect_fn in KIND_CONDITIONS[kind]:
-        started = time.perf_counter()
-        hit = scan_tuples((n, n, m), workers, lambda t: defect_fn(ev, *t))
-        seconds = time.perf_counter() - started
-        if hit is None:
-            report.checks.append(CheckReport(check=label, status=PASS, seconds=seconds))
-        else:
-            (x, y, v), defect = hit
-            report.checks.append(
-                CheckReport(
-                    check=label,
-                    status=FAIL,
-                    witness=(
-                        presentation.names[x],
-                        presentation.names[y],
-                        bundle.module.names[v],
-                    ),
-                    defect=vec_to_names(bundle.module, defect),
-                    seconds=seconds,
-                )
-            )
+        report.checks.append(
+            scan_check(label, axes, lambda t: defect_fn(ev, *t), bundle.module)
+        )
     return report
+
+
+# Product slot and multiplication side behind each action of a regular or
+# pullback bundle: e_i acts by left or right multiplication.
+_ACTION_SOURCES: dict[str, tuple[str, str]] = {
+    "s": ("assoc", "left"),
+    "l": ("novikov", "left"),
+    "r": ("novikov", "right"),
+    "rho": ("lie", "left"),
+}
 
 
 def _mul_column_map(
@@ -450,16 +440,9 @@ def regular_bundle(
     actions: dict[str, tuple[LinearMap, ...]] = {}
     n = presentation.dim
     for name in KIND_ACTIONS[kind]:
-        if name == "s":
-            role, side = slots["assoc"], "left"
-        elif name == "l":
-            role, side = slots["novikov"], "left"
-        elif name == "r":
-            role, side = slots["novikov"], "right"
-        else:
-            role, side = slots["lie"], "left"
+        slot, side = _ACTION_SOURCES[name]
         actions[name] = tuple(
-            _mul_column_map(presentation, role, i, side) for i in range(n)
+            _mul_column_map(presentation, slots[slot], i, side) for i in range(n)
         )
     return ActionBundle(
         presentation.space, presentation.space, presentation.alpha, presentation.context, actions
@@ -498,13 +481,6 @@ def pullback_bundle(
         return LinearMap(space, space, target.context, columns, degree=source.space.degree(i))
 
     for name in KIND_ACTIONS[kind]:
-        if name == "s":
-            role, side = slots["assoc"], "left"
-        elif name == "l":
-            role, side = slots["novikov"], "left"
-        elif name == "r":
-            role, side = slots["novikov"], "right"
-        else:
-            role, side = slots["lie"], "left"
-        actions[name] = tuple(column_map(i, role, side) for i in range(n))
+        slot, side = _ACTION_SOURCES[name]
+        actions[name] = tuple(column_map(i, slots[slot], side) for i in range(n))
     return ActionBundle(source.space, space, target.alpha, target.context, actions)

@@ -67,27 +67,60 @@ def _as_fraction(value: int | str | Fraction) -> Fraction:
     raise ScalarError(f"not an exact rational: {value!r}")
 
 
-def _is_rational_square(q: Fraction) -> bool:
-    # Fractions are kept in lowest terms, so q is a square iff both parts are.
-    p, d = q.numerator, q.denominator
-    return math.isqrt(p) ** 2 == p and math.isqrt(d) ** 2 == d
+def _coprime_base(values: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers > 1 of which every value is a product of
+    powers, found by gcd refinement (no factoring): a pair a, b with
+    g = gcd(a, b) > 1 becomes a/g, g, b/g until no such pair is left."""
+    base = {v for v in values if v > 1}
+    while True:
+        pair = next(((a, b) for a in base for b in base if a < b and math.gcd(a, b) > 1), None)
+        if pair is None:
+            return sorted(base)
+        a, b = pair
+        g = math.gcd(a, b)
+        base -= {a, b}
+        base |= {v for v in (a // g, g, b // g) if v > 1}
 
 
 def _check_independent(roots: list[tuple[str, Fraction]]) -> None:
     """Refuse roots some nonempty subset of whose radicands multiplies to a
     rational square; such roots satisfy a relation the canonical form does
-    not apply.  Visits the 2^k - 1 subsets of k roots in Gray-code order, so
-    each step multiplies or divides by one radicand."""
-    value, subset = Fraction(1), 0
-    for step in range(1, 1 << len(roots)):
-        bit = (step & -step).bit_length() - 1
-        subset ^= 1 << bit
-        q = roots[bit][1]
-        value = value * q if subset >> bit & 1 else value / q
-        if _is_rational_square(value):
-            names = ", ".join(name for i, (name, _) in enumerate(roots) if subset >> i & 1)
+    not apply.
+
+    q = p/d equals p*d / d^2, so a product of radicands is a rational square
+    iff the product of their integers p*d is a square.  Over a coprime base
+    of those integers that holds iff the exponent of every non-square base
+    element is even, so the test is a GF(2) rank test on exponent-parity bit
+    vectors.
+    Each row keeps the mask of roots it combines, so a row that eliminates
+    to zero names a subset whose product is a square.
+    """
+    values = [q.numerator * q.denominator for _, q in roots]
+    base = [b for b in _coprime_base(values) if math.isqrt(b) ** 2 != b]
+    pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (row, root mask)
+    for index, value in enumerate(values):
+        row = 0
+        for bit, b in enumerate(base):
+            exponent = 0
+            while value % b == 0:
+                value //= b
+                exponent += 1
+            row |= (exponent & 1) << bit
+        mask = 1 << index
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = (row, mask)
+                break
+            pivot_row, pivot_mask = pivots[lead]
+            row ^= pivot_row
+            mask ^= pivot_mask
+        else:
+            subset = [i for i in range(len(roots)) if mask >> i & 1]
+            product = math.prod((roots[i][1] for i in subset), start=Fraction(1))
+            names = ", ".join(roots[i][0] for i in subset)
             raise ScalarError(
-                f"the radicand product of roots {names} is {value}, a rational square; "
+                f"the radicand product of roots {names} is {product}, a rational square; "
                 "declared roots must be independent modulo squares"
             )
 

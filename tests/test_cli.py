@@ -111,11 +111,6 @@ class TestCheck:
         run("check", fixtures_dir / "hnp_4dim.json", "--kind", "hnp", "--report", second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_workers_flag(self, fixtures_dir):
-        assert run(
-            "check", fixtures_dir / "hnp_4dim.json", "--kind", "hnp", "--workers", "3"
-        ) == 0
-
     def test_timings_flag_adds_seconds(self, fixtures_dir, tmp_path):
         timed = tmp_path / "timed.json"
         bare = tmp_path / "bare.json"

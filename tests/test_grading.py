@@ -122,11 +122,3 @@ class TestBimultiplicativity:
         assert eps.sign(a, a) in (1, -1)
         assert eps.sign(a, group.zero) == 1
 
-
-def test_scalar_valued_factor():
-    from homcolor.scalars import ScalarContext
-
-    group, eps = super_z2()
-    ctx = ScalarContext()
-    assert eps.scalar(ctx, (1,), (1,)) == ctx.scalar(-1)
-    assert eps.scalar(ctx, (1,), (0,)) == ctx.one

@@ -112,19 +112,6 @@ class TestCheckIdentity:
 
 
 class TestWitnessDeterminism:
-    def test_workers_do_not_change_verdicts(self, assoc_3dim):
-        A = perturb(assoc_3dim, "dot", 2, 0, 2, 1)
-        reports = [check_identity(A, "HOM_ASSOC", workers=w) for w in (1, 2, 3, 5)]
-        assert len({(r.status, r.witness, r.defect) for r in reports}) == 1
-
-    def test_suite_workers_deterministic(self, hnp_4dim):
-        A = perturb(hnp_4dim, "diamond", 1, 1, 0, "mu2")
-        outcomes = []
-        for w in (1, 2, 4):
-            suite = run_suite(A, StructureKind.HNP, workers=w)
-            outcomes.append(tuple((c.check, c.status, c.witness) for c in suite.checks))
-        assert len(set(outcomes)) == 1
-
     def test_witness_is_lexicographically_minimal(self, assoc_3dim):
         A = perturb(assoc_3dim, "dot", 2, 0, 2, 1)
         oracle = DenseOracle(A)

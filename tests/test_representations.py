@@ -3,9 +3,10 @@
 import pytest
 
 import homcolor as hc
-from homcolor.core import AlgebraPresentation, LinearMap
+from homcolor.core import AlgebraPresentation, LinearMap, vec_scale, vec_sub
 from homcolor.representations import ActionBundle, BimoduleKind, check_bimodule, regular_bundle
 from homcolor.reports import PreconditionError
+from tests.util import act_vec, assert_reports_failure, smallest_failure
 
 
 def scale_action(A, ops, factor):
@@ -119,7 +120,66 @@ def test_zero_algebra_regular_bundle_has_zero_actions(zero_2dim):
     assert check_bimodule(zero_2dim, bundle, BimoduleKind.HNP_BIMODULE).passed
 
 
-def test_worker_partitioning_keeps_bimodule_witnesses(poly_deriv_3dim):
+def _novikov_condition_oracle(N, M):
+    """NOV_COND1..6 written out through the public product and actions:
+    each maps (x, y, v) to its defect on the module."""
+    one = N.context.one
+
+    def e(i):
+        return {i: one}
+
+    def act(name, x, v):
+        return act_vec(M, name, x, v)
+
+    def eps_am(i, v):
+        return N.eps_deg(N.space.degree(i), M.module.degree(v))
+
+    def eps_ma(v, i):
+        return N.eps_deg(M.module.degree(v), N.space.degree(i))
+
+    def signed(sign, vec):
+        return vec if sign == 1 else vec_scale(N.context.scalar(-1), vec)
+
+    def parts(x, y, v):
+        al, bv = N.alpha.apply, M.beta.apply(e(v))
+        xy, yx = N.mul("dot", e(x), e(y)), N.mul("dot", e(y), e(x))
+        return {
+            "l(xy)b": act("l", xy, bv),
+            "l(yx)b": act("l", yx, bv),
+            "r(xy)b": act("r", xy, bv),
+            "la(x)ly": act("l", al(e(x)), act("l", e(y), e(v))),
+            "la(y)lx": act("l", al(e(y)), act("l", e(x), e(v))),
+            "ra(y)lx": act("r", al(e(y)), act("l", e(x), e(v))),
+            "la(x)ry": act("l", al(e(x)), act("r", e(y), e(v))),
+            "ra(y)rx": act("r", al(e(y)), act("r", e(x), e(v))),
+            "ra(x)ry": act("r", al(e(x)), act("r", e(y), e(v))),
+        }
+
+    def cond(number):
+        def defect(t):
+            x, y, v = t
+            p = parts(x, y, v)
+            if number == 1:
+                lhs = vec_sub(p["l(xy)b"], p["la(x)ly"])
+                return vec_sub(lhs, signed(N.eps(x, y), vec_sub(p["l(yx)b"], p["la(y)lx"])))
+            if number == 2:
+                lhs = vec_sub(p["ra(y)lx"], p["la(x)ry"])
+                return vec_sub(lhs, signed(eps_am(x, v), vec_sub(p["ra(y)rx"], p["r(xy)b"])))
+            if number == 3:
+                lhs = vec_sub(p["ra(y)rx"], p["r(xy)b"])
+                return vec_sub(lhs, signed(eps_ma(v, x), vec_sub(p["ra(y)lx"], p["la(x)ry"])))
+            if number == 4:
+                return vec_sub(p["l(xy)b"], signed(eps_am(y, v), p["ra(y)lx"]))
+            if number == 5:
+                return vec_sub(p["ra(y)lx"], signed(eps_ma(v, y), p["l(xy)b"]))
+            return vec_sub(p["ra(y)rx"], signed(N.eps(x, y), p["ra(x)ry"]))
+
+        return defect
+
+    return {f"NOV_COND{k}": cond(k) for k in range(1, 7)}
+
+
+def test_doubled_novikov_bundle_witnesses_are_minimal(poly_deriv_3dim):
     P = poly_deriv_3dim
     N = AlgebraPresentation(P.space, P.bichar, P.context, {"dot": P.products["diamond"]}, P.alpha)
     bundle = regular_bundle(N, BimoduleKind.NOVIKOV_BIMODULE)
@@ -127,11 +187,16 @@ def test_worker_partitioning_keeps_bimodule_witnesses(poly_deriv_3dim):
         N.space, N.space, N.alpha, N.context,
         {"l": bundle.actions["l"], "r": scale_action(N, bundle.actions["r"], 2)},
     )
-    outcomes = []
-    for workers in (1, 2, 3):
-        report = check_bimodule(N, doubled, BimoduleKind.NOVIKOV_BIMODULE, workers=workers)
-        outcomes.append(tuple((c.check, c.status, c.witness, c.defect) for c in report.checks))
-    assert len(set(outcomes)) == 1
+    report = check_bimodule(N, doubled, BimoduleKind.NOVIKOV_BIMODULE)
+    oracle = _novikov_condition_oracle(N, doubled)
+    assert [c.check for c in report.checks] == list(oracle)
+    axes = (N.names, N.names, doubled.module.names)
+    failures = 0
+    for check in report.checks:
+        found = smallest_failure((N.dim, N.dim, doubled.module.dim), oracle[check.check])
+        assert_reports_failure(check, found, axes, doubled.module)
+        failures += found is not None
+    assert failures == 4
 
 
 class TestPullback:

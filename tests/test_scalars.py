@@ -1,6 +1,8 @@
 """Scalar tower: canonical forms, parsing, and evaluation homomorphisms."""
 
+import math
 import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from homcolor.scalars import (
     ScalarContext,
     ScalarError,
     ScalarParseError,
+    _check_independent,
     sqrt_mod,
 )
 
@@ -122,6 +125,19 @@ class TestContext:
     def test_independent_radicands_accepted(self):
         ctx = ScalarContext(roots={"r": 2, "s": 3, "t": 5})
         assert (ctx.root("r") * ctx.root("s")).terms == (((("r", 1), ("s", 1)), Fraction(1)),)
+
+    def test_forty_prime_radicands_accepted(self):
+        primes = [p for p in range(2, 200) if all(p % d for d in range(2, math.isqrt(p) + 1))][:40]
+        ctx = ScalarContext(roots={f"r{i}": p for i, p in enumerate(primes)})
+        assert len(ctx.roots) == 40
+
+    def test_fraction_times_integer_square_rejected(self):
+        with pytest.raises(ScalarError, match="roots r, s is 4, a rational square"):
+            ScalarContext(roots={"r": "2/3", "s": 6})
+
+    def test_four_way_dependency_rejected(self):
+        with pytest.raises(ScalarError, match="roots a, b, c, d is 900, a rational square"):
+            ScalarContext(roots={"a": 2, "b": 3, "c": 5, "d": 30})
 
     def test_rebase_into_union(self, ctx):
         merged = ctx.union(ScalarContext(params=["nu1"]))
@@ -335,3 +351,44 @@ class TestFastPaths:
                     op(lam, rhs)
                 with pytest.raises(ContextMismatchError):
                     op(rhs, lam)
+
+
+# -- radicand independence against the exhaustive subset walk ---------------------
+
+
+def square_subset_reference(roots):
+    """First subset of radicands, as a bit mask, whose product is a rational
+    square, or None; tries the 2^k - 1 subsets one by one in Gray-code
+    order, so each step multiplies or divides by one radicand."""
+    value, subset = Fraction(1), 0
+    for step in range(1, 1 << len(roots)):
+        bit = (step & -step).bit_length() - 1
+        subset ^= 1 << bit
+        q = roots[bit][1]
+        value = value * q if subset >> bit & 1 else value / q
+        p, d = value.numerator, value.denominator
+        if math.isqrt(p) ** 2 == p and math.isqrt(d) ** 2 == d:
+            return subset
+    return None
+
+
+_radicands = st.lists(
+    st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12),
+    max_size=8,
+    unique=True,
+)
+
+
+@given(_radicands)
+def test_rank_check_refuses_what_the_subset_walk_refuses(radicands):
+    roots = [(f"r{i}", q) for i, q in enumerate(radicands)]
+    expected = square_subset_reference(roots)
+    try:
+        _check_independent(roots)
+    except ScalarError as exc:
+        assert expected is not None
+        named = re.search(r"roots (.*) is ", str(exc)).group(1).split(", ")
+        value = math.prod((q for name, q in roots if name in named), start=Fraction(1))
+        assert named and all(math.isqrt(x) ** 2 == x for x in (value.numerator, value.denominator))
+    else:
+        assert expected is None
