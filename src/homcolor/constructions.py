@@ -18,13 +18,20 @@ from .core import (
     BilinearProduct,
     GradedSpace,
     LinearMap,
+    Term,
     Vec,
-    _mul,
+    action_rows,
+    eps,
     is_derivation,
     is_morphism,
     is_multiplicative,
+    operation,
+    positions,
+    product_rows,
     scan_check,
-    vec_add,
+    term_failures,
+    tuple_failures,
+    twisted,
     vec_neg,
     vec_sub,
 )
@@ -327,259 +334,124 @@ def double_suite_kind(kind: MatchedPairKind) -> StructureKind:
     }[kind]
 
 
-class _MPEval:
-    """Evaluation helpers for the matched-pair side conditions.
+# -- side conditions ---------------------------------------------------------------
+#
+# Each condition is a signed sum of product trees written from the A-side:
+# x is a basis position of A (position 0), a and b of B (positions 1, 2),
+# and the value lies in B.  al() is the twist image on either side; dot,
+# diamond, bracket and novikov are B's products (novikov is the role bound
+# to the Novikov slot); s_b, l_b, r_b, rho_b are the actions of A on B and
+# s_a, l_a, r_a, rho_a those of B on A.  Each condition is checked twice:
+# as written, and with the two sides and the two cross bundles swapped,
+# which gives the mirrored family over (a in B; x, y in A).
 
-    Conditions are written from the A-side; the mirrored conditions come from
-    swapping the two sides, so every defect below is evaluated twice, once
-    per orientation.
-    """
-
-    __slots__ = ("A", "B", "ab", "ba", "dot", "novikov", "lie")
-
-    def __init__(self, A, B, ab, ba, dot=None, novikov=None, lie=None):
-        self.A = A
-        self.B = B
-        self.ab = ab
-        self.ba = ba
-        self.dot = dot
-        self.novikov = novikov
-        self.lie = lie
-
-    def swap(self) -> "_MPEval":
-        return _MPEval(self.B, self.A, self.ba, self.ab, self.dot, self.novikov, self.lie)
-
-    # A-side basics
-    def bA(self, i: int) -> Vec:
-        return {i: self.A.context.one}
-
-    def bB(self, j: int) -> Vec:
-        return {j: self.B.context.one}
-
-    def alA(self, i: int) -> Vec:
-        return self.A._alpha_images[i]
-
-    def beB(self, j: int) -> Vec:
-        return self.B._alpha_images[j]
-
-    def mulB(self, role: str, x: Vec, y: Vec) -> Vec:
-        return _mul(self.B.product(role).table, x, y)
-
-    def actA(self, name: str, x: Vec, v: Vec) -> Vec:
-        """Action of an A-vector on a B-vector."""
-        return self.ab.act_by(name, x, v)
-
-    def actB(self, name: str, a: Vec, v: Vec) -> Vec:
-        """Action of a B-vector on an A-vector."""
-        return self.ba.act_by(name, a, v)
-
-    def dA(self, i: int):
-        return self.A.space.degree(i)
-
-    def dB(self, j: int):
-        return self.B.space.degree(j)
-
-    def eps(self, d1, d2) -> int:
-        return self.A.eps_deg(d1, d2)
-
-    def add(self, d1, d2):
-        return self.A.space.group.add(d1, d2)
-
-    @staticmethod
-    def sgn(sign: int, v: Vec) -> Vec:
-        return v if sign == 1 else vec_neg(v)
+x, a, b = positions(3)
+al = twisted
+dot, diamond, bracket, novikov = (operation(n) for n in ("dot", "diamond", "bracket", "novikov"))
+s_b, l_b, r_b, rho_b = (operation("on_b." + n) for n in ("s", "l", "r", "rho"))
+s_a, l_a, r_a, rho_a = (operation("on_a." + n) for n in ("s", "l", "r", "rho"))
+_ = ()
 
 
-# Each condition: (label, defect). Defects quantify over (x in A; a, b in B)
-# and are also applied to the swapped orientation, which yields the mirrored
-# family over (a in B; x, y in A).
+def _times(coeff: int, pairs, terms) -> tuple:
+    """``terms`` multiplied by ``coeff`` and the sign ``pairs``."""
+    return tuple((coeff * c, pairs + p, t) for c, p, t in terms)
 
 
-def _mp_assoc1(ev: _MPEval, x, a, b):
-    dx, da, db = ev.dA(x), ev.dB(a), ev.dB(b)
-    t1 = ev.sgn(ev.eps(db, dx), ev.mulB("dot", ev.beB(a), ev.actA("s", ev.bA(x), ev.bB(b))))
-    t2 = ev.sgn(
-        ev.eps(da, ev.add(db, dx)),
-        ev.actA("s", ev.actB("s", ev.bB(b), ev.bA(x)), ev.beB(a)),
-    )
-    t3 = ev.sgn(
-        ev.eps(ev.add(da, db), dx),
-        ev.actA("s", ev.alA(x), ev.mulB("dot", ev.bB(a), ev.bB(b))),
-    )
-    return vec_sub(vec_add(t1, t2), t3)
-
-
-def _mp_assoc2(ev: _MPEval, x, a, b):
-    dx, da, db = ev.dA(x), ev.dB(a), ev.dB(b)
-    t1 = ev.mulB("dot", ev.beB(a), ev.actA("s", ev.bA(x), ev.bB(b)))
-    t2 = ev.sgn(
-        ev.eps(da, ev.add(dx, db)) * ev.eps(dx, db),
-        ev.actA("s", ev.actB("s", ev.bB(b), ev.bA(x)), ev.beB(a)),
-    )
-    t3 = ev.sgn(
-        ev.eps(da, dx),
-        ev.mulB("dot", ev.actA("s", ev.bA(x), ev.bB(a)), ev.beB(b)),
-    )
-    t4 = ev.actA("s", ev.actB("s", ev.bB(a), ev.bA(x)), ev.beB(b))
-    return vec_sub(vec_add(t1, t2), vec_add(t3, t4))
-
-
-_MP_ASSOC_CONDS = (("MP_ASSOC1", _mp_assoc1), ("MP_ASSOC2", _mp_assoc2))
-
-
-def _mp_nov1(ev: _MPEval, x, a, b):
-    da, db = ev.dB(a), ev.dB(b)
-    role = ev.novikov
-
-    def half(a_, b_):
-        va, vb = ev.bB(a_), ev.bB(b_)
-        t1 = ev.actA("r", ev.alA(x), ev.mulB(role, va, vb))
-        t2 = ev.mulB(role, ev.beB(a_), ev.actA("r", ev.bA(x), vb))
-        t3 = ev.actA("r", ev.actB("l", vb, ev.bA(x)), ev.beB(a_))
-        return vec_sub(vec_sub(t1, t2), t3)
-
-    return vec_sub(half(a, b), ev.sgn(ev.eps(da, db), half(b, a)))
-
-
-def _mp_nov2(ev: _MPEval, x, a, b):
-    dx, da = ev.dA(x), ev.dB(a)
-    role = ev.novikov
-    va, vb = ev.bB(a), ev.bB(b)
-    lhs = ev.mulB(role, ev.actA("r", ev.bA(x), va), ev.beB(b))
-    lhs = vec_add(lhs, ev.actA("l", ev.actB("l", va, ev.bA(x)), ev.beB(b)))
-    lhs = vec_sub(lhs, ev.mulB(role, ev.beB(a), ev.actA("l", ev.bA(x), vb)))
-    lhs = vec_sub(lhs, ev.actA("r", ev.actB("r", vb, ev.bA(x)), ev.beB(a)))
-    rhs = ev.mulB(role, ev.actA("l", ev.bA(x), va), ev.beB(b))
-    rhs = vec_add(rhs, ev.actA("l", ev.actB("r", va, ev.bA(x)), ev.beB(b)))
-    rhs = vec_sub(rhs, ev.actA("l", ev.alA(x), ev.mulB(role, va, vb)))
-    return vec_sub(lhs, ev.sgn(ev.eps(da, dx), rhs))
-
-
-def _mp_nov3(ev: _MPEval, x, a, b):
-    dx, da = ev.dA(x), ev.dB(a)
-    role = ev.novikov
-    va, vb = ev.bB(a), ev.bB(b)
-    lhs = ev.mulB(role, ev.actA("l", ev.bA(x), va), ev.beB(b))
-    lhs = vec_sub(lhs, ev.actA("l", ev.actB("r", va, ev.bA(x)), ev.beB(b)))
-    lhs = vec_sub(lhs, ev.actA("l", ev.alA(x), ev.mulB(role, va, vb)))
-    rhs = ev.mulB(role, ev.actA("r", ev.bA(x), va), ev.beB(b))
-    rhs = vec_add(rhs, ev.actA("l", ev.actB("l", va, ev.bA(x)), ev.beB(b)))
-    rhs = vec_sub(rhs, ev.mulB(role, ev.beB(a), ev.actA("l", ev.bA(x), vb)))
-    rhs = vec_sub(rhs, ev.actA("r", ev.actB("r", vb, ev.bA(x)), ev.beB(a)))
-    return vec_sub(lhs, ev.sgn(ev.eps(dx, da), rhs))
-
-
-_MP_NOV_CONDS = (("MP_NOV1", _mp_nov1), ("MP_NOV2", _mp_nov2), ("MP_NOV3", _mp_nov3))
-
-
-def _mp_lie(ev: _MPEval, x, a, b):
-    dx, da, db = ev.dA(x), ev.dB(a), ev.dB(b)
-    va, vb = ev.bB(a), ev.bB(b)
-    t1 = vec_sub(
-        ev.actA("rho", ev.actB("rho", va, ev.bA(x)), ev.beB(b)),
-        ev.mulB("bracket", ev.beB(a), ev.actA("rho", ev.bA(x), vb)),
-    )
-    t2 = vec_sub(
-        ev.mulB("bracket", ev.beB(b), ev.actA("rho", ev.bA(x), va)),
-        ev.actA("rho", ev.actB("rho", vb, ev.bA(x)), ev.beB(a)),
-    )
-    total = ev.sgn(ev.eps(dx, da), t1)
-    total = vec_add(total, ev.sgn(ev.eps(ev.add(da, dx), db), t2))
-    return vec_add(total, ev.actA("rho", ev.alA(x), ev.mulB("bracket", va, vb)))
-
-
-_MP_LIE_CONDS = (("MP_LIE", _mp_lie),)
-
-
-def _mp_hnp1(ev: _MPEval, x, a, b):
-    dx, db = ev.dA(x), ev.dB(b)
-    va, vb = ev.bB(a), ev.bB(b)
-    lhs = ev.actA("r", ev.alA(x), ev.mulB("dot", va, vb))
-    rhs = vec_add(
-        ev.mulB("dot", ev.actA("r", ev.bA(x), va), ev.beB(b)),
-        ev.actA("s", ev.actB("l", va, ev.bA(x)), ev.beB(b)),
-    )
-    return vec_sub(lhs, ev.sgn(ev.eps(db, dx), rhs))
-
-
-def _mp_hnp2(ev: _MPEval, x, a, b):
-    dx, da, db = ev.dA(x), ev.dB(a), ev.dB(b)
-    va, vb = ev.bB(a), ev.bB(b)
-    lhs = ev.actA("l", ev.actB("s", va, ev.bA(x)), ev.beB(b))
-    lhs = vec_add(
-        lhs,
-        ev.sgn(ev.eps(da, dx), ev.mulB("diamond", ev.actA("s", ev.bA(x), va), ev.beB(b))),
-    )
-    rhs = ev.sgn(
-        ev.eps(dx, db) * ev.eps(ev.add(da, db), dx),
-        ev.actA("s", ev.alA(x), ev.mulB("diamond", va, vb)),
-    )
-    return vec_sub(lhs, rhs)
-
-
-def _mp_hnp3(ev: _MPEval, x, a, b):
-    dx, da, db = ev.dA(x), ev.dB(a), ev.dB(b)
-    va, vb = ev.bB(a), ev.bB(b)
-    lhs = ev.sgn(ev.eps(da, dx), ev.actA("l", ev.actB("s", va, ev.bA(x)), ev.beB(b)))
-    lhs = vec_add(lhs, ev.mulB("diamond", ev.actA("s", ev.bA(x), va), ev.beB(b)))
-    rhs = vec_add(
-        ev.mulB("dot", ev.actA("l", ev.bA(x), vb), ev.beB(a)),
-        ev.actA("s", ev.actB("r", vb, ev.bA(x)), ev.beB(a)),
-    )
-    return vec_sub(lhs, ev.sgn(ev.eps(da, db), rhs))
-
-
-def _mp_hnp4(ev: _MPEval, x, a, b):
-    dx, da, db = ev.dA(x), ev.dB(a), ev.dB(b)
-
-    def half(a_, b_, da_, db_):
-        va, vb = ev.bB(a_), ev.bB(b_)
-        t1 = ev.sgn(
-            ev.eps(ev.add(da_, db_), dx),
-            ev.actA("s", ev.alA(x), ev.mulB("diamond", va, vb)),
-        )
-        t2 = ev.sgn(ev.eps(db_, dx), ev.mulB("diamond", ev.beB(a_), ev.actA("s", ev.bA(x), vb)))
-        t3 = ev.actA("r", ev.actB("s", vb, ev.bA(x)), ev.beB(a_))
-        return vec_sub(vec_sub(t1, t2), t3)
-
-    return vec_sub(half(a, b, da, db), ev.sgn(ev.eps(da, db), half(b, a, db, da)))
-
-
-def _mp_hnp5(ev: _MPEval, x, a, b):
-    dx, da, db = ev.dA(x), ev.dB(a), ev.dB(b)
-    va, vb = ev.bB(a), ev.bB(b)
-    lhs = ev.mulB("dot", ev.actA("r", ev.bA(x), va), ev.beB(b))
-    lhs = vec_add(lhs, ev.actA("s", ev.actB("l", va, ev.bA(x)), ev.beB(b)))
-    lhs = vec_sub(lhs, ev.mulB("diamond", ev.beB(a), ev.actA("s", ev.bA(x), vb)))
-    lhs = vec_sub(lhs, ev.sgn(ev.eps(dx, db), ev.actA("r", ev.actB("s", vb, ev.bA(x)), ev.beB(a))))
-    rhs = ev.mulB("dot", ev.actA("l", ev.bA(x), va), ev.beB(b))
-    rhs = vec_sub(rhs, ev.actA("s", ev.actB("r", va, ev.bA(x)), ev.beB(b)))
-    rhs = vec_sub(rhs, ev.actA("l", ev.alA(x), ev.mulB("dot", va, vb)))
-    return vec_sub(lhs, ev.sgn(ev.eps(da, dx), rhs))
-
-
-def _mp_hnp6(ev: _MPEval, x, a, b):
-    dx, da, db = ev.dA(x), ev.dB(a), ev.dB(b)
-    va, vb = ev.bB(a), ev.bB(b)
-    lhs = ev.mulB("dot", ev.actA("l", ev.bA(x), va), ev.beB(b))
-    lhs = vec_add(lhs, ev.actA("s", ev.actB("r", va, ev.bA(x)), ev.beB(b)))
-    lhs = vec_sub(lhs, ev.actA("l", ev.alA(x), ev.mulB("dot", va, vb)))
-    rhs = ev.mulB("dot", ev.actA("r", ev.bA(x), va), ev.beB(b))
-    rhs = vec_add(rhs, ev.actA("s", ev.actB("l", va, ev.bA(x)), ev.beB(b)))
-    rhs = vec_sub(rhs, ev.mulB("diamond", ev.beB(a), ev.actA("s", ev.bA(x), vb)))
-    rhs = vec_sub(rhs, ev.sgn(ev.eps(dx, db), ev.actA("r", ev.actB("s", vb, ev.bA(x)), ev.beB(a))))
-    return vec_sub(lhs, ev.sgn(ev.eps(dx, da), rhs))
-
-
-_MP_HNP_CONDS = (
-    ("MP_HNP1", _mp_hnp1),
-    ("MP_HNP2", _mp_hnp2),
-    ("MP_HNP3", _mp_hnp3),
-    ("MP_HNP4", _mp_hnp4),
-    ("MP_HNP5", _mp_hnp5),
-    ("MP_HNP6", _mp_hnp6),
+_MP_ASSOC1 = (
+    (1, eps(b, x), dot(al(a), s_b(x, b))),
+    (1, eps(a, (b, x)), s_b(s_a(b, x), al(a))),
+    (-1, eps((a, b), x), s_b(al(x), dot(a, b))),
+)
+_MP_ASSOC2 = (
+    (1, _, dot(al(a), s_b(x, b))),
+    (1, eps(a, (x, b)) + eps(x, b), s_b(s_a(b, x), al(a))),
+    (-1, eps(a, x), dot(s_b(x, a), al(b))),
+    (-1, _, s_b(s_a(a, x), al(b))),
 )
 
+
+def _nov1_half(a, b):
+    return (
+        (1, _, r_b(al(x), novikov(a, b))),
+        (-1, _, novikov(al(a), r_b(x, b))),
+        (-1, _, r_b(l_a(b, x), al(a))),
+    )
+
+
+# N(r(x, a), al(b)) + l(l(a, x), al(b)) - N(al(a), l(x, b)) - r(r(b, x), al(a)),
+# shared by MP_NOV2 and MP_NOV3
+_NOV_R_FIRST = (
+    (1, _, novikov(r_b(x, a), al(b))),
+    (1, _, l_b(l_a(a, x), al(b))),
+    (-1, _, novikov(al(a), l_b(x, b))),
+    (-1, _, r_b(r_a(b, x), al(a))),
+)
+_MP_NOV1 = _nov1_half(a, b) + _times(-1, eps(a, b), _nov1_half(b, a))
+_MP_NOV2 = _NOV_R_FIRST + _times(-1, eps(a, x), (
+    (1, _, novikov(l_b(x, a), al(b))),
+    (1, _, l_b(r_a(a, x), al(b))),
+    (-1, _, l_b(al(x), novikov(a, b))),
+))
+_MP_NOV3 = (
+    (1, _, novikov(l_b(x, a), al(b))),
+    (-1, _, l_b(r_a(a, x), al(b))),
+    (-1, _, l_b(al(x), novikov(a, b))),
+) + _times(-1, eps(x, a), _NOV_R_FIRST)
+
+_MP_LIE = (
+    (1, eps(x, a), rho_b(rho_a(a, x), al(b))),
+    (-1, eps(x, a), bracket(al(a), rho_b(x, b))),
+    (1, eps((a, x), b), bracket(al(b), rho_b(x, a))),
+    (-1, eps((a, x), b), rho_b(rho_a(b, x), al(a))),
+    (1, _, rho_b(al(x), bracket(a, b))),
+)
+
+_MP_HNP1 = (
+    (1, _, r_b(al(x), dot(a, b))),
+    (-1, eps(b, x), dot(r_b(x, a), al(b))),
+    (-1, eps(b, x), s_b(l_a(a, x), al(b))),
+)
+_MP_HNP2 = (
+    (1, _, l_b(s_a(a, x), al(b))),
+    (1, eps(a, x), diamond(s_b(x, a), al(b))),
+    (-1, eps(x, b) + eps((a, b), x), s_b(al(x), diamond(a, b))),
+)
+_MP_HNP3 = (
+    (1, eps(a, x), l_b(s_a(a, x), al(b))),
+    (1, _, diamond(s_b(x, a), al(b))),
+    (-1, eps(a, b), dot(l_b(x, b), al(a))),
+    (-1, eps(a, b), s_b(r_a(b, x), al(a))),
+)
+
+
+def _hnp4_half(a, b):
+    return (
+        (1, eps((a, b), x), s_b(al(x), diamond(a, b))),
+        (-1, eps(b, x), diamond(al(a), s_b(x, b))),
+        (-1, _, r_b(s_a(b, x), al(a))),
+    )
+
+
+# dot(r(x, a), al(b)) + s(l(a, x), al(b)) - D(al(a), s(x, b))
+#   - eps(x, b) r(s(b, x), al(a)), shared by MP_HNP5 and MP_HNP6
+_HNP_R_FIRST = (
+    (1, _, dot(r_b(x, a), al(b))),
+    (1, _, s_b(l_a(a, x), al(b))),
+    (-1, _, diamond(al(a), s_b(x, b))),
+    (-1, eps(x, b), r_b(s_a(b, x), al(a))),
+)
+_MP_HNP4 = _hnp4_half(a, b) + _times(-1, eps(a, b), _hnp4_half(b, a))
+_MP_HNP5 = _HNP_R_FIRST + _times(-1, eps(a, x), (
+    (1, _, dot(l_b(x, a), al(b))),
+    (-1, _, s_b(r_a(a, x), al(b))),
+    (-1, _, l_b(al(x), dot(a, b))),
+))
+_MP_HNP6 = (
+    (1, _, dot(l_b(x, a), al(b))),
+    (1, _, s_b(r_a(a, x), al(b))),
+    (-1, _, l_b(al(x), dot(a, b))),
+) + _times(-1, eps(x, a), _HNP_R_FIRST)
 
 # The three GD side conditions are the mixed-placement instances of the
 # compatibility identity on the double, one per pattern of a single A-slot
@@ -589,71 +461,56 @@ _MP_HNP_CONDS = (
 # that fail on semidirect-limit data the closure theorem covers, and the
 # third pattern is omitted there entirely.
 
+# pattern (a, b, x): compatibility with X = a, Y = b, Z = x
+_MP_GD1 = (
+    (1, _, r_b(rho_a(a, x), al(b))),
+    (-1, eps(a, x), dot(al(b), rho_b(x, a))),
+    (1, eps(a, x), rho_b(l_a(b, x), al(a))),
+    (-1, eps(b, a), bracket(al(a), r_b(x, b))),
+    (1, eps((a, b), x), rho_b(al(x), dot(b, a))),
+    (-1, _, r_b(al(x), bracket(b, a))),
+    (1, eps(a, x), l_b(rho_a(b, x), al(a))),
+    (-1, eps((a, b), x), dot(rho_b(x, b), al(a))),
+)
+# pattern (a, x, b): compatibility with X = a, Y = x, Z = b
+_MP_GD2 = (
+    (1, _, l_b(al(x), bracket(a, b))),
+    (1, eps(a, b), rho_b(r_a(b, x), al(a))),
+    (-1, eps(x, a), bracket(al(a), l_b(x, b))),
+    (-1, _, rho_b(r_a(a, x), al(b))),
+    (1, eps((a, x), b), bracket(al(b), l_b(x, a))),
+    (1, eps(x, a), l_b(rho_a(a, x), al(b))),
+    (-1, _, dot(rho_b(x, a), al(b))),
+    (-1, eps((a, x), b), l_b(rho_a(b, x), al(a))),
+    (1, eps(a, b), dot(rho_b(x, b), al(a))),
+)
+# pattern (x, a, b): compatibility with X = x, Y = a, Z = b
+_MP_GD3 = (
+    (-1, eps(x, b), r_b(rho_a(b, x), al(a))),
+    (1, _, dot(al(a), rho_b(x, b))),
+    (-1, eps(a, x), rho_b(al(x), dot(a, b))),
+    (-1, _, rho_b(l_a(a, x), al(b))),
+    (1, eps((x, a), b), bracket(al(b), r_b(x, a))),
+    (-1, _, l_b(rho_a(a, x), al(b))),
+    (1, eps(a, x), dot(rho_b(x, a), al(b))),
+    (1, eps(x, b), r_b(al(x), bracket(a, b))),
+)
+del x, a, b, al, dot, diamond, bracket, novikov, s_b, l_b, r_b, rho_b, s_a, l_a, r_a, rho_a, _
 
-def _mp_gd1(ev: _MPEval, x, a, b):
-    # pattern (a, b, x): compatibility with X = a, Y = b, Z = x
-    dx, da, db = ev.dA(x), ev.dB(a), ev.dB(b)
-    va, vb = ev.bB(a), ev.bB(b)
-    bx = ev.bA(x)
-    total = ev.actA("r", ev.actB("rho", va, bx), ev.beB(b))
-    total = vec_sub(total, ev.sgn(ev.eps(da, dx), ev.mulB("dot", ev.beB(b), ev.actA("rho", bx, va))))
-    total = vec_add(total, ev.sgn(ev.eps(da, dx), ev.actA("rho", ev.actB("l", vb, bx), ev.beB(a))))
-    total = vec_sub(total, ev.sgn(ev.eps(db, da), ev.mulB("bracket", ev.beB(a), ev.actA("r", bx, vb))))
-    total = vec_add(
-        total,
-        ev.sgn(ev.eps(ev.add(da, db), dx), ev.actA("rho", ev.alA(x), ev.mulB("dot", vb, va))),
-    )
-    total = vec_sub(total, ev.actA("r", ev.alA(x), ev.mulB("bracket", vb, va)))
-    total = vec_add(total, ev.sgn(ev.eps(da, dx), ev.actA("l", ev.actB("rho", vb, bx), ev.beB(a))))
-    return vec_sub(
-        total,
-        ev.sgn(ev.eps(ev.add(da, db), dx), ev.mulB("dot", ev.actA("rho", bx, vb), ev.beB(a))),
-    )
+_MP_ASSOC_CONDS = (("MP_ASSOC1", _MP_ASSOC1), ("MP_ASSOC2", _MP_ASSOC2))
+_MP_NOV_CONDS = (("MP_NOV1", _MP_NOV1), ("MP_NOV2", _MP_NOV2), ("MP_NOV3", _MP_NOV3))
+_MP_LIE_CONDS = (("MP_LIE", _MP_LIE),)
+_MP_HNP_CONDS = (
+    ("MP_HNP1", _MP_HNP1),
+    ("MP_HNP2", _MP_HNP2),
+    ("MP_HNP3", _MP_HNP3),
+    ("MP_HNP4", _MP_HNP4),
+    ("MP_HNP5", _MP_HNP5),
+    ("MP_HNP6", _MP_HNP6),
+)
+_MP_GD_CONDS = (("MP_GD1", _MP_GD1), ("MP_GD2", _MP_GD2), ("MP_GD3", _MP_GD3))
 
-
-def _mp_gd2(ev: _MPEval, x, a, b):
-    # pattern (a, x, b): compatibility with X = a, Y = x, Z = b
-    dx, da, db = ev.dA(x), ev.dB(a), ev.dB(b)
-    va, vb = ev.bB(a), ev.bB(b)
-    bx = ev.bA(x)
-    total = ev.actA("l", ev.alA(x), ev.mulB("bracket", va, vb))
-    total = vec_add(total, ev.sgn(ev.eps(da, db), ev.actA("rho", ev.actB("r", vb, bx), ev.beB(a))))
-    total = vec_sub(total, ev.sgn(ev.eps(dx, da), ev.mulB("bracket", ev.beB(a), ev.actA("l", bx, vb))))
-    total = vec_sub(total, ev.actA("rho", ev.actB("r", va, bx), ev.beB(b)))
-    total = vec_add(
-        total,
-        ev.sgn(ev.eps(ev.add(da, dx), db), ev.mulB("bracket", ev.beB(b), ev.actA("l", bx, va))),
-    )
-    total = vec_add(total, ev.sgn(ev.eps(dx, da), ev.actA("l", ev.actB("rho", va, bx), ev.beB(b))))
-    total = vec_sub(total, ev.mulB("dot", ev.actA("rho", bx, va), ev.beB(b)))
-    total = vec_sub(
-        total,
-        ev.sgn(ev.eps(ev.add(da, dx), db), ev.actA("l", ev.actB("rho", vb, bx), ev.beB(a))),
-    )
-    return vec_add(total, ev.sgn(ev.eps(da, db), ev.mulB("dot", ev.actA("rho", bx, vb), ev.beB(a))))
-
-
-def _mp_gd3(ev: _MPEval, x, a, b):
-    # pattern (x, a, b): compatibility with X = x, Y = a, Z = b
-    dx, da, db = ev.dA(x), ev.dB(a), ev.dB(b)
-    va, vb = ev.bB(a), ev.bB(b)
-    bx = ev.bA(x)
-    total = ev.sgn(-ev.eps(dx, db), ev.actA("r", ev.actB("rho", vb, bx), ev.beB(a)))
-    total = vec_add(total, ev.mulB("dot", ev.beB(a), ev.actA("rho", bx, vb)))
-    total = vec_sub(total, ev.sgn(ev.eps(da, dx), ev.actA("rho", ev.alA(x), ev.mulB("dot", va, vb))))
-    total = vec_sub(total, ev.actA("rho", ev.actB("l", va, bx), ev.beB(b)))
-    total = vec_add(
-        total,
-        ev.sgn(ev.eps(ev.add(dx, da), db), ev.mulB("bracket", ev.beB(b), ev.actA("r", bx, va))),
-    )
-    total = vec_sub(total, ev.actA("l", ev.actB("rho", va, bx), ev.beB(b)))
-    total = vec_add(total, ev.sgn(ev.eps(da, dx), ev.mulB("dot", ev.actA("rho", bx, va), ev.beB(b))))
-    return vec_add(total, ev.sgn(ev.eps(dx, db), ev.actA("r", ev.alA(x), ev.mulB("bracket", va, vb))))
-
-
-_MP_GD_CONDS = (("MP_GD1", _mp_gd1), ("MP_GD2", _mp_gd2), ("MP_GD3", _mp_gd3))
-
-_MP_CONDITIONS: dict[MatchedPairKind, tuple] = {
+_MP_CONDITIONS: dict[MatchedPairKind, tuple[tuple[str, tuple[Term, ...]], ...]] = {
     MatchedPairKind.ASSOC: _MP_ASSOC_CONDS,
     MatchedPairKind.NOVIKOV: _MP_NOV_CONDS,
     MatchedPairKind.LIE: _MP_LIE_CONDS,
@@ -681,19 +538,23 @@ def check_matched_pair(
             sub = check_bimodule(algebra, bundle, bim_kind, roles)
             report.checks.extend(replace(c, check=f"{direction}:{c.check}") for c in sub.checks)
     slots = _MP_ROLE_SLOTS[kind]
-    base = _MPEval(pair.a, pair.b, pair.ab, pair.ba, **{
-        k: v for k, v in (("dot", slots.get("dot")), ("novikov", slots.get("novikov")), ("lie", slots.get("bracket"))) if v
-    })
-    for label, defect_fn in _MP_CONDITIONS[kind]:
-        for direction, ev, left, right in (
-            ("ab", base, pair.a, pair.b),
-            ("ba", base.swap(), pair.b, pair.a),
-        ):
+    sides = []
+    for direction, left, right, forward, backward in (
+        ("ab", pair.a, pair.b, pair.ab, pair.ba),
+        ("ba", pair.b, pair.a, pair.ba, pair.ab),
+    ):
+        ops = {slot: product_rows(right.product(role)) for slot, role in slots.items()}
+        for prefix, bundle in (("on_b.", forward), ("on_a.", backward)):
+            ops.update((prefix + name, action_rows(family)) for name, family in bundle.actions.items())
+        axes = ((left.space, left.alpha), (right.space, right.alpha), (right.space, right.alpha))
+        sides.append((direction, left, right, axes, ops))
+    for label, terms in _MP_CONDITIONS[kind]:
+        for direction, left, right, axes, ops in sides:
             report.checks.append(
                 scan_check(
                     f"{direction}:{label}",
                     (left.names, right.names, right.names),
-                    lambda t: defect_fn(ev, *t),
+                    term_failures(terms, axes, ops, left.bichar),
                     right.space,
                 )
             )
@@ -891,7 +752,11 @@ def rebase_presentation(presentation: AlgebraPresentation, ctx) -> AlgebraPresen
 def _subset_indices(presentation: AlgebraPresentation, subset: Iterable[str | int]) -> tuple[int, ...]:
     out = []
     for item in subset:
-        out.append(item if isinstance(item, int) else presentation.space.index(item))
+        if not isinstance(item, int):
+            item = presentation.space.index(item)  # raises KeyError
+        elif not 0 <= item < presentation.dim:
+            raise KeyError(f"unknown basis element {item!r}")
+        out.append(item)
     return tuple(sorted(set(out)))
 
 
@@ -911,7 +776,9 @@ def _check_closures(
         (i,) = t
         return leak(presentation._alpha_images[i]) if i in inside else {}
 
-    found = scan_check(check_name, (names,), twist_leak, space, detail="twist closure")
+    found = scan_check(
+        check_name, (names,), tuple_failures((names,), twist_leak), space, detail="twist closure"
+    )
     if not found.passed:
         return found
     for role in presentation.roles:
@@ -923,7 +790,8 @@ def _check_closures(
             return leak(cells.get(t, {})) if relevant else {}
 
         found = scan_check(
-            check_name, (names, names), product_leak, space, detail=f"product[{role}] closure"
+            check_name, (names, names), tuple_failures((names, names), product_leak), space,
+            detail=f"product[{role}] closure",
         )
         if not found.passed:
             return found

@@ -12,15 +12,19 @@ index-keyed :func:`_mul`, each product's cells as vectors, the n x n sign
 table and the twist images.  Those tables are built lazily, once per product
 or presentation, and nothing mutates them; the public accessors (``mul``,
 ``mul_basis``, ``alpha_image``, ``LinearMap.image``) hand out fresh dicts.
-Every check that scans basis tuples goes through :func:`scan_check`.
+
+Catalogued conditions are term plans, signed sums of product trees, which
+:func:`term_failures` evaluates over nonzero cells one slab at a time.
+Every check that scans basis tuples reports through :func:`scan_check`.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import time
 from itertools import product as iter_product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .grading import AbelianGroup, Bicharacter, GroupElement
 from .reports import FAIL, PASS, CheckReport, SuiteReport
@@ -39,6 +43,15 @@ __all__ = [
     "vec_neg",
     "vec_scale",
     "vec_to_names",
+    "Term",
+    "positions",
+    "twisted",
+    "eps",
+    "operation",
+    "product_rows",
+    "action_rows",
+    "term_failures",
+    "tuple_failures",
     "scan_check",
     "is_multiplicative",
     "is_derivation",
@@ -390,6 +403,13 @@ class AlgebraPresentation:
     ):
         if bichar.group != space.group:
             raise ValueError("bicharacter and basis use different grading groups")
+        odd = bichar.odd_order_pair()
+        if odd is not None:
+            # The checks read eps of a degree sum as a product of pairwise signs.
+            raise ValueError(
+                f"bichar is not bimultiplicative: eps(g{odd[0]}, g{odd[1]}) = -1 "
+                "involves a generator of odd order"
+            )
         if alpha is None:
             alpha = LinearMap.identity(space, context)
         if alpha.source != space or alpha.target != space:
@@ -539,39 +559,312 @@ def _mul(table: Mapping[tuple[int, int], Sequence[tuple[int, Scalar]]], x: Vec, 
     return out
 
 
+# -- term plans -------------------------------------------------------------
+#
+# Every catalogued condition is a signed sum of product trees.  A tree is a
+# leaf ``(position, power)``: the basis element at that tuple position, or
+# its image under the position's twist applied ``power`` times; or a node
+# ``(op, left, right)``: a named bilinear operation, a product or an
+# action, applied to two subtrees.  A term is ``(coefficient, sign pairs,
+# tree)``; each sign pair (p, q) multiplies the term by the commutation
+# factor of the degrees at positions p and q.  The factor is
+# bimultiplicative, so eps(d_p + d_q, d_r) is the pair list ((p, r), (q, r)).
+# Every position occurs exactly once in each tree.
+
+Tree = tuple
+Term = tuple[int, tuple[tuple[int, int], ...], Tree]
+
+
+def positions(count: int) -> tuple[Tree, ...]:
+    """Leaves for the basis elements at tuple positions 0 .. count - 1."""
+    return tuple((p, 0) for p in range(count))
+
+
+def twisted(leaf: Tree, power: int = 1) -> Tree:
+    """The leaf's image under its position's twist, applied ``power`` times."""
+    return (leaf[0], leaf[1] + power)
+
+
+def eps(left: Tree | tuple[Tree, ...], right: Tree | tuple[Tree, ...]) -> tuple[tuple[int, int], ...]:
+    """Sign pairs of the factor between two degree sums; each side is one
+    leaf or a tuple of leaves whose degrees add."""
+    lefts = left if isinstance(left[0], tuple) else (left,)
+    rights = right if isinstance(right[0], tuple) else (right,)
+    return tuple((a[0], b[0]) for a in lefts for b in rights)
+
+
+def operation(name: str) -> Callable[[Tree, Tree], Tree]:
+    """Tree builder for the bilinear operation bound to ``name``."""
+    return lambda left, right: (name, left, right)
+
+
+Rows = Sequence[Sequence[tuple[int, Sequence[tuple[int, Scalar]]]]]
+
+
+def product_rows(product: BilinearProduct) -> Rows:
+    """``rows[i]`` lists (j, cell) over the nonzero cells e_i o e_j."""
+    rows: list[list] = [[] for _ in range(product.space.dim)]
+    for (i, j), cell in product.table.items():
+        rows[i].append((j, cell))
+    return rows
+
+
+def action_rows(family: Sequence[LinearMap]) -> Rows:
+    """``rows[i]`` lists (j, column) over the nonzero images of e_j under the
+    operator of e_i."""
+    return [[(j, col) for j, col in enumerate(op.columns) if col] for op in family]
+
+
+def _join(rows: Rows, left: dict, right: dict, one: Scalar) -> dict:
+    """Apply a bilinear operation to two subtree maps.
+
+    A map sends a key, the indices at the subtree's free positions in order
+    of appearance, to the subtree's nonzero value there.  ``right`` is
+    indexed by basis index (b -> [(key, coefficient)]), so only nonzero
+    cells of nonzero components are visited.
+    """
+    out = {}
+    for kl, u in left.items():
+        acc: dict = {}
+        for a, ua in u.items():
+            for b, cell in rows[a]:
+                entries = right.get(b)
+                if entries is None:
+                    continue
+                for kr, wb in entries:
+                    s = wb if ua is one else ua if wb is one else ua * wb
+                    vec = acc.get(kr)
+                    if vec is None:
+                        vec = acc[kr] = {}
+                    for k, c in cell:
+                        t = c if s is one else s * c
+                        prev = vec.get(k)
+                        vec[k] = t if prev is None else prev + t
+        for kr, vec in acc.items():
+            vec = {k: t for k, t in vec.items() if t.terms}
+            if vec:
+                out[kl + kr] = vec
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _compile(terms: tuple[Term, ...], axis_ids: tuple[int, ...]) -> tuple:
+    """Intern the subtrees of ``terms`` by shape, for positions on the axes
+    ``axis_ids``.
+
+    A leaf's shape is (axis, power, at position 0?), so subtrees that differ
+    only in which free positions they hold share one node and one map.  A
+    node's map sends a key, the indices at the subtree's free positions in
+    order of appearance, to the subtree's nonzero value there.  Returns the
+    nodes (op or None, a, b, holds position 0), the ids of the nodes that
+    hold position 0, and per term (coefficient, root node, key order of
+    positions 1.., sign pairs left after cancelling repeats).
+    """
+    arity = len(axis_ids)
+    nodes: list[tuple] = []
+    ids: dict[tuple, int] = {}
+
+    def intern(tree: Tree, free: list[int]) -> int:
+        if isinstance(tree[0], str):
+            left, right = intern(tree[1], free), intern(tree[2], free)
+            key = (tree[0], left, right, nodes[left][3] or nodes[right][3])
+        else:
+            pos, power = tree
+            key = (None, axis_ids[pos], power, pos == 0)
+            if pos:
+                free.append(pos)
+        found = ids.get(key)
+        if found is None:
+            found = ids[key] = len(nodes)
+            nodes.append(key)
+        return found
+
+    compiled = []
+    for coeff, pairs, tree in terms:
+        free: list[int] = []
+        root = intern(tree, free)
+        if sorted(free) != list(range(1, arity)):
+            raise ValueError(f"term {tree!r} must hold each of {arity} positions once")
+        order = tuple(free.index(p) for p in range(1, arity))
+        odd = tuple(sorted(pair for pair in set(pairs) if pairs.count(pair) % 2))
+        compiled.append((coeff, root, None if order == tuple(range(arity - 1)) else order, odd))
+    holding = tuple(nid for nid, node in enumerate(nodes) if node[3])
+    return tuple(nodes), holding, tuple(compiled)
+
+
+def term_failures(
+    terms: tuple[Term, ...],
+    axes: Sequence[tuple[GradedSpace, LinearMap]],
+    ops: Mapping[str, Rows],
+    bichar: Bicharacter,
+) -> Iterator[tuple[tuple[int, ...], Vec]]:
+    """Yield every index tuple on which the signed sum of ``terms`` is
+    nonzero, with that sum, in lexicographic order.
+
+    ``axes[p]`` is the basis and twist of tuple position p; ``ops`` holds the
+    rows of each named operation.  The tuples are taken one slab at a time,
+    one slab per index at position 0, in order, so a scan that stops at its
+    first failure evaluates no slab after the failing one.  In a slab each
+    tree is expanded only over nonzero cells and nonzero images, and each
+    subtree's map is built once, shared by every term holding a subtree of
+    that shape (``(x.y).a(z)`` and ``(x.z).a(y)`` share one map): once per
+    call for subtrees without position 0, once per slab for the others.
+    Signs are read from sign tables between the axes, built per call.
+    """
+    context = axes[0][1].context
+    one = context.one
+    distinct: list[tuple[GradedSpace, LinearMap]] = []
+    axis_ids = []
+    for space, twist in axes:
+        found = next((k for k, (s, t) in enumerate(distinct) if s is space and t is twist), None)
+        if found is None:
+            found = len(distinct)
+            distinct.append((space, twist))
+        axis_ids.append(found)
+    nodes, holding, compiled = _compile(terms, tuple(axis_ids))
+
+    images: dict[tuple[int, int], list[Vec]] = {}
+
+    def image_table(aid: int, power: int) -> list[Vec]:
+        table = images.get((aid, power))
+        if table is None:
+            space, twist = distinct[aid]
+            if power == 0:
+                table = [{j: one} for j in range(space.dim)]
+            elif power == 1:
+                table = [dict(col) for col in twist.columns]
+            else:
+                table = [twist.apply(v) for v in image_table(aid, power - 1)]
+            images[(aid, power)] = table
+        return table
+
+    signs: dict[tuple[GroupElement, GroupElement], int] = {}
+    tables: dict[tuple[int, int], list[list[int]]] = {}
+
+    def sign_table(p: int, q: int) -> list[list[int]]:
+        table = tables.get((p, q))
+        if table is None:
+            table = tables[(p, q)] = []
+            for da in axes[p][0].degrees:
+                row = []
+                for db in axes[q][0].degrees:
+                    s = signs.get((da, db))
+                    if s is None:
+                        s = signs[(da, db)] = bichar.sign(da, db)
+                    row.append(s)
+                table.append(row)
+        return table
+
+    plan = [
+        (coeff, root, order, tuple((sign_table(p, q), p, q) for p, q in pairs))
+        for coeff, root, order, pairs in compiled
+    ]
+    scales = {c: context.scalar(c) for coeff, _, _, _ in compiled if coeff not in (1, -1) for c in (coeff, -coeff)}
+    maps: list[dict | None] = [None] * len(nodes)
+    index: list[dict | None] = [None] * len(nodes)
+
+    def evaluate(nid: int, i0: int) -> dict:
+        found = maps[nid]
+        if found is None:
+            name, a, b, at_zero = nodes[nid]
+            if name is not None:
+                left = evaluate(a, i0)
+                found = _join(ops[name], left, inverted(b, i0), one) if left else {}
+            else:
+                table = image_table(a, b)
+                if at_zero:
+                    found = {(): table[i0]} if table[i0] else {}
+                else:
+                    found = {(j,): v for j, v in enumerate(table) if v}
+            maps[nid] = found
+        return found
+
+    def inverted(nid: int, i0: int) -> dict:
+        """The map of ``nid`` indexed by basis index: b -> [(key, coefficient)]."""
+        found = index[nid]
+        if found is None:
+            found = {}
+            for k, vec in evaluate(nid, i0).items():
+                for b, s in vec.items():
+                    found.setdefault(b, []).append((k, s))
+            index[nid] = found
+        return found
+
+    for i0 in range(axes[0][0].dim):
+        for nid in holding:
+            maps[nid] = index[nid] = None
+        total: dict[tuple[int, ...], Vec] = {}
+        for coeff, root, order, sign_of in plan:
+            for k, vec in evaluate(root, i0).items():
+                rest = k if order is None else tuple([k[j] for j in order])
+                s = coeff
+                if sign_of:
+                    t = (i0,) + rest
+                    for table, p, q in sign_of:
+                        s *= table[t[p]][t[q]]
+                if s != 1 and s != -1:
+                    scale = scales[s]
+                    vec = {k2: scale * v for k2, v in vec.items()}
+                    s = 1
+                acc = total.get(rest)
+                if acc is None:
+                    total[rest] = dict(vec) if s == 1 else {k2: -v for k2, v in vec.items()}
+                elif s == 1:
+                    for k2, v in vec.items():
+                        prev = acc.get(k2)
+                        acc[k2] = v if prev is None else prev + v
+                else:
+                    for k2, v in vec.items():
+                        prev = acc.get(k2)
+                        acc[k2] = -v if prev is None else prev - v
+        for rest in sorted(total):
+            found = {k: v for k, v in total[rest].items() if v.terms}
+            if found:
+                yield (i0,) + rest, found
+
+
 # -- scanning -------------------------------------------------------------------
+
+
+def tuple_failures(
+    axes: Sequence[Sequence[str]], defect: Callable[[tuple[int, ...]], Vec]
+) -> Iterator[tuple[tuple[int, ...], Vec]]:
+    """Evaluate ``defect`` on each index tuple in lexicographic order and
+    yield the nonzero ones; for the per-tuple checks of arity <= 2."""
+    for t in iter_product(*(range(len(names)) for names in axes)):
+        found = defect(t)
+        if found:
+            yield t, found
 
 
 def scan_check(
     check: str,
     axes: Sequence[Sequence[str]],
-    defect: Callable[[tuple[int, ...]], Vec],
+    failures: Iterable[tuple[tuple[int, ...], Vec]],
     space: GradedSpace,
     roles: tuple[tuple[str, str], ...] = (),
     detail: str = "",
 ) -> CheckReport:
-    """Scan index tuples in lexicographic order and report the first failure.
+    """Report the first failure of a lexicographic scan over index tuples.
 
-    ``axes`` holds one basis-name table per tuple position; ``defect`` maps
-    an index tuple to a vector of ``space``.  The tuples are visited one at
-    a time, in a single lexicographic scan that stops at the first nonzero
-    defect, so a failure always carries the smallest failing tuple.  The
+    ``axes`` holds one basis-name table per tuple position; ``failures``
+    yields each failing index tuple with its nonzero defect, a vector of
+    ``space``, in lexicographic order, lazily, so the scan stops at the
+    first one and a failure always carries the smallest failing tuple.  The
     report is PASS, or FAIL with the tuple's names and its defect; it
     records the scan time, and ``roles`` and ``detail`` pass through.
     """
     started = time.perf_counter()
-    for t in iter_product(*(range(len(names)) for names in axes)):
-        found = defect(t)
-        if found:
-            return CheckReport(
-                check=check,
-                status=FAIL,
-                roles=roles,
-                witness=tuple(names[i] for names, i in zip(axes, t)),
-                defect=vec_to_names(space, found),
-                detail=detail,
-                seconds=time.perf_counter() - started,
-            )
+    for t, found in failures:
+        return CheckReport(
+            check=check,
+            status=FAIL,
+            roles=roles,
+            witness=tuple(names[i] for names, i in zip(axes, t)),
+            defect=vec_to_names(space, found),
+            detail=detail,
+            seconds=time.perf_counter() - started,
+        )
     return CheckReport(
         check=check, status=PASS, roles=roles, detail=detail,
         seconds=time.perf_counter() - started,
@@ -601,7 +894,8 @@ def is_multiplicative(
         return vec_sub(m.apply(cells.get(t, {})), _mul(table, images[i], images[j]))
 
     names = presentation.names
-    return scan_check(f"multiplicative[{role}]", (names, names), defect, presentation.space)
+    axes = (names, names)
+    return scan_check(f"multiplicative[{role}]", axes, tuple_failures(axes, defect), presentation.space)
 
 
 def is_derivation(
@@ -637,7 +931,8 @@ def is_derivation(
         return vec_sub(derivation.apply(cells.get(t, {})), rhs)
 
     names = presentation.names
-    return scan_check(f"derivation[{role}]", (names, names), defect, presentation.space)
+    axes = (names, names)
+    return scan_check(f"derivation[{role}]", axes, tuple_failures(axes, defect), presentation.space)
 
 
 def morphism_suite(
@@ -663,14 +958,17 @@ def morphism_suite(
             return vec_sub(f.apply(cells.get(t, {})), _mul(table, images[i], images[j]))
 
         report.checks.append(
-            scan_check(f"morphism:product[{role}]", (names, names), defect, target.space)
+            scan_check(f"morphism:product[{role}]", (names, names),
+                       tuple_failures((names, names), defect), target.space)
         )
 
     def twist_defect(t):
         (i,) = t
         return vec_sub(f.apply(source._alpha_images[i]), target.alpha.apply(images[i]))
 
-    report.checks.append(scan_check("morphism:twist", (names,), twist_defect, target.space))
+    report.checks.append(
+        scan_check("morphism:twist", (names,), tuple_failures((names,), twist_defect), target.space)
+    )
     return report
 
 

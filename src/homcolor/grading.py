@@ -72,7 +72,8 @@ class Bicharacter:
 
     ``matrix[i][j]`` is the value on the (i, j) generator pair; the value on
     arbitrary elements is the parity-extended product, which makes axioms (2)
-    and (3) (bimultiplicativity) hold by construction.  Axiom (1) and torsion
+    and (3) (bimultiplicativity) hold unless a -1 entry involves a generator
+    of odd order (see :meth:`odd_order_pair`).  Axiom (1) and torsion
     consistency are checked by :func:`validate_commutation_factor`.
     """
 
@@ -102,6 +103,14 @@ class Bicharacter:
         for i, j in self._neg_pairs:
             parity += a[i] * b[j]
         return -1 if parity % 2 else 1
+
+    def odd_order_pair(self) -> tuple[int, int] | None:
+        """A generator pair with value -1 that involves a generator of odd
+        order, or None.  Reducing an odd modulus flips a parity, so the
+        factor is bimultiplicative, eps(a + b, c) = eps(a, c) eps(b, c),
+        exactly when there is no such pair."""
+        odd = {g for g, m in enumerate(self.group.torsion) if m % 2}
+        return next(((i, j) for i, j in self._neg_pairs if i in odd or j in odd), None)
 
     def __eq__(self, other: object) -> bool:
         return (

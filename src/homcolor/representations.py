@@ -5,10 +5,11 @@ and a family of named action matrices, one per algebra basis element; the
 matrix of e_i shifts module degrees by deg(e_i), which is enforced at
 construction, so violations are load errors rather than check failures.
 
-:func:`check_bimodule` evaluates the condition list of a
-:class:`BimoduleKind` over (algebra basis)^2 x (module basis) through the
-same lexicographic scan as the identity engine, reporting the smallest
-failing tuple.
+Each condition of a :class:`BimoduleKind` is a tuple of signed product-tree
+terms over (algebra basis)^2 x (module basis), whose nodes are the kind's
+products and actions.  :func:`check_bimodule` evaluates them with the
+identity engine's evaluator, :func:`~homcolor.core.term_failures`, slab by
+slab over nonzero cells, and reports the smallest failing tuple.
 """
 
 from __future__ import annotations
@@ -20,12 +21,17 @@ from .core import (
     AlgebraPresentation,
     GradedSpace,
     LinearMap,
+    Term,
     Vec,
+    action_rows,
+    eps,
     is_morphism,
+    operation,
+    positions,
+    product_rows,
     scan_check,
-    vec_add,
-    vec_neg,
-    vec_sub,
+    term_failures,
+    twisted,
 )
 from .reports import PreconditionError, SuiteReport
 from .scalars import ScalarContext
@@ -143,229 +149,103 @@ KIND_ACTIONS: dict[BimoduleKind, tuple[str, ...]] = {
 }
 
 
-class _BEval:
-    """Shared shorthand for condition defects over frozen data: product cell
-    vectors, twist images, beta images, actions and signs.
+# -- condition defects ----------------------------------------------------------
+#
+# Each condition is a signed sum of product trees over (x, y, v): x and y
+# are algebra basis positions 0 and 1, v the module basis position 2.
+# al() is the twist image (alpha on the algebra, beta on the module); a
+# product slot's operation is named after the slot, an action after itself,
+# and s(x, v) is the action of x on v.
 
-    Defects never mutate the vectors these hand out.
-    """
+x, y, v = positions(3)
+al = twisted
+assoc, novikov, lie = (operation(n) for n in ("assoc", "novikov", "lie"))
+s, l, r, rho = (operation(n) for n in ("s", "l", "r", "rho"))
+_ = ()
 
-    __slots__ = ("A", "M", "cells", "signs", "_al", "_beta")
-
-    def __init__(self, A: AlgebraPresentation, M: ActionBundle, slots: Mapping[str, str]):
-        self.A = A
-        self.M = M
-        self.cells = {slot: A.product(role)._vec_table() for slot, role in slots.items()}
-        self.signs = A.sign_table()
-        self._al = A._alpha_images
-        self._beta = tuple(M.beta.image(v) for v in range(M.module.dim))
-
-    def bv(self, v: int) -> Vec:
-        return {v: self.A.context.one}
-
-    def beta(self, v: int) -> Vec:
-        return self._beta[v]
-
-    def al(self, i: int) -> Vec:
-        return self._al[i]
-
-    def mb(self, slot: str, i: int, j: int) -> Vec:
-        return self.cells[slot].get((i, j)) or {}
-
-    def act(self, name: str, i: int, v: Vec) -> Vec:
-        return self.M.act(name, i, v)
-
-    def act_by(self, name: str, x: Vec, v: Vec) -> Vec:
-        return self.M.act_by(name, x, v)
-
-    # sign helpers: aa = algebra/algebra, am = algebra/module, etc.
-    def e_aa(self, i: int, j: int) -> int:
-        return self.signs[i][j]
-
-    def e_am(self, i: int, v: int) -> int:
-        return self.A.eps_deg(self.A.space.degree(i), self.M.module.degree(v))
-
-    def e_ma(self, v: int, i: int) -> int:
-        return self.A.eps_deg(self.M.module.degree(v), self.A.space.degree(i))
-
-    def e_av_a(self, i: int, v: int, j: int) -> int:
-        group = self.A.space.group
-        left = group.add(self.A.space.degree(i), self.M.module.degree(v))
-        return self.A.eps_deg(left, self.A.space.degree(j))
-
-    @staticmethod
-    def sgn(sign: int, v: Vec) -> Vec:
-        return v if sign == 1 else vec_neg(v)
-
-
-# -- condition defects; each returns a module vector ---------------------------
-
-
-def _assoc(ev: _BEval, x, y, v):
-    lhs = ev.act_by("s", ev.mb("assoc", x, y), ev.beta(v))
-    rhs = ev.act_by("s", ev.al(x), ev.act("s", y, ev.bv(v)))
-    return vec_sub(lhs, rhs)
-
-
-def _nov1(ev, x, y, v):
-    lhs = vec_sub(
-        ev.act_by("l", ev.mb("novikov", x, y), ev.beta(v)),
-        ev.act_by("l", ev.al(x), ev.act("l", y, ev.bv(v))),
-    )
-    rhs = vec_sub(
-        ev.act_by("l", ev.mb("novikov", y, x), ev.beta(v)),
-        ev.act_by("l", ev.al(y), ev.act("l", x, ev.bv(v))),
-    )
-    return vec_sub(lhs, ev.sgn(ev.e_aa(x, y), rhs))
-
-
-def _nov2(ev, x, y, v):
-    lhs = vec_sub(
-        ev.act_by("r", ev.al(y), ev.act("l", x, ev.bv(v))),
-        ev.act_by("l", ev.al(x), ev.act("r", y, ev.bv(v))),
-    )
-    rhs = vec_sub(
-        ev.act_by("r", ev.al(y), ev.act("r", x, ev.bv(v))),
-        ev.act_by("r", ev.mb("novikov", x, y), ev.beta(v)),
-    )
-    return vec_sub(lhs, ev.sgn(ev.e_am(x, v), rhs))
-
-
-def _nov3(ev, x, y, v):
-    lhs = vec_sub(
-        ev.act_by("r", ev.al(y), ev.act("r", x, ev.bv(v))),
-        ev.act_by("r", ev.mb("novikov", x, y), ev.beta(v)),
-    )
-    rhs = vec_sub(
-        ev.act_by("r", ev.al(y), ev.act("l", x, ev.bv(v))),
-        ev.act_by("l", ev.al(x), ev.act("r", y, ev.bv(v))),
-    )
-    return vec_sub(lhs, ev.sgn(ev.e_ma(v, x), rhs))
-
-
-def _nov4(ev, x, y, v):
-    lhs = ev.act_by("l", ev.mb("novikov", x, y), ev.beta(v))
-    rhs = ev.act_by("r", ev.al(y), ev.act("l", x, ev.bv(v)))
-    return vec_sub(lhs, ev.sgn(ev.e_am(y, v), rhs))
-
-
-def _nov5(ev, x, y, v):
-    lhs = ev.act_by("r", ev.al(y), ev.act("l", x, ev.bv(v)))
-    rhs = ev.act_by("l", ev.mb("novikov", x, y), ev.beta(v))
-    return vec_sub(lhs, ev.sgn(ev.e_ma(v, y), rhs))
-
-
-def _nov6(ev, x, y, v):
-    lhs = ev.act_by("r", ev.al(y), ev.act("r", x, ev.bv(v)))
-    rhs = ev.act_by("r", ev.al(x), ev.act("r", y, ev.bv(v)))
-    return vec_sub(lhs, ev.sgn(ev.e_aa(x, y), rhs))
-
-
-def _lie(ev, x, y, v):
-    lhs = ev.act_by("rho", ev.mb("lie", x, y), ev.beta(v))
-    rhs = vec_sub(
-        ev.act_by("rho", ev.al(x), ev.act("rho", y, ev.bv(v))),
-        ev.sgn(ev.e_aa(x, y), ev.act_by("rho", ev.al(y), ev.act("rho", x, ev.bv(v)))),
-    )
-    return vec_sub(lhs, rhs)
-
-
-def _hnp1(ev, x, y, v):
-    lhs = ev.act_by("l", ev.mb("assoc", x, y), ev.beta(v))
-    rhs = ev.act_by("s", ev.al(y), ev.act("l", x, ev.bv(v)))
-    return vec_sub(lhs, ev.sgn(ev.e_aa(x, y), rhs))
-
-
-def _hnp2(ev, x, y, v):
-    lhs = ev.act_by("r", ev.al(y), ev.act("s", x, ev.bv(v)))
-    rhs = ev.act_by("s", ev.mb("novikov", x, y), ev.beta(v))
-    return vec_sub(lhs, ev.sgn(ev.e_ma(v, y), rhs))
-
-
-def _hnp3(ev, x, y, v):
-    lhs = ev.act_by("r", ev.al(y), ev.act("s", x, ev.bv(v)))
-    rhs = ev.act_by("s", ev.al(x), ev.act("r", y, ev.bv(v)))
-    return vec_sub(lhs, rhs)
-
-
-def _hnp4(ev, x, y, v):
-    lhs = vec_sub(
-        ev.act_by("s", ev.mb("novikov", x, y), ev.beta(v)),
-        ev.act_by("l", ev.al(x), ev.act("s", y, ev.bv(v))),
-    )
-    rhs = vec_sub(
-        ev.act_by("s", ev.mb("novikov", y, x), ev.beta(v)),
-        ev.act_by("l", ev.al(y), ev.act("s", x, ev.bv(v))),
-    )
-    return vec_sub(lhs, ev.sgn(ev.e_aa(x, y), rhs))
-
-
-def _hnp5(ev, x, y, v):
-    inner = vec_sub(
-        ev.act_by("s", ev.al(y), ev.act("l", x, ev.bv(v))),
-        ev.sgn(ev.e_am(x, v), ev.act_by("s", ev.al(y), ev.act("r", x, ev.bv(v)))),
-    )
-    lhs = ev.sgn(ev.e_av_a(x, v, y), inner)
-    rhs = vec_sub(
-        ev.sgn(ev.e_ma(v, y), ev.act_by("l", ev.al(x), ev.act("s", y, ev.bv(v)))),
-        ev.sgn(ev.e_am(x, v), ev.act_by("r", ev.mb("assoc", x, y), ev.beta(v))),
-    )
-    return vec_sub(lhs, rhs)
-
-
-def _gd1(ev, x, y, v):
-    total = ev.act_by("l", ev.al(y), ev.act("rho", x, ev.bv(v)))
-    total = vec_sub(total, ev.act_by("rho", ev.mb("novikov", y, x), ev.beta(v)))
-    total = vec_sub(
-        total,
-        ev.sgn(ev.e_aa(y, x), ev.act_by("rho", ev.al(x), ev.act("l", y, ev.bv(v)))),
-    )
-    total = vec_add(
-        total,
-        ev.sgn(ev.e_am(x, v), ev.act_by("r", ev.al(x), ev.act("rho", y, ev.bv(v)))),
-    )
-    return vec_sub(total, ev.act_by("l", ev.mb("lie", y, x), ev.beta(v)))
-
-
-def _gd2(ev, x, y, v):
-    total = ev.act_by("r", ev.mb("lie", x, y), ev.beta(v))
-    first = vec_sub(
-        ev.act_by("rho", ev.al(x), ev.act("r", y, ev.bv(v))),
-        ev.act_by("r", ev.al(y), ev.act("rho", x, ev.bv(v))),
-    )
-    second = vec_sub(
-        ev.act_by("r", ev.al(x), ev.act("rho", y, ev.bv(v))),
-        ev.act_by("rho", ev.al(y), ev.act("r", x, ev.bv(v))),
-    )
-    total = vec_sub(total, ev.sgn(ev.e_ma(v, x), first))
-    return vec_sub(total, ev.sgn(ev.e_av_a(x, v, y), second))
-
-
-_ASSOC_CONDS = (("ASSOC_BIMODULE", _assoc),)
-_NOV_CONDS = (
-    ("NOV_COND1", _nov1),
-    ("NOV_COND2", _nov2),
-    ("NOV_COND3", _nov3),
-    ("NOV_COND4", _nov4),
-    ("NOV_COND5", _nov5),
-    ("NOV_COND6", _nov6),
+_ASSOC = ((1, _, s(assoc(x, y), al(v))), (-1, _, s(al(x), s(y, v))))
+_NOV1 = (
+    (1, _, l(novikov(x, y), al(v))),
+    (-1, _, l(al(x), l(y, v))),
+    (-1, eps(x, y), l(novikov(y, x), al(v))),
+    (1, eps(x, y), l(al(y), l(x, v))),
 )
-_LIE_CONDS = (("LIE_REP", _lie),)
+_NOV2 = (
+    (1, _, r(al(y), l(x, v))),
+    (-1, _, l(al(x), r(y, v))),
+    (-1, eps(x, v), r(al(y), r(x, v))),
+    (1, eps(x, v), r(novikov(x, y), al(v))),
+)
+_NOV3 = (
+    (1, _, r(al(y), r(x, v))),
+    (-1, _, r(novikov(x, y), al(v))),
+    (-1, eps(v, x), r(al(y), l(x, v))),
+    (1, eps(v, x), l(al(x), r(y, v))),
+)
+_NOV4 = ((1, _, l(novikov(x, y), al(v))), (-1, eps(y, v), r(al(y), l(x, v))))
+_NOV5 = ((1, _, r(al(y), l(x, v))), (-1, eps(v, y), l(novikov(x, y), al(v))))
+_NOV6 = ((1, _, r(al(y), r(x, v))), (-1, eps(x, y), r(al(x), r(y, v))))
+_LIE = (
+    (1, _, rho(lie(x, y), al(v))),
+    (-1, _, rho(al(x), rho(y, v))),
+    (1, eps(x, y), rho(al(y), rho(x, v))),
+)
+_HNP1 = ((1, _, l(assoc(x, y), al(v))), (-1, eps(x, y), s(al(y), l(x, v))))
+_HNP2 = ((1, _, r(al(y), s(x, v))), (-1, eps(v, y), s(novikov(x, y), al(v))))
+_HNP3 = ((1, _, r(al(y), s(x, v))), (-1, _, s(al(x), r(y, v))))
+_HNP4 = (
+    (1, _, s(novikov(x, y), al(v))),
+    (-1, _, l(al(x), s(y, v))),
+    (-1, eps(x, y), s(novikov(y, x), al(v))),
+    (1, eps(x, y), l(al(y), s(x, v))),
+)
+_HNP5 = (
+    (1, eps((x, v), y), s(al(y), l(x, v))),
+    (-1, eps((x, v), y) + eps(x, v), s(al(y), r(x, v))),
+    (-1, eps(v, y), l(al(x), s(y, v))),
+    (1, eps(x, v), r(assoc(x, y), al(v))),
+)
+_GD1 = (
+    (1, _, l(al(y), rho(x, v))),
+    (-1, _, rho(novikov(y, x), al(v))),
+    (-1, eps(y, x), rho(al(x), l(y, v))),
+    (1, eps(x, v), r(al(x), rho(y, v))),
+    (-1, _, l(lie(y, x), al(v))),
+)
+_GD2 = (
+    (1, _, r(lie(x, y), al(v))),
+    (-1, eps(v, x), rho(al(x), r(y, v))),
+    (1, eps(v, x), r(al(y), rho(x, v))),
+    (-1, eps((x, v), y), r(al(x), rho(y, v))),
+    (1, eps((x, v), y), rho(al(y), r(x, v))),
+)
+del x, y, v, al, assoc, novikov, lie, s, l, r, rho, _
 
-KIND_CONDITIONS = {
+_ASSOC_CONDS = (("ASSOC_BIMODULE", _ASSOC),)
+_NOV_CONDS = (
+    ("NOV_COND1", _NOV1),
+    ("NOV_COND2", _NOV2),
+    ("NOV_COND3", _NOV3),
+    ("NOV_COND4", _NOV4),
+    ("NOV_COND5", _NOV5),
+    ("NOV_COND6", _NOV6),
+)
+_LIE_CONDS = (("LIE_REP", _LIE),)
+
+KIND_CONDITIONS: dict[BimoduleKind, tuple[tuple[str, tuple[Term, ...]], ...]] = {
     BimoduleKind.ASSOC_BIMODULE: _ASSOC_CONDS,
     BimoduleKind.NOVIKOV_BIMODULE: _NOV_CONDS,
     BimoduleKind.LIE_REP: _LIE_CONDS,
     BimoduleKind.HNP_BIMODULE: _ASSOC_CONDS
     + _NOV_CONDS
     + (
-        ("HNP_COND1", _hnp1),
-        ("HNP_COND2", _hnp2),
-        ("HNP_COND3", _hnp3),
-        ("HNP_COND4", _hnp4),
-        ("HNP_COND5", _hnp5),
+        ("HNP_COND1", _HNP1),
+        ("HNP_COND2", _HNP2),
+        ("HNP_COND3", _HNP3),
+        ("HNP_COND4", _HNP4),
+        ("HNP_COND5", _HNP5),
     ),
-    BimoduleKind.GD_REP: _NOV_CONDS + _LIE_CONDS + (("GD_COND1", _gd1), ("GD_COND2", _gd2)),
+    BimoduleKind.GD_REP: _NOV_CONDS + _LIE_CONDS + (("GD_COND1", _GD1), ("GD_COND2", _GD2)),
 }
 
 
@@ -396,13 +276,16 @@ def check_bimodule(
     for name in KIND_ACTIONS[kind]:
         bundle.action(name)
 
-    ev = _BEval(presentation, bundle, slots)
-    axes = (presentation.names, presentation.names, bundle.module.names)
+    ops = {slot: product_rows(presentation.product(role)) for slot, role in slots.items()}
+    ops.update((name, action_rows(bundle.actions[name])) for name in KIND_ACTIONS[kind])
+    algebra = (presentation.space, presentation.alpha)
+    axes = (algebra, algebra, (bundle.module, bundle.beta))
+    names = (presentation.names, presentation.names, bundle.module.names)
     report = SuiteReport(kind=kind.value)
-    for label, defect_fn in KIND_CONDITIONS[kind]:
-        report.checks.append(
-            scan_check(label, axes, lambda t: defect_fn(ev, *t), bundle.module)
-        )
+    for label, terms in KIND_CONDITIONS[kind]:
+        report.checks.append(scan_check(
+            label, names, term_failures(terms, axes, ops, presentation.bichar), bundle.module
+        ))
     return report
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "ScalarParseError",
     "ScalarContext",
     "Scalar",
-    "sqrt_mod",
 ]
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -404,7 +403,7 @@ class Scalar:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    # -- substitution and evaluation -----------------------------------------
+    # -- substitution -----------------------------------------------------------
 
     def substitute(self, assignment: Mapping[str, int | str | Fraction | "Scalar"]) -> "Scalar":
         """Replace parameters by values (scalars in the same context allowed).
@@ -426,51 +425,6 @@ class Scalar:
                 else:
                     piece = piece * Scalar(self.context, ((((sym, 1),), Fraction(1)),)) ** e
             total = total + piece
-        return total
-
-    def eval_float(self, assignment: Mapping[str, float] | None = None) -> float:
-        """Float evaluation for the optional sanity oracle; never used by checks."""
-        assignment = assignment or {}
-        total = 0.0
-        for mono, coeff in self.terms:
-            value = float(coeff)
-            for sym, e in mono:
-                if sym in self.context.roots:
-                    value *= math.sqrt(float(self.context.roots[sym])) ** e
-                elif sym in assignment:
-                    value *= float(assignment[sym]) ** e
-                else:
-                    raise ScalarError(f"no value supplied for parameter {sym!r}")
-            total += value
-        return total
-
-    def eval_mod(
-        self,
-        prime: int,
-        assignment: Mapping[str, int] | None = None,
-        root_residues: Mapping[str, int] | None = None,
-    ) -> int:
-        """Evaluate in GF(prime), roots replaced by residues with r*r = q.
-
-        Residues are found by search when not supplied; a radicand that is not
-        a square mod ``prime`` raises.
-        """
-        assignment = assignment or {}
-        residues = dict(root_residues or {})
-        for sym, q in self.context.roots.items():
-            if sym not in residues:
-                residues[sym] = sqrt_mod(q, prime)
-        total = 0
-        for mono, coeff in self.terms:
-            value = coeff.numerator * pow(coeff.denominator, -1, prime) % prime
-            for sym, e in mono:
-                if sym in residues:
-                    value = value * pow(residues[sym], e, prime) % prime
-                elif sym in assignment:
-                    value = value * pow(assignment[sym] % prime, e, prime) % prime
-                else:
-                    raise ScalarError(f"no value supplied for parameter {sym!r}")
-            total = (total + value) % prime
         return total
 
     def rebase(self, context: ScalarContext) -> "Scalar":
@@ -510,16 +464,6 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
-
-
-def sqrt_mod(q: Fraction | int, prime: int) -> int:
-    """Smallest residue r with r*r = q in GF(prime), by direct search."""
-    q = _as_fraction(q)
-    target = q.numerator * pow(q.denominator, -1, prime) % prime
-    for r in range(prime):
-        if r * r % prime == target:
-            return r
-    raise ScalarError(f"{q} is not a square modulo {prime}")
 
 
 class _Parser:

@@ -59,6 +59,21 @@ class TestCheck:
         assert run("check", path, "--kind", "eps_comm_assoc") == 3
         assert "rational square" in capsys.readouterr().err
 
+    def test_non_bimultiplicative_factor_exits_three(self, tmp_path, capsys):
+        # On Z_3 a -1 generator value is no bicharacter: eps(1 + 2, 1) = 1 but
+        # eps(1, 1) * eps(2, 1) = -1, so the loader refuses the document.
+        doc = {
+            "format": 1,
+            "group": {"torsion": [3], "free": 0},
+            "bichar": [[-1]],
+            "basis": [{"name": name, "deg": [d]} for name, d in (("e0", 0), ("e1", 1), ("e2", 2))],
+            "products": {"dot": [["e1", "e2", [["e0", "1"]]], ["e2", "e1", [["e0", "-1"]]]]},
+        }
+        path = tmp_path / "z3.json"
+        path.write_text(json.dumps(doc))
+        assert run("check", path, "--kind", "eps_comm_assoc") == 3
+        assert "not bimultiplicative" in capsys.readouterr().err
+
     def test_gi_precondition_exits_two(self, fixtures_dir, tmp_path):
         pair = tmp_path / "pair.json"
         assert run(

@@ -409,6 +409,16 @@ class TestSubIdealQuotient:
         assert Q.names == ("e1", "e2", "e3")
         assert hc.run_suite(Q, hc.StructureKind.HOM_GD).passed
 
+    def test_integer_members_are_range_checked(self, assoc_3dim):
+        with pytest.raises(KeyError, match="unknown basis element 99"):
+            hc.is_ideal(assoc_3dim, [99])
+        with pytest.raises(KeyError, match="unknown basis element -1"):
+            hc.is_subalgebra(assoc_3dim, [-1])
+        with pytest.raises(KeyError, match="unknown basis element 7"):
+            hc.quotient(assoc_3dim, [7])
+        with pytest.raises(KeyError, match="unknown basis element 'e9'"):
+            hc.is_ideal(assoc_3dim, ["e9"])
+
     def test_quotient_requires_ideal(self, assoc_3dim):
         with pytest.raises(PreconditionError):
             hc.quotient(assoc_3dim, ["e1"])

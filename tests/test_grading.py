@@ -122,3 +122,47 @@ class TestBimultiplicativity:
         assert eps.sign(a, a) in (1, -1)
         assert eps.sign(a, group.zero) == 1
 
+
+
+@st.composite
+def sign_factors(draw):
+    """A random grading group and generator matrix whose -1 entries avoid
+    generators of odd order, with three random elements."""
+    torsion = tuple(draw(st.lists(st.integers(2, 6), max_size=3)))
+    group = AbelianGroup(torsion=torsion, free=draw(st.integers(0, 2)))
+    n = group.rank
+    odd = {g for g, m in enumerate(torsion) if m % 2}
+    matrix = [
+        [1 if i in odd or j in odd else draw(st.sampled_from([1, -1])) for j in range(n)]
+        for i in range(n)
+    ]
+    elements = [
+        group.element([draw(st.integers(-7, 7)) for _ in range(n)]) for _ in range(3)
+    ]
+    return group, Bicharacter(group, matrix), elements
+
+
+class TestBimultiplicativeTables:
+    """The checks read eps(a + b, c) as eps(a, c) * eps(b, c) from per-check
+    sign tables, which is sound exactly for bimultiplicative factors."""
+
+    @given(data=sign_factors())
+    def test_sign_is_bimultiplicative(self, data):
+        group, eps, (a, b, c) = data
+        assert eps.odd_order_pair() is None
+        assert eps.sign(group.add(a, b), c) == eps.sign(a, c) * eps.sign(b, c)
+        assert eps.sign(a, group.add(b, c)) == eps.sign(a, b) * eps.sign(a, c)
+
+    def test_minus_one_on_odd_order_generator_is_refused(self):
+        from homcolor.core import AlgebraPresentation, BilinearProduct, GradedSpace
+        from homcolor.scalars import ScalarContext
+
+        group = AbelianGroup(torsion=(3,))
+        eps = Bicharacter(group, [[-1]])
+        assert eps.odd_order_pair() == (0, 0)
+        # 1 + 2 = 0 in Z_3, but eps(1, 1) * eps(2, 1) = -1
+        assert eps.sign(group.add((1,), (2,)), (1,)) != eps.sign((1,), (1,)) * eps.sign((2,), (1,))
+        space = GradedSpace(group, ["e0", "e1"], [[0], [1]])
+        ctx = ScalarContext()
+        with pytest.raises(ValueError, match="not bimultiplicative"):
+            AlgebraPresentation(space, eps, ctx, {"dot": BilinearProduct(space, ctx, {})})

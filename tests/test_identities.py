@@ -195,6 +195,27 @@ class TestGiSuite:
         assert report.status == hc.PRECONDITION_FAILED
         assert report.preconditions
 
+    def test_suite_scans_multiplicativity_once_per_role(self, hnp_mult_synth_4dim, monkeypatch):
+        from homcolor import identities
+
+        pair = hc.commutator_bracket(hnp_mult_synth_4dim, "diamond")
+        direct = [check_identity(pair, tag).to_dict() for tag in ("GI_1", "GI_2", "GI_3", "GI_4")]
+        scanned = []
+        real = identities.is_multiplicative
+
+        def counting(presentation, role, *rest):
+            scanned.append(role)
+            return real(presentation, role, *rest)
+
+        monkeypatch.setattr(identities, "is_multiplicative", counting)
+        suite = check_gi_identities(pair)
+        # the suite's own precondition scans both twists; GI_1..GI_4 reuse them
+        assert scanned == ["dot", "bracket"]
+        assert [c.to_dict() for c in suite.checks] == direct
+        scanned.clear()
+        check_identity(pair, "GI_1")  # called directly, it checks its own
+        assert scanned == ["bracket", "dot"]
+
 
 _grading_names = st.sampled_from(["super", "z2sq", "sympl", "trivial"])
 
@@ -271,17 +292,18 @@ class TestPoissonLeibnizConvention:
 
     @given(A=symmetric_tables())
     def test_right_form_is_sign_rewrite_of_catalog_defect(self, A):
-        from homcolor.identities import IDENTITY_CATALOG, _Eval
+        from homcolor.identities import IDENTITY_CATALOG, identity_failures
         from homcolor.core import vec_neg
 
         spec = IDENTITY_CATALOG["POISSON_LEIBNIZ"]
-        ev = _Eval(A, dict(spec.defaults))
+        # every nonzero catalog defect, by tuple; the rest are zero
+        catalog = dict(identity_failures(A, spec, dict(spec.defaults)))
         group = A.space.group
         for x in range(A.dim):
             for y in range(A.dim):
                 for z in range(A.dim):
                     left = self._right_form_defect(A, x, y, z)
-                    rotated = spec.defect(ev, (z, x, y))
+                    rotated = catalog.get((z, x, y), {})
                     sign = A.eps_deg(
                         group.add(A.space.degree(x), A.space.degree(y)), A.space.degree(z)
                     )

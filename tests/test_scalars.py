@@ -15,8 +15,9 @@ from homcolor.scalars import (
     ScalarError,
     ScalarParseError,
     _check_independent,
-    sqrt_mod,
 )
+
+from tests.util import eval_float, eval_mod, sqrt_mod
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +77,7 @@ class TestArithmetic:
         value = ctx.parse("sqrt(2)*sqrt(2) - 2")
         assert value.is_zero()
         # float sanity oracle, never used by the checks themselves
-        approx = (ctx.root("sqrt2") * ctx.root("sqrt2") - ctx.scalar(2)).eval_float()
+        approx = eval_float(ctx.root("sqrt2") * ctx.root("sqrt2") - ctx.scalar(2))
         assert abs(approx) < 1e-9
 
     def test_mixed_context_arithmetic_is_rejected(self, ctx):
@@ -212,7 +213,7 @@ class TestAlgebraicLaws:
         root = {"sqrt2": sqrt_mod(2, _PRIME)}
 
         def ev(s):
-            return s.eval_mod(_PRIME, assign, root)
+            return eval_mod(s, _PRIME, assign, root)
 
         assert ev(a * b) == ev(a) * ev(b) % _PRIME
         assert ev(a + b) == (ev(a) + ev(b)) % _PRIME
@@ -221,7 +222,7 @@ class TestAlgebraicLaws:
     def test_zero_evaluates_to_zero_everywhere(self, a, la, mu):
         difference = a - a
         assert difference.is_zero()
-        assert difference.eval_mod(_PRIME, {"lambda1": la, "mu2": mu}) == 0
+        assert eval_mod(difference, _PRIME, {"lambda1": la, "mu2": mu}) == 0
 
     @given(a=scalars(_CTX))
     def test_canonical_form_round_trips(self, a):
@@ -248,7 +249,7 @@ def test_fractional_radicand():
     root = half.root("sqrthalf")
     assert root * root == half.parse("1/2")
     assert half.parse("sqrt(1/2) * sqrt(1/2) - 1/2").is_zero()
-    assert abs(root.eval_float() - 0.7071067811865476) < 1e-12
+    assert abs(eval_float(root) - 0.7071067811865476) < 1e-12
 
 
 # -- fast paths of Scalar arithmetic against a term-by-term expansion ----------

@@ -1,9 +1,13 @@
-"""Shared test helpers: fixture perturbation, structural comparison, and
-brute-force witnesses for the scan checks."""
+"""Shared test helpers: fixture perturbation, structural comparison,
+brute-force witnesses for the scan checks, and evaluation homomorphisms of
+scalars (float and mod-p sanity oracles, never used by the checks)."""
 
+import math
+from fractions import Fraction
 from itertools import product
 
 from homcolor.core import AlgebraPresentation, BilinearProduct, vec_add, vec_scale
+from homcolor.scalars import Scalar, ScalarError
 
 
 def perturb(A: AlgebraPresentation, role: str, i: int, j: int, k: int, delta) -> AlgebraPresentation:
@@ -60,3 +64,52 @@ def act_vec(bundle, name, x, v):
     for i, s in x.items():
         out = vec_add(out, vec_scale(s, bundle.act(name, i, v)))
     return out
+
+
+def eval_float(s: Scalar, assignment=None) -> float:
+    """Float value of ``s``, parameters taken from ``assignment``."""
+    assignment = assignment or {}
+    total = 0.0
+    for mono, coeff in s.terms:
+        value = float(coeff)
+        for sym, e in mono:
+            if sym in s.context.roots:
+                value *= math.sqrt(float(s.context.roots[sym])) ** e
+            elif sym in assignment:
+                value *= float(assignment[sym]) ** e
+            else:
+                raise ScalarError(f"no value supplied for parameter {sym!r}")
+        total += value
+    return total
+
+
+def sqrt_mod(q, prime: int) -> int:
+    """Smallest residue r with r*r = q in GF(prime), by direct search."""
+    q = Fraction(q)
+    target = q.numerator * pow(q.denominator, -1, prime) % prime
+    for r in range(prime):
+        if r * r % prime == target:
+            return r
+    raise ScalarError(f"{q} is not a square modulo {prime}")
+
+
+def eval_mod(s: Scalar, prime: int, assignment=None, root_residues=None) -> int:
+    """Value of ``s`` in GF(prime), roots replaced by residues with r*r = q
+    (found by search when not supplied; a non-square radicand raises)."""
+    assignment = assignment or {}
+    residues = dict(root_residues or {})
+    for sym, q in s.context.roots.items():
+        if sym not in residues:
+            residues[sym] = sqrt_mod(q, prime)
+    total = 0
+    for mono, coeff in s.terms:
+        value = coeff.numerator * pow(coeff.denominator, -1, prime) % prime
+        for sym, e in mono:
+            if sym in residues:
+                value = value * pow(residues[sym], e, prime) % prime
+            elif sym in assignment:
+                value = value * pow(assignment[sym] % prime, e, prime) % prime
+            else:
+                raise ScalarError(f"no value supplied for parameter {sym!r}")
+        total = (total + value) % prime
+    return total
