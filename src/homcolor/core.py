@@ -647,6 +647,8 @@ def _join(rows: Rows, left: dict, right: dict, one: Scalar) -> dict:
     return out
 
 
+# The interning depends only on the terms and on which positions share an
+# axis, not on any presentation, so it is done once per process.
 @functools.lru_cache(maxsize=256)
 def _compile(terms: tuple[Term, ...], axis_ids: tuple[int, ...]) -> tuple:
     """Intern the subtrees of ``terms`` by shape, for positions on the axes
@@ -766,7 +768,7 @@ def term_failures(
     def evaluate(nid: int, i0: int) -> dict:
         found = maps[nid]
         if found is None:
-            name, a, b, at_zero = nodes[nid]
+            name, a, b, at_zero = nodes[nid]  # a leaf's a, b: axis, twist power
             if name is not None:
                 left = evaluate(a, i0)
                 found = _join(ops[name], left, inverted(b, i0), one) if left else {}
