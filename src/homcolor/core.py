@@ -744,9 +744,12 @@ def term_failures(
     tables: dict[tuple[int, int], list[list[int]]] = {}
 
     def sign_table(p: int, q: int) -> list[list[int]]:
-        table = tables.get((p, q))
+        """Signs between the bases of positions p and q, one table per
+        pair of axes."""
+        key = (axis_ids[p], axis_ids[q])
+        table = tables.get(key)
         if table is None:
-            table = tables[(p, q)] = []
+            table = tables[key] = []
             for da in axes[p][0].degrees:
                 row = []
                 for db in axes[q][0].degrees:
