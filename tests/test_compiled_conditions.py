@@ -81,14 +81,17 @@ def _bumped_twist(draw, twist, ctx):
     return LinearMap(twist.source, twist.target, ctx, columns)
 
 
-def _perturbed(draw, bundle, acting_space):
+def _perturbed(draw, bundle, acting_space, twist=True):
+    """``bundle`` with one or two action entries bumped and, if ``twist``,
+    maybe a beta entry (cross bundles of a matched pair must keep the
+    opposite side's twist)."""
     ctx = bundle.context
     actions = dict(bundle.actions)
     for _ in range(draw(st.integers(1, 2))):
         name = draw(st.sampled_from(sorted(actions)))
         actions[name] = _bumped_family(draw, actions[name], acting_space, bundle.module, ctx)
     beta = bundle.beta
-    if draw(st.booleans()):
+    if twist and draw(st.booleans()):
         beta = _bumped_twist(draw, beta, ctx)
     return ActionBundle(acting_space, bundle.module, beta, ctx, actions)
 
@@ -148,21 +151,20 @@ def perturbed_matched_pairs(draw):
             cross_action_family((right, right_n_u), left.space, left_n_u, ctx, names)))
     side = draw(st.sampled_from(["ab", "ba", "both"]))
     if side in ("ab", "both"):
-        ab = _perturbed_actions(draw, ab, left.space)
+        ab = _perturbed(draw, ab, left.space, twist=False)
     if side in ("ba", "both"):
-        ba = _perturbed_actions(draw, ba, right.space)
+        ba = _perturbed(draw, ba, right.space, twist=False)
     return MatchedPairData(left, right, ab, ba), kind
 
 
-def _perturbed_actions(draw, bundle, acting_space):
-    """Bump action entries only: the cross bundles must keep the opposite
-    side's twist."""
-    ctx = bundle.context
-    actions = dict(bundle.actions)
-    for _ in range(draw(st.integers(1, 2))):
-        name = draw(st.sampled_from(sorted(actions)))
-        actions[name] = _bumped_family(draw, actions[name], acting_space, bundle.module, ctx)
-    return ActionBundle(acting_space, bundle.module, bundle.beta, ctx, actions)
+def _reference_evaluator(pair, kind):
+    """The reference helper for ``pair``, oriented from the a-side."""
+    slots = _MP_ROLE_SLOTS[kind]
+    return MPEval(pair.a, pair.b, pair.ab, pair.ba, **{
+        k: v for k, v in (
+            ("dot", slots.get("dot")), ("novikov", slots.get("novikov")), ("lie", slots.get("bracket"))
+        ) if v
+    })
 
 
 @settings(max_examples=150)
@@ -171,12 +173,7 @@ def test_compiled_matched_pair_conditions_match_reference(data):
     pair, kind = data
     report = hc.check_matched_pair(pair, kind)
     by_label = {c.check: c for c in report.checks}
-    slots = _MP_ROLE_SLOTS[kind]
-    base = MPEval(pair.a, pair.b, pair.ab, pair.ba, **{
-        k: v for k, v in (
-            ("dot", slots.get("dot")), ("novikov", slots.get("novikov")), ("lie", slots.get("bracket"))
-        ) if v
-    })
+    base = _reference_evaluator(pair, kind)
     for label, defect in MP_CONDITIONS[kind]:
         for direction, ev, left, right in (
             ("ab", base, pair.a, pair.b),
@@ -243,11 +240,7 @@ def test_every_matched_pair_defect_matches_reference(kind, payload):
         name: _dense_family(payload.draw, A.space, A.space, A.context) for name in names
     })
     slots = _MP_ROLE_SLOTS[kind]
-    base = MPEval(A, A, ab, ba, **{
-        k: v for k, v in (
-            ("dot", slots.get("dot")), ("novikov", slots.get("novikov")), ("lie", slots.get("bracket"))
-        ) if v
-    })
+    base = _reference_evaluator(MatchedPairData(A, A, ab, ba), kind)
     axes = ((A.space, A.alpha),) * 3
     for ev, forward, backward in ((base, ab, ba), (base.swap(), ba, ab)):
         ops = {slot: product_rows(A.product(role)) for slot, role in slots.items()}
