@@ -8,6 +8,7 @@ identical inputs give byte-identical reports (timings opt in via --timings).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -76,8 +77,7 @@ def _emit(suite: SuiteReport, args, kind: str) -> int:
     if getattr(args, "report", None):
         doc = _report_doc(args.input, kind, suite, args.timings)
         with open(args.report, "w") as handle:
-            json.dump(doc, handle, indent=2)
-            handle.write("\n")
+            handle.write(json.dumps(doc, indent=2) + "\n")
     return _STATUS_EXIT[suite.status]
 
 
@@ -259,9 +259,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call to ``main``, not at import, and reused: parsing
+    # leaves no state in the parser (append actions copy their default list).
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except PreconditionError as exc:
@@ -272,7 +278,7 @@ def main(argv=None) -> int:
     except (LoadError, MissingRoleError, ScalarError, identities.ArityCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

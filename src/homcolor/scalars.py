@@ -36,6 +36,11 @@ __all__ = [
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 _TOKEN_RE = re.compile(r"(\d+)|([a-z][a-z0-9_]*)|([+\-*/()])")
+_INT_LITERAL_RE = re.compile(r"-?[0-9]+")  # ASCII only: parse's fast path
+# Nesting (parentheses and unary minus) the recursive-descent parser accepts;
+# a parenthesis level costs four Python frames, so the bound keeps deep text
+# well inside the default recursion limit.
+MAX_NESTING = 100
 
 # Monomial: ((symbol, exponent), ...) sorted by context symbol rank, exponents >= 1.
 Monomial = tuple[tuple[str, int], ...]
@@ -253,7 +258,17 @@ class ScalarContext:
 
     def parse(self, text: str) -> Scalar:
         """Parse the scalar grammar: integers, fractions p/q, declared names,
-        sqrt(q) for declared radicands, ``+ - *`` and parentheses."""
+        sqrt(q) for declared radicands, ``+ - *`` and parentheses.
+
+        Plain ASCII integer literals, most entries of a table, skip the
+        tokenizer; 0 and 1 return the shared ``zero`` and ``one``."""
+        if _INT_LITERAL_RE.fullmatch(text):
+            value = int(text)
+            if value == 0:
+                return self._zero
+            if value == 1:
+                return self._one
+            return Scalar(self, (((), Fraction(value)),))
         return _Parser(self, text).parse()
 
 
@@ -488,6 +503,7 @@ class _Parser:
         if text[pos:].strip():
             raise ScalarParseError(f"unexpected character {text[pos:].strip()[0]!r} in {text!r}")
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -532,11 +548,21 @@ class _Parser:
             else:
                 return value
 
+    def nest(self, tok: tuple[str, str, int]) -> None:
+        """Enter one level of parentheses or unary minus, refusing text
+        nested deeper than ``MAX_NESTING`` before it can exhaust the stack."""
+        if self.depth == MAX_NESTING:
+            raise ScalarParseError(f"nesting deeper than {MAX_NESTING} at position {tok[2]}")
+        self.depth += 1
+
     def unary(self) -> Scalar:
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "-":
             self.take()
-            return -self.unary()
+            self.nest(tok)
+            value = -self.unary()
+            self.depth -= 1
+            return value
         return self.atom()
 
     def atom(self) -> Scalar:
@@ -564,7 +590,9 @@ class _Parser:
                 return self.context.root(text)
             raise ScalarParseError(f"undeclared name {text!r} at position {pos}")
         if kind == "op" and text == "(":
+            self.nest(tok)
             value = self.expr()
+            self.depth -= 1
             self.expect_op(")")
             return value
         raise ScalarParseError(f"unexpected token {text!r} at position {pos}")

@@ -33,7 +33,7 @@ from .core import (
     LinearMap,
     role_sort_key,
 )
-from .grading import AbelianGroup, Bicharacter
+from .grading import AbelianGroup, Bicharacter, validate_commutation_factor
 from .representations import ActionBundle
 from .scalars import Scalar, ScalarContext, ScalarError
 
@@ -57,6 +57,45 @@ class LoadError(ValueError):
     """Input document rejected; the message names the offending field."""
 
 
+def _read_json(path) -> Any:
+    """Parse a JSON file; an unreadable or undecodable file is a LoadError."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise LoadError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except OSError as exc:
+        raise LoadError(f"{path}: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # Non-UTF-8 bytes, an integer literal past int()'s digit limit, or
+        # arrays nested past the decoder's recursion limit.
+        raise LoadError(f"{path}: {exc}") from exc
+
+
+def _object(value: Any, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise LoadError(f"{where or 'document'}: expected an object")
+    return value
+
+
+def _list(value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        raise LoadError(f"{where}: expected a list")
+    return value
+
+
+def _int(value: Any, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise LoadError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _name(value: Any, where: str) -> str:
+    if not isinstance(value, str):
+        raise LoadError(f"{where}: expected a basis name, got {value!r}")
+    return value
+
+
 def _get(doc: Mapping, field: str, where: str):
     if field not in doc:
         raise LoadError(f"missing field {where}{field}")
@@ -64,8 +103,14 @@ def _get(doc: Mapping, field: str, where: str):
 
 
 def _context_from(doc: Mapping, where: str = "") -> ScalarContext:
-    params = doc.get("params", [])
-    roots = doc.get("roots", {})
+    params = _list(doc.get("params", []), f"{where}params")
+    roots = _object(doc.get("roots", {}), f"{where}roots")
+    for k, name in enumerate(params):
+        if not isinstance(name, str):
+            raise LoadError(f"{where}params[{k}]: expected a name, got {name!r}")
+    for name, q in roots.items():
+        if not isinstance(q, (int, str)) or isinstance(q, bool):
+            raise LoadError(f"{where}roots.{name}: expected an integer or a rational string")
     try:
         return ScalarContext(params, roots)
     except ScalarError as exc:
@@ -73,9 +118,13 @@ def _context_from(doc: Mapping, where: str = "") -> ScalarContext:
 
 
 def _scalar(ctx: ScalarContext, value: Any, where: str) -> Scalar:
+    # Only exact values: a JSON float such as 1.5 (or a boolean) is refused,
+    # not truncated by int().
+    if not isinstance(value, (int, str)) or isinstance(value, bool):
+        raise LoadError(f"{where}: expected an integer or a scalar string, got {value!r}")
     try:
-        return ctx.scalar(value if isinstance(value, str) else int(value))
-    except (ScalarError, TypeError, ValueError) as exc:
+        return ctx.scalar(value)
+    except (ScalarError, ValueError) as exc:
         raise LoadError(f"{where}: {exc}") from exc
 
 
@@ -87,17 +136,15 @@ def _matrix(
     where: str,
     degree=None,
 ) -> LinearMap:
-    if not isinstance(rows, list):
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise LoadError(f"{where}: expected a row-major matrix")
+    scalars = [
+        [_scalar(ctx, entry, f"{where}[{r}][{c}]") for c, entry in enumerate(row)]
+        for r, row in enumerate(rows)
+    ]
     try:
-        scalars = [
-            [_scalar(ctx, entry, f"{where}[{r}][{c}]") for c, entry in enumerate(row)]
-            for r, row in enumerate(rows)
-        ]
         return LinearMap.from_rows(source, target, ctx, scalars, degree)
     except ValueError as exc:
-        if isinstance(exc, LoadError):
-            raise
         raise LoadError(f"{where}: {exc}") from exc
 
 
@@ -106,60 +153,69 @@ def _space_from(group: AbelianGroup, basis: Any, where: str) -> GradedSpace:
         raise LoadError(f"{where}basis: expected a non-empty list")
     names, degrees = [], []
     for k, item in enumerate(basis):
-        if not isinstance(item, dict):
-            raise LoadError(f"{where}basis[{k}]: expected an object")
-        names.append(_get(item, "name", f"{where}basis[{k}]."))
-        degrees.append(_get(item, "deg", f"{where}basis[{k}]."))
+        spot = f"{where}basis[{k}]"
+        item = _object(item, spot)
+        names.append(_name(_get(item, "name", f"{spot}."), f"{spot}.name"))
+        deg = _list(_get(item, "deg", f"{spot}."), f"{spot}.deg")
+        degrees.append([_int(c, f"{spot}.deg[{m}]") for m, c in enumerate(deg)])
     try:
         return GradedSpace(group, names, degrees)
     except ValueError as exc:
         raise LoadError(f"{where}basis: {exc}") from exc
 
 
+def _index(space: GradedSpace, name: Any, where: str) -> int:
+    try:
+        return space.index(_name(name, where))
+    except KeyError as exc:
+        raise LoadError(f"{where}: {exc.args[0]}") from exc
+
+
 def load_presentation(doc: Mapping, where: str = "") -> AlgebraPresentation:
     """Build a presentation from a parsed JSON document."""
+    doc = _object(doc, where.rstrip("."))
     if doc.get("format", FORMAT_VERSION) != FORMAT_VERSION:
         raise LoadError(f"{where}format: unsupported version {doc.get('format')!r}")
-    group_doc = _get(doc, "group", where)
+    group_doc = _object(_get(doc, "group", where), f"{where}group")
+    torsion = _list(group_doc.get("torsion", []), f"{where}group.torsion")
+    torsion = tuple(_int(m, f"{where}group.torsion[{k}]") for k, m in enumerate(torsion))
+    free = _int(group_doc.get("free", 0), f"{where}group.free")
     try:
-        group = AbelianGroup(
-            torsion=tuple(group_doc.get("torsion", ())), free=group_doc.get("free", 0)
-        )
-    except (TypeError, ValueError, AttributeError) as exc:
+        group = AbelianGroup(torsion=torsion, free=free)
+    except ValueError as exc:
         raise LoadError(f"{where}group: {exc}") from exc
+    rows = _list(_get(doc, "bichar", where), f"{where}bichar")
+    matrix = [
+        [_int(v, f"{where}bichar[{i}][{j}]") for j, v in enumerate(_list(row, f"{where}bichar[{i}]"))]
+        for i, row in enumerate(rows)
+    ]
     try:
-        bichar = Bicharacter(group, _get(doc, "bichar", where))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, LoadError):
-            raise
+        bichar = Bicharacter(group, matrix)
+    except ValueError as exc:
         raise LoadError(f"{where}bichar: {exc}") from exc
     ctx = _context_from(doc, where)
     space = _space_from(group, _get(doc, "basis", where), where)
 
     products = {}
-    for role, rules in sorted(_get(doc, "products", where).items(), key=lambda kv: role_sort_key(kv[0])):
+    roles = _object(_get(doc, "products", where), f"{where}products")
+    for role, rules in sorted(roles.items(), key=lambda kv: role_sort_key(kv[0])):
         entries: dict[tuple[int, int], dict[int, Scalar]] = {}
         if not isinstance(rules, list):
             raise LoadError(f"{where}products.{role}: expected a list of rules")
         for k, rule in enumerate(rules):
             spot = f"{where}products.{role}[{k}]"
-            if not (isinstance(rule, list) and len(rule) == 3):
+            if not (isinstance(rule, list) and len(rule) == 3 and isinstance(rule[2], list)):
                 raise LoadError(f"{spot}: expected [left, right, [[name, scalar], ...]]")
             left, right, cell = rule
-            try:
-                i, j = space.index(left), space.index(right)
-            except KeyError as exc:
-                raise LoadError(f"{spot}: {exc.args[0]}") from exc
+            i, j = _index(space, left, spot), _index(space, right, spot)
             vec = entries.setdefault((i, j), {})
             for m, component in enumerate(cell):
+                where_m = f"{spot} component {m}"
                 if not (isinstance(component, list) and len(component) == 2):
-                    raise LoadError(f"{spot} component {m}: expected [name, scalar]")
+                    raise LoadError(f"{where_m}: expected [name, scalar]")
                 name, value = component
-                try:
-                    target = space.index(name)
-                except KeyError as exc:
-                    raise LoadError(f"{spot} component {m}: {exc.args[0]}") from exc
-                s = _scalar(ctx, value, f"{spot} component {m}")
+                target = _index(space, name, where_m)
+                s = _scalar(ctx, value, where_m)
                 vec[target] = vec.get(target, ctx.zero) + s
         try:
             products[role] = BilinearProduct(space, ctx, entries)
@@ -170,20 +226,31 @@ def load_presentation(doc: Mapping, where: str = "") -> AlgebraPresentation:
     if "alpha" in doc:
         alpha = _matrix(ctx, space, space, doc["alpha"], f"{where}alpha")
     try:
-        return AlgebraPresentation(space, bichar, ctx, products, alpha)
+        presentation = AlgebraPresentation(space, bichar, ctx, products, alpha)
     except ValueError as exc:
         raise LoadError(f"{where}: {exc}") from exc
+    # After the presentation, which refuses a -1 on a generator of odd order
+    # (the torsion arm of this validation) with its own message.
+    factor = validate_commutation_factor(bichar)
+    if not factor.passed:
+        pair = ", ".join(factor.witness)
+        raise LoadError(
+            f"{where}bichar is not a commutation factor on generators ({pair}): {factor.detail}"
+        )
+    return presentation
 
 
 def load_bundle(doc: Mapping, presentation: AlgebraPresentation, where: str = "module.") -> ActionBundle:
     """Build the optional ``module`` block against a loaded presentation."""
+    doc = _object(doc, where.rstrip("."))
     ctx = presentation.context
     module = _space_from(presentation.space.group, _get(doc, "basis", where), where)
     beta = _matrix(ctx, module, module, _get(doc, "beta", where), f"{where}beta")
     actions: dict[str, list[LinearMap]] = {}
-    for name, per_basis in sorted(_get(doc, "actions", where).items()):
+    for name, per_basis in sorted(_object(_get(doc, "actions", where), f"{where}actions").items()):
         if name not in ("s", "l", "r", "rho"):
             raise LoadError(f"{where}actions.{name}: unknown action role")
+        per_basis = _object(per_basis, f"{where}actions.{name}")
         family = []
         for i, basis_name in enumerate(presentation.names):
             rows = per_basis.get(basis_name)
@@ -204,11 +271,7 @@ def load_bundle(doc: Mapping, presentation: AlgebraPresentation, where: str = "m
 
 
 def load_presentation_file(path) -> tuple[AlgebraPresentation, ActionBundle | None]:
-    with open(path) as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise LoadError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    doc = _object(_read_json(path), "")
     presentation = load_presentation(doc)
     bundle = load_bundle(doc["module"], presentation) if "module" in doc else None
     return presentation, bundle
@@ -216,11 +279,7 @@ def load_presentation_file(path) -> tuple[AlgebraPresentation, ActionBundle | No
 
 def load_matched_pair_file(path) -> MatchedPairData:
     """Read ``{"a": ..., "b": ..., "actions_a_on_b": ..., "actions_b_on_a": ...}``."""
-    with open(path) as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise LoadError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    doc = _object(_read_json(path), "")
     a = load_presentation(_get(doc, "a", ""), "a.")
     b = load_presentation(_get(doc, "b", ""), "b.")
     ab_doc = {
@@ -243,16 +302,11 @@ def load_matched_pair_file(path) -> MatchedPairData:
 
 def load_linear_map(path, presentation: AlgebraPresentation) -> LinearMap:
     """Read ``{"map": [[...]]}`` as an even endomorphism of the presentation."""
-    with open(path) as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise LoadError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     return _matrix(
         presentation.context,
         presentation.space,
         presentation.space,
-        _get(doc, "map", ""),
+        _get(_object(_read_json(path), ""), "map", ""),
         "map",
     )
 
@@ -289,8 +343,7 @@ def dump_presentation(presentation: AlgebraPresentation) -> dict:
 
 def dump_presentation_file(presentation: AlgebraPresentation, path) -> None:
     with open(path, "w") as handle:
-        json.dump(dump_presentation(presentation), handle, indent=2)
-        handle.write("\n")
+        handle.write(json.dumps(dump_presentation(presentation), indent=2) + "\n")
 
 
 def substitute_presentation(

@@ -1,10 +1,20 @@
 """Command-line front end: exit codes, reports, constructions, round trips."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import homcolor as hc
+from homcolor import cli
 from homcolor.cli import main
 from homcolor.serialize import dump_presentation, load_presentation_file
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(*argv):
@@ -74,6 +84,30 @@ class TestCheck:
         assert run("check", path, "--kind", "eps_comm_assoc") == 3
         assert "not bimultiplicative" in capsys.readouterr().err
 
+    def test_commutation_factor_axiom_exits_three(self, tmp_path, capsys):
+        # eps(g0, g1) * eps(g1, g0) = -1 breaks axiom (1); without the load
+        # check this document got EPS_COMM: FAIL and exit code 1.
+        doc = {
+            "format": 1,
+            "group": {"torsion": [], "free": 2},
+            "bichar": [[1, -1], [1, 1]],
+            "basis": [
+                {"name": name, "deg": deg}
+                for name, deg in (("e1", [1, 0]), ("e2", [0, 1]), ("e3", [1, 1]))
+            ],
+            "products": {"dot": [["e1", "e2", [["e3", "1"]]], ["e2", "e1", [["e3", "-1"]]]]},
+        }
+        path = tmp_path / "zxz.json"
+        path.write_text(json.dumps(doc))
+        assert run("check", path, "--kind", "eps_comm_assoc") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: bichar ")
+        assert "(g0, g1)" in err
+
+    def test_missing_input_exits_three(self, tmp_path, capsys):
+        assert run("check", tmp_path / "absent.json", "--kind", "hnp") == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_gi_precondition_exits_two(self, fixtures_dir, tmp_path):
         pair = tmp_path / "pair.json"
         assert run(
@@ -134,6 +168,53 @@ class TestCheck:
         run("check", fixtures_dir / "hnp_4dim.json", "--kind", "hnp", "--report", bare)
         assert '"seconds"' in timed.read_text()
         assert '"seconds"' not in bare.read_text()
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call sees another's
+    options, and help and usage errors read as from a fresh parser."""
+
+    def test_subst_does_not_leak_into_the_next_call(self, fixtures_dir, tmp_path, capsys):
+        path = fixtures_dir / "hnp_4dim_perturbed.json"
+        spot, plain, fresh = (tmp_path / f"{name}.json" for name in ("spot", "plain", "fresh"))
+        assert run("check", path, "--kind", "hnp", "--report", spot, "--subst", "lambda2=7") == 1
+        assert run("check", path, "--kind", "hnp", "--report", plain) == 1
+        cli._parser.cache_clear()
+        assert run("check", path, "--kind", "hnp", "--report", fresh) == 1
+        assert plain.read_bytes() == fresh.read_bytes()
+        assert "14" in spot.read_text() and "2*lambda2" in plain.read_text()
+        assert cli._parser().parse_args(["check", str(path), "--kind", "hnp"]).subst == []
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--help"], 0),
+            (["check", "--help"], 0),
+            (["construct", "--help"], 0),
+            (["check"], 2),
+            (["check", "x.json", "--kind", "nope"], 2),
+            (["frobnicate"], 2),
+        ],
+    )
+    def test_help_and_usage_errors_match_a_fresh_parser(self, fixtures_dir, capsys, argv, code):
+        run("check", fixtures_dir / "zero_2dim.json", "--kind", "hom_gd")  # parser in use
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as reused:
+            main(argv)
+        assert reused.value.code == code
+        reused_out = capsys.readouterr()
+        with pytest.raises(SystemExit) as fresh:
+            cli.build_parser().parse_args(argv)
+        assert fresh.value.code == code
+        assert capsys.readouterr() == reused_out
+
+    def test_parser_is_not_built_at_import(self):
+        probe = "import homcolor.cli as c; print(c._parser.cache_info().currsize)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.stdout.strip() == "0"
 
 
 class TestConstruct:

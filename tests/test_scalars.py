@@ -14,8 +14,10 @@ from homcolor.scalars import (
     ScalarContext,
     ScalarError,
     ScalarParseError,
+    _Parser,
     _check_independent,
 )
+from homcolor import scalars as scalars_module
 
 from tests.util import eval_float, eval_mod, sqrt_mod
 
@@ -175,6 +177,61 @@ class TestParser:
     def test_error_position_reported(self, ctx):
         with pytest.raises(ScalarParseError, match="position"):
             ctx.parse("1 + )")
+
+
+    @pytest.mark.parametrize("text", ["(" * 101 + "1" + ")" * 101, "-" * 101 + "1", "-(" * 51 + "1" + ")" * 51])
+    def test_nesting_is_bounded(self, ctx, text):
+        with pytest.raises(ScalarParseError, match="nesting deeper than 100"):
+            ctx.parse(text)
+
+    @pytest.mark.parametrize("text", ["(" * 100 + "1" + ")" * 100, "-" * 100 + "1", "-(" * 50 + "1" + ")" * 50])
+    def test_nesting_up_to_the_bound_parses(self, ctx, text):
+        assert ctx.parse(text) == ctx.one
+
+
+def _outcome(parse, text):
+    """Terms of the parsed value, or the type and message of the error."""
+    try:
+        return parse(text).terms
+    except (ScalarError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_INTEGER_TEXT = st.one_of(
+    st.integers().map(str),
+    st.from_regex(r"-?[0-9]{1,60}", fullmatch=True),
+    st.sampled_from(["0", "-0", "00", "007", "-007", "1", "-1", "7" * 5000, "-" + "7" * 5000]),
+)
+
+
+class TestIntegerLiterals:
+    """``parse`` reads plain ASCII integer literals without the tokenizer."""
+
+    @given(_INTEGER_TEXT)
+    def test_fast_path_matches_the_parser(self, text):
+        assert _outcome(_CTX.parse, text) == _outcome(lambda t: _Parser(_CTX, t).parse(), text)
+
+    def test_zero_and_one_are_the_shared_constants(self, ctx):
+        assert ctx.parse("0") is ctx.zero
+        assert ctx.parse("-0") is ctx.zero
+        assert ctx.parse("1") is ctx.one
+
+    @pytest.mark.parametrize("text", [" 1", "1 ", "+1", "\u0661", "1/1", "(1)", "--1", "1\n"])
+    def test_other_text_takes_the_parser_path(self, ctx, text, monkeypatch):
+        seen = []
+
+        class Recording(_Parser):
+            def __init__(self, context, source):
+                seen.append(source)
+                super().__init__(context, source)
+
+        expected = _outcome(lambda t: _Parser(ctx, t).parse(), text)
+        monkeypatch.setattr(scalars_module, "_Parser", Recording)
+        assert _outcome(ctx.parse, text) == expected
+        assert seen == [text]
+        seen.clear()
+        ctx.parse("12")
+        assert seen == []
 
 
 _small = st.integers(min_value=-4, max_value=4)

@@ -109,6 +109,91 @@ class TestErrors:
             load_presentation(doc)
 
 
+def _small_doc(**overrides):
+    doc = {
+        "group": {"torsion": [2]},
+        "bichar": [[-1]],
+        "basis": [{"name": "e1", "deg": [0]}, {"name": "e2", "deg": [1]}],
+        "products": {"dot": [["e1", "e2", [["e2", "2"]]]]},
+    }
+    doc.update(overrides)
+    return doc
+
+
+class TestRefusals:
+    """Inputs the loader used to accept inexactly or to crash on: each is a
+    LoadError whose message names the field."""
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, None, [1]])
+    def test_scalar_must_be_an_integer_or_a_string(self, value):
+        with pytest.raises(LoadError, match=r"products\.dot\[0\] component 0: expected an integer"):
+            load_presentation(_small_doc(products={"dot": [["e1", "e2", [["e2", value]]]]}))
+        with pytest.raises(LoadError, match=r"alpha\[1\]\[1\]: expected an integer"):
+            load_presentation(_small_doc(alpha=[[1, 0], [0, value]]))
+
+    def test_integer_and_string_scalars_still_load(self):
+        A = load_presentation(_small_doc(products={"dot": [["e1", "e2", [["e2", 2]]]]}))
+        assert A == load_presentation(_small_doc())
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ([_small_doc()], "document"),
+            (_small_doc(products=[["e1", "e2", [["e2", "2"]]]]), "products"),
+            (_small_doc(roots=[2]), "roots"),
+            (_small_doc(params=3), "params"),
+            (_small_doc(params=[3]), r"params\[0\]"),
+            (_small_doc(products={"dot": [["e1", "e2", 5]]}), r"products\.dot\[0\]"),
+            (_small_doc(products={"dot": [["e1", ["e2"], []]]}), r"products\.dot\[0\]"),
+            (_small_doc(basis=[{"name": 7, "deg": [0]}]), r"basis\[0\]\.name"),
+            (_small_doc(basis=[{"name": "e1", "deg": 0}]), r"basis\[0\]\.deg"),
+            (_small_doc(basis=[{"name": "e1", "deg": [0.5]}]), r"basis\[0\]\.deg\[0\]"),
+            (_small_doc(group={"torsion": [2], "free": True}), r"group\.free"),
+            (_small_doc(group=[2]), "group"),
+            (_small_doc(bichar=[[-1.0]]), r"bichar\[0\]\[0\]"),
+            (_small_doc(bichar=[-1]), r"bichar\[0\]"),
+            (_small_doc(alpha=[1, 0]), "alpha"),
+        ],
+    )
+    def test_malformed_fields_are_named(self, doc, field):
+        with pytest.raises(LoadError, match=field):
+            load_presentation(doc)
+
+    @pytest.mark.parametrize("text", ["(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1"])
+    def test_deep_scalar_text_is_refused(self, text):
+        doc = _small_doc(products={"dot": [["e1", "e2", [["e2", text]]]]})
+        with pytest.raises(LoadError, match=r"products\.dot\[0\] component 0: nesting deeper"):
+            load_presentation(doc)
+
+    def test_commutation_factor_axiom_is_checked(self):
+        doc = {
+            "group": {"free": 2},
+            "bichar": [[1, -1], [1, 1]],
+            "basis": [{"name": "e1", "deg": [1, 0]}],
+            "products": {},
+        }
+        with pytest.raises(LoadError, match=r"bichar .*\(g0, g1\)"):
+            load_presentation(doc)
+
+    def test_undecodable_files_are_load_errors(self, tmp_path):
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"format": ' + "9" * 5000 + "}")
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b'{"group": "\xff\xfe"}')
+        for path in (huge, deep, binary, tmp_path / "absent.json"):
+            with pytest.raises(LoadError, match=path.name):
+                load_presentation_file(path)
+
+    def test_module_block_fields_are_named(self, hnp_4dim):
+        with pytest.raises(LoadError, match="module"):
+            load_bundle([], hnp_4dim)
+        doc = {"basis": [{"name": "v1", "deg": [0]}], "beta": [["1"]], "actions": {"s": []}}
+        with pytest.raises(LoadError, match=r"module\.actions\.s"):
+            load_bundle(doc, hnp_4dim)
+
+
 def test_module_block_loads_and_checks(hnp_4dim, fixtures_dir):
     A, _ = load_presentation_file(fixtures_dir / "hnp_4dim.json")
     doc = {
