@@ -126,15 +126,15 @@ def mutated_documents(draw):
 
 
 @pytest.fixture(scope="module")
-def scratch():
+def workdir():
     with tempfile.TemporaryDirectory() as name:
         yield pathlib.Path(name)
 
 
 @settings(max_examples=120)
 @given(doc=mutated_documents(), kind=st.sampled_from(KINDS))
-def test_check_exits_with_a_code_and_never_raises(scratch, doc, kind):
-    path = scratch / "mutated.json"
+def test_check_exits_with_a_code_and_never_raises(workdir, doc, kind):
+    path = workdir / "mutated.json"
     path.write_text(json.dumps(doc).replace(json.dumps(HUGE_TOKEN), HUGE_DIGITS))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
