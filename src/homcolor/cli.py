@@ -101,8 +101,24 @@ def cmd_check(args) -> int:
     return _emit(suite, args, kind)
 
 
+# Input files each construction reads; every other one reads one.
+_CONSTRUCT_INPUTS = {"tensor": 2}
+
+
 def cmd_construct(args) -> int:
     name = args.name
+    want = _CONSTRUCT_INPUTS.get(name, 1)
+    if len(args.inputs) != want:
+        raise LoadError(
+            f"construct {name} takes {want} input file{'s' if want > 1 else ''}, "
+            f"got {len(args.inputs)}"
+        )
+    if args.verify:
+        suites = sorted(STRUCTURE_KINDS) + (["auto"] if name == "matched-pair" else [])
+        if args.verify not in suites:
+            raise LoadError(
+                f"unknown --verify suite {args.verify!r}; choose one of {', '.join(suites)}"
+            )
     if name == "matched-pair":
         pair = load_matched_pair_file(args.inputs[0])
         result = matched_pair_double(pair, MATCHED_KINDS[args.kind or "hnp"], force=args.force)
@@ -159,6 +175,29 @@ def cmd_construct(args) -> int:
     return EXIT_PASS
 
 
+def _report_fields(path: str, doc) -> tuple[str, str, str]:
+    """The ``input``, ``kind`` and ``status`` of a report document, checked."""
+    if not isinstance(doc, dict):
+        raise LoadError(f"malformed report file {path}: expected an object, got {type(doc).__name__}")
+    fields = []
+    for field in ("input", "kind", "status"):
+        if field not in doc:
+            raise LoadError(f"malformed report file {path}: missing field {field!r}")
+        value = doc[field]
+        if not isinstance(value, str):
+            raise LoadError(
+                f"malformed report file {path}: field {field!r} must be a string, "
+                f"got {type(value).__name__}"
+            )
+        fields.append(value)
+    if fields[2] not in _STATUS_EXIT:
+        raise LoadError(
+            f"malformed report file {path}: field 'status' is {fields[2]!r}, "
+            f"not one of {', '.join(_STATUS_EXIT)}"
+        )
+    return fields[0], fields[1], fields[2]
+
+
 def cmd_report(args) -> int:
     expected = {}
     if args.manifest:
@@ -173,11 +212,9 @@ def cmd_report(args) -> int:
         try:
             with open(path) as handle:
                 doc = json.load(handle)
-            fixture = doc["input"]
-            kind = doc["kind"]
-            status = doc["status"]
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise LoadError(f"malformed report file {path}: {exc}") from exc
+        fixture, kind, status = _report_fields(path, doc)
         key = (fixture.rsplit("/", 1)[-1], kind)
         note = ""
         manifest_entry = expected.get(key)

@@ -21,7 +21,9 @@ from .core import (
     Term,
     Vec,
     action_rows,
+    check_report,
     eps,
+    first_failures,
     is_derivation,
     is_morphism,
     is_multiplicative,
@@ -29,7 +31,6 @@ from .core import (
     positions,
     product_rows,
     scan_check,
-    term_failures,
     tuple_failures,
     twisted,
     vec_neg,
@@ -538,26 +539,29 @@ def check_matched_pair(
             sub = check_bimodule(algebra, bundle, bim_kind, roles)
             report.checks.extend(replace(c, check=f"{direction}:{c.check}") for c in sub.checks)
     slots = _MP_ROLE_SLOTS[kind]
+    conditions = _MP_CONDITIONS[kind]
     sides = []
     for direction, left, right, forward, backward in (
         ("ab", pair.a, pair.b, pair.ab, pair.ba),
         ("ba", pair.b, pair.a, pair.ba, pair.ab),
     ):
-        ops = {slot: product_rows(right.product(role)) for slot, role in slots.items()}
+        # Products are keyed by role and actions by (prefix, name).
+        ops = {role: product_rows(right.product(role)) for role in slots.values()}
+        binding = tuple(sorted(slots.items()))
         for prefix, bundle in (("on_b.", forward), ("on_a.", backward)):
-            ops.update((prefix + name, action_rows(family)) for name, family in bundle.actions.items())
+            for name, family in bundle.actions.items():
+                ops[(prefix, name)] = action_rows(family)
+                binding += ((prefix + name, (prefix, name)),)
         axes = ((left.space, left.alpha), (right.space, right.alpha), (right.space, right.alpha))
-        sides.append((direction, left, right, axes, ops))
-    for label, terms in _MP_CONDITIONS[kind]:
-        for direction, left, right, axes, ops in sides:
-            report.checks.append(
-                scan_check(
-                    f"{direction}:{label}",
-                    (left.names, right.names, right.names),
-                    term_failures(terms, axes, ops, left.bichar),
-                    right.space,
-                )
-            )
+        plans = [(terms, binding) for _, terms in conditions]
+        sides.append((direction, left, right, first_failures(plans, axes, ops, left.bichar)))
+    for c, (label, _) in enumerate(conditions):
+        for direction, left, right, settled in sides:
+            first, seconds = settled[c]
+            report.checks.append(check_report(
+                f"{direction}:{label}", (left.names, right.names, right.names), first, seconds,
+                right.space,
+            ))
     return report
 
 

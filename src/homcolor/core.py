@@ -13,9 +13,13 @@ table and the twist images.  Those tables are built lazily, once per product
 or presentation, and nothing mutates them; the public accessors (``mul``,
 ``mul_basis``, ``alpha_image``, ``LinearMap.image``) hand out fresh dicts.
 
-Catalogued conditions are term plans, signed sums of product trees, which
-:func:`term_failures` evaluates over nonzero cells one slab at a time.
-Every check that scans basis tuples reports through :func:`scan_check`.
+Catalogued conditions are term plans, signed sums of product trees.
+:func:`term_failures` evaluates a whole suite of plans in one pass over
+nonzero cells, one slab at a time, sharing every subtree map between the
+plans; :func:`first_failures` runs that pass once per suite call and
+settles each plan at its first failing slab, and :func:`check_report` turns
+each result into a report.  The per-tuple structural checks report through
+:func:`scan_check`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import functools
 import re
 import time
 from itertools import product as iter_product
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .grading import AbelianGroup, Bicharacter, GroupElement
 from .reports import FAIL, PASS, CheckReport, SuiteReport
@@ -50,8 +54,11 @@ __all__ = [
     "operation",
     "product_rows",
     "action_rows",
+    "Plan",
     "term_failures",
+    "first_failures",
     "tuple_failures",
+    "check_report",
     "scan_check",
     "is_multiplicative",
     "is_derivation",
@@ -481,9 +488,6 @@ class AlgebraPresentation:
     def alpha_image(self, i: int) -> Vec:
         return dict(self._alpha_images[i])
 
-    def alpha_vec(self, v: Vec) -> Vec:
-        return self.alpha.apply(v)
-
     # -- multiplication --------------------------------------------------------
 
     def mul(self, role: str, x: Vec | Mapping[str, ScalarLike], y: Vec | Mapping[str, ScalarLike]) -> Vec:
@@ -569,7 +573,9 @@ def _mul(table: Mapping[tuple[int, int], Sequence[tuple[int, Scalar]]], x: Vec, 
 # tree)``; each sign pair (p, q) multiplies the term by the commutation
 # factor of the degrees at positions p and q.  The factor is
 # bimultiplicative, so eps(d_p + d_q, d_r) is the pair list ((p, r), (q, r)).
-# Every position occurs exactly once in each tree.
+# Every position occurs exactly once in each tree.  A plan is one
+# condition's terms with a binding of their operation names to the keys of
+# the rows they apply; a suite of plans is evaluated in one pass.
 
 Tree = tuple
 Term = tuple[int, tuple[tuple[int, int], ...], Tree]
@@ -647,34 +653,40 @@ def _join(rows: Rows, left: dict, right: dict, one: Scalar) -> dict:
     return out
 
 
-# The interning depends only on the terms and on which positions share an
+Plan = tuple[tuple[Term, ...], tuple[tuple[str, Hashable], ...]]
+
+
+# The interning depends only on the plans and on which positions share an
 # axis, not on any presentation, so it is done once per process.
 @functools.lru_cache(maxsize=256)
-def _compile(terms: tuple[Term, ...], axis_ids: tuple[int, ...]) -> tuple:
-    """Intern the subtrees of ``terms`` by shape, for positions on the axes
+def _compile(plans: tuple[Plan, ...], axis_ids: tuple[int, ...]) -> tuple:
+    """Intern the subtrees of every plan by shape, for positions on the axes
     ``axis_ids``.
 
-    A leaf's shape is (axis, power, at position 0?), so subtrees that differ
-    only in which free positions they hold share one node and one map.  A
-    node's map sends a key, the indices at the subtree's free positions in
-    order of appearance, to the subtree's nonzero value there.  Returns the
-    nodes (op or None, a, b, holds position 0), the ids of the nodes that
-    hold position 0, and per term (coefficient, root node, key order of
-    positions 1.., sign pairs left after cancelling repeats).
+    A plan is (terms, binding); the binding sends each operation name of
+    the terms to the key of that operation's rows.  A leaf's shape is
+    (axis, power, at position 0?) and a node's is (key, left, right), so
+    subtrees that differ only in which free positions they hold, or in
+    which plan and which name they come from, share one node and one map.
+    A node's map sends a key, the indices at the subtree's free positions
+    in order of appearance, to the subtree's nonzero value there.  Returns
+    the nodes (key or None, a, b, holds position 0), the ids of the nodes
+    that hold position 0, and per plan, per term, (coefficient, root node,
+    key order of positions 1.., sign pairs left after cancelling repeats).
     """
-    arity = len(axis_ids)
     nodes: list[tuple] = []
     ids: dict[tuple, int] = {}
 
-    def intern(tree: Tree, free: list[int]) -> int:
+    def intern(tree: Tree, bound: dict, held: list[int]) -> int:
         if isinstance(tree[0], str):
-            left, right = intern(tree[1], free), intern(tree[2], free)
-            key = (tree[0], left, right, nodes[left][3] or nodes[right][3])
+            left, right = intern(tree[1], bound, held), intern(tree[2], bound, held)
+            key = (bound[tree[0]], left, right, nodes[left][3] or nodes[right][3])
         else:
             pos, power = tree
+            if pos >= len(axis_ids):
+                raise ValueError(f"position {pos} has no axis")
             key = (None, axis_ids[pos], power, pos == 0)
-            if pos:
-                free.append(pos)
+            held.append(pos)
         found = ids.get(key)
         if found is None:
             found = ids[key] = len(nodes)
@@ -682,36 +694,57 @@ def _compile(terms: tuple[Term, ...], axis_ids: tuple[int, ...]) -> tuple:
         return found
 
     compiled = []
-    for coeff, pairs, tree in terms:
-        free: list[int] = []
-        root = intern(tree, free)
-        if sorted(free) != list(range(1, arity)):
-            raise ValueError(f"term {tree!r} must hold each of {arity} positions once")
-        order = tuple(free.index(p) for p in range(1, arity))
-        odd = tuple(sorted(pair for pair in set(pairs) if pairs.count(pair) % 2))
-        compiled.append((coeff, root, None if order == tuple(range(arity - 1)) else order, odd))
+    for terms, binding in plans:
+        bound = dict(binding)
+        arity = None
+        plan = []
+        for coeff, pairs, tree in terms:
+            held: list[int] = []
+            root = intern(tree, bound, held)
+            arity = len(held) if arity is None else arity
+            if sorted(held) != list(range(arity)):
+                raise ValueError(f"term {tree!r} must hold each of {arity} positions once")
+            free = [p for p in held if p]
+            order = tuple(free.index(p) for p in range(1, arity))
+            odd = tuple(sorted(pair for pair in set(pairs) if pairs.count(pair) % 2))
+            plan.append((coeff, root, None if order == tuple(range(arity - 1)) else order, odd))
+        compiled.append(tuple(plan))
     holding = tuple(nid for nid, node in enumerate(nodes) if node[3])
     return tuple(nodes), holding, tuple(compiled)
 
 
-def term_failures(
-    terms: tuple[Term, ...],
-    axes: Sequence[tuple[GradedSpace, LinearMap]],
-    ops: Mapping[str, Rows],
-    bichar: Bicharacter,
-) -> Iterator[tuple[tuple[int, ...], Vec]]:
-    """Yield every index tuple on which the signed sum of ``terms`` is
-    nonzero, with that sum, in lexicographic order.
+Failures = dict[int, list[tuple[tuple[int, ...], Vec]]]
 
-    ``axes[p]`` is the basis and twist of tuple position p; ``ops`` holds the
-    rows of each named operation.  The tuples are taken one slab at a time,
-    one slab per index at position 0, in order, so a scan that stops at its
-    first failure evaluates no slab after the failing one.  In a slab each
-    tree is expanded only over nonzero cells and nonzero images, and each
-    subtree's map is built once, shared by every term holding a subtree of
-    that shape (``(x.y).a(z)`` and ``(x.z).a(y)`` share one map): once per
-    call for subtrees without position 0, once per slab for the others.
-    Signs are read from sign tables between the axes, built per call.
+
+def term_failures(
+    plans: Sequence[Plan],
+    axes: Sequence[tuple[GradedSpace, LinearMap]],
+    ops: Mapping[Hashable, Rows],
+    bichar: Bicharacter,
+    live: set[int],
+) -> Iterator[Failures]:
+    """Evaluate the plans in ``live`` together, one slab at a time, and
+    yield the failures of each slab in which some live plan fails.
+
+    ``plans[c]`` is check c's terms with the binding of their operation
+    names to keys of ``ops``, which holds each operation's rows; ``axes[p]``
+    is the basis and twist of tuple position p, and a plan of arity a uses
+    the first a axes.  A slab is the set of tuples with one index at
+    position 0, taken in order.  For a slab the generator yields a dict
+    sending each live plan that fails there to its failing index tuples
+    with their nonzero signed sums, in lexicographic order.
+
+    The caller may discard plans from ``live`` between slabs: a plan that
+    is not live when a slab starts is not evaluated in it or in any later
+    slab, so a check dropped at its first failure evaluates no slab after
+    the failing one; the generator ends once ``live`` is empty.  In a slab
+    each tree is expanded only over nonzero cells and nonzero images, and
+    each subtree's map is built once, shared by every term of every live
+    plan holding a subtree of that shape over the same rows (``(x.y).a(z)``
+    and ``(x.z).a(y)`` share one map): once per call for subtrees without
+    position 0, once per slab for the others, whose maps are dropped before
+    the next slab starts.  Sign tables between the axes and twist image
+    tables are built once per call.
     """
     context = axes[0][1].context
     one = context.one
@@ -723,7 +756,7 @@ def term_failures(
             found = len(distinct)
             distinct.append((space, twist))
         axis_ids.append(found)
-    nodes, holding, compiled = _compile(terms, tuple(axis_ids))
+    nodes, holding, compiled = _compile(tuple(plans), tuple(axis_ids))
 
     images: dict[tuple[int, int], list[Vec]] = {}
 
@@ -761,10 +794,19 @@ def term_failures(
         return table
 
     plan = [
-        (coeff, root, order, tuple((sign_table(p, q), p, q) for p, q in pairs))
-        for coeff, root, order, pairs in compiled
+        [
+            (coeff, root, order, tuple((sign_table(p, q), p, q) for p, q in pairs))
+            for coeff, root, order, pairs in terms
+        ]
+        for terms in compiled
     ]
-    scales = {c: context.scalar(c) for coeff, _, _, _ in compiled if coeff not in (1, -1) for c in (coeff, -coeff)}
+    scales = {
+        c: context.scalar(c)
+        for terms in compiled
+        for coeff, _, _, _ in terms
+        if coeff not in (1, -1)
+        for c in (coeff, -coeff)
+    }
     maps: list[dict | None] = [None] * len(nodes)
     index: list[dict | None] = [None] * len(nodes)
 
@@ -796,36 +838,72 @@ def term_failures(
         return found
 
     for i0 in range(axes[0][0].dim):
+        if not live:
+            return
+        failed: Failures = {}
+        for c in sorted(live):
+            total: dict[tuple[int, ...], Vec] = {}
+            for coeff, root, order, sign_of in plan[c]:
+                for k, vec in evaluate(root, i0).items():
+                    rest = k if order is None else tuple([k[j] for j in order])
+                    s = coeff
+                    if sign_of:
+                        t = (i0,) + rest
+                        for table, p, q in sign_of:
+                            s *= table[t[p]][t[q]]
+                    if s != 1 and s != -1:
+                        scale = scales[s]
+                        vec = {k2: scale * v for k2, v in vec.items()}
+                        s = 1
+                    acc = total.get(rest)
+                    if acc is None:
+                        total[rest] = dict(vec) if s == 1 else {k2: -v for k2, v in vec.items()}
+                    elif s == 1:
+                        for k2, v in vec.items():
+                            prev = acc.get(k2)
+                            acc[k2] = v if prev is None else prev + v
+                    else:
+                        for k2, v in vec.items():
+                            prev = acc.get(k2)
+                            acc[k2] = -v if prev is None else prev - v
+            found = []
+            for rest, acc in total.items():
+                vec = {k: v for k, v in acc.items() if v.terms}
+                if vec:
+                    found.append(((i0,) + rest, vec))
+            if found:
+                found.sort(key=lambda failure: failure[0])
+                failed[c] = found
         for nid in holding:
             maps[nid] = index[nid] = None
-        total: dict[tuple[int, ...], Vec] = {}
-        for coeff, root, order, sign_of in plan:
-            for k, vec in evaluate(root, i0).items():
-                rest = k if order is None else tuple([k[j] for j in order])
-                s = coeff
-                if sign_of:
-                    t = (i0,) + rest
-                    for table, p, q in sign_of:
-                        s *= table[t[p]][t[q]]
-                if s != 1 and s != -1:
-                    scale = scales[s]
-                    vec = {k2: scale * v for k2, v in vec.items()}
-                    s = 1
-                acc = total.get(rest)
-                if acc is None:
-                    total[rest] = dict(vec) if s == 1 else {k2: -v for k2, v in vec.items()}
-                elif s == 1:
-                    for k2, v in vec.items():
-                        prev = acc.get(k2)
-                        acc[k2] = v if prev is None else prev + v
-                else:
-                    for k2, v in vec.items():
-                        prev = acc.get(k2)
-                        acc[k2] = -v if prev is None else prev - v
-        for rest in sorted(total):
-            found = {k: v for k, v in total[rest].items() if v.terms}
-            if found:
-                yield (i0,) + rest, found
+        if failed:
+            yield failed
+
+
+def first_failures(
+    plans: Sequence[Plan],
+    axes: Sequence[tuple[GradedSpace, LinearMap]],
+    ops: Mapping[Hashable, Rows],
+    bichar: Bicharacter,
+) -> list[tuple[tuple[tuple[int, ...], Vec] | None, float]]:
+    """Evaluate a suite of plans in one :func:`term_failures` pass, each
+    plan up to its first failing slab.
+
+    Returns, per plan, its smallest failing index tuple with the nonzero
+    sum there, or None, and the seconds from the start of the pass until
+    the plan was settled: until its failing slab, or every slab, was
+    evaluated.
+    """
+    started = time.perf_counter()
+    live = set(range(len(plans)))
+    settled: list = [None] * len(plans)
+    for failed in term_failures(plans, axes, ops, bichar, live):
+        seconds = time.perf_counter() - started
+        for c, found in failed.items():
+            settled[c] = (found[0], seconds)
+            live.discard(c)
+    seconds = time.perf_counter() - started
+    return [found or (None, seconds) for found in settled]
 
 
 # -- scanning -------------------------------------------------------------------
@@ -842,6 +920,33 @@ def tuple_failures(
             yield t, found
 
 
+def check_report(
+    check: str,
+    axes: Sequence[Sequence[str]],
+    first: tuple[tuple[int, ...], Vec] | None,
+    seconds: float,
+    space: GradedSpace,
+    roles: tuple[tuple[str, str], ...] = (),
+    detail: str = "",
+) -> CheckReport:
+    """PASS, or FAIL with the names of the failing index tuple ``first[0]``
+    (``axes`` holds one basis-name table per tuple position) and its defect
+    ``first[1]``, a vector of ``space``; ``roles``, ``detail`` and the
+    measured ``seconds`` pass through."""
+    if first is None:
+        return CheckReport(check=check, status=PASS, roles=roles, detail=detail, seconds=seconds)
+    t, found = first
+    return CheckReport(
+        check=check,
+        status=FAIL,
+        roles=roles,
+        witness=tuple(names[i] for names, i in zip(axes, t)),
+        defect=vec_to_names(space, found),
+        detail=detail,
+        seconds=seconds,
+    )
+
+
 def scan_check(
     check: str,
     axes: Sequence[Sequence[str]],
@@ -852,28 +957,14 @@ def scan_check(
 ) -> CheckReport:
     """Report the first failure of a lexicographic scan over index tuples.
 
-    ``axes`` holds one basis-name table per tuple position; ``failures``
-    yields each failing index tuple with its nonzero defect, a vector of
-    ``space``, in lexicographic order, lazily, so the scan stops at the
-    first one and a failure always carries the smallest failing tuple.  The
-    report is PASS, or FAIL with the tuple's names and its defect; it
-    records the scan time, and ``roles`` and ``detail`` pass through.
+    ``failures`` yields each failing index tuple with its nonzero defect in
+    lexicographic order, lazily, so the scan stops at the first one and a
+    failure always carries the smallest failing tuple.  The report (see
+    :func:`check_report`) records the scan time.
     """
     started = time.perf_counter()
-    for t, found in failures:
-        return CheckReport(
-            check=check,
-            status=FAIL,
-            roles=roles,
-            witness=tuple(names[i] for names, i in zip(axes, t)),
-            defect=vec_to_names(space, found),
-            detail=detail,
-            seconds=time.perf_counter() - started,
-        )
-    return CheckReport(
-        check=check, status=PASS, roles=roles, detail=detail,
-        seconds=time.perf_counter() - started,
-    )
+    first = next(iter(failures), None)
+    return check_report(check, axes, first, time.perf_counter() - started, space, roles, detail)
 
 
 # -- structural checks ---------------------------------------------------------

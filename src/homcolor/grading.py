@@ -63,9 +63,6 @@ class AbelianGroup:
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return self.element(x + y for x, y in zip(a, b, strict=True))
 
-    def neg(self, a: GroupElement) -> GroupElement:
-        return self.element(-x for x in a)
-
 
 class Bicharacter:
     """Sign-valued commutation factor given by its generator matrix.

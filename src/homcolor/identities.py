@@ -5,12 +5,18 @@ equation, stored as data: a tuple of signed terms, each a product tree over
 the tuple positions (see :mod:`homcolor.core`).  A check passes iff the
 defect vanishes on every basis tuple of the identity's arity,
 polynomial-identically when parameters are present.
-:func:`~homcolor.core.term_failures` evaluates the terms one slab at a time,
-one slab per basis index at the first position, expanding each tree only
-over nonzero structure constants and twist images, and yields the failing
-tuples in lexicographic order; :func:`~homcolor.core.scan_check` reports
-the first, so a failure carries the lexicographically smallest failing
-tuple together with its defect vector.
+
+A suite call (:func:`run_suite`, or :func:`check_gi_identities` after its
+preconditions) evaluates all its members in one
+:func:`~homcolor.core.first_failures` pass: one slab per basis index at the
+first position, each tree expanded only over nonzero structure constants
+and twist images, each subtree map built once for every member that holds
+it, and each member dropped after its first failing slab.  Each member's
+report is then built by :func:`check_identity`, which reads the suite's
+result; called directly, :func:`check_identity` evaluates its identity as a
+suite of one.  A failure carries the lexicographically smallest failing
+tuple together with its defect vector, and a report's ``seconds`` is the
+time from the start of the suite's pass until that member was settled.
 """
 
 from __future__ import annotations
@@ -20,19 +26,18 @@ import time
 from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .core import (
     AlgebraPresentation,
     Term,
-    Vec,
+    check_report,
     eps,
+    first_failures,
     is_multiplicative,
     operation,
     positions,
     product_rows,
-    scan_check,
-    term_failures,
     twisted,
 )
 from .reports import PRECONDITION_FAILED, CheckReport, SuiteReport
@@ -54,10 +59,12 @@ DEFAULT_ARITY4_CAP = 12
 ARITY4_ENV = "HOMCOLOR_MAX_ARITY4_DIM"
 
 
-# The presentation, and its roles, whose twist the running suite has already
-# verified multiplicative; set only while check_gi_identities runs GI_1..GI_4.
-_MULTIPLICATIVE: ContextVar[tuple[AlgebraPresentation | None, set[str]]] = ContextVar(
-    "homcolor_multiplicative", default=(None, set())
+# The suite whose member reports are being built: its presentation, the
+# roles whose twist it verified multiplicative, and each member's settled
+# evaluation (see _evaluate) keyed by tag and role binding.  Set only while
+# run_suite or check_gi_identities builds its reports through check_identity.
+_SUITE: ContextVar[tuple[AlgebraPresentation | None, frozenset[str], Mapping]] = ContextVar(
+    "homcolor_suite", default=(None, frozenset(), {})
 )
 
 
@@ -237,13 +244,9 @@ def required_roles(kind: StructureKind) -> tuple[str, ...]:
     return tuple(sorted(roles))
 
 
-def check_identity(
-    presentation: AlgebraPresentation,
-    tag: str,
-    roles: Mapping[str, str] | None = None,
-    arity4_dim_cap: int | None = None,
-) -> CheckReport:
-    """Evaluate one catalogued identity on every basis tuple of its arity."""
+def _binding(tag: str, roles: Mapping[str, str] | None) -> tuple[tuple[str, str], ...]:
+    """The identity's role slots bound to products: its defaults, updated by
+    ``roles``, as sorted (slot, role) pairs."""
     try:
         spec = IDENTITY_CATALOG[tag]
     except KeyError:
@@ -254,18 +257,58 @@ def check_identity(
         if unknown:
             raise ValueError(f"{tag} has no role slots {sorted(unknown)}")
         binding.update(roles)
-    for role in binding.values():
+    return tuple(sorted(binding.items()))
+
+
+def _evaluate(
+    presentation: AlgebraPresentation,
+    members: list[tuple[str, tuple[tuple[str, str], ...]]],
+    arity4_dim_cap: int | None,
+) -> dict[tuple[str, tuple[tuple[str, str], ...]], tuple]:
+    """Evaluate the (tag, binding) members together in one
+    :func:`~homcolor.core.first_failures` pass; map each member to its first
+    failure, or None, and the seconds until it was settled."""
+    n = presentation.dim
+    specs = [IDENTITY_CATALOG[tag] for tag, _ in members]
+    for spec in specs:
+        if spec.arity >= 4 and n > arity4_cap(arity4_dim_cap):
+            raise ArityCapError(
+                f"{spec.tag} scans dim^{spec.arity} tuples; dim {n} exceeds the cap "
+                f"{arity4_cap(arity4_dim_cap)} (raise via {ARITY4_ENV} or the "
+                "arity4_dim_cap argument)"
+            )
+    roles = {role for _, binding in members for _, role in binding}
+    ops = {role: product_rows(presentation.product(role)) for role in roles}
+    plans = [(spec.terms, binding) for spec, (_, binding) in zip(specs, members)]
+    axes = ((presentation.space, presentation.alpha),) * max(spec.arity for spec in specs)
+    return dict(zip(members, first_failures(plans, axes, ops, presentation.bichar)))
+
+
+def check_identity(
+    presentation: AlgebraPresentation,
+    tag: str,
+    roles: Mapping[str, str] | None = None,
+    arity4_dim_cap: int | None = None,
+) -> CheckReport:
+    """Evaluate one catalogued identity on every basis tuple of its arity.
+
+    Called by :func:`run_suite` or :func:`check_gi_identities`, it reports
+    the evaluation that the suite made for all its members together; called
+    directly, it evaluates the identity as a suite of one.
+    """
+    role_items = _binding(tag, roles)
+    spec = IDENTITY_CATALOG[tag]
+    used = {role for _, role in role_items}
+    for role in used:
         presentation.product(role)  # raises MissingRoleError
 
-    role_items = tuple(sorted(binding.items()))
-
-    verified, verified_roles = _MULTIPLICATIVE.get()
-    if spec.needs_multiplicative and not (
-        verified is presentation and set(binding.values()) <= verified_roles
-    ):
+    suite, verified_roles, evaluated = _SUITE.get()
+    if suite is not presentation:
+        verified_roles, evaluated = frozenset(), {}
+    if spec.needs_multiplicative and not used <= verified_roles:
         started = time.perf_counter()
         failed = []
-        for role in sorted(set(binding.values())):
+        for role in sorted(used):
             sub = is_multiplicative(presentation, role)
             if not sub.passed:
                 failed.append(sub)
@@ -279,33 +322,39 @@ def check_identity(
                 seconds=time.perf_counter() - started,
             )
 
-    n = presentation.dim
-    if spec.arity >= 4:
-        cap = arity4_cap(arity4_dim_cap)
-        if n > cap:
-            raise ArityCapError(
-                f"{tag} scans dim^{spec.arity} tuples; dim {n} exceeds the cap {cap} "
-                f"(raise via {ARITY4_ENV} or the arity4_dim_cap argument)"
-            )
-
-    return scan_check(
-        tag,
-        (presentation.names,) * spec.arity,
-        identity_failures(presentation, spec, binding),
-        presentation.space,
+    member = (tag, role_items)
+    settled = evaluated.get(member)
+    if settled is None:
+        settled = _evaluate(presentation, [member], arity4_dim_cap)[member]
+    first, seconds = settled
+    return check_report(
+        tag, (presentation.names,) * spec.arity, first, seconds, presentation.space,
         roles=role_items,
     )
 
 
-def identity_failures(
-    presentation: AlgebraPresentation, spec: IdentityId, binding: Mapping[str, str]
-) -> Iterator[tuple[tuple[int, ...], Vec]]:
-    """Every basis tuple with a nonzero defect of ``spec``, its role slots
-    bound to the presentation's products by ``binding``, in lexicographic
-    order, with the defect."""
-    ops = {slot: product_rows(presentation.product(role)) for slot, role in binding.items()}
-    axis = (presentation.space, presentation.alpha)
-    return term_failures(spec.terms, (axis,) * spec.arity, ops, presentation.bichar)
+def _suite_report(
+    presentation: AlgebraPresentation,
+    kind: str,
+    members: tuple[tuple[str, Mapping[str, str]], ...],
+    verified_roles: frozenset[str],
+    arity4_dim_cap: int | None,
+) -> SuiteReport:
+    """Evaluate the (tag, role override) members in one pass, then build
+    each member's report through :func:`check_identity`."""
+    evaluated = _evaluate(
+        presentation, [(tag, _binding(tag, override)) for tag, override in members], arity4_dim_cap
+    )
+    token = _SUITE.set((presentation, verified_roles, evaluated))
+    try:
+        report = SuiteReport(kind=kind)
+        for tag, override in members:
+            report.checks.append(
+                check_identity(presentation, tag, roles=override, arity4_dim_cap=arity4_dim_cap)
+            )
+    finally:
+        _SUITE.reset(token)
+    return report
 
 
 def run_suite(
@@ -316,12 +365,12 @@ def run_suite(
     """All member identities of a structure kind; verdict is the conjunction."""
     for role in required_roles(kind):
         presentation.product(role)
-    report = SuiteReport(kind=kind.value)
-    for tag, override in SUITE_MEMBERS[kind]:
-        report.checks.append(
-            check_identity(presentation, tag, roles=override, arity4_dim_cap=arity4_dim_cap)
-        )
-    return report
+    return _suite_report(
+        presentation, kind.value, SUITE_MEMBERS[kind], frozenset(), arity4_dim_cap
+    )
+
+
+_GI_MEMBERS = tuple((tag, {}) for tag in ("GI_1", "GI_2", "GI_3", "GI_4"))
 
 
 def check_gi_identities(
@@ -334,7 +383,6 @@ def check_gi_identities(
     twist that is multiplicative for both products; both assumptions are
     verified first and reported as precondition failures, never skipped.
     """
-    report = SuiteReport(kind="gi")
     failed: list[CheckReport] = []
     base = run_suite(presentation, StructureKind.TRANSPOSED_POISSON)
     failed.extend(c for c in base.checks if not c.passed)
@@ -343,6 +391,7 @@ def check_gi_identities(
         if not sub.passed:
             failed.append(sub)
     if failed:
+        report = SuiteReport(kind="gi")
         report.checks.append(
             CheckReport(
                 check="GI_PRECONDITIONS",
@@ -354,12 +403,6 @@ def check_gi_identities(
         return report
     # The twist was just verified multiplicative for both products, so
     # GI_1..GI_4 skip the precondition scan they run when called directly.
-    token = _MULTIPLICATIVE.set((presentation, {"dot", "bracket"}))
-    try:
-        for tag in ("GI_1", "GI_2", "GI_3", "GI_4"):
-            report.checks.append(
-                check_identity(presentation, tag, arity4_dim_cap=arity4_dim_cap)
-            )
-    finally:
-        _MULTIPLICATIVE.reset(token)
-    return report
+    return _suite_report(
+        presentation, "gi", _GI_MEMBERS, frozenset({"dot", "bracket"}), arity4_dim_cap
+    )

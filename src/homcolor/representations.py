@@ -7,9 +7,11 @@ construction, so violations are load errors rather than check failures.
 
 Each condition of a :class:`BimoduleKind` is a tuple of signed product-tree
 terms over (algebra basis)^2 x (module basis), whose nodes are the kind's
-products and actions.  :func:`check_bimodule` evaluates them with the
-identity engine's evaluator, :func:`~homcolor.core.term_failures`, slab by
-slab over nonzero cells, and reports the smallest failing tuple.
+products and actions.  :func:`check_bimodule` evaluates all conditions of a
+kind together in one pass of the identity engine's evaluator
+(:func:`~homcolor.core.first_failures`), slab by slab over nonzero cells,
+sharing each subtree map between the conditions, and reports each
+condition's smallest failing tuple.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ from .core import (
     Term,
     Vec,
     action_rows,
+    check_report,
     eps,
+    first_failures,
     is_morphism,
     operation,
     positions,
     product_rows,
-    scan_check,
-    term_failures,
     twisted,
 )
 from .reports import PreconditionError, SuiteReport
@@ -276,16 +278,23 @@ def check_bimodule(
     for name in KIND_ACTIONS[kind]:
         bundle.action(name)
 
-    ops = {slot: product_rows(presentation.product(role)) for slot, role in slots.items()}
-    ops.update((name, action_rows(bundle.actions[name])) for name in KIND_ACTIONS[kind])
+    # Products are keyed by role and actions by ("action", name), so two
+    # slots bound to one role share its rows and its nodes.
+    ops = {role: product_rows(presentation.product(role)) for role in slots.values()}
+    binding = tuple(sorted(slots.items()))
+    for name in KIND_ACTIONS[kind]:
+        ops[("action", name)] = action_rows(bundle.actions[name])
+        binding += ((name, ("action", name)),)
     algebra = (presentation.space, presentation.alpha)
     axes = (algebra, algebra, (bundle.module, bundle.beta))
     names = (presentation.names, presentation.names, bundle.module.names)
+    conditions = KIND_CONDITIONS[kind]
+    settled = first_failures(
+        [(terms, binding) for _, terms in conditions], axes, ops, presentation.bichar
+    )
     report = SuiteReport(kind=kind.value)
-    for label, terms in KIND_CONDITIONS[kind]:
-        report.checks.append(scan_check(
-            label, names, term_failures(terms, axes, ops, presentation.bichar), bundle.module
-        ))
+    for (label, _), (first, seconds) in zip(conditions, settled):
+        report.checks.append(check_report(label, names, first, seconds, bundle.module))
     return report
 
 

@@ -291,19 +291,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_one(self) -> bool:
-        return self.terms == (((), Fraction(1)),)
-
-    def is_rational(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == ())
-
-    def as_fraction(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_rational():
-            raise ScalarError(f"not a rational constant: {self}")
-        return self.terms[0][1]
-
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other: object) -> "Scalar | None":

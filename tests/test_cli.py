@@ -362,6 +362,28 @@ class TestConstruct:
         built, _ = load_presentation_file(out)
         assert built.dim == 4
 
+    @pytest.mark.parametrize("name, inputs, want", [
+        ("tensor", ["hnp_admissible_4dim.json"], "takes 2 input files, got 1"),
+        ("tensor", ["assoc_3dim.json"] * 3, "takes 2 input files, got 3"),
+        ("commutator", ["novikov_3dim.json", "assoc_3dim.json"], "takes 1 input file, got 2"),
+        ("matched-pair", ["assoc_3dim.json"] * 2, "takes 1 input file, got 2"),
+    ])
+    def test_wrong_input_count_exits_three(self, fixtures_dir, capsys, name, inputs, want):
+        assert run("construct", name, *(fixtures_dir / f for f in inputs)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and want in err
+
+    @pytest.mark.parametrize("name, verify", [("commutator", "gi"), ("commutator", "auto")])
+    def test_unknown_verify_suite_exits_three(self, fixtures_dir, tmp_path, capsys, name, verify):
+        out = tmp_path / "never.json"
+        code = run("construct", name, fixtures_dir / "novikov_3dim.json", "--verify", verify,
+                   "--out", out)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown --verify suite {verify!r}")
+        assert "hom_lie" in err and "transposed_poisson" in err
+        assert not out.exists()  # refused before the construction runs
+
 
 class TestReport:
     def test_empty_inputs_exit_zero(self, capsys):
@@ -391,3 +413,19 @@ class TestReport:
         path = tmp_path / "junk.json"
         path.write_text("{")
         assert run("report", path) == 3
+
+    @pytest.mark.parametrize("doc, field", [
+        ([], "expected an object, got list"),
+        ("pass", "expected an object, got str"),
+        ({"kind": "hnp", "status": "pass"}, "missing field 'input'"),
+        ({"input": 3, "kind": "hnp", "status": "pass"}, "field 'input' must be a string"),
+        ({"input": "a.json", "kind": ["hnp"], "status": "pass"}, "field 'kind' must be a string"),
+        ({"input": "a.json", "kind": "hnp", "status": "weird"}, "field 'status' is 'weird'"),
+        ({"input": "a.json", "kind": "hnp", "status": None}, "field 'status' must be a string"),
+    ])
+    def test_mistyped_report_exits_three(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        assert run("report", path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed report file {path}: ") and field in err

@@ -23,7 +23,7 @@ from homcolor.constructions import (
     MatchedPairData,
     MatchedPairKind,
 )
-from homcolor.core import LinearMap, action_rows, product_rows, term_failures
+from homcolor.core import LinearMap, action_rows, product_rows
 from homcolor.representations import (
     KIND_CONDITIONS as PLANS,
     KIND_PRODUCT_SLOTS,
@@ -35,7 +35,7 @@ from homcolor.representations import (
 from tests.conftest import load
 from tests.reference_conditions import KIND_CONDITIONS, MP_CONDITIONS, BEval, MPEval
 from tests.test_properties import cross_action_family, pattern_algebra, pattern_pair
-from tests.util import assert_reports_failure, smallest_failure
+from tests.util import assert_reports_failure, every_failure, smallest_failure
 
 FIXTURES = (
     "assoc_3dim.json",
@@ -225,7 +225,7 @@ def test_every_bimodule_defect_matches_reference(kind, payload):
     ev = BEval(A, bundle, slots)
     for (label, defect), (_, terms) in zip(KIND_CONDITIONS[kind], PLANS[kind]):
         want = _reference_defects((A.dim, A.dim, A.dim), lambda t: defect(ev, *t))
-        assert dict(term_failures(terms, axes, ops, A.bichar)) == want, label
+        assert every_failure(terms, axes, ops, A.bichar) == want, label
 
 
 @settings(max_examples=60)
@@ -248,4 +248,4 @@ def test_every_matched_pair_defect_matches_reference(kind, payload):
             ops.update((prefix + name, action_rows(family)) for name, family in bundle.actions.items())
         for (label, defect), (_, terms) in zip(MP_CONDITIONS[kind], _MP_CONDITIONS[kind]):
             want = _reference_defects((A.dim, A.dim, A.dim), lambda t: defect(ev, *t))
-            assert dict(term_failures(terms, axes, ops, A.bichar)) == want, label
+            assert every_failure(terms, axes, ops, A.bichar) == want, label

@@ -1,0 +1,126 @@
+"""One evaluation per suite call against member-by-member evaluation.
+
+``run_suite`` and ``check_gi_identities`` evaluate all their members in one
+slab pass, dropping each member after its first failing slab, and then
+build each member's report through ``check_identity``.  A direct
+``check_identity`` call outside any suite evaluates its identity as a suite
+of one.  The two must give the same report for every member: status,
+witness, defect, roles, detail and preconditions.  Inputs are fixtures and
+generated pattern algebras with up to three perturbed structure constants,
+so that an early member often fails in one slab while later members fail
+in another or pass.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+import homcolor as hc
+from homcolor.core import LinearMap
+from homcolor.identities import (
+    SUITE_MEMBERS,
+    _GI_MEMBERS,
+    _suite_report,
+    check_identity,
+    required_roles,
+)
+
+from tests.conftest import load
+from tests.test_properties import pattern_algebra
+from tests.util import graded_targets, perturb
+
+FIXTURES = (
+    "assoc_3dim.json",
+    "novikov_4dim.json",
+    "hnp_4dim.json",
+    "hnp_admissible_4dim.json",
+    "hnp_admissible_mult_synth_4dim.json",
+    "gd_4dim.json",
+    "gd_multiplicative_4dim.json",
+    "hnp_to_gd_4dim.json",
+    "poly_deriv_3dim.json",
+)
+
+MULTIPLICATIVE = ("hnp_admissible_mult_synth_4dim.json", "poly_deriv_3dim.json")
+
+
+@st.composite
+def perturbed(draw, A):
+    """``A`` with zero to three grading-legal structure constants bumped."""
+    for _ in range(draw(st.integers(0, 3))):
+        role = draw(st.sampled_from(A.roles))
+        i, j = draw(st.integers(0, A.dim - 1)), draw(st.integers(0, A.dim - 1))
+        targets = graded_targets(A, i, j)
+        if targets:
+            A = perturb(A, role, i, j, draw(st.sampled_from(targets)),
+                        draw(st.sampled_from([1, -1, 2, "1/2"])))
+    return A
+
+
+@st.composite
+def suite_inputs(draw):
+    if draw(st.booleans()):
+        A = load(draw(st.sampled_from(FIXTURES)))
+    else:
+        A, _ = draw(pattern_algebra())
+    return draw(perturbed(A))
+
+
+def members_one_by_one(A, members):
+    return [check_identity(A, tag, roles=override).to_dict() for tag, override in members]
+
+
+def assert_suite_matches_members(A, kind):
+    suite = hc.run_suite(A, kind)
+    assert [c.to_dict() for c in suite.checks] == members_one_by_one(A, SUITE_MEMBERS[kind])
+    return suite
+
+
+@settings(max_examples=150)
+@given(A=suite_inputs())
+def test_every_suite_equals_its_members_checked_one_by_one(A):
+    for kind in hc.StructureKind:
+        if set(required_roles(kind)) <= set(A.roles):
+            assert_suite_matches_members(A, kind)
+
+
+def test_members_failing_in_different_slabs():
+    # dot(e2, e1) bumped by e2: EPS_COMM fails in slab e1, HOM_ASSOC and
+    # HNP_COMPAT_1 in slab e2, and NOVIKOV_LSYM, NOVIKOV_RCOMM and
+    # HNP_COMPAT_2 pass, so the pass drops members at different slabs.
+    A = perturb(load("hnp_admissible_mult_synth_4dim.json"), "dot", 1, 0, 1, 1)
+    suite = assert_suite_matches_members(A, hc.StructureKind.HNP)
+    slabs = [c.witness[0] if c.witness else None for c in suite.checks]
+    assert slabs == ["e1", "e2", None, None, "e2", None]
+
+
+@settings(max_examples=40)
+@given(name=st.sampled_from(MULTIPLICATIVE), payload=st.data())
+def test_gi_suite_equals_its_members_checked_one_by_one(name, payload):
+    pair = hc.commutator_bracket(payload.draw(perturbed(load(name))), "diamond")
+    gi = hc.check_gi_identities(pair)
+    if gi.checks[0].check == "GI_PRECONDITIONS":
+        return
+    assert [c.to_dict() for c in gi.checks] == members_one_by_one(pair, _GI_MEMBERS)
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(("gd_4dim.json", "gd_multiplicative_4dim.json")), payload=st.data())
+def test_mixed_arity_gi_pass_equals_members(name, payload):
+    # GI_1..GI_4 hold wherever their preconditions do, so their failures are
+    # reached by evaluating them without the transposed-Leibniz precondition:
+    # arity 3 and arity 4 in one pass, on an identity twist, which is
+    # multiplicative for every product, so the direct calls evaluate too.
+    A = load(name)
+    A = payload.draw(perturbed(A.with_products(A.products, LinearMap.identity(A.space, A.context))))
+    suite = _suite_report(A, "gi", _GI_MEMBERS, frozenset({"dot", "bracket"}), None)
+    assert [c.to_dict() for c in suite.checks] == members_one_by_one(A, _GI_MEMBERS)
+
+
+def test_gi_members_failing_in_different_slabs():
+    # bracket(e3, e1) bumped by e3: GI_1 (arity 3) fails in slab e1, GI_4
+    # (arity 4) in slab e3, and GI_2 and GI_3 pass.
+    A = load("gd_4dim.json")
+    A = perturb(A.with_products(A.products, LinearMap.identity(A.space, A.context)),
+                "bracket", 2, 0, 2, 1)
+    suite = _suite_report(A, "gi", _GI_MEMBERS, frozenset({"dot", "bracket"}), None)
+    assert [c.to_dict() for c in suite.checks] == members_one_by_one(A, _GI_MEMBERS)
+    assert [c.witness[0] if c.witness else None for c in suite.checks] == ["e1", None, None, "e3"]

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from homcolor.core import AlgebraPresentation, BilinearProduct, vec_add, vec_scale
+from homcolor.core import AlgebraPresentation, BilinearProduct, term_failures, vec_add, vec_scale
 from homcolor.scalars import Scalar, ScalarError
 
 
@@ -43,6 +43,14 @@ def smallest_failure(sizes, defect):
         return None
     t = min(failing)
     return t, failing[t]
+
+
+def every_failure(terms, axes, ops, bichar) -> dict:
+    """Every failing index tuple of one term plan, with its defect: the
+    evaluator run with the plan kept live after each failing slab.
+    ``ops`` is keyed by the operation names of the terms."""
+    plan = (terms, tuple((name, name) for name in ops))
+    return {t: d for failed in term_failures((plan,), axes, ops, bichar, {0}) for t, d in failed[0]}
 
 
 def assert_reports_failure(report, found, axes, space):
