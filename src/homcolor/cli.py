@@ -179,23 +179,20 @@ def _report_fields(path: str, doc) -> tuple[str, str, str]:
     """The ``input``, ``kind`` and ``status`` of a report document, checked."""
     if not isinstance(doc, dict):
         raise LoadError(f"malformed report file {path}: expected an object, got {type(doc).__name__}")
-    fields = []
     for field in ("input", "kind", "status"):
         if field not in doc:
             raise LoadError(f"malformed report file {path}: missing field {field!r}")
-        value = doc[field]
-        if not isinstance(value, str):
+        if not isinstance(doc[field], str):
             raise LoadError(
                 f"malformed report file {path}: field {field!r} must be a string, "
-                f"got {type(value).__name__}"
+                f"got {type(doc[field]).__name__}"
             )
-        fields.append(value)
-    if fields[2] not in _STATUS_EXIT:
+    if doc["status"] not in _STATUS_EXIT:
         raise LoadError(
-            f"malformed report file {path}: field 'status' is {fields[2]!r}, "
+            f"malformed report file {path}: field 'status' is {doc['status']!r}, "
             f"not one of {', '.join(_STATUS_EXIT)}"
         )
-    return fields[0], fields[1], fields[2]
+    return doc["input"], doc["kind"], doc["status"]
 
 
 def cmd_report(args) -> int:
