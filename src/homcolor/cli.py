@@ -32,6 +32,7 @@ from .representations import BimoduleKind, check_bimodule
 from .scalars import ScalarError
 from .serialize import (
     LoadError,
+    _read_json,
     dump_presentation_file,
     load_linear_map,
     load_matched_pair_file,
@@ -175,55 +176,60 @@ def cmd_construct(args) -> int:
     return EXIT_PASS
 
 
-def _report_fields(path: str, doc) -> tuple[str, str, str]:
-    """The ``input``, ``kind`` and ``status`` of a report document, checked."""
+_TYPE_NAMES = {str: "a string", list: "a list"}
+
+
+def _fields(where: str, doc, fields: dict[str, type]) -> list:
+    """The values of ``fields`` in the object ``doc``, each checked to be
+    present and of its type; ``where`` names the document in errors."""
     if not isinstance(doc, dict):
-        raise LoadError(f"malformed report file {path}: expected an object, got {type(doc).__name__}")
-    for field in ("input", "kind", "status"):
+        raise LoadError(f"{where}: expected an object, got {type(doc).__name__}")
+    for field, kind in fields.items():
         if field not in doc:
-            raise LoadError(f"malformed report file {path}: missing field {field!r}")
-        if not isinstance(doc[field], str):
+            raise LoadError(f"{where}: missing field {field!r}")
+        if not isinstance(doc[field], kind):
             raise LoadError(
-                f"malformed report file {path}: field {field!r} must be a string, "
+                f"{where}: field {field!r} must be {_TYPE_NAMES[kind]}, "
                 f"got {type(doc[field]).__name__}"
             )
-    if doc["status"] not in _STATUS_EXIT:
-        raise LoadError(
-            f"malformed report file {path}: field 'status' is {doc['status']!r}, "
-            f"not one of {', '.join(_STATUS_EXIT)}"
-        )
-    return doc["input"], doc["kind"], doc["status"]
+    return [doc[field] for field in fields]
+
+
+def _manifest(path: str) -> dict[tuple[str, str], str]:
+    """The manifest's expected verdicts keyed by (fixture file, kind)."""
+    where = f"malformed manifest {path}"
+    [fixtures] = _fields(where, _read_json(path), {"fixtures": list})
+    expected = {}
+    for e, entry in enumerate(fixtures):
+        file, checks = _fields(f"{where}: fixtures[{e}]", entry, {"file": str, "checks": list})
+        for c, check in enumerate(checks):
+            kind, verdict = _fields(
+                f"{where}: fixtures[{e}].checks[{c}]", check, {"kind": str, "expected": str}
+            )
+            expected[(file, kind)] = verdict
+    return expected
 
 
 def cmd_report(args) -> int:
-    expected = {}
-    if args.manifest:
-        with open(args.manifest) as handle:
-            manifest = json.load(handle)
-        for entry in manifest.get("fixtures", []):
-            for check in entry.get("checks", []):
-                expected[(entry["file"], check["kind"])] = check
+    expected = _manifest(args.manifest) if args.manifest else {}
     rows = []
     worst = EXIT_PASS
     for path in args.inputs:
-        try:
-            with open(path) as handle:
-                doc = json.load(handle)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise LoadError(f"malformed report file {path}: {exc}") from exc
-        fixture, kind, status = _report_fields(path, doc)
-        key = (fixture.rsplit("/", 1)[-1], kind)
+        where = f"malformed report file {path}"
+        fields = {"input": str, "kind": str, "status": str}
+        fixture, kind, status = _fields(where, _read_json(path), fields)
+        if status not in _STATUS_EXIT:
+            raise LoadError(
+                f"{where}: field 'status' is {status!r}, not one of {', '.join(_STATUS_EXIT)}"
+            )
         note = ""
-        manifest_entry = expected.get(key)
-        if manifest_entry is not None:
-            if manifest_entry.get("expected") == "discrepancy":
-                note = (
-                    "expected discrepancy"
-                    if status != PASS
-                    else "MANIFEST MISMATCH: discrepancy expected"
-                )
-            elif manifest_entry.get("expected", "pass") != status:
-                note = f"MANIFEST MISMATCH: expected {manifest_entry['expected']}"
+        want = expected.get((fixture.rsplit("/", 1)[-1], kind))
+        if want == "discrepancy":
+            note = (
+                "expected discrepancy" if status != PASS else "MANIFEST MISMATCH: discrepancy expected"
+            )
+        elif want is not None and want != status:
+            note = f"MANIFEST MISMATCH: expected {want}"
         if not note.startswith("expected"):
             worst = max(worst, _STATUS_EXIT[status])
         rows.append((fixture, kind, status, note))

@@ -30,8 +30,6 @@ from .core import (
     operation,
     positions,
     product_rows,
-    scan_check,
-    tuple_failures,
     twisted,
     vec_neg,
     vec_sub,
@@ -764,41 +762,50 @@ def _subset_indices(presentation: AlgebraPresentation, subset: Iterable[str | in
     return tuple(sorted(set(out)))
 
 
+# Closure stages, in report order: the twist, then each product in role
+# order.  P and Q project onto the subset and onto its complement.
+_x, _y = positions(2)
+_o, _alpha, _P, _Q = (operation(name) for name in ("o", "alpha", "P", "Q"))
+_TWIST_CLOSURE: tuple[Term, ...] = ((1, (), _Q(_alpha(_P(_x)))),)
+_SUBALGEBRA_CLOSURE: tuple[Term, ...] = ((1, (), _Q(_o(_P(_x), _P(_y)))),)
+# Q(Px.y) + Q(Qx.Py) is Q(x.y) when x or y lies in the subset, else 0: the
+# condition Q(x.y) - Q(Qx.Qy) without the terms that cancel, so pairs outside
+# the subset cost nothing.
+_IDEAL_CLOSURE: tuple[Term, ...] = (
+    (1, (), _Q(_o(_P(_x), _y))),
+    (1, (), _Q(_o(_Q(_x), _P(_y)))),
+)
+
+
 def _check_closures(
     presentation: AlgebraPresentation,
     subset: Iterable[str | int],
     two_sided: bool,
     check_name: str,
 ) -> CheckReport:
+    """Evaluate every closure stage in one pass and report the first failing
+    stage in stage order."""
     inside = set(_subset_indices(presentation, subset))
-    names, space = presentation.names, presentation.space
-
-    def leak(vec: Vec) -> Vec:
-        return {k: s for k, s in vec.items() if k not in inside}
-
-    def twist_leak(t):
-        (i,) = t
-        return leak(presentation._alpha_images[i]) if i in inside else {}
-
-    found = scan_check(
-        check_name, (names,), tuple_failures((names,), twist_leak), space, detail="twist closure"
-    )
-    if not found.passed:
-        return found
+    one = presentation.context.one
+    ops: dict = {
+        "alpha": presentation.alpha.columns,
+        "P": [((i, one),) if i in inside else () for i in range(presentation.dim)],
+        "Q": [() if i in inside else ((i, one),) for i in range(presentation.dim)],
+    }
+    maps = (("P", "P"), ("Q", "Q"), ("alpha", "alpha"))
+    stages = [("twist closure", (_TWIST_CLOSURE, maps))]
+    terms = _IDEAL_CLOSURE if two_sided else _SUBALGEBRA_CLOSURE
     for role in presentation.roles:
-        cells = presentation.products[role]._vec_table()
-
-        def product_leak(t):
-            i, j = t
-            relevant = (i in inside or j in inside) if two_sided else (i in inside and j in inside)
-            return leak(cells.get(t, {})) if relevant else {}
-
-        found = scan_check(
-            check_name, (names, names), tuple_failures((names, names), product_leak), space,
-            detail=f"product[{role}] closure",
-        )
-        if not found.passed:
-            return found
+        ops[("product", role)] = product_rows(presentation.products[role])
+        stages.append((f"product[{role}] closure", (terms, (("o", ("product", role)),) + maps)))
+    axis = (presentation.space, presentation.alpha)
+    settled = first_failures([plan for _, plan in stages], (axis, axis), ops, presentation.bichar)
+    names = (presentation.names, presentation.names)
+    for (detail, _), (first, seconds) in zip(stages, settled):
+        if first is not None:
+            return check_report(
+                check_name, names, first, seconds, presentation.space, detail=detail
+            )
     return CheckReport(check=check_name, status=PASS)
 
 

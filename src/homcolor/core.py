@@ -7,19 +7,19 @@ and an even twisting map.  Vectors are sparse dicts mapping basis index to
 :class:`~homcolor.scalars.Scalar`; all operations are pure and presentations
 are immutable after validation, so they can be shared freely.
 
-The checking code reads a presentation's frozen data directly: the
-index-keyed :func:`_mul`, each product's cells as vectors, the n x n sign
-table and the twist images.  Those tables are built lazily, once per product
-or presentation, and nothing mutates them; the public accessors (``mul``,
-``mul_basis``, ``alpha_image``, ``LinearMap.image``) hand out fresh dicts.
+The checking code reads a presentation's frozen data directly: each
+product's ``table`` and each map's ``columns``, which nothing mutates; the
+public accessors (``mul``, ``mul_basis``, ``alpha_image``,
+``LinearMap.image``) hand out fresh dicts.
 
-Catalogued conditions are term plans, signed sums of product trees.
-:func:`term_failures` evaluates a whole suite of plans in one pass over
-nonzero cells, one slab at a time, sharing every subtree map between the
-plans; :func:`first_failures` runs that pass once per suite call and
-settles each plan at its first failing slab, and :func:`check_report` turns
-each result into a report.  The per-tuple structural checks report through
-:func:`scan_check`.
+Every check is a term plan, a signed sum of trees of products and linear
+maps: the catalogued conditions and the structural checks here
+(multiplicativity, derivations, morphisms) alike.  :func:`term_failures`
+evaluates a whole suite of plans in one pass over nonzero cells, one slab
+at a time, sharing every subtree map between the plans;
+:func:`first_failures` runs that pass once per suite call and settles each
+plan at its first failing slab, and :func:`check_report` turns each result
+into a report.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import re
 import time
-from itertools import product as iter_product
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .grading import AbelianGroup, Bicharacter, GroupElement
@@ -57,9 +56,7 @@ __all__ = [
     "Plan",
     "term_failures",
     "first_failures",
-    "tuple_failures",
     "check_report",
-    "scan_check",
     "is_multiplicative",
     "is_derivation",
     "morphism_suite",
@@ -338,7 +335,7 @@ class BilinearProduct:
     construction, and iteration order is row-major by (i, j) then k.
     """
 
-    __slots__ = ("space", "context", "table", "_vecs")
+    __slots__ = ("space", "context", "table")
 
     def __init__(
         self,
@@ -367,22 +364,9 @@ class BilinearProduct:
         self.space = space
         self.context = context
         self.table = table
-        self._vecs: dict[tuple[int, int], Vec] | None = None
 
     def mul_basis(self, i: int, j: int) -> tuple[tuple[int, Scalar], ...]:
         return self.table.get((i, j), ())
-
-    def _vec_table(self) -> dict[tuple[int, int], Vec]:
-        """The nonzero cells as shared vectors; callers must not mutate them."""
-        if self._vecs is None:
-            self._vecs = {key: dict(cell) for key, cell in self.table.items()}
-        return self._vecs
-
-    def entries(self):
-        """Deterministic (i, j, k, scalar) iteration, row-major then k."""
-        for (i, j) in sorted(self.table):
-            for k, s in self.table[(i, j)]:
-                yield i, j, k, s
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -398,7 +382,7 @@ class BilinearProduct:
 class AlgebraPresentation:
     """Graded basis, role-tagged products, and an even twisting map."""
 
-    __slots__ = ("space", "bichar", "context", "products", "alpha", "_alpha_images", "_signs")
+    __slots__ = ("space", "bichar", "context", "products", "alpha", "_signs")
 
     def __init__(
         self,
@@ -433,7 +417,6 @@ class AlgebraPresentation:
         self.context = context
         self.products = {role: products[role] for role in sorted(products, key=role_sort_key)}
         self.alpha = alpha
-        self._alpha_images = tuple(alpha.image(i) for i in range(space.dim))
         self._signs: tuple[tuple[int, ...], ...] | None = None
 
     # -- basic access ---------------------------------------------------------
@@ -486,7 +469,7 @@ class AlgebraPresentation:
         return out
 
     def alpha_image(self, i: int) -> Vec:
-        return dict(self._alpha_images[i])
+        return self.alpha.image(i)
 
     # -- multiplication --------------------------------------------------------
 
@@ -565,17 +548,19 @@ def _mul(table: Mapping[tuple[int, int], Sequence[tuple[int, Scalar]]], x: Vec, 
 
 # -- term plans -------------------------------------------------------------
 #
-# Every catalogued condition is a signed sum of product trees.  A tree is a
-# leaf ``(position, power)``: the basis element at that tuple position, or
-# its image under the position's twist applied ``power`` times; or a node
-# ``(op, left, right)``: a named bilinear operation, a product or an
-# action, applied to two subtrees.  A term is ``(coefficient, sign pairs,
-# tree)``; each sign pair (p, q) multiplies the term by the commutation
-# factor of the degrees at positions p and q.  The factor is
-# bimultiplicative, so eps(d_p + d_q, d_r) is the pair list ((p, r), (q, r)).
-# Every position occurs exactly once in each tree.  A plan is one
-# condition's terms with a binding of their operation names to the keys of
-# the rows they apply; a suite of plans is evaluated in one pass.
+# Every check is a signed sum of trees.  A tree is a leaf ``(position,
+# power)``: the basis element at that tuple position, or its image under
+# the position's twist applied ``power`` times; a node ``(op, left,
+# right)``: a named bilinear operation, a product or an action, applied to
+# two subtrees; or a node ``(op, subtree)``: a named linear map, such as a
+# twist, a morphism, a derivation or a projection, applied to one subtree.
+# A term is ``(coefficient, sign pairs, tree)``; each sign pair (p, q)
+# multiplies the term by the commutation factor of the degrees at positions
+# p and q.  The factor is bimultiplicative, so eps(d_p + d_q, d_r) is the
+# pair list ((p, r), (q, r)).  Every position occurs exactly once in each
+# tree.  A plan is one condition's terms with a binding of their operation
+# names to the keys of the rows or columns they apply; a suite of plans is
+# evaluated in one pass.
 
 Tree = tuple
 Term = tuple[int, tuple[tuple[int, int], ...], Tree]
@@ -599,12 +584,14 @@ def eps(left: Tree | tuple[Tree, ...], right: Tree | tuple[Tree, ...]) -> tuple[
     return tuple((a[0], b[0]) for a in lefts for b in rights)
 
 
-def operation(name: str) -> Callable[[Tree, Tree], Tree]:
-    """Tree builder for the bilinear operation bound to ``name``."""
-    return lambda left, right: (name, left, right)
+def operation(name: str) -> Callable[..., Tree]:
+    """Tree builder for the operation bound to ``name``: a linear map of one
+    subtree or a bilinear operation of two."""
+    return lambda *subtrees: (name, *subtrees)
 
 
 Rows = Sequence[Sequence[tuple[int, Sequence[tuple[int, Scalar]]]]]
+Columns = Sequence[Sequence[tuple[int, Scalar]]]
 
 
 def product_rows(product: BilinearProduct) -> Rows:
@@ -619,6 +606,22 @@ def action_rows(family: Sequence[LinearMap]) -> Rows:
     """``rows[i]`` lists (j, column) over the nonzero images of e_j under the
     operator of e_i."""
     return [[(j, col) for j, col in enumerate(op.columns) if col] for op in family]
+
+
+def _apply(columns: Columns, sub: dict, one: Scalar) -> dict:
+    """Apply a linear map, ``columns[a]`` the image of e_a, to a subtree map."""
+    out = {}
+    for key, u in sub.items():
+        vec: dict = {}
+        for a, ua in u.items():
+            for k, c in columns[a]:
+                t = c if ua is one else ua if c is one else ua * c
+                prev = vec.get(k)
+                vec[k] = t if prev is None else prev + t
+        vec = {k: t for k, t in vec.items() if t.terms}
+        if vec:
+            out[key] = vec
+    return out
 
 
 def _join(rows: Rows, left: dict, right: dict, one: Scalar) -> dict:
@@ -664,8 +667,9 @@ def _compile(plans: tuple[Plan, ...], axis_ids: tuple[int, ...]) -> tuple:
     ``axis_ids``.
 
     A plan is (terms, binding); the binding sends each operation name of
-    the terms to the key of that operation's rows.  A leaf's shape is
-    (axis, power, at position 0?) and a node's is (key, left, right), so
+    the terms to the key of that operation's rows or that map's columns.
+    A leaf's shape is (axis, power, at position 0?), a bilinear node's is
+    (key, left, right) and a map node's is (key, subtree, None), so
     subtrees that differ only in which free positions they hold, or in
     which plan and which name they come from, share one node and one map.
     A node's map sends a key, the indices at the subtree's free positions
@@ -679,8 +683,9 @@ def _compile(plans: tuple[Plan, ...], axis_ids: tuple[int, ...]) -> tuple:
 
     def intern(tree: Tree, bound: dict, held: list[int]) -> int:
         if isinstance(tree[0], str):
-            left, right = intern(tree[1], bound, held), intern(tree[2], bound, held)
-            key = (bound[tree[0]], left, right, nodes[left][3] or nodes[right][3])
+            subs = [intern(sub, bound, held) for sub in tree[1:]]
+            at_zero = any(nodes[sub][3] for sub in subs)
+            key = (bound[tree[0]], subs[0], subs[1] if len(subs) == 2 else None, at_zero)
         else:
             pos, power = tree
             if pos >= len(axis_ids):
@@ -719,7 +724,7 @@ Failures = dict[int, list[tuple[tuple[int, ...], Vec]]]
 def term_failures(
     plans: Sequence[Plan],
     axes: Sequence[tuple[GradedSpace, LinearMap]],
-    ops: Mapping[Hashable, Rows],
+    ops: Mapping[Hashable, Rows | Columns],
     bichar: Bicharacter,
     live: set[int],
 ) -> Iterator[Failures]:
@@ -727,7 +732,8 @@ def term_failures(
     yield the failures of each slab in which some live plan fails.
 
     ``plans[c]`` is check c's terms with the binding of their operation
-    names to keys of ``ops``, which holds each operation's rows; ``axes[p]``
+    names to keys of ``ops``, which holds each bilinear operation's rows
+    (see :func:`product_rows`) and each linear map's ``columns``; ``axes[p]``
     is the basis and twist of tuple position p, and a plan of arity a uses
     the first a axes.  A slab is the set of tuples with one index at
     position 0, taken in order.  For a slab the generator yields a dict
@@ -816,7 +822,12 @@ def term_failures(
             name, a, b, at_zero = nodes[nid]  # a leaf's a, b: axis, twist power
             if name is not None:
                 left = evaluate(a, i0)
-                found = _join(ops[name], left, inverted(b, i0), one) if left else {}
+                if not left:
+                    found = {}
+                elif b is None:
+                    found = _apply(ops[name], left, one)
+                else:
+                    found = _join(ops[name], left, inverted(b, i0), one)
             else:
                 table = image_table(a, b)
                 if at_zero:
@@ -883,7 +894,7 @@ def term_failures(
 def first_failures(
     plans: Sequence[Plan],
     axes: Sequence[tuple[GradedSpace, LinearMap]],
-    ops: Mapping[Hashable, Rows],
+    ops: Mapping[Hashable, Rows | Columns],
     bichar: Bicharacter,
 ) -> list[tuple[tuple[tuple[int, ...], Vec] | None, float]]:
     """Evaluate a suite of plans in one :func:`term_failures` pass, each
@@ -906,18 +917,7 @@ def first_failures(
     return [found or (None, seconds) for found in settled]
 
 
-# -- scanning -------------------------------------------------------------------
-
-
-def tuple_failures(
-    axes: Sequence[Sequence[str]], defect: Callable[[tuple[int, ...]], Vec]
-) -> Iterator[tuple[tuple[int, ...], Vec]]:
-    """Evaluate ``defect`` on each index tuple in lexicographic order and
-    yield the nonzero ones; for the per-tuple checks of arity <= 2."""
-    for t in iter_product(*(range(len(names)) for names in axes)):
-        found = defect(t)
-        if found:
-            yield t, found
+# -- reporting ------------------------------------------------------------------
 
 
 def check_report(
@@ -929,10 +929,10 @@ def check_report(
     roles: tuple[tuple[str, str], ...] = (),
     detail: str = "",
 ) -> CheckReport:
-    """PASS, or FAIL with the names of the failing index tuple ``first[0]``
-    (``axes`` holds one basis-name table per tuple position) and its defect
-    ``first[1]``, a vector of ``space``; ``roles``, ``detail`` and the
-    measured ``seconds`` pass through."""
+    """Report a plan's result from :func:`first_failures`: PASS, or FAIL
+    with the names of the failing index tuple ``first[0]`` (``axes`` holds a
+    basis-name table per tuple position) and its defect ``first[1]``, a
+    vector of ``space``; ``roles``, ``detail`` and ``seconds`` pass through."""
     if first is None:
         return CheckReport(check=check, status=PASS, roles=roles, detail=detail, seconds=seconds)
     t, found = first
@@ -947,27 +947,40 @@ def check_report(
     )
 
 
-def scan_check(
-    check: str,
-    axes: Sequence[Sequence[str]],
-    failures: Iterable[tuple[tuple[int, ...], Vec]],
-    space: GradedSpace,
-    roles: tuple[tuple[str, str], ...] = (),
-    detail: str = "",
-) -> CheckReport:
-    """Report the first failure of a lexicographic scan over index tuples.
-
-    ``failures`` yields each failing index tuple with its nonzero defect in
-    lexicographic order, lazily, so the scan stops at the first one and a
-    failure always carries the smallest failing tuple.  The report (see
-    :func:`check_report`) records the scan time.
-    """
-    started = time.perf_counter()
-    first = next(iter(failures), None)
-    return check_report(check, axes, first, time.perf_counter() - started, space, roles, detail)
-
-
 # -- structural checks ---------------------------------------------------------
+#
+# Term plans over basis pairs in which twists, morphisms and derivations are
+# linear-map nodes.  Their names are "a", "b" (bilinear), "f", "g" and "s"
+# (linear); each caller binds them to keys of its ``ops``.
+
+_x, _y = positions(2)
+_a, _b, _f, _g, _s = (operation(name) for name in "abfgs")
+
+# f(x .a y) - f(x) .b f(y): multiplicativity of f when a and b are one product
+_PRODUCT_ARM: tuple[Term, ...] = ((1, (), _f(_a(_x, _y))), (-1, (), _b(_f(_x), _f(_y))))
+# f(alpha(x)) - g(f(x)), with g the target's twist
+_TWIST_ARM: tuple[Term, ...] = ((1, (), _f(twisted(_x))), (-1, (), _g(_f(_x))))
+# D(x.y) - D(x).y - S(x).D(y), with f = D and S(e_i) = eps(d, deg e_i) e_i
+_LEIBNIZ: tuple[Term, ...] = (
+    (1, (), _f(_a(_x, _y))),
+    (-1, (), _a(_f(_x), _y)),
+    (-1, (), _a(_s(_x), _f(_y))),
+)
+
+
+def _pair_check(
+    check: str,
+    presentation: AlgebraPresentation,
+    terms: tuple[Term, ...],
+    ops: Mapping[Hashable, Rows | Columns],
+) -> CheckReport:
+    """Evaluate one plan, its names bound to the same keys of ``ops``, on
+    every basis pair of ``presentation``."""
+    axis = (presentation.space, presentation.alpha)
+    plan = (terms, tuple((name, name) for name in ops))
+    [(first, seconds)] = first_failures([plan], (axis, axis), ops, presentation.bichar)
+    names = presentation.names
+    return check_report(check, (names, names), first, seconds, presentation.space)
 
 
 def is_multiplicative(
@@ -981,17 +994,9 @@ def is_multiplicative(
     the first failing pair in row-major order.
     """
     m = presentation.alpha if mapping is None else mapping
-    product = presentation.product(role)
-    table, cells = product.table, product._vec_table()
-    images = [m.image(i) for i in range(presentation.dim)]
-
-    def defect(t):
-        i, j = t
-        return vec_sub(m.apply(cells.get(t, {})), _mul(table, images[i], images[j]))
-
-    names = presentation.names
-    axes = (names, names)
-    return scan_check(f"multiplicative[{role}]", axes, tuple_failures(axes, defect), presentation.space)
+    rows = product_rows(presentation.product(role))
+    ops = {"a": rows, "b": rows, "f": m.columns}
+    return _pair_check(f"multiplicative[{role}]", presentation, _PRODUCT_ARM, ops)
 
 
 def is_derivation(
@@ -1009,26 +1014,13 @@ def is_derivation(
             status=FAIL,
             detail=f"map is homogeneous of degree {derivation.degree}, not {d}",
         )
-    product = presentation.product(role)
-    table, cells = product.table, product._vec_table()
-    n = presentation.dim
-    images = [derivation.image(i) for i in range(n)]
-    signs = [
-        presentation.context.scalar(presentation.eps_deg(d, presentation.space.degree(i)))
-        for i in range(n)
-    ]
-
-    def defect(t):
-        i, j = t
-        rhs = vec_add(
-            _mul(table, images[i], presentation.basis(j)),
-            vec_scale(signs[i], _mul(table, presentation.basis(i), images[j])),
-        )
-        return vec_sub(derivation.apply(cells.get(t, {})), rhs)
-
-    names = presentation.names
-    axes = (names, names)
-    return scan_check(f"derivation[{role}]", axes, tuple_failures(axes, defect), presentation.space)
+    scalar = presentation.context.scalar
+    signs = tuple(
+        ((i, scalar(presentation.eps_deg(d, deg))),)
+        for i, deg in enumerate(presentation.space.degrees)
+    )
+    ops = {"a": product_rows(presentation.product(role)), "f": derivation.columns, "s": signs}
+    return _pair_check(f"derivation[{role}]", presentation, _LEIBNIZ, ops)
 
 
 def morphism_suite(
@@ -1036,35 +1028,29 @@ def morphism_suite(
     source: AlgebraPresentation,
     target: AlgebraPresentation,
 ) -> SuiteReport:
-    """Itemized morphism conditions: one per shared role, plus the twist."""
+    """Itemized morphism conditions: one per shared role, plus the twist,
+    evaluated in one pass."""
     if source.space.group != target.space.group or source.bichar != target.bichar:
         raise ValueError("presentations do not share a grading context")
     if source.roles != target.roles:
         raise ValueError(f"role mismatch: {source.roles} vs {target.roles}")
     if f.source != source.space or f.target != target.space:
         raise ValueError("map does not go between the two presentations")
-    report = SuiteReport(kind="morphism")
-    images = [f.image(i) for i in range(source.dim)]
-    names = source.names
+    ops: dict[Hashable, Rows | Columns] = {"f": f.columns, "g": target.alpha.columns}
+    checks, plans = [], []
     for role in source.roles:
-        cells, table = source.products[role]._vec_table(), target.products[role].table
-
-        def defect(t):
-            i, j = t
-            return vec_sub(f.apply(cells.get(t, {})), _mul(table, images[i], images[j]))
-
-        report.checks.append(
-            scan_check(f"morphism:product[{role}]", (names, names),
-                       tuple_failures((names, names), defect), target.space)
-        )
-
-    def twist_defect(t):
-        (i,) = t
-        return vec_sub(f.apply(source._alpha_images[i]), target.alpha.apply(images[i]))
-
-    report.checks.append(
-        scan_check("morphism:twist", (names,), tuple_failures((names,), twist_defect), target.space)
-    )
+        ops[("a", role)] = product_rows(source.products[role])
+        ops[("b", role)] = product_rows(target.products[role])
+        checks.append(f"morphism:product[{role}]")
+        plans.append((_PRODUCT_ARM, (("a", ("a", role)), ("b", ("b", role)), ("f", "f"))))
+    checks.append("morphism:twist")
+    plans.append((_TWIST_ARM, (("f", "f"), ("g", "g"))))
+    axis = (source.space, source.alpha)
+    settled = first_failures(plans, (axis, axis), ops, source.bichar)
+    names = (source.names, source.names)
+    report = SuiteReport(kind="morphism")
+    for check, (first, seconds) in zip(checks, settled):
+        report.checks.append(check_report(check, names, first, seconds, target.space))
     return report
 
 

@@ -24,9 +24,12 @@ class BEval:
     def __init__(self, A, M, slots):
         self.A = A
         self.M = M
-        self.cells = {slot: A.product(role)._vec_table() for slot, role in slots.items()}
+        self.cells = {
+            slot: {key: dict(cell) for key, cell in A.product(role).table.items()}
+            for slot, role in slots.items()
+        }
         self.signs = A.sign_table()
-        self._al = A._alpha_images
+        self._al = tuple(A.alpha.image(i) for i in range(A.dim))
         self._beta = tuple(M.beta.image(v) for v in range(M.module.dim))
 
     def bv(self, v: int) -> Vec:
@@ -268,10 +271,10 @@ class MPEval:
         return {j: self.B.context.one}
 
     def alA(self, i: int) -> Vec:
-        return self.A._alpha_images[i]
+        return self.A.alpha_image(i)
 
     def beB(self, j: int) -> Vec:
-        return self.B._alpha_images[j]
+        return self.B.alpha_image(j)
 
     def mulB(self, role: str, x: Vec, y: Vec) -> Vec:
         return _mul(self.B.product(role).table, x, y)

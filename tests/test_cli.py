@@ -429,3 +429,32 @@ class TestReport:
         assert run("report", path) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: malformed report file {path}: ") and field in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "expected an object, got list"),
+        ({}, "missing field 'fixtures'"),
+        ({"fixtures": {}}, "field 'fixtures' must be a list, got dict"),
+        ({"fixtures": [3]}, "fixtures[0]: expected an object, got int"),
+        ({"fixtures": [{"checks": []}]}, "fixtures[0]: missing field 'file'"),
+        ({"fixtures": [{"file": 3, "checks": []}]}, "fixtures[0]: field 'file' must be a string"),
+        ({"fixtures": [{"file": "a.json"}]}, "fixtures[0]: missing field 'checks'"),
+        ({"fixtures": [{"file": "a.json", "checks": "hnp"}]}, "field 'checks' must be a list"),
+        ({"fixtures": [{"file": "a.json", "checks": [{"expected": "pass"}]}]},
+         "fixtures[0].checks[0]: missing field 'kind'"),
+        ({"fixtures": [{"file": "a.json", "checks": [{"kind": 1, "expected": "pass"}]}]},
+         "fixtures[0].checks[0]: field 'kind' must be a string"),
+        ({"fixtures": [{"file": "a.json", "checks": [{"kind": "hnp", "expected": None}]}]},
+         "fixtures[0].checks[0]: field 'expected' must be a string, got NoneType"),
+    ])
+    def test_mistyped_manifest_exits_three(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        assert run("report", "--manifest", path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed manifest {path}: ") and message in err
+
+    def test_undecodable_manifest_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text("{")
+        assert run("report", "--manifest", path) == 3
+        assert capsys.readouterr().err.startswith(f"error: {path}: line 1")
