@@ -26,7 +26,7 @@ from .core import (
     first_failures,
     is_derivation,
     is_morphism,
-    is_multiplicative,
+    multiplicative_checks,
     operation,
     positions,
     product_rows,
@@ -143,11 +143,7 @@ def derived_algebra(
         raise ValueError(f"derived type must be 1 or 2, got {type_}")
     if n < 1:
         raise ValueError(f"derived order must be >= 1, got {n}")
-    failed = []
-    for role in presentation.roles:
-        report = is_multiplicative(presentation, role)
-        if not report.passed:
-            failed.append(report)
+    failed = [r for r in multiplicative_checks(presentation, presentation.roles) if not r.passed]
     if failed and not force:
         raise PreconditionError(
             "derived algebras assume a multiplicative twist", tuple(failed)

@@ -57,6 +57,7 @@ __all__ = [
     "term_failures",
     "first_failures",
     "check_report",
+    "multiplicative_checks",
     "is_multiplicative",
     "is_derivation",
     "morphism_suite",
@@ -454,9 +455,6 @@ class AlgebraPresentation:
             degrees, sign = self.space.degrees, self.bichar.sign
             self._signs = tuple(tuple(sign(a, b) for b in degrees) for a in degrees)
         return self._signs
-
-    def basis(self, i: int) -> Vec:
-        return {i: self.context.one}
 
     def vector(self, data: Mapping[str, ScalarLike] | Vec) -> Vec:
         """Coerce a name-keyed mapping (or an index-keyed Vec) to a Vec."""
@@ -983,20 +981,41 @@ def _pair_check(
     return check_report(check, (names, names), first, seconds, presentation.space)
 
 
+def multiplicative_checks(
+    presentation: AlgebraPresentation,
+    roles: Sequence[str],
+    mapping: LinearMap | None = None,
+) -> list[CheckReport]:
+    """Does ``mapping`` (default: the twist) satisfy m(x o y) = m(x) o m(y)
+    for each product role in ``roles``?  One report per role, in that order,
+    all from one evaluator pass.
+
+    Checked on all basis pairs, which suffices by bilinearity; each witness
+    is the role's first failing pair in row-major order.
+    """
+    m = presentation.alpha if mapping is None else mapping
+    ops: dict[Hashable, Rows | Columns] = {"f": m.columns}
+    plans = []
+    for role in roles:
+        ops[("p", role)] = product_rows(presentation.product(role))
+        plans.append((_PRODUCT_ARM, (("a", ("p", role)), ("b", ("p", role)), ("f", "f"))))
+    axis = (presentation.space, presentation.alpha)
+    settled = first_failures(plans, (axis, axis), ops, presentation.bichar)
+    names = (presentation.names, presentation.names)
+    return [
+        check_report(f"multiplicative[{role}]", names, first, seconds, presentation.space)
+        for role, (first, seconds) in zip(roles, settled)
+    ]
+
+
 def is_multiplicative(
     presentation: AlgebraPresentation,
     role: str,
     mapping: LinearMap | None = None,
 ) -> CheckReport:
-    """Does ``mapping`` (default: the twist) satisfy m(x o y) = m(x) o m(y)?
-
-    Checked on all basis pairs, which suffices by bilinearity; the witness is
-    the first failing pair in row-major order.
-    """
-    m = presentation.alpha if mapping is None else mapping
-    rows = product_rows(presentation.product(role))
-    ops = {"a": rows, "b": rows, "f": m.columns}
-    return _pair_check(f"multiplicative[{role}]", presentation, _PRODUCT_ARM, ops)
+    """:func:`multiplicative_checks` for one role."""
+    [report] = multiplicative_checks(presentation, (role,), mapping)
+    return report
 
 
 def is_derivation(

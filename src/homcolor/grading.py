@@ -6,11 +6,16 @@ their modulus.  A commutation factor (skew-symmetric bicharacter) is stored
 as its generator matrix with entries in {+1, -1} and extended to all
 elements by bimultiplicativity; the sign-only restriction covers every
 bundled fixture and keeps evaluation a parity count.
+
+Element reduction and addition are memoised in bounded caches: every space,
+map and product built by the loader or a construction reduces the degrees
+of its basis and cells, and a presentation has few distinct ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .reports import CheckReport, FAIL, PASS
@@ -28,6 +33,9 @@ __all__ = [
 ]
 
 GroupElement = tuple[int, ...]
+
+# Entries kept by each of the element and addition memos.
+MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -52,16 +60,26 @@ class AbelianGroup:
         return (0,) * self.rank
 
     def element(self, coords: Iterable[int]) -> GroupElement:
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != self.rank:
-            raise ValueError(f"element needs {self.rank} coordinates, got {len(coords)}")
-        return tuple(
-            c % m if i < len(self.torsion) else c
-            for i, (c, m) in enumerate(zip(coords, (*self.torsion, *(0,) * self.free)))
-        )
+        return _reduce(self, tuple(coords))
 
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self.element(x + y for x, y in zip(a, b, strict=True))
+        return _add(self, tuple(a), tuple(b))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _reduce(group: AbelianGroup, coords: tuple) -> GroupElement:
+    """``coords`` as integers, torsion coordinates reduced modulo their
+    modulus; raises (and caches nothing) on a wrong length."""
+    coords = tuple(int(c) for c in coords)
+    if len(coords) != group.rank:
+        raise ValueError(f"element needs {group.rank} coordinates, got {len(coords)}")
+    torsion = group.torsion
+    return tuple(c % m for c, m in zip(coords, torsion)) + coords[len(torsion):]
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _add(group: AbelianGroup, a: tuple, b: tuple) -> GroupElement:
+    return _reduce(group, tuple(x + y for x, y in zip(a, b, strict=True)))
 
 
 class Bicharacter:

@@ -34,7 +34,7 @@ from .core import (
     check_report,
     eps,
     first_failures,
-    is_multiplicative,
+    multiplicative_checks,
     operation,
     positions,
     product_rows,
@@ -307,11 +307,7 @@ def check_identity(
         verified_roles, evaluated = frozenset(), {}
     if spec.needs_multiplicative and not used <= verified_roles:
         started = time.perf_counter()
-        failed = []
-        for role in sorted(used):
-            sub = is_multiplicative(presentation, role)
-            if not sub.passed:
-                failed.append(sub)
+        failed = [c for c in multiplicative_checks(presentation, sorted(used)) if not c.passed]
         if failed:
             return CheckReport(
                 check=tag,
@@ -383,13 +379,9 @@ def check_gi_identities(
     twist that is multiplicative for both products; both assumptions are
     verified first and reported as precondition failures, never skipped.
     """
-    failed: list[CheckReport] = []
     base = run_suite(presentation, StructureKind.TRANSPOSED_POISSON)
-    failed.extend(c for c in base.checks if not c.passed)
-    for role in ("dot", "bracket"):
-        sub = is_multiplicative(presentation, role)
-        if not sub.passed:
-            failed.append(sub)
+    twist = multiplicative_checks(presentation, ("dot", "bracket"))
+    failed = [c for c in (*base.checks, *twist) if not c.passed]
     if failed:
         report = SuiteReport(kind="gi")
         report.checks.append(

@@ -6,15 +6,19 @@ declares its polynomial parameters (names such as ``lambda1``) and its root
 symbols (``sqrt2`` with radicand 2, reduced by ``sqrt2*sqrt2 = 2``).
 
 Canonical form is a sorted tuple of (monomial, coefficient) pairs with
-nonzero ``Fraction`` coefficients; root symbols carry exponent at most one
-after reduction, and zero is the empty sum, so equal values are structurally
-equal.  The form is unique only when the declared radicands are
-multiplicatively independent modulo rational squares, so a context refuses
-any root set in which some nonempty subset of radicands multiplies to a
-rational square: ``{"r": 4}`` (4 is a square) and ``{"r": 2, "s": 8}``
-(2 * 8 = 16) are both rejected.  By Besicovitch's theorem the reduced root
-monomials of an accepted set are linearly independent over Q(params), so a
-zero test is exact and the scalars form an integral domain.
+nonzero rational coefficients, each an ``int`` when integral and otherwise a
+``Fraction`` (whose denominator is then > 1); root symbols carry exponent at
+most one after reduction, and zero is the empty sum, so equal values are
+structurally equal.  Integral coefficients as ``int`` keep integer tables,
+the common case, on ``int`` arithmetic; ``int`` and ``Fraction`` compare,
+hash and print alike, so the choice never shows in a value.  The form is
+unique only when the declared radicands are multiplicatively independent
+modulo rational squares, so a context refuses any root set in which some
+nonempty subset of radicands multiplies to a rational square: ``{"r": 4}``
+(4 is a square) and ``{"r": 2, "s": 8}`` (2 * 8 = 16) are both rejected.
+By Besicovitch's theorem the reduced root monomials of an accepted set are
+linearly independent over Q(params), so a zero test is exact and the
+scalars form an integral domain.
 
 Division is deliberately absent: identity checking never divides.
 """
@@ -58,14 +62,20 @@ class ScalarParseError(ScalarError):
     """Input text does not conform to the scalar grammar."""
 
 
-def _as_fraction(value: int | str | Fraction) -> Fraction:
+def _coeff(value: Fraction) -> int | Fraction:
+    """``value`` in coefficient form: its numerator when it is integral."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def _as_fraction(value: int | str | Fraction) -> int | Fraction:
+    """An exact rational in coefficient form (see :func:`_coeff`)."""
     if isinstance(value, Fraction):
-        return value
+        return _coeff(value)
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _coeff(Fraction(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise ScalarError(f"not an exact rational: {value!r}") from exc
     raise ScalarError(f"not an exact rational: {value!r}")
@@ -170,7 +180,7 @@ class ScalarContext:
         self._rank = {name: i for i, name in enumerate(ordered)}
         self._key = (self.params, tuple(self.roots.items()))
         self._zero = Scalar(self, ())
-        self._one = Scalar(self, (((), Fraction(1)),))
+        self._one = Scalar(self, (((), 1),))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ScalarContext) and self._key == other._key
@@ -209,12 +219,12 @@ class ScalarContext:
     def param(self, name: str) -> Scalar:
         if name not in self.params:
             raise ScalarError(f"undeclared parameter: {name!r}")
-        return Scalar(self, ((((name, 1),), Fraction(1)),))
+        return Scalar(self, ((((name, 1),), 1),))
 
     def root(self, name: str) -> Scalar:
         if name not in self.roots:
             raise ScalarError(f"undeclared root symbol: {name!r}")
-        return Scalar(self, ((((name, 1),), Fraction(1)),))
+        return Scalar(self, ((((name, 1),), 1),))
 
     def union(self, other: ScalarContext) -> ScalarContext:
         """Smallest context containing both symbol sets; radicands must agree."""
@@ -230,19 +240,23 @@ class ScalarContext:
     def _mono_key(self, mono: Monomial) -> tuple:
         return tuple((self._rank[s], e) for s, e in mono)
 
-    def _from_mapping(self, terms: dict[Monomial, Fraction]) -> Scalar:
-        kept = [(m, c) for m, c in terms.items() if c != 0]
+    def _from_mapping(self, terms: dict[Monomial, int | Fraction]) -> Scalar:
+        kept = [
+            (m, c.numerator if type(c) is Fraction and c.denominator == 1 else c)
+            for m, c in terms.items()
+            if c
+        ]
         kept.sort(key=lambda item: self._mono_key(item[0]))
         return Scalar(self, tuple(kept))
 
-    def _mul_monomials(self, a: Monomial, b: Monomial) -> tuple[Monomial, Fraction]:
+    def _mul_monomials(self, a: Monomial, b: Monomial) -> tuple[Monomial, int | Fraction]:
         """Merge exponents and reduce roots by r*r = q; returns (monomial, factor)."""
         exps: dict[str, int] = {}
         for sym, e in a:
             exps[sym] = exps.get(sym, 0) + e
         for sym, e in b:
             exps[sym] = exps.get(sym, 0) + e
-        factor = Fraction(1)
+        factor = 1
         out = []
         for sym in sorted(exps, key=self._rank.__getitem__):
             e = exps[sym]
@@ -268,7 +282,7 @@ class ScalarContext:
                 return self._zero
             if value == 1:
                 return self._one
-            return Scalar(self, (((), Fraction(value)),))
+            return Scalar(self, (((), value),))
         return _Parser(self, text).parse()
 
 
@@ -282,7 +296,7 @@ class Scalar:
 
     __slots__ = ("context", "terms")
 
-    def __init__(self, context: ScalarContext, terms: tuple[tuple[Monomial, Fraction], ...]):
+    def __init__(self, context: ScalarContext, terms: tuple[tuple[Monomial, int | Fraction], ...]):
         self.context = context
         self.terms = terms
 
@@ -323,10 +337,14 @@ class Scalar:
             return self
         if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
             coeff = a[0][1] + b[0][1]
-            return Scalar(self.context, ((a[0][0], coeff),)) if coeff else self.context._zero
+            if not coeff:
+                return self.context._zero
+            if type(coeff) is Fraction and coeff.denominator == 1:
+                coeff = coeff.numerator
+            return Scalar(self.context, ((a[0][0], coeff),))
         acc = dict(a)
         for mono, coeff in b:
-            acc[mono] = acc.get(mono, Fraction(0)) + coeff
+            acc[mono] = acc.get(mono, 0) + coeff
         return self.context._from_mapping(acc)
 
     __radd__ = __add__
@@ -344,7 +362,11 @@ class Scalar:
         a, b = self.terms, rhs.terms
         if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
             coeff = a[0][1] - b[0][1]
-            return Scalar(self.context, ((a[0][0], coeff),)) if coeff else self.context._zero
+            if not coeff:
+                return self.context._zero
+            if type(coeff) is Fraction and coeff.denominator == 1:
+                coeff = coeff.numerator
+            return Scalar(self.context, ((a[0][0], coeff),))
         return self + (-rhs)
 
     def __rsub__(self, other: object) -> "Scalar":
@@ -370,19 +392,25 @@ class Scalar:
             return self._scaled(b[0][1])
         if len(a) == 1 and not a[0][0]:
             return rhs._scaled(a[0][1])
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, int | Fraction] = {}
         for m1, c1 in a:
             for m2, c2 in b:
                 mono, factor = ctx._mul_monomials(m1, m2)
-                acc[mono] = acc.get(mono, Fraction(0)) + c1 * c2 * factor
+                acc[mono] = acc.get(mono, 0) + c1 * c2 * factor
         return ctx._from_mapping(acc)
 
     __rmul__ = __mul__
 
-    def _scaled(self, coeff: Fraction) -> "Scalar":
+    def _scaled(self, coeff: int | Fraction) -> "Scalar":
         if coeff == 1:
             return self
-        return Scalar(self.context, tuple([(m, c * coeff) for m, c in self.terms]))
+        terms = []
+        for m, c in self.terms:
+            c = c * coeff
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
+            terms.append((m, c))
+        return Scalar(self.context, tuple(terms))
 
     def __pow__(self, n: int) -> "Scalar":
         if not isinstance(n, int) or n < 0:
@@ -425,7 +453,7 @@ class Scalar:
                 if sym in values:
                     piece = piece * values[sym] ** e
                 else:
-                    piece = piece * Scalar(self.context, ((((sym, 1),), Fraction(1)),)) ** e
+                    piece = piece * Scalar(self.context, ((((sym, 1),), 1),)) ** e
             total = total + piece
         return total
 
@@ -438,9 +466,9 @@ class Scalar:
                         raise ScalarError(f"target context lacks root {sym!r}")
                 elif sym not in context.params:
                     raise ScalarError(f"target context lacks parameter {sym!r}")
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, int | Fraction] = {}
         for mono, coeff in self.terms:
-            acc[mono] = acc.get(mono, Fraction(0)) + coeff
+            acc[mono] = acc.get(mono, 0) + coeff
         return context._from_mapping(acc)
 
     # -- formatting -----------------------------------------------------------
@@ -584,8 +612,9 @@ class _Parser:
             return value
         raise ScalarParseError(f"unexpected token {text!r} at position {pos}")
 
-    def number_tail(self, numerator: int) -> Fraction:
-        """Consume an optional '/ INT' after an integer literal."""
+    def number_tail(self, numerator: int) -> int | Fraction:
+        """Consume an optional '/ INT' after an integer literal; the value is
+        in coefficient form (an int when integral)."""
         tok = self.peek()
         after = self.tokens[self.i + 1] if self.i + 1 < len(self.tokens) else None
         if tok and tok[0] == "op" and tok[1] == "/" and after and after[0] == "int":
@@ -593,5 +622,5 @@ class _Parser:
             den = int(self.take()[1])
             if den == 0:
                 raise ScalarParseError("zero denominator")
-            return Fraction(numerator, den)
-        return Fraction(numerator)
+            return _coeff(Fraction(numerator, den))
+        return numerator

@@ -21,6 +21,11 @@ from homcolor.grading import super_z2
 from homcolor.identities import StructureKind, run_suite
 
 
+def _unit(A, i):
+    """The basis vector e_i of ``A`` as a Vec."""
+    return {i: A.context.one}
+
+
 class TestMul:
     def test_table_lookup(self, assoc_3dim):
         A = assoc_3dim
@@ -34,8 +39,8 @@ class TestMul:
         # (e1 + e2) . e2 expands to e1.e2 + e2.e2 = -2 e3
         A = assoc_3dim
         result = A.mul("dot", {"e1": 1, "e2": 1}, {"e2": 1})
-        expected = vec_add(A.mul("dot", A.basis(0), A.basis(1)),
-                           A.mul("dot", A.basis(1), A.basis(1)))
+        expected = vec_add(A.mul("dot", _unit(A, 0), _unit(A, 1)),
+                           A.mul("dot", _unit(A, 1), _unit(A, 1)))
         assert result == expected == A.vector({"e3": -2})
 
     def test_unknown_role(self, assoc_3dim):
@@ -48,12 +53,12 @@ class TestMul:
 
         A = load("hnp_4dim.json")
         sa, sb = A.context.scalar(a), A.context.scalar(b)
-        x = vec_add(vec_scale(sa, A.basis(1)), vec_scale(sb, A.basis(3)))
-        z = A.basis(3)
+        x = vec_add(vec_scale(sa, _unit(A, 1)), vec_scale(sb, _unit(A, 3)))
+        z = _unit(A, 3)
         lhs = A.mul("dot", x, z)
         rhs = vec_add(
-            vec_scale(sa, A.mul("dot", A.basis(1), z)),
-            vec_scale(sb, A.mul("dot", A.basis(3), z)),
+            vec_scale(sa, A.mul("dot", _unit(A, 1), z)),
+            vec_scale(sb, A.mul("dot", _unit(A, 3), z)),
         )
         assert lhs == rhs
 
@@ -234,7 +239,7 @@ class TestAliasing:
                 vec[i] = junk
             for j in range(A.dim):
                 for role in A.roles:
-                    for vec in (A.mul_basis(role, i, j), A.mul(role, A.basis(i), A.basis(j))):
+                    for vec in (A.mul_basis(role, i, j), A.mul(role, _unit(A, i), _unit(A, j))):
                         vec.clear()
                         vec[0] = junk
 

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from homcolor import grading
 from homcolor.grading import (
     AbelianGroup,
     Bicharacter,
@@ -166,3 +167,67 @@ class TestBimultiplicativeTables:
         ctx = ScalarContext()
         with pytest.raises(ValueError, match="not bimultiplicative"):
             AlgebraPresentation(space, eps, ctx, {"dot": BilinearProduct(space, ctx, {})})
+
+
+# -- memoised element reduction and addition ------------------------------------
+
+
+def _reduced(group, coords):
+    """Direct formula: torsion coordinates modulo their modulus, free ones kept."""
+    coords = [int(c) for c in coords]
+    k = len(group.torsion)
+    return tuple(c % m for c, m in zip(coords, group.torsion)) + tuple(coords[k:])
+
+
+_coordinate = st.one_of(st.integers(-7, 7), st.integers(-(10**30), 10**30))
+
+
+@st.composite
+def groups_with_coordinates(draw):
+    torsion = tuple(draw(st.lists(st.integers(2, 9), max_size=3)))
+    group = AbelianGroup(torsion=torsion, free=draw(st.integers(0, 2)))
+    a, b = ([draw(_coordinate) for _ in range(group.rank)] for _ in range(2))
+    return group, a, b
+
+
+class TestMemoisedArithmetic:
+    @given(data=groups_with_coordinates())
+    def test_element_and_add_match_the_direct_formula(self, data):
+        group, a, b = data
+        expected = _reduced(group, a)
+        for _ in range(2):  # a miss, then a hit
+            assert group.element(tuple(a)) == expected
+            assert group.element(list(a)) == expected
+            assert group.element(c for c in a) == expected
+        total = _reduced(group, [x + y for x, y in zip(a, b)])
+        for _ in range(2):
+            assert group.add(tuple(a), tuple(b)) == total
+            assert group.add(group.element(a), group.element(b)) == total
+        assert all(type(c) is int for c in group.element(a))
+
+    def test_equal_groups_share_results_and_distinct_groups_do_not(self):
+        z6, z6_again = AbelianGroup(torsion=(6,)), AbelianGroup(torsion=(6,))
+        z4 = AbelianGroup(torsion=(4,))
+        assert z6.element([7]) == z6_again.element([7]) == (1,)
+        assert z4.element([7]) == (3,)
+        assert z6.add((5,), (3,)) == (2,) and z4.add((5,), (3,)) == (0,)
+
+    def test_wrong_length_raises_on_every_call(self):
+        group = AbelianGroup(torsion=(2, 3), free=1)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="needs 3 coordinates, got 2"):
+                group.element([1, 2])
+            with pytest.raises(ValueError):
+                group.add((1, 2), (1, 2))
+            with pytest.raises(ValueError):
+                group.add((1, 2, 3), (1, 2))
+        assert group.element([1, 2, 3]) == (1, 2, 3)
+
+    def test_caches_are_bounded(self):
+        group = AbelianGroup(free=1)
+        for n in range(grading.MEMO_SIZE + 10):
+            group.add((n,), (1,))
+        for memo in (grading._reduce, grading._add):
+            info = memo.cache_info()
+            assert info.maxsize == grading.MEMO_SIZE
+            assert info.currsize <= info.maxsize

@@ -200,21 +200,22 @@ class TestGiSuite:
 
         pair = hc.commutator_bracket(hnp_mult_synth_4dim, "diamond")
         direct = [check_identity(pair, tag).to_dict() for tag in ("GI_1", "GI_2", "GI_3", "GI_4")]
-        scanned = []
-        real = identities.is_multiplicative
+        passes = []
+        real = identities.multiplicative_checks
 
-        def counting(presentation, role, *rest):
-            scanned.append(role)
-            return real(presentation, role, *rest)
+        def counting(presentation, roles, *rest):
+            passes.append(tuple(roles))
+            return real(presentation, roles, *rest)
 
-        monkeypatch.setattr(identities, "is_multiplicative", counting)
+        monkeypatch.setattr(identities, "multiplicative_checks", counting)
         suite = check_gi_identities(pair)
-        # the suite's own precondition scans both twists; GI_1..GI_4 reuse them
-        assert scanned == ["dot", "bracket"]
+        # the suite's own precondition scans both twists in one pass;
+        # GI_1..GI_4 reuse it
+        assert passes == [("dot", "bracket")]
         assert [c.to_dict() for c in suite.checks] == direct
-        scanned.clear()
+        passes.clear()
         check_identity(pair, "GI_1")  # called directly, it checks its own
-        assert scanned == ["bracket", "dot"]
+        assert passes == [("bracket", "dot")]
 
 
 _grading_names = st.sampled_from(["super", "z2sq", "sympl", "trivial"])

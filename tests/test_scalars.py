@@ -411,6 +411,99 @@ class TestFastPaths:
                     op(rhs, lam)
 
 
+# -- coefficient form: int when integral, Fraction otherwise ---------------------
+
+
+def _in_coefficient_form(value: Scalar) -> bool:
+    """Every coefficient is an ``int`` (not a ``bool``) when integral and a
+    ``Fraction`` with denominator > 1 otherwise."""
+    return all(
+        type(c) is int if c.denominator == 1 else type(c) is Fraction and c.denominator > 1
+        for _, c in value.terms
+    )
+
+
+def _as_fractions(value: Scalar) -> Scalar:
+    """``value`` with every coefficient a ``Fraction``, as the tower stored
+    them all before integral ones became ``int``; printing must agree."""
+    return Scalar(value.context, tuple((m, Fraction(c)) for m, c in value.terms))
+
+
+@st.composite
+def mixed_scalars(draw, ctx):
+    """Scalars with integral and non-integral coefficients side by side."""
+    value = draw(st.one_of(scalars(ctx), monomials(ctx)))
+    for _ in range(draw(st.integers(0, 2))):
+        value = value + draw(monomials(ctx))
+    return value * ctx.scalar(draw(_CONSTANTS.filter(bool)))
+
+
+_WIDER = ScalarContext(params=["lambda1", "mu2", "nu3"], roots={"sqrt2": 2})
+
+
+class TestCoefficientForm:
+    @given(a=mixed_scalars(_CTX), b=mixed_scalars(_CTX), k=_CONSTANTS, n=st.integers(0, 3))
+    def test_arithmetic_keeps_coefficient_form(self, a, b, k, n):
+        c = _CTX.scalar(k)
+        assert _in_coefficient_form(a) and _in_coefficient_form(c)
+        for x, y in ((a, b), (a, c), (c, a)):
+            product, total, difference = x * y, x + y, x - y
+            assert product.terms == naive_mul(_CTX, x, y)
+            assert total.terms == naive_add(_CTX, x, y)
+            assert difference.terms == naive_add(_CTX, x, y, -1)
+            for value in (product, total, difference, -x):
+                assert _in_coefficient_form(value)
+                assert str(value) == str(_as_fractions(value))
+        for value in (a * k, k * a, a + k, k + a, a - k, k - a):
+            assert _in_coefficient_form(value)
+        power, expected = a**n, _CTX.one.terms
+        for _ in range(n):
+            expected = naive_mul(_CTX, Scalar(_CTX, expected), a)
+        assert power.terms == expected
+        assert _in_coefficient_form(power)
+
+    @given(a=mixed_scalars(_CTX), k=_CONSTANTS, la=_small, mu=_small)
+    def test_substitute_rebase_and_parse_keep_coefficient_form(self, a, k, la, mu):
+        spot = a.substitute({"lambda1": k})
+        assert _in_coefficient_form(spot)
+        assign = {"lambda1": la, "mu2": mu}
+        root = {"sqrt2": sqrt_mod(2, _PRIME)}
+        k_mod = Fraction(k).numerator * pow(Fraction(k).denominator, -1, _PRIME) % _PRIME
+        assert eval_mod(spot, _PRIME, assign, root) == eval_mod(
+            a, _PRIME, {**assign, "lambda1": k_mod}, root
+        )
+        wide = a.rebase(_WIDER)
+        assert _in_coefficient_form(wide) and wide.terms == a.terms
+        parsed = _CTX.parse(str(a))
+        assert parsed.terms == a.terms and _in_coefficient_form(parsed)
+
+    @pytest.mark.parametrize(
+        "text, terms",
+        [
+            ("4/2", (((), 2),)),
+            ("-6/3*lambda1", (((("lambda1", 1),), -2),)),
+            ("1/2 + 1/2", (((), 1),)),
+            ("3/2*sqrt2 + 1/2*sqrt2", (((("sqrt2", 1),), 2),)),
+            ("1/2*sqrt(2)*sqrt(2)", (((), 1),)),
+            ("2/3", (((), Fraction(2, 3)),)),
+            ("7", (((), 7),)),
+        ],
+    )
+    def test_parsed_coefficients(self, text, terms):
+        value = _CTX.parse(text)
+        assert value.terms == terms and _in_coefficient_form(value)
+
+    def test_constructors_and_radicands(self):
+        for value in (_CTX.one, _CTX.param("mu2"), _CTX.root("sqrt2"), _CTX.scalar(Fraction(6, 3)),
+                      _CTX.scalar("10/5"), _CTX.scalar(True), _CTX.scalar(Fraction(1, 3))):
+            assert _in_coefficient_form(value)
+        half = ScalarContext(roots={"sqrthalf": "1/2", "sqrt3": Fraction(3)})
+        assert half.roots == {"sqrt3": 3, "sqrthalf": Fraction(1, 2)}
+        assert type(half.roots["sqrt3"]) is int
+        root = half.root("sqrthalf")
+        assert (root * half.scalar(2) * root).terms == (((), 1),)
+
+
 # -- radicand independence against the exhaustive subset walk ---------------------
 
 
