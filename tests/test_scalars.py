@@ -424,8 +424,8 @@ def _in_coefficient_form(value: Scalar) -> bool:
 
 
 def _as_fractions(value: Scalar) -> Scalar:
-    """``value`` with every coefficient a ``Fraction``, as the tower stored
-    them all before integral ones became ``int``; printing must agree."""
+    """``value`` with every coefficient a ``Fraction``: a non-canonical
+    twin whose printed form must equal the canonical one's."""
     return Scalar(value.context, tuple((m, Fraction(c)) for m, c in value.terms))
 
 
