@@ -749,6 +749,14 @@ def term_failures(
     position 0, once per slab for the others, whose maps are dropped before
     the next slab starts.  Sign tables between the axes and twist image
     tables are built once per call.
+
+    Before the first slab, one pass over the subtrees gives each its
+    support: the basis indices its values can have in any slab, read from
+    the nonzero cells and images of the data.  A term whose support is
+    empty is zero on every tuple and is dropped, once per call, before its
+    sign tables are built, so neither it nor a subtree that only dropped
+    terms use is ever evaluated.  This is exact because sums may cancel but
+    never create a component, so a support is a superset of the true one.
     """
     context = axes[0][1].context
     one = context.one
@@ -777,6 +785,23 @@ def term_failures(
             images[(aid, power)] = table
         return table
 
+    # Children are interned before their parents, so one forward pass gives
+    # each node its support.  A leaf's support follows the twist's columns,
+    # so the pass builds no image table.
+    support: list[set[int]] = []
+    for name, a, b, _ in nodes:
+        if name is None:
+            space, twist = distinct[a]
+            found = set(range(space.dim))
+            for _ in range(b):
+                found = {k for x in found for k, _ in twist.columns[x]}
+        elif b is None:
+            found = {k for x in support[a] for k, _ in ops[name][x]}
+        else:
+            right = support[b]
+            found = {k for x in support[a] for y, cell in ops[name][x] if y in right for k, _ in cell}
+        support.append(found)
+
     signs: dict[tuple[GroupElement, GroupElement], int] = {}
     tables: dict[tuple[int, int], list[list[int]]] = {}
 
@@ -801,6 +826,7 @@ def term_failures(
         [
             (coeff, root, order, tuple((sign_table(p, q), p, q) for p, q in pairs))
             for coeff, root, order, pairs in terms
+            if support[root]
         ]
         for terms in compiled
     ]

@@ -50,6 +50,11 @@ class AbelianGroup:
             raise ValueError(f"torsion moduli must be integers >= 2, got {self.torsion}")
         if not isinstance(self.free, int) or self.free < 0:
             raise ValueError(f"free rank must be a non-negative integer, got {self.free}")
+        # Every memo lookup in this module hashes the group, so hash it once.
+        object.__setattr__(self, "_hash", hash((self.torsion, self.free)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def rank(self) -> int:

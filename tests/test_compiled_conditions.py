@@ -7,6 +7,12 @@ brute-force scan, on perturbed regular bundles and perturbed matched pairs
 (annihilator patterns, and fixtures acting on themselves), and the two must
 agree in status, witness and defect.  On dense random actions, where most
 tuples fail, the plans must also give the reference defect on every tuple.
+The evaluator drops the terms whose support is empty; the catalogued
+identities are compared with ``tests/dense_oracle.py`` on annihilator
+patterns, where every nested product has an empty support, and on the same
+tables with one structure constant bumped; random plans on sparse random
+data are compared with their formula, tuple by tuple; and terms with a
+nonempty support that cancel must still pass.
 The sign tables rely on the commutation factor being bimultiplicative; that
 is tested in ``tests/test_grading.py``.
 """
@@ -16,6 +22,7 @@ from itertools import product
 from hypothesis import given, settings, strategies as st
 
 import homcolor as hc
+from homcolor import core
 from homcolor.constructions import (
     _MP_CONDITIONS,
     _MP_ROLE_SLOTS,
@@ -23,7 +30,20 @@ from homcolor.constructions import (
     MatchedPairData,
     MatchedPairKind,
 )
-from homcolor.core import LinearMap, action_rows, product_rows
+from homcolor.core import (
+    AlgebraPresentation,
+    BilinearProduct,
+    GradedSpace,
+    LinearMap,
+    action_rows,
+    first_failures,
+    operation,
+    positions,
+    product_rows,
+    twisted,
+)
+from homcolor.grading import trivial_grading
+from homcolor.identities import IDENTITY_CATALOG
 from homcolor.representations import (
     KIND_CONDITIONS as PLANS,
     KIND_PRODUCT_SLOTS,
@@ -31,11 +51,19 @@ from homcolor.representations import (
     BimoduleKind,
     regular_bundle,
 )
+from homcolor.scalars import ScalarContext
 
 from tests.conftest import load
+from tests.dense_oracle import DenseOracle
 from tests.reference_conditions import KIND_CONDITIONS, MP_CONDITIONS, BEval, MPEval
 from tests.test_properties import cross_action_family, pattern_algebra, pattern_pair
-from tests.util import assert_reports_failure, every_failure, smallest_failure
+from tests.util import (
+    assert_reports_failure,
+    every_failure,
+    graded_targets,
+    perturb,
+    smallest_failure,
+)
 
 FIXTURES = (
     "assoc_3dim.json",
@@ -249,3 +277,170 @@ def test_every_matched_pair_defect_matches_reference(kind, payload):
         for (label, defect), (_, terms) in zip(MP_CONDITIONS[kind], _MP_CONDITIONS[kind]):
             want = _reference_defects((A.dim, A.dim, A.dim), lambda t: defect(ev, *t))
             assert every_failure(terms, axes, ops, A.bichar) == want, label
+
+
+# -- terms whose support is empty --------------------------------------------
+
+
+@st.composite
+def pruned_inputs(draw):
+    """An annihilator-pattern algebra, on which every nested product has an
+    empty support, or the same tables with one grading-legal structure
+    constant bumped, so that the nested terms that fail get their support
+    from that one cell (cells with an annihilator input are drawn first)."""
+    A, n_u = draw(pattern_algebra(max_w=2))
+    if draw(st.booleans()):
+        cells = sorted(
+            ((role, i, j, k) for role in A.roles for i in range(A.dim) for j in range(A.dim)
+             for k in graded_targets(A, i, j)),
+            key=lambda cell: min(cell[1], cell[2]) >= n_u,
+        )
+        if cells:
+            role, i, j, k = draw(st.sampled_from(cells))
+            A = perturb(A, role, i, j, k, draw(st.sampled_from([1, -1, 2, "1/2"])))
+    return A
+
+
+@settings(max_examples=25)
+@given(A=pruned_inputs())
+def test_pruned_pass_matches_dense_oracle(A):
+    # Every catalogued identity in one pass (arity 4 only up to dim 3, to
+    # bound the oracle's dense scan), each against the oracle's smallest
+    # failing tuple and its defect there.
+    specs = [spec for spec in IDENTITY_CATALOG.values() if spec.arity < 4 or A.dim <= 3]
+    plans = [(spec.terms, spec.defaults) for spec in specs]
+    ops = {role: product_rows(A.product(role)) for role in A.roles}
+    axes = ((A.space, A.alpha),) * max(spec.arity for spec in specs)
+    oracle = DenseOracle(A)
+    for spec, (first, _) in zip(specs, first_failures(plans, axes, ops, A.bichar)):
+        roles = dict(spec.defaults)
+        t = oracle.check(spec.tag, roles, spec.arity)
+        if t is None:
+            assert first is None, spec.tag
+        else:
+            defect = oracle.defect(spec.tag, roles, t)
+            assert first == (t, {k: s for k, s in enumerate(defect) if s.terms}), spec.tag
+
+
+_entry = st.sampled_from([1, -1, 2])
+
+
+def _sparse_map(draw, space, ctx):
+    return LinearMap(space, space, ctx, [
+        {k: ctx.scalar(draw(_entry)) for k in range(space.dim) if not draw(st.integers(0, 3))}
+        for _ in range(space.dim)
+    ])
+
+
+def _sparse_product(draw, space, ctx):
+    n = space.dim
+    return BilinearProduct(space, ctx, {
+        (i, j): {k: ctx.scalar(draw(_entry)) for k in range(n) if not draw(st.integers(0, 2))}
+        for i, j in product(range(n), repeat=2) if not draw(st.integers(0, 2))
+    })
+
+
+def _random_tree(draw, held):
+    """A tree holding the positions ``held``: leaves with twist powers 0-2
+    and bilinear nodes ``a`` and ``b``, each maybe under the map ``f``."""
+    if len(held) == 1:
+        tree = (held[0], draw(st.integers(0, 2)))
+    else:
+        k = draw(st.integers(1, len(held) - 1))
+        tree = (draw(st.sampled_from("ab")), _random_tree(draw, held[:k]), _random_tree(draw, held[k:]))
+    return ("f", tree) if not draw(st.integers(0, 2)) else tree
+
+
+@settings(max_examples=100)
+@given(payload=st.data())
+def test_random_plans_on_sparse_data_match_the_tree_formula(payload):
+    # Sparse random twist, map and products (trivial grading, so every cell
+    # is legal), and one to three random terms, maybe with the negation of
+    # the first: every failing tuple and its sum must be what the terms'
+    # formula gives, tuple by tuple.
+    draw = payload.draw
+    group, bichar = trivial_grading()
+    ctx = ScalarContext()
+    n, arity = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    space = GradedSpace(group, [f"e{i}" for i in range(n)], [[] for _ in range(n)])
+    alpha, f = _sparse_map(draw, space, ctx), _sparse_map(draw, space, ctx)
+    products = {name: _sparse_product(draw, space, ctx) for name in "ab"}
+    terms = [
+        (draw(_entry), (), _random_tree(draw, draw(st.permutations(range(arity)))))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    if draw(st.booleans()):
+        terms.append((-terms[0][0], (), terms[0][2]))
+
+    def value(tree, t):
+        if not isinstance(tree[0], str):
+            vec = {t[tree[0]]: ctx.one}
+            for _ in range(tree[1]):
+                vec = alpha.apply(vec)
+            return vec
+        if len(tree) == 2:
+            return f.apply(value(tree[1], t))
+        return core._mul(products[tree[0]].table, value(tree[1], t), value(tree[2], t))
+
+    want = {}
+    for t in product(range(n), repeat=arity):
+        total = {}
+        for coeff, _, tree in terms:
+            total = core.vec_add(total, core.vec_scale(ctx.scalar(coeff), value(tree, t)))
+        if total:
+            want[t] = total
+    ops = {"a": product_rows(products["a"]), "b": product_rows(products["b"]), "f": f.columns}
+    assert every_failure(tuple(terms), ((space, alpha),) * arity, ops, bichar) == want
+
+
+def test_a_map_node_support_follows_its_columns():
+    # e0 .a e0 = e1, f(e1) = e2 and e2 .b e0 = e2: f(x .a y) .b z is e2 at
+    # (e0, e0, e0), reached only through f's column of e1, which leaves the
+    # support {e1} of x .a y.
+    group, bichar = trivial_grading()
+    ctx = ScalarContext()
+    space = GradedSpace(group, ["e0", "e1", "e2"], [[], [], []])
+    one = ctx.one
+    f = LinearMap(space, space, ctx, [{}, {2: one}, {}])
+    ops = {
+        "a": product_rows(BilinearProduct(space, ctx, {(0, 0): {1: one}})),
+        "b": product_rows(BilinearProduct(space, ctx, {(2, 0): {2: one}})),
+        "f": f.columns,
+    }
+    x, y, z = positions(3)
+    a, b, g = (operation(name) for name in "abf")
+    axes = ((space, LinearMap.identity(space, ctx)),) * 3
+    assert every_failure(((1, (), b(g(a(x, y)), z)),), axes, ops, bichar) == {(0, 0, 0): {2: one}}
+
+
+def test_terms_with_a_support_that_cancel_still_pass(monkeypatch):
+    # e0.e2 = e2.e0 = e2 and e1.e2 = e2.e1 = -e2, with alpha(e0) = e0 + e1
+    # and alpha(e1) = alpha(e2) = 0.  alpha(x).y has the support {e2}, but
+    # alpha(e0).e2 = e2 - e2 = 0 inside the join; x.y - y.x has the support
+    # {e2} in both terms, which cancel.  The pass evaluates them and passes.
+    group, bichar = trivial_grading()
+    ctx = ScalarContext()
+    space = GradedSpace(group, ["e0", "e1", "e2"], [[], [], []])
+    one, minus = ctx.scalar(1), ctx.scalar(-1)
+    dot = BilinearProduct(space, ctx, {
+        (0, 2): {2: one}, (2, 0): {2: one}, (1, 2): {2: minus}, (2, 1): {2: minus},
+    })
+    alpha = LinearMap(space, space, ctx, [{0: one, 1: one}, {}, {}])
+    A = AlgebraPresentation(space, bichar, ctx, {"dot": dot}, alpha)
+    x, y = positions(2)
+    a = operation("a")
+    plans = [
+        (((1, (), a(twisted(x), y)),), (("a", "dot"),)),
+        (((1, (), a(x, y)), (-1, (), a(y, x))), (("a", "dot"),)),
+    ]
+    joins = []
+    join = core._join
+    monkeypatch.setattr(core, "_join", lambda *args: joins.append(1) or join(*args))
+    axes = ((A.space, A.alpha),) * 2
+    settled = first_failures(plans, axes, {"dot": product_rows(dot)}, A.bichar)
+    assert [first for first, _ in settled] == [None, None]
+    assert joins
+    # The same plans fail once the cancellation is broken.
+    B = perturb(A, "dot", 1, 2, 2, 1)
+    settled = first_failures(plans, axes, {"dot": product_rows(B.product("dot"))}, B.bichar)
+    assert [first for first, _ in settled] == [((0, 2), {2: one}), ((1, 2), {2: one})]

@@ -231,3 +231,24 @@ class TestMemoisedArithmetic:
             info = memo.cache_info()
             assert info.maxsize == grading.MEMO_SIZE
             assert info.currsize <= info.maxsize
+
+    @given(data=groups_with_coordinates())
+    def test_equal_groups_hash_equal_and_share_the_memos(self, data):
+        group, a, b = data
+        twin = AbelianGroup(torsion=tuple(list(group.torsion)), free=group.free)
+        assert twin is not group and twin == group
+        assert hash(twin) == hash(group) == hash((group.torsion, group.free))
+        assert len({group, twin}) == 1
+        group.add(tuple(a), tuple(b))  # fills the memo through ``group``
+        for _ in range(2):  # hits through an equal group
+            assert twin.element(a) == _reduced(group, a)
+            assert twin.add(tuple(a), tuple(b)) == _reduced(group, [x + y for x, y in zip(a, b)])
+        other = AbelianGroup(torsion=group.torsion, free=group.free + 1)
+        assert other != group and other.element(a + [1]) == _reduced(other, a + [1])
+
+    def test_group_stays_frozen_with_its_cached_hash(self):
+        group = AbelianGroup(torsion=(2,), free=1)
+        with pytest.raises(AttributeError):
+            group.free = 2
+        assert repr(group) == "AbelianGroup(torsion=(2,), free=1)"
+        assert hash(group) == hash(AbelianGroup(torsion=(2,), free=1))

@@ -8,13 +8,16 @@ of one.  The two must give the same report for every member: status,
 witness, defect, roles, detail and preconditions.  Inputs are fixtures and
 generated pattern algebras with up to three perturbed structure constants,
 so that an early member often fails in one slab while later members fail
-in another or pass.
+in another or pass.  On an annihilator pattern the pass builds no map of a
+term that is zero on every tuple.
 """
 
 from hypothesis import given, settings, strategies as st
 
 import homcolor as hc
-from homcolor.core import LinearMap
+from homcolor import core
+from homcolor.core import AlgebraPresentation, BilinearProduct, GradedSpace, LinearMap
+from homcolor.grading import trivial_grading
 from homcolor.identities import (
     SUITE_MEMBERS,
     _GI_MEMBERS,
@@ -22,6 +25,7 @@ from homcolor.identities import (
     check_identity,
     required_roles,
 )
+from homcolor.scalars import ScalarContext
 
 from tests.conftest import load
 from tests.test_properties import pattern_algebra
@@ -124,3 +128,32 @@ def test_gi_members_failing_in_different_slabs():
     suite = _suite_report(A, "gi", _GI_MEMBERS, frozenset({"dot", "bracket"}), None)
     assert [c.to_dict() for c in suite.checks] == members_one_by_one(A, _GI_MEMBERS)
     assert [c.witness[0] if c.witness else None for c in suite.checks] == ["e1", None, None, "e3"]
+
+
+def _annihilator_pattern():
+    """u0, u1 multiply everything to zero; wi.wj = wj.wi = (i + j + 1)
+    u_{(i + j) mod 2}, and the twist is 4 on the u's and 2 on the w's."""
+    group, bichar = trivial_grading()
+    ctx = ScalarContext()
+    names = ["u0", "u1", "w0", "w1", "w2", "w3"]
+    space = GradedSpace(group, names, [[] for _ in names])
+    dot = {
+        (2 + i, 2 + j): {(i + j) % 2: ctx.scalar(i + j + 1)} for i in range(4) for j in range(4)
+    }
+    alpha = LinearMap(space, space, ctx, [{i: ctx.scalar(4 if i < 2 else 2)} for i in range(6)])
+    return AlgebraPresentation(space, bichar, ctx, {"dot": BilinearProduct(space, ctx, dot)}, alpha)
+
+
+def test_terms_zero_on_every_tuple_are_never_joined(monkeypatch):
+    # Every nested product lands on u0 or u1 and then vanishes, so every
+    # term of HOM_ASSOC, NOVIKOV_LSYM and NOVIKOV_RCOMM has an empty support
+    # and is dropped before the first slab; only EPS_COMM's single products
+    # x.y and y.x are joined, once per slab each.
+    A = _annihilator_pattern()
+    joins = []
+    join = core._join
+    monkeypatch.setattr(core, "_join", lambda *args: joins.append(1) or join(*args))
+    assert hc.run_suite(A, hc.StructureKind.HOM_NOVIKOV).passed
+    assert len(joins) == 0
+    assert hc.run_suite(A, hc.StructureKind.EPS_COMM_ASSOC).passed
+    assert len(joins) == 2 * A.dim
