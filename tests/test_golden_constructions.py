@@ -1,0 +1,142 @@
+"""Golden construction outputs: the sha256 of ``json.dumps(dump_presentation(P),
+indent=2)`` for every construction case over the fixtures, or the exception
+class and message of a refused case, compared with
+``tests/golden_constructions.json``.
+
+Regenerate the file (only when an output is meant to change) with::
+
+    PYTHONPATH=src python tests/test_golden_constructions.py --write
+"""
+
+import functools
+import hashlib
+import json
+import pathlib
+import sys
+
+import pytest
+
+import homcolor as hc
+from homcolor.constructions import _MP_SUM_KIND, MatchedPairData, MatchedPairKind
+from homcolor.reports import PreconditionError
+from homcolor.representations import KIND_PRODUCT_SLOTS, BimoduleKind, regular_bundle
+from homcolor.serialize import LoadError, dump_presentation, load_presentation_file
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden_constructions.json"
+
+
+@functools.cache
+def _fixtures() -> dict:
+    """Every loadable fixture by file name: (presentation, module bundle)."""
+    out = {}
+    for path in sorted((ROOT / "fixtures").glob("*.json")):
+        if path.name == "manifest.json":
+            continue
+        try:
+            out[path.name] = load_presentation_file(path)
+        except LoadError:
+            continue
+    return out
+
+
+def _applicable(P, kind: BimoduleKind) -> bool:
+    return set(KIND_PRODUCT_SLOTS[kind].values()) <= set(P.roles)
+
+
+def _first_ideal(P) -> list[str]:
+    """The first basis element whose span is an ideal, else the last one
+    (a refused quotient)."""
+    for name in P.names:
+        if hc.is_ideal(P, [name]).passed:
+            return [name]
+    return [P.names[-1]]
+
+
+def _self_pair(P, kind: MatchedPairKind) -> MatchedPairData:
+    bundle = regular_bundle(P, _MP_SUM_KIND[kind])
+    return MatchedPairData(P, P, bundle, bundle)
+
+
+@functools.cache
+def cases() -> dict:
+    """Case id -> a call that builds the case's presentation."""
+    out = {}
+    fixtures = _fixtures()
+    for name, (P, module) in fixtures.items():
+        for role in P.roles:
+            out[f"{name} commutator {role}"] = lambda P=P, role=role: hc.commutator_bracket(
+                P, role, "commutator"
+            )
+        out[f"{name} yau_twist forced"] = lambda P=P: hc.yau_twist(P, P.alpha, force=True)
+        for type_ in (1, 2):
+            for n in (1, 2, 3):
+                out[f"{name} derived type {type_} n {n} forced"] = (
+                    lambda P=P, t=type_, n=n: hc.derived_algebra(P, t, n, force=True)
+                )
+        for kind in BimoduleKind:
+            if not _applicable(P, kind):
+                continue
+            for force in (False, True):
+                out[f"{name} semidirect regular {kind.value} force={force}"] = (
+                    lambda P=P, k=kind, f=force: hc.semidirect_sum(P, regular_bundle(P, k), k, force=f)
+                )
+                if module is not None:
+                    out[f"{name} semidirect module {kind.value} force={force}"] = (
+                        lambda P=P, M=module, k=kind, f=force: hc.semidirect_sum(P, M, k, force=f)
+                    )
+        for kind in MatchedPairKind:
+            if not _applicable(P, _MP_SUM_KIND[kind]):
+                continue
+            for force in (False, True):
+                out[f"{name} double {kind.value} force={force}"] = (
+                    lambda P=P, k=kind, f=force: hc.matched_pair_double(_self_pair(P, k), k, force=f)
+                )
+        out[f"{name} quotient"] = lambda P=P: hc.quotient(P, _first_ideal(P))
+    for left, (L, _) in fixtures.items():
+        for right, (R, _) in fixtures.items():
+            if L.context == R.context:
+                out[f"{left} tensor {right}"] = lambda L=L, R=R: hc.tensor_product(L, R)
+    # Two slots bound to one role: the later slot's table replaces the earlier.
+    out["hnp_4dim.json semidirect regular hnp_bimodule novikov=dot forced"] = lambda: _shared_role_sum(
+        fixtures["hnp_4dim.json"][0]
+    )
+    return out
+
+
+def _shared_role_sum(P):
+    roles = {"novikov": "dot"}
+    bundle = regular_bundle(P, BimoduleKind.HNP_BIMODULE, roles)
+    return hc.semidirect_sum(P, bundle, BimoduleKind.HNP_BIMODULE, roles, force=True)
+
+
+def outcome(build) -> dict:
+    """The sha256 of the built presentation's dump, or the refusal."""
+    try:
+        P = build()
+    except (PreconditionError, ValueError, KeyError) as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+    text = json.dumps(dump_presentation(P), indent=2)
+    return {"sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+@functools.cache
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text())["cases"]
+
+
+def test_golden_file_covers_every_case():
+    assert list(_golden()) == list(cases())
+
+
+@pytest.mark.parametrize("case", list(cases()))
+def test_construction_matches_golden(case):
+    assert outcome(cases()[case]) == _golden()[case]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden_constructions.py --write")
+    doc = {"format": 1, "cases": {case: outcome(build) for case, build in cases().items()}}
+    GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {GOLDEN}")
