@@ -104,6 +104,8 @@ def cmd_check(args) -> int:
 
 # Input files each construction reads; every other one reads one.
 _CONSTRUCT_INPUTS = {"tensor": 2}
+# The --kind choices of the constructions that read one.
+_CONSTRUCT_KINDS = {"semidirect": BIMODULE_KINDS, "matched-pair": MATCHED_KINDS}
 
 
 def cmd_construct(args) -> int:
@@ -120,6 +122,15 @@ def cmd_construct(args) -> int:
             raise LoadError(
                 f"unknown --verify suite {args.verify!r}; choose one of {', '.join(suites)}"
             )
+    kinds = _CONSTRUCT_KINDS.get(name)
+    if kinds and args.kind is not None and args.kind not in kinds:
+        raise LoadError(
+            f"unknown --kind {args.kind!r} for construct {name}; "
+            f"choose one of {', '.join(sorted(kinds))}"
+        )
+    ideal = [n.strip() for n in args.ideal.split(",")]
+    if name == "quotient" and not all(ideal):
+        raise LoadError(f"construct quotient needs --ideal NAME[,NAME...], got {args.ideal!r}")
     if name == "matched-pair":
         pair = load_matched_pair_file(args.inputs[0])
         result = matched_pair_double(pair, MATCHED_KINDS[args.kind or "hnp"], force=args.force)
@@ -150,7 +161,7 @@ def cmd_construct(args) -> int:
             other, _ = load_presentation_file(args.inputs[1])
             result = tensor_product(presentation, other, force=args.force)
         elif name == "quotient":
-            result = quotient(presentation, [n.strip() for n in args.ideal.split(",")])
+            result = quotient(presentation, ideal)
         elif name == "derivation-product":
             if not args.map:
                 raise LoadError("derivation-product needs --map FILE")

@@ -5,13 +5,26 @@ raises :class:`~homcolor.reports.PreconditionError` carrying the failing
 reports when they do not hold; constructions that are still meaningful on
 raw data accept ``force=True`` to build anyway, so the theorems can also be
 probed contrapositively.
+
+Semidirect sums and matched-pair doubles share one direct-sum builder.  A
+bundle of actions of one side on the other adds the cross cells of each
+product slot, for x a basis element of the acting side and y one of the
+side acted on:
+
+    assoc:    x.y = s_x(y)      y.x = eps(y, x) s_x(y)
+    novikov:  x.y = l_x(y)      y.x = r_x(y)
+    lie:      x.y = rho_x(y)    y.x = -eps(y, x) rho_x(y)
+
+The matched-pair double A (+) B keeps both sides' products and adds the
+cells of both cross bundles.  The semidirect sum A (+) V is the double in
+which V has the zero product and does not act back on A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .core import (
     AlgebraPresentation,
@@ -31,12 +44,16 @@ from .core import (
     positions,
     product_rows,
     twisted,
-    vec_neg,
-    vec_sub,
 )
 from .identities import StructureKind, run_suite
 from .reports import FAIL, PASS, CheckReport, PreconditionError, SuiteReport
-from .representations import ActionBundle, BimoduleKind, check_bimodule
+from .representations import (
+    KIND_PRODUCT_SLOTS,
+    ActionBundle,
+    BimoduleKind,
+    _resolve_slots,
+    check_bimodule,
+)
 from .scalars import Scalar
 
 __all__ = [
@@ -55,6 +72,9 @@ __all__ = [
     "is_ideal",
     "novikov_from_derivation",
 ]
+
+# A table cell or a map column: (basis index, coefficient) pairs.
+Pairs = Iterable[tuple[int, Scalar]]
 
 
 def _accumulate(
@@ -87,15 +107,12 @@ def commutator_bracket(
     product = presentation.product(from_role)
     if to_role in presentation.products:
         raise ValueError(f"presentation already has a product {to_role!r}")
+    # Cell (i, j) of o adds e_i o e_j to [e_i, e_j] and -eps(j, i) e_i o e_j to [e_j, e_i].
+    signs = presentation.sign_table()
     entries: dict[tuple[int, int], dict[int, Scalar]] = {}
-    n = presentation.dim
-    for i in range(n):
-        for j in range(n):
-            straight = dict(product.mul_basis(i, j))
-            swapped = dict(product.mul_basis(j, i))
-            sign = presentation.eps(i, j)
-            vec = vec_sub(straight, swapped if sign == 1 else vec_neg(swapped))
-            _accumulate(entries, i, j, vec)
+    for (i, j), cell in product.table.items():
+        _accumulate(entries, i, j, dict(cell))
+        _accumulate(entries, j, i, {k: -s for k, s in cell} if signs[j][i] == 1 else dict(cell))
     bracket = BilinearProduct(presentation.space, presentation.context, entries)
     products = dict(presentation.products)
     products[to_role] = bracket
@@ -119,13 +136,7 @@ def yau_twist(
     morphism = is_morphism(twist, presentation, presentation)
     if not morphism.passed and not force:
         raise PreconditionError("twist map is not a verified morphism", (morphism,))
-    products = {}
-    for role, product in presentation.products.items():
-        entries: dict[tuple[int, int], dict[int, Scalar]] = {}
-        for (i, j), cell in product.table.items():
-            _accumulate(entries, i, j, twist.apply(dict(cell)))
-        products[role] = BilinearProduct(presentation.space, presentation.context, entries)
-    return presentation.with_products(products, alpha=twist.compose(presentation.alpha))
+    return _composed(presentation, twist, twist.compose(presentation.alpha))
 
 
 def derived_algebra(
@@ -149,17 +160,33 @@ def derived_algebra(
             "derived algebras assume a multiplicative twist", tuple(failed)
         )
     k = n if type_ == 1 else 2**n - 1
-    power = presentation.alpha.power(k)
-    products = {}
-    for role, product in presentation.products.items():
-        entries: dict[tuple[int, int], dict[int, Scalar]] = {}
-        for (i, j), cell in product.table.items():
-            _accumulate(entries, i, j, power.apply(dict(cell)))
-        products[role] = BilinearProduct(presentation.space, presentation.context, entries)
-    return presentation.with_products(products, alpha=presentation.alpha.power(k + 1))
+    return _composed(presentation, presentation.alpha.power(k), presentation.alpha.power(k + 1))
 
 
-# -- direct sums: space plumbing -------------------------------------------------
+def _composed(
+    presentation: AlgebraPresentation, m: LinearMap, alpha: LinearMap
+) -> AlgebraPresentation:
+    """Every product composed with ``m``, x o' y = m(x o y), and the twist ``alpha``."""
+    products = {
+        role: BilinearProduct(
+            presentation.space,
+            presentation.context,
+            {key: m.apply(dict(cell)) for key, cell in product.table.items()},
+        )
+        for role, product in presentation.products.items()
+    }
+    return presentation.with_products(products, alpha=alpha)
+
+
+# -- direct sums -------------------------------------------------------------------
+
+# The cross rule of the module docstring, per product slot: the action giving
+# x.y, the action giving y.x, and the sign of y.x as a function of eps(y, x).
+_CROSS_RULE: dict[str, tuple[str, str, Callable[[int], int]]] = {
+    "assoc": ("s", "s", lambda e: e),
+    "novikov": ("l", "r", lambda e: 1),
+    "lie": ("rho", "rho", lambda e: -e),
+}
 
 
 def _join_spaces(
@@ -179,29 +206,47 @@ def _join_spaces(
     return GradedSpace(left.group, names, degrees), left.dim
 
 
-def _shift(vec: Vec, offset: int) -> Vec:
-    return {k + offset: s for k, s in vec.items()}
+def _shift(pairs: Pairs, offset: int, sign: int = 1) -> Vec:
+    return {k + offset: s if sign == 1 else -s for k, s in pairs}
 
 
-def _block_map(left: LinearMap, right: LinearMap, space: GradedSpace, offset: int) -> LinearMap:
-    columns: list[Vec] = []
-    for i in range(left.source.dim):
-        columns.append(left.image(i))
-    for j in range(right.source.dim):
-        columns.append(_shift(right.image(j), offset))
-    return LinearMap(space, space, left.context, columns)
+def _direct_sum(
+    A: AlgebraPresentation,
+    bundles: tuple[ActionBundle, ...],
+    slots: Mapping[str, str],
+    right_suffix: str,
+    B: AlgebraPresentation | None = None,
+) -> AlgebraPresentation:
+    """A (+) V, V the module of ``bundles[0]``, with the products bound to
+    ``slots`` and the twist alpha (+) beta.
 
-
-# -- semidirect sums ---------------------------------------------------------------
-
-# Output product layout per bimodule kind: (product slot, cross-term style).
-_SUM_PLAN: dict[BimoduleKind, tuple[tuple[str, str], ...]] = {
-    BimoduleKind.ASSOC_BIMODULE: (("assoc", "assoc"),),
-    BimoduleKind.NOVIKOV_BIMODULE: (("novikov", "novikov"),),
-    BimoduleKind.LIE_REP: (("lie", "lie"),),
-    BimoduleKind.HNP_BIMODULE: (("assoc", "assoc"), ("novikov", "novikov")),
-    BimoduleKind.GD_REP: (("novikov", "novikov"), ("lie", "lie")),
-}
+    For a double, ``B`` is V's presentation and ``bundles[1]`` the actions of
+    B on A; without ``B``, V multiplies to zero.  When two slots are bound to
+    one role, the later slot's table replaces the earlier one.
+    """
+    space, offset = _join_spaces(A.space, bundles[0].module, right_suffix)
+    sign, degree = A.bichar.sign, space.degree
+    products: dict[str, BilinearProduct] = {}
+    for slot, role in slots.items():
+        entries = {key: dict(cell) for key, cell in A.product(role).table.items()}
+        if B is not None:
+            for (i, j), cell in B.product(role).table.items():
+                entries[(offset + i, offset + j)] = _shift(cell, offset)
+        left, right, factor = _CROSS_RULE[slot]
+        for bundle, x0, y0 in zip(bundles, (0, offset), (offset, 0)):
+            for x, op in enumerate(bundle.actions[left]):
+                for y, column in enumerate(op.columns):
+                    _accumulate(entries, x0 + x, y0 + y, _shift(column, y0))
+            for x, op in enumerate(bundle.actions[right]):
+                for y, column in enumerate(op.columns):
+                    if column:
+                        f = factor(sign(degree(y0 + y), degree(x0 + x)))
+                        _accumulate(entries, y0 + y, x0 + x, _shift(column, y0, f))
+        products[role] = BilinearProduct(space, A.context, entries)
+    columns = [dict(c) for c in A.alpha.columns]
+    columns += [_shift(c, offset) for c in bundles[0].beta.columns]
+    alpha = LinearMap(space, space, A.context, columns)
+    return AlgebraPresentation(space, A.bichar, A.context, products, alpha)
 
 
 def semidirect_sum(
@@ -216,47 +261,10 @@ def semidirect_sum(
     The module side multiplies to zero; the twist is the block sum of the
     twist and beta.  Requires the bundle to pass ``check_bimodule`` first.
     """
-    from .representations import _resolve_slots
-
     report = check_bimodule(presentation, bundle, kind, product_roles)
     if not report.passed and not force:
         raise PreconditionError("bundle fails the bimodule conditions", (report,))
-    slots = _resolve_slots(kind, product_roles)
-    space, offset = _join_spaces(presentation.space, bundle.module, "_v")
-    nA, nV = presentation.dim, bundle.module.dim
-    ctx = presentation.context
-
-    products: dict[str, BilinearProduct] = {}
-    for slot, style in _SUM_PLAN[kind]:
-        role = slots[slot]
-        entries: dict[tuple[int, int], dict[int, Scalar]] = {}
-        for (i, j), cell in presentation.product(role).table.items():
-            _accumulate(entries, i, j, dict(cell))
-        for i in range(nA):
-            for v in range(nV):
-                if style == "assoc":
-                    sv = bundle.act("s", i, {v: ctx.one})
-                    _accumulate(entries, i, offset + v, _shift(sv, offset))
-                    sign = presentation.eps_deg(bundle.module.degree(v), presentation.space.degree(i))
-                    _accumulate(
-                        entries, offset + v, i,
-                        _shift(sv if sign == 1 else vec_neg(sv), offset),
-                    )
-                elif style == "novikov":
-                    _accumulate(entries, i, offset + v, _shift(bundle.act("l", i, {v: ctx.one}), offset))
-                    _accumulate(entries, offset + v, i, _shift(bundle.act("r", i, {v: ctx.one}), offset))
-                else:
-                    _accumulate(entries, i, offset + v, _shift(bundle.act("rho", i, {v: ctx.one}), offset))
-                    rv = bundle.act("rho", i, {v: ctx.one})
-                    sign = presentation.eps_deg(bundle.module.degree(v), presentation.space.degree(i))
-                    _accumulate(
-                        entries, offset + v, i,
-                        _shift(vec_neg(rv) if sign == 1 else rv, offset),
-                    )
-        products[role] = BilinearProduct(space, ctx, entries)
-
-    alpha = _block_map(presentation.alpha, bundle.beta, space, offset)
-    return AlgebraPresentation(space, presentation.bichar, ctx, products, alpha)
+    return _direct_sum(presentation, (bundle,), _resolve_slots(kind, product_roles), "_v")
 
 
 # -- matched pairs -----------------------------------------------------------------
@@ -564,77 +572,14 @@ def matched_pair_double(
     kind: MatchedPairKind,
     force: bool = False,
 ) -> AlgebraPresentation:
-    """The double: direct sum carrying the matched-pair product formulas."""
+    """The double A (+) B: each side keeps its products, and both cross
+    bundles add their cells by the cross rule."""
     report = check_matched_pair(pair, kind)
     if not report.passed and not force:
         raise PreconditionError("matched-pair conditions fail", (report,))
 
-    A, B = pair.a, pair.b
-    ctx = A.context
-    space, offset = _join_spaces(A.space, B.space, "_b")
-    slots = _MP_ROLE_SLOTS[kind]
-
-    plan: list[tuple[str, str]] = []
-    if kind in (MatchedPairKind.ASSOC, MatchedPairKind.HNP):
-        plan.append((slots["dot"], "assoc"))
-    if kind in (MatchedPairKind.NOVIKOV, MatchedPairKind.GD):
-        plan.append((slots["novikov"], "novikov"))
-    if kind is MatchedPairKind.HNP:
-        plan.append((slots["novikov"], "novikov"))
-    if kind in (MatchedPairKind.LIE, MatchedPairKind.GD):
-        plan.append((slots["bracket"], "lie"))
-
-    def eps_ab(i: int, j: int) -> int:
-        return A.eps_deg(A.space.degree(i), B.space.degree(j))
-
-    def eps_ba(j: int, i: int) -> int:
-        return A.eps_deg(B.space.degree(j), A.space.degree(i))
-
-    products: dict[str, BilinearProduct] = {}
-    for role, style in plan:
-        entries: dict[tuple[int, int], dict[int, Scalar]] = {}
-        for (i, j), cell in A.product(role).table.items():
-            _accumulate(entries, i, j, dict(cell))
-        for (i, j), cell in B.product(role).table.items():
-            _accumulate(entries, offset + i, offset + j, _shift(dict(cell), offset))
-        for i in range(A.dim):
-            for j in range(B.dim):
-                bi, bj = {i: ctx.one}, {j: ctx.one}
-                if style == "assoc":
-                    ab_part = pair.ab.act_by("s", bi, bj)
-                    ba_part = pair.ba.act_by("s", bj, bi)
-                    _accumulate(entries, i, offset + j, _shift(ab_part, offset))
-                    _accumulate(
-                        entries, i, offset + j,
-                        ba_part if eps_ab(i, j) == 1 else vec_neg(ba_part),
-                    )
-                    _accumulate(entries, offset + j, i, ba_part)
-                    _accumulate(
-                        entries, offset + j, i,
-                        _shift(ab_part if eps_ba(j, i) == 1 else vec_neg(ab_part), offset),
-                    )
-                elif style == "novikov":
-                    _accumulate(entries, i, offset + j, _shift(pair.ab.act_by("l", bi, bj), offset))
-                    _accumulate(entries, i, offset + j, pair.ba.act_by("r", bj, bi))
-                    _accumulate(entries, offset + j, i, pair.ba.act_by("l", bj, bi))
-                    _accumulate(entries, offset + j, i, _shift(pair.ab.act_by("r", bi, bj), offset))
-                else:
-                    rho_ab = pair.ab.act_by("rho", bi, bj)
-                    rho_ba = pair.ba.act_by("rho", bj, bi)
-                    _accumulate(entries, i, offset + j, _shift(rho_ab, offset))
-                    _accumulate(
-                        entries, i, offset + j,
-                        vec_neg(rho_ba) if eps_ab(i, j) == 1 else rho_ba,
-                    )
-                    _accumulate(entries, offset + j, i, rho_ba)
-                    _accumulate(
-                        entries, offset + j, i,
-                        _shift(vec_neg(rho_ab) if eps_ba(j, i) == 1 else rho_ab, offset),
-                    )
-        products[role] = BilinearProduct(space, ctx, entries)
-
-    alpha = _block_map(A.alpha, B.alpha, space, offset)
-    return AlgebraPresentation(space, A.bichar, ctx, products, alpha)
+    slots = KIND_PRODUCT_SLOTS[_MP_SUM_KIND[kind]]
+    return _direct_sum(pair.a, (pair.ab, pair.ba), slots, "_b", pair.b)
 
 
 # -- tensor products ---------------------------------------------------------------
@@ -685,43 +630,33 @@ def tensor_product(
     def idx(p1: int, p2: int) -> int:
         return p1 * nR + p2
 
-    def pair_vec(v1: Vec, v2: Vec, sign: int) -> Vec:
+    def pair_vec(v1: Pairs, v2: Pairs, sign: int) -> Vec:
         out: Vec = {}
-        for k1, c1 in v1.items():
-            for k2, c2 in v2.items():
+        for k1, c1 in v1:
+            for k2, c2 in v2:
                 s = c1 * c2
                 out[idx(k1, k2)] = s if sign == 1 else -s
         return out
 
-    dot_entries: dict[tuple[int, int], dict[int, Scalar]] = {}
-    dia_entries: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for p1 in range(nL):
-        for p2 in range(nR):
-            for q1 in range(nL):
-                for q2 in range(nR):
+    def cross(*factors) -> dict[tuple[int, int], dict[int, Scalar]]:
+        """(e_p1 e_p2)(e_q1 e_q2) = eps(p2, q1) (e_p1 e_q1)(e_p2 e_q2), summed
+        over every pair of nonzero cells of each pair of factor tables."""
+        entries: dict[tuple[int, int], dict[int, Scalar]] = {}
+        for t1, t2 in factors:
+            for (p1, q1), c1 in t1.items():
+                for (p2, q2), c2 in t2.items():
                     sign = left.eps_deg(right.space.degree(p2), left.space.degree(q1))
-                    d1 = left.mul_basis("dot", p1, q1)
-                    d2 = right.mul_basis("dot", p2, q2)
-                    s1 = left.mul_basis("diamond", p1, q1)
-                    s2 = right.mul_basis("diamond", p2, q2)
-                    i, j = idx(p1, p2), idx(q1, q2)
-                    if d1 and d2:
-                        _accumulate(dot_entries, i, j, pair_vec(d1, d2, sign))
-                    if s1 and d2:
-                        _accumulate(dia_entries, i, j, pair_vec(s1, d2, sign))
-                    if d1 and s2:
-                        _accumulate(dia_entries, i, j, pair_vec(d1, s2, sign))
+                    _accumulate(entries, idx(p1, p2), idx(q1, q2), pair_vec(c1, c2, sign))
+        return entries
 
-    alpha_columns = []
-    for p1 in range(nL):
-        a1 = left.alpha_image(p1)
-        for p2 in range(nR):
-            alpha_columns.append(pair_vec(a1, right.alpha_image(p2), 1))
-    alpha = LinearMap(space, space, ctx, alpha_columns)
+    dot1, dot2 = left.product("dot").table, right.product("dot").table
+    dia1, dia2 = left.product("diamond").table, right.product("diamond").table
     products = {
-        "dot": BilinearProduct(space, ctx, dot_entries),
-        "diamond": BilinearProduct(space, ctx, dia_entries),
+        "dot": BilinearProduct(space, ctx, cross((dot1, dot2))),
+        "diamond": BilinearProduct(space, ctx, cross((dia1, dot2), (dot1, dia2))),
     }
+    alpha_columns = [pair_vec(c1, c2, 1) for c1 in left.alpha.columns for c2 in right.alpha.columns]
+    alpha = LinearMap(space, space, ctx, alpha_columns)
     return AlgebraPresentation(space, left.bichar, ctx, products, alpha)
 
 

@@ -101,29 +101,6 @@ class ActionBundle:
     def act(self, name: str, i: int, v: Vec) -> Vec:
         return self.actions[name][i].apply(v)
 
-    def act_by(self, name: str, x: Vec, v: Vec) -> Vec:
-        """Action of an algebra vector: linear extension over its components."""
-        family = self.actions[name]
-        out: Vec = {}
-        if not x or not v:
-            return out
-        for i, s in x.items():
-            columns = family[i].columns
-            for j, t in v.items():
-                st = s * t
-                for k, c in columns[j]:
-                    u = st * c
-                    prev = out.get(k)
-                    if prev is None:
-                        out[k] = u
-                    else:
-                        u = prev + u
-                        if u.terms:
-                            out[k] = u
-                        else:
-                            del out[k]
-        return out
-
 
 class BimoduleKind(Enum):
     ASSOC_BIMODULE = "assoc_bimodule"

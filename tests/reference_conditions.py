@@ -10,6 +10,7 @@ multiplication through the public tables, with no sharing between tuples.
 from homcolor.constructions import MatchedPairKind
 from homcolor.core import Vec, _mul, vec_add, vec_neg, vec_sub
 from homcolor.representations import BimoduleKind
+from tests.util import act_vec
 
 
 class BEval:
@@ -48,7 +49,7 @@ class BEval:
         return self.M.act(name, i, v)
 
     def act_by(self, name: str, x: Vec, v: Vec) -> Vec:
-        return self.M.act_by(name, x, v)
+        return act_vec(self.M, name, x, v)
 
     # sign helpers: aa = algebra/algebra, am = algebra/module, etc.
     def e_aa(self, i: int, j: int) -> int:
@@ -281,11 +282,11 @@ class MPEval:
 
     def actA(self, name: str, x: Vec, v: Vec) -> Vec:
         """Action of an A-vector on a B-vector."""
-        return self.ab.act_by(name, x, v)
+        return act_vec(self.ab, name, x, v)
 
     def actB(self, name: str, a: Vec, v: Vec) -> Vec:
         """Action of a B-vector on an A-vector."""
-        return self.ba.act_by(name, a, v)
+        return act_vec(self.ba, name, a, v)
 
     def dA(self, i: int):
         return self.A.space.degree(i)

@@ -384,6 +384,29 @@ class TestConstruct:
         assert "hom_lie" in err and "transposed_poisson" in err
         assert not out.exists()  # refused before the construction runs
 
+    @pytest.mark.parametrize("name, kind, choices", [
+        ("semidirect", "hnp", "assoc_bimodule, gd_rep, hnp_bimodule, lie_rep, novikov_bimodule"),
+        ("matched-pair", "bogus", "assoc, gd, hnp, lie, novikov"),
+    ])
+    def test_unknown_kind_exits_three(self, tmp_path, capsys, name, kind, choices):
+        # The input does not exist: the kind is refused before it is read.
+        assert run("construct", name, tmp_path / "missing.json", "--kind", kind) == 3
+        assert capsys.readouterr().err == (
+            f"error: unknown --kind {kind!r} for construct {name}; choose one of {choices}\n"
+        )
+
+    def test_unknown_kind_refused_before_module_check(self, fixtures_dir, capsys):
+        # hnp_4dim.json has no module block, which semidirect would report.
+        assert run("construct", "semidirect", fixtures_dir / "hnp_4dim.json", "--kind", "hnp") == 3
+        assert capsys.readouterr().err.startswith("error: unknown --kind 'hnp'")
+
+    @pytest.mark.parametrize("ideal", [None, "", "e4,", " , e4"])
+    def test_quotient_without_ideal_names_exits_three(self, tmp_path, capsys, ideal):
+        extra = [] if ideal is None else ["--ideal", ideal]
+        assert run("construct", "quotient", tmp_path / "missing.json", *extra) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: construct quotient needs --ideal NAME[,NAME...], got ")
+
 
 class TestReport:
     def test_empty_inputs_exit_zero(self, capsys):
