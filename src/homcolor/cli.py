@@ -106,6 +106,19 @@ def cmd_check(args) -> int:
 _CONSTRUCT_INPUTS = {"tensor": 2}
 # The --kind choices of the constructions that read one.
 _CONSTRUCT_KINDS = {"semidirect": BIMODULE_KINDS, "matched-pair": MATCHED_KINDS}
+# Each construction option by flag, with its destination and the constructions
+# that read it; all of them read --out, and --verify with --arity4-cap.
+_CONSTRUCT_OPTIONS = {
+    "--force": ("force", {"twist", "derived", "semidirect", "matched-pair", "tensor",
+                          "derivation-product"}),
+    "--from": ("from_role", {"commutator"}),
+    "--to": ("to_role", {"commutator", "derivation-product"}),
+    "--type": ("type", {"derived"}),
+    "--n": ("n", {"derived"}),
+    "--kind": ("kind", set(_CONSTRUCT_KINDS)),
+    "--ideal": ("ideal", {"quotient"}),
+    "--map": ("map", {"twist", "derivation-product"}),
+}
 
 
 def cmd_construct(args) -> int:
@@ -116,6 +129,14 @@ def cmd_construct(args) -> int:
             f"construct {name} takes {want} input file{'s' if want > 1 else ''}, "
             f"got {len(args.inputs)}"
         )
+    defaults = _construct_defaults()
+    unread = [
+        flag
+        for flag, (dest, readers) in _CONSTRUCT_OPTIONS.items()
+        if name not in readers and getattr(args, dest) != getattr(defaults, dest)
+    ]
+    if unread:
+        raise LoadError(f"construct {name} does not read {', '.join(unread)}")
     if args.verify:
         suites = sorted(STRUCTURE_KINDS) + (["auto"] if name == "matched-pair" else [])
         if args.verify not in suites:
@@ -315,6 +336,12 @@ def _parser() -> argparse.ArgumentParser:
     # Built on the first call to ``main``, not at import, and reused: parsing
     # leaves no state in the parser (append actions copy their default list).
     return build_parser()
+
+
+@functools.cache
+def _construct_defaults() -> argparse.Namespace:
+    """The values of the ``construct`` options that are not given."""
+    return _parser().parse_args(["construct", "commutator", "-"])
 
 
 def main(argv=None) -> int:

@@ -33,7 +33,6 @@ from .core import (
     LinearMap,
     Term,
     Vec,
-    action_rows,
     check_report,
     eps,
     first_failures,
@@ -42,7 +41,6 @@ from .core import (
     multiplicative_checks,
     operation,
     positions,
-    product_rows,
     twisted,
 )
 from .identities import StructureKind, run_suite
@@ -548,11 +546,11 @@ def check_matched_pair(
         ("ba", pair.b, pair.a, pair.ba, pair.ab),
     ):
         # Products are keyed by role and actions by (prefix, name).
-        ops = {role: product_rows(right.product(role)) for role in slots.values()}
+        ops = {role: right.product(role).row_cells for role in slots.values()}
         binding = tuple(sorted(slots.items()))
         for prefix, bundle in (("on_b.", forward), ("on_a.", backward)):
-            for name, family in bundle.actions.items():
-                ops[(prefix, name)] = action_rows(family)
+            for name in bundle.actions:
+                ops[(prefix, name)] = bundle.row_cells(name)
                 binding += ((prefix + name, (prefix, name)),)
         axes = ((left.space, left.alpha), (right.space, right.alpha), (right.space, right.alpha))
         plans = [(terms, binding) for _, terms in conditions]
@@ -727,7 +725,7 @@ def _check_closures(
     stages = [("twist closure", (_TWIST_CLOSURE, maps))]
     terms = _IDEAL_CLOSURE if two_sided else _SUBALGEBRA_CLOSURE
     for role in presentation.roles:
-        ops[("product", role)] = product_rows(presentation.products[role])
+        ops[("product", role)] = presentation.products[role].row_cells
         stages.append((f"product[{role}] closure", (terms, (("o", ("product", role)),) + maps)))
     axis = (presentation.space, presentation.alpha)
     settled = first_failures([plan for _, plan in stages], (axis, axis), ops, presentation.bichar)

@@ -10,7 +10,10 @@ are immutable after validation, so they can be shared freely.
 The checking code reads a presentation's frozen data directly: each
 product's ``table`` and each map's ``columns``, which nothing mutates; the
 public accessors (``mul``, ``mul_basis``, ``alpha_image``,
-``LinearMap.image``) hand out fresh dicts.
+``LinearMap.image``) hand out fresh dicts.  The evaluator's forms of that
+data are built on first use and kept for every later check: rows on each
+product and action family, twist images per power on each map, and sign
+tables in the bicharacter's bounded memo.
 
 Every check is a term plan, a signed sum of trees of products and linear
 maps: the catalogued conditions and the structural checks here
@@ -51,8 +54,6 @@ __all__ = [
     "twisted",
     "eps",
     "operation",
-    "product_rows",
-    "action_rows",
     "Plan",
     "term_failures",
     "first_failures",
@@ -65,6 +66,8 @@ __all__ = [
 ]
 
 Vec = dict[int, Scalar]
+Rows = Sequence[Sequence[tuple[int, Sequence[tuple[int, Scalar]]]]]
+Columns = Sequence[Sequence[tuple[int, Scalar]]]
 ScalarLike = "Scalar | int | str | fractions.Fraction"
 
 _BASIS_NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -192,7 +195,7 @@ class LinearMap:
     rejected unless deg(e_j) = deg(e_i) + degree.
     """
 
-    __slots__ = ("source", "target", "context", "degree", "columns")
+    __slots__ = ("source", "target", "context", "degree", "columns", "_images")
 
     def __init__(
         self,
@@ -228,6 +231,7 @@ class LinearMap:
         self.context = context
         self.degree = degree
         self.columns = tuple(frozen)
+        self._images: dict[int, tuple[Vec, ...]] = {}
 
     @classmethod
     def from_rows(
@@ -270,6 +274,21 @@ class LinearMap:
     def image(self, i: int) -> Vec:
         return dict(self.columns[i])
 
+    def images(self, power: int) -> tuple[Vec, ...]:
+        """The basis images under this map applied ``power`` times, built
+        once per power and kept; callers must not mutate them."""
+        found = self._images.get(power)
+        if found is None:
+            if self.source != self.target:
+                raise ValueError("powers need an endomorphism")
+            if power < 0:
+                raise ValueError("negative powers are not defined")
+            found = tuple({i: self.context.one} for i in range(self.source.dim))
+            for _ in range(power):
+                found = tuple(self.apply(v) for v in found)
+            self._images[power] = found
+        return found
+
     def apply(self, v: Vec) -> Vec:
         out: Vec = {}
         if not v:
@@ -294,14 +313,8 @@ class LinearMap:
         return LinearMap(inner.source, self.target, self.context, columns, degree)
 
     def power(self, n: int) -> "LinearMap":
-        if self.source != self.target:
-            raise ValueError("powers need an endomorphism")
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        out = LinearMap.identity(self.source, self.context)
-        for _ in range(n):
-            out = self.compose(out)
-        return out
+        degree = self.source.group.element(n * c for c in self.degree)
+        return LinearMap(self.source, self.target, self.context, self.images(n), degree)
 
     def rows(self) -> list[list[Scalar]]:
         zero = self.context.zero
@@ -336,7 +349,7 @@ class BilinearProduct:
     construction, and iteration order is row-major by (i, j) then k.
     """
 
-    __slots__ = ("space", "context", "table")
+    __slots__ = ("space", "context", "table", "_rows")
 
     def __init__(
         self,
@@ -365,6 +378,18 @@ class BilinearProduct:
         self.space = space
         self.context = context
         self.table = table
+        self._rows: Rows | None = None
+
+    @property
+    def row_cells(self) -> Rows:
+        """``row_cells[i]`` lists (j, cell) over the nonzero cells e_i o e_j;
+        built on first use and kept."""
+        if self._rows is None:
+            rows: list[list] = [[] for _ in range(self.space.dim)]
+            for (i, j), cell in self.table.items():
+                rows[i].append((j, cell))
+            self._rows = tuple(map(tuple, rows))
+        return self._rows
 
     def mul_basis(self, i: int, j: int) -> tuple[tuple[int, Scalar], ...]:
         return self.table.get((i, j), ())
@@ -383,7 +408,7 @@ class BilinearProduct:
 class AlgebraPresentation:
     """Graded basis, role-tagged products, and an even twisting map."""
 
-    __slots__ = ("space", "bichar", "context", "products", "alpha", "_signs")
+    __slots__ = ("space", "bichar", "context", "products", "alpha")
 
     def __init__(
         self,
@@ -418,7 +443,6 @@ class AlgebraPresentation:
         self.context = context
         self.products = {role: products[role] for role in sorted(products, key=role_sort_key)}
         self.alpha = alpha
-        self._signs: tuple[tuple[int, ...], ...] | None = None
 
     # -- basic access ---------------------------------------------------------
 
@@ -450,11 +474,10 @@ class AlgebraPresentation:
         return self.sign_table()[i][j]
 
     def sign_table(self) -> tuple[tuple[int, ...], ...]:
-        """``sign_table()[i][j]`` is :meth:`eps` of i and j, computed once."""
-        if self._signs is None:
-            degrees, sign = self.space.degrees, self.bichar.sign
-            self._signs = tuple(tuple(sign(a, b) for b in degrees) for a in degrees)
-        return self._signs
+        """``sign_table()[i][j]`` is :meth:`eps` of i and j, from the
+        bicharacter's memo (see :meth:`~homcolor.grading.Bicharacter.table`)."""
+        degrees = self.space.degrees
+        return self.bichar.table(degrees, degrees)
 
     def vector(self, data: Mapping[str, ScalarLike] | Vec) -> Vec:
         """Coerce a name-keyed mapping (or an index-keyed Vec) to a Vec."""
@@ -588,24 +611,6 @@ def operation(name: str) -> Callable[..., Tree]:
     return lambda *subtrees: (name, *subtrees)
 
 
-Rows = Sequence[Sequence[tuple[int, Sequence[tuple[int, Scalar]]]]]
-Columns = Sequence[Sequence[tuple[int, Scalar]]]
-
-
-def product_rows(product: BilinearProduct) -> Rows:
-    """``rows[i]`` lists (j, cell) over the nonzero cells e_i o e_j."""
-    rows: list[list] = [[] for _ in range(product.space.dim)]
-    for (i, j), cell in product.table.items():
-        rows[i].append((j, cell))
-    return rows
-
-
-def action_rows(family: Sequence[LinearMap]) -> Rows:
-    """``rows[i]`` lists (j, column) over the nonzero images of e_j under the
-    operator of e_i."""
-    return [[(j, col) for j, col in enumerate(op.columns) if col] for op in family]
-
-
 def _apply(columns: Columns, sub: dict, one: Scalar) -> dict:
     """Apply a linear map, ``columns[a]`` the image of e_a, to a subtree map."""
     out = {}
@@ -731,8 +736,9 @@ def term_failures(
 
     ``plans[c]`` is check c's terms with the binding of their operation
     names to keys of ``ops``, which holds each bilinear operation's rows
-    (see :func:`product_rows`) and each linear map's ``columns``; ``axes[p]``
-    is the basis and twist of tuple position p, and a plan of arity a uses
+    (:attr:`BilinearProduct.row_cells`, or ``ActionBundle.row_cells`` of an
+    action) and each linear map's ``columns``; ``axes[p]`` is the basis
+    and twist of tuple position p, and a plan of arity a uses
     the first a axes.  A slab is the set of tuples with one index at
     position 0, taken in order.  For a slab the generator yields a dict
     sending each live plan that fails there to its failing index tuples
@@ -747,54 +753,33 @@ def term_failures(
     plan holding a subtree of that shape over the same rows (``(x.y).a(z)``
     and ``(x.z).a(y)`` share one map): once per call for subtrees without
     position 0, once per slab for the others, whose maps are dropped before
-    the next slab starts.  Sign tables between the axes and twist image
-    tables are built once per call.
+    the next slab starts.  The pass builds no table of its own: rows are
+    read from ``ops``, twist images from :meth:`LinearMap.images` of each
+    axis's twist and signs from :meth:`Bicharacter.table` of the axes'
+    degrees, each built once and kept on its object or in the memo.
 
     Before the first slab, one pass over the subtrees gives each its
     support: the basis indices its values can have in any slab, read from
     the nonzero cells and images of the data.  A term whose support is
     empty is zero on every tuple and is dropped, once per call, before its
-    sign tables are built, so neither it nor a subtree that only dropped
+    sign tables are looked up, so neither it nor a subtree that only dropped
     terms use is ever evaluated.  This is exact because sums may cancel but
     never create a component, so a support is a superset of the true one.
     """
     context = axes[0][1].context
     one = context.one
-    distinct: list[tuple[GradedSpace, LinearMap]] = []
-    axis_ids = []
-    for space, twist in axes:
-        found = next((k for k, (s, t) in enumerate(distinct) if s is space and t is twist), None)
-        if found is None:
-            found = len(distinct)
-            distinct.append((space, twist))
-        axis_ids.append(found)
-    nodes, holding, compiled = _compile(tuple(plans), tuple(axis_ids))
-
-    images: dict[tuple[int, int], list[Vec]] = {}
-
-    def image_table(aid: int, power: int) -> list[Vec]:
-        table = images.get((aid, power))
-        if table is None:
-            space, twist = distinct[aid]
-            if power == 0:
-                table = [{j: one} for j in range(space.dim)]
-            elif power == 1:
-                table = [dict(col) for col in twist.columns]
-            else:
-                table = [twist.apply(v) for v in image_table(aid, power - 1)]
-            images[(aid, power)] = table
-        return table
+    # Positions that hold the same basis and twist objects share an axis.
+    ids: dict[tuple[int, int], int] = {}
+    axis_ids = tuple(ids.setdefault((id(space), id(twist)), len(ids)) for space, twist in axes)
+    twists = {aid: twist for aid, (_, twist) in zip(axis_ids, axes)}
+    nodes, holding, compiled = _compile(tuple(plans), axis_ids)
 
     # Children are interned before their parents, so one forward pass gives
-    # each node its support.  A leaf's support follows the twist's columns,
-    # so the pass builds no image table.
+    # each node its support.
     support: list[set[int]] = []
     for name, a, b, _ in nodes:
         if name is None:
-            space, twist = distinct[a]
-            found = set(range(space.dim))
-            for _ in range(b):
-                found = {k for x in found for k, _ in twist.columns[x]}
+            found = {k for v in twists[a].images(b) for k in v}
         elif b is None:
             found = {k for x in support[a] for k, _ in ops[name][x]}
         else:
@@ -802,29 +787,11 @@ def term_failures(
             found = {k for x in support[a] for y, cell in ops[name][x] if y in right for k, _ in cell}
         support.append(found)
 
-    signs: dict[tuple[GroupElement, GroupElement], int] = {}
-    tables: dict[tuple[int, int], list[list[int]]] = {}
-
-    def sign_table(p: int, q: int) -> list[list[int]]:
-        """Signs between the bases of positions p and q, one table per
-        pair of axes."""
-        key = (axis_ids[p], axis_ids[q])
-        table = tables.get(key)
-        if table is None:
-            table = tables[key] = []
-            for da in axes[p][0].degrees:
-                row = []
-                for db in axes[q][0].degrees:
-                    s = signs.get((da, db))
-                    if s is None:
-                        s = signs[(da, db)] = bichar.sign(da, db)
-                    row.append(s)
-                table.append(row)
-        return table
-
     plan = [
         [
-            (coeff, root, order, tuple((sign_table(p, q), p, q) for p, q in pairs))
+            (coeff, root, order, tuple(
+                (bichar.table(axes[p][0].degrees, axes[q][0].degrees), p, q) for p, q in pairs
+            ))
             for coeff, root, order, pairs in terms
             if support[root]
         ]
@@ -853,7 +820,7 @@ def term_failures(
                 else:
                     found = _join(ops[name], left, inverted(b, i0), one)
             else:
-                table = image_table(a, b)
+                table = twists[a].images(b)
                 if at_zero:
                     found = {(): table[i0]} if table[i0] else {}
                 else:
@@ -992,21 +959,6 @@ _LEIBNIZ: tuple[Term, ...] = (
 )
 
 
-def _pair_check(
-    check: str,
-    presentation: AlgebraPresentation,
-    terms: tuple[Term, ...],
-    ops: Mapping[Hashable, Rows | Columns],
-) -> CheckReport:
-    """Evaluate one plan, its names bound to the same keys of ``ops``, on
-    every basis pair of ``presentation``."""
-    axis = (presentation.space, presentation.alpha)
-    plan = (terms, tuple((name, name) for name in ops))
-    [(first, seconds)] = first_failures([plan], (axis, axis), ops, presentation.bichar)
-    names = presentation.names
-    return check_report(check, (names, names), first, seconds, presentation.space)
-
-
 def multiplicative_checks(
     presentation: AlgebraPresentation,
     roles: Sequence[str],
@@ -1023,7 +975,7 @@ def multiplicative_checks(
     ops: dict[Hashable, Rows | Columns] = {"f": m.columns}
     plans = []
     for role in roles:
-        ops[("p", role)] = product_rows(presentation.product(role))
+        ops[("p", role)] = presentation.product(role).row_cells
         plans.append((_PRODUCT_ARM, (("a", ("p", role)), ("b", ("p", role)), ("f", "f"))))
     axis = (presentation.space, presentation.alpha)
     settled = first_failures(plans, (axis, axis), ops, presentation.bichar)
@@ -1059,13 +1011,14 @@ def is_derivation(
             status=FAIL,
             detail=f"map is homogeneous of degree {derivation.degree}, not {d}",
         )
-    scalar = presentation.context.scalar
-    signs = tuple(
-        ((i, scalar(presentation.eps_deg(d, deg))),)
-        for i, deg in enumerate(presentation.space.degrees)
-    )
-    ops = {"a": product_rows(presentation.product(role)), "f": derivation.columns, "s": signs}
-    return _pair_check(f"derivation[{role}]", presentation, _LEIBNIZ, ops)
+    [row] = presentation.bichar.table((d,), presentation.space.degrees)
+    signs = tuple(((i, presentation.context.scalar(s)),) for i, s in enumerate(row))
+    ops = {"a": presentation.product(role).row_cells, "f": derivation.columns, "s": signs}
+    axis = (presentation.space, presentation.alpha)
+    plan = (_LEIBNIZ, tuple((name, name) for name in ops))
+    [(first, seconds)] = first_failures([plan], (axis, axis), ops, presentation.bichar)
+    names = presentation.names
+    return check_report(f"derivation[{role}]", (names, names), first, seconds, presentation.space)
 
 
 def morphism_suite(
@@ -1084,8 +1037,8 @@ def morphism_suite(
     ops: dict[Hashable, Rows | Columns] = {"f": f.columns, "g": target.alpha.columns}
     checks, plans = [], []
     for role in source.roles:
-        ops[("a", role)] = product_rows(source.products[role])
-        ops[("b", role)] = product_rows(target.products[role])
+        ops[("a", role)] = source.products[role].row_cells
+        ops[("b", role)] = target.products[role].row_cells
         checks.append(f"morphism:product[{role}]")
         plans.append((_PRODUCT_ARM, (("a", ("a", role)), ("b", ("b", role)), ("f", "f"))))
     checks.append("morphism:twist")

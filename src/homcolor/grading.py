@@ -9,7 +9,8 @@ bundled fixture and keeps evaluation a parity count.
 
 Element reduction and addition are memoised in bounded caches: every space,
 map and product built by the loader or a construction reduces the degrees
-of its basis and cells, and a presentation has few distinct ones.
+of its basis and cells, and a presentation has few distinct ones.  So are
+the sign tables that every check reads (:meth:`Bicharacter.table`).
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ GroupElement = tuple[int, ...]
 
 # Entries kept by each of the element and addition memos.
 MEMO_SIZE = 4096
+# Tables kept by the sign-table memo; a table holds len(rows) * len(cols) signs.
+TABLE_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,14 @@ class Bicharacter:
         for i, j in self._neg_pairs:
             parity += a[i] * b[j]
         return -1 if parity % 2 else 1
+
+    # Bounded and shared by every bicharacter, like the element memos.
+    @lru_cache(maxsize=TABLE_MEMO_SIZE)
+    def table(self, rows: tuple, cols: tuple) -> tuple[tuple[int, ...], ...]:
+        """``table(rows, cols)[i][j]`` is :meth:`sign` of the degrees
+        ``rows[i]`` and ``cols[j]``; equal arguments get the same table."""
+        signs = {(a, b): self.sign(a, b) for a in set(rows) for b in set(cols)}
+        return tuple(tuple(signs[a, b] for b in cols) for a in rows)
 
     def odd_order_pair(self) -> tuple[int, int] | None:
         """A generator pair with value -1 that involves a generator of odd

@@ -37,7 +37,6 @@ from .core import (
     multiplicative_checks,
     operation,
     positions,
-    product_rows,
     twisted,
 )
 from .reports import PRECONDITION_FAILED, CheckReport, SuiteReport
@@ -278,7 +277,7 @@ def _evaluate(
                 "arity4_dim_cap argument)"
             )
     roles = {role for _, binding in members for _, role in binding}
-    ops = {role: product_rows(presentation.product(role)) for role in roles}
+    ops = {role: presentation.product(role).row_cells for role in roles}
     plans = [(spec.terms, binding) for spec, (_, binding) in zip(specs, members)]
     axes = ((presentation.space, presentation.alpha),) * max(spec.arity for spec in specs)
     return dict(zip(members, first_failures(plans, axes, ops, presentation.bichar)))

@@ -23,16 +23,14 @@ from .core import (
     AlgebraPresentation,
     GradedSpace,
     LinearMap,
+    Rows,
     Term,
-    Vec,
-    action_rows,
     check_report,
     eps,
     first_failures,
     is_morphism,
     operation,
     positions,
-    product_rows,
     twisted,
 )
 from .reports import PreconditionError, SuiteReport
@@ -54,7 +52,7 @@ class ActionBundle:
     acts on V under the action ``name`` (one of ``s``, ``l``, ``r``, ``rho``).
     """
 
-    __slots__ = ("algebra_space", "module", "beta", "context", "actions")
+    __slots__ = ("algebra_space", "module", "beta", "context", "actions", "_rows")
 
     def __init__(
         self,
@@ -89,6 +87,7 @@ class ActionBundle:
         self.beta = beta
         self.context = context
         self.actions = frozen
+        self._rows: dict[str, Rows] = {}
 
     def action(self, name: str) -> tuple[LinearMap, ...]:
         try:
@@ -98,8 +97,16 @@ class ActionBundle:
                 f"bundle has no action {name!r}; available: {list(self.actions)}"
             ) from None
 
-    def act(self, name: str, i: int, v: Vec) -> Vec:
-        return self.actions[name][i].apply(v)
+    def row_cells(self, name: str) -> Rows:
+        """``row_cells(name)[i]`` lists (j, column) over the nonzero images
+        of e_j under the operator of e_i; built on first use and kept."""
+        found = self._rows.get(name)
+        if found is None:
+            found = self._rows[name] = tuple(
+                tuple((j, col) for j, col in enumerate(op.columns) if col)
+                for op in self.actions[name]
+            )
+        return found
 
 
 class BimoduleKind(Enum):
@@ -257,10 +264,10 @@ def check_bimodule(
 
     # Products are keyed by role and actions by ("action", name), so two
     # slots bound to one role share its rows and its nodes.
-    ops = {role: product_rows(presentation.product(role)) for role in slots.values()}
+    ops = {role: presentation.product(role).row_cells for role in slots.values()}
     binding = tuple(sorted(slots.items()))
     for name in KIND_ACTIONS[kind]:
-        ops[("action", name)] = action_rows(bundle.actions[name])
+        ops[("action", name)] = bundle.row_cells(name)
         binding += ((name, ("action", name)),)
     algebra = (presentation.space, presentation.alpha)
     axes = (algebra, algebra, (bundle.module, bundle.beta))

@@ -10,7 +10,7 @@ multiplication through the public tables, with no sharing between tuples.
 from homcolor.constructions import MatchedPairKind
 from homcolor.core import Vec, _mul, vec_add, vec_neg, vec_sub
 from homcolor.representations import BimoduleKind
-from tests.util import act_vec
+from tests.util import act, act_vec
 
 
 class BEval:
@@ -46,7 +46,7 @@ class BEval:
         return self.cells[slot].get((i, j)) or {}
 
     def act(self, name: str, i: int, v: Vec) -> Vec:
-        return self.M.act(name, i, v)
+        return act(self.M, name, i, v)
 
     def act_by(self, name: str, x: Vec, v: Vec) -> Vec:
         return act_vec(self.M, name, x, v)

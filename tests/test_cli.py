@@ -21,6 +21,24 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+# Each construction option with a value other than its default, and the
+# options each construction reads besides --out, --verify and --arity4-cap.
+OPTION_VALUES = {
+    "--force": [], "--from": ["diamond"], "--to": ["pair"], "--type": ["2"],
+    "--n": ["2"], "--kind": ["hnp"], "--ideal": ["e1"], "--map": ["map.json"],
+}
+CONSTRUCT_READS = {
+    "commutator": {"--from", "--to"},
+    "twist": {"--force", "--map"},
+    "derived": {"--force", "--type", "--n"},
+    "semidirect": {"--force", "--kind"},
+    "matched-pair": {"--force", "--kind"},
+    "tensor": {"--force"},
+    "quotient": {"--ideal"},
+    "derivation-product": {"--force", "--to", "--map"},
+}
+
+
 class TestCheck:
     def test_passing_suite_exits_zero(self, fixtures_dir, capsys):
         assert run("check", fixtures_dir / "hnp_4dim.json", "--kind", "hnp") == 0
@@ -399,6 +417,27 @@ class TestConstruct:
         # hnp_4dim.json has no module block, which semidirect would report.
         assert run("construct", "semidirect", fixtures_dir / "hnp_4dim.json", "--kind", "hnp") == 3
         assert capsys.readouterr().err.startswith("error: unknown --kind 'hnp'")
+
+    @pytest.mark.parametrize("name, flag", [
+        (name, flag) for name, reads in CONSTRUCT_READS.items() for flag in OPTION_VALUES if flag not in reads
+    ])
+    def test_unread_option_exits_three(self, tmp_path, capsys, name, flag):
+        # The inputs do not exist: the option is refused before they are read.
+        inputs = [tmp_path / "missing.json"] * (2 if name == "tensor" else 1)
+        assert run("construct", name, *inputs, flag, *OPTION_VALUES[flag]) == 3
+        assert capsys.readouterr().err == f"error: construct {name} does not read {flag}\n"
+
+    def test_unread_options_are_named_together(self, tmp_path, capsys):
+        argv = ["--kind", "bogus", "--ideal", "zz", "--type", "2", "--force"]
+        assert run("construct", "commutator", tmp_path / "missing.json", *argv) == 3
+        assert capsys.readouterr().err == (
+            "error: construct commutator does not read --force, --type, --kind, --ideal\n"
+        )
+
+    @pytest.mark.parametrize("argv", [["--type", "1"], ["--n", "1"], ["--ideal", ""]])
+    def test_options_left_at_their_default_are_not_refused(self, fixtures_dir, capsys, argv):
+        assert run("construct", "commutator", fixtures_dir / "novikov_3dim.json", *argv) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("ideal", [None, "", "e4,", " , e4"])
     def test_quotient_without_ideal_names_exits_three(self, tmp_path, capsys, ideal):

@@ -35,11 +35,9 @@ from homcolor.core import (
     BilinearProduct,
     GradedSpace,
     LinearMap,
-    action_rows,
     first_failures,
     operation,
     positions,
-    product_rows,
     twisted,
 )
 from homcolor.grading import trivial_grading
@@ -247,8 +245,8 @@ def test_every_bimodule_defect_matches_reference(kind, payload):
     }
     bundle = ActionBundle(A.space, A.space, A.alpha, A.context, actions)
     slots = KIND_PRODUCT_SLOTS[kind]
-    ops = {slot: product_rows(A.product(role)) for slot, role in slots.items()}
-    ops.update((name, action_rows(family)) for name, family in actions.items())
+    ops = {slot: A.product(role).row_cells for slot, role in slots.items()}
+    ops.update((name, bundle.row_cells(name)) for name in actions)
     axes = ((A.space, A.alpha),) * 2 + ((bundle.module, bundle.beta),)
     ev = BEval(A, bundle, slots)
     for (label, defect), (_, terms) in zip(KIND_CONDITIONS[kind], PLANS[kind]):
@@ -271,9 +269,9 @@ def test_every_matched_pair_defect_matches_reference(kind, payload):
     base = _reference_evaluator(MatchedPairData(A, A, ab, ba), kind)
     axes = ((A.space, A.alpha),) * 3
     for ev, forward, backward in ((base, ab, ba), (base.swap(), ba, ab)):
-        ops = {slot: product_rows(A.product(role)) for slot, role in slots.items()}
+        ops = {slot: A.product(role).row_cells for slot, role in slots.items()}
         for prefix, bundle in (("on_b.", forward), ("on_a.", backward)):
-            ops.update((prefix + name, action_rows(family)) for name, family in bundle.actions.items())
+            ops.update((prefix + name, bundle.row_cells(name)) for name in bundle.actions)
         for (label, defect), (_, terms) in zip(MP_CONDITIONS[kind], _MP_CONDITIONS[kind]):
             want = _reference_defects((A.dim, A.dim, A.dim), lambda t: defect(ev, *t))
             assert every_failure(terms, axes, ops, A.bichar) == want, label
@@ -309,7 +307,7 @@ def test_pruned_pass_matches_dense_oracle(A):
     # failing tuple and its defect there.
     specs = [spec for spec in IDENTITY_CATALOG.values() if spec.arity < 4 or A.dim <= 3]
     plans = [(spec.terms, spec.defaults) for spec in specs]
-    ops = {role: product_rows(A.product(role)) for role in A.roles}
+    ops = {role: A.product(role).row_cells for role in A.roles}
     axes = ((A.space, A.alpha),) * max(spec.arity for spec in specs)
     oracle = DenseOracle(A)
     for spec, (first, _) in zip(specs, first_failures(plans, axes, ops, A.bichar)):
@@ -389,7 +387,7 @@ def test_random_plans_on_sparse_data_match_the_tree_formula(payload):
             total = core.vec_add(total, core.vec_scale(ctx.scalar(coeff), value(tree, t)))
         if total:
             want[t] = total
-    ops = {"a": product_rows(products["a"]), "b": product_rows(products["b"]), "f": f.columns}
+    ops = {"a": products["a"].row_cells, "b": products["b"].row_cells, "f": f.columns}
     assert every_failure(tuple(terms), ((space, alpha),) * arity, ops, bichar) == want
 
 
@@ -403,8 +401,8 @@ def test_a_map_node_support_follows_its_columns():
     one = ctx.one
     f = LinearMap(space, space, ctx, [{}, {2: one}, {}])
     ops = {
-        "a": product_rows(BilinearProduct(space, ctx, {(0, 0): {1: one}})),
-        "b": product_rows(BilinearProduct(space, ctx, {(2, 0): {2: one}})),
+        "a": BilinearProduct(space, ctx, {(0, 0): {1: one}}).row_cells,
+        "b": BilinearProduct(space, ctx, {(2, 0): {2: one}}).row_cells,
         "f": f.columns,
     }
     x, y, z = positions(3)
@@ -437,10 +435,10 @@ def test_terms_with_a_support_that_cancel_still_pass(monkeypatch):
     join = core._join
     monkeypatch.setattr(core, "_join", lambda *args: joins.append(1) or join(*args))
     axes = ((A.space, A.alpha),) * 2
-    settled = first_failures(plans, axes, {"dot": product_rows(dot)}, A.bichar)
+    settled = first_failures(plans, axes, {"dot": dot.row_cells}, A.bichar)
     assert [first for first, _ in settled] == [None, None]
     assert joins
     # The same plans fail once the cancellation is broken.
     B = perturb(A, "dot", 1, 2, 2, 1)
-    settled = first_failures(plans, axes, {"dot": product_rows(B.product("dot"))}, B.bichar)
+    settled = first_failures(plans, axes, {"dot": B.product("dot").row_cells}, B.bichar)
     assert [first for first, _ in settled] == [((0, 2), {2: one}), ((1, 2), {2: one})]

@@ -8,6 +8,7 @@ from homcolor.constructions import MatchedPairData, MatchedPairKind
 from homcolor.core import AlgebraPresentation, BilinearProduct, LinearMap
 from homcolor.reports import PreconditionError
 from homcolor.representations import ActionBundle, BimoduleKind, regular_bundle
+from tests.util import act
 
 
 class TestCommutator:
@@ -152,7 +153,7 @@ class TestSemidirect:
             for x in range(n):
                 got = total.mul_basis("bracket", n + v, x)
                 sign = lie.eps_deg(lie.space.degree(v), lie.space.degree(x))
-                expected = adjoint.act("rho", x, {v: lie.context.one})
+                expected = act(adjoint, "rho", x, {v: lie.context.one})
                 expected = {n + k: -s if sign == 1 else s for k, s in expected.items()}
                 assert got == expected
 

@@ -81,6 +81,38 @@ class TestApply:
         twice = A.alpha.apply(A.alpha_image(0))
         assert A.alpha.power(2).image(0) == twice
 
+    @pytest.mark.parametrize("n", range(4))
+    def test_power_is_n_fold_compose(self, assoc_3dim, n):
+        group, _ = super_z2()
+        ctx = hc.ScalarContext()
+        space = GradedSpace(group, ["e1", "e2"], [[0], [1]])
+        even = LinearMap.from_rows(space, space, ctx, [[1, 0], [0, 3]])
+        swap = LinearMap.from_rows(space, space, ctx, [[0, 2], [1, 0]], degree=(1,))
+        for m in (assoc_3dim.alpha, even, swap):
+            composed = LinearMap.identity(m.source, m.context)
+            for _ in range(n):
+                composed = m.compose(composed)
+            assert m.power(n) == composed  # degree included
+
+    def test_high_powers_build_without_recursion(self):
+        group, _ = super_z2()
+        ctx = hc.ScalarContext()
+        space = GradedSpace(group, ["e1", "e2"], [[0], [1]])
+        ident = LinearMap.identity(space, ctx)
+        assert ident.power(3000) == ident
+
+    def test_images_and_powers_need_an_endomorphism(self):
+        group, _ = super_z2()
+        ctx = hc.ScalarContext()
+        source = GradedSpace(group, ["e1", "e2"], [[0], [1]])
+        target = GradedSpace(group, ["f1"], [[0]])
+        m = LinearMap.from_rows(source, target, ctx, [[1, 0]])
+        for call in (m.images, m.power):
+            with pytest.raises(ValueError, match="endomorphism"):
+                call(1)
+        with pytest.raises(ValueError, match="negative"):
+            LinearMap.identity(source, ctx).images(-1)
+
     def test_dimension_mismatch(self, assoc_3dim, zero_2dim):
         with pytest.raises(ValueError, match="row-major"):
             LinearMap.from_rows(

@@ -225,12 +225,28 @@ class TestMemoisedArithmetic:
 
     def test_caches_are_bounded(self):
         group = AbelianGroup(free=1)
+        bichar = Bicharacter(group, [[-1]])
         for n in range(grading.MEMO_SIZE + 10):
             group.add((n,), (1,))
-        for memo in (grading._reduce, grading._add):
+        for n in range(grading.TABLE_MEMO_SIZE + 10):
+            assert bichar.table(((n,),), ((1,), (2,))) == ((-1 if n % 2 else 1, 1),)
+        for memo, size in (
+            (grading._reduce, grading.MEMO_SIZE),
+            (grading._add, grading.MEMO_SIZE),
+            (Bicharacter.table, grading.TABLE_MEMO_SIZE),
+        ):
             info = memo.cache_info()
-            assert info.maxsize == grading.MEMO_SIZE
+            assert info.maxsize == size
             assert info.currsize <= info.maxsize
+
+    @pytest.mark.parametrize("stock", [super_z2, z2xz2_sympl, zxz_total, trivial_grading])
+    def test_sign_table_is_the_memoised_pointwise_sign(self, stock):
+        group, bichar = stock()
+        rows = tuple(group.element([c] * group.rank) for c in range(3))
+        cols = tuple(group.element([c, 1][: group.rank]) for c in range(2))
+        table = bichar.table(rows, cols)
+        assert table == tuple(tuple(bichar.sign(a, b) for b in cols) for a in rows)
+        assert bichar.table(tuple(list(rows)), tuple(list(cols))) is table
 
     @given(data=groups_with_coordinates())
     def test_equal_groups_hash_equal_and_share_the_memos(self, data):

@@ -294,12 +294,12 @@ class TestPoissonLeibnizConvention:
     @given(A=symmetric_tables())
     def test_right_form_is_sign_rewrite_of_catalog_defect(self, A):
         from homcolor.identities import IDENTITY_CATALOG
-        from homcolor.core import product_rows, vec_neg
+        from homcolor.core import vec_neg
         from tests.util import every_failure
 
         spec = IDENTITY_CATALOG["POISSON_LEIBNIZ"]
         # every nonzero catalog defect, by tuple; the rest are zero
-        ops = {slot: product_rows(A.product(role)) for slot, role in spec.defaults}
+        ops = {slot: A.product(role).row_cells for slot, role in spec.defaults}
         catalog = every_failure(spec.terms, ((A.space, A.alpha),) * 3, ops, A.bichar)
         group = A.space.group
         for x in range(A.dim):

@@ -65,12 +65,17 @@ def assert_reports_failure(report, found, axes, space):
     assert report.defect == tuple((space.names[k], str(d[k])) for k in sorted(d))
 
 
+def act(bundle, name, i, v):
+    """Action of algebra basis element ``i`` on a module vector ``v``."""
+    return bundle.actions[name][i].apply(v)
+
+
 def act_vec(bundle, name, x, v):
     """Action of an algebra vector ``x`` on a module vector ``v``, summed
-    from the public per-basis-element action."""
+    from the per-basis-element action."""
     out = {}
     for i, s in x.items():
-        out = vec_add(out, vec_scale(s, bundle.act(name, i, v)))
+        out = vec_add(out, vec_scale(s, act(bundle, name, i, v)))
     return out
 
 
