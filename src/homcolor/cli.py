@@ -107,7 +107,8 @@ _CONSTRUCT_INPUTS = {"tensor": 2}
 # The --kind choices of the constructions that read one.
 _CONSTRUCT_KINDS = {"semidirect": BIMODULE_KINDS, "matched-pair": MATCHED_KINDS}
 # Each construction option by flag, with its destination and the constructions
-# that read it; all of them read --out, and --verify with --arity4-cap.
+# that read it; all of them read --out and --verify, and --arity4-cap only with
+# --verify.
 _CONSTRUCT_OPTIONS = {
     "--force": ("force", {"twist", "derived", "semidirect", "matched-pair", "tensor",
                           "derivation-product"}),
@@ -118,6 +119,7 @@ _CONSTRUCT_OPTIONS = {
     "--kind": ("kind", set(_CONSTRUCT_KINDS)),
     "--ideal": ("ideal", {"quotient"}),
     "--map": ("map", {"twist", "derivation-product"}),
+    "--arity4-cap": ("arity4_cap", set()),
 }
 
 
@@ -134,6 +136,7 @@ def cmd_construct(args) -> int:
         flag
         for flag, (dest, readers) in _CONSTRUCT_OPTIONS.items()
         if name not in readers and getattr(args, dest) != getattr(defaults, dest)
+        and not (dest == "arity4_cap" and args.verify)
     ]
     if unread:
         raise LoadError(f"construct {name} does not read {', '.join(unread)}")

@@ -22,25 +22,26 @@ which V has the zero product and does not act back on A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping
 
 from .core import (
     AlgebraPresentation,
     BilinearProduct,
+    Check,
     GradedSpace,
     LinearMap,
     Term,
     Vec,
-    check_report,
+    _map_scalars,
     eps,
-    first_failures,
     is_derivation,
     is_morphism,
     multiplicative_checks,
     operation,
     positions,
+    run_checks,
     twisted,
 )
 from .identities import StructureKind, run_suite
@@ -49,6 +50,7 @@ from .representations import (
     KIND_PRODUCT_SLOTS,
     ActionBundle,
     BimoduleKind,
+    _bimodule_reports,
     _resolve_slots,
     check_bimodule,
 )
@@ -536,8 +538,7 @@ def check_matched_pair(
     report = SuiteReport(kind=f"matched_pair[{kind.value}]")
     for bim_kind, roles in _MP_BIMODULES[kind]:
         for direction, algebra, bundle in (("ab", pair.a, pair.ab), ("ba", pair.b, pair.ba)):
-            sub = check_bimodule(algebra, bundle, bim_kind, roles)
-            report.checks.extend(replace(c, check=f"{direction}:{c.check}") for c in sub.checks)
+            report.checks += _bimodule_reports(algebra, bundle, bim_kind, roles, f"{direction}:")
     slots = _MP_ROLE_SLOTS[kind]
     conditions = _MP_CONDITIONS[kind]
     sides = []
@@ -553,15 +554,10 @@ def check_matched_pair(
                 ops[(prefix, name)] = bundle.row_cells(name)
                 binding += ((prefix + name, (prefix, name)),)
         axes = ((left.space, left.alpha), (right.space, right.alpha), (right.space, right.alpha))
-        plans = [(terms, binding) for _, terms in conditions]
-        sides.append((direction, left, right, first_failures(plans, axes, ops, left.bichar)))
-    for c, (label, _) in enumerate(conditions):
-        for direction, left, right, settled in sides:
-            first, seconds = settled[c]
-            report.checks.append(check_report(
-                f"{direction}:{label}", (left.names, right.names, right.names), first, seconds,
-                right.space,
-            ))
+        checks = [Check(f"{direction}:{label}", (terms, binding)) for label, terms in conditions]
+        sides.append(run_checks(checks, axes, ops, left.bichar, right.space))
+    # Each condition's report for the ab side, then for the ba side.
+    report.checks += [c for both in zip(*sides) for c in both]
     return report
 
 
@@ -662,19 +658,7 @@ def rebase_presentation(presentation: AlgebraPresentation, ctx) -> AlgebraPresen
     """Rebuild a presentation over a larger scalar context."""
     if presentation.context == ctx:
         return presentation
-    products = {}
-    for role, product in presentation.products.items():
-        entries = {
-            key: {k: s.rebase(ctx) for k, s in cell}
-            for key, cell in product.table.items()
-        }
-        products[role] = BilinearProduct(presentation.space, ctx, entries)
-    columns = [
-        {k: s.rebase(ctx) for k, s in presentation.alpha.image(i).items()}
-        for i in range(presentation.dim)
-    ]
-    alpha = LinearMap(presentation.space, presentation.space, ctx, columns)
-    return AlgebraPresentation(presentation.space, presentation.bichar, ctx, products, alpha)
+    return _map_scalars(presentation, ctx, lambda s: s.rebase(ctx))
 
 
 # -- subalgebras, ideals, quotients ---------------------------------------------------
@@ -722,20 +706,16 @@ def _check_closures(
         "Q": [() if i in inside else ((i, one),) for i in range(presentation.dim)],
     }
     maps = (("P", "P"), ("Q", "Q"), ("alpha", "alpha"))
-    stages = [("twist closure", (_TWIST_CLOSURE, maps))]
+    checks = [Check(check_name, (_TWIST_CLOSURE, maps), detail="twist closure")]
     terms = _IDEAL_CLOSURE if two_sided else _SUBALGEBRA_CLOSURE
     for role in presentation.roles:
         ops[("product", role)] = presentation.products[role].row_cells
-        stages.append((f"product[{role}] closure", (terms, (("o", ("product", role)),) + maps)))
+        plan = (terms, (("o", ("product", role)),) + maps)
+        checks.append(Check(check_name, plan, detail=f"product[{role}] closure"))
     axis = (presentation.space, presentation.alpha)
-    settled = first_failures([plan for _, plan in stages], (axis, axis), ops, presentation.bichar)
-    names = (presentation.names, presentation.names)
-    for (detail, _), (first, seconds) in zip(stages, settled):
-        if first is not None:
-            return check_report(
-                check_name, names, first, seconds, presentation.space, detail=detail
-            )
-    return CheckReport(check=check_name, status=PASS)
+    reports = run_checks(checks, (axis, axis), ops, presentation.bichar, presentation.space)
+    failed = (report for report in reports if not report.passed)
+    return next(failed, CheckReport(check=check_name, status=PASS))
 
 
 def is_subalgebra(presentation: AlgebraPresentation, subset: Iterable[str | int]) -> CheckReport:

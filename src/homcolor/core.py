@@ -20,9 +20,8 @@ maps: the catalogued conditions and the structural checks here
 (multiplicativity, derivations, morphisms) alike.  :func:`term_failures`
 evaluates a whole suite of plans in one pass over nonzero cells, one slab
 at a time, sharing every subtree map between the plans;
-:func:`first_failures` runs that pass once per suite call and settles each
-plan at its first failing slab, and :func:`check_report` turns each result
-into a report.
+:func:`run_checks` runs that pass once per suite call, settles each check
+at its first failing slab and builds each check's report.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 import functools
 import re
 import time
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .grading import AbelianGroup, Bicharacter, GroupElement
 from .reports import FAIL, PASS, CheckReport, SuiteReport
@@ -56,8 +55,8 @@ __all__ = [
     "operation",
     "Plan",
     "term_failures",
-    "first_failures",
-    "check_report",
+    "Check",
+    "run_checks",
     "multiplicative_checks",
     "is_multiplicative",
     "is_derivation",
@@ -538,6 +537,23 @@ class AlgebraPresentation:
         )
 
 
+def _map_scalars(
+    presentation: AlgebraPresentation, context: ScalarContext, fn: Callable[[Scalar], Scalar]
+) -> AlgebraPresentation:
+    """The presentation over ``context`` with ``fn`` applied to every
+    structure constant and every twist entry."""
+    space = presentation.space
+    products = {
+        role: BilinearProduct(space, context, {
+            key: {k: fn(s) for k, s in cell} for key, cell in product.table.items()
+        })
+        for role, product in presentation.products.items()
+    }
+    columns = [{k: fn(s) for k, s in column} for column in presentation.alpha.columns]
+    alpha = LinearMap(space, space, context, columns)
+    return AlgebraPresentation(space, presentation.bichar, context, products, alpha)
+
+
 def _mul(table: Mapping[tuple[int, int], Sequence[tuple[int, Scalar]]], x: Vec, y: Vec) -> Vec:
     """Bilinear product of index-keyed vectors through a product's ``table``.
 
@@ -882,60 +898,57 @@ def term_failures(
             yield failed
 
 
-def first_failures(
-    plans: Sequence[Plan],
+class Check(NamedTuple):
+    """One check of a :func:`run_checks` suite: the name, roles and detail
+    of its report, and its term plan."""
+
+    check: str
+    plan: Plan
+    roles: tuple[tuple[str, str], ...] = ()
+    detail: str = ""
+
+
+def run_checks(
+    checks: Sequence[Check],
     axes: Sequence[tuple[GradedSpace, LinearMap]],
     ops: Mapping[Hashable, Rows | Columns],
     bichar: Bicharacter,
-) -> list[tuple[tuple[tuple[int, ...], Vec] | None, float]]:
-    """Evaluate a suite of plans in one :func:`term_failures` pass, each
-    plan up to its first failing slab.
+    space: GradedSpace,
+) -> list[CheckReport]:
+    """Evaluate a suite of checks in one :func:`term_failures` pass, each
+    up to its first failing slab, and report each in order.
 
-    Returns, per plan, its smallest failing index tuple with the nonzero
-    sum there, or None, and the seconds from the start of the pass until
-    the plan was settled: until its failing slab, or every slab, was
-    evaluated.
+    A report is PASS, or FAIL with the basis names (``axes[p][0].names``)
+    of the check's smallest failing index tuple and its defect there, a
+    vector of ``space``.  Its ``seconds`` run from the start of the pass
+    until the check was settled: until its failing slab, or every slab,
+    was evaluated.
     """
     started = time.perf_counter()
-    live = set(range(len(plans)))
-    settled: list = [None] * len(plans)
-    for failed in term_failures(plans, axes, ops, bichar, live):
+    live = set(range(len(checks)))
+    settled: list = [None] * len(checks)
+    for failed in term_failures([c.plan for c in checks], axes, ops, bichar, live):
         seconds = time.perf_counter() - started
         for c, found in failed.items():
             settled[c] = (found[0], seconds)
             live.discard(c)
     seconds = time.perf_counter() - started
-    return [found or (None, seconds) for found in settled]
-
-
-# -- reporting ------------------------------------------------------------------
-
-
-def check_report(
-    check: str,
-    axes: Sequence[Sequence[str]],
-    first: tuple[tuple[int, ...], Vec] | None,
-    seconds: float,
-    space: GradedSpace,
-    roles: tuple[tuple[str, str], ...] = (),
-    detail: str = "",
-) -> CheckReport:
-    """Report a plan's result from :func:`first_failures`: PASS, or FAIL
-    with the names of the failing index tuple ``first[0]`` (``axes`` holds a
-    basis-name table per tuple position) and its defect ``first[1]``, a
-    vector of ``space``; ``roles``, ``detail`` and ``seconds`` pass through."""
-    if first is None:
-        return CheckReport(check=check, status=PASS, roles=roles, detail=detail, seconds=seconds)
-    t, found = first
-    return CheckReport(
-        check=check,
-        status=FAIL,
-        roles=roles,
-        witness=tuple(names[i] for names, i in zip(axes, t)),
-        defect=vec_to_names(space, found),
-        detail=detail,
-        seconds=seconds,
-    )
+    reports = []
+    for c, found in zip(checks, settled):
+        if found is None:
+            reports.append(CheckReport(c.check, PASS, c.roles, detail=c.detail, seconds=seconds))
+        else:
+            (t, defect), at = found
+            reports.append(CheckReport(
+                c.check,
+                FAIL,
+                c.roles,
+                witness=tuple(axis[0].names[i] for axis, i in zip(axes, t)),
+                defect=vec_to_names(space, defect),
+                detail=c.detail,
+                seconds=at,
+            ))
+    return reports
 
 
 # -- structural checks ---------------------------------------------------------
@@ -973,17 +986,13 @@ def multiplicative_checks(
     """
     m = presentation.alpha if mapping is None else mapping
     ops: dict[Hashable, Rows | Columns] = {"f": m.columns}
-    plans = []
+    checks = []
     for role in roles:
         ops[("p", role)] = presentation.product(role).row_cells
-        plans.append((_PRODUCT_ARM, (("a", ("p", role)), ("b", ("p", role)), ("f", "f"))))
+        binding = (("a", ("p", role)), ("b", ("p", role)), ("f", "f"))
+        checks.append(Check(f"multiplicative[{role}]", (_PRODUCT_ARM, binding)))
     axis = (presentation.space, presentation.alpha)
-    settled = first_failures(plans, (axis, axis), ops, presentation.bichar)
-    names = (presentation.names, presentation.names)
-    return [
-        check_report(f"multiplicative[{role}]", names, first, seconds, presentation.space)
-        for role, (first, seconds) in zip(roles, settled)
-    ]
+    return run_checks(checks, (axis, axis), ops, presentation.bichar, presentation.space)
 
 
 def is_multiplicative(
@@ -1015,10 +1024,9 @@ def is_derivation(
     signs = tuple(((i, presentation.context.scalar(s)),) for i, s in enumerate(row))
     ops = {"a": presentation.product(role).row_cells, "f": derivation.columns, "s": signs}
     axis = (presentation.space, presentation.alpha)
-    plan = (_LEIBNIZ, tuple((name, name) for name in ops))
-    [(first, seconds)] = first_failures([plan], (axis, axis), ops, presentation.bichar)
-    names = presentation.names
-    return check_report(f"derivation[{role}]", (names, names), first, seconds, presentation.space)
+    check = Check(f"derivation[{role}]", (_LEIBNIZ, tuple((name, name) for name in ops)))
+    [report] = run_checks([check], (axis, axis), ops, presentation.bichar, presentation.space)
+    return report
 
 
 def morphism_suite(
@@ -1035,21 +1043,16 @@ def morphism_suite(
     if f.source != source.space or f.target != target.space:
         raise ValueError("map does not go between the two presentations")
     ops: dict[Hashable, Rows | Columns] = {"f": f.columns, "g": target.alpha.columns}
-    checks, plans = [], []
+    checks = []
     for role in source.roles:
         ops[("a", role)] = source.products[role].row_cells
         ops[("b", role)] = target.products[role].row_cells
-        checks.append(f"morphism:product[{role}]")
-        plans.append((_PRODUCT_ARM, (("a", ("a", role)), ("b", ("b", role)), ("f", "f"))))
-    checks.append("morphism:twist")
-    plans.append((_TWIST_ARM, (("f", "f"), ("g", "g"))))
+        binding = (("a", ("a", role)), ("b", ("b", role)), ("f", "f"))
+        checks.append(Check(f"morphism:product[{role}]", (_PRODUCT_ARM, binding)))
+    checks.append(Check("morphism:twist", (_TWIST_ARM, (("f", "f"), ("g", "g")))))
     axis = (source.space, source.alpha)
-    settled = first_failures(plans, (axis, axis), ops, source.bichar)
-    names = (source.names, source.names)
-    report = SuiteReport(kind="morphism")
-    for check, (first, seconds) in zip(checks, settled):
-        report.checks.append(check_report(check, names, first, seconds, target.space))
-    return report
+    reports = run_checks(checks, (axis, axis), ops, source.bichar, target.space)
+    return SuiteReport(kind="morphism", checks=reports)
 
 
 def is_morphism(

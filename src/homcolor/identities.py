@@ -8,15 +8,16 @@ polynomial-identically when parameters are present.
 
 A suite call (:func:`run_suite`, or :func:`check_gi_identities` after its
 preconditions) evaluates all its members in one
-:func:`~homcolor.core.first_failures` pass: one slab per basis index at the
+:func:`~homcolor.core.run_checks` pass: one slab per basis index at the
 first position, each tree expanded only over nonzero structure constants
 and twist images, each subtree map built once for every member that holds
-it, and each member dropped after its first failing slab.  Each member's
-report is then built by :func:`check_identity`, which reads the suite's
-result; called directly, :func:`check_identity` evaluates its identity as a
-suite of one.  A failure carries the lexicographically smallest failing
-tuple together with its defect vector, and a report's ``seconds`` is the
-time from the start of the suite's pass until that member was settled.
+it, and each member dropped after its first failing slab.  The pass builds
+each member's report, and :func:`check_identity` hands it out in the
+suite's order; called directly, :func:`check_identity` evaluates its
+identity as a suite of one.  A failure carries the lexicographically
+smallest failing tuple together with its defect vector, and a report's
+``seconds`` is the time from the start of the suite's pass until that
+member was settled.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ from typing import Mapping
 
 from .core import (
     AlgebraPresentation,
+    Check,
     Term,
-    check_report,
     eps,
-    first_failures,
     multiplicative_checks,
     operation,
     positions,
+    run_checks,
     twisted,
 )
 from .reports import PRECONDITION_FAILED, CheckReport, SuiteReport
@@ -58,10 +59,10 @@ DEFAULT_ARITY4_CAP = 12
 ARITY4_ENV = "HOMCOLOR_MAX_ARITY4_DIM"
 
 
-# The suite whose member reports are being built: its presentation, the
-# roles whose twist it verified multiplicative, and each member's settled
-# evaluation (see _evaluate) keyed by tag and role binding.  Set only while
-# run_suite or check_gi_identities builds its reports through check_identity.
+# The suite whose member reports are being handed out: its presentation,
+# the roles whose twist it verified multiplicative, and each member's report
+# (see _evaluate) keyed by tag and role binding.  Set only while run_suite or
+# check_gi_identities collects its reports through check_identity.
 _SUITE: ContextVar[tuple[AlgebraPresentation | None, frozenset[str], Mapping]] = ContextVar(
     "homcolor_suite", default=(None, frozenset(), {})
 )
@@ -263,10 +264,9 @@ def _evaluate(
     presentation: AlgebraPresentation,
     members: list[tuple[str, tuple[tuple[str, str], ...]]],
     arity4_dim_cap: int | None,
-) -> dict[tuple[str, tuple[tuple[str, str], ...]], tuple]:
+) -> dict[tuple[str, tuple[tuple[str, str], ...]], CheckReport]:
     """Evaluate the (tag, binding) members together in one
-    :func:`~homcolor.core.first_failures` pass; map each member to its first
-    failure, or None, and the seconds until it was settled."""
+    :func:`~homcolor.core.run_checks` pass; map each member to its report."""
     n = presentation.dim
     specs = [IDENTITY_CATALOG[tag] for tag, _ in members]
     for spec in specs:
@@ -278,9 +278,13 @@ def _evaluate(
             )
     roles = {role for _, binding in members for _, role in binding}
     ops = {role: presentation.product(role).row_cells for role in roles}
-    plans = [(spec.terms, binding) for spec, (_, binding) in zip(specs, members)]
+    checks = [
+        Check(tag, (spec.terms, binding), roles=binding)
+        for spec, (tag, binding) in zip(specs, members)
+    ]
     axes = ((presentation.space, presentation.alpha),) * max(spec.arity for spec in specs)
-    return dict(zip(members, first_failures(plans, axes, ops, presentation.bichar)))
+    reports = run_checks(checks, axes, ops, presentation.bichar, presentation.space)
+    return dict(zip(members, reports))
 
 
 def check_identity(
@@ -318,14 +322,10 @@ def check_identity(
             )
 
     member = (tag, role_items)
-    settled = evaluated.get(member)
-    if settled is None:
-        settled = _evaluate(presentation, [member], arity4_dim_cap)[member]
-    first, seconds = settled
-    return check_report(
-        tag, (presentation.names,) * spec.arity, first, seconds, presentation.space,
-        roles=role_items,
-    )
+    report = evaluated.get(member)
+    if report is None:
+        report = _evaluate(presentation, [member], arity4_dim_cap)[member]
+    return report
 
 
 def _suite_report(
@@ -335,7 +335,7 @@ def _suite_report(
     verified_roles: frozenset[str],
     arity4_dim_cap: int | None,
 ) -> SuiteReport:
-    """Evaluate the (tag, role override) members in one pass, then build
+    """Evaluate the (tag, role override) members in one pass, then collect
     each member's report through :func:`check_identity`."""
     evaluated = _evaluate(
         presentation, [(tag, _binding(tag, override)) for tag, override in members], arity4_dim_cap

@@ -9,7 +9,7 @@ Each condition of a :class:`BimoduleKind` is a tuple of signed product-tree
 terms over (algebra basis)^2 x (module basis), whose nodes are the kind's
 products and actions.  :func:`check_bimodule` evaluates all conditions of a
 kind together in one pass of the identity engine's evaluator
-(:func:`~homcolor.core.first_failures`), slab by slab over nonzero cells,
+(:func:`~homcolor.core.run_checks`), slab by slab over nonzero cells,
 sharing each subtree map between the conditions, and reports each
 condition's smallest failing tuple.
 """
@@ -21,20 +21,20 @@ from typing import Mapping, Sequence
 
 from .core import (
     AlgebraPresentation,
+    Check,
     GradedSpace,
     LinearMap,
     Rows,
     Term,
-    check_report,
     eps,
-    first_failures,
     is_morphism,
     operation,
     positions,
+    run_checks,
     twisted,
 )
-from .reports import PreconditionError, SuiteReport
-from .scalars import ScalarContext
+from .reports import CheckReport, PreconditionError, SuiteReport
+from .scalars import Scalar, ScalarContext
 
 __all__ = [
     "ActionBundle",
@@ -254,6 +254,19 @@ def check_bimodule(
     product_roles: Mapping[str, str] | None = None,
 ) -> SuiteReport:
     """Evaluate every condition of ``kind`` over basis pairs times module basis."""
+    reports = _bimodule_reports(presentation, bundle, kind, product_roles, "")
+    return SuiteReport(kind=kind.value, checks=reports)
+
+
+def _bimodule_reports(
+    presentation: AlgebraPresentation,
+    bundle: ActionBundle,
+    kind: BimoduleKind,
+    product_roles: Mapping[str, str] | None,
+    prefix: str,
+) -> list[CheckReport]:
+    """The reports of :func:`check_bimodule`, each check named ``prefix``
+    followed by its condition's label."""
     if bundle.algebra_space != presentation.space:
         raise ValueError("bundle is indexed by a different algebra basis")
     slots = _resolve_slots(kind, product_roles)
@@ -271,15 +284,8 @@ def check_bimodule(
         binding += ((name, ("action", name)),)
     algebra = (presentation.space, presentation.alpha)
     axes = (algebra, algebra, (bundle.module, bundle.beta))
-    names = (presentation.names, presentation.names, bundle.module.names)
-    conditions = KIND_CONDITIONS[kind]
-    settled = first_failures(
-        [(terms, binding) for _, terms in conditions], axes, ops, presentation.bichar
-    )
-    report = SuiteReport(kind=kind.value)
-    for (label, _), (first, seconds) in zip(conditions, settled):
-        report.checks.append(check_report(label, names, first, seconds, bundle.module))
-    return report
+    checks = [Check(prefix + label, (terms, binding)) for label, terms in KIND_CONDITIONS[kind]]
+    return run_checks(checks, axes, ops, presentation.bichar, bundle.module)
 
 
 # Product slot and multiplication side behind each action of a regular or
@@ -292,15 +298,39 @@ _ACTION_SOURCES: dict[str, tuple[str, str]] = {
 }
 
 
-def _mul_column_map(
-    presentation: AlgebraPresentation, role: str, i: int, side: str
-) -> LinearMap:
-    space = presentation.space
-    if side == "left":
-        columns = [presentation.mul_basis(role, i, j) for j in range(space.dim)]
-    else:
-        columns = [presentation.mul_basis(role, j, i) for j in range(space.dim)]
-    return LinearMap(space, space, presentation.context, columns, degree=space.degree(i))
+def _multiplication_bundle(
+    algebra_space: GradedSpace,
+    presentation: AlgebraPresentation,
+    images: Sequence[Sequence[tuple[int, Scalar]]],
+    kind: BimoduleKind,
+    product_roles: Mapping[str, str] | None,
+) -> ActionBundle:
+    """Actions on ``presentation`` by multiplying through ``images``: e_i of
+    ``algebra_space`` acts on e_j by images[i] o e_j (left) or e_j o
+    images[i] (right), o the product bound to the action's slot, with beta
+    equal to the presentation's twist."""
+    slots = _resolve_slots(kind, product_roles)
+    for role in slots.values():
+        presentation.product(role)
+    space, ctx, one = presentation.space, presentation.context, presentation.context.one
+    actions: dict[str, tuple[LinearMap, ...]] = {}
+    for name in KIND_ACTIONS[kind]:
+        slot, side = _ACTION_SOURCES[name]
+        table = presentation.products[slots[slot]].table
+        family = []
+        for i, image in enumerate(images):
+            columns = []
+            for j in range(space.dim):
+                column: dict = {}
+                for k, c in image:
+                    for m, s in table.get((k, j) if side == "left" else (j, k), ()):
+                        t = s if c is one else c * s
+                        prev = column.get(m)
+                        column[m] = t if prev is None else prev + t
+                columns.append(column)
+            family.append(LinearMap(space, space, ctx, columns, degree=algebra_space.degree(i)))
+        actions[name] = tuple(family)
+    return ActionBundle(algebra_space, space, presentation.alpha, ctx, actions)
 
 
 def regular_bundle(
@@ -310,19 +340,9 @@ def regular_bundle(
 ) -> ActionBundle:
     """The presentation acting on itself: left/right multiplications and the
     adjoint action of the bracket, with beta equal to the twist."""
-    slots = _resolve_slots(kind, product_roles)
-    for role in slots.values():
-        presentation.product(role)
-    actions: dict[str, tuple[LinearMap, ...]] = {}
-    n = presentation.dim
-    for name in KIND_ACTIONS[kind]:
-        slot, side = _ACTION_SOURCES[name]
-        actions[name] = tuple(
-            _mul_column_map(presentation, slots[slot], i, side) for i in range(n)
-        )
-    return ActionBundle(
-        presentation.space, presentation.space, presentation.alpha, presentation.context, actions
-    )
+    one = presentation.context.one
+    images = [((i, one),) for i in range(presentation.dim)]
+    return _multiplication_bundle(presentation.space, presentation, images, kind, product_roles)
 
 
 def pullback_bundle(
@@ -341,22 +361,4 @@ def pullback_bundle(
     morphism = is_morphism(f, source, target)
     if not morphism.passed and not force:
         raise PreconditionError("pullback needs a verified morphism", (morphism,))
-    slots = _resolve_slots(kind, product_roles)
-    for role in slots.values():
-        target.product(role)
-    space = target.space
-    n = source.dim
-    actions: dict[str, tuple[LinearMap, ...]] = {}
-
-    def column_map(i: int, role: str, side: str) -> LinearMap:
-        fx = f.image(i)
-        if side == "left":
-            columns = [target.mul(role, fx, {j: target.context.one}) for j in range(space.dim)]
-        else:
-            columns = [target.mul(role, {j: target.context.one}, fx) for j in range(space.dim)]
-        return LinearMap(space, space, target.context, columns, degree=source.space.degree(i))
-
-    for name in KIND_ACTIONS[kind]:
-        slot, side = _ACTION_SOURCES[name]
-        actions[name] = tuple(column_map(i, slots[slot], side) for i in range(n))
-    return ActionBundle(source.space, space, target.alpha, target.context, actions)
+    return _multiplication_bundle(source.space, target, f.columns, kind, product_roles)

@@ -31,6 +31,7 @@ from .core import (
     BilinearProduct,
     GradedSpace,
     LinearMap,
+    _map_scalars,
     role_sort_key,
 )
 from .grading import AbelianGroup, Bicharacter, validate_commutation_factor
@@ -246,28 +247,36 @@ def load_bundle(doc: Mapping, presentation: AlgebraPresentation, where: str = "m
     ctx = presentation.context
     module = _space_from(presentation.space.group, _get(doc, "basis", where), where)
     beta = _matrix(ctx, module, module, _get(doc, "beta", where), f"{where}beta")
-    actions: dict[str, list[LinearMap]] = {}
-    for name, per_basis in sorted(_object(_get(doc, "actions", where), f"{where}actions").items()):
-        if name not in ("s", "l", "r", "rho"):
-            raise LoadError(f"{where}actions.{name}: unknown action role")
-        per_basis = _object(per_basis, f"{where}actions.{name}")
-        family = []
-        for i, basis_name in enumerate(presentation.names):
-            rows = per_basis.get(basis_name)
-            if rows is None:
-                family.append(
-                    LinearMap.zero(module, module, ctx, presentation.space.degree(i))
-                )
-                continue
-            spot = f"{where}actions.{name}.{basis_name}"
-            family.append(
-                _matrix(ctx, module, module, rows, spot, presentation.space.degree(i))
-            )
-        actions[name] = family
+    actions = _action_families(_get(doc, "actions", where), presentation, module, f"{where}actions")
     try:
         return ActionBundle(presentation.space, module, beta, ctx, actions)
     except ValueError as exc:
         raise LoadError(f"{where}: {exc}") from exc
+
+
+def _action_families(
+    doc: Any, presentation: AlgebraPresentation, module: GradedSpace, where: str
+) -> dict[str, list[LinearMap]]:
+    """The action families of the object ``doc``, at the path ``where``:
+    per action role, one operator on ``module`` per basis element of
+    ``presentation``, zero where the element is not listed."""
+    ctx = presentation.context
+    actions: dict[str, list[LinearMap]] = {}
+    for name, per_basis in sorted(_object(doc, where).items()):
+        if name not in ("s", "l", "r", "rho"):
+            raise LoadError(f"{where}.{name}: unknown action role")
+        per_basis = _object(per_basis, f"{where}.{name}")
+        family = []
+        for i, basis_name in enumerate(presentation.names):
+            degree = presentation.space.degree(i)
+            rows = per_basis.get(basis_name)
+            if rows is None:
+                family.append(LinearMap.zero(module, module, ctx, degree))
+            else:
+                spot = f"{where}.{name}.{basis_name}"
+                family.append(_matrix(ctx, module, module, rows, spot, degree))
+        actions[name] = family
+    return actions
 
 
 def load_presentation_file(path) -> tuple[AlgebraPresentation, ActionBundle | None]:
@@ -278,24 +287,22 @@ def load_presentation_file(path) -> tuple[AlgebraPresentation, ActionBundle | No
 
 
 def load_matched_pair_file(path) -> MatchedPairData:
-    """Read ``{"a": ..., "b": ..., "actions_a_on_b": ..., "actions_b_on_a": ...}``."""
+    """Read ``{"a": ..., "b": ..., "actions_a_on_b": ..., "actions_b_on_a": ...}``.
+
+    Each action object has the layout of a ``module`` block's ``actions``;
+    the module is the other side's basis, twisted by its ``alpha``."""
     doc = _object(_read_json(path), "")
     a = load_presentation(_get(doc, "a", ""), "a.")
     b = load_presentation(_get(doc, "b", ""), "b.")
-    ab_doc = {
-        "basis": [{"name": n, "deg": list(d)} for n, d in zip(b.names, b.space.degrees)],
-        "beta": [[str(s) for s in row] for row in b.alpha.rows()],
-        "actions": _get(doc, "actions_a_on_b", ""),
-    }
-    ba_doc = {
-        "basis": [{"name": n, "deg": list(d)} for n, d in zip(a.names, a.space.degrees)],
-        "beta": [[str(s) for s in row] for row in a.alpha.rows()],
-        "actions": _get(doc, "actions_b_on_a", ""),
-    }
-    ab = load_bundle(ab_doc, a, "actions_a_on_b.")
-    ba = load_bundle(ba_doc, b, "actions_b_on_a.")
+    ab = _action_families(_get(doc, "actions_a_on_b", ""), a, b.space, "actions_a_on_b")
+    ba = _action_families(_get(doc, "actions_b_on_a", ""), b, a.space, "actions_b_on_a")
     try:
-        return MatchedPairData(a, b, ab, ba)
+        return MatchedPairData(
+            a,
+            b,
+            ActionBundle(a.space, b.space, b.alpha, a.context, ab),
+            ActionBundle(b.space, a.space, a.alpha, b.context, ba),
+        )
     except ValueError as exc:
         raise LoadError(str(exc)) from exc
 
@@ -352,16 +359,4 @@ def substitute_presentation(
     """Numeric spot-check helper: substitute parameters in every entry."""
     ctx = presentation.context
     values = {name: ctx.scalar(v) for name, v in assignment.items()}
-    products = {}
-    for role, product in presentation.products.items():
-        entries = {
-            key: {k: s.substitute(values) for k, s in cell}
-            for key, cell in product.table.items()
-        }
-        products[role] = BilinearProduct(presentation.space, ctx, entries)
-    columns = [
-        {k: s.substitute(values) for k, s in presentation.alpha.image(i).items()}
-        for i in range(presentation.dim)
-    ]
-    alpha = LinearMap(presentation.space, presentation.space, ctx, columns)
-    return AlgebraPresentation(presentation.space, presentation.bichar, ctx, products, alpha)
+    return _map_scalars(presentation, ctx, lambda s: s.substitute(values))

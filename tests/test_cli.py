@@ -434,6 +434,18 @@ class TestConstruct:
             "error: construct commutator does not read --force, --type, --kind, --ideal\n"
         )
 
+    @pytest.mark.parametrize("name", sorted(CONSTRUCT_READS))
+    def test_arity4_cap_without_verify_exits_three(self, tmp_path, capsys, name):
+        # Only the --verify suite reads the cap; the inputs are not read.
+        inputs = [tmp_path / "missing.json"] * (2 if name == "tensor" else 1)
+        assert run("construct", name, *inputs, "--arity4-cap", "3") == 3
+        assert capsys.readouterr().err == f"error: construct {name} does not read --arity4-cap\n"
+
+    def test_arity4_cap_with_verify_is_read(self, fixtures_dir, capsys):
+        argv = ["--arity4-cap", "3", "--verify", "hom_lie"]
+        assert run("construct", "commutator", fixtures_dir / "novikov_3dim.json", *argv) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("argv", [["--type", "1"], ["--n", "1"], ["--ideal", ""]])
     def test_options_left_at_their_default_are_not_refused(self, fixtures_dir, capsys, argv):
         assert run("construct", "commutator", fixtures_dir / "novikov_3dim.json", *argv) == 0

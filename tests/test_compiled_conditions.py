@@ -33,11 +33,12 @@ from homcolor.constructions import (
 from homcolor.core import (
     AlgebraPresentation,
     BilinearProduct,
+    Check,
     GradedSpace,
     LinearMap,
-    first_failures,
     operation,
     positions,
+    run_checks,
     twisted,
 )
 from homcolor.grading import trivial_grading
@@ -306,18 +307,19 @@ def test_pruned_pass_matches_dense_oracle(A):
     # bound the oracle's dense scan), each against the oracle's smallest
     # failing tuple and its defect there.
     specs = [spec for spec in IDENTITY_CATALOG.values() if spec.arity < 4 or A.dim <= 3]
-    plans = [(spec.terms, spec.defaults) for spec in specs]
+    checks = [Check(spec.tag, (spec.terms, spec.defaults)) for spec in specs]
     ops = {role: A.product(role).row_cells for role in A.roles}
     axes = ((A.space, A.alpha),) * max(spec.arity for spec in specs)
     oracle = DenseOracle(A)
-    for spec, (first, _) in zip(specs, first_failures(plans, axes, ops, A.bichar)):
+    for spec, report in zip(specs, run_checks(checks, axes, ops, A.bichar, A.space)):
+        assert report.check == spec.tag
         roles = dict(spec.defaults)
         t = oracle.check(spec.tag, roles, spec.arity)
-        if t is None:
-            assert first is None, spec.tag
-        else:
+        found = None
+        if t is not None:
             defect = oracle.defect(spec.tag, roles, t)
-            assert first == (t, {k: s for k, s in enumerate(defect) if s.terms}), spec.tag
+            found = (t, {k: s for k, s in enumerate(defect) if s.terms})
+        assert_reports_failure(report, found, [A.names] * spec.arity, A.space)
 
 
 _entry = st.sampled_from([1, -1, 2])
@@ -427,18 +429,21 @@ def test_terms_with_a_support_that_cancel_still_pass(monkeypatch):
     A = AlgebraPresentation(space, bichar, ctx, {"dot": dot}, alpha)
     x, y = positions(2)
     a = operation("a")
-    plans = [
-        (((1, (), a(twisted(x), y)),), (("a", "dot"),)),
-        (((1, (), a(x, y)), (-1, (), a(y, x))), (("a", "dot"),)),
+    checks = [
+        Check("twisted", (((1, (), a(twisted(x), y)),), (("a", "dot"),))),
+        Check("commutator", (((1, (), a(x, y)), (-1, (), a(y, x))), (("a", "dot"),))),
     ]
     joins = []
     join = core._join
     monkeypatch.setattr(core, "_join", lambda *args: joins.append(1) or join(*args))
     axes = ((A.space, A.alpha),) * 2
-    settled = first_failures(plans, axes, {"dot": dot.row_cells}, A.bichar)
-    assert [first for first, _ in settled] == [None, None]
+    names = [A.names] * 2
+    reports = run_checks(checks, axes, {"dot": dot.row_cells}, A.bichar, A.space)
+    for report in reports:
+        assert_reports_failure(report, None, names, A.space)
     assert joins
     # The same plans fail once the cancellation is broken.
     B = perturb(A, "dot", 1, 2, 2, 1)
-    settled = first_failures(plans, axes, {"dot": B.product("dot").row_cells}, B.bichar)
-    assert [first for first, _ in settled] == [((0, 2), {2: one}), ((1, 2), {2: one})]
+    reports = run_checks(checks, axes, {"dot": B.product("dot").row_cells}, B.bichar, B.space)
+    for report, found in zip(reports, [((0, 2), {2: one}), ((1, 2), {2: one})]):
+        assert_reports_failure(report, found, names, B.space)

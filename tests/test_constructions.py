@@ -1,6 +1,9 @@
 """Constructions: commutators, twists, derived algebras, sums, doubles,
 tensor products, quotients, and their theorem hypotheses."""
 
+import hashlib
+import json
+
 import pytest
 
 import homcolor as hc
@@ -8,6 +11,8 @@ from homcolor.constructions import MatchedPairData, MatchedPairKind
 from homcolor.core import AlgebraPresentation, BilinearProduct, LinearMap
 from homcolor.reports import PreconditionError
 from homcolor.representations import ActionBundle, BimoduleKind, regular_bundle
+from homcolor.serialize import dump_presentation
+from tests.conftest import load
 from tests.util import act
 
 
@@ -365,6 +370,20 @@ class TestTensor:
         T = hc.tensor_product(hnp_admissible_4dim, hnp_transposed_4dim)
         assert set(hnp_admissible_4dim.context.params) <= set(T.context.params)
         assert hc.run_suite(T, hc.StructureKind.ADMISSIBLE_HNP).passed
+
+    @pytest.mark.parametrize("left, right, digest", [
+        ("hnp_4dim.json", "hnp_admissible_4dim.json",
+         "74025524001825d9ff9a8a3d7288ec9f55895f3d5ec6d32e49f77d03764832bc"),
+        ("hnp_admissible_4dim.json", "zero_2dim.json",
+         "333bb219e65cac8a3e93bbee4fba5b380ce5e7f42cadd440bc1411b1c5f4dd80"),
+    ])
+    def test_factors_over_different_contexts_are_rebuilt_exactly(self, left, right, digest):
+        # Each factor is rebuilt over the union of the two scalar contexts;
+        # the output's dump is pinned by its sha256.
+        A, B = load(left), load(right)
+        assert A.context != B.context
+        text = json.dumps(dump_presentation(hc.tensor_product(A, B)), indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_nonadmissible_factor_rejected(self, poly_deriv_3dim, hnp_admissible_4dim):
         with pytest.raises(PreconditionError):

@@ -1,5 +1,7 @@
 """Input format: round trips, determinism, and error reporting."""
 
+import json
+
 import pytest
 
 import homcolor as hc
@@ -8,6 +10,7 @@ from homcolor.serialize import (
     dump_presentation,
     dump_presentation_file,
     load_bundle,
+    load_matched_pair_file,
     load_presentation,
     load_presentation_file,
     substitute_presentation,
@@ -228,6 +231,35 @@ def test_unknown_action_role_rejected(hnp_4dim):
     }
     with pytest.raises(LoadError, match="unknown action role"):
         load_bundle(doc, hnp_4dim)
+
+
+@pytest.mark.parametrize("actions, message", [
+    ({"s": {"e1": [["x"]]}}, "actions_a_on_b.s.e1[0][0]: undeclared name 'x' at position 0"),
+    ({"q": {}}, "actions_a_on_b.q: unknown action role"),
+    ([], "actions_a_on_b: expected an object"),
+    ({"s": []}, "actions_a_on_b.s: expected an object"),
+])
+def test_matched_pair_action_errors_name_the_document_path(assoc_3dim, tmp_path, actions, message):
+    doc_a = dump_presentation(assoc_3dim)
+    doc_b = {
+        "group": doc_a["group"],
+        "bichar": doc_a["bichar"],
+        "basis": [{"name": "f1", "deg": [0]}],
+        "products": {"dot": []},
+        "roots": doc_a.get("roots", {}),
+    }
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(
+        {"a": doc_a, "b": doc_b, "actions_a_on_b": actions, "actions_b_on_a": {"s": {}}}
+    ))
+    with pytest.raises(LoadError) as caught:
+        load_matched_pair_file(path)
+    assert str(caught.value) == message
+    # The same document with a well-formed action object loads.
+    path.write_text(json.dumps(
+        {"a": doc_a, "b": doc_b, "actions_a_on_b": {"s": {}}, "actions_b_on_a": {"s": {}}}
+    ))
+    assert load_matched_pair_file(path).ab.module == load_presentation(doc_b).space
 
 
 def test_substitution_spot_check(hnp_4dim):

@@ -3,10 +3,18 @@ brute-force witnesses for the scan checks, and evaluation homomorphisms of
 scalars (float and mod-p sanity oracles, never used by the checks)."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
-from homcolor.core import AlgebraPresentation, BilinearProduct, term_failures, vec_add, vec_scale
+from homcolor.core import (
+    AlgebraPresentation,
+    BilinearProduct,
+    LinearMap,
+    term_failures,
+    vec_add,
+    vec_scale,
+)
 from homcolor.scalars import Scalar, ScalarError
 
 
@@ -22,6 +30,52 @@ def perturb(A: AlgebraPresentation, role: str, i: int, j: int, k: int, delta) ->
     products = dict(A.products)
     products[role] = BilinearProduct(A.space, A.context, entries)
     return A.with_products(products)
+
+
+def change_basis(A: AlgebraPresentation, seed: int) -> AlgebraPresentation:
+    """``A`` written in the basis f_i = P e_i, for a seeded even integer
+    change of basis P: within each block of basis elements of one degree,
+    unitriangular in a shuffled order with entries in -2..2 above the
+    diagonal, and the identity across blocks.  The products move to the new
+    basis and the twist becomes P^-1 alpha P; names and degrees stay."""
+    rng = random.Random(seed)
+    n = A.dim
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    for degree in dict.fromkeys(A.space.degrees):
+        block = [i for i in range(n) if A.space.degree(i) == degree]
+        rng.shuffle(block)
+        for a, r in enumerate(block):
+            for c in block[a + 1:]:
+                rows[r][c] = rng.randint(-2, 2)
+    P = LinearMap.from_rows(A.space, A.space, A.context, rows)
+    P_inv = LinearMap.from_rows(A.space, A.space, A.context, _integer_inverse(rows))
+    f = [P.image(i) for i in range(n)]
+    products = {
+        role: BilinearProduct(A.space, A.context, {
+            (i, j): P_inv.apply(A.mul(role, f[i], f[j])) for i in range(n) for j in range(n)
+        })
+        for role in A.roles
+    }
+    alpha = P_inv.compose(A.alpha.compose(P))
+    return AlgebraPresentation(A.space, A.bichar, A.context, products, alpha)
+
+
+def _integer_inverse(rows):
+    """The inverse of an integer matrix with an integer inverse, by
+    Gauss-Jordan elimination over the rationals."""
+    n = len(rows)
+    work = [[Fraction(v) for v in row] + [Fraction(int(r == c)) for c in range(n)]
+            for r, row in enumerate(rows)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if work[r][c])
+        work[c], work[pivot] = work[pivot], work[c]
+        work[c] = [v / work[c][c] for v in work[c]]
+        for r in range(n):
+            if r != c and work[r][c]:
+                work[r] = [v - work[r][c] * w for v, w in zip(work[r], work[c])]
+    inverse = [row[n:] for row in work]
+    assert all(v.denominator == 1 for row in inverse for v in row)
+    return [[int(v) for v in row] for row in inverse]
 
 
 def graded_targets(A: AlgebraPresentation, i: int, j: int) -> list[int]:
