@@ -1,7 +1,7 @@
 """Batch front end: load JSON inputs, run suites or constructions, emit reports.
 
 Exit codes: 0 all checks pass, 1 an identity fails, 2 a precondition fails,
-3 parse or validation error.  Reports are JSON with a fixed field order;
+3 parse, usage or validation error.  Reports are JSON with a fixed field order;
 identical inputs give byte-identical reports (timings opt in via --timings).
 """
 
@@ -11,8 +11,9 @@ import argparse
 import functools
 import json
 import sys
+from enum import Enum
+from typing import Callable, Mapping, NamedTuple
 
-from . import identities
 from .constructions import (
     MatchedPairKind,
     commutator_bracket,
@@ -25,11 +26,10 @@ from .constructions import (
     yau_twist,
     semidirect_sum,
 )
-from .core import MissingRoleError
+from .core import AlgebraPresentation
 from .identities import StructureKind, check_gi_identities, run_suite
 from .reports import FAIL, PASS, PRECONDITION_FAILED, PreconditionError, SuiteReport
 from .representations import BimoduleKind, check_bimodule
-from .scalars import ScalarError
 from .serialize import (
     LoadError,
     _read_json,
@@ -83,132 +83,145 @@ def _emit(suite: SuiteReport, args, kind: str) -> int:
 
 
 def cmd_check(args) -> int:
+    kind = args.kind
+    if args.arity4_cap is not None and kind != "gi":
+        raise LoadError(f"check --kind {kind} does not read --arity4-cap")
     presentation, bundle = load_presentation_file(args.input)
     if args.subst:
         presentation = substitute_presentation(presentation, _parse_subst(args.subst))
-    kind = args.kind
     if kind in STRUCTURE_KINDS:
-        suite = run_suite(
-            presentation, STRUCTURE_KINDS[kind], arity4_dim_cap=args.arity4_cap
-        )
-    elif kind == "gi":
-        suite = check_gi_identities(presentation, arity4_dim_cap=args.arity4_cap)
+        suite = run_suite(presentation, STRUCTURE_KINDS[kind])
     elif kind in BIMODULE_KINDS:
         if bundle is None:
             raise LoadError("input has no 'module' block, required for bimodule kinds")
         suite = check_bimodule(presentation, bundle, BIMODULE_KINDS[kind])
     else:
-        raise LoadError(f"unknown kind {kind!r}")
+        suite = check_gi_identities(presentation, arity4_dim_cap=args.arity4_cap)
     return _emit(suite, args, kind)
 
 
-# Input files each construction reads; every other one reads one.
-_CONSTRUCT_INPUTS = {"tensor": 2}
-# The --kind choices of the constructions that read one.
-_CONSTRUCT_KINDS = {"semidirect": BIMODULE_KINDS, "matched-pair": MATCHED_KINDS}
-# Each construction option by flag, with its destination and the constructions
-# that read it; all of them read --out and --verify, and --arity4-cap only with
-# --verify.
+# Each construct builder reads its inputs and options from ``args``, where
+# --kind and --to hold the construction's defaults unless given.
+
+def _input(args, i: int = 0) -> AlgebraPresentation:
+    return load_presentation_file(args.inputs[i])[0]
+
+
+def _twist(args) -> AlgebraPresentation:
+    presentation = _input(args)
+    twist_map = load_linear_map(args.map, presentation) if args.map else presentation.alpha
+    return yau_twist(presentation, twist_map, force=args.force)
+
+
+def _semidirect(args) -> AlgebraPresentation:
+    presentation, bundle = load_presentation_file(args.inputs[0])
+    if bundle is None:
+        raise LoadError("input has no 'module' block, required for semidirect")
+    return semidirect_sum(presentation, bundle, BIMODULE_KINDS[args.kind], force=args.force)
+
+
+def _quotient(args) -> AlgebraPresentation:
+    ideal = [n.strip() for n in args.ideal.split(",")]
+    if not all(ideal):
+        raise LoadError(f"construct quotient needs --ideal NAME[,NAME...], got {args.ideal!r}")
+    return quotient(_input(args), ideal)
+
+
+def _derivation_product(args) -> AlgebraPresentation:
+    presentation = _input(args)
+    if not args.map:
+        raise LoadError("derivation-product needs --map FILE")
+    derivation = load_linear_map(args.map, presentation)
+    return novikov_from_derivation(presentation, derivation, args.to_role, args.force)
+
+
+class _Construction(NamedTuple):
+    """A construction: its builder, the options it reads besides --out and
+    --verify, its defaults for them, its input count, its --kind choices,
+    and the suite that --verify auto runs for a kind, if it has one."""
+
+    build: Callable[[argparse.Namespace], AlgebraPresentation]
+    reads: tuple[str, ...]
+    defaults: Mapping[str, str] = {}
+    inputs: int = 1
+    kinds: Mapping[str, Enum] = {}
+    auto: Callable[[Enum], StructureKind] | None = None
+
+
+_CONSTRUCTIONS = {
+    "commutator": _Construction(
+        lambda args: commutator_bracket(_input(args), args.from_role, args.to_role),
+        ("--from", "--to"), {"to_role": "bracket"},
+    ),
+    "twist": _Construction(_twist, ("--force", "--map")),
+    "derived": _Construction(
+        lambda args: derived_algebra(_input(args), args.type, args.n, force=args.force),
+        ("--force", "--type", "--n"),
+    ),
+    "semidirect": _Construction(
+        _semidirect, ("--force", "--kind"), {"kind": "assoc_bimodule"}, kinds=BIMODULE_KINDS
+    ),
+    "matched-pair": _Construction(
+        lambda args: matched_pair_double(
+            load_matched_pair_file(args.inputs[0]), MATCHED_KINDS[args.kind], force=args.force
+        ),
+        ("--force", "--kind"), {"kind": "hnp"}, kinds=MATCHED_KINDS, auto=double_suite_kind,
+    ),
+    "tensor": _Construction(
+        lambda args: tensor_product(_input(args), _input(args, 1), force=args.force),
+        ("--force",), inputs=2,
+    ),
+    "quotient": _Construction(_quotient, ("--ideal",)),
+    "derivation-product": _Construction(
+        _derivation_product, ("--force", "--to", "--map"), {"to_role": "diamond"}
+    ),
+}
+# Each construct option's destination, by flag in the order refusals name them.
 _CONSTRUCT_OPTIONS = {
-    "--force": ("force", {"twist", "derived", "semidirect", "matched-pair", "tensor",
-                          "derivation-product"}),
-    "--from": ("from_role", {"commutator"}),
-    "--to": ("to_role", {"commutator", "derivation-product"}),
-    "--type": ("type", {"derived"}),
-    "--n": ("n", {"derived"}),
-    "--kind": ("kind", set(_CONSTRUCT_KINDS)),
-    "--ideal": ("ideal", {"quotient"}),
-    "--map": ("map", {"twist", "derivation-product"}),
-    "--arity4-cap": ("arity4_cap", set()),
+    "--force": "force", "--from": "from_role", "--to": "to_role", "--type": "type",
+    "--n": "n", "--kind": "kind", "--ideal": "ideal", "--map": "map",
 }
 
 
 def cmd_construct(args) -> int:
-    name = args.name
-    want = _CONSTRUCT_INPUTS.get(name, 1)
-    if len(args.inputs) != want:
+    name, spec = args.name, _CONSTRUCTIONS[args.name]
+    if len(args.inputs) != spec.inputs:
         raise LoadError(
-            f"construct {name} takes {want} input file{'s' if want > 1 else ''}, "
+            f"construct {name} takes {spec.inputs} input file{'s' if spec.inputs > 1 else ''}, "
             f"got {len(args.inputs)}"
         )
-    defaults = _construct_defaults()
     unread = [
         flag
-        for flag, (dest, readers) in _CONSTRUCT_OPTIONS.items()
-        if name not in readers and getattr(args, dest) != getattr(defaults, dest)
-        and not (dest == "arity4_cap" and args.verify)
+        for flag, dest in _CONSTRUCT_OPTIONS.items()
+        if flag not in spec.reads and getattr(args, dest) != getattr(_construct_defaults(), dest)
     ]
     if unread:
         raise LoadError(f"construct {name} does not read {', '.join(unread)}")
-    if args.verify:
-        suites = sorted(STRUCTURE_KINDS) + (["auto"] if name == "matched-pair" else [])
-        if args.verify not in suites:
-            raise LoadError(
-                f"unknown --verify suite {args.verify!r}; choose one of {', '.join(suites)}"
-            )
-    kinds = _CONSTRUCT_KINDS.get(name)
-    if kinds and args.kind is not None and args.kind not in kinds:
+    suites = sorted(STRUCTURE_KINDS) + (["auto"] if spec.auto else [])
+    if args.verify and args.verify not in suites:
+        raise LoadError(
+            f"unknown --verify suite {args.verify!r}; choose one of {', '.join(suites)}"
+        )
+    for dest, value in spec.defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
+    if spec.kinds and args.kind not in spec.kinds:
         raise LoadError(
             f"unknown --kind {args.kind!r} for construct {name}; "
-            f"choose one of {', '.join(sorted(kinds))}"
+            f"choose one of {', '.join(sorted(spec.kinds))}"
         )
-    ideal = [n.strip() for n in args.ideal.split(",")]
-    if name == "quotient" and not all(ideal):
-        raise LoadError(f"construct quotient needs --ideal NAME[,NAME...], got {args.ideal!r}")
-    if name == "matched-pair":
-        pair = load_matched_pair_file(args.inputs[0])
-        result = matched_pair_double(pair, MATCHED_KINDS[args.kind or "hnp"], force=args.force)
-    else:
-        presentation, bundle = load_presentation_file(args.inputs[0])
-        if name == "commutator":
-            result = commutator_bracket(
-                presentation, args.from_role, args.to_role or "bracket"
-            )
-        elif name == "twist":
-            if args.map:
-                twist_map = load_linear_map(args.map, presentation)
-            else:
-                twist_map = presentation.alpha
-            result = yau_twist(presentation, twist_map, force=args.force)
-        elif name == "derived":
-            result = derived_algebra(presentation, args.type, args.n, force=args.force)
-        elif name == "semidirect":
-            if bundle is None:
-                raise LoadError("input has no 'module' block, required for semidirect")
-            result = semidirect_sum(
-                presentation,
-                bundle,
-                BIMODULE_KINDS[args.kind or "assoc_bimodule"],
-                force=args.force,
-            )
-        elif name == "tensor":
-            other, _ = load_presentation_file(args.inputs[1])
-            result = tensor_product(presentation, other, force=args.force)
-        elif name == "quotient":
-            result = quotient(presentation, ideal)
-        elif name == "derivation-product":
-            if not args.map:
-                raise LoadError("derivation-product needs --map FILE")
-            result = novikov_from_derivation(
-                presentation,
-                load_linear_map(args.map, presentation),
-                to_role=args.to_role or "diamond",
-                force=args.force,
-            )
-        else:
-            raise LoadError(f"unknown construction {name!r}")
+    result = spec.build(args)
 
     if args.out:
         dump_presentation_file(result, args.out)
         print(f"wrote {args.out}")
-    if args.verify:
-        verify = args.verify
-        if verify == "auto" and name == "matched-pair":
-            verify = double_suite_kind(MATCHED_KINDS[args.kind or "hnp"]).value
-        suite = run_suite(result, STRUCTURE_KINDS[verify], arity4_dim_cap=args.arity4_cap)
-        print(suite.describe())
-        return _STATUS_EXIT[suite.status]
-    return EXIT_PASS
+    if not args.verify:
+        return EXIT_PASS
+    verify = args.verify
+    kind = spec.auto(spec.kinds[args.kind]) if verify == "auto" else STRUCTURE_KINDS[verify]
+    suite = run_suite(result, kind)
+    print(suite.describe())
+    return _STATUS_EXIT[suite.status]
 
 
 _TYPE_NAMES = {str: "a string", list: "a list"}
@@ -279,8 +292,17 @@ def cmd_report(args) -> int:
     return worst
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error like every other parse error: exit 3 and an
+    ``error:`` line, after the usage.  Subparsers are built by this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="homcolor",
         description="Exact identity checking and constructions for graded Hom-algebras.",
     )
@@ -300,19 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.set_defaults(func=cmd_check)
 
     construct = sub.add_parser("construct", help="run a construction and emit the result")
-    construct.add_argument(
-        "name",
-        choices=[
-            "commutator",
-            "twist",
-            "derived",
-            "semidirect",
-            "matched-pair",
-            "tensor",
-            "quotient",
-            "derivation-product",
-        ],
-    )
+    construct.add_argument("name", choices=list(_CONSTRUCTIONS))
     construct.add_argument("inputs", nargs="+")
     construct.add_argument("--out", help="write the constructed presentation here")
     construct.add_argument("--verify", help="run this structure suite on the output")
@@ -324,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     construct.add_argument("--kind", default=None, help="bimodule or matched-pair kind")
     construct.add_argument("--ideal", default="", help="comma-separated basis names")
     construct.add_argument("--map", default=None, help="JSON file with a 'map' matrix")
-    construct.add_argument("--arity4-cap", type=int, default=None, dest="arity4_cap")
     construct.set_defaults(func=cmd_construct)
 
     report = sub.add_parser("report", help="aggregate JSON reports into a summary table")
@@ -352,13 +361,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except PreconditionError as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
-        for report in exc.reports:
-            print(report.describe(), file=sys.stderr)
+        print(f"precondition failure: {exc.describe()}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (LoadError, MissingRoleError, ScalarError, identities.ArityCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

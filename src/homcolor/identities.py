@@ -22,7 +22,6 @@ member was settled.
 
 from __future__ import annotations
 
-import os
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -33,6 +32,7 @@ from .core import (
     AlgebraPresentation,
     Check,
     Term,
+    _bind_slots,
     eps,
     multiplicative_checks,
     operation,
@@ -52,11 +52,9 @@ __all__ = [
     "run_suite",
     "check_gi_identities",
     "required_roles",
-    "arity4_cap",
 ]
 
 DEFAULT_ARITY4_CAP = 12
-ARITY4_ENV = "HOMCOLOR_MAX_ARITY4_DIM"
 
 
 # The suite whose member reports are being handed out: its presentation,
@@ -72,22 +70,14 @@ class ArityCapError(ValueError):
     """Arity-4 check requested above the dimension cap without an override."""
 
 
-def arity4_cap(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get(ARITY4_ENV)
-    return int(env) if env else DEFAULT_ARITY4_CAP
-
-
 @dataclass(frozen=True)
 class IdentityId:
-    """Catalog entry: arity, role slots with defaults, preconditions, and the
-    defect as signed product-tree terms over tuple positions (see
-    :func:`~homcolor.core.term_failures`)."""
+    """Catalog entry: arity, each role slot with its default product,
+    preconditions, and the defect as signed product-tree terms over tuple
+    positions (see :func:`~homcolor.core.term_failures`)."""
 
     tag: str
     arity: int
-    slots: tuple[str, ...]
     defaults: tuple[tuple[str, str], ...]
     needs_multiplicative: bool
     terms: tuple[Term, ...]
@@ -159,8 +149,8 @@ _GI_4 = cyclic(
 del x, y, z, h, x4, y4, z4, _
 
 
-def _entry(tag, arity, slots, defaults, terms, needs_mult=False) -> IdentityId:
-    return IdentityId(tag, arity, slots, tuple(sorted(defaults.items())), needs_mult, terms)
+def _entry(tag, arity, defaults, terms, needs_mult=False) -> IdentityId:
+    return IdentityId(tag, arity, tuple(sorted(defaults.items())), needs_mult, terms)
 
 
 _DOT_DIAMOND = {"dot": "dot", "diamond": "diamond"}
@@ -169,27 +159,27 @@ _DOT_BRACKET = {"dot": "dot", "bracket": "bracket"}
 IDENTITY_CATALOG: dict[str, IdentityId] = {
     spec.tag: spec
     for spec in (
-        _entry("HOM_ASSOC", 3, ("product",), {"product": "dot"}, _HOM_ASSOC),
-        _entry("EPS_COMM", 2, ("product",), {"product": "dot"}, _EPS_COMM),
-        _entry("NOVIKOV_LSYM", 3, ("product",), {"product": "dot"}, _NOVIKOV_LSYM),
-        _entry("NOVIKOV_RCOMM", 3, ("product",), {"product": "dot"}, _NOVIKOV_RCOMM),
-        _entry("LIE_SKEW", 2, ("bracket",), {"bracket": "bracket"}, _LIE_SKEW),
-        _entry("LIE_JACOBI", 3, ("bracket",), {"bracket": "bracket"}, _LIE_JACOBI),
-        _entry("HNP_COMPAT_1", 3, ("dot", "diamond"), _DOT_DIAMOND, _HNP_COMPAT_1),
-        _entry("HNP_COMPAT_2", 3, ("dot", "diamond"), _DOT_DIAMOND, _HNP_COMPAT_2),
-        _entry("TRANSPOSED_LEIBNIZ", 3, ("dot", "bracket"), _DOT_BRACKET, _TRANSPOSED_LEIBNIZ),
-        _entry("POISSON_LEIBNIZ", 3, ("dot", "bracket"), _DOT_BRACKET, _POISSON_LEIBNIZ),
-        _entry("LEFT_ASSOCIATOR", 3, ("dot", "diamond"), _DOT_DIAMOND, _LEFT_ASSOCIATOR),
+        _entry("HOM_ASSOC", 3, {"product": "dot"}, _HOM_ASSOC),
+        _entry("EPS_COMM", 2, {"product": "dot"}, _EPS_COMM),
+        _entry("NOVIKOV_LSYM", 3, {"product": "dot"}, _NOVIKOV_LSYM),
+        _entry("NOVIKOV_RCOMM", 3, {"product": "dot"}, _NOVIKOV_RCOMM),
+        _entry("LIE_SKEW", 2, {"bracket": "bracket"}, _LIE_SKEW),
+        _entry("LIE_JACOBI", 3, {"bracket": "bracket"}, _LIE_JACOBI),
+        _entry("HNP_COMPAT_1", 3, _DOT_DIAMOND, _HNP_COMPAT_1),
+        _entry("HNP_COMPAT_2", 3, _DOT_DIAMOND, _HNP_COMPAT_2),
+        _entry("TRANSPOSED_LEIBNIZ", 3, _DOT_BRACKET, _TRANSPOSED_LEIBNIZ),
+        _entry("POISSON_LEIBNIZ", 3, _DOT_BRACKET, _POISSON_LEIBNIZ),
+        _entry("LEFT_ASSOCIATOR", 3, _DOT_DIAMOND, _LEFT_ASSOCIATOR),
         # Mixed-associator lemma tag, kept in its stated form, which coincides
         # with LEFT_ASSOCIATOR.  Note the commutativity rewrite that usually
         # justifies it lands on (x.y) diamond alpha(z) = alpha(x) . (y diamond z)
         # instead, with the outer product switched; see README.
-        _entry("HNP_LEMMA_ASSOC", 3, ("dot", "diamond"), _DOT_DIAMOND, _LEFT_ASSOCIATOR),
-        _entry("GD_COMPAT", 3, ("dot", "bracket"), _DOT_BRACKET, _GD_COMPAT),
-        _entry("GI_1", 3, ("dot", "bracket"), _DOT_BRACKET, _GI_1, needs_mult=True),
-        _entry("GI_2", 4, ("dot", "bracket"), _DOT_BRACKET, _GI_2, needs_mult=True),
-        _entry("GI_3", 4, ("dot", "bracket"), _DOT_BRACKET, _GI_3, needs_mult=True),
-        _entry("GI_4", 4, ("dot", "bracket"), _DOT_BRACKET, _GI_4, needs_mult=True),
+        _entry("HNP_LEMMA_ASSOC", 3, _DOT_DIAMOND, _LEFT_ASSOCIATOR),
+        _entry("GD_COMPAT", 3, _DOT_BRACKET, _GD_COMPAT),
+        _entry("GI_1", 3, _DOT_BRACKET, _GI_1, needs_mult=True),
+        _entry("GI_2", 4, _DOT_BRACKET, _GI_2, needs_mult=True),
+        _entry("GI_3", 4, _DOT_BRACKET, _GI_3, needs_mult=True),
+        _entry("GI_4", 4, _DOT_BRACKET, _GI_4, needs_mult=True),
     )
 }
 
@@ -235,29 +225,18 @@ SUITE_MEMBERS: dict[StructureKind, tuple[tuple[str, dict[str, str]], ...]] = {
 
 
 def required_roles(kind: StructureKind) -> tuple[str, ...]:
-    roles: set[str] = set()
-    for tag, override in SUITE_MEMBERS[kind]:
-        spec = IDENTITY_CATALOG[tag]
-        binding = dict(spec.defaults)
-        binding.update(override)
-        roles.update(binding.values())
-    return tuple(sorted(roles))
+    return tuple(sorted({role for tag, override in SUITE_MEMBERS[kind]
+                         for _, role in _binding(tag, override)}))
 
 
 def _binding(tag: str, roles: Mapping[str, str] | None) -> tuple[tuple[str, str], ...]:
-    """The identity's role slots bound to products: its defaults, updated by
-    ``roles``, as sorted (slot, role) pairs."""
+    """The identity's role slots bound to products (see
+    :func:`~homcolor.core._bind_slots`), as sorted (slot, role) pairs."""
     try:
         spec = IDENTITY_CATALOG[tag]
     except KeyError:
         raise KeyError(f"unknown identity tag {tag!r}") from None
-    binding = dict(spec.defaults)
-    if roles:
-        unknown = set(roles) - set(spec.slots)
-        if unknown:
-            raise ValueError(f"{tag} has no role slots {sorted(unknown)}")
-        binding.update(roles)
-    return tuple(sorted(binding.items()))
+    return tuple(sorted(_bind_slots(spec.defaults, roles, tag, "role").items()))
 
 
 def _evaluate(
@@ -268,13 +247,13 @@ def _evaluate(
     """Evaluate the (tag, binding) members together in one
     :func:`~homcolor.core.run_checks` pass; map each member to its report."""
     n = presentation.dim
+    cap = DEFAULT_ARITY4_CAP if arity4_dim_cap is None else arity4_dim_cap
     specs = [IDENTITY_CATALOG[tag] for tag, _ in members]
     for spec in specs:
-        if spec.arity >= 4 and n > arity4_cap(arity4_dim_cap):
+        if spec.arity >= 4 and n > cap:
             raise ArityCapError(
                 f"{spec.tag} scans dim^{spec.arity} tuples; dim {n} exceeds the cap "
-                f"{arity4_cap(arity4_dim_cap)} (raise via {ARITY4_ENV} or the "
-                "arity4_dim_cap argument)"
+                f"{cap} (raise via --arity4-cap or the arity4_dim_cap argument)"
             )
     roles = {role for _, binding in members for _, role in binding}
     ops = {role: presentation.product(role).row_cells for role in roles}
@@ -344,25 +323,18 @@ def _suite_report(
     try:
         report = SuiteReport(kind=kind)
         for tag, override in members:
-            report.checks.append(
-                check_identity(presentation, tag, roles=override, arity4_dim_cap=arity4_dim_cap)
-            )
+            report.checks.append(check_identity(presentation, tag, roles=override))
     finally:
         _SUITE.reset(token)
     return report
 
 
-def run_suite(
-    presentation: AlgebraPresentation,
-    kind: StructureKind,
-    arity4_dim_cap: int | None = None,
-) -> SuiteReport:
-    """All member identities of a structure kind; verdict is the conjunction."""
+def run_suite(presentation: AlgebraPresentation, kind: StructureKind) -> SuiteReport:
+    """All member identities of a structure kind; verdict is the conjunction.
+    No structure kind has a member of arity 4, so no cap applies."""
     for role in required_roles(kind):
         presentation.product(role)
-    return _suite_report(
-        presentation, kind.value, SUITE_MEMBERS[kind], frozenset(), arity4_dim_cap
-    )
+    return _suite_report(presentation, kind.value, SUITE_MEMBERS[kind], frozenset(), None)
 
 
 _GI_MEMBERS = tuple((tag, {}) for tag in ("GI_1", "GI_2", "GI_3", "GI_4"))

@@ -26,6 +26,7 @@ from .core import (
     LinearMap,
     Rows,
     Term,
+    _bind_slots,
     eps,
     is_morphism,
     operation,
@@ -235,16 +236,9 @@ KIND_CONDITIONS: dict[BimoduleKind, tuple[tuple[str, tuple[Term, ...]], ...]] = 
 }
 
 
-def _resolve_slots(
-    kind: BimoduleKind, product_roles: Mapping[str, str] | None
-) -> dict[str, str]:
-    slots = dict(KIND_PRODUCT_SLOTS[kind])
-    if product_roles:
-        unknown = set(product_roles) - set(slots)
-        if unknown:
-            raise ValueError(f"{kind.value} has no product slots {sorted(unknown)}")
-        slots.update(product_roles)
-    return slots
+def _resolve_slots(kind: BimoduleKind, product_roles: Mapping[str, str] | None) -> dict[str, str]:
+    """The kind's product slots bound to roles (see :func:`~homcolor.core._bind_slots`)."""
+    return _bind_slots(KIND_PRODUCT_SLOTS[kind], product_roles, kind.value, "product")
 
 
 def check_bimodule(

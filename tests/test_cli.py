@@ -22,7 +22,7 @@ def run(*argv):
 
 
 # Each construction option with a value other than its default, and the
-# options each construction reads besides --out, --verify and --arity4-cap.
+# options each construction reads besides --out and --verify.
 OPTION_VALUES = {
     "--force": [], "--from": ["diamond"], "--to": ["pair"], "--type": ["2"],
     "--n": ["2"], "--kind": ["hnp"], "--ideal": ["e1"], "--map": ["map.json"],
@@ -134,6 +134,21 @@ class TestCheck:
         ) == 0
         assert run("check", pair, "--kind", "gi") == 2
 
+    @pytest.mark.parametrize("kind", ["hnp", "hnp_bimodule"])
+    def test_arity4_cap_refused_by_kinds_without_arity4_checks(self, tmp_path, capsys, kind):
+        # The input does not exist: the option is refused before it is read.
+        assert run("check", tmp_path / "missing.json", "--kind", kind, "--arity4-cap", "3") == 3
+        assert capsys.readouterr().err == f"error: check --kind {kind} does not read --arity4-cap\n"
+
+    def test_gi_reads_arity4_cap(self, fixtures_dir, capsys):
+        # zero_2dim passes the GI preconditions, so GI_2 reaches the cap.
+        argv = ["--kind", "gi", "--arity4-cap", "1"]
+        assert run("check", fixtures_dir / "zero_2dim.json", *argv) == 3
+        assert capsys.readouterr().err == (
+            "error: GI_2 scans dim^4 tuples; dim 2 exceeds the cap 1 "
+            "(raise via --arity4-cap or the arity4_dim_cap argument)\n"
+        )
+
     def test_gi_passes_on_multiplicative_pair(self, fixtures_dir, tmp_path):
         pair = tmp_path / "pair.json"
         run(
@@ -209,9 +224,9 @@ class TestParserReuse:
             (["--help"], 0),
             (["check", "--help"], 0),
             (["construct", "--help"], 0),
-            (["check"], 2),
-            (["check", "x.json", "--kind", "nope"], 2),
-            (["frobnicate"], 2),
+            (["check"], 3),
+            (["check", "x.json", "--kind", "nope"], 3),
+            (["frobnicate"], 3),
         ],
     )
     def test_help_and_usage_errors_match_a_fresh_parser(self, fixtures_dir, capsys, argv, code):
@@ -221,6 +236,8 @@ class TestParserReuse:
             main(argv)
         assert reused.value.code == code
         reused_out = capsys.readouterr()
+        if code == 3:
+            assert any(line.startswith("error: ") for line in reused_out.err.splitlines())
         with pytest.raises(SystemExit) as fresh:
             cli.build_parser().parse_args(argv)
         assert fresh.value.code == code
@@ -435,16 +452,14 @@ class TestConstruct:
         )
 
     @pytest.mark.parametrize("name", sorted(CONSTRUCT_READS))
-    def test_arity4_cap_without_verify_exits_three(self, tmp_path, capsys, name):
-        # Only the --verify suite reads the cap; the inputs are not read.
+    def test_arity4_cap_is_a_usage_error(self, tmp_path, capsys, name):
+        # No --verify suite has an arity-4 member, so construct has no cap.
         inputs = [tmp_path / "missing.json"] * (2 if name == "tensor" else 1)
-        assert run("construct", name, *inputs, "--arity4-cap", "3") == 3
-        assert capsys.readouterr().err == f"error: construct {name} does not read --arity4-cap\n"
-
-    def test_arity4_cap_with_verify_is_read(self, fixtures_dir, capsys):
-        argv = ["--arity4-cap", "3", "--verify", "hom_lie"]
-        assert run("construct", "commutator", fixtures_dir / "novikov_3dim.json", *argv) == 0
-        assert capsys.readouterr().err == ""
+        with pytest.raises(SystemExit) as exited:
+            run("construct", name, *inputs, "--verify", "hom_lie", "--arity4-cap", "3")
+        assert exited.value.code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: unrecognized arguments: --arity4-cap 3"
 
     @pytest.mark.parametrize("argv", [["--type", "1"], ["--n", "1"], ["--ideal", ""]])
     def test_options_left_at_their_default_are_not_refused(self, fixtures_dir, capsys, argv):

@@ -15,6 +15,7 @@ from homcolor.identities import (
     run_suite,
 )
 from homcolor.grading import super_z2
+from homcolor.representations import BimoduleKind, check_bimodule, regular_bundle
 from homcolor.serialize import substitute_presentation
 
 from tests.dense_oracle import DenseOracle
@@ -93,6 +94,20 @@ class TestCheckIdentity:
             check_identity(assoc_3dim, "NOT_A_TAG")
         with pytest.raises(ValueError):
             check_identity(assoc_3dim, "HOM_ASSOC", roles={"bracket": "dot"})
+
+    @pytest.mark.parametrize("check, message", [
+        (lambda A: check_identity(A, "HOM_ASSOC", {"bogus": "dot"}),
+         "HOM_ASSOC has no role slots ['bogus']"),
+        (lambda A: check_bimodule(
+            A, regular_bundle(A, BimoduleKind.ASSOC_BIMODULE), BimoduleKind.ASSOC_BIMODULE,
+            {"bogus": "dot"},
+        ), "assoc_bimodule has no product slots ['bogus']"),
+    ], ids=["identity", "bimodule"])
+    def test_unknown_slot_is_named(self, assoc_3dim, check, message):
+        # Identity role slots and bimodule product slots share one resolver.
+        with pytest.raises(ValueError) as info:
+            check(assoc_3dim)
+        assert str(info.value) == message
 
     def test_role_override(self, hnp_4dim):
         report = check_identity(hnp_4dim, "NOVIKOV_RCOMM", roles={"product": "diamond"})
@@ -327,21 +342,23 @@ class TestArityCap:
 
     def test_cap_exceeded_raises(self):
         A = self._wide_algebra(13)
-        with pytest.raises(ArityCapError, match="HOMCOLOR_MAX_ARITY4_DIM"):
+        message = (
+            "GI_2 scans dim^4 tuples; dim 13 exceeds the cap 12 "
+            "(raise via --arity4-cap or the arity4_dim_cap argument)"
+        )
+        with pytest.raises(ArityCapError) as info:
             check_identity(A, "GI_2")
+        assert str(info.value) == message
 
     def test_cap_override_argument(self):
         A = self._wide_algebra(13)
         report = check_identity(A, "GI_2", arity4_dim_cap=13)
         assert report.passed
 
-    def test_cap_env_override(self, monkeypatch):
+    def test_cap_lowered_by_argument(self):
         A = self._wide_algebra(13)
-        monkeypatch.setenv("HOMCOLOR_MAX_ARITY4_DIM", "14")
-        assert check_identity(A, "GI_2").passed
-        monkeypatch.setenv("HOMCOLOR_MAX_ARITY4_DIM", "4")
-        with pytest.raises(ArityCapError):
-            check_identity(A, "GI_2")
+        with pytest.raises(ArityCapError, match="exceeds the cap 4 "):
+            check_identity(A, "GI_2", arity4_dim_cap=4)
 
     def test_arity3_unaffected_by_cap(self):
         A = self._wide_algebra(13)
