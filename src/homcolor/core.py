@@ -18,10 +18,10 @@ tables in the bicharacter's bounded memo.
 Every check is a term plan, a signed sum of trees of products and linear
 maps: the catalogued conditions and the structural checks here
 (multiplicativity, derivations, morphisms) alike.  :func:`term_failures`
-evaluates a whole suite of plans in one pass over nonzero cells, one slab
-at a time, sharing every subtree map between the plans;
-:func:`run_checks` runs that pass once per suite call, settles each check
-at its first failing slab and builds each check's report.
+evaluates a whole suite of plans in one pass over nonzero cells and whole
+index tuples, building each subtree map at most once and sharing it
+between the plans; :func:`run_checks` runs that pass once per suite call
+and builds each check's report from its smallest failing tuple.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import re
 import time
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .grading import AbelianGroup, Bicharacter, GroupElement
 from .reports import FAIL, PASS, CheckReport, SuiteReport
@@ -275,33 +275,27 @@ class LinearMap:
 
     def images(self, power: int) -> tuple[Vec, ...]:
         """The basis images under this map applied ``power`` times, built
-        once per power and kept; callers must not mutate them."""
+        once per power by repeated squaring from the kept images of
+        ``power // 2`` and kept; callers must not mutate them."""
         found = self._images.get(power)
         if found is None:
             if self.source != self.target:
                 raise ValueError("powers need an endomorphism")
             if power < 0:
                 raise ValueError("negative powers are not defined")
-            found = tuple({i: self.context.one} for i in range(self.source.dim))
-            for _ in range(power):
-                found = tuple(self.apply(v) for v in found)
+            if power == 0:
+                found = tuple({i: self.context.one} for i in range(self.source.dim))
+            else:
+                half = self.images(power // 2)
+                columns = [tuple(v.items()) for v in half]
+                found = tuple(_apply_columns(columns, v) for v in half)
+                if power % 2:
+                    found = tuple(self.apply(v) for v in found)
             self._images[power] = found
         return found
 
     def apply(self, v: Vec) -> Vec:
-        out: Vec = {}
-        if not v:
-            return out
-        for i, s in v.items():
-            for j, t in self.columns[i]:
-                u = s * t
-                prev = out.get(j)
-                u = u if prev is None else prev + u
-                if u.is_zero():
-                    out.pop(j, None)
-                else:
-                    out[j] = u
-        return out
+        return _apply_columns(self.columns, v)
 
     def compose(self, inner: "LinearMap") -> "LinearMap":
         """self after inner."""
@@ -337,6 +331,21 @@ class LinearMap:
 
     def __repr__(self) -> str:
         return f"LinearMap({self.source!r} -> {self.target!r}, degree={self.degree})"
+
+
+def _apply_columns(columns: Columns, v: Vec) -> Vec:
+    """The image of ``v`` under the map whose e_i goes to ``columns[i]``."""
+    out: Vec = {}
+    for i, s in v.items():
+        for j, t in columns[i]:
+            u = s * t
+            prev = out.get(j)
+            u = u if prev is None else prev + u
+            if u.is_zero():
+                out.pop(j, None)
+            else:
+                out[j] = u
+    return out
 
 
 class BilinearProduct:
@@ -700,15 +709,15 @@ def _compile(plans: tuple[Plan, ...], axis_ids: tuple[int, ...]) -> tuple:
 
     A plan is (terms, binding); the binding sends each operation name of
     the terms to the key of that operation's rows or that map's columns.
-    A leaf's shape is (axis, power, at position 0?), a bilinear node's is
-    (key, left, right) and a map node's is (key, subtree, None), so
-    subtrees that differ only in which free positions they hold, or in
-    which plan and which name they come from, share one node and one map.
-    A node's map sends a key, the indices at the subtree's free positions
-    in order of appearance, to the subtree's nonzero value there.  Returns
-    the nodes (key or None, a, b, holds position 0), the ids of the nodes
-    that hold position 0, and per plan, per term, (coefficient, root node,
-    key order of positions 1.., sign pairs left after cancelling repeats).
+    A leaf's shape is (axis, power), a bilinear node's is (key, left,
+    right) and a map node's is (key, subtree, None), so subtrees that
+    differ only in which positions they hold, or in which plan and which
+    name they come from, share one node and one map.  A node's map sends a
+    key, the indices at the subtree's positions in order of appearance, to
+    the subtree's nonzero value there.  Returns the nodes (key or None, a,
+    b) and per plan, per term, (coefficient, root node, key order of the
+    positions or None when they appear in order, sign pairs left after
+    cancelling repeats).
     """
     nodes: list[tuple] = []
     ids: dict[tuple, int] = {}
@@ -716,13 +725,12 @@ def _compile(plans: tuple[Plan, ...], axis_ids: tuple[int, ...]) -> tuple:
     def intern(tree: Tree, bound: dict, held: list[int]) -> int:
         if isinstance(tree[0], str):
             subs = [intern(sub, bound, held) for sub in tree[1:]]
-            at_zero = any(nodes[sub][3] for sub in subs)
-            key = (bound[tree[0]], subs[0], subs[1] if len(subs) == 2 else None, at_zero)
+            key = (bound[tree[0]], subs[0], subs[1] if len(subs) == 2 else None)
         else:
             pos, power = tree
             if pos >= len(axis_ids):
                 raise ValueError(f"position {pos} has no axis")
-            key = (None, axis_ids[pos], power, pos == 0)
+            key = (None, axis_ids[pos], power)
             held.append(pos)
         found = ids.get(key)
         if found is None:
@@ -741,16 +749,14 @@ def _compile(plans: tuple[Plan, ...], axis_ids: tuple[int, ...]) -> tuple:
             arity = len(held) if arity is None else arity
             if sorted(held) != list(range(arity)):
                 raise ValueError(f"term {tree!r} must hold each of {arity} positions once")
-            free = [p for p in held if p]
-            order = tuple(free.index(p) for p in range(1, arity))
+            order = tuple(held.index(p) for p in range(arity))
             odd = tuple(sorted(pair for pair in set(pairs) if pairs.count(pair) % 2))
-            plan.append((coeff, root, None if order == tuple(range(arity - 1)) else order, odd))
+            plan.append((coeff, root, None if order == tuple(range(arity)) else order, odd))
         compiled.append(tuple(plan))
-    holding = tuple(nid for nid, node in enumerate(nodes) if node[3])
-    return tuple(nodes), holding, tuple(compiled)
+    return tuple(nodes), tuple(compiled)
 
 
-Failures = dict[int, list[tuple[tuple[int, ...], Vec]]]
+Failures = dict[int, dict[tuple[int, ...], Vec]]
 
 
 def term_failures(
@@ -758,42 +764,34 @@ def term_failures(
     axes: Sequence[tuple[GradedSpace, LinearMap]],
     ops: Mapping[Hashable, Rows | Columns],
     bichar: Bicharacter,
-    live: set[int],
-) -> Iterator[Failures]:
-    """Evaluate the plans in ``live`` together, one slab at a time, and
-    yield the failures of each slab in which some live plan fails.
+) -> Failures:
+    """Evaluate the plans together in one pass and return, for each plan
+    that fails, its failing index tuples with their nonzero signed sums.
 
     ``plans[c]`` is check c's terms with the binding of their operation
     names to keys of ``ops``, which holds each bilinear operation's rows
     (:attr:`BilinearProduct.row_cells`, or ``ActionBundle.row_cells`` of an
     action) and each linear map's ``columns``; ``axes[p]`` is the basis
-    and twist of tuple position p, and a plan of arity a uses
-    the first a axes.  A slab is the set of tuples with one index at
-    position 0, taken in order.  For a slab the generator yields a dict
-    sending each live plan that fails there to its failing index tuples
-    with their nonzero signed sums, in lexicographic order.
+    and twist of tuple position p, and a plan of arity a uses the first a
+    axes.  The result sends each failing plan c to a dict from its failing
+    index tuples to their defects; a plan that passes has no entry.
 
-    The caller may discard plans from ``live`` between slabs: a plan that
-    is not live when a slab starts is not evaluated in it or in any later
-    slab, so a check dropped at its first failure evaluates no slab after
-    the failing one; the generator ends once ``live`` is empty.  In a slab
-    each tree is expanded only over nonzero cells and nonzero images, and
-    each subtree's map is built once, shared by every term of every live
-    plan holding a subtree of that shape over the same rows (``(x.y).a(z)``
-    and ``(x.z).a(y)`` share one map): once per call for subtrees without
-    position 0, once per slab for the others, whose maps are dropped before
-    the next slab starts.  The pass builds no table of its own: rows are
-    read from ``ops``, twist images from :meth:`LinearMap.images` of each
-    axis's twist and signs from :meth:`Bicharacter.table` of the axes'
-    degrees, each built once and kept on its object or in the memo.
+    Each tree is expanded only over nonzero cells and nonzero images, over
+    whole index tuples, and each subtree's map is built at most once per
+    call, shared by every term of every plan holding a subtree of that
+    shape over the same rows (``(x.y).a(z)`` and ``(x.z).a(y)`` share one
+    map).  The pass builds no table of its own: rows are read from
+    ``ops``, twist images from :meth:`LinearMap.images` of each axis's
+    twist and signs from :meth:`Bicharacter.table` of the axes' degrees,
+    each built once and kept on its object or in the memo.
 
-    Before the first slab, one pass over the subtrees gives each its
-    support: the basis indices its values can have in any slab, read from
-    the nonzero cells and images of the data.  A term whose support is
-    empty is zero on every tuple and is dropped, once per call, before its
-    sign tables are looked up, so neither it nor a subtree that only dropped
-    terms use is ever evaluated.  This is exact because sums may cancel but
-    never create a component, so a support is a superset of the true one.
+    First, one pass over the subtrees gives each its support: the basis
+    indices its values can have, read from the nonzero cells and images of
+    the data.  A term whose support is empty is zero on every tuple and is
+    dropped before its sign tables are looked up, so neither it nor a
+    subtree that only dropped terms use is ever evaluated.  This is exact
+    because sums may cancel but never create a component, so a support is
+    a superset of the true one.
     """
     context = axes[0][1].context
     one = context.one
@@ -801,12 +799,12 @@ def term_failures(
     ids: dict[tuple[int, int], int] = {}
     axis_ids = tuple(ids.setdefault((id(space), id(twist)), len(ids)) for space, twist in axes)
     twists = {aid: twist for aid, (_, twist) in zip(axis_ids, axes)}
-    nodes, holding, compiled = _compile(tuple(plans), axis_ids)
+    nodes, compiled = _compile(tuple(plans), axis_ids)
 
     # Children are interned before their parents, so one forward pass gives
     # each node its support.
     support: list[set[int]] = []
-    for name, a, b, _ in nodes:
+    for name, a, b in nodes:
         if name is None:
             found = {k for v in twists[a].images(b) for k in v}
         elif b is None:
@@ -836,79 +834,66 @@ def term_failures(
     maps: list[dict | None] = [None] * len(nodes)
     index: list[dict | None] = [None] * len(nodes)
 
-    def evaluate(nid: int, i0: int) -> dict:
+    def evaluate(nid: int) -> dict:
         found = maps[nid]
         if found is None:
-            name, a, b, at_zero = nodes[nid]  # a leaf's a, b: axis, twist power
-            if name is not None:
-                left = evaluate(a, i0)
+            name, a, b = nodes[nid]  # a leaf's a, b: axis, twist power
+            if name is None:
+                found = {(j,): v for j, v in enumerate(twists[a].images(b)) if v}
+            else:
+                left = evaluate(a)
                 if not left:
                     found = {}
                 elif b is None:
                     found = _apply(ops[name], left, one)
                 else:
-                    found = _join(ops[name], left, inverted(b, i0), one)
-            else:
-                table = twists[a].images(b)
-                if at_zero:
-                    found = {(): table[i0]} if table[i0] else {}
-                else:
-                    found = {(j,): v for j, v in enumerate(table) if v}
+                    found = _join(ops[name], left, inverted(b), one)
             maps[nid] = found
         return found
 
-    def inverted(nid: int, i0: int) -> dict:
+    def inverted(nid: int) -> dict:
         """The map of ``nid`` indexed by basis index: b -> [(key, coefficient)]."""
         found = index[nid]
         if found is None:
             found = {}
-            for k, vec in evaluate(nid, i0).items():
+            for k, vec in evaluate(nid).items():
                 for b, s in vec.items():
                     found.setdefault(b, []).append((k, s))
             index[nid] = found
         return found
 
-    for i0 in range(axes[0][0].dim):
-        if not live:
-            return
-        failed: Failures = {}
-        for c in sorted(live):
-            total: dict[tuple[int, ...], Vec] = {}
-            for coeff, root, order, sign_of in plan[c]:
-                for k, vec in evaluate(root, i0).items():
-                    rest = k if order is None else tuple([k[j] for j in order])
-                    s = coeff
-                    if sign_of:
-                        t = (i0,) + rest
-                        for table, p, q in sign_of:
-                            s *= table[t[p]][t[q]]
-                    if s != 1 and s != -1:
-                        scale = scales[s]
-                        vec = {k2: scale * v for k2, v in vec.items()}
-                        s = 1
-                    acc = total.get(rest)
-                    if acc is None:
-                        total[rest] = dict(vec) if s == 1 else {k2: -v for k2, v in vec.items()}
-                    elif s == 1:
-                        for k2, v in vec.items():
-                            prev = acc.get(k2)
-                            acc[k2] = v if prev is None else prev + v
-                    else:
-                        for k2, v in vec.items():
-                            prev = acc.get(k2)
-                            acc[k2] = -v if prev is None else prev - v
-            found = []
-            for rest, acc in total.items():
-                vec = {k: v for k, v in acc.items() if v.terms}
-                if vec:
-                    found.append(((i0,) + rest, vec))
-            if found:
-                found.sort(key=lambda failure: failure[0])
-                failed[c] = found
-        for nid in holding:
-            maps[nid] = index[nid] = None
-        if failed:
-            yield failed
+    failed: Failures = {}
+    for c, terms in enumerate(plan):
+        total: dict[tuple[int, ...], Vec] = {}
+        for coeff, root, order, sign_of in terms:
+            for k, vec in evaluate(root).items():
+                t = k if order is None else tuple([k[j] for j in order])
+                s = coeff
+                for table, p, q in sign_of:
+                    s *= table[t[p]][t[q]]
+                if s != 1 and s != -1:
+                    scale = scales[s]
+                    vec = {k2: scale * v for k2, v in vec.items()}
+                    s = 1
+                acc = total.get(t)
+                if acc is None:
+                    total[t] = dict(vec) if s == 1 else {k2: -v for k2, v in vec.items()}
+                elif s == 1:
+                    for k2, v in vec.items():
+                        prev = acc.get(k2)
+                        acc[k2] = v if prev is None else prev + v
+                else:
+                    for k2, v in vec.items():
+                        prev = acc.get(k2)
+                        acc[k2] = -v if prev is None else prev - v
+        found = {}
+        for t, acc in total.items():
+            vec = {k: v for k, v in acc.items() if v.terms}
+            if vec:
+                found[t] = vec
+        if found:
+            failed[c] = found
+    return failed
 
 
 class Check(NamedTuple):
@@ -928,38 +913,32 @@ def run_checks(
     bichar: Bicharacter,
     space: GradedSpace,
 ) -> list[CheckReport]:
-    """Evaluate a suite of checks in one :func:`term_failures` pass, each
-    up to its first failing slab, and report each in order.
+    """Evaluate a suite of checks in one :func:`term_failures` pass and
+    report each in order.
 
     A report is PASS, or FAIL with the basis names (``axes[p][0].names``)
-    of the check's smallest failing index tuple and its defect there, a
-    vector of ``space``.  Its ``seconds`` run from the start of the pass
-    until the check was settled: until its failing slab, or every slab,
-    was evaluated.
+    of the check's lexicographically smallest failing index tuple and its
+    defect there, a vector of ``space``.  Every check is settled when the
+    pass ends, so each report's ``seconds`` is the time of the whole pass.
     """
     started = time.perf_counter()
-    live = set(range(len(checks)))
-    settled: list = [None] * len(checks)
-    for failed in term_failures([c.plan for c in checks], axes, ops, bichar, live):
-        seconds = time.perf_counter() - started
-        for c, found in failed.items():
-            settled[c] = (found[0], seconds)
-            live.discard(c)
+    failed = term_failures([c.plan for c in checks], axes, ops, bichar)
     seconds = time.perf_counter() - started
     reports = []
-    for c, found in zip(checks, settled):
+    for n, c in enumerate(checks):
+        found = failed.get(n)
         if found is None:
             reports.append(CheckReport(c.check, PASS, c.roles, detail=c.detail, seconds=seconds))
         else:
-            (t, defect), at = found
+            t = min(found)
             reports.append(CheckReport(
                 c.check,
                 FAIL,
                 c.roles,
                 witness=tuple(axis[0].names[i] for axis, i in zip(axes, t)),
-                defect=vec_to_names(space, defect),
+                defect=vec_to_names(space, found[t]),
                 detail=c.detail,
-                seconds=at,
+                seconds=seconds,
             ))
     return reports
 

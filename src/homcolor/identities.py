@@ -8,16 +8,14 @@ polynomial-identically when parameters are present.
 
 A suite call (:func:`run_suite`, or :func:`check_gi_identities` after its
 preconditions) evaluates all its members in one
-:func:`~homcolor.core.run_checks` pass: one slab per basis index at the
-first position, each tree expanded only over nonzero structure constants
-and twist images, each subtree map built once for every member that holds
-it, and each member dropped after its first failing slab.  The pass builds
+:func:`~homcolor.core.run_checks` pass over whole index tuples: each tree
+expanded only over nonzero structure constants and twist images, and each
+subtree map built once for every member that holds it.  The pass builds
 each member's report, and :func:`check_identity` hands it out in the
 suite's order; called directly, :func:`check_identity` evaluates its
 identity as a suite of one.  A failure carries the lexicographically
 smallest failing tuple together with its defect vector, and a report's
-``seconds`` is the time from the start of the suite's pass until that
-member was settled.
+``seconds`` is the time of the suite's whole pass.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ Each condition of a :class:`BimoduleKind` is a tuple of signed product-tree
 terms over (algebra basis)^2 x (module basis), whose nodes are the kind's
 products and actions.  :func:`check_bimodule` evaluates all conditions of a
 kind together in one pass of the identity engine's evaluator
-(:func:`~homcolor.core.run_checks`), slab by slab over nonzero cells,
-sharing each subtree map between the conditions, and reports each
+(:func:`~homcolor.core.run_checks`), over nonzero cells and whole index
+tuples, sharing each subtree map between the conditions, and reports each
 condition's smallest failing tuple.
 """
 

@@ -349,8 +349,15 @@ def dump_presentation(presentation: AlgebraPresentation) -> dict:
 
 
 def dump_presentation_file(presentation: AlgebraPresentation, path) -> None:
+    """Write the presentation's document to ``path``.  The text is built
+    before the file is opened, so a dump that fails leaves ``path`` as it
+    was and raises a ValueError that names it."""
+    try:
+        text = json.dumps(dump_presentation(presentation), indent=2) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
     with open(path, "w") as handle:
-        handle.write(json.dumps(dump_presentation(presentation), indent=2) + "\n")
+        handle.write(text)
 
 
 def substitute_presentation(

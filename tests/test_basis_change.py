@@ -5,11 +5,15 @@ Every fixture is rewritten in a seeded even integer basis
 every applicable structure kind and the GI suite, each check keeps its
 status, preconditions included, and each report that does not pass gives
 the dense oracle's smallest failing tuple and defect on the new data.
+The twist's multiplicativity for every role, checked on its own, keeps its
+status too, and a failure gives the smallest failing pair of a direct
+computation of alpha(x o y) - alpha(x) o alpha(y).
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homcolor.core import multiplicative_checks
 from homcolor.identities import (
     IDENTITY_CATALOG,
     StructureKind,
@@ -96,3 +100,15 @@ def test_verdicts_survive_an_even_change_of_basis(name, A, seed):
         assert [_statuses(c) for c in after.checks] == [_statuses(c) for c in before.checks], kind
         for report in after.checks:
             _assert_oracle_agrees(B, oracle, report)
+
+
+@pytest.mark.parametrize("name, A", _fixtures(), ids=[name for name, _ in _fixtures()])
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_multiplicativity_survives_an_even_change_of_basis(name, A, seed):
+    B = change_basis(A, seed)
+    before, after = multiplicative_checks(A, A.roles), multiplicative_checks(B, B.roles)
+    assert [(c.check, c.status) for c in after] == [(c.check, c.status) for c in before]
+    oracle = DenseOracle(B)
+    for report in after:
+        _assert_oracle_agrees(B, oracle, report)

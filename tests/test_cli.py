@@ -288,6 +288,31 @@ class TestConstruct:
             "--type", "2", "--n", "2", "--verify", "admissible_hnp",
         ) == 0
 
+    def test_derived_type_two_builds_high_twist_powers(self, fixtures_dir):
+        # alpha^(2^16 - 1) and alpha^(2^16), with entries of about 40,000
+        # digits, by repeated squaring.
+        assert run(
+            "construct", "derived", fixtures_dir / "hnp_admissible_mult_synth_4dim.json",
+            "--type", "2", "--n", "16",
+        ) == 0
+
+    def test_failed_dump_leaves_the_out_file_as_it_was(self, fixtures_dir, tmp_path, capsys):
+        # At n = 14 the twist's entries have about 9,900 digits, past the
+        # integer-to-text limit, so the document cannot be written.
+        out = tmp_path / "derived.json"
+        out.write_text("keep\n")
+        code = run(
+            "construct", "derived", fixtures_dir / "hnp_admissible_mult_synth_4dim.json",
+            "--type", "2", "--n", "14", "--out", out,
+        )
+        assert code == 3
+        assert out.read_text() == "keep\n"
+        captured = capsys.readouterr()
+        assert "wrote" not in captured.out
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: cannot write {out}: Exceeds the limit")
+
     def test_tensor_verify(self, fixtures_dir, tmp_path):
         out = tmp_path / "tensor.json"
         code = run(

@@ -1,7 +1,7 @@
 """Compiled term plans against the per-tuple reference conditions.
 
 ``check_bimodule`` and ``check_matched_pair`` evaluate their conditions as
-term plans, slab by slab over nonzero cells.  Here every condition is also
+term plans, in one pass over nonzero cells and whole index tuples.  Here every condition is also
 evaluated tuple by tuple through ``tests/reference_conditions.py`` and a
 brute-force scan, on perturbed regular bundles and perturbed matched pairs
 (annihilator patterns, and fixtures acting on themselves), and the two must

@@ -17,7 +17,7 @@ from homcolor.core import (
     vec_scale,
     vec_to_names,
 )
-from homcolor.grading import super_z2
+from homcolor.grading import super_z2, trivial_grading
 from homcolor.identities import StructureKind, run_suite
 
 
@@ -100,6 +100,23 @@ class TestApply:
         space = GradedSpace(group, ["e1", "e2"], [[0], [1]])
         ident = LinearMap.identity(space, ctx)
         assert ident.power(3000) == ident
+
+    @pytest.mark.parametrize("k", [*range(10), 31])
+    def test_images_by_squaring_equal_single_applications(self, assoc_3dim, k):
+        # alpha(e2) = -e2 + e3 over Q(sqrt2), and a dense rational map: the
+        # images of a fresh map, and of one that already holds lower
+        # powers, equal k single applications.
+        group, _ = trivial_grading()
+        ctx = hc.ScalarContext()
+        space = GradedSpace(group, ["e1", "e2", "e3"], [[], [], []])
+        dense = LinearMap.from_rows(space, space, ctx, [[1, 2, 0], [-1, 0, 3], [0, 1, 1]])
+        for m in (assoc_3dim.alpha, dense):
+            want = [{i: m.context.one} for i in range(m.source.dim)]
+            for _ in range(k):
+                want = [m.apply(v) for v in want]
+            fresh = LinearMap(m.source, m.target, m.context, [dict(c) for c in m.columns])
+            assert list(fresh.images(k)) == want
+            assert list(m.images(k)) == want
 
     def test_images_and_powers_need_an_endomorphism(self):
         group, _ = super_z2()

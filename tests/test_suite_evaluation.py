@@ -1,17 +1,19 @@
 """One evaluation per suite call against member-by-member evaluation.
 
 ``run_suite`` and ``check_gi_identities`` evaluate all their members in one
-slab pass, dropping each member after its first failing slab, and then
-build each member's report through ``check_identity``.  A direct
+pass over whole index tuples, and then hand out each member's report
+through ``check_identity``.  A direct
 ``check_identity`` call outside any suite evaluates its identity as a suite
 of one.  The two must give the same report for every member: status,
 witness, defect, roles, detail and preconditions.  Inputs are fixtures and
 generated pattern algebras with up to three perturbed structure constants,
-so that an early member often fails in one slab while later members fail
-in another or pass.  On an annihilator pattern the pass builds no map of a
-term that is zero on every tuple.
+so that members often fail at tuples with different first indices while
+others pass.  On an annihilator pattern the pass builds no map of a term
+that is zero on every tuple, and one pass joins each bilinear subtree at
+most once.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import homcolor as hc
@@ -19,6 +21,7 @@ from homcolor import core
 from homcolor.core import AlgebraPresentation, BilinearProduct, GradedSpace, LinearMap
 from homcolor.grading import trivial_grading
 from homcolor.identities import (
+    IDENTITY_CATALOG,
     SUITE_MEMBERS,
     _GI_MEMBERS,
     _suite_report,
@@ -86,14 +89,14 @@ def test_every_suite_equals_its_members_checked_one_by_one(A):
             assert_suite_matches_members(A, kind)
 
 
-def test_members_failing_in_different_slabs():
-    # dot(e2, e1) bumped by e2: EPS_COMM fails in slab e1, HOM_ASSOC and
-    # HNP_COMPAT_1 in slab e2, and NOVIKOV_LSYM, NOVIKOV_RCOMM and
-    # HNP_COMPAT_2 pass, so the pass drops members at different slabs.
+def test_members_failing_at_different_first_indices():
+    # dot(e2, e1) bumped by e2: EPS_COMM's smallest witness starts at e1,
+    # HOM_ASSOC's and HNP_COMPAT_1's at e2, and NOVIKOV_LSYM, NOVIKOV_RCOMM
+    # and HNP_COMPAT_2 pass.
     A = perturb(load("hnp_admissible_mult_synth_4dim.json"), "dot", 1, 0, 1, 1)
     suite = assert_suite_matches_members(A, hc.StructureKind.HNP)
-    slabs = [c.witness[0] if c.witness else None for c in suite.checks]
-    assert slabs == ["e1", "e2", None, None, "e2", None]
+    firsts = [c.witness[0] if c.witness else None for c in suite.checks]
+    assert firsts == ["e1", "e2", None, None, "e2", None]
 
 
 @settings(max_examples=40)
@@ -119,9 +122,9 @@ def test_mixed_arity_gi_pass_equals_members(name, payload):
     assert [c.to_dict() for c in suite.checks] == members_one_by_one(A, _GI_MEMBERS)
 
 
-def test_gi_members_failing_in_different_slabs():
-    # bracket(e3, e1) bumped by e3: GI_1 (arity 3) fails in slab e1, GI_4
-    # (arity 4) in slab e3, and GI_2 and GI_3 pass.
+def test_gi_members_failing_at_different_first_indices():
+    # bracket(e3, e1) bumped by e3: GI_1's (arity 3) smallest witness starts
+    # at e1, GI_4's (arity 4) at e3, and GI_2 and GI_3 pass.
     A = load("gd_4dim.json")
     A = perturb(A.with_products(A.products, LinearMap.identity(A.space, A.context)),
                 "bracket", 2, 0, 2, 1)
@@ -147,8 +150,8 @@ def _annihilator_pattern():
 def test_terms_zero_on_every_tuple_are_never_joined(monkeypatch):
     # Every nested product lands on u0 or u1 and then vanishes, so every
     # term of HOM_ASSOC, NOVIKOV_LSYM and NOVIKOV_RCOMM has an empty support
-    # and is dropped before the first slab; only EPS_COMM's single products
-    # x.y and y.x are joined, once per slab each.
+    # and is dropped before any map is built; only EPS_COMM's single
+    # products x.y and y.x are joined, and they share one node, so one join.
     A = _annihilator_pattern()
     joins = []
     join = core._join
@@ -156,4 +159,30 @@ def test_terms_zero_on_every_tuple_are_never_joined(monkeypatch):
     assert hc.run_suite(A, hc.StructureKind.HOM_NOVIKOV).passed
     assert len(joins) == 0
     assert hc.run_suite(A, hc.StructureKind.EPS_COMM_ASSOC).passed
-    assert len(joins) == 2 * A.dim
+    assert len(joins) == 1
+
+
+@settings(max_examples=60)
+@given(A=suite_inputs())
+def test_one_pass_joins_each_bilinear_node_at_most_once(A):
+    # Every catalogued identity whose roles A has, arity 4 only up to dim 4,
+    # in one run_checks call.  A join is keyed by its rows and its two
+    # operand maps, which the pass keeps until it returns: no key may repeat,
+    # and there are no more joins than bilinear nodes in _compile's output.
+    specs = [
+        spec for spec in IDENTITY_CATALOG.values()
+        if {role for _, role in spec.defaults} <= set(A.roles) and (spec.arity < 4 or A.dim <= 4)
+    ]
+    checks = [core.Check(spec.tag, (spec.terms, spec.defaults)) for spec in specs]
+    arity = max(spec.arity for spec in specs)
+    nodes, _ = core._compile(tuple(c.plan for c in checks), (0,) * arity)
+    bilinear = sum(1 for name, _, b in nodes if name is not None and b is not None)
+    ops = {role: A.product(role).row_cells for role in A.roles}
+    joins = []
+    join = core._join
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_join", lambda rows, left, right, one: joins.append(
+            (id(rows), id(left), id(right))) or join(rows, left, right, one))
+        core.run_checks(checks, ((A.space, A.alpha),) * arity, ops, A.bichar, A.space)
+    assert len(joins) == len(set(joins))
+    assert len(joins) <= bilinear

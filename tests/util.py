@@ -100,11 +100,11 @@ def smallest_failure(sizes, defect):
 
 
 def every_failure(terms, axes, ops, bichar) -> dict:
-    """Every failing index tuple of one term plan, with its defect: the
-    evaluator run with the plan kept live after each failing slab.
-    ``ops`` is keyed by the operation names of the terms."""
+    """Every failing index tuple of one term plan, with its defect, as the
+    evaluator returns them.  ``ops`` is keyed by the operation names of
+    the terms."""
     plan = (terms, tuple((name, name) for name in ops))
-    return {t: d for failed in term_failures((plan,), axes, ops, bichar, {0}) for t, d in failed[0]}
+    return term_failures((plan,), axes, ops, bichar).get(0, {})
 
 
 def assert_reports_failure(report, found, axes, space):
