@@ -8,8 +8,9 @@ probed contrapositively.
 
 Semidirect sums and matched-pair doubles share one direct-sum builder.  A
 bundle of actions of one side on the other adds the cross cells of each
-product slot, for x a basis element of the acting side and y one of the
-side acted on:
+product slot by :data:`~homcolor.representations.SLOT_ACTIONS`, the one
+source of this rule, for x a basis element of the acting side and y one of
+the side acted on:
 
     assoc:    x.y = s_x(y)      y.x = eps(y, x) s_x(y)
     novikov:  x.y = l_x(y)      y.x = r_x(y)
@@ -17,14 +18,16 @@ side acted on:
 
 The matched-pair double A (+) B keeps both sides' products and adds the
 cells of both cross bundles.  The semidirect sum A (+) V is the double in
-which V has the zero product and does not act back on A.
+which V has the zero product and does not act back on A.  Each matched-pair
+kind is one entry of :data:`MATCHED_PAIR_TABLE`, whose side conditions name
+B's products by slot, as the bimodule conditions do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .core import (
     AlgebraPresentation,
@@ -34,6 +37,7 @@ from .core import (
     LinearMap,
     Term,
     Vec,
+    _TWIST_ARM,
     _map_scalars,
     eps,
     is_derivation,
@@ -45,9 +49,10 @@ from .core import (
     twisted,
 )
 from .identities import StructureKind, run_suite
-from .reports import FAIL, PASS, CheckReport, PreconditionError, SuiteReport
+from .reports import PASS, CheckReport, PreconditionError, SuiteReport
 from .representations import (
-    KIND_PRODUCT_SLOTS,
+    BIMODULE_TABLE,
+    SLOT_ACTIONS,
     ActionBundle,
     BimoduleKind,
     _bimodule_reports,
@@ -180,15 +185,6 @@ def _composed(
 
 # -- direct sums -------------------------------------------------------------------
 
-# The cross rule of the module docstring, per product slot: the action giving
-# x.y, the action giving y.x, and the sign of y.x as a function of eps(y, x).
-_CROSS_RULE: dict[str, tuple[str, str, Callable[[int], int]]] = {
-    "assoc": ("s", "s", lambda e: e),
-    "novikov": ("l", "r", lambda e: 1),
-    "lie": ("rho", "rho", lambda e: -e),
-}
-
-
 def _join_spaces(
     left: GradedSpace, right: GradedSpace, right_suffix: str
 ) -> tuple[GradedSpace, int]:
@@ -232,7 +228,7 @@ def _direct_sum(
         if B is not None:
             for (i, j), cell in B.product(role).table.items():
                 entries[(offset + i, offset + j)] = _shift(cell, offset)
-        left, right, factor = _CROSS_RULE[slot]
+        left, right, factor = SLOT_ACTIONS[slot]
         for bundle, x0, y0 in zip(bundles, (0, offset), (offset, 0)):
             for x, op in enumerate(bundle.actions[left]):
                 for y, column in enumerate(op.columns):
@@ -304,53 +300,21 @@ class MatchedPairKind(Enum):
     GD = "gd"
 
 
-_MP_BIMODULES: dict[MatchedPairKind, tuple[tuple[BimoduleKind, dict[str, str]], ...]] = {
-    MatchedPairKind.ASSOC: ((BimoduleKind.ASSOC_BIMODULE, {"assoc": "dot"}),),
-    MatchedPairKind.NOVIKOV: ((BimoduleKind.NOVIKOV_BIMODULE, {"novikov": "dot"}),),
-    MatchedPairKind.LIE: ((BimoduleKind.LIE_REP, {"lie": "bracket"}),),
-    MatchedPairKind.HNP: (
-        (BimoduleKind.ASSOC_BIMODULE, {"assoc": "dot"}),
-        (BimoduleKind.NOVIKOV_BIMODULE, {"novikov": "diamond"}),
-    ),
-    MatchedPairKind.GD: (
-        (BimoduleKind.NOVIKOV_BIMODULE, {"novikov": "dot"}),
-        (BimoduleKind.LIE_REP, {"lie": "bracket"}),
-    ),
-}
-
-_MP_SUM_KIND: dict[MatchedPairKind, BimoduleKind] = {
-    MatchedPairKind.ASSOC: BimoduleKind.ASSOC_BIMODULE,
-    MatchedPairKind.NOVIKOV: BimoduleKind.NOVIKOV_BIMODULE,
-    MatchedPairKind.LIE: BimoduleKind.LIE_REP,
-    MatchedPairKind.HNP: BimoduleKind.HNP_BIMODULE,
-    MatchedPairKind.GD: BimoduleKind.GD_REP,
-}
-
-
-def double_suite_kind(kind: MatchedPairKind) -> StructureKind:
-    return {
-        MatchedPairKind.ASSOC: StructureKind.EPS_COMM_ASSOC,
-        MatchedPairKind.NOVIKOV: StructureKind.HOM_NOVIKOV,
-        MatchedPairKind.LIE: StructureKind.HOM_LIE,
-        MatchedPairKind.HNP: StructureKind.HNP,
-        MatchedPairKind.GD: StructureKind.HOM_GD,
-    }[kind]
-
-
 # -- side conditions ---------------------------------------------------------------
 #
 # Each condition is a signed sum of product trees written from the A-side:
 # x is a basis position of A (position 0), a and b of B (positions 1, 2),
-# and the value lies in B.  al() is the twist image on either side; dot,
-# diamond, bracket and novikov are B's products (novikov is the role bound
-# to the Novikov slot); s_b, l_b, r_b, rho_b are the actions of A on B and
-# s_a, l_a, r_a, rho_a those of B on A.  Each condition is checked twice:
-# as written, and with the two sides and the two cross bundles swapped,
-# which gives the mirrored family over (a in B; x, y in A).
+# and the value lies in B.  al() is the twist image on either side; assoc,
+# novikov and lie are B's products, named by the slot of the pair's
+# bimodule kind they are bound to, as in the bimodule conditions; s_b, l_b,
+# r_b, rho_b are the actions of A on B and s_a, l_a, r_a, rho_a those of B
+# on A.  Each condition is checked twice: as written, and with the two
+# sides and the two cross bundles swapped, which gives the mirrored family
+# over (a in B; x, y in A).
 
 x, a, b = positions(3)
 al = twisted
-dot, diamond, bracket, novikov = (operation(n) for n in ("dot", "diamond", "bracket", "novikov"))
+assoc, novikov, lie = (operation(n) for n in ("assoc", "novikov", "lie"))
 s_b, l_b, r_b, rho_b = (operation("on_b." + n) for n in ("s", "l", "r", "rho"))
 s_a, l_a, r_a, rho_a = (operation("on_a." + n) for n in ("s", "l", "r", "rho"))
 _ = ()
@@ -362,14 +326,14 @@ def _times(coeff: int, pairs, terms) -> tuple:
 
 
 _MP_ASSOC1 = (
-    (1, eps(b, x), dot(al(a), s_b(x, b))),
+    (1, eps(b, x), assoc(al(a), s_b(x, b))),
     (1, eps(a, (b, x)), s_b(s_a(b, x), al(a))),
-    (-1, eps((a, b), x), s_b(al(x), dot(a, b))),
+    (-1, eps((a, b), x), s_b(al(x), assoc(a, b))),
 )
 _MP_ASSOC2 = (
-    (1, _, dot(al(a), s_b(x, b))),
+    (1, _, assoc(al(a), s_b(x, b))),
     (1, eps(a, (x, b)) + eps(x, b), s_b(s_a(b, x), al(a))),
-    (-1, eps(a, x), dot(s_b(x, a), al(b))),
+    (-1, eps(a, x), assoc(s_b(x, a), al(b))),
     (-1, _, s_b(s_a(a, x), al(b))),
 )
 
@@ -404,56 +368,56 @@ _MP_NOV3 = (
 
 _MP_LIE = (
     (1, eps(x, a), rho_b(rho_a(a, x), al(b))),
-    (-1, eps(x, a), bracket(al(a), rho_b(x, b))),
-    (1, eps((a, x), b), bracket(al(b), rho_b(x, a))),
+    (-1, eps(x, a), lie(al(a), rho_b(x, b))),
+    (1, eps((a, x), b), lie(al(b), rho_b(x, a))),
     (-1, eps((a, x), b), rho_b(rho_a(b, x), al(a))),
-    (1, _, rho_b(al(x), bracket(a, b))),
+    (1, _, rho_b(al(x), lie(a, b))),
 )
 
 _MP_HNP1 = (
-    (1, _, r_b(al(x), dot(a, b))),
-    (-1, eps(b, x), dot(r_b(x, a), al(b))),
+    (1, _, r_b(al(x), assoc(a, b))),
+    (-1, eps(b, x), assoc(r_b(x, a), al(b))),
     (-1, eps(b, x), s_b(l_a(a, x), al(b))),
 )
 _MP_HNP2 = (
     (1, _, l_b(s_a(a, x), al(b))),
-    (1, eps(a, x), diamond(s_b(x, a), al(b))),
-    (-1, eps(x, b) + eps((a, b), x), s_b(al(x), diamond(a, b))),
+    (1, eps(a, x), novikov(s_b(x, a), al(b))),
+    (-1, eps(x, b) + eps((a, b), x), s_b(al(x), novikov(a, b))),
 )
 _MP_HNP3 = (
     (1, eps(a, x), l_b(s_a(a, x), al(b))),
-    (1, _, diamond(s_b(x, a), al(b))),
-    (-1, eps(a, b), dot(l_b(x, b), al(a))),
+    (1, _, novikov(s_b(x, a), al(b))),
+    (-1, eps(a, b), assoc(l_b(x, b), al(a))),
     (-1, eps(a, b), s_b(r_a(b, x), al(a))),
 )
 
 
 def _hnp4_half(a, b):
     return (
-        (1, eps((a, b), x), s_b(al(x), diamond(a, b))),
-        (-1, eps(b, x), diamond(al(a), s_b(x, b))),
+        (1, eps((a, b), x), s_b(al(x), novikov(a, b))),
+        (-1, eps(b, x), novikov(al(a), s_b(x, b))),
         (-1, _, r_b(s_a(b, x), al(a))),
     )
 
 
-# dot(r(x, a), al(b)) + s(l(a, x), al(b)) - D(al(a), s(x, b))
+# A(r(x, a), al(b)) + s(l(a, x), al(b)) - N(al(a), s(x, b))
 #   - eps(x, b) r(s(b, x), al(a)), shared by MP_HNP5 and MP_HNP6
 _HNP_R_FIRST = (
-    (1, _, dot(r_b(x, a), al(b))),
+    (1, _, assoc(r_b(x, a), al(b))),
     (1, _, s_b(l_a(a, x), al(b))),
-    (-1, _, diamond(al(a), s_b(x, b))),
+    (-1, _, novikov(al(a), s_b(x, b))),
     (-1, eps(x, b), r_b(s_a(b, x), al(a))),
 )
 _MP_HNP4 = _hnp4_half(a, b) + _times(-1, eps(a, b), _hnp4_half(b, a))
 _MP_HNP5 = _HNP_R_FIRST + _times(-1, eps(a, x), (
-    (1, _, dot(l_b(x, a), al(b))),
+    (1, _, assoc(l_b(x, a), al(b))),
     (-1, _, s_b(r_a(a, x), al(b))),
-    (-1, _, l_b(al(x), dot(a, b))),
+    (-1, _, l_b(al(x), assoc(a, b))),
 ))
 _MP_HNP6 = (
-    (1, _, dot(l_b(x, a), al(b))),
+    (1, _, assoc(l_b(x, a), al(b))),
     (1, _, s_b(r_a(a, x), al(b))),
-    (-1, _, l_b(al(x), dot(a, b))),
+    (-1, _, l_b(al(x), assoc(a, b))),
 ) + _times(-1, eps(x, a), _HNP_R_FIRST)
 
 # The three GD side conditions are the mixed-placement instances of the
@@ -467,38 +431,38 @@ _MP_HNP6 = (
 # pattern (a, b, x): compatibility with X = a, Y = b, Z = x
 _MP_GD1 = (
     (1, _, r_b(rho_a(a, x), al(b))),
-    (-1, eps(a, x), dot(al(b), rho_b(x, a))),
+    (-1, eps(a, x), novikov(al(b), rho_b(x, a))),
     (1, eps(a, x), rho_b(l_a(b, x), al(a))),
-    (-1, eps(b, a), bracket(al(a), r_b(x, b))),
-    (1, eps((a, b), x), rho_b(al(x), dot(b, a))),
-    (-1, _, r_b(al(x), bracket(b, a))),
+    (-1, eps(b, a), lie(al(a), r_b(x, b))),
+    (1, eps((a, b), x), rho_b(al(x), novikov(b, a))),
+    (-1, _, r_b(al(x), lie(b, a))),
     (1, eps(a, x), l_b(rho_a(b, x), al(a))),
-    (-1, eps((a, b), x), dot(rho_b(x, b), al(a))),
+    (-1, eps((a, b), x), novikov(rho_b(x, b), al(a))),
 )
 # pattern (a, x, b): compatibility with X = a, Y = x, Z = b
 _MP_GD2 = (
-    (1, _, l_b(al(x), bracket(a, b))),
+    (1, _, l_b(al(x), lie(a, b))),
     (1, eps(a, b), rho_b(r_a(b, x), al(a))),
-    (-1, eps(x, a), bracket(al(a), l_b(x, b))),
+    (-1, eps(x, a), lie(al(a), l_b(x, b))),
     (-1, _, rho_b(r_a(a, x), al(b))),
-    (1, eps((a, x), b), bracket(al(b), l_b(x, a))),
+    (1, eps((a, x), b), lie(al(b), l_b(x, a))),
     (1, eps(x, a), l_b(rho_a(a, x), al(b))),
-    (-1, _, dot(rho_b(x, a), al(b))),
+    (-1, _, novikov(rho_b(x, a), al(b))),
     (-1, eps((a, x), b), l_b(rho_a(b, x), al(a))),
-    (1, eps(a, b), dot(rho_b(x, b), al(a))),
+    (1, eps(a, b), novikov(rho_b(x, b), al(a))),
 )
 # pattern (x, a, b): compatibility with X = x, Y = a, Z = b
 _MP_GD3 = (
     (-1, eps(x, b), r_b(rho_a(b, x), al(a))),
-    (1, _, dot(al(a), rho_b(x, b))),
-    (-1, eps(a, x), rho_b(al(x), dot(a, b))),
+    (1, _, novikov(al(a), rho_b(x, b))),
+    (-1, eps(a, x), rho_b(al(x), novikov(a, b))),
     (-1, _, rho_b(l_a(a, x), al(b))),
-    (1, eps((x, a), b), bracket(al(b), r_b(x, a))),
+    (1, eps((x, a), b), lie(al(b), r_b(x, a))),
     (-1, _, l_b(rho_a(a, x), al(b))),
-    (1, eps(a, x), dot(rho_b(x, a), al(b))),
-    (1, eps(x, b), r_b(al(x), bracket(a, b))),
+    (1, eps(a, x), novikov(rho_b(x, a), al(b))),
+    (1, eps(x, b), r_b(al(x), lie(a, b))),
 )
-del x, a, b, al, dot, diamond, bracket, novikov, s_b, l_b, r_b, rho_b, s_a, l_a, r_a, rho_a, _
+del x, a, b, al, assoc, novikov, lie, s_b, l_b, r_b, rho_b, s_a, l_a, r_a, rho_a, _
 
 _MP_ASSOC_CONDS = (("MP_ASSOC1", _MP_ASSOC1), ("MP_ASSOC2", _MP_ASSOC2))
 _MP_NOV_CONDS = (("MP_NOV1", _MP_NOV1), ("MP_NOV2", _MP_NOV2), ("MP_NOV3", _MP_NOV3))
@@ -513,34 +477,58 @@ _MP_HNP_CONDS = (
 )
 _MP_GD_CONDS = (("MP_GD1", _MP_GD1), ("MP_GD2", _MP_GD2), ("MP_GD3", _MP_GD3))
 
-_MP_CONDITIONS: dict[MatchedPairKind, tuple[tuple[str, tuple[Term, ...]], ...]] = {
-    MatchedPairKind.ASSOC: _MP_ASSOC_CONDS,
-    MatchedPairKind.NOVIKOV: _MP_NOV_CONDS,
-    MatchedPairKind.LIE: _MP_LIE_CONDS,
-    MatchedPairKind.HNP: _MP_ASSOC_CONDS + _MP_NOV_CONDS + _MP_HNP_CONDS,
-    MatchedPairKind.GD: _MP_LIE_CONDS + _MP_NOV_CONDS + _MP_GD_CONDS,
+
+class PairEntry(NamedTuple):
+    """A matched-pair kind: the bimodule kind of its cross bundles and of its
+    double, the suite the double must pass, and its side conditions."""
+
+    bimodule: BimoduleKind
+    suite: StructureKind
+    conditions: tuple[tuple[str, tuple[Term, ...]], ...]
+
+
+MATCHED_PAIR_TABLE: dict[MatchedPairKind, PairEntry] = {
+    MatchedPairKind.ASSOC: PairEntry(
+        BimoduleKind.ASSOC_BIMODULE, StructureKind.EPS_COMM_ASSOC, _MP_ASSOC_CONDS
+    ),
+    MatchedPairKind.NOVIKOV: PairEntry(
+        BimoduleKind.NOVIKOV_BIMODULE, StructureKind.HOM_NOVIKOV, _MP_NOV_CONDS
+    ),
+    MatchedPairKind.LIE: PairEntry(BimoduleKind.LIE_REP, StructureKind.HOM_LIE, _MP_LIE_CONDS),
+    MatchedPairKind.HNP: PairEntry(
+        BimoduleKind.HNP_BIMODULE,
+        StructureKind.HNP,
+        _MP_ASSOC_CONDS + _MP_NOV_CONDS + _MP_HNP_CONDS,
+    ),
+    MatchedPairKind.GD: PairEntry(
+        BimoduleKind.GD_REP, StructureKind.HOM_GD, _MP_LIE_CONDS + _MP_NOV_CONDS + _MP_GD_CONDS
+    ),
 }
 
-_MP_ROLE_SLOTS: dict[MatchedPairKind, dict[str, str]] = {
-    MatchedPairKind.ASSOC: {"dot": "dot"},
-    MatchedPairKind.NOVIKOV: {"novikov": "dot"},
-    MatchedPairKind.LIE: {"bracket": "bracket"},
-    MatchedPairKind.HNP: {"dot": "dot", "diamond": "diamond", "novikov": "diamond"},
-    MatchedPairKind.GD: {"dot": "dot", "bracket": "bracket", "novikov": "dot"},
-}
+
+def double_suite_kind(kind: MatchedPairKind) -> StructureKind:
+    return MATCHED_PAIR_TABLE[kind].suite
+
+
+def _pair_slots(kind: MatchedPairKind) -> dict[str, str]:
+    """The product slots of the pair's bimodule kind, with their roles."""
+    return BIMODULE_TABLE[MATCHED_PAIR_TABLE[kind].bimodule].slots
 
 
 def check_matched_pair(
     pair: MatchedPairData,
     kind: MatchedPairKind,
 ) -> SuiteReport:
-    """Cross-bimodule checks in both directions plus the side conditions."""
+    """Cross-bimodule checks in both directions, one per product slot of the
+    pair's bimodule kind under that slot's one-slot kind, plus the side
+    conditions."""
     report = SuiteReport(kind=f"matched_pair[{kind.value}]")
-    for bim_kind, roles in _MP_BIMODULES[kind]:
-        for direction, algebra, bundle in (("ab", pair.a, pair.ab), ("ba", pair.b, pair.ba)):
-            report.checks += _bimodule_reports(algebra, bundle, bim_kind, roles, f"{direction}:")
-    slots = _MP_ROLE_SLOTS[kind]
-    conditions = _MP_CONDITIONS[kind]
+    slots = _pair_slots(kind)
+    for slot, role in slots.items():
+        one_slot = next(k for k, entry in BIMODULE_TABLE.items() if list(entry.slots) == [slot])
+        for prefix, algebra, bundle in (("ab:", pair.a, pair.ab), ("ba:", pair.b, pair.ba)):
+            report.checks += _bimodule_reports(algebra, bundle, one_slot, {slot: role}, prefix)
+    conditions = MATCHED_PAIR_TABLE[kind].conditions
     sides = []
     for direction, left, right, forward, backward in (
         ("ab", pair.a, pair.b, pair.ab, pair.ba),
@@ -571,9 +559,7 @@ def matched_pair_double(
     report = check_matched_pair(pair, kind)
     if not report.passed and not force:
         raise PreconditionError("matched-pair conditions fail", (report,))
-
-    slots = KIND_PRODUCT_SLOTS[_MP_SUM_KIND[kind]]
-    return _direct_sum(pair.a, (pair.ab, pair.ba), slots, "_b", pair.b)
+    return _direct_sum(pair.a, (pair.ab, pair.ba), _pair_slots(kind), "_b", pair.b)
 
 
 # -- tensor products ---------------------------------------------------------------
@@ -793,14 +779,14 @@ def novikov_from_derivation(
     der = is_derivation(presentation, "dot", derivation)
     if not der.passed or not derivation.is_even:
         failed.append(der)
-    if derivation.compose(presentation.alpha) != presentation.alpha.compose(derivation):
-        failed.append(
-            CheckReport(
-                check="twist_commutes_with_derivation",
-                status=FAIL,
-                detail="need alpha o D = D o alpha",
-            )
-        )
+    # D(alpha(x)) - alpha(D(x)) over the basis
+    ops = {"f": derivation.columns, "g": presentation.alpha.columns}
+    plan = (_TWIST_ARM, (("f", "f"), ("g", "g")))
+    check = Check("twist_commutes_with_derivation", plan, detail="need alpha o D = D o alpha")
+    axis = (presentation.space, presentation.alpha)
+    [commutes] = run_checks([check], (axis,), ops, presentation.bichar, presentation.space)
+    if not commutes.passed:
+        failed.append(commutes)
     if failed and not force:
         raise PreconditionError("derivation product hypotheses fail", tuple(failed))
 

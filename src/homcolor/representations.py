@@ -5,9 +5,13 @@ and a family of named action matrices, one per algebra basis element; the
 matrix of e_i shifts module degrees by deg(e_i), which is enforced at
 construction, so violations are load errors rather than check failures.
 
-Each condition of a :class:`BimoduleKind` is a tuple of signed product-tree
-terms over (algebra basis)^2 x (module basis), whose nodes are the kind's
-products and actions.  :func:`check_bimodule` evaluates all conditions of a
+Each bimodule kind is one entry of :data:`BIMODULE_TABLE`: its product
+slots with their default roles, and its conditions.  :data:`SLOT_ACTIONS`
+is the one source of which actions act through each slot; a kind's actions,
+the multiplication side of regular and pullback bundles, the direct-sum
+cross rule and the loader's action names all come from it.  Each condition
+is a tuple of signed product-tree terms over (algebra basis)^2 x (module
+basis), whose nodes are the kind's product slots and actions.  :func:`check_bimodule` evaluates all conditions of a
 kind together in one pass of the identity engine's evaluator
 (:func:`~homcolor.core.run_checks`), over nonzero cells and whole index
 tuples, sharing each subtree map between the conditions, and reports each
@@ -17,7 +21,7 @@ condition's smallest failing tuple.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     AlgebraPresentation,
@@ -118,22 +122,19 @@ class BimoduleKind(Enum):
     GD_REP = "gd_rep"
 
 
-# Default product role behind each product slot used by the conditions.
-KIND_PRODUCT_SLOTS: dict[BimoduleKind, dict[str, str]] = {
-    BimoduleKind.ASSOC_BIMODULE: {"assoc": "dot"},
-    BimoduleKind.NOVIKOV_BIMODULE: {"novikov": "dot"},
-    BimoduleKind.LIE_REP: {"lie": "bracket"},
-    BimoduleKind.HNP_BIMODULE: {"assoc": "dot", "novikov": "diamond"},
-    BimoduleKind.GD_REP: {"novikov": "dot", "lie": "bracket"},
+# The cross rule of each product slot, for x a basis element of the acting
+# side and y one of the side acted on: the action giving x.y, the action
+# giving y.x, and the sign of y.x as a function of eps(y, x).
+SLOT_ACTIONS: dict[str, tuple[str, str, Callable[[int], int]]] = {
+    "assoc": ("s", "s", lambda e: e),
+    "novikov": ("l", "r", lambda e: 1),
+    "lie": ("rho", "rho", lambda e: -e),
 }
 
-KIND_ACTIONS: dict[BimoduleKind, tuple[str, ...]] = {
-    BimoduleKind.ASSOC_BIMODULE: ("s",),
-    BimoduleKind.NOVIKOV_BIMODULE: ("l", "r"),
-    BimoduleKind.LIE_REP: ("rho",),
-    BimoduleKind.HNP_BIMODULE: ("s", "l", "r"),
-    BimoduleKind.GD_REP: ("l", "r", "rho"),
-}
+
+def slot_actions(slots: Iterable[str]) -> tuple[str, ...]:
+    """The actions through ``slots``, in slot order."""
+    return tuple(dict.fromkeys(name for slot in slots for name in SLOT_ACTIONS[slot][:2]))
 
 
 # -- condition defects ----------------------------------------------------------
@@ -218,27 +219,39 @@ _NOV_CONDS = (
     ("NOV_COND6", _NOV6),
 )
 _LIE_CONDS = (("LIE_REP", _LIE),)
+_HNP_CONDS = (
+    ("HNP_COND1", _HNP1),
+    ("HNP_COND2", _HNP2),
+    ("HNP_COND3", _HNP3),
+    ("HNP_COND4", _HNP4),
+    ("HNP_COND5", _HNP5),
+)
+_GD_CONDS = (("GD_COND1", _GD1), ("GD_COND2", _GD2))
 
-KIND_CONDITIONS: dict[BimoduleKind, tuple[tuple[str, tuple[Term, ...]], ...]] = {
-    BimoduleKind.ASSOC_BIMODULE: _ASSOC_CONDS,
-    BimoduleKind.NOVIKOV_BIMODULE: _NOV_CONDS,
-    BimoduleKind.LIE_REP: _LIE_CONDS,
-    BimoduleKind.HNP_BIMODULE: _ASSOC_CONDS
-    + _NOV_CONDS
-    + (
-        ("HNP_COND1", _HNP1),
-        ("HNP_COND2", _HNP2),
-        ("HNP_COND3", _HNP3),
-        ("HNP_COND4", _HNP4),
-        ("HNP_COND5", _HNP5),
+
+class KindEntry(NamedTuple):
+    """A bimodule kind: its product slots with their default roles, and its conditions."""
+
+    slots: dict[str, str]
+    conditions: tuple[tuple[str, tuple[Term, ...]], ...]
+
+
+BIMODULE_TABLE: dict[BimoduleKind, KindEntry] = {
+    BimoduleKind.ASSOC_BIMODULE: KindEntry({"assoc": "dot"}, _ASSOC_CONDS),
+    BimoduleKind.NOVIKOV_BIMODULE: KindEntry({"novikov": "dot"}, _NOV_CONDS),
+    BimoduleKind.LIE_REP: KindEntry({"lie": "bracket"}, _LIE_CONDS),
+    BimoduleKind.HNP_BIMODULE: KindEntry(
+        {"assoc": "dot", "novikov": "diamond"}, _ASSOC_CONDS + _NOV_CONDS + _HNP_CONDS
     ),
-    BimoduleKind.GD_REP: _NOV_CONDS + _LIE_CONDS + (("GD_COND1", _GD1), ("GD_COND2", _GD2)),
+    BimoduleKind.GD_REP: KindEntry(
+        {"novikov": "dot", "lie": "bracket"}, _NOV_CONDS + _LIE_CONDS + _GD_CONDS
+    ),
 }
 
 
 def _resolve_slots(kind: BimoduleKind, product_roles: Mapping[str, str] | None) -> dict[str, str]:
     """The kind's product slots bound to roles (see :func:`~homcolor.core._bind_slots`)."""
-    return _bind_slots(KIND_PRODUCT_SLOTS[kind], product_roles, kind.value, "product")
+    return _bind_slots(BIMODULE_TABLE[kind].slots, product_roles, kind.value, "product")
 
 
 def check_bimodule(
@@ -266,30 +279,22 @@ def _bimodule_reports(
     slots = _resolve_slots(kind, product_roles)
     for role in slots.values():
         presentation.product(role)
-    for name in KIND_ACTIONS[kind]:
+    actions = slot_actions(slots)
+    for name in actions:
         bundle.action(name)
 
     # Products are keyed by role and actions by ("action", name), so two
     # slots bound to one role share its rows and its nodes.
     ops = {role: presentation.product(role).row_cells for role in slots.values()}
     binding = tuple(sorted(slots.items()))
-    for name in KIND_ACTIONS[kind]:
+    for name in actions:
         ops[("action", name)] = bundle.row_cells(name)
         binding += ((name, ("action", name)),)
     algebra = (presentation.space, presentation.alpha)
     axes = (algebra, algebra, (bundle.module, bundle.beta))
-    checks = [Check(prefix + label, (terms, binding)) for label, terms in KIND_CONDITIONS[kind]]
+    conditions = BIMODULE_TABLE[kind].conditions
+    checks = [Check(prefix + label, (terms, binding)) for label, terms in conditions]
     return run_checks(checks, axes, ops, presentation.bichar, bundle.module)
-
-
-# Product slot and multiplication side behind each action of a regular or
-# pullback bundle: e_i acts by left or right multiplication.
-_ACTION_SOURCES: dict[str, tuple[str, str]] = {
-    "s": ("assoc", "left"),
-    "l": ("novikov", "left"),
-    "r": ("novikov", "right"),
-    "rho": ("lie", "left"),
-}
 
 
 def _multiplication_bundle(
@@ -299,31 +304,34 @@ def _multiplication_bundle(
     kind: BimoduleKind,
     product_roles: Mapping[str, str] | None,
 ) -> ActionBundle:
-    """Actions on ``presentation`` by multiplying through ``images``: e_i of
-    ``algebra_space`` acts on e_j by images[i] o e_j (left) or e_j o
-    images[i] (right), o the product bound to the action's slot, with beta
-    equal to the presentation's twist."""
+    """Actions on ``presentation`` by multiplying through ``images``, o the
+    product bound to each slot: e_i of ``algebra_space`` acts on e_j by
+    images[i] o e_j through the slot's action giving x.y and by e_j o
+    images[i] through the one giving y.x (see SLOT_ACTIONS), with beta equal
+    to the presentation's twist."""
     slots = _resolve_slots(kind, product_roles)
     for role in slots.values():
         presentation.product(role)
     space, ctx, one = presentation.space, presentation.context, presentation.context.one
     actions: dict[str, tuple[LinearMap, ...]] = {}
-    for name in KIND_ACTIONS[kind]:
-        slot, side = _ACTION_SOURCES[name]
-        table = presentation.products[slots[slot]].table
-        family = []
-        for i, image in enumerate(images):
-            columns = []
-            for j in range(space.dim):
-                column: dict = {}
-                for k, c in image:
-                    for m, s in table.get((k, j) if side == "left" else (j, k), ()):
-                        t = s if c is one else c * s
-                        prev = column.get(m)
-                        column[m] = t if prev is None else prev + t
-                columns.append(column)
-            family.append(LinearMap(space, space, ctx, columns, degree=algebra_space.degree(i)))
-        actions[name] = tuple(family)
+    for slot, role in slots.items():
+        x_y, y_x, _ = SLOT_ACTIONS[slot]
+        table = presentation.products[role].table
+        # An action giving both x.y and y.x (s, rho) multiplies on the left.
+        for name, left in {y_x: False, x_y: True}.items():
+            family = []
+            for i, image in enumerate(images):
+                columns = []
+                for j in range(space.dim):
+                    column: dict = {}
+                    for k, c in image:
+                        for m, s in table.get((k, j) if left else (j, k), ()):
+                            t = s if c is one else c * s
+                            prev = column.get(m)
+                            column[m] = t if prev is None else prev + t
+                    columns.append(column)
+                family.append(LinearMap(space, space, ctx, columns, degree=algebra_space.degree(i)))
+            actions[name] = tuple(family)
     return ActionBundle(algebra_space, space, presentation.alpha, ctx, actions)
 
 

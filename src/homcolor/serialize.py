@@ -35,7 +35,7 @@ from .core import (
     role_sort_key,
 )
 from .grading import AbelianGroup, Bicharacter, validate_commutation_factor
-from .representations import ActionBundle
+from .representations import SLOT_ACTIONS, ActionBundle, slot_actions
 from .scalars import Scalar, ScalarContext, ScalarError
 
 __all__ = [
@@ -263,7 +263,7 @@ def _action_families(
     ctx = presentation.context
     actions: dict[str, list[LinearMap]] = {}
     for name, per_basis in sorted(_object(doc, where).items()):
-        if name not in ("s", "l", "r", "rho"):
+        if name not in slot_actions(SLOT_ACTIONS):
             raise LoadError(f"{where}.{name}: unknown action role")
         per_basis = _object(per_basis, f"{where}.{name}")
         family = []
@@ -355,7 +355,11 @@ def dump_presentation_file(presentation: AlgebraPresentation, path) -> None:
     try:
         text = json.dumps(dump_presentation(presentation), indent=2) + "\n"
     except ValueError as exc:
-        raise ValueError(f"cannot write {path}: {exc}") from exc
+        # Python's advice to raise its digit limit is no option on the command line.
+        reason, advice, _ = str(exc).partition("; use sys.set_int_max_str_digits()")
+        if advice:
+            reason += "; the loader refuses such constants too"
+        raise ValueError(f"cannot write {path}: {reason}") from exc
     with open(path, "w") as handle:
         handle.write(text)
 

@@ -7,8 +7,16 @@ status, preconditions included, and each report that does not pass gives
 the dense oracle's smallest failing tuple and defect on the new data.
 The twist's multiplicativity for every role, checked on its own, keeps its
 status too, and a failure gives the smallest failing pair of a direct
-computation of alpha(x o y) - alpha(x) o alpha(y).
+computation of alpha(x o y) - alpha(x) o alpha(y).  Every fixture's
+regular bundle (no fixture carries a ``module`` block), on the fixture and on
+the fixture with a corner constant bumped, is rewritten in a seeded even
+basis of the algebra and another of the module: under every applicable
+bimodule kind each condition keeps its status, and a failure gives the
+smallest failing tuple and defect of ``tests/reference_conditions`` on the
+new data.
 """
+
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,11 +30,20 @@ from homcolor.identities import (
     run_suite,
 )
 from homcolor.reports import PRECONDITION_FAILED
+from homcolor.representations import BIMODULE_TABLE, BimoduleKind, check_bimodule, regular_bundle
 from homcolor.serialize import LoadError, load_presentation_file
 
 from tests.conftest import FIXTURES
 from tests.dense_oracle import DenseOracle, d_basis, d_sub
-from tests.util import assert_reports_failure, change_basis, smallest_failure
+from tests.reference_conditions import KIND_CONDITIONS, BEval
+from tests.util import (
+    assert_reports_failure,
+    bump_corner,
+    change_basis,
+    change_bundle_basis,
+    even_basis_change,
+    smallest_failure,
+)
 
 
 def _fixtures():
@@ -112,3 +129,39 @@ def test_multiplicativity_survives_an_even_change_of_basis(name, A, seed):
     oracle = DenseOracle(B)
     for report in after:
         _assert_oracle_agrees(B, oracle, report)
+
+
+def _bimodule_cases():
+    """Each fixture under each kind its products allow, plain and with a
+    corner constant bumped, which makes most conditions fail."""
+    return [
+        (f"{name}-{kind.value}{suffix}", B, kind)
+        for name, A in _fixtures()
+        for kind in BimoduleKind
+        if set(BIMODULE_TABLE[kind].slots.values()) <= set(A.roles)
+        for suffix, B in (("", A), ("-bumped", bump_corner(A)))
+    ]
+
+
+@pytest.mark.parametrize("name, A, kind", _bimodule_cases(), ids=[n for n, _, _ in _bimodule_cases()])
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_bimodule_verdicts_survive_an_even_change_of_basis(name, A, kind, seed):
+    bundle = regular_bundle(A, kind)
+    P, _ = even_basis_change(A.space, A.context, seed)
+    Q, Q_inv = even_basis_change(bundle.module, A.context, seed + 1)
+    B, moved = change_basis(A, seed), change_bundle_basis(bundle, P, Q, Q_inv)
+    before, after = check_bimodule(A, bundle, kind), check_bimodule(B, moved, kind)
+    assert [(c.check, c.status) for c in after.checks] == [(c.check, c.status) for c in before.checks]
+    ev, defects = BEval(B, moved, BIMODULE_TABLE[kind].slots), dict(KIND_CONDITIONS[kind])
+    sizes, axes = (B.dim, B.dim, moved.module.dim), (B.names, B.names, moved.module.names)
+    for report in after.checks:
+        if not report.passed:
+            defect = defects[report.check]
+            # product() runs in lexicographic order, so the first failing
+            # tuple is the smallest.
+            found = next(
+                ((t, d) for t in product(*map(range, sizes)) if (d := defect(ev, *t))), None
+            )
+            assert found is not None, report.describe()
+            assert_reports_failure(report, found, axes, moved.module)

@@ -312,6 +312,10 @@ class TestConstruct:
         errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1
         assert errors[0].startswith(f"error: cannot write {out}: Exceeds the limit")
+        # Python's advice to raise its digit limit is not something a
+        # command-line user can follow.
+        assert "set_int_max_str_digits" not in captured.err
+        assert errors[0].endswith("; the loader refuses such constants too")
 
     def test_tensor_verify(self, fixtures_dir, tmp_path):
         out = tmp_path / "tensor.json"

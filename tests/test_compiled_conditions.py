@@ -24,11 +24,10 @@ from hypothesis import given, settings, strategies as st
 import homcolor as hc
 from homcolor import core
 from homcolor.constructions import (
-    _MP_CONDITIONS,
-    _MP_ROLE_SLOTS,
-    _MP_SUM_KIND,
+    MATCHED_PAIR_TABLE,
     MatchedPairData,
     MatchedPairKind,
+    _pair_slots,
 )
 from homcolor.core import (
     AlgebraPresentation,
@@ -44,8 +43,7 @@ from homcolor.core import (
 from homcolor.grading import trivial_grading
 from homcolor.identities import IDENTITY_CATALOG
 from homcolor.representations import (
-    KIND_CONDITIONS as PLANS,
-    KIND_PRODUCT_SLOTS,
+    BIMODULE_TABLE,
     ActionBundle,
     BimoduleKind,
     regular_bundle,
@@ -129,7 +127,7 @@ def perturbed_regular_bundles(draw):
         A = load(draw(st.sampled_from(FIXTURES)))
     else:
         A, _ = draw(pattern_algebra())
-    kinds = [k for k in BimoduleKind if set(KIND_PRODUCT_SLOTS[k].values()) <= set(A.roles)]
+    kinds = [k for k in BimoduleKind if set(BIMODULE_TABLE[k].slots.values()) <= set(A.roles)]
     kind = draw(st.sampled_from(kinds))
     return A, kind, _perturbed(draw, regular_bundle(A, kind), A.space)
 
@@ -139,7 +137,7 @@ def perturbed_regular_bundles(draw):
 def test_compiled_bimodule_conditions_match_reference(data):
     A, kind, bundle = data
     report = hc.check_bimodule(A, bundle, kind)
-    ev = BEval(A, bundle, KIND_PRODUCT_SLOTS[kind])
+    ev = BEval(A, bundle, BIMODULE_TABLE[kind].slots)
     axes = (A.names, A.names, bundle.module.names)
     by_label = {c.check: c for c in report.checks}
     assert list(by_label) == [label for label, _ in KIND_CONDITIONS[kind]]
@@ -166,7 +164,7 @@ def perturbed_matched_pairs(draw):
     kind = draw(st.sampled_from(list(MatchedPairKind)))
     if draw(st.booleans()):
         left = right = load(draw(st.sampled_from(PAIR_FIXTURES[kind])))
-        ab = ba = regular_bundle(left, _MP_SUM_KIND[kind])
+        ab = ba = regular_bundle(left, MATCHED_PAIR_TABLE[kind].bimodule)
     else:
         left, right, left_n_u = draw(pattern_pair())
         names = MATCHED_ACTIONS[kind]
@@ -186,10 +184,10 @@ def perturbed_matched_pairs(draw):
 
 def _reference_evaluator(pair, kind):
     """The reference helper for ``pair``, oriented from the a-side."""
-    slots = _MP_ROLE_SLOTS[kind]
+    slots = _pair_slots(kind)
     return MPEval(pair.a, pair.b, pair.ab, pair.ba, **{
         k: v for k, v in (
-            ("dot", slots.get("dot")), ("novikov", slots.get("novikov")), ("lie", slots.get("bracket"))
+            ("dot", slots.get("assoc")), ("novikov", slots.get("novikov")), ("lie", slots.get("lie"))
         ) if v
     })
 
@@ -238,19 +236,19 @@ def _dense_family(draw, acting, module, ctx):
 @settings(max_examples=60)
 @given(kind=st.sampled_from(list(BimoduleKind)), payload=st.data())
 def test_every_bimodule_defect_matches_reference(kind, payload):
-    candidates = [name for name in FIXTURES if set(KIND_PRODUCT_SLOTS[kind].values()) <= set(load(name).roles)]
+    candidates = [name for name in FIXTURES if set(BIMODULE_TABLE[kind].slots.values()) <= set(load(name).roles)]
     A = load(payload.draw(st.sampled_from(candidates)))
     actions = {
         name: _dense_family(payload.draw, A.space, A.space, A.context)
         for name in regular_bundle(A, kind).actions
     }
     bundle = ActionBundle(A.space, A.space, A.alpha, A.context, actions)
-    slots = KIND_PRODUCT_SLOTS[kind]
+    slots = BIMODULE_TABLE[kind].slots
     ops = {slot: A.product(role).row_cells for slot, role in slots.items()}
     ops.update((name, bundle.row_cells(name)) for name in actions)
     axes = ((A.space, A.alpha),) * 2 + ((bundle.module, bundle.beta),)
     ev = BEval(A, bundle, slots)
-    for (label, defect), (_, terms) in zip(KIND_CONDITIONS[kind], PLANS[kind]):
+    for (label, defect), (_, terms) in zip(KIND_CONDITIONS[kind], BIMODULE_TABLE[kind].conditions):
         want = _reference_defects((A.dim, A.dim, A.dim), lambda t: defect(ev, *t))
         assert every_failure(terms, axes, ops, A.bichar) == want, label
 
@@ -266,14 +264,14 @@ def test_every_matched_pair_defect_matches_reference(kind, payload):
     ba = ActionBundle(A.space, A.space, A.alpha, A.context, {
         name: _dense_family(payload.draw, A.space, A.space, A.context) for name in names
     })
-    slots = _MP_ROLE_SLOTS[kind]
+    slots = _pair_slots(kind)
     base = _reference_evaluator(MatchedPairData(A, A, ab, ba), kind)
     axes = ((A.space, A.alpha),) * 3
     for ev, forward, backward in ((base, ab, ba), (base.swap(), ba, ab)):
         ops = {slot: A.product(role).row_cells for slot, role in slots.items()}
         for prefix, bundle in (("on_b.", forward), ("on_a.", backward)):
             ops.update((prefix + name, bundle.row_cells(name)) for name in bundle.actions)
-        for (label, defect), (_, terms) in zip(MP_CONDITIONS[kind], _MP_CONDITIONS[kind]):
+        for (label, defect), (_, terms) in zip(MP_CONDITIONS[kind], MATCHED_PAIR_TABLE[kind].conditions):
             want = _reference_defects((A.dim, A.dim, A.dim), lambda t: defect(ev, *t))
             assert every_failure(terms, axes, ops, A.bichar) == want, label
 

@@ -7,13 +7,19 @@ import json
 import pytest
 
 import homcolor as hc
-from homcolor.constructions import MatchedPairData, MatchedPairKind
+from homcolor.constructions import MATCHED_PAIR_TABLE, MatchedPairData, MatchedPairKind
 from homcolor.core import AlgebraPresentation, BilinearProduct, LinearMap
 from homcolor.reports import PreconditionError
-from homcolor.representations import ActionBundle, BimoduleKind, regular_bundle
+from homcolor.representations import (
+    BIMODULE_TABLE,
+    ActionBundle,
+    BimoduleKind,
+    regular_bundle,
+    slot_actions,
+)
 from homcolor.serialize import dump_presentation
 from tests.conftest import load
-from tests.util import act
+from tests.util import act, operation_names
 
 
 class TestCommutator:
@@ -465,9 +471,14 @@ class TestDerivationProduct:
         A = assoc_3dim
         D = LinearMap.from_rows(A.space, A.space, A.context,
                                 [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
-        # D does not commute with the twist here, so the hypothesis fails
-        with pytest.raises(PreconditionError):
+        # D does not commute with the twist here, so the hypothesis fails,
+        # with the first basis element on which alpha o D and D o alpha differ
+        with pytest.raises(PreconditionError) as refused:
             hc.novikov_from_derivation(A, D)
+        assert [report.describe() for report in refused.value.reports] == [
+            "twist_commutes_with_derivation: FAIL  witness=(e2)  defect={e3: 1}  "
+            "need alpha o D = D o alpha"
+        ]
         out = hc.novikov_from_derivation(A, D, force=True)
         assert out.mul_basis("diamond", 0, 1) == out.vector({"e3": -2})
         assert out.mul_basis("diamond", 1, 0) == out.vector({"e3": -2})
@@ -497,3 +508,15 @@ def test_morphism_transport_through_twists(gd_mult_4dim):
     assert hc.is_morphism(f, A, A).passed
     twisted = hc.yau_twist(A, A.alpha)
     assert hc.is_morphism(f, twisted, twisted).passed
+
+
+@pytest.mark.parametrize("kind", list(MatchedPairKind), ids=lambda k: k.value)
+def test_matched_pair_conditions_name_only_their_slots_and_actions(kind):
+    # B's products by the slots of the pair's bimodule kind, and the cross
+    # actions of that kind in either direction.
+    entry = MATCHED_PAIR_TABLE[kind]
+    slots = BIMODULE_TABLE[entry.bimodule].slots
+    actions = slot_actions(slots)
+    allowed = set(slots) | {side + name for side in ("on_a.", "on_b.") for name in actions}
+    for label, terms in entry.conditions:
+        assert operation_names(terms) <= allowed, label

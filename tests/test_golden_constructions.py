@@ -17,9 +17,9 @@ import sys
 import pytest
 
 import homcolor as hc
-from homcolor.constructions import _MP_SUM_KIND, MatchedPairData, MatchedPairKind
+from homcolor.constructions import MATCHED_PAIR_TABLE, MatchedPairData, MatchedPairKind
 from homcolor.reports import PreconditionError
-from homcolor.representations import KIND_PRODUCT_SLOTS, BimoduleKind, regular_bundle
+from homcolor.representations import BIMODULE_TABLE, BimoduleKind, regular_bundle
 from homcolor.serialize import LoadError, dump_presentation, load_presentation_file
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -41,7 +41,7 @@ def _fixtures() -> dict:
 
 
 def _applicable(P, kind: BimoduleKind) -> bool:
-    return set(KIND_PRODUCT_SLOTS[kind].values()) <= set(P.roles)
+    return set(BIMODULE_TABLE[kind].slots.values()) <= set(P.roles)
 
 
 def _first_ideal(P) -> list[str]:
@@ -54,7 +54,7 @@ def _first_ideal(P) -> list[str]:
 
 
 def _self_pair(P, kind: MatchedPairKind) -> MatchedPairData:
-    bundle = regular_bundle(P, _MP_SUM_KIND[kind])
+    bundle = regular_bundle(P, MATCHED_PAIR_TABLE[kind].bimodule)
     return MatchedPairData(P, P, bundle, bundle)
 
 
@@ -86,7 +86,7 @@ def cases() -> dict:
                         lambda P=P, M=module, k=kind, f=force: hc.semidirect_sum(P, M, k, force=f)
                     )
         for kind in MatchedPairKind:
-            if not _applicable(P, _MP_SUM_KIND[kind]):
+            if not _applicable(P, MATCHED_PAIR_TABLE[kind].bimodule):
                 continue
             for force in (False, True):
                 out[f"{name} double {kind.value} force={force}"] = (

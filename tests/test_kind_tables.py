@@ -1,0 +1,159 @@
+"""What the bimodule and matched-pair kind tables decide, pinned by behaviour.
+
+For every matched-pair kind: the ordered check names of
+``check_matched_pair`` on a pair of regular bundles (cross bimodules first,
+one one-slot kind per product slot, then the side conditions, ``ab:``
+before ``ba:``), the digest of its reports, and ``double_suite_kind``.  For
+every bimodule kind: the actions ``check_bimodule`` requires, the actions of
+its regular bundle, its check names and the digest of its reports.  Only
+public names are used, so the pins hold whatever tables produce them.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+import homcolor as hc
+from homcolor.constructions import MatchedPairData, MatchedPairKind
+from homcolor.core import LinearMap
+from homcolor.representations import ActionBundle, BimoduleKind, regular_bundle
+
+from tests.conftest import load
+from tests.util import bump_corner
+
+NOV = [f"NOV_COND{n}" for n in range(1, 7)]
+BIMODULE_CHECKS = {
+    BimoduleKind.ASSOC_BIMODULE: ["ASSOC_BIMODULE"],
+    BimoduleKind.NOVIKOV_BIMODULE: NOV,
+    BimoduleKind.LIE_REP: ["LIE_REP"],
+    BimoduleKind.HNP_BIMODULE: ["ASSOC_BIMODULE", *NOV, *(f"HNP_COND{n}" for n in range(1, 6))],
+    BimoduleKind.GD_REP: [*NOV, "LIE_REP", "GD_COND1", "GD_COND2"],
+}
+BIMODULE_ACTIONS = {
+    BimoduleKind.ASSOC_BIMODULE: {"s"},
+    BimoduleKind.NOVIKOV_BIMODULE: {"l", "r"},
+    BimoduleKind.LIE_REP: {"rho"},
+    BimoduleKind.HNP_BIMODULE: {"s", "l", "r"},
+    BimoduleKind.GD_REP: {"l", "r", "rho"},
+}
+
+# Per matched-pair kind: its bimodule kind, the one-slot kinds of its cross
+# bimodule checks, its side conditions and the suite its double must pass.
+MP_NOV = ["MP_NOV1", "MP_NOV2", "MP_NOV3"]
+MATCHED = {
+    MatchedPairKind.ASSOC: (
+        BimoduleKind.ASSOC_BIMODULE, [BimoduleKind.ASSOC_BIMODULE],
+        ["MP_ASSOC1", "MP_ASSOC2"], hc.StructureKind.EPS_COMM_ASSOC,
+    ),
+    MatchedPairKind.NOVIKOV: (
+        BimoduleKind.NOVIKOV_BIMODULE, [BimoduleKind.NOVIKOV_BIMODULE],
+        MP_NOV, hc.StructureKind.HOM_NOVIKOV,
+    ),
+    MatchedPairKind.LIE: (
+        BimoduleKind.LIE_REP, [BimoduleKind.LIE_REP], ["MP_LIE"], hc.StructureKind.HOM_LIE,
+    ),
+    MatchedPairKind.HNP: (
+        BimoduleKind.HNP_BIMODULE, [BimoduleKind.ASSOC_BIMODULE, BimoduleKind.NOVIKOV_BIMODULE],
+        ["MP_ASSOC1", "MP_ASSOC2", *MP_NOV, *(f"MP_HNP{n}" for n in range(1, 7))],
+        hc.StructureKind.HNP,
+    ),
+    MatchedPairKind.GD: (
+        BimoduleKind.GD_REP, [BimoduleKind.NOVIKOV_BIMODULE, BimoduleKind.LIE_REP],
+        ["MP_LIE", *MP_NOV, "MP_GD1", "MP_GD2", "MP_GD3"], hc.StructureKind.HOM_GD,
+    ),
+}
+
+# Fixtures for each kind: each acting on itself, plain and with a corner
+# structure constant bumped (``tests/util.bump_corner``), so that reports
+# carry witnesses.
+FIXTURES = {
+    BimoduleKind.ASSOC_BIMODULE: ("assoc_3dim.json", "novikov_3dim.json"),
+    BimoduleKind.NOVIKOV_BIMODULE: ("novikov_3dim.json", "hnp_4dim.json"),
+    BimoduleKind.LIE_REP: ("gd_4dim.json", "zero_2dim.json"),
+    BimoduleKind.HNP_BIMODULE: ("hnp_4dim.json", "hnp_4dim_perturbed.json"),
+    BimoduleKind.GD_REP: ("gd_4dim.json", "gd_multiplicative_4dim.json"),
+}
+
+# sha256 of the JSON of every report, over the presentations of FIXTURES
+# in order (each plain, then bumped), cut to 16 hex digits.
+BIMODULE_DIGESTS = {
+    BimoduleKind.ASSOC_BIMODULE: "2ede4cd06cac42b2",
+    BimoduleKind.NOVIKOV_BIMODULE: "7316505aba09b4a1",
+    BimoduleKind.LIE_REP: "b091268b5da04724",
+    BimoduleKind.HNP_BIMODULE: "3beae0374443c0cb",
+    BimoduleKind.GD_REP: "061199a1b569d2d9",
+}
+MATCHED_DIGESTS = {
+    MatchedPairKind.ASSOC: "02e9b34cbd0a89c0",
+    MatchedPairKind.NOVIKOV: "ec00689faf75a381",
+    MatchedPairKind.LIE: "f81f040347ecc985",
+    MatchedPairKind.HNP: "21dca10288096841",
+    MatchedPairKind.GD: "31208ee3439e06eb",
+}
+
+
+def _presentations(kind: BimoduleKind):
+    out = []
+    for name in FIXTURES[kind]:
+        P = load(name)
+        out += [P, bump_corner(P)]
+    return out
+
+
+def _digest(reports) -> str:
+    text = json.dumps([[c.to_dict() for c in report.checks] for report in reports])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _matched_pair_reports(kind: MatchedPairKind):
+    bimodule_kind = MATCHED[kind][0]
+    reports = []
+    for P in _presentations(bimodule_kind):
+        bundle = regular_bundle(P, bimodule_kind)
+        reports.append(hc.check_matched_pair(MatchedPairData(P, P, bundle, bundle), kind))
+    return reports
+
+
+@pytest.mark.parametrize("kind", list(MatchedPairKind), ids=lambda k: k.value)
+def test_matched_pair_check_order(kind):
+    _, cross_kinds, side, suite = MATCHED[kind]
+    want = []
+    for cross_kind in cross_kinds:
+        for direction in ("ab", "ba"):
+            want += [f"{direction}:{name}" for name in BIMODULE_CHECKS[cross_kind]]
+    want += [f"{direction}:{name}" for name in side for direction in ("ab", "ba")]
+    reports = _matched_pair_reports(kind)
+    for report in reports:
+        assert report.kind == f"matched_pair[{kind.value}]"
+        assert [c.check for c in report.checks] == want
+    assert _digest(reports) == MATCHED_DIGESTS[kind]
+    assert hc.double_suite_kind(kind) is suite
+
+
+@pytest.mark.parametrize("kind", list(BimoduleKind), ids=lambda k: k.value)
+def test_bimodule_actions_and_check_order(kind):
+    presentations = _presentations(kind)
+    reports = []
+    for P in presentations:
+        bundle = regular_bundle(P, kind)
+        assert set(bundle.actions) == BIMODULE_ACTIONS[kind]
+        report = hc.check_bimodule(P, bundle, kind)
+        assert [c.check for c in report.checks] == BIMODULE_CHECKS[kind]
+        reports.append(report)
+    assert _digest(reports) == BIMODULE_DIGESTS[kind]
+
+    # An action is required when a bundle without it is refused.
+    P = presentations[0]
+    zero = tuple(LinearMap.zero(P.space, P.space, P.context, d) for d in P.space.degrees)
+    every = {"s": zero, "l": zero, "r": zero, "rho": zero}
+    required = set()
+    for name in every:
+        rest = {other: family for other, family in every.items() if other != name}
+        bundle = ActionBundle(P.space, P.space, P.alpha, P.context, rest)
+        try:
+            hc.check_bimodule(P, bundle, kind)
+        except ValueError as exc:
+            assert f"no action {name!r}" in str(exc)
+            required.add(name)
+    assert required == BIMODULE_ACTIONS[kind]

@@ -4,9 +4,16 @@ import pytest
 
 import homcolor as hc
 from homcolor.core import AlgebraPresentation, LinearMap, vec_scale, vec_sub
-from homcolor.representations import ActionBundle, BimoduleKind, check_bimodule, regular_bundle
+from homcolor.representations import (
+    BIMODULE_TABLE,
+    ActionBundle,
+    BimoduleKind,
+    check_bimodule,
+    regular_bundle,
+    slot_actions,
+)
 from homcolor.reports import PreconditionError
-from tests.util import act_vec, assert_reports_failure, smallest_failure
+from tests.util import act_vec, assert_reports_failure, operation_names, smallest_failure
 
 
 def scale_action(A, ops, factor):
@@ -272,3 +279,11 @@ def test_regular_bundle_theorem_property(request):
         A = request.getfixturevalue(fixture_name)
         assert hc.run_suite(A, suite_kind).passed
         assert check_bimodule(A, regular_bundle(A, bim_kind), bim_kind).passed
+
+
+@pytest.mark.parametrize("kind", list(BimoduleKind), ids=lambda k: k.value)
+def test_bimodule_conditions_name_only_their_slots_and_actions(kind):
+    entry = BIMODULE_TABLE[kind]
+    allowed = set(entry.slots) | set(slot_actions(entry.slots))
+    for label, terms in entry.conditions:
+        assert operation_names(terms) <= allowed, label

@@ -15,6 +15,7 @@ from homcolor.core import (
     vec_add,
     vec_scale,
 )
+from homcolor.representations import ActionBundle
 from homcolor.scalars import Scalar, ScalarError
 
 
@@ -32,23 +33,39 @@ def perturb(A: AlgebraPresentation, role: str, i: int, j: int, k: int, delta) ->
     return A.with_products(products)
 
 
-def change_basis(A: AlgebraPresentation, seed: int) -> AlgebraPresentation:
-    """``A`` written in the basis f_i = P e_i, for a seeded even integer
-    change of basis P: within each block of basis elements of one degree,
-    unitriangular in a shuffled order with entries in -2..2 above the
-    diagonal, and the identity across blocks.  The products move to the new
-    basis and the twist becomes P^-1 alpha P; names and degrees stay."""
+def even_basis_change(space, ctx, seed: int) -> tuple[LinearMap, LinearMap]:
+    """A seeded even integer change of basis P of ``space`` and its inverse:
+    within each block of basis elements of one degree, unitriangular in a
+    shuffled order with entries in -2..2 above the diagonal, and the
+    identity across blocks."""
     rng = random.Random(seed)
-    n = A.dim
+    n = space.dim
     rows = [[int(r == c) for c in range(n)] for r in range(n)]
-    for degree in dict.fromkeys(A.space.degrees):
-        block = [i for i in range(n) if A.space.degree(i) == degree]
+    for degree in dict.fromkeys(space.degrees):
+        block = [i for i in range(n) if space.degree(i) == degree]
         rng.shuffle(block)
         for a, r in enumerate(block):
             for c in block[a + 1:]:
                 rows[r][c] = rng.randint(-2, 2)
-    P = LinearMap.from_rows(A.space, A.space, A.context, rows)
-    P_inv = LinearMap.from_rows(A.space, A.space, A.context, _integer_inverse(rows))
+    P = LinearMap.from_rows(space, space, ctx, rows)
+    return P, LinearMap.from_rows(space, space, ctx, _integer_inverse(rows))
+
+
+def bump_corner(A: AlgebraPresentation) -> AlgebraPresentation:
+    """``A`` with the structure constant of e_1 o e_n on the last basis
+    element of its degree bumped by one, in every product."""
+    last = A.dim - 1
+    for role in A.roles:
+        A = perturb(A, role, 0, last, graded_targets(A, 0, last)[-1], 1)
+    return A
+
+
+def change_basis(A: AlgebraPresentation, seed: int) -> AlgebraPresentation:
+    """``A`` written in the basis f_i = P e_i, P the seeded
+    :func:`even_basis_change`.  The products move to the new basis and the
+    twist becomes P^-1 alpha P; names and degrees stay."""
+    n = A.dim
+    P, P_inv = even_basis_change(A.space, A.context, seed)
     f = [P.image(i) for i in range(n)]
     products = {
         role: BilinearProduct(A.space, A.context, {
@@ -58,6 +75,24 @@ def change_basis(A: AlgebraPresentation, seed: int) -> AlgebraPresentation:
     }
     alpha = P_inv.compose(A.alpha.compose(P))
     return AlgebraPresentation(A.space, A.bichar, A.context, products, alpha)
+
+
+def change_bundle_basis(bundle: ActionBundle, P: LinearMap, Q: LinearMap, Q_inv: LinearMap) -> ActionBundle:
+    """``bundle`` written in the algebra basis f_i = P e_i and the module
+    basis g_v = Q m_v: f_i acts by Q^-1 (sum_k P[k][i] act(e_k)) Q, and beta
+    becomes Q^-1 beta Q."""
+    module, ctx = bundle.module, bundle.context
+    g = [Q.image(v) for v in range(module.dim)]
+    actions = {}
+    for name in bundle.actions:
+        family = []
+        for i in range(bundle.algebra_space.dim):
+            f = P.image(i)
+            columns = [Q_inv.apply(act_vec(bundle, name, f, gv)) for gv in g]
+            family.append(LinearMap(module, module, ctx, columns, bundle.algebra_space.degree(i)))
+        actions[name] = family
+    beta = Q_inv.compose(bundle.beta.compose(Q))
+    return ActionBundle(bundle.algebra_space, module, beta, ctx, actions)
 
 
 def _integer_inverse(rows):
@@ -82,6 +117,18 @@ def graded_targets(A: AlgebraPresentation, i: int, j: int) -> list[int]:
     """Basis indices a product of e_i and e_j may legally land on."""
     want = A.space.group.add(A.space.degree(i), A.space.degree(j))
     return [k for k in range(A.dim) if A.space.degree(k) == want]
+
+
+def operation_names(terms) -> set[str]:
+    """The names of every product, action and map node in ``terms``."""
+    names: set[str] = set()
+    stack = [tree for _, _, tree in terms]
+    while stack:
+        tree = stack.pop()
+        if isinstance(tree[0], str):
+            names.add(tree[0])
+            stack.extend(tree[1:])
+    return names
 
 
 def smallest_failure(sizes, defect):
