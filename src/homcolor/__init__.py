@@ -36,7 +36,6 @@ from .core import (
     morphism_suite,
 )
 from .identities import (
-    ArityCapError,
     IDENTITY_CATALOG,
     StructureKind,
     check_gi_identities,

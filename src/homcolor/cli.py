@@ -33,6 +33,7 @@ from .representations import BimoduleKind, check_bimodule
 from .serialize import (
     LoadError,
     _read_json,
+    _reason,
     dump_presentation_file,
     load_linear_map,
     load_matched_pair_file,
@@ -56,7 +57,7 @@ def _parse_subst(items: list[str]) -> dict[str, str]:
     out = {}
     for item in items:
         if "=" not in item:
-            raise LoadError(f"--subst expects name=value, got {item!r}")
+            raise LoadError(f"expects name=value, got {item!r}")
         name, value = item.split("=", 1)
         out[name.strip()] = value.strip()
     return out
@@ -84,11 +85,12 @@ def _emit(suite: SuiteReport, args, kind: str) -> int:
 
 def cmd_check(args) -> int:
     kind = args.kind
-    if args.arity4_cap is not None and kind != "gi":
-        raise LoadError(f"check --kind {kind} does not read --arity4-cap")
     presentation, bundle = load_presentation_file(args.input)
     if args.subst:
-        presentation = substitute_presentation(presentation, _parse_subst(args.subst))
+        try:
+            presentation = substitute_presentation(presentation, _parse_subst(args.subst))
+        except ValueError as exc:
+            raise LoadError(f"--subst: {_reason(exc)}") from exc
     if kind in STRUCTURE_KINDS:
         suite = run_suite(presentation, STRUCTURE_KINDS[kind])
     elif kind in BIMODULE_KINDS:
@@ -96,7 +98,7 @@ def cmd_check(args) -> int:
             raise LoadError("input has no 'module' block, required for bimodule kinds")
         suite = check_bimodule(presentation, bundle, BIMODULE_KINDS[kind])
     else:
-        suite = check_gi_identities(presentation, arity4_dim_cap=args.arity4_cap)
+        suite = check_gi_identities(presentation)
     return _emit(suite, args, kind)
 
 
@@ -317,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--report", help="write a JSON report to this path")
     check.add_argument("--subst", action="append", default=[], metavar="NAME=VALUE")
-    check.add_argument("--arity4-cap", type=int, default=None, dest="arity4_cap")
     check.add_argument("--timings", action="store_true", help="include timings in reports")
     check.set_defaults(func=cmd_check)
 

@@ -965,19 +965,17 @@ _LEIBNIZ: tuple[Term, ...] = (
 
 
 def multiplicative_checks(
-    presentation: AlgebraPresentation,
-    roles: Sequence[str],
-    mapping: LinearMap | None = None,
+    presentation: AlgebraPresentation, roles: Sequence[str]
 ) -> list[CheckReport]:
-    """Does ``mapping`` (default: the twist) satisfy m(x o y) = m(x) o m(y)
-    for each product role in ``roles``?  One report per role, in that order,
-    all from one evaluator pass.
+    """Does the twist satisfy alpha(x o y) = alpha(x) o alpha(y) for each
+    product role in ``roles``?  One report per role, in that order, all from
+    one evaluator pass.
 
     Checked on all basis pairs, which suffices by bilinearity; each witness
-    is the role's first failing pair in row-major order.
+    is the role's first failing pair in row-major order.  For another map m,
+    the same checks are the product arms of ``morphism_suite(m, A, A)``.
     """
-    m = presentation.alpha if mapping is None else mapping
-    ops: dict[Hashable, Rows | Columns] = {"f": m.columns}
+    ops: dict[Hashable, Rows | Columns] = {"f": presentation.alpha.columns}
     checks = []
     for role in roles:
         ops[("p", role)] = presentation.product(role).row_cells
@@ -987,32 +985,17 @@ def multiplicative_checks(
     return run_checks(checks, (axis, axis), ops, presentation.bichar, presentation.space)
 
 
-def is_multiplicative(
-    presentation: AlgebraPresentation,
-    role: str,
-    mapping: LinearMap | None = None,
-) -> CheckReport:
+def is_multiplicative(presentation: AlgebraPresentation, role: str) -> CheckReport:
     """:func:`multiplicative_checks` for one role."""
-    [report] = multiplicative_checks(presentation, (role,), mapping)
+    [report] = multiplicative_checks(presentation, (role,))
     return report
 
 
 def is_derivation(
-    presentation: AlgebraPresentation,
-    role: str,
-    derivation: LinearMap,
-    degree: GroupElement | None = None,
+    presentation: AlgebraPresentation, role: str, derivation: LinearMap
 ) -> CheckReport:
-    """Twisted Leibniz rule D(x o y) = D(x) o y + eps(d, x) x o D(y)."""
-    group = presentation.space.group
-    d = derivation.degree if degree is None else group.element(degree)
-    if derivation.degree != d:
-        return CheckReport(
-            check=f"derivation[{role}]",
-            status=FAIL,
-            detail=f"map is homogeneous of degree {derivation.degree}, not {d}",
-        )
-    [row] = presentation.bichar.table((d,), presentation.space.degrees)
+    """Twisted Leibniz rule D(x o y) = D(x) o y + eps(d, x) x o D(y), d = deg D."""
+    [row] = presentation.bichar.table((derivation.degree,), presentation.space.degrees)
     signs = tuple(((i, presentation.context.scalar(s)),) for i, s in enumerate(row))
     ops = {"a": presentation.product(role).row_cells, "f": derivation.columns, "s": signs}
     axis = (presentation.space, presentation.alpha)

@@ -10,12 +10,14 @@ A suite call (:func:`run_suite`, or :func:`check_gi_identities` after its
 preconditions) evaluates all its members in one
 :func:`~homcolor.core.run_checks` pass over whole index tuples: each tree
 expanded only over nonzero structure constants and twist images, and each
-subtree map built once for every member that holds it.  The pass builds
-each member's report, and :func:`check_identity` hands it out in the
-suite's order; called directly, :func:`check_identity` evaluates its
-identity as a suite of one.  A failure carries the lexicographically
-smallest failing tuple together with its defect vector, and a report's
-``seconds`` is the time of the suite's whole pass.
+subtree map built once for every member that holds it, so its cost follows
+the nonzero cells, not dim^arity, and GI_2..GI_4 are decided at every
+dimension.  The pass builds each member's report, and
+:func:`check_identity` hands it out in the suite's order; called directly,
+:func:`check_identity` evaluates its identity as a suite of one.  A
+failure carries the lexicographically smallest failing tuple together with
+its defect vector, and a report's ``seconds`` is the time of the suite's
+whole pass.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .reports import PRECONDITION_FAILED, CheckReport, SuiteReport
 __all__ = [
     "IdentityId",
     "StructureKind",
-    "ArityCapError",
     "IDENTITY_CATALOG",
     "SUITE_MEMBERS",
     "check_identity",
@@ -52,9 +53,6 @@ __all__ = [
     "required_roles",
 ]
 
-DEFAULT_ARITY4_CAP = 12
-
-
 # The suite whose member reports are being handed out: its presentation,
 # the roles whose twist it verified multiplicative, and each member's report
 # (see _evaluate) keyed by tag and role binding.  Set only while run_suite or
@@ -62,10 +60,6 @@ DEFAULT_ARITY4_CAP = 12
 _SUITE: ContextVar[tuple[AlgebraPresentation | None, frozenset[str], Mapping]] = ContextVar(
     "homcolor_suite", default=(None, frozenset(), {})
 )
-
-
-class ArityCapError(ValueError):
-    """Arity-4 check requested above the dimension cap without an override."""
 
 
 @dataclass(frozen=True)
@@ -238,21 +232,11 @@ def _binding(tag: str, roles: Mapping[str, str] | None) -> tuple[tuple[str, str]
 
 
 def _evaluate(
-    presentation: AlgebraPresentation,
-    members: list[tuple[str, tuple[tuple[str, str], ...]]],
-    arity4_dim_cap: int | None,
+    presentation: AlgebraPresentation, members: list[tuple[str, tuple[tuple[str, str], ...]]]
 ) -> dict[tuple[str, tuple[tuple[str, str], ...]], CheckReport]:
     """Evaluate the (tag, binding) members together in one
     :func:`~homcolor.core.run_checks` pass; map each member to its report."""
-    n = presentation.dim
-    cap = DEFAULT_ARITY4_CAP if arity4_dim_cap is None else arity4_dim_cap
     specs = [IDENTITY_CATALOG[tag] for tag, _ in members]
-    for spec in specs:
-        if spec.arity >= 4 and n > cap:
-            raise ArityCapError(
-                f"{spec.tag} scans dim^{spec.arity} tuples; dim {n} exceeds the cap "
-                f"{cap} (raise via --arity4-cap or the arity4_dim_cap argument)"
-            )
     roles = {role for _, binding in members for _, role in binding}
     ops = {role: presentation.product(role).row_cells for role in roles}
     checks = [
@@ -265,10 +249,7 @@ def _evaluate(
 
 
 def check_identity(
-    presentation: AlgebraPresentation,
-    tag: str,
-    roles: Mapping[str, str] | None = None,
-    arity4_dim_cap: int | None = None,
+    presentation: AlgebraPresentation, tag: str, roles: Mapping[str, str] | None = None
 ) -> CheckReport:
     """Evaluate one catalogued identity on every basis tuple of its arity.
 
@@ -301,7 +282,7 @@ def check_identity(
     member = (tag, role_items)
     report = evaluated.get(member)
     if report is None:
-        report = _evaluate(presentation, [member], arity4_dim_cap)[member]
+        report = _evaluate(presentation, [member])[member]
     return report
 
 
@@ -310,13 +291,11 @@ def _suite_report(
     kind: str,
     members: tuple[tuple[str, Mapping[str, str]], ...],
     verified_roles: frozenset[str],
-    arity4_dim_cap: int | None,
 ) -> SuiteReport:
     """Evaluate the (tag, role override) members in one pass, then collect
     each member's report through :func:`check_identity`."""
-    evaluated = _evaluate(
-        presentation, [(tag, _binding(tag, override)) for tag, override in members], arity4_dim_cap
-    )
+    bound = [(tag, _binding(tag, override)) for tag, override in members]
+    evaluated = _evaluate(presentation, bound)
     token = _SUITE.set((presentation, verified_roles, evaluated))
     try:
         report = SuiteReport(kind=kind)
@@ -328,20 +307,16 @@ def _suite_report(
 
 
 def run_suite(presentation: AlgebraPresentation, kind: StructureKind) -> SuiteReport:
-    """All member identities of a structure kind; verdict is the conjunction.
-    No structure kind has a member of arity 4, so no cap applies."""
+    """All member identities of a structure kind; verdict is the conjunction."""
     for role in required_roles(kind):
         presentation.product(role)
-    return _suite_report(presentation, kind.value, SUITE_MEMBERS[kind], frozenset(), None)
+    return _suite_report(presentation, kind.value, SUITE_MEMBERS[kind], frozenset())
 
 
 _GI_MEMBERS = tuple((tag, {}) for tag in ("GI_1", "GI_2", "GI_3", "GI_4"))
 
 
-def check_gi_identities(
-    presentation: AlgebraPresentation,
-    arity4_dim_cap: int | None = None,
-) -> SuiteReport:
+def check_gi_identities(presentation: AlgebraPresentation) -> SuiteReport:
     """The four bracket/product interchange identities GI_1..GI_4.
 
     They hold on any structure passing the transposed-Leibniz suite with a
@@ -364,6 +339,4 @@ def check_gi_identities(
         return report
     # The twist was just verified multiplicative for both products, so
     # GI_1..GI_4 skip the precondition scan they run when called directly.
-    return _suite_report(
-        presentation, "gi", _GI_MEMBERS, frozenset({"dot", "bracket"}), arity4_dim_cap
-    )
+    return _suite_report(presentation, "gi", _GI_MEMBERS, frozenset({"dot", "bracket"}))

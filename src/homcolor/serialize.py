@@ -58,6 +58,13 @@ class LoadError(ValueError):
     """Input document rejected; the message names the offending field."""
 
 
+def _reason(exc: Exception, note: str = "") -> str:
+    """``exc``'s message without Python's advice to raise its digit limit on
+    integer text, which no command-line option can follow; ``note`` replaces it."""
+    reason, advice, _ = str(exc).partition("; use sys.set_int_max_str_digits()")
+    return reason + note if advice else reason
+
+
 def _read_json(path) -> Any:
     """Parse a JSON file; an unreadable or undecodable file is a LoadError."""
     try:
@@ -70,7 +77,7 @@ def _read_json(path) -> Any:
     except (ValueError, RecursionError) as exc:
         # Non-UTF-8 bytes, an integer literal past int()'s digit limit, or
         # arrays nested past the decoder's recursion limit.
-        raise LoadError(f"{path}: {exc}") from exc
+        raise LoadError(f"{path}: {_reason(exc)}") from exc
 
 
 def _object(value: Any, where: str) -> dict:
@@ -126,7 +133,7 @@ def _scalar(ctx: ScalarContext, value: Any, where: str) -> Scalar:
     try:
         return ctx.scalar(value)
     except (ScalarError, ValueError) as exc:
-        raise LoadError(f"{where}: {exc}") from exc
+        raise LoadError(f"{where}: {_reason(exc)}") from exc
 
 
 def _matrix(
@@ -355,10 +362,7 @@ def dump_presentation_file(presentation: AlgebraPresentation, path) -> None:
     try:
         text = json.dumps(dump_presentation(presentation), indent=2) + "\n"
     except ValueError as exc:
-        # Python's advice to raise its digit limit is no option on the command line.
-        reason, advice, _ = str(exc).partition("; use sys.set_int_max_str_digits()")
-        if advice:
-            reason += "; the loader refuses such constants too"
+        reason = _reason(exc, "; the loader refuses such constants too")
         raise ValueError(f"cannot write {path}: {reason}") from exc
     with open(path, "w") as handle:
         handle.write(text)

@@ -13,15 +13,27 @@ the fixture with a corner constant bumped, is rewritten in a seeded even
 basis of the algebra and another of the module: under every applicable
 bimodule kind each condition keeps its status, and a failure gives the
 smallest failing tuple and defect of ``tests/reference_conditions`` on the
-new data.
+new data.  A derivation D becomes P^-1 D P, and a morphism f from A to B
+becomes Q^-1 f P between A and B in their own seeded bases: each keeps its
+status, and a failure gives the smallest failing tuple and defect of the
+dense Leibniz, product-arm and twist-arm references of
+``tests/test_witnesses``.
 """
 
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homcolor.core import multiplicative_checks
+from homcolor.constructions import is_ideal, quotient
+from homcolor.core import (
+    LinearMap,
+    is_derivation,
+    morphism_suite,
+    multiplicative_checks,
+    vec_add,
+)
 from homcolor.identities import (
     IDENTITY_CATALOG,
     StructureKind,
@@ -44,6 +56,7 @@ from tests.util import (
     even_basis_change,
     smallest_failure,
 )
+from tests.test_witnesses import assert_morphism_witnesses, leibniz, projection
 
 
 def _fixtures():
@@ -165,3 +178,81 @@ def test_bimodule_verdicts_survive_an_even_change_of_basis(name, A, kind, seed):
             )
             assert found is not None, report.describe()
             assert_reports_failure(report, found, axes, moved.module)
+
+
+def _seeded_map(source, target, ctx, degree, seed):
+    """A map ``source`` -> ``target`` homogeneous of ``degree``, with seeded
+    entries in -2..2 wherever the degrees allow one."""
+    rng = random.Random(seed)
+    columns = []
+    for i in range(source.dim):
+        want = source.group.add(source.degree(i), degree)
+        entries = {j: rng.randint(-2, 2) for j in range(target.dim) if target.degree(j) == want}
+        columns.append({j: ctx.scalar(c) for j, c in entries.items() if c})
+    return LinearMap(source, target, ctx, columns, degree)
+
+
+def _derivation_candidates(A, seed):
+    """diag(0, 1, ..., n-1), which is a derivation of some fixtures, and one
+    seeded map of each degree in the basis, so that odd maps meet the sign
+    eps(d, x) of the Leibniz rule."""
+    n, space = A.dim, A.space
+    diagonal = [[i if i == j else 0 for j in range(n)] for i in range(n)]
+    maps = [LinearMap.from_rows(space, space, A.context, diagonal)]
+    for k, degree in enumerate(dict.fromkeys((space.group.zero,) + space.degrees)):
+        maps.append(_seeded_map(space, space, A.context, degree, seed + k))
+    return maps
+
+
+@pytest.mark.parametrize("name, A", _fixtures(), ids=[name for name, _ in _fixtures()])
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_derivation_verdicts_survive_an_even_change_of_basis(name, A, seed):
+    P, P_inv = even_basis_change(A.space, A.context, seed)
+    B = change_basis(A, seed)
+    for D in _derivation_candidates(A, seed):
+        moved = P_inv.compose(D.compose(P))
+        for role in A.roles:
+            before, after = is_derivation(A, role, D), is_derivation(B, role, moved)
+            assert (after.check, after.status) == (before.check, before.status)
+            found = smallest_failure((B.dim, B.dim), leibniz(B, role, moved))
+            assert_reports_failure(after, found, (B.names, B.names), B.space)
+
+
+def _morphism_candidates(A, seed):
+    """(target, f): the identity, the twist and a seeded even map of ``A``
+    to itself, and for each basis element spanning an ideal, the projection
+    onto the quotient by it and that projection plus a seeded even map."""
+    space, ctx = A.space, A.context
+    out = [
+        (A, LinearMap.identity(space, ctx)),
+        (A, A.alpha),
+        (A, _seeded_map(space, space, ctx, space.group.zero, seed)),
+    ]
+    for name in A.names:
+        if not is_ideal(A, [name]).passed:
+            continue
+        Q = quotient(A, [name])
+        pi = projection(A, Q)
+        delta = _seeded_map(space, Q.space, ctx, space.group.zero, seed + 1)
+        columns = [vec_add(pi.image(i), delta.image(i)) for i in range(A.dim)]
+        out += [(Q, pi), (Q, LinearMap(space, Q.space, ctx, columns))]
+    return out
+
+
+@pytest.mark.parametrize("name, A", _fixtures(), ids=[name for name, _ in _fixtures()])
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_morphism_verdicts_survive_an_even_change_of_basis(name, A, seed):
+    P, _ = even_basis_change(A.space, A.context, seed)
+    source = change_basis(A, seed)
+    for target, f in _morphism_candidates(A, seed):
+        _, Q_inv = even_basis_change(target.space, target.context, seed + 1)
+        moved_target = change_basis(target, seed + 1)
+        moved = Q_inv.compose(f.compose(P))
+        before = morphism_suite(f, A, target)
+        after = morphism_suite(moved, source, moved_target)
+        assert [(c.check, c.status) for c in after.checks] == [
+            (c.check, c.status) for c in before.checks
+        ]
+        assert_morphism_witnesses(moved, source, moved_target)

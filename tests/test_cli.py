@@ -134,20 +134,22 @@ class TestCheck:
         ) == 0
         assert run("check", pair, "--kind", "gi") == 2
 
-    @pytest.mark.parametrize("kind", ["hnp", "hnp_bimodule"])
-    def test_arity4_cap_refused_by_kinds_without_arity4_checks(self, tmp_path, capsys, kind):
-        # The input does not exist: the option is refused before it is read.
-        assert run("check", tmp_path / "missing.json", "--kind", kind, "--arity4-cap", "3") == 3
-        assert capsys.readouterr().err == f"error: check --kind {kind} does not read --arity4-cap\n"
+    def test_arity4_cap_is_unrecognized(self, fixtures_dir, capsys):
+        with pytest.raises(SystemExit) as exited:
+            run("check", fixtures_dir / "zero_2dim.json", "--kind", "gi", "--arity4-cap", "16")
+        assert exited.value.code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: unrecognized arguments: --arity4-cap 16"
 
-    def test_gi_reads_arity4_cap(self, fixtures_dir, capsys):
-        # zero_2dim passes the GI preconditions, so GI_2 reaches the cap.
-        argv = ["--kind", "gi", "--arity4-cap", "1"]
-        assert run("check", fixtures_dir / "zero_2dim.json", *argv) == 3
-        assert capsys.readouterr().err == (
-            "error: GI_2 scans dim^4 tuples; dim 2 exceeds the cap 1 "
-            "(raise via --arity4-cap or the arity4_dim_cap argument)\n"
-        )
+    def test_gi_passes_on_the_16_dim_tensor_square(self, fixtures_dir, tmp_path, capsys):
+        # The arity-4 members GI_2..GI_4 are decided at dim 16 as at dim 4.
+        factor = fixtures_dir / "hnp_admissible_mult_synth_4dim.json"
+        square, pair = tmp_path / "square.json", tmp_path / "pair.json"
+        assert run("construct", "tensor", factor, factor, "--out", square) == 0
+        assert run("construct", "commutator", square, "--from-role", "diamond", "--out", pair) == 0
+        capsys.readouterr()
+        assert run("check", pair, "--kind", "gi") == 0
+        assert capsys.readouterr().out.splitlines()[0] == "suite gi: PASS"
 
     def test_gi_passes_on_multiplicative_pair(self, fixtures_dir, tmp_path):
         pair = tmp_path / "pair.json"
@@ -316,6 +318,29 @@ class TestConstruct:
         # command-line user can follow.
         assert "set_int_max_str_digits" not in captured.err
         assert errors[0].endswith("; the loader refuses such constants too")
+
+    @pytest.mark.parametrize("where", ["string", "literal", "--subst"])
+    def test_input_past_the_digit_limit_is_refused_where_it_stands(
+        self, fixtures_dir, tmp_path, capsys, where
+    ):
+        # A 5001-digit constant, past the 4300-digit limit on integer text, as
+        # a scalar string, as a JSON integer literal, or as a --subst value.
+        digits = "7" * 5001
+        path = tmp_path / "big.json"
+        argv = [path, "--kind", "eps_comm_assoc"]
+        if where == "--subst":
+            argv = [fixtures_dir / "hnp_4dim.json", "--kind", "hnp", "--subst", f"lambda1={digits}"]
+        else:
+            doc = json.loads((fixtures_dir / "assoc_3dim.json").read_text())
+            doc["products"]["dot"][0][2][0][1] = digits
+            text = json.dumps(doc)
+            path.write_text(text if where == "string" else text.replace(f'"{digits}"', digits))
+        assert run("check", *argv) == 3
+        location = {"string": "products.dot[0] component 0", "literal": str(path)}.get(where, where)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {location}: Exceeds the limit")
+        assert err.endswith("value has 5001 digits\n")
+        assert "set_int_max_str_digits" not in err
 
     def test_tensor_verify(self, fixtures_dir, tmp_path):
         out = tmp_path / "tensor.json"

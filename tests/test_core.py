@@ -181,10 +181,6 @@ class TestValidation:
 
 
 class TestMultiplicative:
-    def test_identity_map_is_multiplicative(self, hnp_4dim):
-        ident = LinearMap.identity(hnp_4dim.space, hnp_4dim.context)
-        assert is_multiplicative(hnp_4dim, "dot", ident).passed
-
     def test_gd_multiplicative_twist_passes(self, gd_mult_4dim):
         A = gd_mult_4dim
         for role in ("dot", "bracket"):
@@ -232,13 +228,6 @@ class TestDerivation:
         D = LinearMap.from_rows(A.space, A.space, A.context, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
         assert is_derivation(A, "dot", D).passed
         assert D.apply(A.mul_basis("dot", 0, 1)) == A.vector({"e3": -4})
-
-    def test_degree_mismatch_reported(self, assoc_3dim):
-        A = assoc_3dim
-        D = LinearMap.identity(A.space, A.context)
-        report = is_derivation(A, "dot", D, degree=(1,))
-        assert not report.passed
-        assert "degree" in report.detail
 
 
 class TestMorphism:

@@ -8,7 +8,6 @@ from homcolor.core import AlgebraPresentation, BilinearProduct, GradedSpace, Lin
 from homcolor.identities import (
     IDENTITY_CATALOG,
     SUITE_MEMBERS,
-    ArityCapError,
     StructureKind,
     check_gi_identities,
     check_identity,
@@ -329,37 +328,12 @@ class TestPoissonLeibnizConvention:
                     assert left == expected
 
 
-class TestArityCap:
-    def _wide_algebra(self, dim: int):
-        group, bichar = super_z2()
-        ctx = hc.ScalarContext()
-        space = GradedSpace(group, [f"b{i}" for i in range(dim)], [[0]] * dim)
-        products = {
-            "dot": BilinearProduct(space, ctx, {}),
-            "bracket": BilinearProduct(space, ctx, {}),
-        }
-        return AlgebraPresentation(space, bichar, ctx, products)
-
-    def test_cap_exceeded_raises(self):
-        A = self._wide_algebra(13)
-        message = (
-            "GI_2 scans dim^4 tuples; dim 13 exceeds the cap 12 "
-            "(raise via --arity4-cap or the arity4_dim_cap argument)"
-        )
-        with pytest.raises(ArityCapError) as info:
-            check_identity(A, "GI_2")
-        assert str(info.value) == message
-
-    def test_cap_override_argument(self):
-        A = self._wide_algebra(13)
-        report = check_identity(A, "GI_2", arity4_dim_cap=13)
-        assert report.passed
-
-    def test_cap_lowered_by_argument(self):
-        A = self._wide_algebra(13)
-        with pytest.raises(ArityCapError, match="exceeds the cap 4 "):
-            check_identity(A, "GI_2", arity4_dim_cap=4)
-
-    def test_arity3_unaffected_by_cap(self):
-        A = self._wide_algebra(13)
-        assert check_identity(A, "HOM_ASSOC").passed
+def test_arity4_identity_is_decided_at_dimension_13():
+    """GI_2 on the 13-dim zero algebra: every arity-4 tuple has a zero
+    defect, and the evaluator visits none of them."""
+    group, bichar = super_z2()
+    ctx = hc.ScalarContext()
+    space = GradedSpace(group, [f"b{i}" for i in range(13)], [[0]] * 13)
+    products = {role: BilinearProduct(space, ctx, {}) for role in ("dot", "bracket")}
+    A = AlgebraPresentation(space, bichar, ctx, products)
+    assert check_identity(A, "GI_2").passed
