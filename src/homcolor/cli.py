@@ -1,8 +1,9 @@
 """Batch front end: load JSON inputs, run suites or constructions, emit reports.
 
 Exit codes: 0 all checks pass, 1 an identity fails, 2 a precondition fails,
-3 parse, usage or validation error.  Reports are JSON with a fixed field order;
-identical inputs give byte-identical reports (timings opt in via --timings).
+3 parse, usage or validation error, or out of memory.  Reports are JSON with
+a fixed field order; identical inputs give byte-identical reports (timings
+opt in via --timings).
 """
 
 from __future__ import annotations
@@ -102,21 +103,21 @@ def cmd_check(args) -> int:
     return _emit(suite, args, kind)
 
 
-# Each construct builder reads its inputs and options from ``args``, where
-# --kind and --to hold the construction's defaults unless given.
+# Each construct builder reads its inputs and options from ``args``, which
+# its subparser declares with the construction's defaults.
 
-def _input(args, i: int = 0) -> AlgebraPresentation:
-    return load_presentation_file(args.inputs[i])[0]
+def _input(path: str) -> AlgebraPresentation:
+    return load_presentation_file(path)[0]
 
 
 def _twist(args) -> AlgebraPresentation:
-    presentation = _input(args)
+    presentation = _input(args.input)
     twist_map = load_linear_map(args.map, presentation) if args.map else presentation.alpha
     return yau_twist(presentation, twist_map, force=args.force)
 
 
 def _semidirect(args) -> AlgebraPresentation:
-    presentation, bundle = load_presentation_file(args.inputs[0])
+    presentation, bundle = load_presentation_file(args.input)
     if bundle is None:
         raise LoadError("input has no 'module' block, required for semidirect")
     return semidirect_sum(presentation, bundle, BIMODULE_KINDS[args.kind], force=args.force)
@@ -126,11 +127,11 @@ def _quotient(args) -> AlgebraPresentation:
     ideal = [n.strip() for n in args.ideal.split(",")]
     if not all(ideal):
         raise LoadError(f"construct quotient needs --ideal NAME[,NAME...], got {args.ideal!r}")
-    return quotient(_input(args), ideal)
+    return quotient(_input(args.input), ideal)
 
 
 def _derivation_product(args) -> AlgebraPresentation:
-    presentation = _input(args)
+    presentation = _input(args.input)
     if not args.map:
         raise LoadError("derivation-product needs --map FILE")
     derivation = load_linear_map(args.map, presentation)
@@ -139,25 +140,26 @@ def _derivation_product(args) -> AlgebraPresentation:
 
 class _Construction(NamedTuple):
     """A construction: its builder, the options it reads besides --out and
-    --verify, its defaults for them, its input count, its --kind choices,
-    and the suite that --verify auto runs for a kind, if it has one."""
+    --verify, its defaults for them by destination, its positional inputs,
+    its --kind choices, and the suite that --verify auto runs for a kind, if
+    it has one."""
 
     build: Callable[[argparse.Namespace], AlgebraPresentation]
     reads: tuple[str, ...]
     defaults: Mapping[str, str] = {}
-    inputs: int = 1
+    inputs: tuple[str, ...] = ("input",)
     kinds: Mapping[str, Enum] = {}
     auto: Callable[[Enum], StructureKind] | None = None
 
 
 _CONSTRUCTIONS = {
     "commutator": _Construction(
-        lambda args: commutator_bracket(_input(args), args.from_role, args.to_role),
+        lambda args: commutator_bracket(_input(args.input), args.from_role, args.to_role),
         ("--from", "--to"), {"to_role": "bracket"},
     ),
     "twist": _Construction(_twist, ("--force", "--map")),
     "derived": _Construction(
-        lambda args: derived_algebra(_input(args), args.type, args.n, force=args.force),
+        lambda args: derived_algebra(_input(args.input), args.type, args.n, force=args.force),
         ("--force", "--type", "--n"),
     ),
     "semidirect": _Construction(
@@ -165,53 +167,35 @@ _CONSTRUCTIONS = {
     ),
     "matched-pair": _Construction(
         lambda args: matched_pair_double(
-            load_matched_pair_file(args.inputs[0]), MATCHED_KINDS[args.kind], force=args.force
+            load_matched_pair_file(args.input), MATCHED_KINDS[args.kind], force=args.force
         ),
         ("--force", "--kind"), {"kind": "hnp"}, kinds=MATCHED_KINDS, auto=double_suite_kind,
     ),
     "tensor": _Construction(
-        lambda args: tensor_product(_input(args), _input(args, 1), force=args.force),
-        ("--force",), inputs=2,
+        lambda args: tensor_product(_input(args.left), _input(args.right), force=args.force),
+        ("--force",), inputs=("left", "right"),
     ),
     "quotient": _Construction(_quotient, ("--ideal",)),
     "derivation-product": _Construction(
         _derivation_product, ("--force", "--to", "--map"), {"to_role": "diamond"}
     ),
 }
-# Each construct option's destination, by flag in the order refusals name them.
-_CONSTRUCT_OPTIONS = {
-    "--force": "force", "--from": "from_role", "--to": "to_role", "--type": "type",
-    "--n": "n", "--kind": "kind", "--ideal": "ideal", "--map": "map",
+# The flags and add_argument keywords of each construct option; a row adds
+# its defaults and, for --kind, its choices.
+_OPTIONS = {
+    "--force": (("--force",), {"action": "store_true", "help": "build even if preconditions fail"}),
+    "--from": (("--from", "--from-role"), {"dest": "from_role", "default": "dot"}),
+    "--to": (("--to", "--to-role"), {"dest": "to_role"}),
+    "--type": (("--type",), {"type": int, "default": 1, "choices": (1, 2)}),
+    "--n": (("--n",), {"type": int, "default": 1}),
+    "--kind": (("--kind",), {"help": "bimodule or matched-pair kind"}),
+    "--ideal": (("--ideal",), {"default": "", "help": "comma-separated basis names"}),
+    "--map": (("--map",), {"help": "JSON file with a 'map' matrix"}),
 }
 
 
 def cmd_construct(args) -> int:
-    name, spec = args.name, _CONSTRUCTIONS[args.name]
-    if len(args.inputs) != spec.inputs:
-        raise LoadError(
-            f"construct {name} takes {spec.inputs} input file{'s' if spec.inputs > 1 else ''}, "
-            f"got {len(args.inputs)}"
-        )
-    unread = [
-        flag
-        for flag, dest in _CONSTRUCT_OPTIONS.items()
-        if flag not in spec.reads and getattr(args, dest) != getattr(_construct_defaults(), dest)
-    ]
-    if unread:
-        raise LoadError(f"construct {name} does not read {', '.join(unread)}")
-    suites = sorted(STRUCTURE_KINDS) + (["auto"] if spec.auto else [])
-    if args.verify and args.verify not in suites:
-        raise LoadError(
-            f"unknown --verify suite {args.verify!r}; choose one of {', '.join(suites)}"
-        )
-    for dest, value in spec.defaults.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
-    if spec.kinds and args.kind not in spec.kinds:
-        raise LoadError(
-            f"unknown --kind {args.kind!r} for construct {name}; "
-            f"choose one of {', '.join(sorted(spec.kinds))}"
-        )
+    spec = _CONSTRUCTIONS[args.name]
     result = spec.build(args)
 
     if args.out:
@@ -323,19 +307,25 @@ def build_parser() -> argparse.ArgumentParser:
     check.set_defaults(func=cmd_check)
 
     construct = sub.add_parser("construct", help="run a construction and emit the result")
-    construct.add_argument("name", choices=list(_CONSTRUCTIONS))
-    construct.add_argument("inputs", nargs="+")
-    construct.add_argument("--out", help="write the constructed presentation here")
-    construct.add_argument("--verify", help="run this structure suite on the output")
-    construct.add_argument("--force", action="store_true", help="build even if preconditions fail")
-    construct.add_argument("--from", "--from-role", dest="from_role", default="dot")
-    construct.add_argument("--to", "--to-role", dest="to_role", default=None)
-    construct.add_argument("--type", type=int, default=1, choices=(1, 2))
-    construct.add_argument("--n", type=int, default=1)
-    construct.add_argument("--kind", default=None, help="bimodule or matched-pair kind")
-    construct.add_argument("--ideal", default="", help="comma-separated basis names")
-    construct.add_argument("--map", default=None, help="JSON file with a 'map' matrix")
     construct.set_defaults(func=cmd_construct)
+    constructions = construct.add_subparsers(dest="name", required=True)
+    for name, spec in _CONSTRUCTIONS.items():
+        one = constructions.add_parser(name)
+        for positional in spec.inputs:
+            one.add_argument(positional)
+        one.add_argument("--out", help="write the constructed presentation here")
+        one.add_argument(
+            "--verify",
+            choices=sorted(STRUCTURE_KINDS) + (["auto"] if spec.auto else []),
+            help="run this structure suite on the output",
+        )
+        for flag in spec.reads:
+            flags, keywords = _OPTIONS[flag]
+            if flag == "--kind":
+                keywords = {**keywords, "choices": sorted(spec.kinds)}
+            one.add_argument(*flags, **keywords)
+        # After the options: a parser default replaces its option's default.
+        one.set_defaults(**spec.defaults)
 
     report = sub.add_parser("report", help="aggregate JSON reports into a summary table")
     report.add_argument("inputs", nargs="*")
@@ -351,12 +341,6 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-@functools.cache
-def _construct_defaults() -> argparse.Namespace:
-    """The values of the ``construct`` options that are not given."""
-    return _parser().parse_args(["construct", "commutator", "-"])
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -365,7 +349,11 @@ def main(argv=None) -> int:
         print(f"precondition failure: {exc.describe()}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message.
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:
+        print(f"error: homcolor {args.command} ran out of memory", file=sys.stderr)
         return EXIT_ERROR
 
 

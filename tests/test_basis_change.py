@@ -17,7 +17,13 @@ new data.  A derivation D becomes P^-1 D P, and a morphism f from A to B
 becomes Q^-1 f P between A and B in their own seeded bases: each keeps its
 status, and a failure gives the smallest failing tuple and defect of the
 dense Leibniz, product-arm and twist-arm references of
-``tests/test_witnesses``.
+``tests/test_witnesses``.  A matched pair of a fixture and a renamed copy of
+it, plain or bumped, acting on each other by multiplication, is rewritten
+with P on A, Q on B and both cross bundles moved by both: under every
+matched-pair kind each check keeps its status, and a failure gives the
+smallest failing tuple and defect of ``tests/reference_conditions`` on the
+new data.  The two sides have different basis names, so a witness named
+from the wrong side's basis shows.
 """
 
 import random
@@ -26,8 +32,19 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homcolor.constructions import is_ideal, quotient
+from homcolor.constructions import (
+    MATCHED_PAIR_TABLE,
+    MatchedPairData,
+    MatchedPairKind,
+    _pair_slots,
+    check_matched_pair,
+    is_ideal,
+    quotient,
+)
 from homcolor.core import (
+    AlgebraPresentation,
+    BilinearProduct,
+    GradedSpace,
     LinearMap,
     is_derivation,
     morphism_suite,
@@ -42,12 +59,19 @@ from homcolor.identities import (
     run_suite,
 )
 from homcolor.reports import PRECONDITION_FAILED
-from homcolor.representations import BIMODULE_TABLE, BimoduleKind, check_bimodule, regular_bundle
+from homcolor.representations import (
+    BIMODULE_TABLE,
+    BimoduleKind,
+    check_bimodule,
+    pullback_bundle,
+    regular_bundle,
+)
 from homcolor.serialize import LoadError, load_presentation_file
 
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, load
 from tests.dense_oracle import DenseOracle, d_basis, d_sub
-from tests.reference_conditions import KIND_CONDITIONS, BEval
+from tests.reference_conditions import KIND_CONDITIONS, MP_CONDITIONS, BEval
+from tests.test_compiled_conditions import PAIR_FIXTURES, _reference_evaluator
 from tests.util import (
     assert_reports_failure,
     bump_corner,
@@ -256,3 +280,88 @@ def test_morphism_verdicts_survive_an_even_change_of_basis(name, A, seed):
             (c.check, c.status) for c in before.checks
         ]
         assert_morphism_witnesses(moved, source, moved_target)
+
+
+def _renamed(A, prefix):
+    """``A`` with its basis named ``prefix``1, ``prefix``2, ..."""
+    names = [f"{prefix}{i + 1}" for i in range(A.dim)]
+    space = GradedSpace(A.space.group, names, A.space.degrees)
+    products = {
+        role: BilinearProduct(space, A.context, {k: dict(c) for k, c in A.product(role).table.items()})
+        for role in A.roles
+    }
+    alpha = LinearMap(space, space, A.context, [A.alpha_image(i) for i in range(A.dim)])
+    return AlgebraPresentation(space, A.bichar, A.context, products, alpha)
+
+
+def _matched_pair_cases():
+    """Each pair fixture of each kind as A, and as B a copy of it renamed,
+    plain and with a corner constant bumped, which makes most conditions
+    fail; each side acts on the other by multiplication in the other."""
+    return [
+        (f"{name}-{kind.value}{suffix}", load(name), kind, bumped)
+        for kind in MatchedPairKind
+        for name in PAIR_FIXTURES[kind]
+        for suffix, bumped in (("", False), ("-bumped", True))
+    ]
+
+
+def _multiplication_pair(A, B, kind):
+    bimodule, ctx = MATCHED_PAIR_TABLE[kind].bimodule, A.context
+    identity = [{i: ctx.one} for i in range(A.dim)]
+    to_b, to_a = LinearMap(A.space, B.space, ctx, identity), LinearMap(B.space, A.space, ctx, identity)
+    ab = pullback_bundle(to_b, A, B, bimodule, force=True)
+    ba = pullback_bundle(to_a, B, A, bimodule, force=True)
+    return MatchedPairData(A, B, ab, ba)
+
+
+def _matched_pair_references(pair, kind):
+    """Each check of ``check_matched_pair(pair, kind)`` by name: its
+    reference defect on an index tuple, its index sizes, its axes' names and
+    the space its defects lie in."""
+    references = {}
+    base = _reference_evaluator(pair, kind)
+    for side, ev, left, right, bundle in (
+        ("ab", base, pair.a, pair.b, pair.ab), ("ba", base.swap(), pair.b, pair.a, pair.ba),
+    ):
+        for label, defect in MP_CONDITIONS[kind]:
+            references[f"{side}:{label}"] = (
+                lambda *t, defect=defect, ev=ev: defect(ev, *t),
+                (left.dim, right.dim, right.dim), (left.names, right.names, right.names), right.space,
+            )
+        for slot, role in _pair_slots(kind).items():
+            one_slot = next(k for k, entry in BIMODULE_TABLE.items() if list(entry.slots) == [slot])
+            bev = BEval(left, bundle, {slot: role})
+            for label, defect in KIND_CONDITIONS[one_slot]:
+                references[f"{side}:{label}"] = (
+                    lambda *t, defect=defect, bev=bev: defect(bev, *t),
+                    (left.dim, left.dim, right.dim), (left.names, left.names, right.names), right.space,
+                )
+    return references
+
+
+@pytest.mark.parametrize(
+    "name, A, kind, bumped", _matched_pair_cases(), ids=[n for n, *_ in _matched_pair_cases()]
+)
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_matched_pair_verdicts_survive_an_even_change_of_basis(name, A, kind, bumped, seed):
+    B = _renamed(bump_corner(A) if bumped else A, "f")
+    pair = _multiplication_pair(A, B, kind)
+    P, P_inv = even_basis_change(A.space, A.context, seed)
+    Q, Q_inv = even_basis_change(B.space, B.context, seed + 1)
+    moved = MatchedPairData(
+        change_basis(A, seed), change_basis(B, seed + 1),
+        change_bundle_basis(pair.ab, P, Q, Q_inv), change_bundle_basis(pair.ba, Q, P, P_inv),
+    )
+    before, after = check_matched_pair(pair, kind), check_matched_pair(moved, kind)
+    assert [(c.check, c.status) for c in after.checks] == [(c.check, c.status) for c in before.checks]
+    references = _matched_pair_references(moved, kind)
+    for report in after.checks:
+        if not report.passed:
+            defect, sizes, axes, space = references[report.check]
+            # product() runs in lexicographic order, so the first failing
+            # tuple is the smallest.
+            found = next(((t, d) for t in product(*map(range, sizes)) if (d := defect(*t))), None)
+            assert found is not None, report.describe()
+            assert_reports_failure(report, found, axes, space)

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -21,6 +22,19 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def refusal(capsys, *argv) -> str:
+    """The ``error:`` line of an argv that argparse refuses, after checking
+    that the refusal exits 3 and prints the usage first and nothing else."""
+    with pytest.raises(SystemExit) as exited:
+        run(*argv)
+    assert exited.value.code == 3
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and lines[0].startswith("usage: homcolor")
+    assert [line for line in lines if line.startswith("error: ")] == lines[-1:]
+    return lines[-1]
+
+
 # Each construction option with a value other than its default, and the
 # options each construction reads besides --out and --verify.
 OPTION_VALUES = {
@@ -37,6 +51,7 @@ CONSTRUCT_READS = {
     "quotient": {"--ideal"},
     "derivation-product": {"--force", "--to", "--map"},
 }
+ALIASES = {"--from": "--from-role", "--to": "--to-role"}
 
 
 class TestCheck:
@@ -226,6 +241,8 @@ class TestParserReuse:
             (["--help"], 0),
             (["check", "--help"], 0),
             (["construct", "--help"], 0),
+            (["construct", "tensor", "--help"], 0),
+            (["construct", "commutator", "x.json", "--kind", "hnp"], 3),
             (["check"], 3),
             (["check", "x.json", "--kind", "nope"], 3),
             (["frobnicate"], 3),
@@ -451,26 +468,26 @@ class TestConstruct:
         built, _ = load_presentation_file(out)
         assert built.dim == 4
 
-    @pytest.mark.parametrize("name, inputs, want", [
-        ("tensor", ["hnp_admissible_4dim.json"], "takes 2 input files, got 1"),
-        ("tensor", ["assoc_3dim.json"] * 3, "takes 2 input files, got 3"),
-        ("commutator", ["novikov_3dim.json", "assoc_3dim.json"], "takes 1 input file, got 2"),
-        ("matched-pair", ["assoc_3dim.json"] * 2, "takes 1 input file, got 2"),
+    @pytest.mark.parametrize("name, count, want", [
+        ("tensor", 1, "the following arguments are required: right"),
+        ("tensor", 3, "unrecognized arguments: {missing}"),
+        ("commutator", 2, "unrecognized arguments: {missing}"),
+        ("matched-pair", 2, "unrecognized arguments: {missing}"),
     ])
-    def test_wrong_input_count_exits_three(self, fixtures_dir, capsys, name, inputs, want):
-        assert run("construct", name, *(fixtures_dir / f for f in inputs)) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and want in err
+    def test_wrong_input_count_exits_three(self, tmp_path, capsys, name, count, want):
+        missing = tmp_path / "missing.json"
+        error = refusal(capsys, "construct", name, *[missing] * count)
+        assert error == "error: " + want.format(missing=missing)
 
-    @pytest.mark.parametrize("name, verify", [("commutator", "gi"), ("commutator", "auto")])
-    def test_unknown_verify_suite_exits_three(self, fixtures_dir, tmp_path, capsys, name, verify):
+    @pytest.mark.parametrize("name, verify", [("commutator", "gi")] + [
+        (name, "auto") for name in CONSTRUCT_READS if name != "matched-pair"
+    ])
+    def test_unknown_verify_suite_exits_three(self, tmp_path, capsys, name, verify):
         out = tmp_path / "never.json"
-        code = run("construct", name, fixtures_dir / "novikov_3dim.json", "--verify", verify,
-                   "--out", out)
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: unknown --verify suite {verify!r}")
-        assert "hom_lie" in err and "transposed_poisson" in err
+        inputs = [tmp_path / "missing.json"] * (2 if name == "tensor" else 1)
+        error = refusal(capsys, "construct", name, *inputs, "--verify", verify, "--out", out)
+        assert error.startswith(f"error: argument --verify: invalid choice: {verify!r}")
+        assert "hom_lie" in error and "transposed_poisson" in error
         assert not out.exists()  # refused before the construction runs
 
     @pytest.mark.parametrize("name, kind, choices", [
@@ -479,15 +496,16 @@ class TestConstruct:
     ])
     def test_unknown_kind_exits_three(self, tmp_path, capsys, name, kind, choices):
         # The input does not exist: the kind is refused before it is read.
-        assert run("construct", name, tmp_path / "missing.json", "--kind", kind) == 3
-        assert capsys.readouterr().err == (
-            f"error: unknown --kind {kind!r} for construct {name}; choose one of {choices}\n"
-        )
+        error = refusal(capsys, "construct", name, tmp_path / "missing.json", "--kind", kind)
+        head, listed = error.split(" (choose from ")
+        assert head == f"error: argument --kind: invalid choice: {kind!r}"
+        assert re.findall(r"\w+", listed) == choices.split(", ")
 
     def test_unknown_kind_refused_before_module_check(self, fixtures_dir, capsys):
         # hnp_4dim.json has no module block, which semidirect would report.
-        assert run("construct", "semidirect", fixtures_dir / "hnp_4dim.json", "--kind", "hnp") == 3
-        assert capsys.readouterr().err.startswith("error: unknown --kind 'hnp'")
+        path = fixtures_dir / "hnp_4dim.json"
+        error = refusal(capsys, "construct", "semidirect", path, "--kind", "hnp")
+        assert error.startswith("error: argument --kind: invalid choice: 'hnp'")
 
     @pytest.mark.parametrize("name, flag", [
         (name, flag) for name, reads in CONSTRUCT_READS.items() for flag in OPTION_VALUES if flag not in reads
@@ -495,30 +513,54 @@ class TestConstruct:
     def test_unread_option_exits_three(self, tmp_path, capsys, name, flag):
         # The inputs do not exist: the option is refused before they are read.
         inputs = [tmp_path / "missing.json"] * (2 if name == "tensor" else 1)
-        assert run("construct", name, *inputs, flag, *OPTION_VALUES[flag]) == 3
-        assert capsys.readouterr().err == f"error: construct {name} does not read {flag}\n"
+        error = refusal(capsys, "construct", name, *inputs, flag, *OPTION_VALUES[flag])
+        assert error == f"error: unrecognized arguments: {' '.join([flag, *OPTION_VALUES[flag]])}"
 
     def test_unread_options_are_named_together(self, tmp_path, capsys):
         argv = ["--kind", "bogus", "--ideal", "zz", "--type", "2", "--force"]
-        assert run("construct", "commutator", tmp_path / "missing.json", *argv) == 3
-        assert capsys.readouterr().err == (
-            "error: construct commutator does not read --force, --type, --kind, --ideal\n"
-        )
+        error = refusal(capsys, "construct", "commutator", tmp_path / "missing.json", *argv)
+        assert error == "error: unrecognized arguments: --kind bogus --ideal zz --type 2 --force"
 
     @pytest.mark.parametrize("name", sorted(CONSTRUCT_READS))
     def test_arity4_cap_is_a_usage_error(self, tmp_path, capsys, name):
         # No --verify suite has an arity-4 member, so construct has no cap.
         inputs = [tmp_path / "missing.json"] * (2 if name == "tensor" else 1)
-        with pytest.raises(SystemExit) as exited:
-            run("construct", name, *inputs, "--verify", "hom_lie", "--arity4-cap", "3")
-        assert exited.value.code == 3
-        err = capsys.readouterr().err.splitlines()
-        assert err[-1] == "error: unrecognized arguments: --arity4-cap 3"
+        error = refusal(capsys, "construct", name, *inputs, "--verify", "hom_lie", "--arity4-cap", "3")
+        assert error == "error: unrecognized arguments: --arity4-cap 3"
 
     @pytest.mark.parametrize("argv", [["--type", "1"], ["--n", "1"], ["--ideal", ""]])
-    def test_options_left_at_their_default_are_not_refused(self, fixtures_dir, capsys, argv):
-        assert run("construct", "commutator", fixtures_dir / "novikov_3dim.json", *argv) == 0
-        assert capsys.readouterr().err == ""
+    def test_unread_options_are_refused_at_their_default(self, tmp_path, capsys, argv):
+        error = refusal(capsys, "construct", "commutator", tmp_path / "missing.json", *argv)
+        assert error == f"error: unrecognized arguments: {' '.join(argv)}"
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCT_READS))
+    def test_help_lists_only_the_options_read(self, capsys, name):
+        with pytest.raises(SystemExit) as exited:
+            run("construct", name, "--help")
+        assert exited.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
+        reads = CONSTRUCT_READS[name] | {ALIASES[flag] for flag in CONSTRUCT_READS[name] & set(ALIASES)}
+        assert listed == {"--help", "--out", "--verify"} | reads
+
+    def test_unknown_basis_name_prints_unquoted(self, fixtures_dir, capsys):
+        path = fixtures_dir / "assoc_3dim.json"
+        assert run("construct", "quotient", path, "--ideal", "e9") == 3
+        assert capsys.readouterr().err == "error: unknown basis element 'e9'\n"
+
+    @pytest.mark.parametrize("command, builder, argv", [
+        ("construct", "derived_algebra",
+         ["derived", "hnp_admissible_mult_synth_4dim.json", "--type", "2", "--n", "30"]),
+        ("check", "run_suite", ["hnp_4dim.json", "--kind", "hnp"]),
+    ])
+    def test_out_of_memory_exits_three(self, fixtures_dir, monkeypatch, capsys, command, builder, argv):
+        # A builder that runs out of memory; nothing is allocated for real.
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, builder, exhausted)
+        argv = [fixtures_dir / a if a.endswith(".json") else a for a in argv]
+        assert run(command, *argv) == 3
+        assert capsys.readouterr().err == f"error: homcolor {command} ran out of memory\n"
 
     @pytest.mark.parametrize("ideal", [None, "", "e4,", " , e4"])
     def test_quotient_without_ideal_names_exits_three(self, tmp_path, capsys, ideal):
