@@ -16,7 +16,6 @@ from .scalars import Scalar, ScalarContext, ScalarError, ContextMismatchError, S
 from .grading import (
     AbelianGroup,
     Bicharacter,
-    validate_commutation_factor,
     super_z2,
     z2_pow,
     z2xz2_sympl,

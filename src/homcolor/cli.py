@@ -123,26 +123,25 @@ def _semidirect(args) -> AlgebraPresentation:
     return semidirect_sum(presentation, bundle, BIMODULE_KINDS[args.kind], force=args.force)
 
 
-def _quotient(args) -> AlgebraPresentation:
-    ideal = [n.strip() for n in args.ideal.split(",")]
-    if not all(ideal):
-        raise LoadError(f"construct quotient needs --ideal NAME[,NAME...], got {args.ideal!r}")
-    return quotient(_input(args.input), ideal)
-
-
 def _derivation_product(args) -> AlgebraPresentation:
     presentation = _input(args.input)
-    if not args.map:
-        raise LoadError("derivation-product needs --map FILE")
     derivation = load_linear_map(args.map, presentation)
     return novikov_from_derivation(presentation, derivation, args.to_role, args.force)
+
+
+def _names(text: str) -> list[str]:
+    """The basis names of a comma-separated list, none of them empty."""
+    names = [n.strip() for n in text.split(",")]
+    if not all(names):
+        raise argparse.ArgumentTypeError(f"expected NAME[,NAME...], got {text!r}")
+    return names
 
 
 class _Construction(NamedTuple):
     """A construction: its builder, the options it reads besides --out and
     --verify, its defaults for them by destination, its positional inputs,
-    its --kind choices, and the suite that --verify auto runs for a kind, if
-    it has one."""
+    its --kind choices, the suite that --verify auto runs for a kind, if it
+    has one, and the options it cannot run without."""
 
     build: Callable[[argparse.Namespace], AlgebraPresentation]
     reads: tuple[str, ...]
@@ -150,6 +149,7 @@ class _Construction(NamedTuple):
     inputs: tuple[str, ...] = ("input",)
     kinds: Mapping[str, Enum] = {}
     auto: Callable[[Enum], StructureKind] | None = None
+    requires: tuple[str, ...] = ()
 
 
 _CONSTRUCTIONS = {
@@ -175,9 +175,12 @@ _CONSTRUCTIONS = {
         lambda args: tensor_product(_input(args.left), _input(args.right), force=args.force),
         ("--force",), inputs=("left", "right"),
     ),
-    "quotient": _Construction(_quotient, ("--ideal",)),
+    "quotient": _Construction(
+        lambda args: quotient(_input(args.input), args.ideal), ("--ideal",), requires=("--ideal",)
+    ),
     "derivation-product": _Construction(
-        _derivation_product, ("--force", "--to", "--map"), {"to_role": "diamond"}
+        _derivation_product, ("--force", "--to", "--map"), {"to_role": "diamond"},
+        requires=("--map",),
     ),
 }
 # The flags and add_argument keywords of each construct option; a row adds
@@ -189,7 +192,7 @@ _OPTIONS = {
     "--type": (("--type",), {"type": int, "default": 1, "choices": (1, 2)}),
     "--n": (("--n",), {"type": int, "default": 1}),
     "--kind": (("--kind",), {"help": "bimodule or matched-pair kind"}),
-    "--ideal": (("--ideal",), {"default": "", "help": "comma-separated basis names"}),
+    "--ideal": (("--ideal",), {"type": _names, "help": "comma-separated basis names"}),
     "--map": (("--map",), {"help": "JSON file with a 'map' matrix"}),
 }
 
@@ -280,11 +283,18 @@ def cmd_report(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error like every other parse error: exit 3 and an
-    ``error:`` line, after the usage.  Subparsers are built by this class too."""
+    ``error:`` line, after the usage.  Subparsers are built by this class
+    too, and each refuses the arguments it does not recognize with its own usage."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_ERROR, f"error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
             flags, keywords = _OPTIONS[flag]
             if flag == "--kind":
                 keywords = {**keywords, "choices": sorted(spec.kinds)}
-            one.add_argument(*flags, **keywords)
+            one.add_argument(*flags, required=flag in spec.requires, **keywords)
         # After the options: a parser default replaces its option's default.
         one.set_defaults(**spec.defaults)
 

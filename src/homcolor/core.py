@@ -428,13 +428,6 @@ class AlgebraPresentation:
     ):
         if bichar.group != space.group:
             raise ValueError("bicharacter and basis use different grading groups")
-        odd = bichar.odd_order_pair()
-        if odd is not None:
-            # The checks read eps of a degree sum as a product of pairwise signs.
-            raise ValueError(
-                f"bichar is not bimultiplicative: eps(g{odd[0]}, g{odd[1]}) = -1 "
-                "involves a generator of odd order"
-            )
         if alpha is None:
             alpha = LinearMap.identity(space, context)
         if alpha.source != space or alpha.target != space:

@@ -3,9 +3,10 @@
 A grading group is presented by torsion moduli and a count of free factors;
 an element is an integer vector with torsion coordinates reduced modulo
 their modulus.  A commutation factor (skew-symmetric bicharacter) is stored
-as its generator matrix with entries in {+1, -1} and extended to all
-elements by bimultiplicativity; the sign-only restriction covers every
-bundled fixture and keeps evaluation a parity count.
+as its generator matrix with entries in {+1, -1}, refused at construction
+unless it satisfies the axioms, and extended to all elements by
+bimultiplicativity; the sign-only restriction covers every bundled fixture
+and keeps evaluation a parity count.
 
 Element reduction and addition are memoised in bounded caches: every space,
 map and product built by the loader or a construction reduces the degrees
@@ -19,13 +20,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .reports import CheckReport, FAIL, PASS
-
 __all__ = [
     "GroupElement",
     "AbelianGroup",
     "Bicharacter",
-    "validate_commutation_factor",
     "super_z2",
     "z2_pow",
     "z2xz2_sympl",
@@ -94,10 +92,11 @@ class Bicharacter:
     """Sign-valued commutation factor given by its generator matrix.
 
     ``matrix[i][j]`` is the value on the (i, j) generator pair; the value on
-    arbitrary elements is the parity-extended product, which makes axioms (2)
-    and (3) (bimultiplicativity) hold unless a -1 entry involves a generator
-    of odd order (see :meth:`odd_order_pair`).  Axiom (1) and torsion
-    consistency are checked by :func:`validate_commutation_factor`.
+    arbitrary elements is the parity-extended product.  The constructor
+    refuses, naming the first such generator pair in row-major order, a
+    matrix that is not symmetric (for signs, eps(gi, gj) eps(gj, gi) = 1
+    says exactly that) and a -1 on a generator of odd order, which breaks
+    bimultiplicativity (on Z_3, eps(1 + 2, 1) = 1 but eps(1, 1) eps(2, 1) = -1).
     """
 
     __slots__ = ("group", "matrix", "_neg_pairs")
@@ -111,6 +110,20 @@ class Bicharacter:
             for v in row:
                 if v not in (1, -1):
                     raise ValueError(f"generator matrix entries must be +1 or -1, got {v}")
+        odd = {g: m for g, m in enumerate(group.torsion) if m % 2}
+        for i in range(n):
+            for j in range(n):
+                if rows[i][j] != rows[j][i]:
+                    raise ValueError(
+                        f"not a commutation factor on generators (g{i}, g{j}): "
+                        f"eps(g{i}, g{j}) * eps(g{j}, g{i}) = -1"
+                    )
+                if rows[i][j] == -1 and (i in odd or j in odd):
+                    g = i if i in odd else j
+                    raise ValueError(
+                        f"not bimultiplicative on generators (g{i}, g{j}): "
+                        f"eps(g{i}, g{j}) = -1 involves g{g} of odd order {odd[g]}"
+                    )
         self.group = group
         self.matrix = rows
         self._neg_pairs = tuple(
@@ -135,14 +148,6 @@ class Bicharacter:
         signs = {(a, b): self.sign(a, b) for a in set(rows) for b in set(cols)}
         return tuple(tuple(signs[a, b] for b in cols) for a in rows)
 
-    def odd_order_pair(self) -> tuple[int, int] | None:
-        """A generator pair with value -1 that involves a generator of odd
-        order, or None.  Reducing an odd modulus flips a parity, so the
-        factor is bimultiplicative, eps(a + b, c) = eps(a, c) eps(b, c),
-        exactly when there is no such pair."""
-        odd = {g for g, m in enumerate(self.group.torsion) if m % 2}
-        return next(((i, j) for i, j in self._neg_pairs if i in odd or j in odd), None)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Bicharacter)
@@ -155,40 +160,6 @@ class Bicharacter:
 
     def __repr__(self) -> str:
         return f"Bicharacter({self.group!r}, {self.matrix!r})"
-
-
-def validate_commutation_factor(bichar: Bicharacter) -> CheckReport:
-    """Check the commutation-factor axioms on generator pairs.
-
-    Bimultiplicativity holds by construction, so it suffices to check
-    eps(gi, gj) * eps(gj, gi) = 1 on generators, plus consistency with the
-    torsion: a generator of odd modulus m forces eps(gi, gj)^m = 1, hence
-    value +1 for sign-valued factors.
-    """
-    group = bichar.group
-    n = group.rank
-    for i in range(n):
-        for j in range(n):
-            if bichar.matrix[i][j] * bichar.matrix[j][i] != 1:
-                return CheckReport(
-                    check="commutation_factor",
-                    status=FAIL,
-                    witness=(f"g{i}", f"g{j}"),
-                    detail=f"eps(g{i},g{j})*eps(g{j},g{i}) = "
-                    f"{bichar.matrix[i][j] * bichar.matrix[j][i]}",
-                )
-    for j, m in enumerate(group.torsion):
-        if m % 2 == 0:
-            continue
-        for i in range(n):
-            if bichar.matrix[i][j] != 1 or bichar.matrix[j][i] != 1:
-                return CheckReport(
-                    check="commutation_factor",
-                    status=FAIL,
-                    witness=(f"g{i}", f"g{j}"),
-                    detail=f"generator g{j} has odd modulus {m}, forcing value +1",
-                )
-    return CheckReport(check="commutation_factor", status=PASS)
 
 
 # -- stock gradings used by the fixtures and tests ---------------------------

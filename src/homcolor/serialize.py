@@ -34,7 +34,7 @@ from .core import (
     _map_scalars,
     role_sort_key,
 )
-from .grading import AbelianGroup, Bicharacter, validate_commutation_factor
+from .grading import AbelianGroup, Bicharacter
 from .representations import SLOT_ACTIONS, ActionBundle, slot_actions
 from .scalars import Scalar, ScalarContext, ScalarError
 
@@ -207,6 +207,8 @@ def load_presentation(doc: Mapping, where: str = "") -> AlgebraPresentation:
     products = {}
     roles = _object(_get(doc, "products", where), f"{where}products")
     for role, rules in sorted(roles.items(), key=lambda kv: role_sort_key(kv[0])):
+        if not role:
+            raise LoadError(f"{where}products: invalid role name: {role!r}")
         entries: dict[tuple[int, int], dict[int, Scalar]] = {}
         if not isinstance(rules, list):
             raise LoadError(f"{where}products.{role}: expected a list of rules")
@@ -233,19 +235,8 @@ def load_presentation(doc: Mapping, where: str = "") -> AlgebraPresentation:
     alpha = None
     if "alpha" in doc:
         alpha = _matrix(ctx, space, space, doc["alpha"], f"{where}alpha")
-    try:
-        presentation = AlgebraPresentation(space, bichar, ctx, products, alpha)
-    except ValueError as exc:
-        raise LoadError(f"{where}: {exc}") from exc
-    # After the presentation, which refuses a -1 on a generator of odd order
-    # (the torsion arm of this validation) with its own message.
-    factor = validate_commutation_factor(bichar)
-    if not factor.passed:
-        pair = ", ".join(factor.witness)
-        raise LoadError(
-            f"{where}bichar is not a commutation factor on generators ({pair}): {factor.detail}"
-        )
-    return presentation
+    # Every part above meets the presentation's rules, so it cannot refuse them.
+    return AlgebraPresentation(space, bichar, ctx, products, alpha)
 
 
 def load_bundle(doc: Mapping, presentation: AlgebraPresentation, where: str = "module.") -> ActionBundle:

@@ -52,6 +52,8 @@ CONSTRUCT_READS = {
     "derivation-product": {"--force", "--to", "--map"},
 }
 ALIASES = {"--from": "--from-role", "--to": "--to-role"}
+# The options a construction cannot run without, with a value.
+CONSTRUCT_REQUIRES = {"quotient": ["--ideal", "e1"], "derivation-product": ["--map", "map.json"]}
 
 
 class TestCheck:
@@ -115,7 +117,12 @@ class TestCheck:
         path = tmp_path / "z3.json"
         path.write_text(json.dumps(doc))
         assert run("check", path, "--kind", "eps_comm_assoc") == 3
-        assert "not bimultiplicative" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not bimultiplicative" in err
+        assert err == (
+            "error: bichar: not bimultiplicative on generators (g0, g0): "
+            "eps(g0, g0) = -1 involves g0 of odd order 3\n"
+        )
 
     def test_commutation_factor_axiom_exits_three(self, tmp_path, capsys):
         # eps(g0, g1) * eps(g1, g0) = -1 breaks axiom (1); without the load
@@ -133,9 +140,32 @@ class TestCheck:
         path = tmp_path / "zxz.json"
         path.write_text(json.dumps(doc))
         assert run("check", path, "--kind", "eps_comm_assoc") == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: bichar ")
-        assert "(g0, g1)" in err
+        assert capsys.readouterr().err == (
+            "error: bichar: not a commutation factor on generators (g0, g1): "
+            "eps(g0, g1) * eps(g1, g0) = -1\n"
+        )
+
+    @pytest.mark.parametrize("side, group, bichar, named", [
+        ("a", {"torsion": [3]}, [[-1]], "not bimultiplicative on generators (g0, g0)"),
+        ("b", {"free": 2}, [[1, -1], [1, 1]], "not a commutation factor on generators (g0, g1)"),
+    ], ids=["a-odd-order", "b-asymmetric"])
+    def test_matched_pair_factor_refusal_names_its_side(self, tmp_path, capsys, side, group, bichar, named):
+        rank = len(bichar)
+        doc = {
+            name: {
+                "group": group,
+                "bichar": bichar if name == side else [[1] * rank] * rank,
+                "basis": [{"name": f"{name}1", "deg": [0] * rank}],
+                "products": {"dot": []},
+            }
+            for name in ("a", "b")
+        }
+        doc.update(actions_a_on_b={}, actions_b_on_a={})
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc))
+        assert run("construct", "matched-pair", path) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {side}.bichar: {named}: ")
 
     def test_missing_input_exits_three(self, tmp_path, capsys):
         assert run("check", tmp_path / "absent.json", "--kind", "hnp") == 3
@@ -513,6 +543,7 @@ class TestConstruct:
     def test_unread_option_exits_three(self, tmp_path, capsys, name, flag):
         # The inputs do not exist: the option is refused before they are read.
         inputs = [tmp_path / "missing.json"] * (2 if name == "tensor" else 1)
+        inputs += CONSTRUCT_REQUIRES.get(name, [])
         error = refusal(capsys, "construct", name, *inputs, flag, *OPTION_VALUES[flag])
         assert error == f"error: unrecognized arguments: {' '.join([flag, *OPTION_VALUES[flag]])}"
 
@@ -525,6 +556,7 @@ class TestConstruct:
     def test_arity4_cap_is_a_usage_error(self, tmp_path, capsys, name):
         # No --verify suite has an arity-4 member, so construct has no cap.
         inputs = [tmp_path / "missing.json"] * (2 if name == "tensor" else 1)
+        inputs += CONSTRUCT_REQUIRES.get(name, [])
         error = refusal(capsys, "construct", name, *inputs, "--verify", "hom_lie", "--arity4-cap", "3")
         assert error == "error: unrecognized arguments: --arity4-cap 3"
 
@@ -564,10 +596,29 @@ class TestConstruct:
 
     @pytest.mark.parametrize("ideal", [None, "", "e4,", " , e4"])
     def test_quotient_without_ideal_names_exits_three(self, tmp_path, capsys, ideal):
+        # The input does not exist: argparse refuses the option before any read.
         extra = [] if ideal is None else ["--ideal", ideal]
-        assert run("construct", "quotient", tmp_path / "missing.json", *extra) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: construct quotient needs --ideal NAME[,NAME...], got ")
+        error = refusal(capsys, "construct", "quotient", tmp_path / "missing.json", *extra)
+        if ideal is None:
+            assert error == "error: the following arguments are required: --ideal"
+        else:
+            assert error == f"error: argument --ideal: expected NAME[,NAME...], got {ideal!r}"
+
+    def test_derivation_product_without_map_exits_three(self, tmp_path, capsys):
+        error = refusal(capsys, "construct", "derivation-product", tmp_path / "missing.json")
+        assert error == "error: the following arguments are required: --map"
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["construct", "commutator", "x.json", "--kind", "hnp"], "homcolor construct commutator"),
+        (["check", "x.json", "--kind", "hnp", "--force"], "homcolor check"),
+    ], ids=["construct-commutator", "check"])
+    def test_unrecognized_arguments_print_the_subcommand_usage(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as exited:
+            run(*argv)
+        assert exited.value.code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith(f"usage: {usage} [-h]")
+        assert lines[-1].startswith("error: unrecognized arguments: ")
 
 
 class TestReport:

@@ -9,7 +9,6 @@ from homcolor.grading import (
     Bicharacter,
     super_z2,
     trivial_grading,
-    validate_commutation_factor,
     z2_pow,
     z2xz2_sympl,
     zxz_total,
@@ -72,28 +71,27 @@ class TestStockBicharacters:
 
 
 class TestValidation:
+    """``Bicharacter`` is the one place the commutation-factor rule is
+    checked: a matrix that breaks it is refused at construction."""
+
     def test_super_bicharacter_passes(self):
-        _, eps = super_z2()
-        assert validate_commutation_factor(eps).passed
+        group, eps = super_z2()
+        assert eps == Bicharacter(group, [[-1]])
 
     def test_skew_symmetry_forced_on_free_group(self):
         group = AbelianGroup(free=2)
         eps = Bicharacter(group, [[1, -1], [-1, 1]])
-        assert validate_commutation_factor(eps).passed
+        assert eps.sign((1, 0), (0, 1)) == eps.sign((0, 1), (1, 0)) == -1
 
     def test_asymmetric_matrix_fails_at_first_pair(self):
         group = AbelianGroup(free=2)
-        eps = Bicharacter(group, [[1, 1], [-1, 1]])
-        report = validate_commutation_factor(eps)
-        assert not report.passed
-        assert report.witness == ("g0", "g1")
+        with pytest.raises(ValueError, match=r"not a commutation factor on generators \(g0, g1\)"):
+            Bicharacter(group, [[1, 1], [-1, 1]])
 
     def test_odd_torsion_forces_plus_one(self):
         group = AbelianGroup(torsion=(2, 3))
-        eps = Bicharacter(group, [[-1, -1], [-1, 1]])
-        report = validate_commutation_factor(eps)
-        assert not report.passed
-        assert "odd modulus" in report.detail
+        with pytest.raises(ValueError, match=r"not bimultiplicative on generators \(g0, g1\)"):
+            Bicharacter(group, [[-1, -1], [-1, 1]])
 
     def test_non_sign_entries_rejected(self):
         group = AbelianGroup(torsion=(2,))
@@ -127,20 +125,39 @@ class TestBimultiplicativity:
 
 @st.composite
 def sign_factors(draw):
-    """A random grading group and generator matrix whose -1 entries avoid
-    generators of odd order, with three random elements."""
+    """A random grading group and symmetric generator matrix whose -1
+    entries avoid generators of odd order, with three random elements."""
     torsion = tuple(draw(st.lists(st.integers(2, 6), max_size=3)))
     group = AbelianGroup(torsion=torsion, free=draw(st.integers(0, 2)))
     n = group.rank
     odd = {g for g, m in enumerate(torsion) if m % 2}
-    matrix = [
-        [1 if i in odd or j in odd else draw(st.sampled_from([1, -1])) for j in range(n)]
-        for i in range(n)
-    ]
+    upper = {
+        (i, j): 1 if i in odd or j in odd else draw(st.sampled_from([1, -1]))
+        for i in range(n) for j in range(i, n)
+    }
+    matrix = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
     elements = [
         group.element([draw(st.integers(-7, 7)) for _ in range(n)]) for _ in range(3)
     ]
     return group, Bicharacter(group, matrix), elements
+
+
+@st.composite
+def sign_matrices(draw):
+    """A random grading group, a square +-1 matrix of its rank (symmetric,
+    then maybe with one entry flipped) and three random elements."""
+    torsion = tuple(draw(st.lists(st.integers(2, 7), max_size=3)))
+    group = AbelianGroup(torsion=torsion, free=draw(st.integers(0, 2)))
+    n = group.rank
+    upper = {(i, j): draw(st.sampled_from([1, -1])) for i in range(n) for j in range(i, n)}
+    matrix = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    if n and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        matrix[i][j] *= -1
+    elements = [
+        group.element([draw(st.integers(-9, 9)) for _ in range(n)]) for _ in range(3)
+    ]
+    return group, matrix, elements
 
 
 class TestBimultiplicativeTables:
@@ -150,23 +167,36 @@ class TestBimultiplicativeTables:
     @given(data=sign_factors())
     def test_sign_is_bimultiplicative(self, data):
         group, eps, (a, b, c) = data
-        assert eps.odd_order_pair() is None
         assert eps.sign(group.add(a, b), c) == eps.sign(a, c) * eps.sign(b, c)
         assert eps.sign(a, group.add(b, c)) == eps.sign(a, b) * eps.sign(a, c)
 
-    def test_minus_one_on_odd_order_generator_is_refused(self):
-        from homcolor.core import AlgebraPresentation, BilinearProduct, GradedSpace
-        from homcolor.scalars import ScalarContext
+    @given(data=sign_matrices())
+    def test_accepts_exactly_the_commutation_factors(self, data):
+        group, matrix, (a, b, c) = data
+        n = group.rank
+        odd = {g for g, m in enumerate(group.torsion) if m % 2}
+        faults = [
+            (i, j) for i in range(n) for j in range(n)
+            if matrix[i][j] != matrix[j][i] or (matrix[i][j] == -1 and (i in odd or j in odd))
+        ]
+        if faults:
+            with pytest.raises(ValueError) as refused:
+                Bicharacter(group, matrix)
+            i, j = faults[0]  # the first in row-major order is named
+            assert f"on generators (g{i}, g{j}): " in str(refused.value)
+            return
+        eps = Bicharacter(group, matrix)
+        for x, y in ((a, b), (b, c), (a, a)):
+            assert eps.sign(x, y) * eps.sign(y, x) == 1
+        assert eps.sign(group.add(a, b), c) == eps.sign(a, c) * eps.sign(b, c)
+        assert eps.sign(a, group.add(b, c)) == eps.sign(a, b) * eps.sign(a, c)
+        assert eps.sign(group.zero, a) == eps.sign(a, group.zero) == 1
 
+    def test_minus_one_on_odd_order_generator_is_refused(self):
         group = AbelianGroup(torsion=(3,))
-        eps = Bicharacter(group, [[-1]])
-        assert eps.odd_order_pair() == (0, 0)
-        # 1 + 2 = 0 in Z_3, but eps(1, 1) * eps(2, 1) = -1
-        assert eps.sign(group.add((1,), (2,)), (1,)) != eps.sign((1,), (1,)) * eps.sign((2,), (1,))
-        space = GradedSpace(group, ["e0", "e1"], [[0], [1]])
-        ctx = ScalarContext()
-        with pytest.raises(ValueError, match="not bimultiplicative"):
-            AlgebraPresentation(space, eps, ctx, {"dot": BilinearProduct(space, ctx, {})})
+        # 1 + 2 = 0 in Z_3, but a -1 on g0 would give eps(1, 1) * eps(2, 1) = -1
+        with pytest.raises(ValueError, match=r"\(g0, g0\): eps\(g0, g0\) = -1 involves g0 of odd order 3"):
+            Bicharacter(group, [[-1]])
 
 
 # -- memoised element reduction and addition ------------------------------------

@@ -1,6 +1,6 @@
 """Fuzzing the loader through ``homcolor check``: mutated fixture documents
 either load and get a verdict or are refused with exit code 3 and an
-``error:`` line; they never raise.
+``error:`` line that names a field; they never raise.
 
 Mutations act on the parsed JSON tree of a fixture (or of a fixture with a
 regular-bundle ``module`` block): drop a field, swap a node for a value of
@@ -141,4 +141,6 @@ def test_check_exits_with_a_code_and_never_raises(workdir, doc, kind):
         code = main(["check", str(path), "--kind", kind])
     assert code in (0, 1, 2, 3)
     if code == 3:
-        assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
+        lines = err.getvalue().splitlines()
+        assert any(line.startswith("error: ") for line in lines)
+        assert not any(line.startswith("error: :") for line in lines)  # a field is named

@@ -175,8 +175,19 @@ class TestRefusals:
             "basis": [{"name": "e1", "deg": [1, 0]}],
             "products": {},
         }
-        with pytest.raises(LoadError, match=r"bichar .*\(g0, g1\)"):
+        with pytest.raises(LoadError, match=r"^bichar: not a commutation factor on generators \(g0, g1\)"):
             load_presentation(doc)
+
+    def test_factor_is_refused_before_the_basis_is_read(self):
+        # Neither the basis nor the products are valid: the factor is named.
+        doc = {"group": {"torsion": [3]}, "bichar": [[-1]], "basis": 7, "products": []}
+        with pytest.raises(LoadError, match=r"^bichar: not bimultiplicative on generators \(g0, g0\)"):
+            load_presentation(doc)
+
+    def test_empty_role_name_names_products(self):
+        with pytest.raises(LoadError) as caught:
+            load_presentation(_small_doc(products={"": []}))
+        assert str(caught.value) == "products: invalid role name: ''"
 
     def test_undecodable_files_are_load_errors(self, tmp_path):
         huge = tmp_path / "huge.json"
@@ -260,6 +271,39 @@ def test_matched_pair_action_errors_name_the_document_path(assoc_3dim, tmp_path,
         {"a": doc_a, "b": doc_b, "actions_a_on_b": {"s": {}}, "actions_b_on_a": {"s": {}}}
     ))
     assert load_matched_pair_file(path).ab.module == load_presentation(doc_b).space
+
+
+def _pair_side(group, bichar, products):
+    rank = len(group.get("torsion", [])) + group.get("free", 0)
+    return {
+        "group": group,
+        "bichar": bichar,
+        "basis": [{"name": "f1", "deg": [0] * rank}],
+        "products": products,
+    }
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+@pytest.mark.parametrize("group, bichar, products, message", [
+    ({"free": 2}, [[1, -1], [1, 1]], {"dot": []},
+     "bichar: not a commutation factor on generators (g0, g1): eps(g0, g1) * eps(g1, g0) = -1"),
+    ({"torsion": [3]}, [[-1]], {"dot": []},
+     "bichar: not bimultiplicative on generators (g0, g0): eps(g0, g0) = -1 "
+     "involves g0 of odd order 3"),
+    ({"torsion": [2]}, [[-1]], {"": []}, "products: invalid role name: ''"),
+], ids=["asymmetric", "odd-order", "empty-role"])
+def test_matched_pair_side_errors_name_the_side(tmp_path, side, group, bichar, products, message):
+    good = _pair_side(group, [[1] * len(bichar)] * len(bichar), {"dot": []})
+    doc = {"a": good, "b": good, "actions_a_on_b": {}, "actions_b_on_a": {}}
+    doc[side] = _pair_side(group, bichar, products)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(LoadError) as caught:
+        load_matched_pair_file(path)
+    assert str(caught.value) == f"{side}.{message}"
+    doc[side] = good
+    path.write_text(json.dumps(doc))
+    assert load_matched_pair_file(path).a == load_presentation(good)
 
 
 def test_substitution_spot_check(hnp_4dim):
