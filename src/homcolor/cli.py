@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from enum import Enum
 from typing import Callable, Mapping, NamedTuple
@@ -29,7 +28,7 @@ from .constructions import (
 )
 from .core import AlgebraPresentation
 from .identities import StructureKind, check_gi_identities, run_suite
-from .reports import FAIL, PASS, PRECONDITION_FAILED, PreconditionError, SuiteReport
+from .reports import FAIL, PASS, PRECONDITION_FAILED, PreconditionError, SuiteReport, json_text
 from .representations import BimoduleKind, check_bimodule
 from .serialize import (
     LoadError,
@@ -80,7 +79,7 @@ def _emit(suite: SuiteReport, args, kind: str) -> int:
     if getattr(args, "report", None):
         doc = _report_doc(args.input, kind, suite, args.timings)
         with open(args.report, "w") as handle:
-            handle.write(json.dumps(doc, indent=2) + "\n")
+            handle.write(json_text(doc) + "\n")
     return _STATUS_EXIT[suite.status]
 
 
@@ -129,6 +128,13 @@ def _derivation_product(args) -> AlgebraPresentation:
     return novikov_from_derivation(presentation, derivation, args.to_role, args.force)
 
 
+def _tensor(args) -> AlgebraPresentation:
+    # A factor named twice is read once; tensor_product then checks it once.
+    left = _input(args.left)
+    right = left if args.right == args.left else _input(args.right)
+    return tensor_product(left, right, force=args.force)
+
+
 def _names(text: str) -> list[str]:
     """The basis names of a comma-separated list, none of them empty."""
     names = [n.strip() for n in text.split(",")]
@@ -171,10 +177,7 @@ _CONSTRUCTIONS = {
         ),
         ("--force", "--kind"), {"kind": "hnp"}, kinds=MATCHED_KINDS, auto=double_suite_kind,
     ),
-    "tensor": _Construction(
-        lambda args: tensor_product(_input(args.left), _input(args.right), force=args.force),
-        ("--force",), inputs=("left", "right"),
-    ),
+    "tensor": _Construction(_tensor, ("--force",), inputs=("left", "right")),
     "quotient": _Construction(
         lambda args: quotient(_input(args.input), args.ideal), ("--ideal",), requires=("--ideal",)
     ),
@@ -281,10 +284,27 @@ def cmd_report(args) -> int:
     return worst
 
 
+# The namespace attribute that collects the unread options and their values.
+_UNREAD = "_unread"
+
+
+class _Unread(argparse.Action):
+    """A construct option that this construction does not read.  It takes
+    the value that follows it, as the option does where it is read, so that
+    the value is not taken for an input; ``_Parser`` refuses both."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        unread = vars(namespace).setdefault(_UNREAD, [])
+        unread.append(option_string)
+        if isinstance(values, str):
+            unread.append(values)
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error like every other parse error: exit 3 and an
     ``error:`` line, after the usage.  Subparsers are built by this class
-    too, and each refuses the arguments it does not recognize with its own usage."""
+    too, and each refuses the arguments it does not recognize, and the
+    construct options it does not read, with its own usage."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -292,8 +312,9 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        refused = vars(namespace).pop(_UNREAD, []) + extras
+        if refused:
+            self.error(f"unrecognized arguments: {' '.join(refused)}")
         return namespace, extras
 
 
@@ -329,8 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
             choices=sorted(STRUCTURE_KINDS) + (["auto"] if spec.auto else []),
             help="run this structure suite on the output",
         )
-        for flag in spec.reads:
-            flags, keywords = _OPTIONS[flag]
+        for flag, (flags, keywords) in _OPTIONS.items():
+            if flag not in spec.reads:
+                nargs = 0 if keywords.get("action") == "store_true" else "?"
+                one.add_argument(*flags, action=_Unread, nargs=nargs, help=argparse.SUPPRESS)
+                continue
             if flag == "--kind":
                 keywords = {**keywords, "choices": sorted(spec.kinds)}
             one.add_argument(*flags, required=flag in spec.requires, **keywords)

@@ -573,7 +573,8 @@ def tensor_product(
     """Tensor product of two admissible dot/diamond presentations.
 
     Basis pairs are ordered row-major (left index outer); degrees add.  The
-    closure theorem assumes both factors pass the admissible suite.
+    closure theorem assumes both factors pass the admissible suite; a
+    factor passed as both is checked once.
     """
     if left.space.group != right.space.group or left.bichar != right.bichar:
         raise ValueError("tensor factors use different grading contexts")
@@ -583,7 +584,7 @@ def tensor_product(
         left = rebase_presentation(left, ctx)
         right = rebase_presentation(right, ctx)
     failed = []
-    for side in (left, right):
+    for side in (left,) if right is left else (left, right):
         suite = run_suite(side, StructureKind.ADMISSIBLE_HNP)
         if not suite.passed:
             failed.append(suite)

@@ -309,14 +309,6 @@ class LinearMap:
         degree = self.source.group.element(n * c for c in self.degree)
         return LinearMap(self.source, self.target, self.context, self.images(n), degree)
 
-    def rows(self) -> list[list[Scalar]]:
-        zero = self.context.zero
-        out = [[zero] * self.source.dim for _ in range(self.target.dim)]
-        for c, column in enumerate(self.columns):
-            for r, s in column:
-                out[r][c] = s
-        return out
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, LinearMap)

@@ -9,8 +9,8 @@ identical inputs produce byte-identical reports.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 __all__ = [
     "PASS",
@@ -19,6 +19,7 @@ __all__ = [
     "CheckReport",
     "SuiteReport",
     "PreconditionError",
+    "json_text",
 ]
 
 PASS = "pass"
@@ -104,12 +105,72 @@ class SuiteReport:
         }
 
     def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), indent=2) + "\n"
+        return json_text(self.to_dict(include_timing)) + "\n"
 
     def describe(self) -> str:
         lines = [f"suite {self.kind}: {self.status.upper()}"]
         lines.extend("  " + c.describe() for c in self.checks)
         return "\n".join(lines)
+
+
+def json_text(doc) -> str:
+    """The text that ``json.dumps`` writes for ``doc`` with an indent of 2,
+    for documents of dicts with string keys, lists, strings, ints, finite
+    floats, booleans and None.
+
+    ``json.dumps`` uses its C encoder only without an indent; this writer
+    appends the same pieces to one list and quotes strings with the C
+    function the encoder itself uses."""
+    parts: list[str] = []
+    _write(doc, "\n", parts)
+    return "".join(parts)
+
+
+def _write(value, newline: str, parts: list[str]) -> None:
+    """Append the text of ``value`` to ``parts``; ``newline`` is the line
+    break and indent of the line that ``value`` starts on."""
+    if isinstance(value, str):
+        parts.append(_quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            parts.append(sep + _quote(key) + ": ")
+            if type(item) is str:
+                parts.append(_quote(item))
+            else:
+                _write(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            if type(item) is str:
+                parts.append(_quote(item))
+            else:
+                _write(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(float.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 class PreconditionError(Exception):

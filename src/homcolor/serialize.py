@@ -35,6 +35,7 @@ from .core import (
     role_sort_key,
 )
 from .grading import AbelianGroup, Bicharacter
+from .reports import json_text
 from .representations import SLOT_ACTIONS, ActionBundle, slot_actions
 from .scalars import Scalar, ScalarContext, ScalarError
 
@@ -46,6 +47,7 @@ __all__ = [
     "load_bundle",
     "load_matched_pair_file",
     "load_linear_map",
+    "dump_matrix",
     "dump_presentation",
     "dump_presentation_file",
     "substitute_presentation",
@@ -316,6 +318,16 @@ def load_linear_map(path, presentation: AlgebraPresentation) -> LinearMap:
     )
 
 
+def dump_matrix(linear_map: LinearMap) -> list[list[str]]:
+    """The row-major matrix of ``linear_map`` in the scalar grammar; only
+    its nonzero entries are turned into text."""
+    rows = [["0"] * linear_map.source.dim for _ in range(linear_map.target.dim)]
+    for c, column in enumerate(linear_map.columns):
+        for r, s in column:
+            rows[r][c] = str(s)
+    return rows
+
+
 def dump_presentation(presentation: AlgebraPresentation) -> dict:
     group = presentation.space.group
     doc: dict = {
@@ -337,7 +349,7 @@ def dump_presentation(presentation: AlgebraPresentation) -> dict:
             ]
             for role, product in presentation.products.items()
         },
-        "alpha": [[str(s) for s in row] for row in presentation.alpha.rows()],
+        "alpha": dump_matrix(presentation.alpha),
     }
     if presentation.context.params:
         doc["params"] = list(presentation.context.params)
@@ -351,7 +363,7 @@ def dump_presentation_file(presentation: AlgebraPresentation, path) -> None:
     before the file is opened, so a dump that fails leaves ``path`` as it
     was and raises a ValueError that names it."""
     try:
-        text = json.dumps(dump_presentation(presentation), indent=2) + "\n"
+        text = json_text(dump_presentation(presentation)) + "\n"
     except ValueError as exc:
         reason = _reason(exc, "; the loader refuses such constants too")
         raise ValueError(f"cannot write {path}: {reason}") from exc

@@ -12,7 +12,7 @@ import pytest
 import homcolor as hc
 from homcolor import cli
 from homcolor.cli import main
-from homcolor.serialize import dump_presentation, load_presentation_file
+from homcolor.serialize import dump_matrix, dump_presentation, load_presentation_file
 
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -221,10 +221,10 @@ class TestCheck:
         doc = dump_presentation(A)
         doc["module"] = {
             "basis": [{"name": f"v{i}", "deg": list(d)} for i, d in enumerate(A.space.degrees)],
-            "beta": [[str(s) for s in row] for row in A.alpha.rows()],
+            "beta": dump_matrix(A.alpha),
             "actions": {
                 name: {
-                    A.names[i]: [[str(s) for s in row] for row in op.rows()]
+                    A.names[i]: dump_matrix(op)
                     for i, op in enumerate(family)
                 }
                 for name, family in bundle.actions.items()
@@ -401,6 +401,35 @@ class TestConstruct:
         built, _ = load_presentation_file(out)
         assert built.dim == 16
 
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        """The paths that ``construct`` reads presentations from, in order."""
+        paths = []
+
+        def counted(path):
+            paths.append(path)
+            return load_presentation_file(path)
+
+        monkeypatch.setattr(cli, "load_presentation_file", counted)
+        return paths
+
+    def test_a_factor_named_twice_is_read_and_checked_once(self, fixtures_dir, loads, capsys):
+        factor = str(fixtures_dir / "hnp_admissible_4dim.json")
+        assert run("construct", "tensor", factor, factor) == 0
+        assert loads == [factor]
+        refused = str(fixtures_dir / "poly_deriv_3dim.json")
+        assert run("construct", "tensor", refused, refused) == 2
+        assert capsys.readouterr().err.count("suite admissible_hnp: FAIL") == 1
+
+    def test_distinct_factors_are_read_and_checked_both(self, fixtures_dir, tmp_path, loads, capsys):
+        # A copy of the factor under another path is a second factor.
+        refused = fixtures_dir / "poly_deriv_3dim.json"
+        copy = tmp_path / "copy.json"
+        copy.write_text(refused.read_text())
+        assert run("construct", "tensor", refused, copy) == 2
+        assert loads == [str(refused), str(copy)]
+        assert capsys.readouterr().err.count("suite admissible_hnp: FAIL") == 2
+
     def test_quotient_verify(self, fixtures_dir):
         assert run(
             "construct", "quotient", fixtures_dir / "gd_4dim.json",
@@ -454,10 +483,10 @@ class TestConstruct:
         doc = dump_presentation(A)
         doc["module"] = {
             "basis": [{"name": f"v{i}", "deg": list(d)} for i, d in enumerate(A.space.degrees)],
-            "beta": [[str(s) for s in row] for row in A.alpha.rows()],
+            "beta": dump_matrix(A.alpha),
             "actions": {
                 name: {
-                    A.names[i]: [[str(s) for s in row] for row in op.rows()]
+                    A.names[i]: dump_matrix(op)
                     for i, op in enumerate(family)
                 }
                 for name, family in bundle.actions.items()
@@ -542,10 +571,13 @@ class TestConstruct:
     ])
     def test_unread_option_exits_three(self, tmp_path, capsys, name, flag):
         # The inputs do not exist: the option is refused before they are read.
+        # Before the inputs, it takes its value, not the input after it.
         inputs = [tmp_path / "missing.json"] * (2 if name == "tensor" else 1)
         inputs += CONSTRUCT_REQUIRES.get(name, [])
-        error = refusal(capsys, "construct", name, *inputs, flag, *OPTION_VALUES[flag])
-        assert error == f"error: unrecognized arguments: {' '.join([flag, *OPTION_VALUES[flag]])}"
+        option = [flag, *OPTION_VALUES[flag]]
+        for argv in (inputs + option, option + inputs):
+            error = refusal(capsys, "construct", name, *argv)
+            assert error == f"error: unrecognized arguments: {' '.join(option)}"
 
     def test_unread_options_are_named_together(self, tmp_path, capsys):
         argv = ["--kind", "bogus", "--ideal", "zz", "--type", "2", "--force"]

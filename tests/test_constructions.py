@@ -391,6 +391,23 @@ class TestTensor:
         text = json.dumps(dump_presentation(hc.tensor_product(A, B)), indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_a_factor_passed_twice_is_checked_once(self, monkeypatch):
+        A, copy = load("hnp_admissible_4dim.json"), load("hnp_admissible_4dim.json")
+        suites = []
+        run_suite = hc.constructions.run_suite
+
+        def counted(*args):
+            suites.append(args[1])
+            return run_suite(*args)
+
+        monkeypatch.setattr(hc.constructions, "run_suite", counted)
+        square = hc.tensor_product(A, A)
+        assert suites == [hc.StructureKind.ADMISSIBLE_HNP]
+        # A factor equal to A but not A itself is checked as a second factor,
+        # and the product is the same.
+        assert dump_presentation(hc.tensor_product(A, copy)) == dump_presentation(square)
+        assert len(suites) == 3
+
     def test_nonadmissible_factor_rejected(self, poly_deriv_3dim, hnp_admissible_4dim):
         with pytest.raises(PreconditionError):
             hc.tensor_product(poly_deriv_3dim, poly_deriv_3dim)

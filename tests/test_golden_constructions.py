@@ -1,7 +1,8 @@
 """Golden construction outputs: the sha256 of ``json.dumps(dump_presentation(P),
 indent=2)`` for every construction case over the fixtures, or the exception
 class and message of a refused case, compared with
-``tests/golden_constructions.json``.
+``tests/golden_constructions.json``.  The file that ``dump_presentation_file``
+writes must be the same text and a newline.
 
 Regenerate the file (only when an output is meant to change) with::
 
@@ -20,7 +21,12 @@ import homcolor as hc
 from homcolor.constructions import MATCHED_PAIR_TABLE, MatchedPairData, MatchedPairKind
 from homcolor.reports import PreconditionError
 from homcolor.representations import BIMODULE_TABLE, BimoduleKind, regular_bundle
-from homcolor.serialize import LoadError, dump_presentation, load_presentation_file
+from homcolor.serialize import (
+    LoadError,
+    dump_presentation,
+    dump_presentation_file,
+    load_presentation_file,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden_constructions.json"
@@ -132,6 +138,15 @@ def test_golden_file_covers_every_case():
 @pytest.mark.parametrize("case", list(cases()))
 def test_construction_matches_golden(case):
     assert outcome(cases()[case]) == _golden()[case]
+
+
+@pytest.mark.parametrize("case", [case for case in cases() if "sha256" in _golden()[case]])
+def test_dumped_file_matches_golden(case, tmp_path):
+    path = tmp_path / "out.json"
+    dump_presentation_file(cases()[case](), path)
+    text = path.read_text()
+    assert text.endswith("\n")
+    assert hashlib.sha256(text[:-1].encode()).hexdigest() == _golden()[case]["sha256"]
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import homcolor as hc
 from homcolor.cli import BIMODULE_KINDS, STRUCTURE_KINDS, main
-from homcolor.serialize import dump_presentation, load_presentation_file
+from homcolor.serialize import dump_matrix, dump_presentation, load_presentation_file
 
 from tests.conftest import FIXTURES
 
@@ -38,9 +38,9 @@ def _with_module(name: str) -> dict:
     doc = dump_presentation(A)
     doc["module"] = {
         "basis": [{"name": f"v{i}", "deg": list(d)} for i, d in enumerate(A.space.degrees)],
-        "beta": [[str(s) for s in row] for row in A.alpha.rows()],
+        "beta": dump_matrix(A.alpha),
         "actions": {
-            role: {A.names[i]: [[str(s) for s in row] for row in op.rows()] for i, op in enumerate(family)}
+            role: {A.names[i]: dump_matrix(op) for i, op in enumerate(family)}
             for role, family in bundle.actions.items()
         },
     }

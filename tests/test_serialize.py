@@ -7,6 +7,7 @@ import pytest
 import homcolor as hc
 from homcolor.serialize import (
     LoadError,
+    dump_matrix,
     dump_presentation,
     dump_presentation_file,
     load_bundle,
@@ -212,10 +213,9 @@ def test_module_block_loads_and_checks(hnp_4dim, fixtures_dir):
     A, _ = load_presentation_file(fixtures_dir / "hnp_4dim.json")
     doc = {
         "basis": [{"name": n, "deg": list(d)} for n, d in zip(A.names, A.space.degrees)],
-        "beta": [[str(s) for s in row] for row in A.alpha.rows()],
+        "beta": dump_matrix(A.alpha),
         "actions": {
-            "s": {n: [[str(s) for s in op_row] for op_row in
-                      hc.regular_bundle(A, hc.BimoduleKind.ASSOC_BIMODULE).actions["s"][i].rows()]
+            "s": {n: dump_matrix(hc.regular_bundle(A, hc.BimoduleKind.ASSOC_BIMODULE).actions["s"][i])
                   for i, n in enumerate(A.names)},
         },
     }
