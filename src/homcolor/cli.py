@@ -289,7 +289,8 @@ _UNREAD = "_unread"
 
 
 class _Unread(argparse.Action):
-    """A construct option that this construction does not read.  It takes
+    """An option that this parser does not read: a construct option of
+    another construction, or an option of the other subcommand.  It takes
     the value that follows it, as the option does where it is read, so that
     the value is not taken for an input; ``_Parser`` refuses both."""
 
@@ -318,6 +319,23 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
+def _unread(parser: argparse.ArgumentParser, flags: tuple[str, ...], keywords: dict) -> None:
+    """Declare ``flags`` on ``parser`` as a hidden :class:`_Unread` option
+    that takes a value unless the option is a switch.  It sets no namespace
+    attribute, not even a default, since nothing reads one."""
+    nargs = 0 if keywords.get("action") == "store_true" else "?"
+    hide = argparse.SUPPRESS
+    parser.add_argument(*flags, action=_Unread, nargs=nargs, dest=hide, default=hide, help=hide)
+
+
+# The options of ``check`` besides its input and --kind.
+_CHECK_OPTIONS = {
+    "--report": {"help": "write a JSON report to this path"},
+    "--subst": {"action": "append", "default": [], "metavar": "NAME=VALUE"},
+    "--timings": {"action": "store_true", "help": "include timings in reports"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="homcolor",
@@ -332,9 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=sorted(STRUCTURE_KINDS) + sorted(BIMODULE_KINDS) + ["gi"],
     )
-    check.add_argument("--report", help="write a JSON report to this path")
-    check.add_argument("--subst", action="append", default=[], metavar="NAME=VALUE")
-    check.add_argument("--timings", action="store_true", help="include timings in reports")
+    for flag, keywords in _CHECK_OPTIONS.items():
+        check.add_argument(flag, **keywords)
+    for flag, (flags, keywords) in _OPTIONS.items():
+        if flag != "--kind":
+            _unread(check, flags, keywords)
+    for flag in ("--out", "--verify"):
+        _unread(check, (flag,), {})
     check.set_defaults(func=cmd_check)
 
     construct = sub.add_parser("construct", help="run a construction and emit the result")
@@ -350,10 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
             choices=sorted(STRUCTURE_KINDS) + (["auto"] if spec.auto else []),
             help="run this structure suite on the output",
         )
+        for flag, keywords in _CHECK_OPTIONS.items():
+            _unread(one, (flag,), keywords)
         for flag, (flags, keywords) in _OPTIONS.items():
             if flag not in spec.reads:
-                nargs = 0 if keywords.get("action") == "store_true" else "?"
-                one.add_argument(*flags, action=_Unread, nargs=nargs, help=argparse.SUPPRESS)
+                _unread(one, flags, keywords)
                 continue
             if flag == "--kind":
                 keywords = {**keywords, "choices": sorted(spec.kinds)}

@@ -221,7 +221,7 @@ def _direct_sum(
     one role, the later slot's table replaces the earlier one.
     """
     space, offset = _join_spaces(A.space, bundles[0].module, right_suffix)
-    sign, degree = A.bichar.sign, space.degree
+    signs = A.bichar.table(space.degrees, space.degrees)
     products: dict[str, BilinearProduct] = {}
     for slot, role in slots.items():
         entries = {key: dict(cell) for key, cell in A.product(role).table.items()}
@@ -229,15 +229,16 @@ def _direct_sum(
             for (i, j), cell in B.product(role).table.items():
                 entries[(offset + i, offset + j)] = _shift(cell, offset)
         left, right, factor = SLOT_ACTIONS[slot]
+        # Each action adds the nonzero images of its kept rows (see
+        # ActionBundle.row_cells): x.y from ``left``, y.x from ``right``.
         for bundle, x0, y0 in zip(bundles, (0, offset), (offset, 0)):
-            for x, op in enumerate(bundle.actions[left]):
-                for y, column in enumerate(op.columns):
+            for x, row in enumerate(bundle.row_cells(left)):
+                for y, column in row:
                     _accumulate(entries, x0 + x, y0 + y, _shift(column, y0))
-            for x, op in enumerate(bundle.actions[right]):
-                for y, column in enumerate(op.columns):
-                    if column:
-                        f = factor(sign(degree(y0 + y), degree(x0 + x)))
-                        _accumulate(entries, y0 + y, x0 + x, _shift(column, y0, f))
+            for x, row in enumerate(bundle.row_cells(right)):
+                for y, column in row:
+                    f = factor(signs[y0 + y][x0 + x])
+                    _accumulate(entries, y0 + y, x0 + x, _shift(column, y0, f))
         products[role] = BilinearProduct(space, A.context, entries)
     columns = [dict(c) for c in A.alpha.columns]
     columns += [_shift(c, offset) for c in bundles[0].beta.columns]
@@ -255,7 +256,8 @@ def semidirect_sum(
     """Direct sum with the module, products extended by the bundle's actions.
 
     The module side multiplies to zero; the twist is the block sum of the
-    twist and beta.  Requires the bundle to pass ``check_bimodule`` first.
+    twist and beta.  Requires the bundle to pass ``check_bimodule``, whose
+    reports the bundle keeps, so a check made just before is not repeated.
     """
     report = check_bimodule(presentation, bundle, kind, product_roles)
     if not report.passed and not force:
@@ -619,6 +621,9 @@ def tensor_product(
                 out[idx(k1, k2)] = s if sign == 1 else -s
         return out
 
+    # signs[p2][q1] is eps(deg e_p2 of the right factor, deg e_q1 of the left).
+    signs = left.bichar.table(right.space.degrees, left.space.degrees)
+
     def cross(*factors) -> dict[tuple[int, int], dict[int, Scalar]]:
         """(e_p1 e_p2)(e_q1 e_q2) = eps(p2, q1) (e_p1 e_q1)(e_p2 e_q2), summed
         over every pair of nonzero cells of each pair of factor tables."""
@@ -626,7 +631,7 @@ def tensor_product(
         for t1, t2 in factors:
             for (p1, q1), c1 in t1.items():
                 for (p2, q2), c2 in t2.items():
-                    sign = left.eps_deg(right.space.degree(p2), left.space.degree(q1))
+                    sign = signs[p2][q1]
                     _accumulate(entries, idx(p1, p2), idx(q1, q2), pair_vec(c1, c2, sign))
         return entries
 

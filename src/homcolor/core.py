@@ -212,6 +212,9 @@ class LinearMap:
             raise ValueError(f"need {source.dim} columns, got {len(columns)}")
         frozen = []
         for i, column in enumerate(columns):
+            if not column:
+                frozen.append(())
+                continue
             entries = []
             expected = group.add(source.degree(i), degree)
             for j in sorted(column):
@@ -357,16 +360,22 @@ class BilinearProduct:
         context: ScalarContext,
         entries: Mapping[tuple[int, int], Mapping[int, Scalar]],
     ):
-        group = space.group
+        group, degrees = space.group, space.degrees
+        # The expected degree of each (deg e_i, deg e_j) pair, added once.
+        sums: dict[tuple, GroupElement] = {}
         table: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
         for (i, j) in sorted(entries):
-            expected = group.add(space.degree(i), space.degree(j))
+            pair = (degrees[i], degrees[j])
+            expected = sums.get(pair)
+            if expected is None:
+                expected = sums[pair] = group.add(*pair)
             cell = []
-            for k in sorted(entries[(i, j)]):
-                s = entries[(i, j)][k]
+            given = entries[(i, j)]
+            for k in sorted(given):
+                s = given[k]
                 if s.is_zero():
                     continue
-                if space.degree(k) != expected:
+                if degrees[k] != expected:
                     raise ValueError(
                         "product is not graded: "
                         f"{space.names[i]} o {space.names[j]} has a component on "

@@ -15,7 +15,9 @@ basis), whose nodes are the kind's product slots and actions.  :func:`check_bimo
 kind together in one pass of the identity engine's evaluator
 (:func:`~homcolor.core.run_checks`), over nonzero cells and whole index
 tuples, sharing each subtree map between the conditions, and reports each
-condition's smallest failing tuple.
+condition's smallest failing tuple.  The bundle keeps those reports, so a
+second check of it against the same presentation object, such as the one
+:func:`~homcolor.constructions.semidirect_sum` makes, evaluates nothing.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class ActionBundle:
     acts on V under the action ``name`` (one of ``s``, ``l``, ``r``, ``rho``).
     """
 
-    __slots__ = ("algebra_space", "module", "beta", "context", "actions", "_rows")
+    __slots__ = ("algebra_space", "module", "beta", "context", "actions", "_rows", "_verdicts")
 
     def __init__(
         self,
@@ -93,6 +95,9 @@ class ActionBundle:
         self.context = context
         self.actions = frozen
         self._rows: dict[str, Rows] = {}
+        # check_bimodule's reports by (kind, resolved slots), each with the
+        # presentation object they were evaluated against.
+        self._verdicts: dict[tuple, tuple[AlgebraPresentation, tuple[CheckReport, ...]]] = {}
 
     def action(self, name: str) -> tuple[LinearMap, ...]:
         try:
@@ -260,23 +265,34 @@ def check_bimodule(
     kind: BimoduleKind,
     product_roles: Mapping[str, str] | None = None,
 ) -> SuiteReport:
-    """Evaluate every condition of ``kind`` over basis pairs times module basis."""
-    reports = _bimodule_reports(presentation, bundle, kind, product_roles, "")
-    return SuiteReport(kind=kind.value, checks=reports)
+    """Evaluate every condition of ``kind`` over basis pairs times module basis.
+
+    The bundle keeps the reports by kind and resolved product slots, with
+    the presentation they were evaluated against; a later call for the same
+    kind and slots with that same presentation object (``is``, not ``==``)
+    returns them in a new report without evaluating again.
+    """
+    if bundle.algebra_space != presentation.space:
+        raise ValueError("bundle is indexed by a different algebra basis")
+    slots = _resolve_slots(kind, product_roles)
+    key = (kind, tuple(slots.items()))
+    kept = bundle._verdicts.get(key)
+    if kept is None or kept[0] is not presentation:
+        reports = _bimodule_reports(presentation, bundle, kind, slots, "")
+        kept = bundle._verdicts[key] = (presentation, tuple(reports))
+    return SuiteReport(kind=kind.value, checks=list(kept[1]))
 
 
 def _bimodule_reports(
     presentation: AlgebraPresentation,
     bundle: ActionBundle,
     kind: BimoduleKind,
-    product_roles: Mapping[str, str] | None,
+    slots: Mapping[str, str],
     prefix: str,
 ) -> list[CheckReport]:
-    """The reports of :func:`check_bimodule`, each check named ``prefix``
-    followed by its condition's label."""
-    if bundle.algebra_space != presentation.space:
-        raise ValueError("bundle is indexed by a different algebra basis")
-    slots = _resolve_slots(kind, product_roles)
+    """The reports of the conditions of ``kind``, its product slots bound
+    to the roles of ``slots``, each check named ``prefix`` followed by its
+    condition's label."""
     for role in slots.values():
         presentation.product(role)
     actions = slot_actions(slots)
@@ -316,21 +332,29 @@ def _multiplication_bundle(
     actions: dict[str, tuple[LinearMap, ...]] = {}
     for slot, role in slots.items():
         x_y, y_x, _ = SLOT_ACTIONS[slot]
-        table = presentation.products[role].table
-        # An action giving both x.y and y.x (s, rho) multiplies on the left.
-        for name, left in {y_x: False, x_y: True}.items():
+        product = presentation.products[role]
+        # images[i] o e_j reads row k of the product for each e_k in the
+        # image, e_j o images[i] the cells (j, k), indexed here by k.  An
+        # action giving both x.y and y.x (s, rho) multiplies on the left.
+        sides = {x_y: product.row_cells}
+        if y_x != x_y:
+            by_right: list[list] = [[] for _ in range(space.dim)]
+            for (j, k), cell in product.table.items():
+                by_right[k].append((j, cell))
+            sides[y_x] = by_right
+        for name, rows in sides.items():
             family = []
             for i, image in enumerate(images):
-                columns = []
-                for j in range(space.dim):
-                    column: dict = {}
-                    for k, c in image:
-                        for m, s in table.get((k, j) if left else (j, k), ()):
+                columns: dict[int, dict] = {}
+                for k, c in image:
+                    for j, cell in rows[k]:
+                        column = columns.setdefault(j, {})
+                        for m, s in cell:
                             t = s if c is one else c * s
                             prev = column.get(m)
                             column[m] = t if prev is None else prev + t
-                    columns.append(column)
-                family.append(LinearMap(space, space, ctx, columns, degree=algebra_space.degree(i)))
+                dense = [columns.get(j, {}) for j in range(space.dim)]
+                family.append(LinearMap(space, space, ctx, dense, degree=algebra_space.degree(i)))
             actions[name] = tuple(family)
     return ActionBundle(algebra_space, space, presentation.alpha, ctx, actions)
 

@@ -2,19 +2,24 @@
 twist images and sign tables.  Every check reads them and none mutates
 them, so a check run twice on one loaded object gives equal reports, and
 after the second run each form is the same object, with the same contents,
-as after the first."""
+as after the first.  A bundle also keeps its bimodule reports, so checking
+it and then building its semidirect sum evaluates the conditions once."""
 
 import pytest
 
+from homcolor import core
 from homcolor.constructions import (
     MatchedPairData,
     MatchedPairKind,
     check_matched_pair,
     is_ideal,
     is_subalgebra,
+    semidirect_sum,
 )
+from homcolor.core import AlgebraPresentation, LinearMap
 from homcolor.identities import StructureKind, check_gi_identities, run_suite
-from homcolor.representations import BimoduleKind, check_bimodule, regular_bundle
+from homcolor.reports import PreconditionError
+from homcolor.representations import ActionBundle, BimoduleKind, check_bimodule, regular_bundle
 from homcolor.serialize import load_presentation_file
 from tests.conftest import FIXTURES, load
 from tests.test_golden_reports import applicable_pairs
@@ -107,3 +112,85 @@ def test_closures(closure, subset):
         return load("hnp_admissible_multiplicative_4dim.json"), ()
 
     assert_rerun_shares_forms(build, lambda A, _: closure(A, subset))
+
+
+# -- bimodule verdicts kept on the bundle ----------------------------------------
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The number of ``core.term_failures`` passes so far."""
+    count = [0]
+    inner = core.term_failures
+
+    def counted(*args):
+        count[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(core, "term_failures", counted)
+    return lambda: count[0]
+
+
+def test_check_then_semidirect_evaluates_once(evaluations):
+    A = load("hnp_4dim.json")
+    bundle = regular_bundle(A, BimoduleKind.HNP_BIMODULE)
+    report = check_bimodule(A, bundle, BimoduleKind.HNP_BIMODULE)
+    assert report.passed and evaluations() == 1
+    total = semidirect_sum(A, bundle, BimoduleKind.HNP_BIMODULE)
+    assert total.dim == 2 * A.dim and evaluations() == 1
+    assert check_bimodule(A, bundle, BimoduleKind.HNP_BIMODULE) == report
+    assert evaluations() == 1
+
+
+@pytest.mark.parametrize("other", ["equal presentation", "kind", "product roles"])
+def test_other_presentation_kind_or_roles_evaluates_again(evaluations, other):
+    A = load("hnp_4dim.json")
+    kind = BimoduleKind.HNP_BIMODULE
+    bundle = regular_bundle(A, kind)
+    first = check_bimodule(A, bundle, kind)
+    if other == "equal presentation":
+        again = load("hnp_4dim.json")
+        assert again == A and again is not A
+        args = (again, bundle, kind)
+    elif other == "kind":
+        args = (A, bundle, BimoduleKind.ASSOC_BIMODULE)
+    else:
+        args = (A, bundle, kind, {"novikov": "dot"})
+    second = check_bimodule(*args)
+    assert evaluations() == 2
+    if other == "equal presentation":
+        assert [c.to_dict() for c in second.checks] == [c.to_dict() for c in first.checks]
+    assert check_bimodule(*args) == second
+    assert evaluations() == 2
+
+
+def test_failing_bundle_refusal_carries_the_checked_report(evaluations):
+    P = load("poly_deriv_3dim.json")
+    N = AlgebraPresentation(P.space, P.bichar, P.context, {"dot": P.products["diamond"]}, P.alpha)
+    kind = BimoduleKind.NOVIKOV_BIMODULE
+    bundle = regular_bundle(N, kind)
+    doubled = dict(bundle.actions)
+    doubled["r"] = tuple(
+        LinearMap(N.space, N.space, N.context,
+                  [{k: c + c for k, c in col} for col in op.columns], op.degree)
+        for op in bundle.actions["r"]
+    )
+    bundle = ActionBundle(N.space, N.space, N.alpha, N.context, doubled)
+    report = check_bimodule(N, bundle, kind)
+    assert not report.passed
+    with pytest.raises(PreconditionError) as refused:
+        semidirect_sum(N, bundle, kind)
+    assert refused.value.reports == (report,)
+    assert evaluations() == 1
+
+
+def test_separate_calls_return_separate_check_lists():
+    A = load("gd_4dim.json")
+    bundle = regular_bundle(A, BimoduleKind.GD_REP)
+    first = check_bimodule(A, bundle, BimoduleKind.GD_REP)
+    second = check_bimodule(A, bundle, BimoduleKind.GD_REP)
+    assert first == second and first.checks is not second.checks
+    kept = list(first.checks)
+    first.checks.clear()
+    assert second.checks == kept
+    assert check_bimodule(A, bundle, BimoduleKind.GD_REP).checks == kept

@@ -54,6 +54,14 @@ CONSTRUCT_READS = {
 ALIASES = {"--from": "--from-role", "--to": "--to-role"}
 # The options a construction cannot run without, with a value.
 CONSTRUCT_REQUIRES = {"quotient": ["--ideal", "e1"], "derivation-product": ["--map", "map.json"]}
+# The options of one subcommand that the other does not have, with a value:
+# check's, and construct's under every flag (--kind is on both).
+CHECK_ONLY = {"--report": ["r.json"], "--subst": ["a=1"], "--timings": []}
+CONSTRUCT_ONLY = {
+    **{flag: v for flag, v in OPTION_VALUES.items() if flag != "--kind"},
+    **{alias: OPTION_VALUES[flag] for flag, alias in ALIASES.items()},
+    "--out": ["o.json"], "--verify": ["hnp"],
+}
 
 
 class TestCheck:
@@ -185,6 +193,16 @@ class TestCheck:
         assert exited.value.code == 3
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == "error: unrecognized arguments: --arity4-cap 16"
+
+    @pytest.mark.parametrize("flag", sorted(CONSTRUCT_ONLY))
+    def test_construct_option_exits_three(self, tmp_path, capsys, flag):
+        # The input does not exist: the option is refused before it is read.
+        # Before the input, it takes its value, not the input after it.
+        inputs = [tmp_path / "missing.json", "--kind", "hnp"]
+        option = [flag, *CONSTRUCT_ONLY[flag]]
+        for argv in (inputs + option, option + inputs):
+            error = refusal(capsys, "check", *argv)
+            assert error == f"error: unrecognized arguments: {' '.join(option)}"
 
     def test_gi_passes_on_the_16_dim_tensor_square(self, fixtures_dir, tmp_path, capsys):
         # The arity-4 members GI_2..GI_4 are decided at dim 16 as at dim 4.
@@ -575,6 +593,17 @@ class TestConstruct:
         inputs = [tmp_path / "missing.json"] * (2 if name == "tensor" else 1)
         inputs += CONSTRUCT_REQUIRES.get(name, [])
         option = [flag, *OPTION_VALUES[flag]]
+        for argv in (inputs + option, option + inputs):
+            error = refusal(capsys, "construct", name, *argv)
+            assert error == f"error: unrecognized arguments: {' '.join(option)}"
+
+    @pytest.mark.parametrize("name, flag", [
+        (name, flag) for name in CONSTRUCT_READS for flag in CHECK_ONLY
+    ])
+    def test_check_option_exits_three(self, tmp_path, capsys, name, flag):
+        inputs = [tmp_path / "missing.json"] * (2 if name == "tensor" else 1)
+        inputs += CONSTRUCT_REQUIRES.get(name, [])
+        option = [flag, *CHECK_ONLY[flag]]
         for argv in (inputs + option, option + inputs):
             error = refusal(capsys, "construct", name, *argv)
             assert error == f"error: unrecognized arguments: {' '.join(option)}"
