@@ -540,8 +540,8 @@ def check_matched_pair(
         ops = {role: right.product(role).row_cells for role in slots.values()}
         binding = tuple(sorted(slots.items()))
         for prefix, bundle in (("on_b.", forward), ("on_a.", backward)):
-            for name in bundle.actions:
-                ops[(prefix, name)] = bundle.row_cells(name)
+            for name, rows in bundle._rows.items():
+                ops[(prefix, name)] = rows
                 binding += ((prefix + name, (prefix, name)),)
         axes = ((left.space, left.alpha), (right.space, right.alpha), (right.space, right.alpha))
         checks = [Check(f"{direction}:{label}", (terms, binding)) for label, terms in conditions]

@@ -12,8 +12,8 @@ product's ``table`` and each map's ``columns``, which nothing mutates; the
 public accessors (``mul``, ``mul_basis``, ``alpha_image``,
 ``LinearMap.image``) hand out fresh dicts.  The evaluator's forms of that
 data are built on first use and kept for every later check: rows on each
-product and action family, twist images per power on each map, and sign
-tables in the bicharacter's bounded memo.
+product, twist images per power on each map, and sign tables in the
+bicharacter's bounded memo; an action bundle stores its actions as rows.
 
 Every check is a term plan, a signed sum of trees of products and linear
 maps: the catalogued conditions and the structural checks here
@@ -171,7 +171,7 @@ class GradedSpace:
         return self.degrees[i]
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, GradedSpace)
             and self.group == other.group
             and self.names == other.names
@@ -277,9 +277,9 @@ class LinearMap:
         return dict(self.columns[i])
 
     def images(self, power: int) -> tuple[Vec, ...]:
-        """The basis images under this map applied ``power`` times, built
-        once per power by repeated squaring from the kept images of
-        ``power // 2`` and kept; callers must not mutate them."""
+        """The basis images under this map applied ``power`` times, built once
+        per power, from the columns or by repeated squaring from the kept
+        images of ``power // 2``, and kept; callers must not mutate them."""
         found = self._images.get(power)
         if found is None:
             if self.source != self.target:
@@ -288,6 +288,8 @@ class LinearMap:
                 raise ValueError("negative powers are not defined")
             if power == 0:
                 found = tuple({i: self.context.one} for i in range(self.source.dim))
+            elif power == 1:
+                found = tuple(dict(c) for c in self.columns)
             else:
                 half = self.images(power // 2)
                 columns = [tuple(v.items()) for v in half]

@@ -1,9 +1,10 @@
 """Action bundles (bimodules / representations) and their condition systems.
 
 An :class:`ActionBundle` packages a module space with its even twisting map
-and a family of named action matrices, one per algebra basis element; the
-matrix of e_i shifts module degrees by deg(e_i), which is enforced at
-construction, so violations are load errors rather than check failures.
+and named actions, each stored as one sparse row table over the algebra
+basis; the operator of e_i shifts module degrees by deg(e_i), which is
+enforced at construction, so violations are load errors rather than check
+failures.  Regular and pullback bundles build their rows from nonzero cells.
 
 Each bimodule kind is one entry of :data:`BIMODULE_TABLE`: its product
 slots with their default roles, and its conditions.  :data:`SLOT_ACTIONS`
@@ -53,13 +54,13 @@ __all__ = [
 
 
 class ActionBundle:
-    """Module space (V, beta) with named basis-indexed action matrices.
-
-    ``actions[name][i]`` is the operator by which algebra basis element e_i
-    acts on V under the action ``name`` (one of ``s``, ``l``, ``r``, ``rho``).
+    """Module space (V, beta) with named actions (``s``, ``l``, ``r``,
+    ``rho``), each stored as its rows (:meth:`row_cells`).  The operator by
+    which algebra basis element e_i acts, ``actions[name][i]``, is rebuilt
+    from row i on each read.
     """
 
-    __slots__ = ("algebra_space", "module", "beta", "context", "actions", "_rows", "_verdicts")
+    __slots__ = ("algebra_space", "module", "beta", "context", "_rows", "_verdicts")
 
     def __init__(
         self,
@@ -73,7 +74,7 @@ class ActionBundle:
             raise ValueError("module and algebra must share the grading group")
         if beta.source != module or beta.target != module or not beta.is_even:
             raise ValueError("beta must be an even endomorphism of the module")
-        frozen: dict[str, tuple[LinearMap, ...]] = {}
+        rows: dict[str, Rows] = {}
         for name in sorted(actions):
             family = tuple(actions[name])
             if len(family) != algebra_space.dim:
@@ -88,35 +89,40 @@ class ActionBundle:
                         f"action {name!r} of {algebra_space.names[i]} must shift module "
                         f"degrees by {algebra_space.degree(i)}"
                     )
-            frozen[name] = family
+            rows[name] = tuple(
+                tuple((j, col) for j, col in enumerate(op.columns) if col) for op in family
+            )
         self.algebra_space = algebra_space
         self.module = module
         self.beta = beta
         self.context = context
-        self.actions = frozen
-        self._rows: dict[str, Rows] = {}
+        self._rows = rows
         # check_bimodule's reports by (kind, resolved slots), each with the
         # presentation object they were evaluated against.
         self._verdicts: dict[tuple, tuple[AlgebraPresentation, tuple[CheckReport, ...]]] = {}
 
+    @property
+    def actions(self) -> dict[str, tuple[LinearMap, ...]]:
+        return {name: self.action(name) for name in self._rows}
+
     def action(self, name: str) -> tuple[LinearMap, ...]:
-        try:
-            return self.actions[name]
-        except KeyError:
-            raise ValueError(
-                f"bundle has no action {name!r}; available: {list(self.actions)}"
-            ) from None
+        family = []
+        for row, degree in zip(self.row_cells(name), self.algebra_space.degrees):
+            columns: list[dict] = [{} for _ in range(self.module.dim)]
+            for j, column in row:
+                columns[j] = dict(column)
+            family.append(LinearMap(self.module, self.module, self.context, columns, degree))
+        return tuple(family)
 
     def row_cells(self, name: str) -> Rows:
         """``row_cells(name)[i]`` lists (j, column) over the nonzero images
-        of e_j under the operator of e_i; built on first use and kept."""
-        found = self._rows.get(name)
-        if found is None:
-            found = self._rows[name] = tuple(
-                tuple((j, col) for j, col in enumerate(op.columns) if col)
-                for op in self.actions[name]
-            )
-        return found
+        of e_j under the operator of e_i."""
+        try:
+            return self._rows[name]
+        except KeyError:
+            raise ValueError(
+                f"bundle has no action {name!r}; available: {list(self._rows)}"
+            ) from None
 
 
 class BimoduleKind(Enum):
@@ -293,17 +299,11 @@ def _bimodule_reports(
     """The reports of the conditions of ``kind``, its product slots bound
     to the roles of ``slots``, each check named ``prefix`` followed by its
     condition's label."""
-    for role in slots.values():
-        presentation.product(role)
-    actions = slot_actions(slots)
-    for name in actions:
-        bundle.action(name)
-
     # Products are keyed by role and actions by ("action", name), so two
     # slots bound to one role share its rows and its nodes.
     ops = {role: presentation.product(role).row_cells for role in slots.values()}
     binding = tuple(sorted(slots.items()))
-    for name in actions:
+    for name in slot_actions(slots):
         ops[("action", name)] = bundle.row_cells(name)
         binding += ((name, ("action", name)),)
     algebra = (presentation.space, presentation.alpha)
@@ -316,7 +316,7 @@ def _bimodule_reports(
 def _multiplication_bundle(
     algebra_space: GradedSpace,
     presentation: AlgebraPresentation,
-    images: Sequence[Sequence[tuple[int, Scalar]]],
+    images: Sequence[Sequence[tuple[int, Scalar]]] | None,
     kind: BimoduleKind,
     product_roles: Mapping[str, str] | None,
 ) -> ActionBundle:
@@ -324,15 +324,14 @@ def _multiplication_bundle(
     product bound to each slot: e_i of ``algebra_space`` acts on e_j by
     images[i] o e_j through the slot's action giving x.y and by e_j o
     images[i] through the one giving y.x (see SLOT_ACTIONS), with beta equal
-    to the presentation's twist."""
+    to the presentation's twist.  ``images`` is None for the presentation
+    acting on itself, whose x.y rows are then the product's own rows."""
     slots = _resolve_slots(kind, product_roles)
-    for role in slots.values():
-        presentation.product(role)
-    space, ctx, one = presentation.space, presentation.context, presentation.context.one
-    actions: dict[str, tuple[LinearMap, ...]] = {}
+    space, one = presentation.space, presentation.context.one
+    actions: dict[str, Rows] = {}
     for slot, role in slots.items():
         x_y, y_x, _ = SLOT_ACTIONS[slot]
-        product = presentation.products[role]
+        product = presentation.product(role)
         # images[i] o e_j reads row k of the product for each e_k in the
         # image, e_j o images[i] the cells (j, k), indexed here by k.  An
         # action giving both x.y and y.x (s, rho) multiplies on the left.
@@ -341,10 +340,13 @@ def _multiplication_bundle(
             by_right: list[list] = [[] for _ in range(space.dim)]
             for (j, k), cell in product.table.items():
                 by_right[k].append((j, cell))
-            sides[y_x] = by_right
+            sides[y_x] = tuple(map(tuple, by_right))
         for name, rows in sides.items():
+            if images is None:
+                actions[name] = rows
+                continue
             family = []
-            for i, image in enumerate(images):
+            for image in images:
                 columns: dict[int, dict] = {}
                 for k, c in image:
                     for j, cell in rows[k]:
@@ -353,10 +355,18 @@ def _multiplication_bundle(
                             t = s if c is one else c * s
                             prev = column.get(m)
                             column[m] = t if prev is None else prev + t
-                dense = [columns.get(j, {}) for j in range(space.dim)]
-                family.append(LinearMap(space, space, ctx, dense, degree=algebra_space.degree(i)))
+                row = []
+                for j in sorted(columns):
+                    kept = tuple((m, s) for m, s in sorted(columns[j].items()) if not s.is_zero())
+                    if kept:
+                        row.append((j, kept))
+                family.append(tuple(row))
             actions[name] = tuple(family)
-    return ActionBundle(algebra_space, space, presentation.alpha, ctx, actions)
+    # Every operator of e_i shifts degrees by deg(e_i) (the products are
+    # graded, each image of degree deg(e_i)), so the rows are not checked.
+    bundle = ActionBundle(algebra_space, space, presentation.alpha, presentation.context, {})
+    bundle._rows = dict(sorted(actions.items()))
+    return bundle
 
 
 def regular_bundle(
@@ -366,9 +376,7 @@ def regular_bundle(
 ) -> ActionBundle:
     """The presentation acting on itself: left/right multiplications and the
     adjoint action of the bracket, with beta equal to the twist."""
-    one = presentation.context.one
-    images = [((i, one),) for i in range(presentation.dim)]
-    return _multiplication_bundle(presentation.space, presentation, images, kind, product_roles)
+    return _multiplication_bundle(presentation.space, presentation, None, kind, product_roles)
 
 
 def pullback_bundle(
@@ -382,9 +390,12 @@ def pullback_bundle(
     """Actions of ``source`` on ``target`` by multiplying through f(x).
 
     Requires f to be a verified morphism; the resulting bundle satisfies the
-    same bimodule kind the target's regular bundle does.
+    same bimodule kind the target's regular bundle does.  ``force`` takes an
+    unverified map, but never one that is not even.
     """
     morphism = is_morphism(f, source, target)
     if not morphism.passed and not force:
         raise PreconditionError("pullback needs a verified morphism", (morphism,))
+    if not f.is_even:
+        raise ValueError(f"pullback needs an even map, got one of degree {f.degree}")
     return _multiplication_bundle(source.space, target, f.columns, kind, product_roles)

@@ -3,7 +3,9 @@ twist images and sign tables.  Every check reads them and none mutates
 them, so a check run twice on one loaded object gives equal reports, and
 after the second run each form is the same object, with the same contents,
 as after the first.  A bundle also keeps its bimodule reports, so checking
-it and then building its semidirect sum evaluates the conditions once."""
+it and then building its semidirect sum evaluates the conditions once.
+Each action is stored once, as rows: a regular bundle shares its product's
+rows, and bundles, checks and sums build no operator per basis element."""
 
 import pytest
 
@@ -14,12 +16,21 @@ from homcolor.constructions import (
     check_matched_pair,
     is_ideal,
     is_subalgebra,
+    matched_pair_double,
     semidirect_sum,
 )
 from homcolor.core import AlgebraPresentation, LinearMap
 from homcolor.identities import StructureKind, check_gi_identities, run_suite
 from homcolor.reports import PreconditionError
-from homcolor.representations import ActionBundle, BimoduleKind, check_bimodule, regular_bundle
+from homcolor.representations import (
+    BIMODULE_TABLE,
+    SLOT_ACTIONS,
+    ActionBundle,
+    BimoduleKind,
+    check_bimodule,
+    pullback_bundle,
+    regular_bundle,
+)
 from homcolor.serialize import load_presentation_file
 from tests.conftest import FIXTURES, load
 from tests.test_golden_reports import applicable_pairs
@@ -194,3 +205,60 @@ def test_separate_calls_return_separate_check_lists():
     first.checks.clear()
     assert second.checks == kept
     assert check_bimodule(A, bundle, BimoduleKind.GD_REP).checks == kept
+
+
+# -- one stored form per action -------------------------------------------------
+
+REGULAR = [
+    (name, kind)
+    for name in ("assoc_3dim.json", "novikov_3dim.json", "hnp_4dim.json", "gd_4dim.json")
+    for kind in BimoduleKind
+    if set(BIMODULE_TABLE[kind].slots.values()) <= set(load(name).roles)
+]
+
+
+@pytest.mark.parametrize("name, kind", REGULAR)
+def test_regular_left_rows_are_the_product_rows(name, kind):
+    A = load(name)
+    bundle = regular_bundle(A, kind)
+    for slot, role in BIMODULE_TABLE[kind].slots.items():
+        assert bundle.row_cells(SLOT_ACTIONS[slot][0]) is A.product(role).row_cells
+
+
+@pytest.fixture
+def linear_maps(monkeypatch):
+    """The number of ``LinearMap`` constructions so far."""
+    count = [0]
+    inner = LinearMap.__init__
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearMap, "__init__", counted)
+    return lambda: count[0]
+
+
+@pytest.mark.parametrize("name, kind", REGULAR)
+def test_bundle_check_and_sum_build_no_operator(linear_maps, name, kind):
+    A = load(name)
+    f = LinearMap.identity(A.space, A.context)
+    before = linear_maps()
+    bundles = (regular_bundle(A, kind), pullback_bundle(f, A, A, kind))
+    for bundle in bundles:
+        assert check_bimodule(A, bundle, kind).passed
+    assert linear_maps() == before
+    for bundle in bundles:
+        semidirect_sum(A, bundle, kind)
+    # One map per sum: its twist alpha (+) beta.
+    assert linear_maps() == before + len(bundles)
+
+
+def test_matched_pair_check_and_double_build_no_operator(linear_maps):
+    A = load("hnp_4dim.json")
+    pair = MatchedPairData(A, A, *(regular_bundle(A, BimoduleKind.HNP_BIMODULE) for _ in "ab"))
+    before = linear_maps()
+    check_matched_pair(pair, MatchedPairKind.HNP)
+    assert linear_maps() == before
+    matched_pair_double(pair, MatchedPairKind.HNP, force=True)
+    assert linear_maps() == before + 1

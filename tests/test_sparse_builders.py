@@ -23,11 +23,13 @@ from homcolor.constructions import (
 from homcolor.core import BilinearProduct, LinearMap
 from homcolor.representations import (
     BIMODULE_TABLE,
+    ActionBundle,
     SLOT_ACTIONS,
     BimoduleKind,
     pullback_bundle,
     regular_bundle,
 )
+from homcolor.reports import PreconditionError
 from homcolor.serialize import LoadError, load_presentation, load_presentation_file
 from tests.conftest import FIXTURES
 
@@ -116,6 +118,16 @@ def assert_dense_bundle(bundle, A, f: LinearMap, kind: BimoduleKind):
                     assert dict(op.columns[j]) == want, (name, i, j)
 
 
+def assert_rows_round_trip(bundle):
+    """A bundle built from the operators that ``bundle.actions`` rebuilds
+    stores the same rows."""
+    families = bundle.actions
+    again = ActionBundle(bundle.algebra_space, bundle.module, bundle.beta, bundle.context, families)
+    assert again.actions == families
+    for name in families:
+        assert again.row_cells(name) == bundle.row_cells(name), name
+
+
 def dense_sum_tables(A, bundles, slots, B=None) -> dict:
     """The products of A (+) the bundles' module: A's (and B's) cells, then
     every column of every operator added by the slot's cross rule, with
@@ -173,10 +185,13 @@ def test_bundles_and_semidirect_sums_match_the_dense_definition(name, kind, f):
     if f == "identity":
         bundles.append(regular_bundle(A, kind))
     for bundle in bundles:
-        assert_dense_bundle(bundle, A, f_map, kind)
         total = semidirect_sum(A, bundle, kind, force=True)
         assert total.dim == 2 * A.dim
         assert_sum_tables(total, A, (bundle,), BIMODULE_TABLE[kind].slots)
+        # The operators, rebuilt from the rows only when read, after the
+        # check and the sum read the rows.
+        assert_dense_bundle(bundle, A, f_map, kind)
+        assert_rows_round_trip(bundle)
 
 
 @pytest.mark.parametrize("name, kind, f", [
@@ -204,3 +219,19 @@ def test_cancelling_images_leave_empty_columns():
         assert bundle.actions[name][0].columns == ((), (), ())
         assert bundle.row_cells(name)[0] == ()
     assert bundle.actions["s"][1].columns[2] == ((2, A.context.one),)
+
+
+def test_pullback_along_a_map_that_is_not_even_is_refused():
+    A = PRESENTATIONS["cancelling"]
+    one, kind = A.context.one, BimoduleKind.HNP_BIMODULE
+    # e1, e2 (degree 0) go to e3 (degree 1) and e3 to e1: not a morphism.
+    odd = LinearMap(A.space, A.space, A.context, [{2: one}, {2: one}, {0: one}], degree=(1,))
+    # The zero map of degree 1 passes the morphism conditions.
+    zero = LinearMap.zero(A.space, A.space, A.context, degree=(1,))
+    with pytest.raises(PreconditionError, match="pullback needs a verified morphism"):
+        pullback_bundle(odd, A, A, kind)
+    message = "pullback needs an even map, got one of degree (1,)"
+    for f, force in ((odd, True), (zero, False), (zero, True)):
+        with pytest.raises(ValueError) as refused:
+            pullback_bundle(f, A, A, kind, force=force)
+        assert str(refused.value) == message
