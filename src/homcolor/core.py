@@ -21,7 +21,10 @@ maps: the catalogued conditions and the structural checks here
 evaluates a whole suite of plans in one pass over nonzero cells and whole
 index tuples, building each subtree map at most once and sharing it
 between the plans; :func:`run_checks` runs that pass once per suite call
-and builds each check's report from its smallest failing tuple.
+and builds each check's report from its smallest failing tuple.  The pass
+keeps its node maps in plain lists that no function made per call refers
+to, so they hold no reference cycle and are freed when it returns: nothing
+on the check path relies on the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -696,6 +699,27 @@ def _join(rows: Rows, left: dict, right: dict, one: Scalar) -> dict:
 Plan = tuple[tuple[Term, ...], tuple[tuple[str, Hashable], ...]]
 
 
+def _intern(
+    tree: Tree, bound: dict, held: list[int], axis_ids: tuple[int, ...], nodes: list, ids: dict
+) -> int:
+    """The node id of ``tree``'s shape, interned with its subtrees into
+    ``nodes`` and ``ids``; its positions are appended to ``held``."""
+    if isinstance(tree[0], str):
+        subs = [_intern(sub, bound, held, axis_ids, nodes, ids) for sub in tree[1:]]
+        key = (bound[tree[0]], subs[0], subs[1] if len(subs) == 2 else None)
+    else:
+        pos, power = tree
+        if pos >= len(axis_ids):
+            raise ValueError(f"position {pos} has no axis")
+        key = (None, axis_ids[pos], power)
+        held.append(pos)
+    found = ids.get(key)
+    if found is None:
+        found = ids[key] = len(nodes)
+        nodes.append(key)
+    return found
+
+
 # The interning depends only on the plans and on which positions share an
 # axis, not on any presentation, so it is done once per process.
 @functools.lru_cache(maxsize=256)
@@ -717,23 +741,6 @@ def _compile(plans: tuple[Plan, ...], axis_ids: tuple[int, ...]) -> tuple:
     """
     nodes: list[tuple] = []
     ids: dict[tuple, int] = {}
-
-    def intern(tree: Tree, bound: dict, held: list[int]) -> int:
-        if isinstance(tree[0], str):
-            subs = [intern(sub, bound, held) for sub in tree[1:]]
-            key = (bound[tree[0]], subs[0], subs[1] if len(subs) == 2 else None)
-        else:
-            pos, power = tree
-            if pos >= len(axis_ids):
-                raise ValueError(f"position {pos} has no axis")
-            key = (None, axis_ids[pos], power)
-            held.append(pos)
-        found = ids.get(key)
-        if found is None:
-            found = ids[key] = len(nodes)
-            nodes.append(key)
-        return found
-
     compiled = []
     for terms, binding in plans:
         bound = dict(binding)
@@ -741,7 +748,7 @@ def _compile(plans: tuple[Plan, ...], axis_ids: tuple[int, ...]) -> tuple:
         plan = []
         for coeff, pairs, tree in terms:
             held: list[int] = []
-            root = intern(tree, bound, held)
+            root = _intern(tree, bound, held, axis_ids, nodes, ids)
             arity = len(held) if arity is None else arity
             if sorted(held) != list(range(arity)):
                 raise ValueError(f"term {tree!r} must hold each of {arity} positions once")
@@ -753,6 +760,38 @@ def _compile(plans: tuple[Plan, ...], axis_ids: tuple[int, ...]) -> tuple:
 
 
 Failures = dict[int, dict[tuple[int, ...], Vec]]
+
+
+def _node_map(nid: int, state: tuple) -> dict:
+    """The map of node ``nid``, built on first use and kept in ``maps``.
+
+    ``state`` is one :func:`term_failures` pass's (nodes, maps, index, ops,
+    twists, one); ``index[nid]`` keeps the map of a right operand indexed
+    by basis index, b -> [(key, coefficient)].  A node whose left map is
+    empty is empty, and its right subtree is not evaluated for it.
+    """
+    nodes, maps, index, ops, twists, one = state
+    found = maps[nid]
+    if found is None:
+        name, a, b = nodes[nid]  # a leaf's a, b: axis, twist power
+        if name is None:
+            found = {(j,): v for j, v in enumerate(twists[a].images(b)) if v}
+        else:
+            left = _node_map(a, state)
+            if not left:
+                found = {}
+            elif b is None:
+                found = _apply(ops[name], left, one)
+            else:
+                right = index[b]
+                if right is None:
+                    right = index[b] = {}
+                    for k, vec in _node_map(b, state).items():
+                        for i, s in vec.items():
+                            right.setdefault(i, []).append((k, s))
+                found = _join(ops[name], left, right, one)
+        maps[nid] = found
+    return found
 
 
 def term_failures(
@@ -788,6 +827,9 @@ def term_failures(
     subtree that only dropped terms use is ever evaluated.  This is exact
     because sums may cancel but never create a component, so a support is
     a superset of the true one.
+
+    The node maps live in lists passed to :func:`_node_map`, in no
+    reference cycle, so they are freed the moment the pass returns.
     """
     context = axes[0][1].context
     one = context.one
@@ -827,42 +869,15 @@ def term_failures(
         if coeff not in (1, -1)
         for c in (coeff, -coeff)
     }
-    maps: list[dict | None] = [None] * len(nodes)
-    index: list[dict | None] = [None] * len(nodes)
-
-    def evaluate(nid: int) -> dict:
-        found = maps[nid]
-        if found is None:
-            name, a, b = nodes[nid]  # a leaf's a, b: axis, twist power
-            if name is None:
-                found = {(j,): v for j, v in enumerate(twists[a].images(b)) if v}
-            else:
-                left = evaluate(a)
-                if not left:
-                    found = {}
-                elif b is None:
-                    found = _apply(ops[name], left, one)
-                else:
-                    found = _join(ops[name], left, inverted(b), one)
-            maps[nid] = found
-        return found
-
-    def inverted(nid: int) -> dict:
-        """The map of ``nid`` indexed by basis index: b -> [(key, coefficient)]."""
-        found = index[nid]
-        if found is None:
-            found = {}
-            for k, vec in evaluate(nid).items():
-                for b, s in vec.items():
-                    found.setdefault(b, []).append((k, s))
-            index[nid] = found
-        return found
+    # Nodes, their maps and right-operand indexes (built on first use by
+    # _node_map), and what building them reads.
+    state = (nodes, [None] * len(nodes), [None] * len(nodes), ops, twists, one)
 
     failed: Failures = {}
     for c, terms in enumerate(plan):
         total: dict[tuple[int, ...], Vec] = {}
         for coeff, root, order, sign_of in terms:
-            for k, vec in evaluate(root).items():
+            for k, vec in _node_map(root, state).items():
                 t = k if order is None else tuple([k[j] for j in order])
                 s = coeff
                 for table, p, q in sign_of:

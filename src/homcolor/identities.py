@@ -22,6 +22,7 @@ whole pass.
 
 from __future__ import annotations
 
+import functools
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -216,6 +217,7 @@ SUITE_MEMBERS: dict[StructureKind, tuple[tuple[str, dict[str, str]], ...]] = {
 }
 
 
+@functools.cache
 def required_roles(kind: StructureKind) -> tuple[str, ...]:
     return tuple(sorted({role for tag, override in SUITE_MEMBERS[kind]
                          for _, role in _binding(tag, override)}))
@@ -223,12 +225,19 @@ def required_roles(kind: StructureKind) -> tuple[str, ...]:
 
 def _binding(tag: str, roles: Mapping[str, str] | None) -> tuple[tuple[str, str], ...]:
     """The identity's role slots bound to products (see
-    :func:`~homcolor.core._bind_slots`), as sorted (slot, role) pairs."""
+    :func:`~homcolor.core._bind_slots`), as sorted (slot, role) pairs.
+    Bindings are kept per tag and override; a refusal is raised again on
+    each call."""
+    return _bound(tag, frozenset(roles.items()) if roles else frozenset())
+
+
+@functools.lru_cache(maxsize=256)
+def _bound(tag: str, override: frozenset) -> tuple[tuple[str, str], ...]:
     try:
         spec = IDENTITY_CATALOG[tag]
     except KeyError:
         raise KeyError(f"unknown identity tag {tag!r}") from None
-    return tuple(sorted(_bind_slots(spec.defaults, roles, tag, "role").items()))
+    return tuple(sorted(_bind_slots(spec.defaults, dict(override), tag, "role").items()))
 
 
 def _evaluate(

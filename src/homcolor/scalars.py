@@ -21,6 +21,12 @@ linearly independent over Q(params), so a zero test is exact and the
 scalars form an integral domain.
 
 Division is deliberately absent: identity checking never divides.
+
+A context keeps one shared ``zero`` and ``one``, which ``scalar`` and
+``parse`` return for 0 and 1, so the kernel's ``is one`` shortcuts hold for
+every unit entry.  Both refer back to their context: a reference cycle of
+about five objects per context (per load and per ``union``), the only one a
+check leaves, kept on purpose.
 """
 
 from __future__ import annotations
@@ -202,8 +208,9 @@ class ScalarContext:
     def scalar(self, value: int | str | Fraction | Scalar) -> Scalar:
         """Coerce ``value`` into this context.
 
-        Strings are parsed with the scalar grammar; numbers become constants;
-        scalars from an equal context pass through, others are rebased.
+        Strings are parsed with the scalar grammar; numbers become constants,
+        0 and 1 the shared ``zero`` and ``one``; scalars from an equal context
+        pass through, others are rebased.
         """
         if isinstance(value, Scalar):
             if value.context == self:
@@ -214,6 +221,8 @@ class ScalarContext:
         coeff = _as_fraction(value)
         if coeff == 0:
             return self._zero
+        if coeff == 1:
+            return self._one
         return Scalar(self, (((), coeff),))
 
     def param(self, name: str) -> Scalar:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import homcolor as hc
+from homcolor import identities
 from homcolor.core import AlgebraPresentation, BilinearProduct, GradedSpace, LinearMap
 from homcolor.identities import (
     IDENTITY_CATALOG,
@@ -11,6 +12,7 @@ from homcolor.identities import (
     StructureKind,
     check_gi_identities,
     check_identity,
+    required_roles,
     run_suite,
 )
 from homcolor.grading import super_z2
@@ -107,6 +109,31 @@ class TestCheckIdentity:
         with pytest.raises(ValueError) as info:
             check(assoc_3dim)
         assert str(info.value) == message
+
+    def test_refusals_are_raised_on_every_call(self, assoc_3dim):
+        for _ in range(2):
+            with pytest.raises(KeyError, match="unknown identity tag 'NOT_A_TAG'"):
+                check_identity(assoc_3dim, "NOT_A_TAG")
+            with pytest.raises(ValueError, match=r"HOM_ASSOC has no role slots \['bogus'\]"):
+                check_identity(assoc_3dim, "HOM_ASSOC", {"bogus": "dot"})
+
+    def test_suite_members_are_bound_once(self, monkeypatch, hnp_4dim):
+        """Each (tag, role override) is bound on first use only, and each
+        kind's roles are read once."""
+        kind = StructureKind.ADMISSIBLE_HNP
+        identities._bound.cache_clear()
+        first = [c.to_dict() for c in run_suite(hnp_4dim, kind).checks]
+        binds = []
+        inner = identities._bind_slots
+        monkeypatch.setattr(identities, "_bind_slots", lambda *a: binds.append(a) or inner(*a))
+        assert [c.to_dict() for c in run_suite(hnp_4dim, kind).checks] == first
+        assert required_roles(kind) == ("diamond", "dot")
+        assert binds == []
+        # A binding not seen before is made once, then kept.
+        for _ in range(2):
+            report = check_identity(hnp_4dim, "HOM_ASSOC", {"product": "diamond"})
+            assert dict(report.roles) == {"product": "diamond"}
+        assert binds == [(IDENTITY_CATALOG["HOM_ASSOC"].defaults, {"product": "diamond"}, "HOM_ASSOC", "role")]
 
     def test_role_override(self, hnp_4dim):
         report = check_identity(hnp_4dim, "NOVIKOV_RCOMM", roles={"product": "diamond"})

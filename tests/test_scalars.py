@@ -215,6 +215,13 @@ class TestIntegerLiterals:
         assert ctx.parse("0") is ctx.zero
         assert ctx.parse("-0") is ctx.zero
         assert ctx.parse("1") is ctx.one
+        # Numbers too, so the kernel's ``is one`` shortcuts hold for unit
+        # entries read from JSON integers.
+        for value in (1, Fraction(3, 3), "1"):
+            assert ctx.scalar(value) is ctx.one, value
+        for value in (0, Fraction(0, 5), "0"):
+            assert ctx.scalar(value) is ctx.zero, value
+        assert ctx.scalar(-1) == -ctx.one and ctx.scalar(-1) is not ctx.one
 
     @pytest.mark.parametrize("text", [" 1", "1 ", "+1", "\u0661", "1/1", "(1)", "--1", "1\n"])
     def test_other_text_takes_the_parser_path(self, ctx, text, monkeypatch):
