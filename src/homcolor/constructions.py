@@ -19,8 +19,9 @@ the side acted on:
 The matched-pair double A (+) B keeps both sides' products and adds the
 cells of both cross bundles.  The semidirect sum A (+) V is the double in
 which V has the zero product and does not act back on A.  Each matched-pair
-kind is one entry of :data:`MATCHED_PAIR_TABLE`, whose side conditions name
-B's products by slot, as the bimodule conditions do.
+kind is one entry of :data:`MATCHED_PAIR_TABLE`: the bimodule kind under
+which both cross bundles are checked, whose suite the double must pass, and
+the side conditions, derived from that suite as the bimodule conditions are.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .core import (
     operation,
     positions,
     run_checks,
-    twisted,
 )
 from .identities import StructureKind, run_suite
 from .reports import PASS, CheckReport, PreconditionError, SuiteReport
@@ -55,9 +55,11 @@ from .representations import (
     SLOT_ACTIONS,
     ActionBundle,
     BimoduleKind,
-    _bimodule_reports,
+    Condition,
+    _condition_reports,
     _resolve_slots,
     check_bimodule,
+    derive_conditions,
 )
 from .scalars import Scalar
 
@@ -304,212 +306,50 @@ class MatchedPairKind(Enum):
 
 # -- side conditions ---------------------------------------------------------------
 #
-# Each condition is a signed sum of product trees written from the A-side:
-# x is a basis position of A (position 0), a and b of B (positions 1, 2),
-# and the value lies in B.  al() is the twist image on either side; assoc,
-# novikov and lie are B's products, named by the slot of the pair's
-# bimodule kind they are bound to, as in the bimodule conditions; s_b, l_b,
-# r_b, rho_b are the actions of A on B and s_a, l_a, r_a, rho_a those of B
-# on A.  Each condition is checked twice: as written, and with the two
-# sides and the two cross bundles swapped, which gives the mirrored family
-# over (a in B; x, y in A).
+# The side conditions are the pair's suite on the double at tuples (x, a, b),
+# x in A and a, b in B, projected onto B; each row places x at one position
+# of an identity, and MP_LIE is eps(x, b) LIE_JACOBI(x, a, b).  The ``ba:``
+# cross check is the projection onto A, and swapping the sides covers the
+# tuples with one element of B.
 
 x, a, b = positions(3)
-al = twisted
-assoc, novikov, lie = (operation(n) for n in ("assoc", "novikov", "lie"))
-s_b, l_b, r_b, rho_b = (operation("on_b." + n) for n in ("s", "l", "r", "rho"))
-s_a, l_a, r_a, rho_a = (operation("on_a." + n) for n in ("s", "l", "r", "rho"))
 _ = ()
-
-
-def _times(coeff: int, pairs, terms) -> tuple:
-    """``terms`` multiplied by ``coeff`` and the sign ``pairs``."""
-    return tuple((coeff * c, pairs + p, t) for c, p, t in terms)
-
-
-_MP_ASSOC1 = (
-    (1, eps(b, x), assoc(al(a), s_b(x, b))),
-    (1, eps(a, (b, x)), s_b(s_a(b, x), al(a))),
-    (-1, eps((a, b), x), s_b(al(x), assoc(a, b))),
-)
-_MP_ASSOC2 = (
-    (1, _, assoc(al(a), s_b(x, b))),
-    (1, eps(a, (x, b)) + eps(x, b), s_b(s_a(b, x), al(a))),
-    (-1, eps(a, x), assoc(s_b(x, a), al(b))),
-    (-1, _, s_b(s_a(a, x), al(b))),
-)
-
-
-def _nov1_half(a, b):
-    return (
-        (1, _, r_b(al(x), novikov(a, b))),
-        (-1, _, novikov(al(a), r_b(x, b))),
-        (-1, _, r_b(l_a(b, x), al(a))),
-    )
-
-
-# N(r(x, a), al(b)) + l(l(a, x), al(b)) - N(al(a), l(x, b)) - r(r(b, x), al(a)),
-# shared by MP_NOV2 and MP_NOV3
-_NOV_R_FIRST = (
-    (1, _, novikov(r_b(x, a), al(b))),
-    (1, _, l_b(l_a(a, x), al(b))),
-    (-1, _, novikov(al(a), l_b(x, b))),
-    (-1, _, r_b(r_a(b, x), al(a))),
-)
-_MP_NOV1 = _nov1_half(a, b) + _times(-1, eps(a, b), _nov1_half(b, a))
-_MP_NOV2 = _NOV_R_FIRST + _times(-1, eps(a, x), (
-    (1, _, novikov(l_b(x, a), al(b))),
-    (1, _, l_b(r_a(a, x), al(b))),
-    (-1, _, l_b(al(x), novikov(a, b))),
-))
-_MP_NOV3 = (
-    (1, _, novikov(l_b(x, a), al(b))),
-    (-1, _, l_b(r_a(a, x), al(b))),
-    (-1, _, l_b(al(x), novikov(a, b))),
-) + _times(-1, eps(x, a), _NOV_R_FIRST)
-
-_MP_LIE = (
-    (1, eps(x, a), rho_b(rho_a(a, x), al(b))),
-    (-1, eps(x, a), lie(al(a), rho_b(x, b))),
-    (1, eps((a, x), b), lie(al(b), rho_b(x, a))),
-    (-1, eps((a, x), b), rho_b(rho_a(b, x), al(a))),
-    (1, _, rho_b(al(x), lie(a, b))),
-)
-
-_MP_HNP1 = (
-    (1, _, r_b(al(x), assoc(a, b))),
-    (-1, eps(b, x), assoc(r_b(x, a), al(b))),
-    (-1, eps(b, x), s_b(l_a(a, x), al(b))),
-)
-_MP_HNP2 = (
-    (1, _, l_b(s_a(a, x), al(b))),
-    (1, eps(a, x), novikov(s_b(x, a), al(b))),
-    (-1, eps(x, b) + eps((a, b), x), s_b(al(x), novikov(a, b))),
-)
-_MP_HNP3 = (
-    (1, eps(a, x), l_b(s_a(a, x), al(b))),
-    (1, _, novikov(s_b(x, a), al(b))),
-    (-1, eps(a, b), assoc(l_b(x, b), al(a))),
-    (-1, eps(a, b), s_b(r_a(b, x), al(a))),
-)
-
-
-def _hnp4_half(a, b):
-    return (
-        (1, eps((a, b), x), s_b(al(x), novikov(a, b))),
-        (-1, eps(b, x), novikov(al(a), s_b(x, b))),
-        (-1, _, r_b(s_a(b, x), al(a))),
-    )
-
-
-# A(r(x, a), al(b)) + s(l(a, x), al(b)) - N(al(a), s(x, b))
-#   - eps(x, b) r(s(b, x), al(a)), shared by MP_HNP5 and MP_HNP6
-_HNP_R_FIRST = (
-    (1, _, assoc(r_b(x, a), al(b))),
-    (1, _, s_b(l_a(a, x), al(b))),
-    (-1, _, novikov(al(a), s_b(x, b))),
-    (-1, eps(x, b), r_b(s_a(b, x), al(a))),
-)
-_MP_HNP4 = _hnp4_half(a, b) + _times(-1, eps(a, b), _hnp4_half(b, a))
-_MP_HNP5 = _HNP_R_FIRST + _times(-1, eps(a, x), (
-    (1, _, assoc(l_b(x, a), al(b))),
-    (-1, _, s_b(r_a(a, x), al(b))),
-    (-1, _, l_b(al(x), assoc(a, b))),
-))
-_MP_HNP6 = (
-    (1, _, assoc(l_b(x, a), al(b))),
-    (1, _, s_b(r_a(a, x), al(b))),
-    (-1, _, l_b(al(x), assoc(a, b))),
-) + _times(-1, eps(x, a), _HNP_R_FIRST)
-
-# The three GD side conditions are the mixed-placement instances of the
-# compatibility identity on the double, one per pattern of a single A-slot
-# among two B-slots, written out through the cross actions.  They are
-# derived from the double's product formulas rather than transcribed: the
-# circulating formulation of the first two carries slot and grouping typos
-# that fail on semidirect-limit data the closure theorem covers, and the
-# third pattern is omitted there entirely.
-
-# pattern (a, b, x): compatibility with X = a, Y = b, Z = x
-_MP_GD1 = (
-    (1, _, r_b(rho_a(a, x), al(b))),
-    (-1, eps(a, x), novikov(al(b), rho_b(x, a))),
-    (1, eps(a, x), rho_b(l_a(b, x), al(a))),
-    (-1, eps(b, a), lie(al(a), r_b(x, b))),
-    (1, eps((a, b), x), rho_b(al(x), novikov(b, a))),
-    (-1, _, r_b(al(x), lie(b, a))),
-    (1, eps(a, x), l_b(rho_a(b, x), al(a))),
-    (-1, eps((a, b), x), novikov(rho_b(x, b), al(a))),
-)
-# pattern (a, x, b): compatibility with X = a, Y = x, Z = b
-_MP_GD2 = (
-    (1, _, l_b(al(x), lie(a, b))),
-    (1, eps(a, b), rho_b(r_a(b, x), al(a))),
-    (-1, eps(x, a), lie(al(a), l_b(x, b))),
-    (-1, _, rho_b(r_a(a, x), al(b))),
-    (1, eps((a, x), b), lie(al(b), l_b(x, a))),
-    (1, eps(x, a), l_b(rho_a(a, x), al(b))),
-    (-1, _, novikov(rho_b(x, a), al(b))),
-    (-1, eps((a, x), b), l_b(rho_a(b, x), al(a))),
-    (1, eps(a, b), novikov(rho_b(x, b), al(a))),
-)
-# pattern (x, a, b): compatibility with X = x, Y = a, Z = b
-_MP_GD3 = (
-    (-1, eps(x, b), r_b(rho_a(b, x), al(a))),
-    (1, _, novikov(al(a), rho_b(x, b))),
-    (-1, eps(a, x), rho_b(al(x), novikov(a, b))),
-    (-1, _, rho_b(l_a(a, x), al(b))),
-    (1, eps((x, a), b), lie(al(b), r_b(x, a))),
-    (-1, _, l_b(rho_a(a, x), al(b))),
-    (1, eps(a, x), novikov(rho_b(x, a), al(b))),
-    (1, eps(x, b), r_b(al(x), lie(a, b))),
-)
-del x, a, b, al, assoc, novikov, lie, s_b, l_b, r_b, rho_b, s_a, l_a, r_a, rho_a, _
-
-_MP_ASSOC_CONDS = (("MP_ASSOC1", _MP_ASSOC1), ("MP_ASSOC2", _MP_ASSOC2))
-_MP_NOV_CONDS = (("MP_NOV1", _MP_NOV1), ("MP_NOV2", _MP_NOV2), ("MP_NOV3", _MP_NOV3))
-_MP_LIE_CONDS = (("MP_LIE", _MP_LIE),)
-_MP_HNP_CONDS = (
-    ("MP_HNP1", _MP_HNP1),
-    ("MP_HNP2", _MP_HNP2),
-    ("MP_HNP3", _MP_HNP3),
-    ("MP_HNP4", _MP_HNP4),
-    ("MP_HNP5", _MP_HNP5),
-    ("MP_HNP6", _MP_HNP6),
-)
-_MP_GD_CONDS = (("MP_GD1", _MP_GD1), ("MP_GD2", _MP_GD2), ("MP_GD3", _MP_GD3))
+_SIDE_ROWS = {
+    "HOM_ASSOC": (("MP_ASSOC1", 2, 1, _), ("MP_ASSOC2", 1, 1, _)),
+    "NOVIKOV_LSYM": (("MP_NOV1", 2, 1, _), ("MP_NOV2", 1, 1, _), ("MP_NOV3", 0, 1, _)),
+    "NOVIKOV_RCOMM": (("MP_NOV4", 2, 1, _), ("MP_NOV5", 1, 1, _), ("MP_NOV6", 0, 1, _)),
+    "LIE_JACOBI": (("MP_LIE", 0, 1, eps(x, b)),),
+    "HNP_COMPAT_1": (("MP_HNP1", 2, 1, _), ("MP_HNP2", 1, 1, _), ("MP_HNP3", 0, 1, _)),
+    "HNP_COMPAT_2": (("MP_HNP4", 2, 1, _), ("MP_HNP5", 1, 1, _), ("MP_HNP6", 0, 1, _)),
+    "GD_COMPAT": (("MP_GD1", 2, 1, _), ("MP_GD2", 1, 1, _), ("MP_GD3", 0, 1, _)),
+}
+del x, a, b, _
 
 
 class PairEntry(NamedTuple):
-    """A matched-pair kind: the bimodule kind of its cross bundles and of its
-    double, the suite the double must pass, and its side conditions."""
+    """A matched-pair kind: the bimodule kind of its cross bundles, whose
+    suite its double must pass, and its side conditions."""
 
     bimodule: BimoduleKind
-    suite: StructureKind
-    conditions: tuple[tuple[str, tuple[Term, ...]], ...]
+    conditions: tuple[Condition, ...]
 
 
 MATCHED_PAIR_TABLE: dict[MatchedPairKind, PairEntry] = {
-    MatchedPairKind.ASSOC: PairEntry(
-        BimoduleKind.ASSOC_BIMODULE, StructureKind.EPS_COMM_ASSOC, _MP_ASSOC_CONDS
-    ),
-    MatchedPairKind.NOVIKOV: PairEntry(
-        BimoduleKind.NOVIKOV_BIMODULE, StructureKind.HOM_NOVIKOV, _MP_NOV_CONDS
-    ),
-    MatchedPairKind.LIE: PairEntry(BimoduleKind.LIE_REP, StructureKind.HOM_LIE, _MP_LIE_CONDS),
-    MatchedPairKind.HNP: PairEntry(
-        BimoduleKind.HNP_BIMODULE,
-        StructureKind.HNP,
-        _MP_ASSOC_CONDS + _MP_NOV_CONDS + _MP_HNP_CONDS,
-    ),
-    MatchedPairKind.GD: PairEntry(
-        BimoduleKind.GD_REP, StructureKind.HOM_GD, _MP_LIE_CONDS + _MP_NOV_CONDS + _MP_GD_CONDS
-    ),
+    kind: PairEntry(bimodule, derive_conditions(
+        BIMODULE_TABLE[bimodule].slots, BIMODULE_TABLE[bimodule].suite, _SIDE_ROWS, "a"
+    ))
+    for kind, bimodule in (
+        (MatchedPairKind.ASSOC, BimoduleKind.ASSOC_BIMODULE),
+        (MatchedPairKind.NOVIKOV, BimoduleKind.NOVIKOV_BIMODULE),
+        (MatchedPairKind.LIE, BimoduleKind.LIE_REP),
+        (MatchedPairKind.HNP, BimoduleKind.HNP_BIMODULE),
+        (MatchedPairKind.GD, BimoduleKind.GD_REP),
+    )
 }
 
 
 def double_suite_kind(kind: MatchedPairKind) -> StructureKind:
-    return MATCHED_PAIR_TABLE[kind].suite
+    return BIMODULE_TABLE[MATCHED_PAIR_TABLE[kind].bimodule].suite
 
 
 def _pair_slots(kind: MatchedPairKind) -> dict[str, str]:
@@ -521,34 +361,24 @@ def check_matched_pair(
     pair: MatchedPairData,
     kind: MatchedPairKind,
 ) -> SuiteReport:
-    """Cross-bimodule checks in both directions, one per product slot of the
-    pair's bimodule kind under that slot's one-slot kind, plus the side
-    conditions."""
-    report = SuiteReport(kind=f"matched_pair[{kind.value}]")
+    """Both cross bundles under the pair's bimodule kind, then each side
+    condition for both directions."""
+    entry = MATCHED_PAIR_TABLE[kind]
     slots = _pair_slots(kind)
-    for slot, role in slots.items():
-        one_slot = next(k for k, entry in BIMODULE_TABLE.items() if list(entry.slots) == [slot])
-        for prefix, algebra, bundle in (("ab:", pair.a, pair.ab), ("ba:", pair.b, pair.ba)):
-            report.checks += _bimodule_reports(algebra, bundle, one_slot, {slot: role}, prefix)
-    conditions = MATCHED_PAIR_TABLE[kind].conditions
-    sides = []
-    for direction, left, right, forward, backward in (
-        ("ab", pair.a, pair.b, pair.ab, pair.ba),
-        ("ba", pair.b, pair.a, pair.ba, pair.ab),
+    conditions = BIMODULE_TABLE[entry.bimodule].conditions
+    cross, sides = [], []
+    for prefix, left, right, forward, backward in (
+        ("ab:", pair.a, pair.b, pair.ab, pair.ba),
+        ("ba:", pair.b, pair.a, pair.ba, pair.ab),
     ):
-        # Products are keyed by role and actions by (prefix, name).
-        ops = {role: right.product(role).row_cells for role in slots.values()}
-        binding = tuple(sorted(slots.items()))
-        for prefix, bundle in (("on_b.", forward), ("on_a.", backward)):
-            for name, rows in bundle._rows.items():
-                ops[(prefix, name)] = rows
-                binding += ((prefix + name, (prefix, name)),)
-        axes = ((left.space, left.alpha), (right.space, right.alpha), (right.space, right.alpha))
-        checks = [Check(f"{direction}:{label}", (terms, binding)) for label, terms in conditions]
-        sides.append(run_checks(checks, axes, ops, left.bichar, right.space))
-    # Each condition's report for the ab side, then for the ba side.
-    report.checks += [c for both in zip(*sides) for c in both]
-    return report
+        one, two = (left.space, left.alpha), (right.space, right.alpha)
+        cross += _condition_reports(conditions, prefix, ("a", left), {"ab": forward}, slots, (one, one, two))
+        bundles = {"ab": forward, "ba": backward}
+        side = _condition_reports(entry.conditions, prefix, ("b", right), bundles, slots, (one, two, two))
+        sides.append(side)
+    # Each side condition's report for the ab side, then for the ba side.
+    checks = cross + [c for both in zip(*sides) for c in both]
+    return SuiteReport(kind=f"matched_pair[{kind.value}]", checks=checks)
 
 
 def matched_pair_double(

@@ -864,7 +864,7 @@ def term_failures(
     ]
     scales = {
         c: context.scalar(c)
-        for terms in compiled
+        for terms in plan
         for coeff, _, _, _ in terms
         if coeff not in (1, -1)
         for c in (coeff, -coeff)

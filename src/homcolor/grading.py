@@ -57,6 +57,11 @@ class AbelianGroup:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            other.__class__ is self.__class__ and self.torsion == other.torsion and self.free == other.free
+        )
+
     @property
     def rank(self) -> int:
         return len(self.torsion) + self.free
@@ -149,7 +154,7 @@ class Bicharacter:
         return tuple(tuple(signs[a, b] for b in cols) for a in rows)
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Bicharacter)
             and self.group == other.group
             and self.matrix == other.matrix

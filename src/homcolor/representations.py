@@ -7,18 +7,22 @@ enforced at construction, so violations are load errors rather than check
 failures.  Regular and pullback bundles build their rows from nonzero cells.
 
 Each bimodule kind is one entry of :data:`BIMODULE_TABLE`: its product
-slots with their default roles, and its conditions.  :data:`SLOT_ACTIONS`
-is the one source of which actions act through each slot; a kind's actions,
-the multiplication side of regular and pullback bundles, the direct-sum
-cross rule and the loader's action names all come from it.  Each condition
-is a tuple of signed product-tree terms over (algebra basis)^2 x (module
-basis), whose nodes are the kind's product slots and actions.  :func:`check_bimodule` evaluates all conditions of a
-kind together in one pass of the identity engine's evaluator
-(:func:`~homcolor.core.run_checks`), over nonzero cells and whole index
-tuples, sharing each subtree map between the conditions, and reports each
-condition's smallest failing tuple.  The bundle keeps those reports, so a
-second check of it against the same presentation object, such as the one
-:func:`~homcolor.constructions.semidirect_sum` makes, evaluates nothing.
+slots with their default roles, the suite its semidirect sum must pass, and
+its conditions.  :data:`SLOT_ACTIONS` is the one source of which actions act
+through each slot; a kind's actions, the multiplication side of regular and
+pullback bundles, the direct-sum cross rule, the loader's action names and
+every condition all come from it.  A bundle is a bimodule when its
+semidirect sum A (+) V passes the kind's suite, so each condition is one
+identity of that suite placed on the sum with the module element at one tuple
+position, projected onto V and multiplied by a unit (:func:`derive_conditions`
+builds them once, at import, from a table of rows).  :func:`check_bimodule`
+evaluates all conditions of a kind together in one pass of the identity
+engine's evaluator (:func:`~homcolor.core.run_checks`), over nonzero cells
+and whole index tuples, sharing each subtree map between the conditions, and
+reports each condition's smallest failing tuple.  The bundle keeps those
+reports, so a second check of it against the same presentation object, such
+as the one :func:`~homcolor.constructions.semidirect_sum` makes, evaluates
+nothing.
 """
 
 from __future__ import annotations
@@ -33,14 +37,14 @@ from .core import (
     LinearMap,
     Rows,
     Term,
+    Tree,
     _bind_slots,
     eps,
     is_morphism,
-    operation,
     positions,
     run_checks,
-    twisted,
 )
+from .identities import IDENTITY_CATALOG, SUITE_MEMBERS, StructureKind, _binding
 from .reports import CheckReport, PreconditionError, SuiteReport
 from .scalars import Scalar, ScalarContext
 
@@ -148,115 +152,122 @@ def slot_actions(slots: Iterable[str]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(name for slot in slots for name in SLOT_ACTIONS[slot][:2]))
 
 
-# -- condition defects ----------------------------------------------------------
+# -- conditions derived from the identity catalogue ------------------------------
 #
-# Each condition is a signed sum of product trees over (x, y, v): x and y
-# are algebra basis positions 0 and 1, v the module basis position 2.
-# al() is the twist image (alpha on the algebra, beta on the module); a
-# product slot's operation is named after the slot, an action after itself,
-# and s(x, v) is the action of x on v.
+# A condition is an identity on the sum A (+) V or double A (+) B at tuples
+# holding one basis element of one side (the lone element), projected onto
+# side "b" and multiplied by a unit, +-1 or +-eps(p, q).  Its positions are in
+# report order: those on side "a" first, each side in the identity's order.
+
+
+class Condition(NamedTuple):
+    """A condition: its identity with role slots bound to product slots, the
+    identity's position of the lone element, the unit and the terms."""
+
+    label: str
+    tag: str
+    slots: tuple[tuple[str, str], ...]
+    at: int
+    unit: tuple[int, tuple[tuple[int, int], ...]]
+    terms: tuple[Term, ...]
+
+
+def _leaves(tree: Tree) -> tuple[int, ...]:
+    if isinstance(tree[0], str):
+        return tuple(p for sub in tree[1:] for p in _leaves(sub))
+    return (tree[0],)
+
+
+def _split(tree: Tree, slots: Mapping[str, str], sides: Sequence[str], new: Sequence[int]) -> dict:
+    """The terms of ``tree`` on the sum or double by the side each lands on,
+    position p renumbered ``new[p]``.
+
+    Position p holds a basis element of side ``sides[p]``, the twist keeps
+    each side, and ``slots`` binds each operation name to a product slot.
+    Operands on one side multiply there (``a.<slot>``, ``b.<slot>``); u of
+    side s and w of side t multiply by the slot's cross rule (SLOT_ACTIONS):
+    u.w is the action ``st.<x.y>`` of u on w, on side t, plus factor(eps(u, w))
+    times the action ``ts.<y.x>`` of w on u, on side s.
+    """
+    if not isinstance(tree[0], str):
+        return {sides[tree[0]]: [(1, (), (new[tree[0]], tree[1]))]}
+    slot = slots[tree[0]]
+    x_y, y_x, factor = SLOT_ACTIONS[slot]
+    sign, with_eps = factor(1), factor(-1) != factor(1)  # factor(e) = sign * e**with_eps
+    left, right = (_split(sub, slots, sides, new) for sub in tree[1:])
+    out: dict[str, list[Term]] = {}
+    for s, lefts in left.items():
+        for t, rights in right.items():
+            for cu, pu, u in lefts:
+                for cw, pw, w in rights:
+                    if s == t:
+                        out.setdefault(s, []).append((cu * cw, pu + pw, (f"{s}.{slot}", u, w)))
+                        continue
+                    out.setdefault(t, []).append((cu * cw, pu + pw, (f"{s}{t}.{x_y}", u, w)))
+                    e = tuple((p, q) for p in _leaves(u) for q in _leaves(w)) if with_eps else ()
+                    out.setdefault(s, []).append((sign * cu * cw, pu + pw + e, (f"{t}{s}.{y_x}", w, u)))
+    return out
+
+
+def derive_conditions(
+    slots: Mapping[str, str], suite: StructureKind, rows: Mapping[str, tuple], lone: str
+) -> tuple[Condition, ...]:
+    """The conditions of ``rows`` for the members of ``suite``, in member
+    order, with the lone element on side ``lone`` ("b" for a bimodule, "a"
+    for a matched pair's side conditions) and each member's roles bound to
+    the slots of ``slots`` that carry them."""
+    slot_of = {role: slot for slot, role in slots.items()}
+    out = []
+    for tag, override in SUITE_MEMBERS[suite]:
+        spec = IDENTITY_CATALOG[tag]
+        bound = {name: slot_of[role] for name, role in _binding(tag, override)}
+        for label, at, coeff, pairs in rows.get(tag, ()):
+            sides = ["b" if (p == at) == (lone == "b") else "a" for p in range(spec.arity)]
+            order = sorted(range(spec.arity), key=lambda p: sides[p])
+            new = [order.index(p) for p in range(spec.arity)]
+            terms = tuple(
+                (coeff * c * c2, pairs + tuple((new[p], new[q]) for p, q in ps) + ps2, t)
+                for c, ps, tree in spec.terms
+                for c2, ps2, t in _split(tree, bound, sides, new).get("b", ())
+            )
+            out.append(Condition(label, tag, tuple(sorted(bound.items())), at, (coeff, pairs), terms))
+    return tuple(out)
+
 
 x, y, v = positions(3)
-al = twisted
-assoc, novikov, lie = (operation(n) for n in ("assoc", "novikov", "lie"))
-s, l, r, rho = (operation(n) for n in ("s", "l", "r", "rho"))
 _ = ()
-
-_ASSOC = ((1, _, s(assoc(x, y), al(v))), (-1, _, s(al(x), s(y, v))))
-_NOV1 = (
-    (1, _, l(novikov(x, y), al(v))),
-    (-1, _, l(al(x), l(y, v))),
-    (-1, eps(x, y), l(novikov(y, x), al(v))),
-    (1, eps(x, y), l(al(y), l(x, v))),
-)
-_NOV2 = (
-    (1, _, r(al(y), l(x, v))),
-    (-1, _, l(al(x), r(y, v))),
-    (-1, eps(x, v), r(al(y), r(x, v))),
-    (1, eps(x, v), r(novikov(x, y), al(v))),
-)
-_NOV3 = (
-    (1, _, r(al(y), r(x, v))),
-    (-1, _, r(novikov(x, y), al(v))),
-    (-1, eps(v, x), r(al(y), l(x, v))),
-    (1, eps(v, x), l(al(x), r(y, v))),
-)
-_NOV4 = ((1, _, l(novikov(x, y), al(v))), (-1, eps(y, v), r(al(y), l(x, v))))
-_NOV5 = ((1, _, r(al(y), l(x, v))), (-1, eps(v, y), l(novikov(x, y), al(v))))
-_NOV6 = ((1, _, r(al(y), r(x, v))), (-1, eps(x, y), r(al(x), r(y, v))))
-_LIE = (
-    (1, _, rho(lie(x, y), al(v))),
-    (-1, _, rho(al(x), rho(y, v))),
-    (1, eps(x, y), rho(al(y), rho(x, v))),
-)
-_HNP1 = ((1, _, l(assoc(x, y), al(v))), (-1, eps(x, y), s(al(y), l(x, v))))
-_HNP2 = ((1, _, r(al(y), s(x, v))), (-1, eps(v, y), s(novikov(x, y), al(v))))
-_HNP3 = ((1, _, r(al(y), s(x, v))), (-1, _, s(al(x), r(y, v))))
-_HNP4 = (
-    (1, _, s(novikov(x, y), al(v))),
-    (-1, _, l(al(x), s(y, v))),
-    (-1, eps(x, y), s(novikov(y, x), al(v))),
-    (1, eps(x, y), l(al(y), s(x, v))),
-)
-_HNP5 = (
-    (1, eps((x, v), y), s(al(y), l(x, v))),
-    (-1, eps((x, v), y) + eps(x, v), s(al(y), r(x, v))),
-    (-1, eps(v, y), l(al(x), s(y, v))),
-    (1, eps(x, v), r(assoc(x, y), al(v))),
-)
-_GD1 = (
-    (1, _, l(al(y), rho(x, v))),
-    (-1, _, rho(novikov(y, x), al(v))),
-    (-1, eps(y, x), rho(al(x), l(y, v))),
-    (1, eps(x, v), r(al(x), rho(y, v))),
-    (-1, _, l(lie(y, x), al(v))),
-)
-_GD2 = (
-    (1, _, r(lie(x, y), al(v))),
-    (-1, eps(v, x), rho(al(x), r(y, v))),
-    (1, eps(v, x), r(al(y), rho(x, v))),
-    (-1, eps((x, v), y), r(al(x), rho(y, v))),
-    (1, eps((x, v), y), rho(al(y), r(x, v))),
-)
-del x, y, v, al, assoc, novikov, lie, s, l, r, rho, _
-
-_ASSOC_CONDS = (("ASSOC_BIMODULE", _ASSOC),)
-_NOV_CONDS = (
-    ("NOV_COND1", _NOV1),
-    ("NOV_COND2", _NOV2),
-    ("NOV_COND3", _NOV3),
-    ("NOV_COND4", _NOV4),
-    ("NOV_COND5", _NOV5),
-    ("NOV_COND6", _NOV6),
-)
-_LIE_CONDS = (("LIE_REP", _LIE),)
-_HNP_CONDS = (
-    ("HNP_COND1", _HNP1),
-    ("HNP_COND2", _HNP2),
-    ("HNP_COND3", _HNP3),
-    ("HNP_COND4", _HNP4),
-    ("HNP_COND5", _HNP5),
-)
-_GD_CONDS = (("GD_COND1", _GD1), ("GD_COND2", _GD2))
+# label, position of the module element, unit; ASSOC_BIMODULE is
+# -HOM_ASSOC(x, y, v) and HNP_COND3 is eps(x, v) HNP_COMPAT_1(v, x, y).
+_BIMODULE_ROWS = {
+    "HOM_ASSOC": (("ASSOC_BIMODULE", 2, -1, _),),
+    "NOVIKOV_LSYM": (("NOV_COND1", 2, 1, _), ("NOV_COND2", 1, 1, _), ("NOV_COND3", 0, 1, _)),
+    "NOVIKOV_RCOMM": (("NOV_COND4", 2, 1, _), ("NOV_COND5", 1, 1, _), ("NOV_COND6", 0, 1, _)),
+    "LIE_JACOBI": (("LIE_REP", 2, -1, eps(x, v)),),
+    "HNP_COMPAT_1": (("HNP_COND1", 2, 1, _), ("HNP_COND2", 1, 1, _), ("HNP_COND3", 0, 1, eps(x, v))),
+    "HNP_COMPAT_2": (("HNP_COND4", 2, 1, _), ("HNP_COND5", 1, 1, _)),
+    "GD_COMPAT": (("GD_COND1", 2, 1, _), ("GD_COND2", 1, 1, _)),
+}
+del x, y, v, _
 
 
 class KindEntry(NamedTuple):
-    """A bimodule kind: its product slots with their default roles, and its conditions."""
+    """A bimodule kind: its product slots with their default roles, the
+    suite its semidirect sum must pass, and its conditions."""
 
     slots: dict[str, str]
-    conditions: tuple[tuple[str, tuple[Term, ...]], ...]
+    suite: StructureKind
+    conditions: tuple[Condition, ...]
 
 
 BIMODULE_TABLE: dict[BimoduleKind, KindEntry] = {
-    BimoduleKind.ASSOC_BIMODULE: KindEntry({"assoc": "dot"}, _ASSOC_CONDS),
-    BimoduleKind.NOVIKOV_BIMODULE: KindEntry({"novikov": "dot"}, _NOV_CONDS),
-    BimoduleKind.LIE_REP: KindEntry({"lie": "bracket"}, _LIE_CONDS),
-    BimoduleKind.HNP_BIMODULE: KindEntry(
-        {"assoc": "dot", "novikov": "diamond"}, _ASSOC_CONDS + _NOV_CONDS + _HNP_CONDS
-    ),
-    BimoduleKind.GD_REP: KindEntry(
-        {"novikov": "dot", "lie": "bracket"}, _NOV_CONDS + _LIE_CONDS + _GD_CONDS
-    ),
+    kind: KindEntry(slots, suite, derive_conditions(slots, suite, _BIMODULE_ROWS, "b"))
+    for kind, slots, suite in (
+        (BimoduleKind.ASSOC_BIMODULE, {"assoc": "dot"}, StructureKind.EPS_COMM_ASSOC),
+        (BimoduleKind.NOVIKOV_BIMODULE, {"novikov": "dot"}, StructureKind.HOM_NOVIKOV),
+        (BimoduleKind.LIE_REP, {"lie": "bracket"}, StructureKind.HOM_LIE),
+        (BimoduleKind.HNP_BIMODULE, {"assoc": "dot", "novikov": "diamond"}, StructureKind.HNP),
+        (BimoduleKind.GD_REP, {"novikov": "dot", "lie": "bracket"}, StructureKind.HOM_GD),
+    )
 }
 
 
@@ -284,33 +295,35 @@ def check_bimodule(
     key = (kind, tuple(slots.items()))
     kept = bundle._verdicts.get(key)
     if kept is None or kept[0] is not presentation:
-        reports = _bimodule_reports(presentation, bundle, kind, slots, "")
+        algebra = (presentation.space, presentation.alpha)
+        axes = (algebra, algebra, (bundle.module, bundle.beta))
+        conditions = BIMODULE_TABLE[kind].conditions
+        reports = _condition_reports(conditions, "", ("a", presentation), {"ab": bundle}, slots, axes)
         kept = bundle._verdicts[key] = (presentation, tuple(reports))
     return SuiteReport(kind=kind.value, checks=list(kept[1]))
 
 
-def _bimodule_reports(
-    presentation: AlgebraPresentation,
-    bundle: ActionBundle,
-    kind: BimoduleKind,
-    slots: Mapping[str, str],
+def _condition_reports(
+    conditions: Sequence[Condition],
     prefix: str,
+    products: tuple[str, AlgebraPresentation],
+    bundles: Mapping[str, ActionBundle],
+    slots: Mapping[str, str],
+    axes: Sequence[tuple[GradedSpace, LinearMap]],
 ) -> list[CheckReport]:
-    """The reports of the conditions of ``kind``, its product slots bound
-    to the roles of ``slots``, each check named ``prefix`` followed by its
-    condition's label."""
-    # Products are keyed by role and actions by ("action", name), so two
-    # slots bound to one role share its rows and its nodes.
+    """The reports of ``conditions`` from one pass, named ``prefix`` + label:
+    ``products`` is a side and the presentation whose products are that
+    side's, ``bundles`` the bundle of each direction ("ab", "ba").  Products
+    are keyed by role, so two slots bound to one role share rows and nodes."""
+    side, presentation = products
     ops = {role: presentation.product(role).row_cells for role in slots.values()}
-    binding = tuple(sorted(slots.items()))
-    for name in slot_actions(slots):
-        ops[("action", name)] = bundle.row_cells(name)
-        binding += ((name, ("action", name)),)
-    algebra = (presentation.space, presentation.alpha)
-    axes = (algebra, algebra, (bundle.module, bundle.beta))
-    conditions = BIMODULE_TABLE[kind].conditions
-    checks = [Check(prefix + label, (terms, binding)) for label, terms in conditions]
-    return run_checks(checks, axes, ops, presentation.bichar, bundle.module)
+    binding = tuple((f"{side}.{slot}", role) for slot, role in sorted(slots.items()))
+    for direction, bundle in bundles.items():
+        for name in slot_actions(slots):
+            ops[(direction, name)] = bundle.row_cells(name)
+            binding += ((f"{direction}.{name}", (direction, name)),)
+    checks = [Check(prefix + c.label, (c.terms, binding)) for c in conditions]
+    return run_checks(checks, axes, ops, presentation.bichar, axes[-1][0])
 
 
 def _multiplication_bundle(

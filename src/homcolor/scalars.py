@@ -189,7 +189,7 @@ class ScalarContext:
         self._one = Scalar(self, (((), 1),))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ScalarContext) and self._key == other._key
+        return self is other or (isinstance(other, ScalarContext) and self._key == other._key)
 
     def __hash__(self) -> int:
         return hash(self._key)
@@ -213,7 +213,7 @@ class ScalarContext:
         pass through, others are rebased.
         """
         if isinstance(value, Scalar):
-            if value.context == self:
+            if value.context is self or value.context == self:
                 return value
             return value.rebase(self)
         if isinstance(value, str):
@@ -283,8 +283,8 @@ class ScalarContext:
         """Parse the scalar grammar: integers, fractions p/q, declared names,
         sqrt(q) for declared radicands, ``+ - *`` and parentheses.
 
-        Plain ASCII integer literals, most entries of a table, skip the
-        tokenizer; 0 and 1 return the shared ``zero`` and ``one``."""
+        ASCII integer literals (most table entries) and bare declared names
+        skip the tokenizer; 0 and 1 return the shared ``zero`` and ``one``."""
         if _INT_LITERAL_RE.fullmatch(text):
             value = int(text)
             if value == 0:
@@ -292,6 +292,8 @@ class ScalarContext:
             if value == 1:
                 return self._one
             return Scalar(self, (((), value),))
+        if text in self._rank:
+            return Scalar(self, ((((text, 1),), 1),))
         return _Parser(self, text).parse()
 
 

@@ -2,14 +2,29 @@
 
 Everything here is written the slow, obvious way on purpose: structure
 constants are expanded to dense nested lists, multiplication is a literal
-triple loop, and each identity is re-derived from its formula without
-touching the kernel's defect expressions.  Verdicts and witnesses must
-agree with the kernel exactly.
+triple loop over the nonzero coordinates, and each identity is re-derived
+from its formula without touching the kernel's defect expressions.  Verdicts
+and witnesses must agree with the kernel exactly.
+
+The bimodule conditions and the matched-pair checks are judged by their
+definition: each is one identity of its kind evaluated by :class:`DenseOracle`
+on the semidirect sum or the double, built with ``force=True``, at tuples with
+the lone element at the condition's position, projected onto one summand and
+multiplied by the condition's unit (:func:`bimodule_references`,
+:func:`matched_pair_references`).
 """
 
 from itertools import product as iter_product
 
+from homcolor.constructions import (
+    MATCHED_PAIR_TABLE,
+    MatchedPairData,
+    matched_pair_double,
+    semidirect_sum,
+)
 from homcolor.core import AlgebraPresentation
+from homcolor.identities import IDENTITY_CATALOG
+from homcolor.representations import BIMODULE_TABLE
 
 
 def dense_product(A: AlgebraPresentation, role: str):
@@ -42,7 +57,11 @@ def d_mul(table, x, y):
     zero = table[0][0][0].context.zero
     out = [zero] * n
     for i in range(n):
+        if x[i].is_zero():
+            continue
         for j in range(n):
+            if y[j].is_zero():
+                continue
             for k in range(n):
                 out[k] = out[k] + x[i] * y[j] * table[i][j][k]
     return out
@@ -286,3 +305,81 @@ class DenseOracle:
             if not d_is_zero(self.defect(tag, roles, t)):
                 return t
         return None
+
+
+# -- conditions on a semidirect sum or a double -------------------------------
+
+
+def _placement(oracle, offset, condition, slots, lone):
+    """The defect of ``condition`` as a function of a report tuple.
+
+    The report lists the positions of the first summand (indices below
+    ``offset`` in the oracle's algebra) before those of the second, each in
+    the identity's order; the lone element, of side ``lone``, sits at the
+    identity's position ``condition.at``.  The identity's value there is
+    projected onto the second summand, reindexed from 0, and multiplied by
+    the unit (coefficient and eps of pairs of report positions)."""
+    arity = IDENTITY_CATALOG[condition.tag].arity
+    rest = [p for p in range(arity) if p != condition.at]
+    order = rest + [condition.at] if lone == "b" else [condition.at] + rest
+    firsts = arity - 1 if lone == "b" else 1
+    roles = {name: slots[slot] for name, slot in condition.slots}
+    coeff, pairs = condition.unit
+
+    def defect(t):
+        held = [i if r < firsts else offset + i for r, i in enumerate(t)]
+        point = [None] * arity
+        for r, p in enumerate(order):
+            point[p] = held[r]
+        sign = coeff
+        for p, q in pairs:
+            sign *= oracle.eps(held[p], held[q])
+        vec = oracle.defect(condition.tag, roles, tuple(point))
+        return {k - offset: s if sign == 1 else -s for k, s in enumerate(vec) if k >= offset and s.terms}
+
+    return defect
+
+
+def bimodule_references(A, bundle, kind):
+    """Each condition of ``check_bimodule(A, bundle, kind)`` by label: its
+    defect as a function of (x, y, v), its index sizes, its axes' names and
+    the space its defects lie in, all from the dense oracle on
+    ``semidirect_sum(..., force=True)``."""
+    oracle = DenseOracle(semidirect_sum(A, bundle, kind, force=True))
+    slots = BIMODULE_TABLE[kind].slots
+    module = bundle.module
+    return {
+        c.label: (
+            _placement(oracle, A.dim, c, slots, "b"),
+            (A.dim, A.dim, module.dim), (A.names, A.names, module.names), module,
+        )
+        for c in BIMODULE_TABLE[kind].conditions
+    }
+
+
+def matched_pair_references(pair, kind):
+    """Each check of ``check_matched_pair(pair, kind)`` by name, as
+    :func:`bimodule_references` gives them, from the dense oracle on
+    ``matched_pair_double(..., force=True)``: the ``ab:`` checks on the
+    double of ``pair``, the ``ba:`` checks on the double of the pair with
+    its sides and cross bundles swapped.  A cross-bimodule check projects
+    tuples with one element of the acted-on side onto that side, and a side
+    condition projects tuples with one element of the acting side onto the
+    other."""
+    entry = MATCHED_PAIR_TABLE[kind]
+    slots = BIMODULE_TABLE[entry.bimodule].slots
+    references = {}
+    for prefix, p in (("ab:", pair), ("ba:", MatchedPairData(pair.b, pair.a, pair.ba, pair.ab))):
+        oracle = DenseOracle(matched_pair_double(p, kind, force=True))
+        left, right = p.a, p.b
+        for c in BIMODULE_TABLE[entry.bimodule].conditions:
+            references[prefix + c.label] = (
+                _placement(oracle, left.dim, c, slots, "b"),
+                (left.dim, left.dim, right.dim), (left.names, left.names, right.names), right.space,
+            )
+        for c in entry.conditions:
+            references[prefix + c.label] = (
+                _placement(oracle, left.dim, c, slots, "a"),
+                (left.dim, right.dim, right.dim), (left.names, right.names, right.names), right.space,
+            )
+    return references

@@ -12,8 +12,8 @@ regular bundle (no fixture carries a ``module`` block), on the fixture and on
 the fixture with a corner constant bumped, is rewritten in a seeded even
 basis of the algebra and another of the module: under every applicable
 bimodule kind each condition keeps its status, and a failure gives the
-smallest failing tuple and defect of ``tests/reference_conditions`` on the
-new data.  A derivation D becomes P^-1 D P, and a morphism f from A to B
+smallest failing tuple and defect of its identity on the new data's
+semidirect sum, by the dense oracle.  A derivation D becomes P^-1 D P, and a morphism f from A to B
 becomes Q^-1 f P between A and B in their own seeded bases: each keeps its
 status, and a failure gives the smallest failing tuple and defect of the
 dense Leibniz, product-arm and twist-arm references of
@@ -21,13 +21,12 @@ dense Leibniz, product-arm and twist-arm references of
 it, plain or bumped, acting on each other by multiplication, is rewritten
 with P on A, Q on B and both cross bundles moved by both: under every
 matched-pair kind each check keeps its status, and a failure gives the
-smallest failing tuple and defect of ``tests/reference_conditions`` on the
-new data.  The two sides have different basis names, so a witness named
+smallest failing tuple and defect of its identity on the new data's double,
+by the dense oracle.  The two sides have different basis names, so a witness named
 from the wrong side's basis shows.
 """
 
 import random
-from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,7 +35,6 @@ from homcolor.constructions import (
     MATCHED_PAIR_TABLE,
     MatchedPairData,
     MatchedPairKind,
-    _pair_slots,
     check_matched_pair,
     is_ideal,
     quotient,
@@ -69,9 +67,14 @@ from homcolor.representations import (
 from homcolor.serialize import LoadError, load_presentation_file
 
 from tests.conftest import FIXTURES, load
-from tests.dense_oracle import DenseOracle, d_basis, d_sub
-from tests.reference_conditions import KIND_CONDITIONS, MP_CONDITIONS, BEval
-from tests.test_compiled_conditions import PAIR_FIXTURES, _reference_evaluator
+from tests.dense_oracle import (
+    DenseOracle,
+    bimodule_references,
+    d_basis,
+    d_sub,
+    matched_pair_references,
+)
+from tests.test_compiled_conditions import PAIR_FIXTURES
 from tests.util import (
     assert_reports_failure,
     bump_corner,
@@ -190,18 +193,13 @@ def test_bimodule_verdicts_survive_an_even_change_of_basis(name, A, kind, seed):
     B, moved = change_basis(A, seed), change_bundle_basis(bundle, P, Q, Q_inv)
     before, after = check_bimodule(A, bundle, kind), check_bimodule(B, moved, kind)
     assert [(c.check, c.status) for c in after.checks] == [(c.check, c.status) for c in before.checks]
-    ev, defects = BEval(B, moved, BIMODULE_TABLE[kind].slots), dict(KIND_CONDITIONS[kind])
-    sizes, axes = (B.dim, B.dim, moved.module.dim), (B.names, B.names, moved.module.names)
+    references = bimodule_references(B, moved, kind)
     for report in after.checks:
         if not report.passed:
-            defect = defects[report.check]
-            # product() runs in lexicographic order, so the first failing
-            # tuple is the smallest.
-            found = next(
-                ((t, d) for t in product(*map(range, sizes)) if (d := defect(ev, *t))), None
-            )
+            defect, sizes, axes, space = references[report.check]
+            found = smallest_failure(sizes, defect)
             assert found is not None, report.describe()
-            assert_reports_failure(report, found, axes, moved.module)
+            assert_reports_failure(report, found, axes, space)
 
 
 def _seeded_map(source, target, ctx, degree, seed):
@@ -315,31 +313,6 @@ def _multiplication_pair(A, B, kind):
     return MatchedPairData(A, B, ab, ba)
 
 
-def _matched_pair_references(pair, kind):
-    """Each check of ``check_matched_pair(pair, kind)`` by name: its
-    reference defect on an index tuple, its index sizes, its axes' names and
-    the space its defects lie in."""
-    references = {}
-    base = _reference_evaluator(pair, kind)
-    for side, ev, left, right, bundle in (
-        ("ab", base, pair.a, pair.b, pair.ab), ("ba", base.swap(), pair.b, pair.a, pair.ba),
-    ):
-        for label, defect in MP_CONDITIONS[kind]:
-            references[f"{side}:{label}"] = (
-                lambda *t, defect=defect, ev=ev: defect(ev, *t),
-                (left.dim, right.dim, right.dim), (left.names, right.names, right.names), right.space,
-            )
-        for slot, role in _pair_slots(kind).items():
-            one_slot = next(k for k, entry in BIMODULE_TABLE.items() if list(entry.slots) == [slot])
-            bev = BEval(left, bundle, {slot: role})
-            for label, defect in KIND_CONDITIONS[one_slot]:
-                references[f"{side}:{label}"] = (
-                    lambda *t, defect=defect, bev=bev: defect(bev, *t),
-                    (left.dim, left.dim, right.dim), (left.names, left.names, right.names), right.space,
-                )
-    return references
-
-
 @pytest.mark.parametrize(
     "name, A, kind, bumped", _matched_pair_cases(), ids=[n for n, *_ in _matched_pair_cases()]
 )
@@ -356,12 +329,10 @@ def test_matched_pair_verdicts_survive_an_even_change_of_basis(name, A, kind, bu
     )
     before, after = check_matched_pair(pair, kind), check_matched_pair(moved, kind)
     assert [(c.check, c.status) for c in after.checks] == [(c.check, c.status) for c in before.checks]
-    references = _matched_pair_references(moved, kind)
+    references = matched_pair_references(moved, kind)
     for report in after.checks:
         if not report.passed:
             defect, sizes, axes, space = references[report.check]
-            # product() runs in lexicographic order, so the first failing
-            # tuple is the smallest.
-            found = next(((t, d) for t in product(*map(range, sizes)) if (d := defect(*t))), None)
+            found = smallest_failure(sizes, defect)
             assert found is not None, report.describe()
             assert_reports_failure(report, found, axes, space)

@@ -1,12 +1,16 @@
-"""Compiled term plans against the per-tuple reference conditions.
+"""Compiled term plans against their definition on the sum or double.
 
 ``check_bimodule`` and ``check_matched_pair`` evaluate their conditions as
-term plans, in one pass over nonzero cells and whole index tuples.  Here every condition is also
-evaluated tuple by tuple through ``tests/reference_conditions.py`` and a
-brute-force scan, on perturbed regular bundles and perturbed matched pairs
-(annihilator patterns, and fixtures acting on themselves), and the two must
-agree in status, witness and defect.  On dense random actions, where most
-tuples fail, the plans must also give the reference defect on every tuple.
+term plans, in one pass over nonzero cells and whole index tuples.  Every
+condition is derived from an identity placed on the semidirect sum or the
+double, so here each is also judged by that definition: the dense oracle's
+value of its identity on ``semidirect_sum(..., force=True)`` or
+``matched_pair_double(..., force=True)``, at each tuple, projected onto one
+summand and times the condition's unit (``tests/dense_oracle.py``).  On
+perturbed regular bundles and perturbed matched pairs (annihilator patterns,
+and fixtures acting on themselves) the two must agree in status, witness and
+defect; on dense random actions, where most tuples fail, the plans must also
+give the oracle's defect on every tuple.
 The evaluator drops the terms whose support is empty; the catalogued
 identities are compared with ``tests/dense_oracle.py`` on annihilator
 patterns, where every nested product has an empty support, and on the same
@@ -51,8 +55,7 @@ from homcolor.representations import (
 from homcolor.scalars import ScalarContext
 
 from tests.conftest import load
-from tests.dense_oracle import DenseOracle
-from tests.reference_conditions import KIND_CONDITIONS, MP_CONDITIONS, BEval, MPEval
+from tests.dense_oracle import DenseOracle, bimodule_references, matched_pair_references
 from tests.test_properties import cross_action_family, pattern_algebra, pattern_pair
 from tests.util import (
     assert_reports_failure,
@@ -132,20 +135,20 @@ def perturbed_regular_bundles(draw):
     return A, kind, _perturbed(draw, regular_bundle(A, kind), A.space)
 
 
+def assert_checks_match(report, references):
+    """Every check of ``report`` gives its reference's smallest failing
+    tuple and defect, and every reference has its check."""
+    assert sorted(c.check for c in report.checks) == sorted(references)
+    for c in report.checks:
+        defect, sizes, axes, space = references[c.check]
+        assert_reports_failure(c, smallest_failure(sizes, defect), axes, space)
+
+
 @settings(max_examples=150)
 @given(data=perturbed_regular_bundles())
-def test_compiled_bimodule_conditions_match_reference(data):
+def test_compiled_bimodule_conditions_match_the_semidirect_sum(data):
     A, kind, bundle = data
-    report = hc.check_bimodule(A, bundle, kind)
-    ev = BEval(A, bundle, BIMODULE_TABLE[kind].slots)
-    axes = (A.names, A.names, bundle.module.names)
-    by_label = {c.check: c for c in report.checks}
-    assert list(by_label) == [label for label, _ in KIND_CONDITIONS[kind]]
-    for label, defect in KIND_CONDITIONS[kind]:
-        found = smallest_failure(
-            (A.dim, A.dim, bundle.module.dim), lambda t: defect(ev, *t)
-        )
-        assert_reports_failure(by_label[label], found, axes, bundle.module)
+    assert_checks_match(hc.check_bimodule(A, bundle, kind), bimodule_references(A, bundle, kind))
 
 
 # Fixtures with the products each matched-pair kind needs; a fixture paired
@@ -182,39 +185,15 @@ def perturbed_matched_pairs(draw):
     return MatchedPairData(left, right, ab, ba), kind
 
 
-def _reference_evaluator(pair, kind):
-    """The reference helper for ``pair``, oriented from the a-side."""
-    slots = _pair_slots(kind)
-    return MPEval(pair.a, pair.b, pair.ab, pair.ba, **{
-        k: v for k, v in (
-            ("dot", slots.get("assoc")), ("novikov", slots.get("novikov")), ("lie", slots.get("lie"))
-        ) if v
-    })
-
-
 @settings(max_examples=150)
 @given(data=perturbed_matched_pairs())
-def test_compiled_matched_pair_conditions_match_reference(data):
+def test_compiled_matched_pair_conditions_match_the_double(data):
     pair, kind = data
-    report = hc.check_matched_pair(pair, kind)
-    by_label = {c.check: c for c in report.checks}
-    base = _reference_evaluator(pair, kind)
-    for label, defect in MP_CONDITIONS[kind]:
-        for direction, ev, left, right in (
-            ("ab", base, pair.a, pair.b),
-            ("ba", base.swap(), pair.b, pair.a),
-        ):
-            found = smallest_failure(
-                (left.dim, right.dim, right.dim), lambda t: defect(ev, *t)
-            )
-            axes = (left.names, right.names, right.names)
-            assert_reports_failure(by_label[f"{direction}:{label}"], found, axes, right.space)
+    assert_checks_match(hc.check_matched_pair(pair, kind), matched_pair_references(pair, kind))
 
 
-def _reference_defects(sizes, defect) -> dict:
-    return {t: d for t, d in (
-        (t, defect(t)) for t in product(*(range(n) for n in sizes))
-    ) if d}
+def _every_defect(sizes, defect) -> dict:
+    return {t: d for t, d in ((t, defect(t)) for t in product(*(range(n) for n in sizes))) if d}
 
 
 def _dense_family(draw, acting, module, ctx):
@@ -235,45 +214,46 @@ def _dense_family(draw, acting, module, ctx):
 
 @settings(max_examples=60)
 @given(kind=st.sampled_from(list(BimoduleKind)), payload=st.data())
-def test_every_bimodule_defect_matches_reference(kind, payload):
-    candidates = [name for name in FIXTURES if set(BIMODULE_TABLE[kind].slots.values()) <= set(load(name).roles)]
+def test_every_bimodule_defect_matches_the_semidirect_sum(kind, payload):
+    slots = BIMODULE_TABLE[kind].slots
+    candidates = [name for name in FIXTURES if set(slots.values()) <= set(load(name).roles)]
     A = load(payload.draw(st.sampled_from(candidates)))
     actions = {
         name: _dense_family(payload.draw, A.space, A.space, A.context)
         for name in regular_bundle(A, kind).actions
     }
     bundle = ActionBundle(A.space, A.space, A.alpha, A.context, actions)
-    slots = BIMODULE_TABLE[kind].slots
-    ops = {slot: A.product(role).row_cells for slot, role in slots.items()}
-    ops.update((name, bundle.row_cells(name)) for name in actions)
+    ops = {"a." + slot: A.product(role).row_cells for slot, role in slots.items()}
+    ops.update(("ab." + name, bundle.row_cells(name)) for name in actions)
     axes = ((A.space, A.alpha),) * 2 + ((bundle.module, bundle.beta),)
-    ev = BEval(A, bundle, slots)
-    for (label, defect), (_, terms) in zip(KIND_CONDITIONS[kind], BIMODULE_TABLE[kind].conditions):
-        want = _reference_defects((A.dim, A.dim, A.dim), lambda t: defect(ev, *t))
-        assert every_failure(terms, axes, ops, A.bichar) == want, label
+    references = bimodule_references(A, bundle, kind)
+    for c in BIMODULE_TABLE[kind].conditions:
+        defect, sizes, _, _ = references[c.label]
+        assert every_failure(c.terms, axes, ops, A.bichar) == _every_defect(sizes, defect), c.label
 
 
 @settings(max_examples=60)
 @given(kind=st.sampled_from(list(MatchedPairKind)), payload=st.data())
-def test_every_matched_pair_defect_matches_reference(kind, payload):
+def test_every_side_condition_defect_matches_the_double(kind, payload):
     A = load(payload.draw(st.sampled_from(PAIR_FIXTURES[kind])))
     names = MATCHED_ACTIONS[kind]
-    ab = ActionBundle(A.space, A.space, A.alpha, A.context, {
-        name: _dense_family(payload.draw, A.space, A.space, A.context) for name in names
-    })
-    ba = ActionBundle(A.space, A.space, A.alpha, A.context, {
-        name: _dense_family(payload.draw, A.space, A.space, A.context) for name in names
-    })
+    ab, ba = (
+        ActionBundle(A.space, A.space, A.alpha, A.context, {
+            name: _dense_family(payload.draw, A.space, A.space, A.context) for name in names
+        })
+        for _ in range(2)
+    )
     slots = _pair_slots(kind)
-    base = _reference_evaluator(MatchedPairData(A, A, ab, ba), kind)
-    axes = ((A.space, A.alpha),) * 3
-    for ev, forward, backward in ((base, ab, ba), (base.swap(), ba, ab)):
-        ops = {slot: A.product(role).row_cells for slot, role in slots.items()}
-        for prefix, bundle in (("on_b.", forward), ("on_a.", backward)):
-            ops.update((prefix + name, bundle.row_cells(name)) for name in bundle.actions)
-        for (label, defect), (_, terms) in zip(MP_CONDITIONS[kind], MATCHED_PAIR_TABLE[kind].conditions):
-            want = _reference_defects((A.dim, A.dim, A.dim), lambda t: defect(ev, *t))
-            assert every_failure(terms, axes, ops, A.bichar) == want, label
+    references = matched_pair_references(MatchedPairData(A, A, ab, ba), kind)
+    for prefix, forward, backward in (("ab:", ab, ba), ("ba:", ba, ab)):
+        ops = {"b." + slot: A.product(role).row_cells for slot, role in slots.items()}
+        for side, bundle in (("ab.", forward), ("ba.", backward)):
+            ops.update((side + name, bundle.row_cells(name)) for name in names)
+        axes = ((A.space, A.alpha),) * 3
+        for c in MATCHED_PAIR_TABLE[kind].conditions:
+            defect, sizes, _, _ = references[prefix + c.label]
+            want = _every_defect(sizes, defect)
+            assert every_failure(c.terms, axes, ops, A.bichar) == want, prefix + c.label
 
 
 # -- terms whose support is empty --------------------------------------------

@@ -534,6 +534,6 @@ def test_matched_pair_conditions_name_only_their_slots_and_actions(kind):
     entry = MATCHED_PAIR_TABLE[kind]
     slots = BIMODULE_TABLE[entry.bimodule].slots
     actions = slot_actions(slots)
-    allowed = set(slots) | {side + name for side in ("on_a.", "on_b.") for name in actions}
-    for label, terms in entry.conditions:
-        assert operation_names(terms) <= allowed, label
+    allowed = {"b." + slot for slot in slots} | {side + name for side in ("ab.", "ba.") for name in actions}
+    for condition in entry.conditions:
+        assert operation_names(condition.terms) <= allowed, condition.label

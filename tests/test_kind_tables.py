@@ -1,9 +1,9 @@
 """What the bimodule and matched-pair kind tables decide, pinned by behaviour.
 
 For every matched-pair kind: the ordered check names of
-``check_matched_pair`` on a pair of regular bundles (cross bimodules first,
-one one-slot kind per product slot, then the side conditions, ``ab:``
-before ``ba:``), the digest of its reports, and ``double_suite_kind``.  For
+``check_matched_pair`` on a pair of regular bundles (both cross bundles
+first, each under the pair's bimodule kind, then the side conditions,
+``ab:`` before ``ba:``), the digest of its reports, and ``double_suite_kind``.  For
 every bimodule kind: the actions ``check_bimodule`` requires, the actions of
 its regular bundle, its check names and the digest of its reports.  Only
 public names are used, so the pins hold whatever tables produce them.
@@ -38,29 +38,22 @@ BIMODULE_ACTIONS = {
     BimoduleKind.GD_REP: {"l", "r", "rho"},
 }
 
-# Per matched-pair kind: its bimodule kind, the one-slot kinds of its cross
-# bimodule checks, its side conditions and the suite its double must pass.
-MP_NOV = ["MP_NOV1", "MP_NOV2", "MP_NOV3"]
+# Per matched-pair kind: the bimodule kind of its cross bimodule checks, its
+# side conditions and the suite its double must pass.
+MP_NOV = [f"MP_NOV{n}" for n in range(1, 7)]
 MATCHED = {
     MatchedPairKind.ASSOC: (
-        BimoduleKind.ASSOC_BIMODULE, [BimoduleKind.ASSOC_BIMODULE],
-        ["MP_ASSOC1", "MP_ASSOC2"], hc.StructureKind.EPS_COMM_ASSOC,
+        BimoduleKind.ASSOC_BIMODULE, ["MP_ASSOC1", "MP_ASSOC2"], hc.StructureKind.EPS_COMM_ASSOC,
     ),
-    MatchedPairKind.NOVIKOV: (
-        BimoduleKind.NOVIKOV_BIMODULE, [BimoduleKind.NOVIKOV_BIMODULE],
-        MP_NOV, hc.StructureKind.HOM_NOVIKOV,
-    ),
-    MatchedPairKind.LIE: (
-        BimoduleKind.LIE_REP, [BimoduleKind.LIE_REP], ["MP_LIE"], hc.StructureKind.HOM_LIE,
-    ),
+    MatchedPairKind.NOVIKOV: (BimoduleKind.NOVIKOV_BIMODULE, MP_NOV, hc.StructureKind.HOM_NOVIKOV),
+    MatchedPairKind.LIE: (BimoduleKind.LIE_REP, ["MP_LIE"], hc.StructureKind.HOM_LIE),
     MatchedPairKind.HNP: (
-        BimoduleKind.HNP_BIMODULE, [BimoduleKind.ASSOC_BIMODULE, BimoduleKind.NOVIKOV_BIMODULE],
+        BimoduleKind.HNP_BIMODULE,
         ["MP_ASSOC1", "MP_ASSOC2", *MP_NOV, *(f"MP_HNP{n}" for n in range(1, 7))],
         hc.StructureKind.HNP,
     ),
     MatchedPairKind.GD: (
-        BimoduleKind.GD_REP, [BimoduleKind.NOVIKOV_BIMODULE, BimoduleKind.LIE_REP],
-        ["MP_LIE", *MP_NOV, "MP_GD1", "MP_GD2", "MP_GD3"], hc.StructureKind.HOM_GD,
+        BimoduleKind.GD_REP, [*MP_NOV, "MP_LIE", "MP_GD1", "MP_GD2", "MP_GD3"], hc.StructureKind.HOM_GD,
     ),
 }
 
@@ -86,10 +79,10 @@ BIMODULE_DIGESTS = {
 }
 MATCHED_DIGESTS = {
     MatchedPairKind.ASSOC: "02e9b34cbd0a89c0",
-    MatchedPairKind.NOVIKOV: "ec00689faf75a381",
+    MatchedPairKind.NOVIKOV: "f4b2f8ff813af9a4",
     MatchedPairKind.LIE: "f81f040347ecc985",
-    MatchedPairKind.HNP: "21dca10288096841",
-    MatchedPairKind.GD: "31208ee3439e06eb",
+    MatchedPairKind.HNP: "f7ff1b4d4aadcefd",
+    MatchedPairKind.GD: "edb302714c1c141a",
 }
 
 
@@ -117,11 +110,10 @@ def _matched_pair_reports(kind: MatchedPairKind):
 
 @pytest.mark.parametrize("kind", list(MatchedPairKind), ids=lambda k: k.value)
 def test_matched_pair_check_order(kind):
-    _, cross_kinds, side, suite = MATCHED[kind]
+    bimodule_kind, side, suite = MATCHED[kind]
     want = []
-    for cross_kind in cross_kinds:
-        for direction in ("ab", "ba"):
-            want += [f"{direction}:{name}" for name in BIMODULE_CHECKS[cross_kind]]
+    for direction in ("ab", "ba"):
+        want += [f"{direction}:{name}" for name in BIMODULE_CHECKS[bimodule_kind]]
     want += [f"{direction}:{name}" for name in side for direction in ("ab", "ba")]
     reports = _matched_pair_reports(kind)
     for report in reports:

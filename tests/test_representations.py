@@ -283,7 +283,8 @@ def test_regular_bundle_theorem_property(request):
 
 @pytest.mark.parametrize("kind", list(BimoduleKind), ids=lambda k: k.value)
 def test_bimodule_conditions_name_only_their_slots_and_actions(kind):
+    # The algebra's products by slot, and the actions of those slots on V.
     entry = BIMODULE_TABLE[kind]
-    allowed = set(entry.slots) | set(slot_actions(entry.slots))
-    for label, terms in entry.conditions:
-        assert operation_names(terms) <= allowed, label
+    allowed = {"a." + slot for slot in entry.slots} | {"ab." + name for name in slot_actions(entry.slots)}
+    for condition in entry.conditions:
+        assert operation_names(condition.terms) <= allowed, condition.label

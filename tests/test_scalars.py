@@ -241,6 +241,43 @@ class TestIntegerLiterals:
         assert seen == []
 
 
+class TestDeclaredNames:
+    """``parse`` reads a bare declared parameter or root name without the
+    tokenizer; any other name text takes the parser, with its messages."""
+
+    @staticmethod
+    def _recording(monkeypatch):
+        seen = []
+
+        class Recording(_Parser):
+            def __init__(self, context, source):
+                seen.append(source)
+                super().__init__(context, source)
+
+        monkeypatch.setattr(scalars_module, "_Parser", Recording)
+        return seen
+
+    @pytest.mark.parametrize("name", ["lambda1", "mu2", "sqrt2"])
+    def test_a_declared_name_skips_the_parser(self, ctx, name, monkeypatch):
+        expected = _Parser(ctx, name).parse()
+        seen = self._recording(monkeypatch)
+        value = ctx.parse(name)
+        assert seen == []
+        assert value == expected and value.terms == expected.terms
+        assert value == (ctx.root(name) if name in ctx.roots else ctx.param(name))
+
+    @pytest.mark.parametrize("text", ["lambda9", "sqrt", "Lambda1", " lambda1", "lambda1 ", "lambda1*mu2"])
+    def test_other_name_text_takes_the_parser_path(self, ctx, text, monkeypatch):
+        expected = _outcome(lambda t: _Parser(ctx, t).parse(), text)
+        seen = self._recording(monkeypatch)
+        assert _outcome(ctx.parse, text) == expected
+        assert seen == [text]
+
+    def test_an_undeclared_name_is_refused_with_the_parser_message(self, ctx):
+        with pytest.raises(ScalarParseError, match=r"^undeclared name 'lambda9' at position 0$"):
+            ctx.parse("lambda9")
+
+
 _small = st.integers(min_value=-4, max_value=4)
 
 

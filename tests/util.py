@@ -132,18 +132,14 @@ def operation_names(terms) -> set[str]:
 
 
 def smallest_failure(sizes, defect):
-    """Brute force: evaluate ``defect`` on every index tuple, keep the
-    nonzero ones, and return the smallest failing tuple with its defect
-    (or None when every defect is zero)."""
-    failing = {}
+    """Brute force: evaluate ``defect`` on the index tuples in lexicographic
+    order and return the first failing one with its defect (or None when
+    every defect is zero)."""
     for t in product(*(range(n) for n in sizes)):
         d = defect(t)
         if d:
-            failing[t] = d
-    if not failing:
-        return None
-    t = min(failing)
-    return t, failing[t]
+            return t, d
+    return None
 
 
 def every_failure(terms, axes, ops, bichar) -> dict:
