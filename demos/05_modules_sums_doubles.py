@@ -3,8 +3,8 @@
 Every structure kind has a regular bundle (the algebra acting on itself)
 that satisfies its bimodule conditions; the semidirect sum glues a verified
 bundle onto the algebra.  Matched pairs carry actions in both directions and
-side conditions; the double collapses to the semidirect sum when one side
-acts by zero.
+are checked as their double, which must pass the kind's suite; the double
+collapses to the semidirect sum when one side acts by zero.
 """
 
 import pathlib

@@ -19,16 +19,17 @@ the side acted on:
 The matched-pair double A (+) B keeps both sides' products and adds the
 cells of both cross bundles.  The semidirect sum A (+) V is the double in
 which V has the zero product and does not act back on A.  Each matched-pair
-kind is one entry of :data:`MATCHED_PAIR_TABLE`: the bimodule kind under
-which both cross bundles are checked, whose suite the double must pass, and
-the side conditions, derived from that suite as the bimodule conditions are.
+kind maps to one bimodule kind in :data:`MATCHED_PAIR_TABLE`, whose slots
+bind the double's products.  A pair is matched when its double is an
+algebra of the kind, so :func:`check_matched_pair` is that kind's suite run
+on the double: it covers both sides' own suites and every tuple mixing them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .core import (
     AlgebraPresentation,
@@ -40,7 +41,6 @@ from .core import (
     Vec,
     _TWIST_ARM,
     _map_scalars,
-    eps,
     is_derivation,
     is_morphism,
     multiplicative_checks,
@@ -55,11 +55,7 @@ from .representations import (
     SLOT_ACTIONS,
     ActionBundle,
     BimoduleKind,
-    Condition,
-    _condition_reports,
-    _resolve_slots,
     check_bimodule,
-    derive_conditions,
 )
 from .scalars import Scalar
 
@@ -219,8 +215,7 @@ def _direct_sum(
     ``slots`` and the twist alpha (+) beta.
 
     For a double, ``B`` is V's presentation and ``bundles[1]`` the actions of
-    B on A; without ``B``, V multiplies to zero.  When two slots are bound to
-    one role, the later slot's table replaces the earlier one.
+    B on A; without ``B``, V multiplies to zero.
     """
     space, offset = _join_spaces(A.space, bundles[0].module, right_suffix)
     signs = A.bichar.table(space.degrees, space.degrees)
@@ -252,7 +247,6 @@ def semidirect_sum(
     presentation: AlgebraPresentation,
     bundle: ActionBundle,
     kind: BimoduleKind,
-    product_roles: Mapping[str, str] | None = None,
     force: bool = False,
 ) -> AlgebraPresentation:
     """Direct sum with the module, products extended by the bundle's actions.
@@ -261,10 +255,10 @@ def semidirect_sum(
     twist and beta.  Requires the bundle to pass ``check_bimodule``, whose
     reports the bundle keeps, so a check made just before is not repeated.
     """
-    report = check_bimodule(presentation, bundle, kind, product_roles)
+    report = check_bimodule(presentation, bundle, kind)
     if not report.passed and not force:
         raise PreconditionError("bundle fails the bimodule conditions", (report,))
-    return _direct_sum(presentation, (bundle,), _resolve_slots(kind, product_roles), "_v")
+    return _direct_sum(presentation, (bundle,), BIMODULE_TABLE[kind].slots, "_v")
 
 
 # -- matched pairs -----------------------------------------------------------------
@@ -304,81 +298,39 @@ class MatchedPairKind(Enum):
     GD = "gd"
 
 
-# -- side conditions ---------------------------------------------------------------
-#
-# The side conditions are the pair's suite on the double at tuples (x, a, b),
-# x in A and a, b in B, projected onto B; each row places x at one position
-# of an identity, and MP_LIE is eps(x, b) LIE_JACOBI(x, a, b).  The ``ba:``
-# cross check is the projection onto A, and swapping the sides covers the
-# tuples with one element of B.
-
-x, a, b = positions(3)
-_ = ()
-_SIDE_ROWS = {
-    "HOM_ASSOC": (("MP_ASSOC1", 2, 1, _), ("MP_ASSOC2", 1, 1, _)),
-    "NOVIKOV_LSYM": (("MP_NOV1", 2, 1, _), ("MP_NOV2", 1, 1, _), ("MP_NOV3", 0, 1, _)),
-    "NOVIKOV_RCOMM": (("MP_NOV4", 2, 1, _), ("MP_NOV5", 1, 1, _), ("MP_NOV6", 0, 1, _)),
-    "LIE_JACOBI": (("MP_LIE", 0, 1, eps(x, b)),),
-    "HNP_COMPAT_1": (("MP_HNP1", 2, 1, _), ("MP_HNP2", 1, 1, _), ("MP_HNP3", 0, 1, _)),
-    "HNP_COMPAT_2": (("MP_HNP4", 2, 1, _), ("MP_HNP5", 1, 1, _), ("MP_HNP6", 0, 1, _)),
-    "GD_COMPAT": (("MP_GD1", 2, 1, _), ("MP_GD2", 1, 1, _), ("MP_GD3", 0, 1, _)),
-}
-del x, a, b, _
-
-
-class PairEntry(NamedTuple):
-    """A matched-pair kind: the bimodule kind of its cross bundles, whose
-    suite its double must pass, and its side conditions."""
-
-    bimodule: BimoduleKind
-    conditions: tuple[Condition, ...]
-
-
-MATCHED_PAIR_TABLE: dict[MatchedPairKind, PairEntry] = {
-    kind: PairEntry(bimodule, derive_conditions(
-        BIMODULE_TABLE[bimodule].slots, BIMODULE_TABLE[bimodule].suite, _SIDE_ROWS, "a"
-    ))
-    for kind, bimodule in (
-        (MatchedPairKind.ASSOC, BimoduleKind.ASSOC_BIMODULE),
-        (MatchedPairKind.NOVIKOV, BimoduleKind.NOVIKOV_BIMODULE),
-        (MatchedPairKind.LIE, BimoduleKind.LIE_REP),
-        (MatchedPairKind.HNP, BimoduleKind.HNP_BIMODULE),
-        (MatchedPairKind.GD, BimoduleKind.GD_REP),
-    )
+# The bimodule kind of each matched-pair kind: its slots bind the double's
+# products, and its suite is the one the double must pass.
+MATCHED_PAIR_TABLE: dict[MatchedPairKind, BimoduleKind] = {
+    MatchedPairKind.ASSOC: BimoduleKind.ASSOC_BIMODULE,
+    MatchedPairKind.NOVIKOV: BimoduleKind.NOVIKOV_BIMODULE,
+    MatchedPairKind.LIE: BimoduleKind.LIE_REP,
+    MatchedPairKind.HNP: BimoduleKind.HNP_BIMODULE,
+    MatchedPairKind.GD: BimoduleKind.GD_REP,
 }
 
 
 def double_suite_kind(kind: MatchedPairKind) -> StructureKind:
-    return BIMODULE_TABLE[MATCHED_PAIR_TABLE[kind].bimodule].suite
+    return BIMODULE_TABLE[MATCHED_PAIR_TABLE[kind]].suite
 
 
-def _pair_slots(kind: MatchedPairKind) -> dict[str, str]:
-    """The product slots of the pair's bimodule kind, with their roles."""
-    return BIMODULE_TABLE[MATCHED_PAIR_TABLE[kind].bimodule].slots
+def _checked_double(
+    pair: MatchedPairData, kind: MatchedPairKind
+) -> tuple[AlgebraPresentation, SuiteReport]:
+    """The double A (+) B and its kind's suite on it."""
+    slots = BIMODULE_TABLE[MATCHED_PAIR_TABLE[kind]].slots
+    double = _direct_sum(pair.a, (pair.ab, pair.ba), slots, "_b", pair.b)
+    suite = run_suite(double, double_suite_kind(kind))
+    return double, SuiteReport(kind=f"matched_pair[{kind.value}]", checks=suite.checks)
 
 
 def check_matched_pair(
     pair: MatchedPairData,
     kind: MatchedPairKind,
 ) -> SuiteReport:
-    """Both cross bundles under the pair's bimodule kind, then each side
-    condition for both directions."""
-    entry = MATCHED_PAIR_TABLE[kind]
-    slots = _pair_slots(kind)
-    conditions = BIMODULE_TABLE[entry.bimodule].conditions
-    cross, sides = [], []
-    for prefix, left, right, forward, backward in (
-        ("ab:", pair.a, pair.b, pair.ab, pair.ba),
-        ("ba:", pair.b, pair.a, pair.ba, pair.ab),
-    ):
-        one, two = (left.space, left.alpha), (right.space, right.alpha)
-        cross += _condition_reports(conditions, prefix, ("a", left), {"ab": forward}, slots, (one, one, two))
-        bundles = {"ab": forward, "ba": backward}
-        side = _condition_reports(entry.conditions, prefix, ("b", right), bundles, slots, (one, two, two))
-        sides.append(side)
-    # Each side condition's report for the ab side, then for the ba side.
-    checks = cross + [c for both in zip(*sides) for c in both]
-    return SuiteReport(kind=f"matched_pair[{kind.value}]", checks=checks)
+    """The suite of the double: a pair is matched when A (+) B is an
+    algebra of the kind, so both sides' own suites and every tuple mixing
+    the sides are checked in one pass."""
+    return _checked_double(pair, kind)[1]
 
 
 def matched_pair_double(
@@ -387,11 +339,12 @@ def matched_pair_double(
     force: bool = False,
 ) -> AlgebraPresentation:
     """The double A (+) B: each side keeps its products, and both cross
-    bundles add their cells by the cross rule."""
-    report = check_matched_pair(pair, kind)
+    bundles add their cells by the cross rule.  The double is built once
+    and its own suite is the check."""
+    double, report = _checked_double(pair, kind)
     if not report.passed and not force:
         raise PreconditionError("matched-pair conditions fail", (report,))
-    return _direct_sum(pair.a, (pair.ab, pair.ba), _pair_slots(kind), "_b", pair.b)
+    return double
 
 
 # -- tensor products ---------------------------------------------------------------

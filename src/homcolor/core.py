@@ -635,19 +635,6 @@ def operation(name: str) -> Callable[..., Tree]:
     return lambda *subtrees: (name, *subtrees)
 
 
-def _bind_slots(defaults, overrides: Mapping | None, owner: str, what: str) -> dict[str, str]:
-    """Slots bound to products: ``defaults`` (a mapping or its pairs) updated
-    by ``overrides``, which are refused for a slot not in ``defaults`` as
-    "<owner> has no <what> slots [...]"."""
-    binding = dict(defaults)
-    if overrides:
-        unknown = set(overrides) - set(binding)
-        if unknown:
-            raise ValueError(f"{owner} has no {what} slots {sorted(unknown)}")
-        binding.update(overrides)
-    return binding
-
-
 def _apply(columns: Columns, sub: dict, one: Scalar) -> dict:
     """Apply a linear map, ``columns[a]`` the image of e_a, to a subtree map."""
     out = {}

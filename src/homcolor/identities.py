@@ -33,7 +33,6 @@ from .core import (
     AlgebraPresentation,
     Check,
     Term,
-    _bind_slots,
     eps,
     multiplicative_checks,
     operation,
@@ -223,9 +222,22 @@ def required_roles(kind: StructureKind) -> tuple[str, ...]:
                          for _, role in _binding(tag, override)}))
 
 
+def _bind_slots(defaults, overrides: Mapping | None, owner: str, what: str) -> dict[str, str]:
+    """Slots bound to products: ``defaults`` (a mapping or its pairs) updated
+    by ``overrides``, which are refused for a slot not in ``defaults`` as
+    "<owner> has no <what> slots [...]"."""
+    binding = dict(defaults)
+    if overrides:
+        unknown = set(overrides) - set(binding)
+        if unknown:
+            raise ValueError(f"{owner} has no {what} slots {sorted(unknown)}")
+        binding.update(overrides)
+    return binding
+
+
 def _binding(tag: str, roles: Mapping[str, str] | None) -> tuple[tuple[str, str], ...]:
-    """The identity's role slots bound to products (see
-    :func:`~homcolor.core._bind_slots`), as sorted (slot, role) pairs.
+    """The identity's role slots bound to products (see :func:`_bind_slots`),
+    as sorted (slot, role) pairs.
     Bindings are kept per tag and override; a refusal is raised again on
     each call."""
     return _bound(tag, frozenset(roles.items()) if roles else frozenset())

@@ -20,9 +20,11 @@ evaluates all conditions of a kind together in one pass of the identity
 engine's evaluator (:func:`~homcolor.core.run_checks`), over nonzero cells
 and whole index tuples, sharing each subtree map between the conditions, and
 reports each condition's smallest failing tuple.  The bundle keeps those
-reports, so a second check of it against the same presentation object, such
-as the one :func:`~homcolor.constructions.semidirect_sum` makes, evaluates
-nothing.
+reports by kind, so a second check of it against the same presentation
+object, such as the one :func:`~homcolor.constructions.semidirect_sum`
+makes, evaluates nothing.  A matched pair needs no conditions of its own:
+it is checked as its double's suite
+(:func:`~homcolor.constructions.check_matched_pair`).
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .core import (
     Rows,
     Term,
     Tree,
-    _bind_slots,
     eps,
     is_morphism,
     positions,
@@ -101,9 +102,9 @@ class ActionBundle:
         self.beta = beta
         self.context = context
         self._rows = rows
-        # check_bimodule's reports by (kind, resolved slots), each with the
-        # presentation object they were evaluated against.
-        self._verdicts: dict[tuple, tuple[AlgebraPresentation, tuple[CheckReport, ...]]] = {}
+        # check_bimodule's reports by kind, each with the presentation object
+        # they were evaluated against.
+        self._verdicts: dict[BimoduleKind, tuple[AlgebraPresentation, tuple[CheckReport, ...]]] = {}
 
     @property
     def actions(self) -> dict[str, tuple[LinearMap, ...]]:
@@ -154,10 +155,10 @@ def slot_actions(slots: Iterable[str]) -> tuple[str, ...]:
 
 # -- conditions derived from the identity catalogue ------------------------------
 #
-# A condition is an identity on the sum A (+) V or double A (+) B at tuples
-# holding one basis element of one side (the lone element), projected onto
-# side "b" and multiplied by a unit, +-1 or +-eps(p, q).  Its positions are in
-# report order: those on side "a" first, each side in the identity's order.
+# A condition is an identity on the sum A (+) V at tuples holding one basis
+# element of V (the lone element), projected onto V and multiplied by a unit,
+# +-1 or +-eps(p, q).  Its positions are in report order: those on A first,
+# then the module element.
 
 
 class Condition(NamedTuple):
@@ -179,7 +180,7 @@ def _leaves(tree: Tree) -> tuple[int, ...]:
 
 
 def _split(tree: Tree, slots: Mapping[str, str], sides: Sequence[str], new: Sequence[int]) -> dict:
-    """The terms of ``tree`` on the sum or double by the side each lands on,
+    """The terms of ``tree`` on the sum A (+) V by the side each lands on,
     position p renumbered ``new[p]``.
 
     Position p holds a basis element of side ``sides[p]``, the twist keeps
@@ -210,19 +211,18 @@ def _split(tree: Tree, slots: Mapping[str, str], sides: Sequence[str], new: Sequ
 
 
 def derive_conditions(
-    slots: Mapping[str, str], suite: StructureKind, rows: Mapping[str, tuple], lone: str
+    slots: Mapping[str, str], suite: StructureKind, rows: Mapping[str, tuple]
 ) -> tuple[Condition, ...]:
     """The conditions of ``rows`` for the members of ``suite``, in member
-    order, with the lone element on side ``lone`` ("b" for a bimodule, "a"
-    for a matched pair's side conditions) and each member's roles bound to
-    the slots of ``slots`` that carry them."""
+    order, with the module element on side "b" and each member's roles bound
+    to the slots of ``slots`` that carry them."""
     slot_of = {role: slot for slot, role in slots.items()}
     out = []
     for tag, override in SUITE_MEMBERS[suite]:
         spec = IDENTITY_CATALOG[tag]
         bound = {name: slot_of[role] for name, role in _binding(tag, override)}
         for label, at, coeff, pairs in rows.get(tag, ()):
-            sides = ["b" if (p == at) == (lone == "b") else "a" for p in range(spec.arity)]
+            sides = ["b" if p == at else "a" for p in range(spec.arity)]
             order = sorted(range(spec.arity), key=lambda p: sides[p])
             new = [order.index(p) for p in range(spec.arity)]
             terms = tuple(
@@ -260,7 +260,7 @@ class KindEntry(NamedTuple):
 
 
 BIMODULE_TABLE: dict[BimoduleKind, KindEntry] = {
-    kind: KindEntry(slots, suite, derive_conditions(slots, suite, _BIMODULE_ROWS, "b"))
+    kind: KindEntry(slots, suite, derive_conditions(slots, suite, _BIMODULE_ROWS))
     for kind, slots, suite in (
         (BimoduleKind.ASSOC_BIMODULE, {"assoc": "dot"}, StructureKind.EPS_COMM_ASSOC),
         (BimoduleKind.NOVIKOV_BIMODULE, {"novikov": "dot"}, StructureKind.HOM_NOVIKOV),
@@ -271,59 +271,34 @@ BIMODULE_TABLE: dict[BimoduleKind, KindEntry] = {
 }
 
 
-def _resolve_slots(kind: BimoduleKind, product_roles: Mapping[str, str] | None) -> dict[str, str]:
-    """The kind's product slots bound to roles (see :func:`~homcolor.core._bind_slots`)."""
-    return _bind_slots(BIMODULE_TABLE[kind].slots, product_roles, kind.value, "product")
-
-
 def check_bimodule(
     presentation: AlgebraPresentation,
     bundle: ActionBundle,
     kind: BimoduleKind,
-    product_roles: Mapping[str, str] | None = None,
 ) -> SuiteReport:
     """Evaluate every condition of ``kind`` over basis pairs times module basis.
 
-    The bundle keeps the reports by kind and resolved product slots, with
-    the presentation they were evaluated against; a later call for the same
-    kind and slots with that same presentation object (``is``, not ``==``)
-    returns them in a new report without evaluating again.
+    The bundle keeps the reports by kind, with the presentation they were
+    evaluated against; a later call for the same kind with that same
+    presentation object (``is``, not ``==``) returns them in a new report
+    without evaluating again.
     """
     if bundle.algebra_space != presentation.space:
         raise ValueError("bundle is indexed by a different algebra basis")
-    slots = _resolve_slots(kind, product_roles)
-    key = (kind, tuple(slots.items()))
-    kept = bundle._verdicts.get(key)
+    kept = bundle._verdicts.get(kind)
     if kept is None or kept[0] is not presentation:
+        slots = BIMODULE_TABLE[kind].slots
+        ops = {role: presentation.product(role).row_cells for role in slots.values()}
+        binding = tuple((f"a.{slot}", role) for slot, role in sorted(slots.items()))
+        for name in slot_actions(slots):
+            ops[("ab", name)] = bundle.row_cells(name)
+            binding += ((f"ab.{name}", ("ab", name)),)
+        checks = [Check(c.label, (c.terms, binding)) for c in BIMODULE_TABLE[kind].conditions]
         algebra = (presentation.space, presentation.alpha)
         axes = (algebra, algebra, (bundle.module, bundle.beta))
-        conditions = BIMODULE_TABLE[kind].conditions
-        reports = _condition_reports(conditions, "", ("a", presentation), {"ab": bundle}, slots, axes)
-        kept = bundle._verdicts[key] = (presentation, tuple(reports))
+        reports = run_checks(checks, axes, ops, presentation.bichar, bundle.module)
+        kept = bundle._verdicts[kind] = (presentation, tuple(reports))
     return SuiteReport(kind=kind.value, checks=list(kept[1]))
-
-
-def _condition_reports(
-    conditions: Sequence[Condition],
-    prefix: str,
-    products: tuple[str, AlgebraPresentation],
-    bundles: Mapping[str, ActionBundle],
-    slots: Mapping[str, str],
-    axes: Sequence[tuple[GradedSpace, LinearMap]],
-) -> list[CheckReport]:
-    """The reports of ``conditions`` from one pass, named ``prefix`` + label:
-    ``products`` is a side and the presentation whose products are that
-    side's, ``bundles`` the bundle of each direction ("ab", "ba").  Products
-    are keyed by role, so two slots bound to one role share rows and nodes."""
-    side, presentation = products
-    ops = {role: presentation.product(role).row_cells for role in slots.values()}
-    binding = tuple((f"{side}.{slot}", role) for slot, role in sorted(slots.items()))
-    for direction, bundle in bundles.items():
-        for name in slot_actions(slots):
-            ops[(direction, name)] = bundle.row_cells(name)
-            binding += ((f"{direction}.{name}", (direction, name)),)
-    checks = [Check(prefix + c.label, (c.terms, binding)) for c in conditions]
-    return run_checks(checks, axes, ops, presentation.bichar, axes[-1][0])
 
 
 def _multiplication_bundle(
@@ -331,7 +306,6 @@ def _multiplication_bundle(
     presentation: AlgebraPresentation,
     images: Sequence[Sequence[tuple[int, Scalar]]] | None,
     kind: BimoduleKind,
-    product_roles: Mapping[str, str] | None,
 ) -> ActionBundle:
     """Actions on ``presentation`` by multiplying through ``images``, o the
     product bound to each slot: e_i of ``algebra_space`` acts on e_j by
@@ -339,7 +313,7 @@ def _multiplication_bundle(
     images[i] through the one giving y.x (see SLOT_ACTIONS), with beta equal
     to the presentation's twist.  ``images`` is None for the presentation
     acting on itself, whose x.y rows are then the product's own rows."""
-    slots = _resolve_slots(kind, product_roles)
+    slots = BIMODULE_TABLE[kind].slots
     space, one = presentation.space, presentation.context.one
     actions: dict[str, Rows] = {}
     for slot, role in slots.items():
@@ -385,11 +359,10 @@ def _multiplication_bundle(
 def regular_bundle(
     presentation: AlgebraPresentation,
     kind: BimoduleKind,
-    product_roles: Mapping[str, str] | None = None,
 ) -> ActionBundle:
     """The presentation acting on itself: left/right multiplications and the
     adjoint action of the bracket, with beta equal to the twist."""
-    return _multiplication_bundle(presentation.space, presentation, None, kind, product_roles)
+    return _multiplication_bundle(presentation.space, presentation, None, kind)
 
 
 def pullback_bundle(
@@ -397,7 +370,6 @@ def pullback_bundle(
     source: AlgebraPresentation,
     target: AlgebraPresentation,
     kind: BimoduleKind = BimoduleKind.HNP_BIMODULE,
-    product_roles: Mapping[str, str] | None = None,
     force: bool = False,
 ) -> ActionBundle:
     """Actions of ``source`` on ``target`` by multiplying through f(x).
@@ -411,4 +383,4 @@ def pullback_bundle(
         raise PreconditionError("pullback needs a verified morphism", (morphism,))
     if not f.is_even:
         raise ValueError(f"pullback needs an even map, got one of degree {f.degree}")
-    return _multiplication_bundle(source.space, target, f.columns, kind, product_roles)
+    return _multiplication_bundle(source.space, target, f.columns, kind)

@@ -6,24 +6,21 @@ triple loop over the nonzero coordinates, and each identity is re-derived
 from its formula without touching the kernel's defect expressions.  Verdicts
 and witnesses must agree with the kernel exactly.
 
-The bimodule conditions and the matched-pair checks are judged by their
-definition: each is one identity of its kind evaluated by :class:`DenseOracle`
-on the semidirect sum or the double, built with ``force=True``, at tuples with
-the lone element at the condition's position, projected onto one summand and
-multiplied by the condition's unit (:func:`bimodule_references`,
-:func:`matched_pair_references`).
+The bimodule conditions are judged by their definition: each is one identity
+of its kind evaluated by :class:`DenseOracle` on the semidirect sum, built
+with ``force=True``, at tuples with the module element at the condition's
+position, projected onto the module and multiplied by the condition's unit
+(:func:`bimodule_references`).  A matched pair's checks are its double's
+suite, so each is :class:`DenseOracle` run on one member identity of that
+suite over the double built with ``force=True``
+(:func:`matched_pair_references`).
 """
 
 from itertools import product as iter_product
 
-from homcolor.constructions import (
-    MATCHED_PAIR_TABLE,
-    MatchedPairData,
-    matched_pair_double,
-    semidirect_sum,
-)
+from homcolor.constructions import double_suite_kind, matched_pair_double, semidirect_sum
 from homcolor.core import AlgebraPresentation
-from homcolor.identities import IDENTITY_CATALOG
+from homcolor.identities import IDENTITY_CATALOG, SUITE_MEMBERS
 from homcolor.representations import BIMODULE_TABLE
 
 
@@ -307,27 +304,24 @@ class DenseOracle:
         return None
 
 
-# -- conditions on a semidirect sum or a double -------------------------------
+# -- conditions on a semidirect sum; the suite of a double ----------------------
 
 
-def _placement(oracle, offset, condition, slots, lone):
-    """The defect of ``condition`` as a function of a report tuple.
+def _placement(oracle, offset, condition, slots):
+    """The defect of ``condition`` as a function of a report tuple (x, y, v).
 
-    The report lists the positions of the first summand (indices below
-    ``offset`` in the oracle's algebra) before those of the second, each in
-    the identity's order; the lone element, of side ``lone``, sits at the
+    The report lists the positions of the algebra (indices below ``offset``
+    in the oracle's algebra) before the module element, which sits at the
     identity's position ``condition.at``.  The identity's value there is
-    projected onto the second summand, reindexed from 0, and multiplied by
-    the unit (coefficient and eps of pairs of report positions)."""
+    projected onto the module, reindexed from 0, and multiplied by the unit
+    (coefficient and eps of pairs of report positions)."""
     arity = IDENTITY_CATALOG[condition.tag].arity
-    rest = [p for p in range(arity) if p != condition.at]
-    order = rest + [condition.at] if lone == "b" else [condition.at] + rest
-    firsts = arity - 1 if lone == "b" else 1
+    order = [p for p in range(arity) if p != condition.at] + [condition.at]
     roles = {name: slots[slot] for name, slot in condition.slots}
     coeff, pairs = condition.unit
 
     def defect(t):
-        held = [i if r < firsts else offset + i for r, i in enumerate(t)]
+        held = [i if r < arity - 1 else offset + i for r, i in enumerate(t)]
         point = [None] * arity
         for r, p in enumerate(order):
             point[p] = held[r]
@@ -350,7 +344,7 @@ def bimodule_references(A, bundle, kind):
     module = bundle.module
     return {
         c.label: (
-            _placement(oracle, A.dim, c, slots, "b"),
+            _placement(oracle, A.dim, c, slots),
             (A.dim, A.dim, module.dim), (A.names, A.names, module.names), module,
         )
         for c in BIMODULE_TABLE[kind].conditions
@@ -359,27 +353,20 @@ def bimodule_references(A, bundle, kind):
 
 def matched_pair_references(pair, kind):
     """Each check of ``check_matched_pair(pair, kind)`` by name, as
-    :func:`bimodule_references` gives them, from the dense oracle on
-    ``matched_pair_double(..., force=True)``: the ``ab:`` checks on the
-    double of ``pair``, the ``ba:`` checks on the double of the pair with
-    its sides and cross bundles swapped.  A cross-bimodule check projects
-    tuples with one element of the acted-on side onto that side, and a side
-    condition projects tuples with one element of the acting side onto the
-    other."""
-    entry = MATCHED_PAIR_TABLE[kind]
-    slots = BIMODULE_TABLE[entry.bimodule].slots
+    :func:`bimodule_references` gives them: each member identity of the
+    double's suite, evaluated by the dense oracle on every tuple of
+    ``matched_pair_double(..., force=True)``."""
+    double = matched_pair_double(pair, kind, force=True)
+    oracle = DenseOracle(double)
     references = {}
-    for prefix, p in (("ab:", pair), ("ba:", MatchedPairData(pair.b, pair.a, pair.ba, pair.ab))):
-        oracle = DenseOracle(matched_pair_double(p, kind, force=True))
-        left, right = p.a, p.b
-        for c in BIMODULE_TABLE[entry.bimodule].conditions:
-            references[prefix + c.label] = (
-                _placement(oracle, left.dim, c, slots, "b"),
-                (left.dim, left.dim, right.dim), (left.names, left.names, right.names), right.space,
-            )
-        for c in entry.conditions:
-            references[prefix + c.label] = (
-                _placement(oracle, left.dim, c, slots, "a"),
-                (left.dim, right.dim, right.dim), (left.names, right.names, right.names), right.space,
-            )
+    for tag, override in SUITE_MEMBERS[double_suite_kind(kind)]:
+        spec = IDENTITY_CATALOG[tag]
+        roles = {**dict(spec.defaults), **override}
+
+        def defect(t, tag=tag, roles=roles):
+            return {k: s for k, s in enumerate(oracle.defect(tag, roles, t)) if s.terms}
+
+        references[tag] = (
+            defect, (double.dim,) * spec.arity, (double.names,) * spec.arity, double.space,
+        )
     return references

@@ -305,7 +305,7 @@ def _matched_pair_cases():
 
 
 def _multiplication_pair(A, B, kind):
-    bimodule, ctx = MATCHED_PAIR_TABLE[kind].bimodule, A.context
+    bimodule, ctx = MATCHED_PAIR_TABLE[kind], A.context
     identity = [{i: ctx.one} for i in range(A.dim)]
     to_b, to_a = LinearMap(A.space, B.space, ctx, identity), LinearMap(B.space, A.space, ctx, identity)
     ab = pullback_bundle(to_b, A, B, bimodule, force=True)

@@ -9,7 +9,7 @@ rows, and bundles, checks and sums build no operator per basis element."""
 
 import pytest
 
-from homcolor import core
+from homcolor import constructions, core
 from homcolor.constructions import (
     MatchedPairData,
     MatchedPairKind,
@@ -166,7 +166,9 @@ def test_other_presentation_kind_or_roles_evaluates_again(evaluations, other):
     elif other == "kind":
         args = (A, bundle, BimoduleKind.ASSOC_BIMODULE)
     else:
-        args = (A, bundle, kind, {"novikov": "dot"})
+        # The bundle's l and r act through diamond, renamed dot here.
+        N = AlgebraPresentation(A.space, A.bichar, A.context, {"dot": A.products["diamond"]}, A.alpha)
+        args = (N, bundle, BimoduleKind.NOVIKOV_BIMODULE)
     second = check_bimodule(*args)
     assert evaluations() == 2
     if other == "equal presentation":
@@ -254,11 +256,33 @@ def test_bundle_check_and_sum_build_no_operator(linear_maps, name, kind):
     assert linear_maps() == before + len(bundles)
 
 
-def test_matched_pair_check_and_double_build_no_operator(linear_maps):
+def test_matched_pair_check_and_double_build_one_map_each(linear_maps):
+    # Each builds the double once, and its one map is the double's twist.
     A = load("hnp_4dim.json")
     pair = MatchedPairData(A, A, *(regular_bundle(A, BimoduleKind.HNP_BIMODULE) for _ in "ab"))
     before = linear_maps()
     check_matched_pair(pair, MatchedPairKind.HNP)
-    assert linear_maps() == before
-    matched_pair_double(pair, MatchedPairKind.HNP, force=True)
     assert linear_maps() == before + 1
+    matched_pair_double(pair, MatchedPairKind.HNP, force=True)
+    assert linear_maps() == before + 2
+
+
+@pytest.mark.parametrize("name, force", [
+    ("hnp_4dim.json", False), ("hnp_4dim_perturbed.json", False), ("hnp_4dim_perturbed.json", True),
+])
+def test_double_is_built_once_and_checked_once(monkeypatch, name, force):
+    calls = {"_direct_sum": [], "run_suite": []}
+    for fn, log in calls.items():
+        inner = getattr(constructions, fn)
+        monkeypatch.setattr(constructions, fn, lambda *a, inner=inner, log=log: log.append(a) or inner(*a))
+    A = load(name)
+    pair = MatchedPairData(A, A, *(regular_bundle(A, BimoduleKind.HNP_BIMODULE) for _ in "ab"))
+    try:
+        double = matched_pair_double(pair, MatchedPairKind.HNP, force=force)
+    except PreconditionError as refused:
+        assert refused.reports[0].kind == "matched_pair[hnp]"
+        double = None
+    assert (double is None) == (name == "hnp_4dim_perturbed.json" and not force)
+    assert len(calls["_direct_sum"]) == len(calls["run_suite"]) == 1
+    [(checked, _)] = calls["run_suite"]
+    assert double is None or checked is double

@@ -1,12 +1,13 @@
 """Compiled term plans against their definition on the sum or double.
 
-``check_bimodule`` and ``check_matched_pair`` evaluate their conditions as
-term plans, in one pass over nonzero cells and whole index tuples.  Every
-condition is derived from an identity placed on the semidirect sum or the
-double, so here each is also judged by that definition: the dense oracle's
-value of its identity on ``semidirect_sum(..., force=True)`` or
-``matched_pair_double(..., force=True)``, at each tuple, projected onto one
-summand and times the condition's unit (``tests/dense_oracle.py``).  On
+``check_bimodule`` evaluates its conditions as term plans, in one pass over
+nonzero cells and whole index tuples.  Every condition is derived from an
+identity placed on the semidirect sum, so here each is also judged by that
+definition: the dense oracle's value of its identity on
+``semidirect_sum(..., force=True)`` at each tuple, projected onto the module
+and times the condition's unit (``tests/dense_oracle.py``).
+``check_matched_pair`` is the suite of the double, judged by the oracle run
+on each member identity over ``matched_pair_double(..., force=True)``.  On
 perturbed regular bundles and perturbed matched pairs (annihilator patterns,
 and fixtures acting on themselves) the two must agree in status, witness and
 defect; on dense random actions, where most tuples fail, the plans must also
@@ -31,7 +32,8 @@ from homcolor.constructions import (
     MATCHED_PAIR_TABLE,
     MatchedPairData,
     MatchedPairKind,
-    _pair_slots,
+    double_suite_kind,
+    matched_pair_double,
 )
 from homcolor.core import (
     AlgebraPresentation,
@@ -45,7 +47,7 @@ from homcolor.core import (
     twisted,
 )
 from homcolor.grading import trivial_grading
-from homcolor.identities import IDENTITY_CATALOG
+from homcolor.identities import IDENTITY_CATALOG, SUITE_MEMBERS, _binding
 from homcolor.representations import (
     BIMODULE_TABLE,
     ActionBundle,
@@ -167,7 +169,7 @@ def perturbed_matched_pairs(draw):
     kind = draw(st.sampled_from(list(MatchedPairKind)))
     if draw(st.booleans()):
         left = right = load(draw(st.sampled_from(PAIR_FIXTURES[kind])))
-        ab = ba = regular_bundle(left, MATCHED_PAIR_TABLE[kind].bimodule)
+        ab = ba = regular_bundle(left, MATCHED_PAIR_TABLE[kind])
     else:
         left, right, left_n_u = draw(pattern_pair())
         names = MATCHED_ACTIONS[kind]
@@ -234,7 +236,7 @@ def test_every_bimodule_defect_matches_the_semidirect_sum(kind, payload):
 
 @settings(max_examples=60)
 @given(kind=st.sampled_from(list(MatchedPairKind)), payload=st.data())
-def test_every_side_condition_defect_matches_the_double(kind, payload):
+def test_every_double_defect_matches_the_oracle(kind, payload):
     A = load(payload.draw(st.sampled_from(PAIR_FIXTURES[kind])))
     names = MATCHED_ACTIONS[kind]
     ab, ba = (
@@ -243,17 +245,15 @@ def test_every_side_condition_defect_matches_the_double(kind, payload):
         })
         for _ in range(2)
     )
-    slots = _pair_slots(kind)
-    references = matched_pair_references(MatchedPairData(A, A, ab, ba), kind)
-    for prefix, forward, backward in (("ab:", ab, ba), ("ba:", ba, ab)):
-        ops = {"b." + slot: A.product(role).row_cells for slot, role in slots.items()}
-        for side, bundle in (("ab.", forward), ("ba.", backward)):
-            ops.update((side + name, bundle.row_cells(name)) for name in names)
-        axes = ((A.space, A.alpha),) * 3
-        for c in MATCHED_PAIR_TABLE[kind].conditions:
-            defect, sizes, _, _ = references[prefix + c.label]
-            want = _every_defect(sizes, defect)
-            assert every_failure(c.terms, axes, ops, A.bichar) == want, prefix + c.label
+    pair = MatchedPairData(A, A, ab, ba)
+    double = matched_pair_double(pair, kind, force=True)
+    references = matched_pair_references(pair, kind)
+    for tag, override in SUITE_MEMBERS[double_suite_kind(kind)]:
+        ops = {name: double.product(role).row_cells for name, role in _binding(tag, override)}
+        spec = IDENTITY_CATALOG[tag]
+        axes = ((double.space, double.alpha),) * spec.arity
+        defect, sizes, _, _ = references[tag]
+        assert every_failure(spec.terms, axes, ops, double.bichar) == _every_defect(sizes, defect), tag
 
 
 # -- terms whose support is empty --------------------------------------------

@@ -7,11 +7,18 @@ import json
 import pytest
 
 import homcolor as hc
-from homcolor.constructions import MATCHED_PAIR_TABLE, MatchedPairData, MatchedPairKind
+from homcolor.constructions import (
+    MATCHED_PAIR_TABLE,
+    MatchedPairData,
+    MatchedPairKind,
+    double_suite_kind,
+)
 from homcolor.core import AlgebraPresentation, BilinearProduct, LinearMap
 from homcolor.reports import PreconditionError
+from homcolor.identities import required_roles
 from homcolor.representations import (
     BIMODULE_TABLE,
+    SLOT_ACTIONS,
     ActionBundle,
     BimoduleKind,
     regular_bundle,
@@ -19,7 +26,7 @@ from homcolor.representations import (
 )
 from homcolor.serialize import dump_presentation
 from tests.conftest import load
-from tests.util import act, operation_names
+from tests.util import act
 
 
 class TestCommutator:
@@ -319,8 +326,8 @@ class TestMatchedPair:
     ):
         """Regular actions on a self-copy with zero back-actions realize the
         semidirect situation, which the closure theorems cover: with the
-        dense truncated-polynomial tables every side condition is exercised
-        with nonzero terms, pinning the condition transcriptions."""
+        dense truncated-polynomial tables every member identity of the
+        double's suite is exercised with nonzero cross terms."""
         P = poly_deriv_3dim
         products = {}
         for role in roles:
@@ -527,13 +534,38 @@ def test_morphism_transport_through_twists(gd_mult_4dim):
     assert hc.is_morphism(f, twisted, twisted).passed
 
 
-@pytest.mark.parametrize("kind", list(MatchedPairKind), ids=lambda k: k.value)
-def test_matched_pair_conditions_name_only_their_slots_and_actions(kind):
-    # B's products by the slots of the pair's bimodule kind, and the cross
-    # actions of that kind in either direction.
-    entry = MATCHED_PAIR_TABLE[kind]
-    slots = BIMODULE_TABLE[entry.bimodule].slots
-    actions = slot_actions(slots)
-    allowed = {"b." + slot for slot in slots} | {side + name for side in ("ab.", "ba.") for name in actions}
-    for condition in entry.conditions:
-        assert operation_names(condition.terms) <= allowed, condition.label
+@pytest.mark.parametrize(
+    "kind,fixture_name",
+    [
+        pytest.param(kind, fixture_name, id=kind.value)
+        for kind, fixture_name in [
+            (MatchedPairKind.ASSOC, "assoc_3dim"),
+            (MatchedPairKind.NOVIKOV, "novikov_4dim"),
+            (MatchedPairKind.LIE, "gd_4dim"),
+            (MatchedPairKind.HNP, "hnp_4dim"),
+            (MatchedPairKind.GD, "gd_4dim"),
+        ]
+    ],
+)
+def test_matched_pair_conditions_name_only_their_slots_and_actions(kind, fixture_name, request):
+    # A pair's conditions are its double's suite: it reads only the products
+    # bound by the kind's slots, and the double only the actions through them.
+    slots = BIMODULE_TABLE[MATCHED_PAIR_TABLE[kind]].slots
+    assert set(required_roles(double_suite_kind(kind))) <= set(slots.values())
+    A = request.getfixturevalue(fixture_name)
+    bundle = regular_bundle(A, MATCHED_PAIR_TABLE[kind])
+    kept = slot_actions(slots)
+    assert set(bundle.actions) == set(kept)
+    extra = sorted({name for entry in SLOT_ACTIONS.values() for name in entry[:2]} - set(kept))
+    assert extra
+    padded = ActionBundle(A.space, A.space, A.alpha, A.context,
+                          {**bundle.actions, **{name: bundle.action(kept[0]) for name in extra}})
+    pair = MatchedPairData(A, A, bundle, bundle)
+    padded_pair = MatchedPairData(A, A, padded, padded)
+    report = hc.check_matched_pair(pair, kind)
+    assert hc.check_matched_pair(padded_pair, kind).to_dict() == report.to_dict()
+    assert {check.check for check in report.checks} <= {
+        check.check for check in hc.run_suite(A, double_suite_kind(kind)).checks
+    }
+    double = dump_presentation(hc.matched_pair_double(pair, kind, force=True))
+    assert dump_presentation(hc.matched_pair_double(padded_pair, kind, force=True)) == double

@@ -1,14 +1,18 @@
-"""Bimodule and matched-pair conditions, derived from the identity catalogue.
+"""Bimodule conditions derived from the identity catalogue, and matched
+pairs checked as their doubles.
 
 A bimodule is a module whose semidirect sum is an algebra of the kind, and a
-matched pair two algebras whose double is one.  Three trivially graded pairs
-pin verdicts that transcribed side conditions got wrong: a genuine Novikov
-split, and a Novikov and an HNP pair whose doubles fail an identity.  A
-property over zero-product sides with random cross actions and twists checks
-that each check passes iff the sum or double passes its suite.  Every
-placement of every member identity that is not a condition is shown to add
-nothing: it is zero, or it fails only on tuples on which some condition of
-the same check fails at a rearrangement of the same basis elements.
+matched pair two algebras whose double is one.  Four trivially graded pairs
+pin verdicts that checks by side conditions got wrong: a genuine Novikov
+split, a Novikov and an HNP pair whose doubles fail an identity, and an assoc
+pair whose side fails its own suite.  Properties over random sides, with
+zero or drawn products, and over fixtures with a bumped structure constant
+check that a pair's verdict and witnesses are the dense oracle's on the
+double, and that a bundle passes iff its semidirect sum does.  Every
+placement of every member identity that is not a bimodule condition is shown
+to add nothing: it is zero, or it fails only on tuples on which some
+condition of the same check fails at a rearrangement of the same basis
+elements.
 """
 
 import json
@@ -22,7 +26,6 @@ from homcolor.constructions import (
     MATCHED_PAIR_TABLE,
     MatchedPairData,
     MatchedPairKind,
-    _pair_slots,
     double_suite_kind,
 )
 from homcolor.core import AlgebraPresentation, GradedSpace, LinearMap
@@ -41,8 +44,9 @@ from homcolor.scalars import ScalarContext
 from homcolor.serialize import load_matched_pair_file
 
 from tests.conftest import load
-from tests.test_compiled_conditions import _perturbed
-from tests.util import every_failure
+from tests.dense_oracle import matched_pair_references
+from tests.test_compiled_conditions import _perturbed, assert_checks_match
+from tests.util import every_failure, graded_targets, perturb
 
 
 def _presentation(names, products):
@@ -52,10 +56,12 @@ def _presentation(names, products):
     }
 
 
-# The three documents of the CI smoke step, with A = span{x0}: a Novikov
+# The four documents of the CI smoke step.  With A = span{x0}: a Novikov
 # algebra split into two subalgebras (x0 a1 = x0 - 2 a0, a1 a1 = -a0 + a1),
 # a Novikov pair whose double fails NOVIKOV_RCOMM at (a1, x0, a1), and an HNP
 # pair with zero products whose double fails HNP_COMPAT_1 at (x0, x0, v0).
+# With A = span{x0, x1}, x0.x1 = x1, and zero actions: an assoc pair whose
+# side A, and so its double, fails EPS_COMM at (x0, x1).
 DOCUMENTS = {
     "nov_split": {
         "a": _presentation(["x0"], {"dot": []}),
@@ -76,6 +82,12 @@ DOCUMENTS = {
             "s": {"x0": [["0", "0"], ["-1", "0"]]}, "l": {"x0": [["2", "1"], ["0", "0"]]}, "r": {},
         },
         "actions_b_on_a": {"s": {}, "l": {}, "r": {}},
+    },
+    "assoc_side": {
+        "a": _presentation(["x0", "x1"], {"dot": [["x0", "x1", [["x1", "1"]]]]}),
+        "b": _presentation(["y0"], {"dot": []}),
+        "actions_a_on_b": {"s": {}},
+        "actions_b_on_a": {"s": {}},
     },
 }
 
@@ -101,30 +113,32 @@ def test_a_genuine_novikov_split_is_a_matched_pair(tmp_path):
 def test_a_novikov_pair_whose_double_fails_right_commutativity_is_refused(tmp_path):
     pair = _document(tmp_path, "nov_rcomm")
     report = hc.check_matched_pair(pair, MatchedPairKind.NOVIKOV)
-    # MP_NOV4 and MP_NOV5 are NOVIKOV_RCOMM with x at positions 2 and 1.
-    assert _failed(report) == {
-        "ab:MP_NOV4": (("x0", "a1", "a1"), (("a0", "2"),)),
-        "ab:MP_NOV5": (("x0", "a1", "a1"), (("a0", "-2"),)),
-    }
+    assert _failed(report) == {"NOVIKOV_RCOMM": (("a1", "x0", "a1"), (("a0", "-2"),))}
     with pytest.raises(PreconditionError, match="matched-pair conditions fail"):
         hc.matched_pair_double(pair, MatchedPairKind.NOVIKOV)
-    double = hc.matched_pair_double(pair, MatchedPairKind.NOVIKOV, force=True)
-    rcomm = hc.run_suite(double, hc.StructureKind.HOM_NOVIKOV).checks[1]
-    assert rcomm.check == "NOVIKOV_RCOMM"
-    assert (rcomm.witness, rcomm.defect) == (("a1", "x0", "a1"), (("a0", "-2"),))
 
 
 def test_an_hnp_pair_is_checked_under_the_whole_hnp_bimodule_kind(tmp_path):
     pair = _document(tmp_path, "hnp_limit")
     report = hc.check_matched_pair(pair, MatchedPairKind.HNP)
     assert _failed(report) == {
-        "ab:HNP_COND1": (("x0", "x0", "v0"), (("v1", "2"),)),
-        "ab:HNP_COND5": (("x0", "x0", "v0"), (("v0", "1"), ("v1", "-2"))),
+        "HNP_COMPAT_1": (("x0", "x0", "v0"), (("v1", "2"),)),
+        "HNP_COMPAT_2": (("x0", "v0", "x0"), (("v0", "1"), ("v1", "-2"))),
     }
     with pytest.raises(PreconditionError, match="matched-pair conditions fail"):
         hc.matched_pair_double(pair, MatchedPairKind.HNP)
-    double = hc.matched_pair_double(pair, MatchedPairKind.HNP, force=True)
-    assert not hc.run_suite(double, hc.StructureKind.HNP).passed
+
+
+def test_a_pair_whose_side_fails_its_own_suite_is_refused(tmp_path):
+    pair = _document(tmp_path, "assoc_side")
+    assert not hc.run_suite(pair.a, hc.StructureKind.EPS_COMM_ASSOC).passed
+    report = hc.check_matched_pair(pair, MatchedPairKind.ASSOC)
+    assert _failed(report) == {
+        "EPS_COMM": (("x0", "x1"), (("x1", "1"),)),
+        "HOM_ASSOC": (("x0", "x0", "x1"), (("x1", "1"),)),
+    }
+    with pytest.raises(PreconditionError, match="matched-pair conditions fail"):
+        hc.matched_pair_double(pair, MatchedPairKind.ASSOC)
 
 
 # -- passes iff the sum or double passes ----------------------------------------
@@ -169,22 +183,84 @@ def _actions(draw, acting, module, ctx, names):
     return out
 
 
+def _drawn_products(draw, side, roles):
+    """``side`` with drawn graded structure constants in every role."""
+    n, ctx = side.dim, side.context
+    products = {}
+    for role in roles:
+        entries: dict = {}
+        for i, j in product(range(n), repeat=2):
+            for k in graded_targets(side, i, j):
+                if c := draw(_entry):
+                    entries.setdefault((i, j), {})[k] = ctx.scalar(c)
+        products[role] = hc.BilinearProduct(side.space, ctx, entries)
+    return side.with_products(products)
+
+
+def assert_judged_by_the_double(pair, kind):
+    """``check_matched_pair`` is the double's suite, and gives the dense
+    oracle's verdict, witness and defect for every member."""
+    report = hc.check_matched_pair(pair, kind)
+    suite = hc.run_suite(hc.matched_pair_double(pair, kind, force=True), double_suite_kind(kind))
+    assert report.kind == f"matched_pair[{kind.value}]"
+    assert [c.to_dict() for c in report.checks] == [c.to_dict() for c in suite.checks]
+    assert_checks_match(report, matched_pair_references(pair, kind))
+
+
 @settings(max_examples=1000)
 @given(grading=_GRADINGS, kind=st.sampled_from(list(MatchedPairKind)), payload=st.data())
 def test_a_pair_passes_iff_its_double_does(grading, kind, payload):
+    # Each side has the zero product or drawn products, which mostly fail
+    # the side's own suite.
     draw = payload.draw
     group, bichar = grading()
     ctx = ScalarContext()
-    roles = sorted(set(_pair_slots(kind).values()))
-    a = draw(zero_side(group, bichar, ctx, "x", roles))
-    b = draw(zero_side(group, bichar, ctx, "y", roles))
-    names = slot_actions(_pair_slots(kind))
+    slots = BIMODULE_TABLE[MATCHED_PAIR_TABLE[kind]].slots
+    roles = sorted(set(slots.values()))
+    a, b = (draw(zero_side(group, bichar, ctx, prefix, roles)) for prefix in "xy")
+    a, b = (_drawn_products(draw, side, roles) if draw(st.booleans()) else side for side in (a, b))
+    names = slot_actions(slots)
     ab = ActionBundle(a.space, b.space, b.alpha, ctx, _actions(draw, a.space, b.space, ctx, names))
     ba = ActionBundle(b.space, a.space, a.alpha, ctx, _actions(draw, b.space, a.space, ctx, names))
-    pair = MatchedPairData(a, b, ab, ba)
-    report = hc.check_matched_pair(pair, kind)
-    double = hc.run_suite(hc.matched_pair_double(pair, kind, force=True), double_suite_kind(kind))
-    assert report.passed == double.passed, (report.describe(), double.describe())
+    assert_judged_by_the_double(MatchedPairData(a, b, ab, ba), kind)
+
+
+# Algebras with nonzero products that pass their kind's suite.
+PASSING = {
+    BimoduleKind.ASSOC_BIMODULE: ("assoc_3dim.json",),
+    BimoduleKind.NOVIKOV_BIMODULE: ("novikov_3dim.json", "novikov_4dim.json"),
+    BimoduleKind.LIE_REP: ("gd_4dim.json", "gd_multiplicative_4dim.json"),
+    BimoduleKind.HNP_BIMODULE: ("hnp_4dim.json", "poly_deriv_3dim.json"),
+    BimoduleKind.GD_REP: ("gd_4dim.json", "gd_multiplicative_4dim.json"),
+}
+
+
+@settings(max_examples=100)
+@given(kind=st.sampled_from(list(MatchedPairKind)), payload=st.data())
+def test_a_pair_with_a_bumped_fixture_side_is_judged_by_its_double(kind, payload):
+    # A fixture that passes its suite paired with itself, one side with one
+    # structure constant bumped, acting on each other by their regular
+    # actions (maybe perturbed) or by zero.
+    draw = payload.draw
+    bimodule = MATCHED_PAIR_TABLE[kind]
+    A = load(draw(st.sampled_from(PASSING[bimodule])))
+    role = draw(st.sampled_from(sorted(set(BIMODULE_TABLE[bimodule].slots.values()))))
+    i, j = draw(st.integers(0, A.dim - 1)), draw(st.integers(0, A.dim - 1))
+    k = draw(st.sampled_from(graded_targets(A, i, j)))
+    bumped = perturb(A, role, i, j, k, draw(st.sampled_from([1, -1, 2, "1/2"])))
+    a, b = (A, bumped) if draw(st.booleans()) else (bumped, A)
+    bundles = []
+    for _ in "ab":
+        bundle = regular_bundle(A, bimodule)
+        if draw(st.booleans()):
+            bundle = _perturbed(draw, bundle, A.space, twist=False)
+        elif draw(st.booleans()):
+            bundle = ActionBundle(A.space, A.space, A.alpha, A.context, {
+                name: [LinearMap.zero(A.space, A.space, A.context, d) for d in A.space.degrees]
+                for name in bundle.actions
+            })
+        bundles.append(bundle)
+    assert_judged_by_the_double(MatchedPairData(a, b, *bundles), kind)
 
 
 @settings(max_examples=300)
@@ -203,57 +279,43 @@ def test_a_bundle_passes_iff_its_semidirect_sum_does(grading, kind, payload):
     assert report.passed == total.passed, (report.describe(), total.describe())
 
 
-# -- every placement is a condition or adds nothing -------------------------------
+# -- every placement is a bimodule condition or adds nothing -----------------------
 
 
-def _placements(slots, suite, lone):
+def _placements(slots, suite):
     """Every placement of every member identity of ``suite``, as derived
     conditions labelled tag@position."""
     rows = {
         tag: tuple((f"{tag}@{at}", at, 1, ()) for at in range(IDENTITY_CATALOG[tag].arity))
         for tag, _ in SUITE_MEMBERS[suite]
     }
-    return derive_conditions(slots, suite, rows, lone)
+    return derive_conditions(slots, suite, rows)
 
 
-def _failing_sets(conditions, axes, ops, bichar, lone):
+def _failing_sets(conditions, axes, ops, bichar):
     """For each condition, the set of basis-element multisets it fails on:
-    the lone element with the sorted others."""
-    out = {}
-    for c in conditions:
-        failing = every_failure(c.terms, axes, ops, bichar)
-        if lone == "b":
-            out[c.label] = {(t[-1], tuple(sorted(t[:-1]))) for t in failing}
-        else:
-            out[c.label] = {(t[0], tuple(sorted(t[1:]))) for t in failing}
-    return out
+    the module element with the sorted others."""
+    return {
+        c.label: {(t[-1], tuple(sorted(t[:-1]))) for t in every_failure(c.terms, axes, ops, bichar)}
+        for c in conditions
+    }
 
 
-def _assert_placements_add_nothing(placements, conditions, axes, ops, bichar, lone):
+def _assert_placements_add_nothing(placements, conditions, axes, ops, bichar):
     labelled = {(c.tag, c.at) for c in conditions}
     assert labelled <= {(c.tag, c.at) for c in placements}
-    covered = set().union(*_failing_sets(conditions, axes, ops, bichar, lone).values())
+    covered = set().union(*_failing_sets(conditions, axes, ops, bichar).values())
     extra = [c for c in placements if (c.tag, c.at) not in labelled]
     for c in extra:
-        failing = _failing_sets([c], axes, ops, bichar, lone)[c.label]
+        failing = _failing_sets([c], axes, ops, bichar)[c.label]
         if IDENTITY_CATALOG[c.tag].arity == 2:
             assert not failing, c.label
         assert failing <= covered, c.label
 
 
-# Algebras with nonzero products that pass their kind's suite.
-PASSING = {
-    BimoduleKind.ASSOC_BIMODULE: ("assoc_3dim.json",),
-    BimoduleKind.NOVIKOV_BIMODULE: ("novikov_3dim.json", "novikov_4dim.json"),
-    BimoduleKind.LIE_REP: ("gd_4dim.json", "gd_multiplicative_4dim.json"),
-    BimoduleKind.HNP_BIMODULE: ("hnp_4dim.json", "poly_deriv_3dim.json"),
-    BimoduleKind.GD_REP: ("gd_4dim.json", "gd_multiplicative_4dim.json"),
-}
-
-
-def _unlabelled(slots, suite, conditions, lone):
+def _unlabelled(slots, suite, conditions):
     named = {(c.tag, c.at) for c in conditions}
-    return sorted(c.label for c in _placements(slots, suite, lone) if (c.tag, c.at) not in named)
+    return sorted(c.label for c in _placements(slots, suite) if (c.tag, c.at) not in named)
 
 
 JACOBI_SKEW = ["LIE_JACOBI@0", "LIE_JACOBI@1", "LIE_SKEW@0", "LIE_SKEW@1"]
@@ -264,7 +326,7 @@ def test_the_unlabelled_placements_are_the_expected_ones():
     # Those of arity 2 vanish by the cross rule; the others are checked on
     # data below.
     assert {
-        kind: _unlabelled(entry.slots, entry.suite, entry.conditions, "b")
+        kind: _unlabelled(entry.slots, entry.suite, entry.conditions)
         for kind, entry in BIMODULE_TABLE.items()
     } == {
         BimoduleKind.ASSOC_BIMODULE: COMM_ASSOC,
@@ -272,18 +334,6 @@ def test_the_unlabelled_placements_are_the_expected_ones():
         BimoduleKind.LIE_REP: JACOBI_SKEW,
         BimoduleKind.HNP_BIMODULE: COMM_ASSOC[:2] + ["HNP_COMPAT_2@0"] + COMM_ASSOC[2:],
         BimoduleKind.GD_REP: ["GD_COMPAT@0"] + JACOBI_SKEW,
-    }
-    side_jacobi_skew = ["LIE_JACOBI@1", "LIE_JACOBI@2", "LIE_SKEW@0", "LIE_SKEW@1"]
-    assert {
-        kind: _unlabelled(BIMODULE_TABLE[entry.bimodule].slots, BIMODULE_TABLE[entry.bimodule].suite,
-                          entry.conditions, "a")
-        for kind, entry in MATCHED_PAIR_TABLE.items()
-    } == {
-        MatchedPairKind.ASSOC: COMM_ASSOC[:3],
-        MatchedPairKind.NOVIKOV: [],
-        MatchedPairKind.LIE: side_jacobi_skew,
-        MatchedPairKind.HNP: COMM_ASSOC[:3],
-        MatchedPairKind.GD: side_jacobi_skew,
     }
 
 
@@ -297,31 +347,10 @@ def test_unlabelled_bimodule_placements_add_nothing(kind, payload):
     ops = {"a." + slot: A.product(role).row_cells for slot, role in entry.slots.items()}
     ops.update(("ab." + name, bundle.row_cells(name)) for name in slot_actions(entry.slots))
     axes = ((A.space, A.alpha),) * 2 + ((bundle.module, bundle.beta),)
-    placements = _placements(entry.slots, entry.suite, "b")
+    placements = _placements(entry.slots, entry.suite)
     # A placement of arity 2 uses the first two axes: (x, v) needs V second.
     for arity, placed_axes in ((3, axes), (2, (axes[0], axes[2]))):
         _assert_placements_add_nothing(
             [c for c in placements if IDENTITY_CATALOG[c.tag].arity == arity],
-            entry.conditions if arity == 3 else (), placed_axes, ops, A.bichar, "b",
-        )
-
-
-@settings(max_examples=60)
-@given(kind=st.sampled_from(list(MatchedPairKind)), payload=st.data())
-def test_unlabelled_side_placements_add_nothing(kind, payload):
-    entry = MATCHED_PAIR_TABLE[kind]
-    bimodule = BIMODULE_TABLE[entry.bimodule]
-    A = load(payload.draw(st.sampled_from(PASSING[entry.bimodule])))
-    assert hc.run_suite(A, bimodule.suite).passed
-    ab, ba = (_perturbed(payload.draw, regular_bundle(A, entry.bimodule), A.space, twist=False)
-              for _ in range(2))
-    ops = {"b." + slot: A.product(role).row_cells for slot, role in bimodule.slots.items()}
-    for side, bundle in (("ab.", ab), ("ba.", ba)):
-        ops.update((side + name, bundle.row_cells(name)) for name in slot_actions(bimodule.slots))
-    axes = ((A.space, A.alpha),) * 3
-    placements = _placements(bimodule.slots, bimodule.suite, "a")
-    for arity in (3, 2):
-        _assert_placements_add_nothing(
-            [c for c in placements if IDENTITY_CATALOG[c.tag].arity == arity],
-            entry.conditions if arity == 3 else (), axes[:arity], ops, A.bichar, "a",
+            entry.conditions if arity == 3 else (), placed_axes, ops, A.bichar,
         )

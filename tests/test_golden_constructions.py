@@ -2,7 +2,8 @@
 indent=2)`` for every construction case over the fixtures, or the exception
 class and message of a refused case, compared with
 ``tests/golden_constructions.json``.  The file that ``dump_presentation_file``
-writes must be the same text and a newline.
+writes must be the same text and a newline; a refused ``force=False`` case
+writes no file, and its ``force=True`` case the pinned one.
 
 Regenerate the file (only when an output is meant to change) with::
 
@@ -60,7 +61,7 @@ def _first_ideal(P) -> list[str]:
 
 
 def _self_pair(P, kind: MatchedPairKind) -> MatchedPairData:
-    bundle = regular_bundle(P, MATCHED_PAIR_TABLE[kind].bimodule)
+    bundle = regular_bundle(P, MATCHED_PAIR_TABLE[kind])
     return MatchedPairData(P, P, bundle, bundle)
 
 
@@ -92,7 +93,7 @@ def cases() -> dict:
                         lambda P=P, M=module, k=kind, f=force: hc.semidirect_sum(P, M, k, force=f)
                     )
         for kind in MatchedPairKind:
-            if not _applicable(P, MATCHED_PAIR_TABLE[kind].bimodule):
+            if not _applicable(P, MATCHED_PAIR_TABLE[kind]):
                 continue
             for force in (False, True):
                 out[f"{name} double {kind.value} force={force}"] = (
@@ -103,17 +104,7 @@ def cases() -> dict:
         for right, (R, _) in fixtures.items():
             if L.context == R.context:
                 out[f"{left} tensor {right}"] = lambda L=L, R=R: hc.tensor_product(L, R)
-    # Two slots bound to one role: the later slot's table replaces the earlier.
-    out["hnp_4dim.json semidirect regular hnp_bimodule novikov=dot forced"] = lambda: _shared_role_sum(
-        fixtures["hnp_4dim.json"][0]
-    )
     return out
-
-
-def _shared_role_sum(P):
-    roles = {"novikov": "dot"}
-    bundle = regular_bundle(P, BimoduleKind.HNP_BIMODULE, roles)
-    return hc.semidirect_sum(P, bundle, BimoduleKind.HNP_BIMODULE, roles, force=True)
 
 
 def outcome(build) -> dict:
@@ -140,9 +131,26 @@ def test_construction_matches_golden(case):
     assert outcome(cases()[case]) == _golden()[case]
 
 
-@pytest.mark.parametrize("case", [case for case in cases() if "sha256" in _golden()[case]])
+def _forced(case: str) -> str | None:
+    """The ``force=True`` case of a refused ``force=False`` case that builds."""
+    if "error" not in _golden()[case] or not case.endswith(" force=False"):
+        return None
+    forced = case.removesuffix("False") + "True"
+    return forced if "sha256" in _golden().get(forced, {}) else None
+
+
+@pytest.mark.parametrize(
+    "case", [case for case in cases() if "sha256" in _golden()[case] or _forced(case)]
+)
 def test_dumped_file_matches_golden(case, tmp_path):
     path = tmp_path / "out.json"
+    if _forced(case):
+        # A refused build writes nothing; forced, it writes its force=True file.
+        with pytest.raises(PreconditionError) as info:
+            dump_presentation_file(cases()[case](), path)
+        assert str(info.value) == _golden()[case]["message"]
+        assert not path.exists()
+        case = _forced(case)
     dump_presentation_file(cases()[case](), path)
     text = path.read_text()
     assert text.endswith("\n")

@@ -16,7 +16,6 @@ from homcolor.identities import (
     run_suite,
 )
 from homcolor.grading import super_z2
-from homcolor.representations import BimoduleKind, check_bimodule, regular_bundle
 from homcolor.serialize import substitute_presentation
 
 from tests.dense_oracle import DenseOracle
@@ -99,13 +98,8 @@ class TestCheckIdentity:
     @pytest.mark.parametrize("check, message", [
         (lambda A: check_identity(A, "HOM_ASSOC", {"bogus": "dot"}),
          "HOM_ASSOC has no role slots ['bogus']"),
-        (lambda A: check_bimodule(
-            A, regular_bundle(A, BimoduleKind.ASSOC_BIMODULE), BimoduleKind.ASSOC_BIMODULE,
-            {"bogus": "dot"},
-        ), "assoc_bimodule has no product slots ['bogus']"),
-    ], ids=["identity", "bimodule"])
+    ], ids=["identity"])
     def test_unknown_slot_is_named(self, assoc_3dim, check, message):
-        # Identity role slots and bimodule product slots share one resolver.
         with pytest.raises(ValueError) as info:
             check(assoc_3dim)
         assert str(info.value) == message

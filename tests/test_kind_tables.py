@@ -1,9 +1,9 @@
 """What the bimodule and matched-pair kind tables decide, pinned by behaviour.
 
 For every matched-pair kind: the ordered check names of
-``check_matched_pair`` on a pair of regular bundles (both cross bundles
-first, each under the pair's bimodule kind, then the side conditions,
-``ab:`` before ``ba:``), the digest of its reports, and ``double_suite_kind``.  For
+``check_matched_pair`` on a pair of regular bundles (the member identities
+of the double's suite), the digest of its reports, and
+``double_suite_kind``.  For
 every bimodule kind: the actions ``check_bimodule`` requires, the actions of
 its regular bundle, its check names and the digest of its reports.  Only
 public names are used, so the pins hold whatever tables produce them.
@@ -38,22 +38,22 @@ BIMODULE_ACTIONS = {
     BimoduleKind.GD_REP: {"l", "r", "rho"},
 }
 
-# Per matched-pair kind: the bimodule kind of its cross bimodule checks, its
-# side conditions and the suite its double must pass.
-MP_NOV = [f"MP_NOV{n}" for n in range(1, 7)]
+# Per matched-pair kind: the bimodule kind of its cross bundles, the suite
+# its double must pass and that suite's checks.
+NOVIKOV = ["NOVIKOV_LSYM", "NOVIKOV_RCOMM"]
 MATCHED = {
     MatchedPairKind.ASSOC: (
-        BimoduleKind.ASSOC_BIMODULE, ["MP_ASSOC1", "MP_ASSOC2"], hc.StructureKind.EPS_COMM_ASSOC,
+        BimoduleKind.ASSOC_BIMODULE, hc.StructureKind.EPS_COMM_ASSOC, ["EPS_COMM", "HOM_ASSOC"],
     ),
-    MatchedPairKind.NOVIKOV: (BimoduleKind.NOVIKOV_BIMODULE, MP_NOV, hc.StructureKind.HOM_NOVIKOV),
-    MatchedPairKind.LIE: (BimoduleKind.LIE_REP, ["MP_LIE"], hc.StructureKind.HOM_LIE),
+    MatchedPairKind.NOVIKOV: (BimoduleKind.NOVIKOV_BIMODULE, hc.StructureKind.HOM_NOVIKOV, NOVIKOV),
+    MatchedPairKind.LIE: (BimoduleKind.LIE_REP, hc.StructureKind.HOM_LIE, ["LIE_SKEW", "LIE_JACOBI"]),
     MatchedPairKind.HNP: (
         BimoduleKind.HNP_BIMODULE,
-        ["MP_ASSOC1", "MP_ASSOC2", *MP_NOV, *(f"MP_HNP{n}" for n in range(1, 7))],
         hc.StructureKind.HNP,
+        ["EPS_COMM", "HOM_ASSOC", *NOVIKOV, "HNP_COMPAT_1", "HNP_COMPAT_2"],
     ),
     MatchedPairKind.GD: (
-        BimoduleKind.GD_REP, [*MP_NOV, "MP_LIE", "MP_GD1", "MP_GD2", "MP_GD3"], hc.StructureKind.HOM_GD,
+        BimoduleKind.GD_REP, hc.StructureKind.HOM_GD, [*NOVIKOV, "LIE_SKEW", "LIE_JACOBI", "GD_COMPAT"],
     ),
 }
 
@@ -78,11 +78,11 @@ BIMODULE_DIGESTS = {
     BimoduleKind.GD_REP: "061199a1b569d2d9",
 }
 MATCHED_DIGESTS = {
-    MatchedPairKind.ASSOC: "02e9b34cbd0a89c0",
-    MatchedPairKind.NOVIKOV: "f4b2f8ff813af9a4",
-    MatchedPairKind.LIE: "f81f040347ecc985",
-    MatchedPairKind.HNP: "f7ff1b4d4aadcefd",
-    MatchedPairKind.GD: "edb302714c1c141a",
+    MatchedPairKind.ASSOC: "1c68d62d701f7219",
+    MatchedPairKind.NOVIKOV: "b947c479bbdbed67",
+    MatchedPairKind.LIE: "424ffb16cd40b9dd",
+    MatchedPairKind.HNP: "ada0431a39850ec6",
+    MatchedPairKind.GD: "f538aba4626fe1fc",
 }
 
 
@@ -110,11 +110,7 @@ def _matched_pair_reports(kind: MatchedPairKind):
 
 @pytest.mark.parametrize("kind", list(MatchedPairKind), ids=lambda k: k.value)
 def test_matched_pair_check_order(kind):
-    bimodule_kind, side, suite = MATCHED[kind]
-    want = []
-    for direction in ("ab", "ba"):
-        want += [f"{direction}:{name}" for name in BIMODULE_CHECKS[bimodule_kind]]
-    want += [f"{direction}:{name}" for name in side for direction in ("ab", "ba")]
+    _, suite, want = MATCHED[kind]
     reports = _matched_pair_reports(kind)
     for report in reports:
         assert report.kind == f"matched_pair[{kind.value}]"

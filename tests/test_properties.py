@@ -203,8 +203,8 @@ def test_matched_pair_closure(data, kind):
 @st.composite
 def cross_action_family(draw, acting, module_space, module_n_u, ctx, names):
     """Annihilator-type cross actions: only w-elements act, mapping the other
-    side's w-span into its u-span.  Such actions satisfy every bimodule and
-    side condition trivially while making the double's cross products nonzero,
+    side's w-span into its u-span.  Such actions make every double an algebra
+    of the kind trivially while making the double's cross products nonzero,
     which exercises the sign factors of the double product formulas."""
     algebra, n_u = acting
     group = algebra.space.group

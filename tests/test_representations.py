@@ -97,9 +97,10 @@ def test_hnp_bimodule_subsumes_assoc_and_novikov(hnp_4dim):
     bundle = regular_bundle(hnp_4dim, BimoduleKind.HNP_BIMODULE)
     assert check_bimodule(hnp_4dim, bundle, BimoduleKind.HNP_BIMODULE).passed
     assert check_bimodule(hnp_4dim, bundle, BimoduleKind.ASSOC_BIMODULE).passed
-    assert check_bimodule(
-        hnp_4dim, bundle, BimoduleKind.NOVIKOV_BIMODULE, {"novikov": "diamond"}
-    ).passed
+    # Its l and r act through diamond: a Novikov bimodule of diamond renamed dot.
+    A = hnp_4dim
+    N = AlgebraPresentation(A.space, A.bichar, A.context, {"dot": A.products["diamond"]}, A.alpha)
+    assert check_bimodule(N, bundle, BimoduleKind.NOVIKOV_BIMODULE).passed
 
 
 def test_action_evenness_is_a_load_error(hnp_4dim):

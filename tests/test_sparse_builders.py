@@ -198,12 +198,12 @@ def test_bundles_and_semidirect_sums_match_the_dense_definition(name, kind, f):
     (name, kind, f)
     for name, A in PRESENTATIONS.items()
     for kind in MatchedPairKind
-    if set(BIMODULE_TABLE[MATCHED_PAIR_TABLE[kind].bimodule].slots.values()) <= set(A.roles)
+    if set(BIMODULE_TABLE[MATCHED_PAIR_TABLE[kind]].slots.values()) <= set(A.roles)
     for f in MAPS
 ], ids=lambda v: getattr(v, "value", v))
 def test_matched_pair_doubles_match_the_dense_definition(name, kind, f):
     A = PRESENTATIONS[name]
-    bimodule = MATCHED_PAIR_TABLE[kind].bimodule
+    bimodule = MATCHED_PAIR_TABLE[kind]
     ab = pullback_bundle(the_map(name, f), A, A, bimodule, force=True)
     ba = regular_bundle(A, bimodule)
     double = matched_pair_double(MatchedPairData(A, A, ab, ba), kind, force=True)

@@ -2,9 +2,11 @@
 
 Each test gives failing inputs to a family of checks, pinned or drawn by
 hypothesis, and compares every reported verdict, witness and defect with a
-brute-force enumeration written here through the public ``mul``,
-``LinearMap.apply`` and ``ActionBundle.act``: every failing tuple is built,
-then the smallest one is taken.
+brute-force enumeration written here through the public ``mul`` and
+``LinearMap.apply``: every failing tuple is built, then the smallest one is
+taken.  A matched pair's check is the suite of its double, so its
+enumeration is the dense oracle's on that double
+(``tests/dense_oracle.matched_pair_references``).
 """
 
 import json
@@ -32,7 +34,8 @@ from homcolor.scalars import ScalarContext
 from homcolor.serialize import load_presentation
 from tests.conftest import FIXTURES
 from tests.test_properties import GRADINGS, pattern_algebra
-from tests.util import act_vec, assert_reports_failure, smallest_failure
+from tests.dense_oracle import matched_pair_references
+from tests.util import assert_reports_failure, smallest_failure
 
 
 def basis(A, i):
@@ -311,47 +314,6 @@ def _reversed_polynomial_algebra():
     return load_presentation(doc)
 
 
-def _assoc_matched_pair_oracle(A, B, ab, ba):
-    """ASSOC_BIMODULE, MP_ASSOC1 and MP_ASSOC2 for the actions of A on B,
-    as maps from (x in A, a in B, b in B) to defects on B."""
-    group = A.space.group
-    eps = A.eps_deg
-
-    def act_ab(x, v):
-        return act_vec(ab, "s", x, v)
-
-    def act_ba(y, v):
-        return act_vec(ba, "s", y, v)
-
-    def bimodule(t):
-        x, y, v = t
-        lhs = act_ab(A.mul("dot", basis(A, x), basis(A, y)), B.alpha.apply(basis(B, v)))
-        return vec_sub(lhs, act_ab(A.alpha.apply(basis(A, x)), act_ab(basis(A, y), basis(B, v))))
-
-    def mp(t, second):
-        x, a, b = t
-        dx, da, db = A.space.degree(x), B.space.degree(a), B.space.degree(b)
-        ex, ea, eb = basis(A, x), basis(B, a), basis(B, b)
-        beta_a, beta_b = B.alpha.apply(ea), B.alpha.apply(eb)
-        t1 = B.mul("dot", beta_a, act_ab(ex, eb))
-        t2 = act_ab(act_ba(eb, ex), beta_a)
-        if not second:
-            t1 = signed(A, eps(db, dx), t1)
-            t2 = signed(A, eps(da, group.add(db, dx)), t2)
-            t3 = signed(A, eps(group.add(da, db), dx), act_ab(A.alpha.apply(ex), B.mul("dot", ea, eb)))
-            return vec_sub(vec_add(t1, t2), t3)
-        t2 = signed(A, eps(da, group.add(dx, db)) * eps(dx, db), t2)
-        t3 = signed(A, eps(da, dx), B.mul("dot", act_ab(ex, ea), beta_b))
-        t4 = act_ab(act_ba(ea, ex), beta_b)
-        return vec_sub(vec_add(t1, t2), vec_add(t3, t4))
-
-    return {
-        "ASSOC_BIMODULE": (bimodule, (A.names, A.names, B.names)),
-        "MP_ASSOC1": (lambda t: mp(t, False), (A.names, B.names, B.names)),
-        "MP_ASSOC2": (lambda t: mp(t, True), (A.names, B.names, B.names)),
-    }
-
-
 def test_matched_pair_witnesses():
     A = _reversed_polynomial_algebra()
     reg = regular_bundle(A, BimoduleKind.ASSOC_BIMODULE)
@@ -363,18 +325,16 @@ def test_matched_pair_witnesses():
     )
     ab = ActionBundle(A.space, A.space, A.alpha, A.context, dict(reg.actions))
     ba = ActionBundle(A.space, A.space, A.alpha, A.context, {"s": doubled})
-    report = hc.check_matched_pair(MatchedPairData(A, A, ab, ba), MatchedPairKind.ASSOC)
-    oracles = {
-        "ab": _assoc_matched_pair_oracle(A, A, ab, ba),
-        "ba": _assoc_matched_pair_oracle(A, A, ba, ab),
-    }
+    pair = MatchedPairData(A, A, ab, ba)
+    report = hc.check_matched_pair(pair, MatchedPairKind.ASSOC)
+    references = matched_pair_references(pair, MatchedPairKind.ASSOC)
     failures = []
     for check in report.checks:
-        direction, label = check.check.split(":")
-        defect, axes = oracles[direction][label]
-        found = smallest_failure(tuple(len(names) for names in axes), defect)
-        assert_reports_failure(check, found, axes, A.space)
+        defect, sizes, axes, space = references[check.check]
+        found = smallest_failure(sizes, defect)
+        assert_reports_failure(check, found, axes, space)
         if found is not None:
             failures.append(check.check)
-    assert len(report.checks) == 6
-    assert failures == ["ba:ASSOC_BIMODULE", "ab:MP_ASSOC1", "ba:MP_ASSOC1"]
+    assert [c.check for c in report.checks] == ["EPS_COMM", "HOM_ASSOC"]
+    assert failures == ["HOM_ASSOC"]
+    assert report.checks[1].witness == ("t2", "one", "one_b")
