@@ -1,9 +1,12 @@
 """Bimodules, semidirect sums, and matched-pair doubles.
 
-Every structure kind has a regular bundle (the algebra acting on itself)
-that satisfies its bimodule conditions; the semidirect sum glues a verified
-bundle onto the algebra.  Matched pairs carry actions in both directions and
-are checked as their double, which must pass the kind's suite; the double
+A bundle is a bimodule exactly when its semidirect sum A (+) V is an
+algebra of the kind, so the bimodule check is the kind's suite run on that
+sum: an algebra passing its suite has a regular bundle (the algebra acting
+on itself) that passes, and a bundle over an algebra failing its suite
+fails too.  Once the check passes, the semidirect sum is that same sum.
+Matched pairs carry actions in both directions and are checked the same
+way, as their double, which must pass the kind's suite; the double
 collapses to the semidirect sum when one side acts by zero.
 """
 
@@ -29,15 +32,21 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 A, _ = load_presentation_file(FIXTURES / "hnp_4dim.json")
 bundle = regular_bundle(A, BimoduleKind.HNP_BIMODULE)
-print("regular bundle:", check_bimodule(A, bundle, BimoduleKind.HNP_BIMODULE).status)
+print(check_bimodule(A, bundle, BimoduleKind.HNP_BIMODULE).describe())
 
 total = semidirect_sum(A, bundle, BimoduleKind.HNP_BIMODULE)
 print("semidirect sum: dim", total.dim, "basis", total.names)
 print("semidirect suite:", run_suite(total, StructureKind.HNP).status)
 print()
 
-# Matched pair with a zero-product partner acting by zero: conditions hold
-# trivially and the double restricts to A on its block.
+# An algebra that is not eps-commutative (its dot is perturbed) has no
+# bimodule of the kind, not even its regular one: the sum fails on A's block.
+P, _ = load_presentation_file(FIXTURES / "hnp_4dim_perturbed.json")
+print(check_bimodule(P, regular_bundle(P, BimoduleKind.HNP_BIMODULE), BimoduleKind.HNP_BIMODULE).describe())
+print()
+
+# Matched pair with a zero-product partner acting by zero: the double
+# passes the suite and restricts to A on its block.
 from homcolor.core import BilinearProduct, GradedSpace
 
 ctx = A.context
@@ -57,6 +66,6 @@ ba = ActionBundle(Bspace, A.space, A.alpha, ctx, {
     for n in names
 })
 pair = MatchedPairData(A, B, ab, ba)
-print("matched-pair conditions:", check_matched_pair(pair, MatchedPairKind.HNP).status)
+print("matched pair:", check_matched_pair(pair, MatchedPairKind.HNP).status)
 double = matched_pair_double(pair, MatchedPairKind.HNP)
 print("double: dim", double.dim, "suite:", run_suite(double, StructureKind.HNP).status)

@@ -6,10 +6,11 @@ reports when they do not hold; constructions that are still meaningful on
 raw data accept ``force=True`` to build anyway, so the theorems can also be
 probed contrapositively.
 
-Semidirect sums and matched-pair doubles share one direct-sum builder.  A
-bundle of actions of one side on the other adds the cross cells of each
-product slot by :data:`~homcolor.representations.SLOT_ACTIONS`, the one
-source of this rule, for x a basis element of the acting side and y one of
+Semidirect sums and matched-pair doubles share one direct-sum builder,
+which lives in :mod:`~homcolor.representations` beside
+:data:`~homcolor.representations.SLOT_ACTIONS`, the one source of the rule
+by which a bundle of actions of one side on the other adds the cross cells
+of each product slot, for x a basis element of the acting side and y one of
 the side acted on:
 
     assoc:    x.y = s_x(y)      y.x = eps(y, x) s_x(y)
@@ -20,16 +21,19 @@ The matched-pair double A (+) B keeps both sides' products and adds the
 cells of both cross bundles.  The semidirect sum A (+) V is the double in
 which V has the zero product and does not act back on A.  Each matched-pair
 kind maps to one bimodule kind in :data:`MATCHED_PAIR_TABLE`, whose slots
-bind the double's products.  A pair is matched when its double is an
-algebra of the kind, so :func:`check_matched_pair` is that kind's suite run
-on the double: it covers both sides' own suites and every tuple mixing them.
+bind the double's products.  Both are checked by their definition, with one
+build-and-check helper: a bundle is a bimodule when A (+) V is an algebra
+of the kind, and a pair is matched when A (+) B is one, so
+:func:`~homcolor.representations.check_bimodule` and
+:func:`check_matched_pair` are that kind's suite run on the sum.  Each
+covers its sides' own suites and every tuple mixing them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .core import (
     AlgebraPresentation,
@@ -52,9 +56,12 @@ from .identities import StructureKind, run_suite
 from .reports import PASS, CheckReport, PreconditionError, SuiteReport
 from .representations import (
     BIMODULE_TABLE,
-    SLOT_ACTIONS,
     ActionBundle,
     BimoduleKind,
+    Pairs,
+    _accumulate,
+    _checked_sum,
+    _semidirect,
     check_bimodule,
 )
 from .scalars import Scalar
@@ -75,28 +82,6 @@ __all__ = [
     "is_ideal",
     "novikov_from_derivation",
 ]
-
-# A table cell or a map column: (basis index, coefficient) pairs.
-Pairs = Iterable[tuple[int, Scalar]]
-
-
-def _accumulate(
-    entries: dict[tuple[int, int], dict[int, Scalar]],
-    i: int,
-    j: int,
-    vec: Vec,
-) -> None:
-    if not vec:
-        return
-    cell = entries.setdefault((i, j), {})
-    for k, s in vec.items():
-        prev = cell.get(k)
-        s = s if prev is None else prev + s
-        if s.is_zero():
-            cell.pop(k, None)
-        else:
-            cell[k] = s
-
 
 # -- commutator functor ---------------------------------------------------------
 
@@ -181,66 +166,7 @@ def _composed(
     return presentation.with_products(products, alpha=alpha)
 
 
-# -- direct sums -------------------------------------------------------------------
-
-def _join_spaces(
-    left: GradedSpace, right: GradedSpace, right_suffix: str
-) -> tuple[GradedSpace, int]:
-    if left.group != right.group:
-        raise ValueError("summands use different grading groups")
-    names = list(left.names)
-    taken = set(names)
-    for name in right.names:
-        candidate = name
-        while candidate in taken:
-            candidate += right_suffix
-        names.append(candidate)
-        taken.add(candidate)
-    degrees = list(left.degrees) + list(right.degrees)
-    return GradedSpace(left.group, names, degrees), left.dim
-
-
-def _shift(pairs: Pairs, offset: int, sign: int = 1) -> Vec:
-    return {k + offset: s if sign == 1 else -s for k, s in pairs}
-
-
-def _direct_sum(
-    A: AlgebraPresentation,
-    bundles: tuple[ActionBundle, ...],
-    slots: Mapping[str, str],
-    right_suffix: str,
-    B: AlgebraPresentation | None = None,
-) -> AlgebraPresentation:
-    """A (+) V, V the module of ``bundles[0]``, with the products bound to
-    ``slots`` and the twist alpha (+) beta.
-
-    For a double, ``B`` is V's presentation and ``bundles[1]`` the actions of
-    B on A; without ``B``, V multiplies to zero.
-    """
-    space, offset = _join_spaces(A.space, bundles[0].module, right_suffix)
-    signs = A.bichar.table(space.degrees, space.degrees)
-    products: dict[str, BilinearProduct] = {}
-    for slot, role in slots.items():
-        entries = {key: dict(cell) for key, cell in A.product(role).table.items()}
-        if B is not None:
-            for (i, j), cell in B.product(role).table.items():
-                entries[(offset + i, offset + j)] = _shift(cell, offset)
-        left, right, factor = SLOT_ACTIONS[slot]
-        # Each action adds the nonzero images of its kept rows (see
-        # ActionBundle.row_cells): x.y from ``left``, y.x from ``right``.
-        for bundle, x0, y0 in zip(bundles, (0, offset), (offset, 0)):
-            for x, row in enumerate(bundle.row_cells(left)):
-                for y, column in row:
-                    _accumulate(entries, x0 + x, y0 + y, _shift(column, y0))
-            for x, row in enumerate(bundle.row_cells(right)):
-                for y, column in row:
-                    f = factor(signs[y0 + y][x0 + x])
-                    _accumulate(entries, y0 + y, x0 + x, _shift(column, y0, f))
-        products[role] = BilinearProduct(space, A.context, entries)
-    columns = [dict(c) for c in A.alpha.columns]
-    columns += [_shift(c, offset) for c in bundles[0].beta.columns]
-    alpha = LinearMap(space, space, A.context, columns)
-    return AlgebraPresentation(space, A.bichar, A.context, products, alpha)
+# -- semidirect sums --------------------------------------------------------------
 
 
 def semidirect_sum(
@@ -252,13 +178,14 @@ def semidirect_sum(
     """Direct sum with the module, products extended by the bundle's actions.
 
     The module side multiplies to zero; the twist is the block sum of the
-    twist and beta.  Requires the bundle to pass ``check_bimodule``, whose
-    reports the bundle keeps, so a check made just before is not repeated.
+    twist and beta.  Requires the bundle to pass ``check_bimodule``, the
+    kind's suite on this sum; the bundle keeps the sum with its reports, so
+    a check made just before is neither rebuilt nor evaluated again.
     """
     report = check_bimodule(presentation, bundle, kind)
     if not report.passed and not force:
         raise PreconditionError("bundle fails the bimodule conditions", (report,))
-    return _direct_sum(presentation, (bundle,), BIMODULE_TABLE[kind].slots, "_v")
+    return _semidirect(presentation, bundle, kind)[0]
 
 
 # -- matched pairs -----------------------------------------------------------------
@@ -317,10 +244,8 @@ def _checked_double(
     pair: MatchedPairData, kind: MatchedPairKind
 ) -> tuple[AlgebraPresentation, SuiteReport]:
     """The double A (+) B and its kind's suite on it."""
-    slots = BIMODULE_TABLE[MATCHED_PAIR_TABLE[kind]].slots
-    double = _direct_sum(pair.a, (pair.ab, pair.ba), slots, "_b", pair.b)
-    suite = run_suite(double, double_suite_kind(kind))
-    return double, SuiteReport(kind=f"matched_pair[{kind.value}]", checks=suite.checks)
+    double, checks = _checked_sum(pair.a, (pair.ab, pair.ba), MATCHED_PAIR_TABLE[kind], pair.b)
+    return double, SuiteReport(kind=f"matched_pair[{kind.value}]", checks=checks)
 
 
 def check_matched_pair(

@@ -13,7 +13,7 @@ public accessors (``mul``, ``mul_basis``, ``alpha_image``,
 ``LinearMap.image``) hand out fresh dicts.  The evaluator's forms of that
 data are built on first use and kept for every later check: rows on each
 product, twist images per power on each map, and sign tables in the
-bicharacter's bounded memo; an action bundle stores its actions as rows.
+bicharacter's bounded memo.
 
 Every check is a term plan, a signed sum of trees of products and linear
 maps: the catalogued conditions and the structural checks here
@@ -596,9 +596,9 @@ def _mul(table: Mapping[tuple[int, int], Sequence[tuple[int, Scalar]]], x: Vec, 
 # Every check is a signed sum of trees.  A tree is a leaf ``(position,
 # power)``: the basis element at that tuple position, or its image under
 # the position's twist applied ``power`` times; a node ``(op, left,
-# right)``: a named bilinear operation, a product or an action, applied to
-# two subtrees; or a node ``(op, subtree)``: a named linear map, such as a
-# twist, a morphism, a derivation or a projection, applied to one subtree.
+# right)``: a named product applied to two subtrees; or a node ``(op,
+# subtree)``: a named linear map, such as a twist, a morphism, a derivation
+# or a projection, applied to one subtree.
 # A term is ``(coefficient, sign pairs, tree)``; each sign pair (p, q)
 # multiplies the term by the commutation factor of the degrees at positions
 # p and q.  The factor is bimultiplicative, so eps(d_p + d_q, d_r) is the
@@ -791,11 +791,10 @@ def term_failures(
     that fails, its failing index tuples with their nonzero signed sums.
 
     ``plans[c]`` is check c's terms with the binding of their operation
-    names to keys of ``ops``, which holds each bilinear operation's rows
-    (:attr:`BilinearProduct.row_cells`, or ``ActionBundle.row_cells`` of an
-    action) and each linear map's ``columns``; ``axes[p]`` is the basis
-    and twist of tuple position p, and a plan of arity a uses the first a
-    axes.  The result sends each failing plan c to a dict from its failing
+    names to keys of ``ops``, which holds each product's rows
+    (:attr:`BilinearProduct.row_cells`) and each linear map's ``columns``;
+    ``axes[p]`` is the basis and twist of tuple position p, and a plan of
+    arity a uses the first a axes.  The result sends each failing plan c to a dict from its failing
     index tuples to their defects; a plan that passes has no entry.
 
     Each tree is expanded only over nonzero cells and nonzero images, over

@@ -1,4 +1,4 @@
-"""Action bundles (bimodules / representations) and their condition systems.
+"""Action bundles (bimodules / representations) and their semidirect sums.
 
 An :class:`ActionBundle` packages a module space with its even twisting map
 and named actions, each stored as one sparse row table over the algebra
@@ -7,24 +7,21 @@ enforced at construction, so violations are load errors rather than check
 failures.  Regular and pullback bundles build their rows from nonzero cells.
 
 Each bimodule kind is one entry of :data:`BIMODULE_TABLE`: its product
-slots with their default roles, the suite its semidirect sum must pass, and
-its conditions.  :data:`SLOT_ACTIONS` is the one source of which actions act
-through each slot; a kind's actions, the multiplication side of regular and
-pullback bundles, the direct-sum cross rule, the loader's action names and
-every condition all come from it.  A bundle is a bimodule when its
-semidirect sum A (+) V passes the kind's suite, so each condition is one
-identity of that suite placed on the sum with the module element at one tuple
-position, projected onto V and multiplied by a unit (:func:`derive_conditions`
-builds them once, at import, from a table of rows).  :func:`check_bimodule`
-evaluates all conditions of a kind together in one pass of the identity
-engine's evaluator (:func:`~homcolor.core.run_checks`), over nonzero cells
-and whole index tuples, sharing each subtree map between the conditions, and
-reports each condition's smallest failing tuple.  The bundle keeps those
-reports by kind, so a second check of it against the same presentation
-object, such as the one :func:`~homcolor.constructions.semidirect_sum`
-makes, evaluates nothing.  A matched pair needs no conditions of its own:
-it is checked as its double's suite
-(:func:`~homcolor.constructions.check_matched_pair`).
+slots with their default roles, and the suite its semidirect sum must pass.
+:data:`SLOT_ACTIONS` is the one source of which actions act through each
+slot, and of the cross rule by which they multiply in a direct sum; a
+kind's actions, the multiplication side of regular and pullback bundles,
+the loader's action names and the direct-sum builder all come from it.
+A bundle is a bimodule exactly when its semidirect sum A (+) V is an
+algebra of the kind, so :func:`check_bimodule` is the kind's suite run on
+that sum: it covers A's own suite and every tuple holding module elements,
+and its witnesses are tuples of the sum's basis.  The bundle keeps the sum
+and its reports by kind, so a second check of it against the same
+presentation object, and the sum that
+:func:`~homcolor.constructions.semidirect_sum` returns after a check, build
+and evaluate nothing.  A matched pair is checked the same way, as its
+double's suite (:func:`~homcolor.constructions.check_matched_pair`), with
+the same direct-sum builder.
 """
 
 from __future__ import annotations
@@ -34,18 +31,14 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     AlgebraPresentation,
-    Check,
+    BilinearProduct,
     GradedSpace,
     LinearMap,
     Rows,
-    Term,
-    Tree,
-    eps,
+    Vec,
     is_morphism,
-    positions,
-    run_checks,
 )
-from .identities import IDENTITY_CATALOG, SUITE_MEMBERS, StructureKind, _binding
+from .identities import StructureKind, run_suite
 from .reports import CheckReport, PreconditionError, SuiteReport
 from .scalars import Scalar, ScalarContext
 
@@ -102,9 +95,11 @@ class ActionBundle:
         self.beta = beta
         self.context = context
         self._rows = rows
-        # check_bimodule's reports by kind, each with the presentation object
-        # they were evaluated against.
-        self._verdicts: dict[BimoduleKind, tuple[AlgebraPresentation, tuple[CheckReport, ...]]] = {}
+        # The semidirect sum and its suite's reports by kind, each with the
+        # presentation object they were built from (see _semidirect).
+        self._verdicts: dict[
+            BimoduleKind, tuple[AlgebraPresentation, tuple[CheckReport, ...], AlgebraPresentation]
+        ] = {}
 
     @property
     def actions(self) -> dict[str, tuple[LinearMap, ...]]:
@@ -153,122 +148,138 @@ def slot_actions(slots: Iterable[str]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(name for slot in slots for name in SLOT_ACTIONS[slot][:2]))
 
 
-# -- conditions derived from the identity catalogue ------------------------------
+# -- direct sums and their suites --------------------------------------------------
 #
-# A condition is an identity on the sum A (+) V at tuples holding one basis
-# element of V (the lone element), projected onto V and multiplied by a unit,
-# +-1 or +-eps(p, q).  Its positions are in report order: those on A first,
-# then the module element.
+# A table cell or a map column: (basis index, coefficient) pairs.
+Pairs = Iterable[tuple[int, Scalar]]
 
 
-class Condition(NamedTuple):
-    """A condition: its identity with role slots bound to product slots, the
-    identity's position of the lone element, the unit and the terms."""
+def _accumulate(
+    entries: dict[tuple[int, int], dict[int, Scalar]],
+    i: int,
+    j: int,
+    vec: Vec,
+) -> None:
+    if not vec:
+        return
+    cell = entries.setdefault((i, j), {})
+    for k, s in vec.items():
+        prev = cell.get(k)
+        s = s if prev is None else prev + s
+        if s.is_zero():
+            cell.pop(k, None)
+        else:
+            cell[k] = s
 
-    label: str
-    tag: str
-    slots: tuple[tuple[str, str], ...]
-    at: int
-    unit: tuple[int, tuple[tuple[int, int], ...]]
-    terms: tuple[Term, ...]
+
+def _join_spaces(
+    left: GradedSpace, right: GradedSpace, right_suffix: str
+) -> tuple[GradedSpace, int]:
+    if left.group != right.group:
+        raise ValueError("summands use different grading groups")
+    names = list(left.names)
+    taken = set(names)
+    for name in right.names:
+        candidate = name
+        while candidate in taken:
+            candidate += right_suffix
+        names.append(candidate)
+        taken.add(candidate)
+    degrees = list(left.degrees) + list(right.degrees)
+    return GradedSpace(left.group, names, degrees), left.dim
 
 
-def _leaves(tree: Tree) -> tuple[int, ...]:
-    if isinstance(tree[0], str):
-        return tuple(p for sub in tree[1:] for p in _leaves(sub))
-    return (tree[0],)
+def _shift(pairs: Pairs, offset: int, sign: int = 1) -> Vec:
+    return {k + offset: s if sign == 1 else -s for k, s in pairs}
 
 
-def _split(tree: Tree, slots: Mapping[str, str], sides: Sequence[str], new: Sequence[int]) -> dict:
-    """The terms of ``tree`` on the sum A (+) V by the side each lands on,
-    position p renumbered ``new[p]``.
+def _direct_sum(
+    A: AlgebraPresentation,
+    bundles: tuple[ActionBundle, ...],
+    slots: Mapping[str, str],
+    B: AlgebraPresentation | None = None,
+) -> AlgebraPresentation:
+    """A (+) V, V the module of ``bundles[0]``, with the products bound to
+    ``slots`` and the twist alpha (+) beta.
 
-    Position p holds a basis element of side ``sides[p]``, the twist keeps
-    each side, and ``slots`` binds each operation name to a product slot.
-    Operands on one side multiply there (``a.<slot>``, ``b.<slot>``); u of
-    side s and w of side t multiply by the slot's cross rule (SLOT_ACTIONS):
-    u.w is the action ``st.<x.y>`` of u on w, on side t, plus factor(eps(u, w))
-    times the action ``ts.<y.x>`` of w on u, on side s.
+    For a double, ``B`` is V's presentation and ``bundles[1]`` the actions of
+    B on A; without ``B``, V multiplies to zero.  A name of V already taken
+    on A gets the suffix ``_b`` in a double and ``_v`` in a semidirect sum.
     """
-    if not isinstance(tree[0], str):
-        return {sides[tree[0]]: [(1, (), (new[tree[0]], tree[1]))]}
-    slot = slots[tree[0]]
-    x_y, y_x, factor = SLOT_ACTIONS[slot]
-    sign, with_eps = factor(1), factor(-1) != factor(1)  # factor(e) = sign * e**with_eps
-    left, right = (_split(sub, slots, sides, new) for sub in tree[1:])
-    out: dict[str, list[Term]] = {}
-    for s, lefts in left.items():
-        for t, rights in right.items():
-            for cu, pu, u in lefts:
-                for cw, pw, w in rights:
-                    if s == t:
-                        out.setdefault(s, []).append((cu * cw, pu + pw, (f"{s}.{slot}", u, w)))
-                        continue
-                    out.setdefault(t, []).append((cu * cw, pu + pw, (f"{s}{t}.{x_y}", u, w)))
-                    e = tuple((p, q) for p in _leaves(u) for q in _leaves(w)) if with_eps else ()
-                    out.setdefault(s, []).append((sign * cu * cw, pu + pw + e, (f"{t}{s}.{y_x}", w, u)))
-    return out
-
-
-def derive_conditions(
-    slots: Mapping[str, str], suite: StructureKind, rows: Mapping[str, tuple]
-) -> tuple[Condition, ...]:
-    """The conditions of ``rows`` for the members of ``suite``, in member
-    order, with the module element on side "b" and each member's roles bound
-    to the slots of ``slots`` that carry them."""
-    slot_of = {role: slot for slot, role in slots.items()}
-    out = []
-    for tag, override in SUITE_MEMBERS[suite]:
-        spec = IDENTITY_CATALOG[tag]
-        bound = {name: slot_of[role] for name, role in _binding(tag, override)}
-        for label, at, coeff, pairs in rows.get(tag, ()):
-            sides = ["b" if p == at else "a" for p in range(spec.arity)]
-            order = sorted(range(spec.arity), key=lambda p: sides[p])
-            new = [order.index(p) for p in range(spec.arity)]
-            terms = tuple(
-                (coeff * c * c2, pairs + tuple((new[p], new[q]) for p, q in ps) + ps2, t)
-                for c, ps, tree in spec.terms
-                for c2, ps2, t in _split(tree, bound, sides, new).get("b", ())
-            )
-            out.append(Condition(label, tag, tuple(sorted(bound.items())), at, (coeff, pairs), terms))
-    return tuple(out)
-
-
-x, y, v = positions(3)
-_ = ()
-# label, position of the module element, unit; ASSOC_BIMODULE is
-# -HOM_ASSOC(x, y, v) and HNP_COND3 is eps(x, v) HNP_COMPAT_1(v, x, y).
-_BIMODULE_ROWS = {
-    "HOM_ASSOC": (("ASSOC_BIMODULE", 2, -1, _),),
-    "NOVIKOV_LSYM": (("NOV_COND1", 2, 1, _), ("NOV_COND2", 1, 1, _), ("NOV_COND3", 0, 1, _)),
-    "NOVIKOV_RCOMM": (("NOV_COND4", 2, 1, _), ("NOV_COND5", 1, 1, _), ("NOV_COND6", 0, 1, _)),
-    "LIE_JACOBI": (("LIE_REP", 2, -1, eps(x, v)),),
-    "HNP_COMPAT_1": (("HNP_COND1", 2, 1, _), ("HNP_COND2", 1, 1, _), ("HNP_COND3", 0, 1, eps(x, v))),
-    "HNP_COMPAT_2": (("HNP_COND4", 2, 1, _), ("HNP_COND5", 1, 1, _)),
-    "GD_COMPAT": (("GD_COND1", 2, 1, _), ("GD_COND2", 1, 1, _)),
-}
-del x, y, v, _
+    space, offset = _join_spaces(A.space, bundles[0].module, "_v" if B is None else "_b")
+    signs = A.bichar.table(space.degrees, space.degrees)
+    products: dict[str, BilinearProduct] = {}
+    for slot, role in slots.items():
+        entries = {key: dict(cell) for key, cell in A.product(role).table.items()}
+        if B is not None:
+            for (i, j), cell in B.product(role).table.items():
+                entries[(offset + i, offset + j)] = _shift(cell, offset)
+        left, right, factor = SLOT_ACTIONS[slot]
+        # Each action adds the nonzero images of its kept rows (see
+        # ActionBundle.row_cells): x.y from ``left``, y.x from ``right``.
+        for bundle, x0, y0 in zip(bundles, (0, offset), (offset, 0)):
+            for x, row in enumerate(bundle.row_cells(left)):
+                for y, column in row:
+                    _accumulate(entries, x0 + x, y0 + y, _shift(column, y0))
+            for x, row in enumerate(bundle.row_cells(right)):
+                for y, column in row:
+                    f = factor(signs[y0 + y][x0 + x])
+                    _accumulate(entries, y0 + y, x0 + x, _shift(column, y0, f))
+        products[role] = BilinearProduct(space, A.context, entries)
+    columns = [dict(c) for c in A.alpha.columns]
+    columns += [_shift(c, offset) for c in bundles[0].beta.columns]
+    alpha = LinearMap(space, space, A.context, columns)
+    return AlgebraPresentation(space, A.bichar, A.context, products, alpha)
 
 
 class KindEntry(NamedTuple):
-    """A bimodule kind: its product slots with their default roles, the
-    suite its semidirect sum must pass, and its conditions."""
+    """A bimodule kind: its product slots with their default roles, and the
+    suite its semidirect sum must pass."""
 
     slots: dict[str, str]
     suite: StructureKind
-    conditions: tuple[Condition, ...]
 
 
 BIMODULE_TABLE: dict[BimoduleKind, KindEntry] = {
-    kind: KindEntry(slots, suite, derive_conditions(slots, suite, _BIMODULE_ROWS))
-    for kind, slots, suite in (
-        (BimoduleKind.ASSOC_BIMODULE, {"assoc": "dot"}, StructureKind.EPS_COMM_ASSOC),
-        (BimoduleKind.NOVIKOV_BIMODULE, {"novikov": "dot"}, StructureKind.HOM_NOVIKOV),
-        (BimoduleKind.LIE_REP, {"lie": "bracket"}, StructureKind.HOM_LIE),
-        (BimoduleKind.HNP_BIMODULE, {"assoc": "dot", "novikov": "diamond"}, StructureKind.HNP),
-        (BimoduleKind.GD_REP, {"novikov": "dot", "lie": "bracket"}, StructureKind.HOM_GD),
-    )
+    BimoduleKind.ASSOC_BIMODULE: KindEntry({"assoc": "dot"}, StructureKind.EPS_COMM_ASSOC),
+    BimoduleKind.NOVIKOV_BIMODULE: KindEntry({"novikov": "dot"}, StructureKind.HOM_NOVIKOV),
+    BimoduleKind.LIE_REP: KindEntry({"lie": "bracket"}, StructureKind.HOM_LIE),
+    BimoduleKind.HNP_BIMODULE: KindEntry({"assoc": "dot", "novikov": "diamond"}, StructureKind.HNP),
+    BimoduleKind.GD_REP: KindEntry({"novikov": "dot", "lie": "bracket"}, StructureKind.HOM_GD),
 }
+
+
+def _checked_sum(
+    A: AlgebraPresentation,
+    bundles: tuple[ActionBundle, ...],
+    kind: BimoduleKind,
+    B: AlgebraPresentation | None = None,
+) -> tuple[AlgebraPresentation, list[CheckReport]]:
+    """The sum built by :func:`_direct_sum` with the slots of ``kind``, and
+    the reports of the kind's suite on it."""
+    entry = BIMODULE_TABLE[kind]
+    total = _direct_sum(A, bundles, entry.slots, B)
+    return total, run_suite(total, entry.suite).checks
+
+
+def _semidirect(
+    presentation: AlgebraPresentation,
+    bundle: ActionBundle,
+    kind: BimoduleKind,
+) -> tuple[AlgebraPresentation, tuple[CheckReport, ...]]:
+    """The semidirect sum A (+) V and the reports of the kind's suite on it.
+
+    The bundle keeps both by kind, with the presentation they were built
+    from; a later call for the same kind with that same presentation object
+    (``is``, not ``==``) returns them without building or evaluating again.
+    """
+    if bundle.algebra_space != presentation.space:
+        raise ValueError("bundle is indexed by a different algebra basis")
+    kept = bundle._verdicts.get(kind)
+    if kept is None or kept[0] is not presentation:
+        total, checks = _checked_sum(presentation, (bundle,), kind)
+        kept = bundle._verdicts[kind] = (presentation, tuple(checks), total)
+    return kept[2], kept[1]
 
 
 def check_bimodule(
@@ -276,29 +287,10 @@ def check_bimodule(
     bundle: ActionBundle,
     kind: BimoduleKind,
 ) -> SuiteReport:
-    """Evaluate every condition of ``kind`` over basis pairs times module basis.
-
-    The bundle keeps the reports by kind, with the presentation they were
-    evaluated against; a later call for the same kind with that same
-    presentation object (``is``, not ``==``) returns them in a new report
-    without evaluating again.
-    """
-    if bundle.algebra_space != presentation.space:
-        raise ValueError("bundle is indexed by a different algebra basis")
-    kept = bundle._verdicts.get(kind)
-    if kept is None or kept[0] is not presentation:
-        slots = BIMODULE_TABLE[kind].slots
-        ops = {role: presentation.product(role).row_cells for role in slots.values()}
-        binding = tuple((f"a.{slot}", role) for slot, role in sorted(slots.items()))
-        for name in slot_actions(slots):
-            ops[("ab", name)] = bundle.row_cells(name)
-            binding += ((f"ab.{name}", ("ab", name)),)
-        checks = [Check(c.label, (c.terms, binding)) for c in BIMODULE_TABLE[kind].conditions]
-        algebra = (presentation.space, presentation.alpha)
-        axes = (algebra, algebra, (bundle.module, bundle.beta))
-        reports = run_checks(checks, axes, ops, presentation.bichar, bundle.module)
-        kept = bundle._verdicts[kind] = (presentation, tuple(reports))
-    return SuiteReport(kind=kind.value, checks=list(kept[1]))
+    """The kind's suite on the semidirect sum A (+) V: the bundle is a
+    bimodule when the sum is an algebra of the kind.  Witnesses are tuples
+    of the sum's basis."""
+    return SuiteReport(kind=kind.value, checks=list(_semidirect(presentation, bundle, kind)[1]))
 
 
 def _multiplication_bundle(

@@ -6,14 +6,10 @@ triple loop over the nonzero coordinates, and each identity is re-derived
 from its formula without touching the kernel's defect expressions.  Verdicts
 and witnesses must agree with the kernel exactly.
 
-The bimodule conditions are judged by their definition: each is one identity
-of its kind evaluated by :class:`DenseOracle` on the semidirect sum, built
-with ``force=True``, at tuples with the module element at the condition's
-position, projected onto the module and multiplied by the condition's unit
-(:func:`bimodule_references`).  A matched pair's checks are its double's
-suite, so each is :class:`DenseOracle` run on one member identity of that
-suite over the double built with ``force=True``
-(:func:`matched_pair_references`).
+A bimodule's checks are its semidirect sum's suite, and a matched pair's
+its double's suite, so each is :class:`DenseOracle` run on one member
+identity of that suite over the sum or double built with ``force=True``
+(:func:`bimodule_references`, :func:`matched_pair_references`).
 """
 
 from itertools import product as iter_product
@@ -304,69 +300,36 @@ class DenseOracle:
         return None
 
 
-# -- conditions on a semidirect sum; the suite of a double ----------------------
+# -- the suite of a semidirect sum or a double ------------------------------------
 
 
-def _placement(oracle, offset, condition, slots):
-    """The defect of ``condition`` as a function of a report tuple (x, y, v).
-
-    The report lists the positions of the algebra (indices below ``offset``
-    in the oracle's algebra) before the module element, which sits at the
-    identity's position ``condition.at``.  The identity's value there is
-    projected onto the module, reindexed from 0, and multiplied by the unit
-    (coefficient and eps of pairs of report positions)."""
-    arity = IDENTITY_CATALOG[condition.tag].arity
-    order = [p for p in range(arity) if p != condition.at] + [condition.at]
-    roles = {name: slots[slot] for name, slot in condition.slots}
-    coeff, pairs = condition.unit
-
-    def defect(t):
-        held = [i if r < arity - 1 else offset + i for r, i in enumerate(t)]
-        point = [None] * arity
-        for r, p in enumerate(order):
-            point[p] = held[r]
-        sign = coeff
-        for p, q in pairs:
-            sign *= oracle.eps(held[p], held[q])
-        vec = oracle.defect(condition.tag, roles, tuple(point))
-        return {k - offset: s if sign == 1 else -s for k, s in enumerate(vec) if k >= offset and s.terms}
-
-    return defect
-
-
-def bimodule_references(A, bundle, kind):
-    """Each condition of ``check_bimodule(A, bundle, kind)`` by label: its
-    defect as a function of (x, y, v), its index sizes, its axes' names and
-    the space its defects lie in, all from the dense oracle on
-    ``semidirect_sum(..., force=True)``."""
-    oracle = DenseOracle(semidirect_sum(A, bundle, kind, force=True))
-    slots = BIMODULE_TABLE[kind].slots
-    module = bundle.module
-    return {
-        c.label: (
-            _placement(oracle, A.dim, c, slots),
-            (A.dim, A.dim, module.dim), (A.names, A.names, module.names), module,
-        )
-        for c in BIMODULE_TABLE[kind].conditions
-    }
-
-
-def matched_pair_references(pair, kind):
-    """Each check of ``check_matched_pair(pair, kind)`` by name, as
-    :func:`bimodule_references` gives them: each member identity of the
-    double's suite, evaluated by the dense oracle on every tuple of
-    ``matched_pair_double(..., force=True)``."""
-    double = matched_pair_double(pair, kind, force=True)
-    oracle = DenseOracle(double)
+def _suite_references(total, suite):
+    """Each member identity of ``suite`` by tag: its defect on every tuple
+    of ``total`` as the dense oracle evaluates it, its index sizes, its
+    axes' names and the space its defects lie in."""
+    oracle = DenseOracle(total)
     references = {}
-    for tag, override in SUITE_MEMBERS[double_suite_kind(kind)]:
+    for tag, override in SUITE_MEMBERS[suite]:
         spec = IDENTITY_CATALOG[tag]
         roles = {**dict(spec.defaults), **override}
 
         def defect(t, tag=tag, roles=roles):
             return {k: s for k, s in enumerate(oracle.defect(tag, roles, t)) if s.terms}
 
-        references[tag] = (
-            defect, (double.dim,) * spec.arity, (double.names,) * spec.arity, double.space,
-        )
+        references[tag] = (defect, (total.dim,) * spec.arity, (total.names,) * spec.arity, total.space)
     return references
+
+
+def bimodule_references(A, bundle, kind):
+    """Each check of ``check_bimodule(A, bundle, kind)`` by name: each member
+    identity of the kind's suite, evaluated by the dense oracle on every
+    tuple of ``semidirect_sum(..., force=True)``."""
+    total = semidirect_sum(A, bundle, kind, force=True)
+    return _suite_references(total, BIMODULE_TABLE[kind].suite)
+
+
+def matched_pair_references(pair, kind):
+    """Each check of ``check_matched_pair(pair, kind)`` by name, as
+    :func:`bimodule_references` gives them, on
+    ``matched_pair_double(..., force=True)``."""
+    return _suite_references(matched_pair_double(pair, kind, force=True), double_suite_kind(kind))

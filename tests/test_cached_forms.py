@@ -2,14 +2,15 @@
 twist images and sign tables.  Every check reads them and none mutates
 them, so a check run twice on one loaded object gives equal reports, and
 after the second run each form is the same object, with the same contents,
-as after the first.  A bundle also keeps its bimodule reports, so checking
-it and then building its semidirect sum evaluates the conditions once.
+as after the first.  A bundle also keeps its semidirect sum with the
+reports of the sum's suite, so checking it and then building the sum builds
+and evaluates the sum once.
 Each action is stored once, as rows: a regular bundle shares its product's
 rows, and bundles, checks and sums build no operator per basis element."""
 
 import pytest
 
-from homcolor import constructions, core
+from homcolor import core, representations
 from homcolor.constructions import (
     MatchedPairData,
     MatchedPairKind,
@@ -241,19 +242,33 @@ def linear_maps(monkeypatch):
     return lambda: count[0]
 
 
+@pytest.fixture
+def sum_calls(monkeypatch):
+    """The arguments of each ``_direct_sum`` and ``run_suite`` call so far
+    that builds or checks a semidirect sum or a double."""
+    calls = {"_direct_sum": [], "run_suite": []}
+    for fn, log in calls.items():
+        inner = getattr(representations, fn)
+        monkeypatch.setattr(representations, fn, lambda *a, inner=inner, log=log: log.append(a) or inner(*a))
+    return calls
+
+
 @pytest.mark.parametrize("name, kind", REGULAR)
-def test_bundle_check_and_sum_build_no_operator(linear_maps, name, kind):
+def test_bundle_check_and_sum_build_no_operator(linear_maps, sum_calls, name, kind):
+    # Check then sum builds the sum once and runs its suite once, for a
+    # bundle that passes or one that fails (built with force); the one map
+    # built per bundle is the sum's twist alpha (+) beta.
     A = load(name)
     f = LinearMap.identity(A.space, A.context)
     before = linear_maps()
     bundles = (regular_bundle(A, kind), pullback_bundle(f, A, A, kind))
-    for bundle in bundles:
-        assert check_bimodule(A, bundle, kind).passed
     assert linear_maps() == before
-    for bundle in bundles:
-        semidirect_sum(A, bundle, kind)
-    # One map per sum: its twist alpha (+) beta.
-    assert linear_maps() == before + len(bundles)
+    for n, bundle in enumerate(bundles, 1):
+        report = check_bimodule(A, bundle, kind)
+        total = semidirect_sum(A, bundle, kind, force=not report.passed)
+        assert len(sum_calls["_direct_sum"]) == len(sum_calls["run_suite"]) == n
+        assert sum_calls["run_suite"][-1][0] is total
+        assert linear_maps() == before + n
 
 
 def test_matched_pair_check_and_double_build_one_map_each(linear_maps):
@@ -270,11 +285,7 @@ def test_matched_pair_check_and_double_build_one_map_each(linear_maps):
 @pytest.mark.parametrize("name, force", [
     ("hnp_4dim.json", False), ("hnp_4dim_perturbed.json", False), ("hnp_4dim_perturbed.json", True),
 ])
-def test_double_is_built_once_and_checked_once(monkeypatch, name, force):
-    calls = {"_direct_sum": [], "run_suite": []}
-    for fn, log in calls.items():
-        inner = getattr(constructions, fn)
-        monkeypatch.setattr(constructions, fn, lambda *a, inner=inner, log=log: log.append(a) or inner(*a))
+def test_double_is_built_once_and_checked_once(sum_calls, name, force):
     A = load(name)
     pair = MatchedPairData(A, A, *(regular_bundle(A, BimoduleKind.HNP_BIMODULE) for _ in "ab"))
     try:
@@ -283,6 +294,6 @@ def test_double_is_built_once_and_checked_once(monkeypatch, name, force):
         assert refused.reports[0].kind == "matched_pair[hnp]"
         double = None
     assert (double is None) == (name == "hnp_4dim_perturbed.json" and not force)
-    assert len(calls["_direct_sum"]) == len(calls["run_suite"]) == 1
-    [(checked, _)] = calls["run_suite"]
+    assert len(sum_calls["_direct_sum"]) == len(sum_calls["run_suite"]) == 1
+    [(checked, _)] = sum_calls["run_suite"]
     assert double is None or checked is double

@@ -1,13 +1,9 @@
 """Compiled term plans against their definition on the sum or double.
 
-``check_bimodule`` evaluates its conditions as term plans, in one pass over
-nonzero cells and whole index tuples.  Every condition is derived from an
-identity placed on the semidirect sum, so here each is also judged by that
-definition: the dense oracle's value of its identity on
-``semidirect_sum(..., force=True)`` at each tuple, projected onto the module
-and times the condition's unit (``tests/dense_oracle.py``).
-``check_matched_pair`` is the suite of the double, judged by the oracle run
-on each member identity over ``matched_pair_double(..., force=True)``.  On
+``check_bimodule`` is the suite of the semidirect sum and
+``check_matched_pair`` the suite of the double, each judged by the dense
+oracle run on each member identity over ``semidirect_sum(..., force=True)``
+or ``matched_pair_double(..., force=True)`` (``tests/dense_oracle.py``).  On
 perturbed regular bundles and perturbed matched pairs (annihilator patterns,
 and fixtures acting on themselves) the two must agree in status, witness and
 defect; on dense random actions, where most tuples fail, the plans must also
@@ -34,6 +30,7 @@ from homcolor.constructions import (
     MatchedPairKind,
     double_suite_kind,
     matched_pair_double,
+    semidirect_sum,
 )
 from homcolor.core import (
     AlgebraPresentation,
@@ -214,6 +211,17 @@ def _dense_family(draw, acting, module, ctx):
     return tuple(family)
 
 
+def assert_every_defect_matches(total, suite, references):
+    """Every member identity of ``suite`` has on every tuple of ``total``
+    the defect its reference gives."""
+    for tag, override in SUITE_MEMBERS[suite]:
+        ops = {name: total.product(role).row_cells for name, role in _binding(tag, override)}
+        spec = IDENTITY_CATALOG[tag]
+        axes = ((total.space, total.alpha),) * spec.arity
+        defect, sizes, _, _ = references[tag]
+        assert every_failure(spec.terms, axes, ops, total.bichar) == _every_defect(sizes, defect), tag
+
+
 @settings(max_examples=60)
 @given(kind=st.sampled_from(list(BimoduleKind)), payload=st.data())
 def test_every_bimodule_defect_matches_the_semidirect_sum(kind, payload):
@@ -225,13 +233,8 @@ def test_every_bimodule_defect_matches_the_semidirect_sum(kind, payload):
         for name in regular_bundle(A, kind).actions
     }
     bundle = ActionBundle(A.space, A.space, A.alpha, A.context, actions)
-    ops = {"a." + slot: A.product(role).row_cells for slot, role in slots.items()}
-    ops.update(("ab." + name, bundle.row_cells(name)) for name in actions)
-    axes = ((A.space, A.alpha),) * 2 + ((bundle.module, bundle.beta),)
-    references = bimodule_references(A, bundle, kind)
-    for c in BIMODULE_TABLE[kind].conditions:
-        defect, sizes, _, _ = references[c.label]
-        assert every_failure(c.terms, axes, ops, A.bichar) == _every_defect(sizes, defect), c.label
+    total = semidirect_sum(A, bundle, kind, force=True)
+    assert_every_defect_matches(total, BIMODULE_TABLE[kind].suite, bimodule_references(A, bundle, kind))
 
 
 @settings(max_examples=60)
@@ -247,13 +250,7 @@ def test_every_double_defect_matches_the_oracle(kind, payload):
     )
     pair = MatchedPairData(A, A, ab, ba)
     double = matched_pair_double(pair, kind, force=True)
-    references = matched_pair_references(pair, kind)
-    for tag, override in SUITE_MEMBERS[double_suite_kind(kind)]:
-        ops = {name: double.product(role).row_cells for name, role in _binding(tag, override)}
-        spec = IDENTITY_CATALOG[tag]
-        axes = ((double.space, double.alpha),) * spec.arity
-        defect, sizes, _, _ = references[tag]
-        assert every_failure(spec.terms, axes, ops, double.bichar) == _every_defect(sizes, defect), tag
+    assert_every_defect_matches(double, double_suite_kind(kind), matched_pair_references(pair, kind))
 
 
 # -- terms whose support is empty --------------------------------------------

@@ -1,18 +1,18 @@
-"""Bimodule conditions derived from the identity catalogue, and matched
-pairs checked as their doubles.
+"""Bimodules checked as their semidirect sums, and matched pairs as their
+doubles.
 
 A bimodule is a module whose semidirect sum is an algebra of the kind, and a
-matched pair two algebras whose double is one.  Four trivially graded pairs
-pin verdicts that checks by side conditions got wrong: a genuine Novikov
-split, a Novikov and an HNP pair whose doubles fail an identity, and an assoc
-pair whose side fails its own suite.  Properties over random sides, with
-zero or drawn products, and over fixtures with a bumped structure constant
-check that a pair's verdict and witnesses are the dense oracle's on the
-double, and that a bundle passes iff its semidirect sum does.  Every
-placement of every member identity that is not a bimodule condition is shown
-to add nothing: it is zero, or it fails only on tuples on which some
-condition of the same check fails at a rearrangement of the same basis
-elements.
+matched pair two algebras whose double is one, so ``check_bimodule`` and
+``check_matched_pair`` are the kind's suite on the sum or double.  Four
+trivially graded pairs pin verdicts that checks by side conditions got
+wrong: a genuine Novikov split, a Novikov and an HNP pair whose doubles
+fail an identity, and an assoc pair whose side fails its own suite.  The
+bimodule twin of the last, a zero module over that same side, is refused
+too.  Properties over random sides, with zero or drawn products, over
+fixtures with a bumped structure constant, and over every fixture's
+regular bundle and its identity pullback check that a verdict and its
+witnesses are the suite's on the sum or double, and (but for the fixtures)
+the dense oracle's.
 """
 
 import json
@@ -30,23 +30,22 @@ from homcolor.constructions import (
 )
 from homcolor.core import AlgebraPresentation, GradedSpace, LinearMap
 from homcolor.grading import super_z2, z2xz2_sympl
-from homcolor.identities import IDENTITY_CATALOG, SUITE_MEMBERS
 from homcolor.reports import PreconditionError
 from homcolor.representations import (
     BIMODULE_TABLE,
     ActionBundle,
     BimoduleKind,
-    derive_conditions,
+    pullback_bundle,
     regular_bundle,
     slot_actions,
 )
 from homcolor.scalars import ScalarContext
-from homcolor.serialize import load_matched_pair_file
+from homcolor.serialize import LoadError, load_matched_pair_file, load_presentation_file
 
-from tests.conftest import load
-from tests.dense_oracle import matched_pair_references
+from tests.conftest import FIXTURES, load
+from tests.dense_oracle import bimodule_references, matched_pair_references
 from tests.test_compiled_conditions import _perturbed, assert_checks_match
-from tests.util import every_failure, graded_targets, perturb
+from tests.util import graded_targets, perturb
 
 
 def _presentation(names, products):
@@ -263,94 +262,71 @@ def test_a_pair_with_a_bumped_fixture_side_is_judged_by_its_double(kind, payload
     assert_judged_by_the_double(MatchedPairData(a, b, *bundles), kind)
 
 
+def assert_judged_by_the_sum(A, bundle, kind):
+    """``check_bimodule`` is the suite of the semidirect sum, and gives the
+    dense oracle's verdict, witness and defect for every member."""
+    report = hc.check_bimodule(A, bundle, kind)
+    total = hc.run_suite(hc.semidirect_sum(A, bundle, kind, force=True), BIMODULE_TABLE[kind].suite)
+    assert report.kind == kind.value
+    assert [c.to_dict() for c in report.checks] == [c.to_dict() for c in total.checks]
+    assert_checks_match(report, bimodule_references(A, bundle, kind))
+
+
 @settings(max_examples=300)
 @given(grading=_GRADINGS, kind=st.sampled_from(list(BimoduleKind)), payload=st.data())
 def test_a_bundle_passes_iff_its_semidirect_sum_does(grading, kind, payload):
+    # A has the zero product or drawn products, which mostly fail its suite.
     draw = payload.draw
     group, bichar = grading()
     ctx = ScalarContext()
     slots = BIMODULE_TABLE[kind].slots
-    A = draw(zero_side(group, bichar, ctx, "x", sorted(set(slots.values()))))
+    roles = sorted(set(slots.values()))
+    A = draw(zero_side(group, bichar, ctx, "x", roles))
+    A = _drawn_products(draw, A, roles) if draw(st.booleans()) else A
     V = draw(zero_side(group, bichar, ctx, "v", []))
     actions = _actions(draw, A.space, V.space, ctx, slot_actions(slots))
-    bundle = ActionBundle(A.space, V.space, V.alpha, ctx, actions)
+    assert_judged_by_the_sum(A, ActionBundle(A.space, V.space, V.alpha, ctx, actions), kind)
+
+
+def _fixture_kinds():
+    """Every loadable fixture with each bimodule kind whose products it has."""
+    out = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        try:
+            A, _ = load_presentation_file(path)
+        except LoadError:
+            continue  # the manifest, and the fixture that must not load
+        out += [(path.name, kind) for kind in BimoduleKind
+                if set(BIMODULE_TABLE[kind].slots.values()) <= set(A.roles)]
+    return out
+
+
+@pytest.mark.parametrize("pullback", [False, True], ids=["regular", "pullback"])
+@pytest.mark.parametrize("name, kind", _fixture_kinds())
+def test_every_fixture_bundle_is_judged_by_its_sum(name, kind, pullback):
+    # The regular bundle, and its pullback along the identity map.
+    A = load(name)
+    if pullback:
+        bundle = pullback_bundle(LinearMap.identity(A.space, A.context), A, A, kind)
+    else:
+        bundle = regular_bundle(A, kind)
     report = hc.check_bimodule(A, bundle, kind)
     total = hc.run_suite(hc.semidirect_sum(A, bundle, kind, force=True), BIMODULE_TABLE[kind].suite)
-    assert report.passed == total.passed, (report.describe(), total.describe())
+    assert [c.to_dict() for c in report.checks] == [c.to_dict() for c in total.checks]
 
 
-# -- every placement is a bimodule condition or adds nothing -----------------------
-
-
-def _placements(slots, suite):
-    """Every placement of every member identity of ``suite``, as derived
-    conditions labelled tag@position."""
-    rows = {
-        tag: tuple((f"{tag}@{at}", at, 1, ()) for at in range(IDENTITY_CATALOG[tag].arity))
-        for tag, _ in SUITE_MEMBERS[suite]
-    }
-    return derive_conditions(slots, suite, rows)
-
-
-def _failing_sets(conditions, axes, ops, bichar):
-    """For each condition, the set of basis-element multisets it fails on:
-    the module element with the sorted others."""
-    return {
-        c.label: {(t[-1], tuple(sorted(t[:-1]))) for t in every_failure(c.terms, axes, ops, bichar)}
-        for c in conditions
-    }
-
-
-def _assert_placements_add_nothing(placements, conditions, axes, ops, bichar):
-    labelled = {(c.tag, c.at) for c in conditions}
-    assert labelled <= {(c.tag, c.at) for c in placements}
-    covered = set().union(*_failing_sets(conditions, axes, ops, bichar).values())
-    extra = [c for c in placements if (c.tag, c.at) not in labelled]
-    for c in extra:
-        failing = _failing_sets([c], axes, ops, bichar)[c.label]
-        if IDENTITY_CATALOG[c.tag].arity == 2:
-            assert not failing, c.label
-        assert failing <= covered, c.label
-
-
-def _unlabelled(slots, suite, conditions):
-    named = {(c.tag, c.at) for c in conditions}
-    return sorted(c.label for c in _placements(slots, suite) if (c.tag, c.at) not in named)
-
-
-JACOBI_SKEW = ["LIE_JACOBI@0", "LIE_JACOBI@1", "LIE_SKEW@0", "LIE_SKEW@1"]
-COMM_ASSOC = ["EPS_COMM@0", "EPS_COMM@1", "HOM_ASSOC@0", "HOM_ASSOC@1"]
-
-
-def test_the_unlabelled_placements_are_the_expected_ones():
-    # Those of arity 2 vanish by the cross rule; the others are checked on
-    # data below.
-    assert {
-        kind: _unlabelled(entry.slots, entry.suite, entry.conditions)
-        for kind, entry in BIMODULE_TABLE.items()
-    } == {
-        BimoduleKind.ASSOC_BIMODULE: COMM_ASSOC,
-        BimoduleKind.NOVIKOV_BIMODULE: [],
-        BimoduleKind.LIE_REP: JACOBI_SKEW,
-        BimoduleKind.HNP_BIMODULE: COMM_ASSOC[:2] + ["HNP_COMPAT_2@0"] + COMM_ASSOC[2:],
-        BimoduleKind.GD_REP: ["GD_COMPAT@0"] + JACOBI_SKEW,
-    }
-
-
-@settings(max_examples=60)
-@given(kind=st.sampled_from(list(BimoduleKind)), payload=st.data())
-def test_unlabelled_bimodule_placements_add_nothing(kind, payload):
-    entry = BIMODULE_TABLE[kind]
-    A = load(payload.draw(st.sampled_from(PASSING[kind])))
-    assert hc.run_suite(A, entry.suite).passed
-    bundle = _perturbed(payload.draw, regular_bundle(A, kind), A.space)
-    ops = {"a." + slot: A.product(role).row_cells for slot, role in entry.slots.items()}
-    ops.update(("ab." + name, bundle.row_cells(name)) for name in slot_actions(entry.slots))
-    axes = ((A.space, A.alpha),) * 2 + ((bundle.module, bundle.beta),)
-    placements = _placements(entry.slots, entry.suite)
-    # A placement of arity 2 uses the first two axes: (x, v) needs V second.
-    for arity, placed_axes in ((3, axes), (2, (axes[0], axes[2]))):
-        _assert_placements_add_nothing(
-            [c for c in placements if IDENTITY_CATALOG[c.tag].arity == arity],
-            entry.conditions if arity == 3 else (), placed_axes, ops, A.bichar,
-        )
+def test_a_bundle_over_an_algebra_failing_its_suite_is_refused():
+    # A = span{x0, x1} with x0.x1 = x1 is not eps-commutative, so no bundle
+    # over it is a bimodule, not even the zero one: A (+) V fails EPS_COMM
+    # at (x0, x1).
+    A = hc.load_presentation(_presentation(["x0", "x1"], {"dot": [["x0", "x1", [["x1", "1"]]]]}))
+    V = GradedSpace(A.space.group, ["v0"], [[]])
+    kind = BimoduleKind.ASSOC_BIMODULE
+    bundle = ActionBundle(A.space, V, LinearMap.identity(V, A.context), A.context, {
+        "s": [LinearMap.zero(V, V, A.context, d) for d in A.space.degrees],
+    })
+    report = hc.check_bimodule(A, bundle, kind)
+    assert _failed(report)["EPS_COMM"] == (("x0", "x1"), (("x1", "1"),))
+    with pytest.raises(PreconditionError, match="bundle fails the bimodule conditions"):
+        hc.semidirect_sum(A, bundle, kind)
+    assert_judged_by_the_sum(A, bundle, kind)

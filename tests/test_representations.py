@@ -1,19 +1,18 @@
-"""Action bundles: bimodule condition systems, regular and pullback bundles."""
+"""Action bundles: bimodule checks on the semidirect sum, regular and pullback bundles."""
 
 import pytest
 
 import homcolor as hc
-from homcolor.core import AlgebraPresentation, LinearMap, vec_scale, vec_sub
+from homcolor.core import AlgebraPresentation, LinearMap
 from homcolor.representations import (
-    BIMODULE_TABLE,
     ActionBundle,
     BimoduleKind,
     check_bimodule,
     regular_bundle,
-    slot_actions,
 )
 from homcolor.reports import PreconditionError
-from tests.util import act_vec, assert_reports_failure, operation_names, smallest_failure
+from tests.dense_oracle import bimodule_references
+from tests.util import assert_reports_failure, smallest_failure
 
 
 def scale_action(A, ops, factor):
@@ -76,21 +75,27 @@ def test_zero_actions_pass_every_kind(hnp_4dim, gd_4dim):
         assert check_bimodule(A, bundle, kind).passed
 
 
-def test_doubled_right_action_fails_cond2(poly_deriv_3dim):
-    # frozen from a brute-force scan of the six conditions
-    P = poly_deriv_3dim
+def _doubled_right_action(P):
+    """The diamond of ``P`` renamed dot, and its regular Novikov bundle with
+    the right action doubled."""
     N = AlgebraPresentation(P.space, P.bichar, P.context, {"dot": P.products["diamond"]}, P.alpha)
     bundle = regular_bundle(N, BimoduleKind.NOVIKOV_BIMODULE)
     doubled = ActionBundle(
         N.space, N.space, N.alpha, N.context,
         {"l": bundle.actions["l"], "r": scale_action(N, bundle.actions["r"], 2)},
     )
+    return N, doubled
+
+
+def test_doubled_right_action_fails_novikov_identities(poly_deriv_3dim):
+    # N passes its suite, so each failure holds a module element of the sum.
+    N, doubled = _doubled_right_action(poly_deriv_3dim)
+    assert hc.run_suite(N, hc.StructureKind.HOM_NOVIKOV).passed
     report = check_bimodule(N, doubled, BimoduleKind.NOVIKOV_BIMODULE)
-    assert not report.passed
-    by_name = {c.check: c for c in report.checks}
-    assert not by_name["NOV_COND2"].passed
-    assert by_name["NOV_COND2"].witness == ("t", "t", "one")
-    assert by_name["NOV_COND2"].defect == (("t2", "-2"),)
+    assert [(c.check, c.witness, c.defect) for c in report.checks] == [
+        ("NOVIKOV_LSYM", ("t", "one_v", "t"), (("t2_v", "-2"),)),
+        ("NOVIKOV_RCOMM", ("one", "t", "t_v"), (("t2_v", "-1"),)),
+    ]
 
 
 def test_hnp_bimodule_subsumes_assoc_and_novikov(hnp_4dim):
@@ -128,83 +133,17 @@ def test_zero_algebra_regular_bundle_has_zero_actions(zero_2dim):
     assert check_bimodule(zero_2dim, bundle, BimoduleKind.HNP_BIMODULE).passed
 
 
-def _novikov_condition_oracle(N, M):
-    """NOV_COND1..6 written out through the public product and actions:
-    each maps (x, y, v) to its defect on the module."""
-    one = N.context.one
-
-    def e(i):
-        return {i: one}
-
-    def act(name, x, v):
-        return act_vec(M, name, x, v)
-
-    def eps_am(i, v):
-        return N.eps_deg(N.space.degree(i), M.module.degree(v))
-
-    def eps_ma(v, i):
-        return N.eps_deg(M.module.degree(v), N.space.degree(i))
-
-    def signed(sign, vec):
-        return vec if sign == 1 else vec_scale(N.context.scalar(-1), vec)
-
-    def parts(x, y, v):
-        al, bv = N.alpha.apply, M.beta.apply(e(v))
-        xy, yx = N.mul("dot", e(x), e(y)), N.mul("dot", e(y), e(x))
-        return {
-            "l(xy)b": act("l", xy, bv),
-            "l(yx)b": act("l", yx, bv),
-            "r(xy)b": act("r", xy, bv),
-            "la(x)ly": act("l", al(e(x)), act("l", e(y), e(v))),
-            "la(y)lx": act("l", al(e(y)), act("l", e(x), e(v))),
-            "ra(y)lx": act("r", al(e(y)), act("l", e(x), e(v))),
-            "la(x)ry": act("l", al(e(x)), act("r", e(y), e(v))),
-            "ra(y)rx": act("r", al(e(y)), act("r", e(x), e(v))),
-            "ra(x)ry": act("r", al(e(x)), act("r", e(y), e(v))),
-        }
-
-    def cond(number):
-        def defect(t):
-            x, y, v = t
-            p = parts(x, y, v)
-            if number == 1:
-                lhs = vec_sub(p["l(xy)b"], p["la(x)ly"])
-                return vec_sub(lhs, signed(N.eps(x, y), vec_sub(p["l(yx)b"], p["la(y)lx"])))
-            if number == 2:
-                lhs = vec_sub(p["ra(y)lx"], p["la(x)ry"])
-                return vec_sub(lhs, signed(eps_am(x, v), vec_sub(p["ra(y)rx"], p["r(xy)b"])))
-            if number == 3:
-                lhs = vec_sub(p["ra(y)rx"], p["r(xy)b"])
-                return vec_sub(lhs, signed(eps_ma(v, x), vec_sub(p["ra(y)lx"], p["la(x)ry"])))
-            if number == 4:
-                return vec_sub(p["l(xy)b"], signed(eps_am(y, v), p["ra(y)lx"]))
-            if number == 5:
-                return vec_sub(p["ra(y)lx"], signed(eps_ma(v, y), p["l(xy)b"]))
-            return vec_sub(p["ra(y)rx"], signed(N.eps(x, y), p["ra(x)ry"]))
-
-        return defect
-
-    return {f"NOV_COND{k}": cond(k) for k in range(1, 7)}
-
-
 def test_doubled_novikov_bundle_witnesses_are_minimal(poly_deriv_3dim):
-    P = poly_deriv_3dim
-    N = AlgebraPresentation(P.space, P.bichar, P.context, {"dot": P.products["diamond"]}, P.alpha)
-    bundle = regular_bundle(N, BimoduleKind.NOVIKOV_BIMODULE)
-    doubled = ActionBundle(
-        N.space, N.space, N.alpha, N.context,
-        {"l": bundle.actions["l"], "r": scale_action(N, bundle.actions["r"], 2)},
-    )
-    report = check_bimodule(N, doubled, BimoduleKind.NOVIKOV_BIMODULE)
-    oracle = _novikov_condition_oracle(N, doubled)
-    assert [c.check for c in report.checks] == list(oracle)
-    axes = (N.names, N.names, doubled.module.names)
-    failures = 0
+    N, doubled = _doubled_right_action(poly_deriv_3dim)
+    kind = BimoduleKind.NOVIKOV_BIMODULE
+    report = check_bimodule(N, doubled, kind)
+    references = bimodule_references(N, doubled, kind)
+    assert [c.check for c in report.checks] == list(references)
     for check in report.checks:
-        found = smallest_failure((N.dim, N.dim, doubled.module.dim), oracle[check.check])
-        assert_reports_failure(check, found, axes, doubled.module)
-        failures += found is not None
-    assert failures == 4
+        defect, sizes, axes, space = references[check.check]
+        found = smallest_failure(sizes, defect)
+        assert found is not None
+        assert_reports_failure(check, found, axes, space)
 
 
 class TestPullback:
@@ -280,12 +219,3 @@ def test_regular_bundle_theorem_property(request):
         A = request.getfixturevalue(fixture_name)
         assert hc.run_suite(A, suite_kind).passed
         assert check_bimodule(A, regular_bundle(A, bim_kind), bim_kind).passed
-
-
-@pytest.mark.parametrize("kind", list(BimoduleKind), ids=lambda k: k.value)
-def test_bimodule_conditions_name_only_their_slots_and_actions(kind):
-    # The algebra's products by slot, and the actions of those slots on V.
-    entry = BIMODULE_TABLE[kind]
-    allowed = {"a." + slot for slot in entry.slots} | {"ab." + name for name in slot_actions(entry.slots)}
-    for condition in entry.conditions:
-        assert operation_names(condition.terms) <= allowed, condition.label

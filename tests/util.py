@@ -119,18 +119,6 @@ def graded_targets(A: AlgebraPresentation, i: int, j: int) -> list[int]:
     return [k for k in range(A.dim) if A.space.degree(k) == want]
 
 
-def operation_names(terms) -> set[str]:
-    """The names of every product, action and map node in ``terms``."""
-    names: set[str] = set()
-    stack = [tree for _, _, tree in terms]
-    while stack:
-        tree = stack.pop()
-        if isinstance(tree[0], str):
-            names.add(tree[0])
-            stack.extend(tree[1:])
-    return names
-
-
 def smallest_failure(sizes, defect):
     """Brute force: evaluate ``defect`` on the index tuples in lexicographic
     order and return the first failing one with its defect (or None when
