@@ -412,8 +412,7 @@ def _check_closures(
         ops[("product", role)] = presentation.products[role].row_cells
         plan = (terms, (("o", ("product", role)),) + maps)
         checks.append(Check(check_name, plan, detail=f"product[{role}] closure"))
-    axis = (presentation.space, presentation.alpha)
-    reports = run_checks(checks, (axis, axis), ops, presentation.bichar, presentation.space)
+    reports = run_checks(checks, presentation, ops, presentation.space)
     failed = (report for report in reports if not report.passed)
     return next(failed, CheckReport(check=check_name, status=PASS))
 
@@ -497,8 +496,7 @@ def novikov_from_derivation(
     ops = {"f": derivation.columns, "g": presentation.alpha.columns}
     plan = (_TWIST_ARM, (("f", "f"), ("g", "g")))
     check = Check("twist_commutes_with_derivation", plan, detail="need alpha o D = D o alpha")
-    axis = (presentation.space, presentation.alpha)
-    [commutes] = run_checks([check], (axis,), ops, presentation.bichar, presentation.space)
+    [commutes] = run_checks([check], presentation, ops, presentation.space)
     if not commutes.passed:
         failed.append(commutes)
     if failed and not force:

@@ -21,7 +21,8 @@ maps: the catalogued conditions and the structural checks here
 evaluates a whole suite of plans in one pass over nonzero cells and whole
 index tuples, building each subtree map at most once and sharing it
 between the plans; :func:`run_checks` runs that pass once per suite call
-and builds each check's report from its smallest failing tuple.  The pass
+and builds each check's report from its smallest failing tuple.  A pass
+reads one presentation: its basis, its twist and its one sign table.  It
 keeps its node maps in plain lists that no function made per call refers
 to, so they hold no reference cycle and are freed when it returns: nothing
 on the check path relies on the cyclic garbage collector.
@@ -595,10 +596,10 @@ def _mul(table: Mapping[tuple[int, int], Sequence[tuple[int, Scalar]]], x: Vec, 
 #
 # Every check is a signed sum of trees.  A tree is a leaf ``(position,
 # power)``: the basis element at that tuple position, or its image under
-# the position's twist applied ``power`` times; a node ``(op, left,
-# right)``: a named product applied to two subtrees; or a node ``(op,
-# subtree)``: a named linear map, such as a twist, a morphism, a derivation
-# or a projection, applied to one subtree.
+# the twist applied ``power`` times; a node ``(op, left, right)``: a named
+# product applied to two subtrees; or a node ``(op, subtree)``: a named
+# linear map, such as a twist, a morphism, a derivation or a projection,
+# applied to one subtree.
 # A term is ``(coefficient, sign pairs, tree)``; each sign pair (p, q)
 # multiplies the term by the commutation factor of the degrees at positions
 # p and q.  The factor is bimultiplicative, so eps(d_p + d_q, d_r) is the
@@ -617,7 +618,7 @@ def positions(count: int) -> tuple[Tree, ...]:
 
 
 def twisted(leaf: Tree, power: int = 1) -> Tree:
-    """The leaf's image under its position's twist, applied ``power`` times."""
+    """The leaf's image under the twist, applied ``power`` times."""
     return (leaf[0], leaf[1] + power)
 
 
@@ -686,19 +687,15 @@ def _join(rows: Rows, left: dict, right: dict, one: Scalar) -> dict:
 Plan = tuple[tuple[Term, ...], tuple[tuple[str, Hashable], ...]]
 
 
-def _intern(
-    tree: Tree, bound: dict, held: list[int], axis_ids: tuple[int, ...], nodes: list, ids: dict
-) -> int:
+def _intern(tree: Tree, bound: dict, held: list[int], nodes: list, ids: dict) -> int:
     """The node id of ``tree``'s shape, interned with its subtrees into
     ``nodes`` and ``ids``; its positions are appended to ``held``."""
     if isinstance(tree[0], str):
-        subs = [_intern(sub, bound, held, axis_ids, nodes, ids) for sub in tree[1:]]
+        subs = [_intern(sub, bound, held, nodes, ids) for sub in tree[1:]]
         key = (bound[tree[0]], subs[0], subs[1] if len(subs) == 2 else None)
     else:
         pos, power = tree
-        if pos >= len(axis_ids):
-            raise ValueError(f"position {pos} has no axis")
-        key = (None, axis_ids[pos], power)
+        key = (None, power, None)
         held.append(pos)
     found = ids.get(key)
     if found is None:
@@ -707,24 +704,23 @@ def _intern(
     return found
 
 
-# The interning depends only on the plans and on which positions share an
-# axis, not on any presentation, so it is done once per process.
+# The interning depends only on the plans, not on any presentation, so it is
+# done once per process.
 @functools.lru_cache(maxsize=256)
-def _compile(plans: tuple[Plan, ...], axis_ids: tuple[int, ...]) -> tuple:
-    """Intern the subtrees of every plan by shape, for positions on the axes
-    ``axis_ids``.
+def _compile(plans: tuple[Plan, ...]) -> tuple:
+    """Intern the subtrees of every plan by shape.
 
     A plan is (terms, binding); the binding sends each operation name of
     the terms to the key of that operation's rows or that map's columns.
-    A leaf's shape is (axis, power), a bilinear node's is (key, left,
-    right) and a map node's is (key, subtree, None), so subtrees that
-    differ only in which positions they hold, or in which plan and which
-    name they come from, share one node and one map.  A node's map sends a
-    key, the indices at the subtree's positions in order of appearance, to
-    the subtree's nonzero value there.  Returns the nodes (key or None, a,
-    b) and per plan, per term, (coefficient, root node, key order of the
-    positions or None when they appear in order, sign pairs left after
-    cancelling repeats).
+    A leaf's shape is its twist power, (None, power, None), a bilinear
+    node's is (key, left, right) and a map node's is (key, subtree, None),
+    so subtrees that differ only in which positions they hold, or in which
+    plan and which name they come from, share one node and one map.  A
+    node's map sends a key, the indices at the subtree's positions in order
+    of appearance, to the subtree's nonzero value there.  Returns the nodes
+    (key or None, a, b) and per plan, per term, (coefficient, root node,
+    key order of the positions or None when they appear in order, sign
+    pairs left after cancelling repeats).
     """
     nodes: list[tuple] = []
     ids: dict[tuple, int] = {}
@@ -735,7 +731,7 @@ def _compile(plans: tuple[Plan, ...], axis_ids: tuple[int, ...]) -> tuple:
         plan = []
         for coeff, pairs, tree in terms:
             held: list[int] = []
-            root = _intern(tree, bound, held, axis_ids, nodes, ids)
+            root = _intern(tree, bound, held, nodes, ids)
             arity = len(held) if arity is None else arity
             if sorted(held) != list(range(arity)):
                 raise ValueError(f"term {tree!r} must hold each of {arity} positions once")
@@ -753,16 +749,16 @@ def _node_map(nid: int, state: tuple) -> dict:
     """The map of node ``nid``, built on first use and kept in ``maps``.
 
     ``state`` is one :func:`term_failures` pass's (nodes, maps, index, ops,
-    twists, one); ``index[nid]`` keeps the map of a right operand indexed
+    twist, one); ``index[nid]`` keeps the map of a right operand indexed
     by basis index, b -> [(key, coefficient)].  A node whose left map is
     empty is empty, and its right subtree is not evaluated for it.
     """
-    nodes, maps, index, ops, twists, one = state
+    nodes, maps, index, ops, twist, one = state
     found = maps[nid]
     if found is None:
-        name, a, b = nodes[nid]  # a leaf's a, b: axis, twist power
+        name, a, b = nodes[nid]  # a leaf's a: its twist power
         if name is None:
-            found = {(j,): v for j, v in enumerate(twists[a].images(b)) if v}
+            found = {(j,): v for j, v in enumerate(twist.images(a)) if v}
         else:
             left = _node_map(a, state)
             if not left:
@@ -783,54 +779,51 @@ def _node_map(nid: int, state: tuple) -> dict:
 
 def term_failures(
     plans: Sequence[Plan],
-    axes: Sequence[tuple[GradedSpace, LinearMap]],
+    presentation: AlgebraPresentation,
     ops: Mapping[Hashable, Rows | Columns],
-    bichar: Bicharacter,
 ) -> Failures:
     """Evaluate the plans together in one pass and return, for each plan
     that fails, its failing index tuples with their nonzero signed sums.
 
     ``plans[c]`` is check c's terms with the binding of their operation
     names to keys of ``ops``, which holds each product's rows
-    (:attr:`BilinearProduct.row_cells`) and each linear map's ``columns``;
-    ``axes[p]`` is the basis and twist of tuple position p, and a plan of
-    arity a uses the first a axes.  The result sends each failing plan c to a dict from its failing
-    index tuples to their defects; a plan that passes has no entry.
+    (:attr:`BilinearProduct.row_cells`) and each linear map's ``columns``.
+    Every position ranges over ``presentation``'s one basis, every leaf is
+    twisted by its one twist and every sign pair reads its one sign table.
+    The result sends each failing plan c to a dict from its failing index
+    tuples to their defects; a plan that passes has no entry.
 
     Each tree is expanded only over nonzero cells and nonzero images, over
     whole index tuples, and each subtree's map is built at most once per
     call, shared by every term of every plan holding a subtree of that
     shape over the same rows (``(x.y).a(z)`` and ``(x.z).a(y)`` share one
     map).  The pass builds no table of its own: rows are read from
-    ``ops``, twist images from :meth:`LinearMap.images` of each axis's
-    twist and signs from :meth:`Bicharacter.table` of the axes' degrees,
-    each built once and kept on its object or in the memo.
+    ``ops``, twist images from :meth:`LinearMap.images` and signs from
+    :meth:`AlgebraPresentation.sign_table`, each built once and kept on its
+    object or in the bicharacter's memo.
 
     First, one pass over the subtrees gives each its support: the basis
     indices its values can have, read from the nonzero cells and images of
     the data.  A term whose support is empty is zero on every tuple and is
-    dropped before its sign tables are looked up, so neither it nor a
-    subtree that only dropped terms use is ever evaluated.  This is exact
-    because sums may cancel but never create a component, so a support is
-    a superset of the true one.
+    dropped, so neither it nor a subtree that only dropped terms use is
+    ever evaluated.  This is exact because sums may cancel but never create
+    a component, so a support is a superset of the true one.
 
     The node maps live in lists passed to :func:`_node_map`, in no
     reference cycle, so they are freed the moment the pass returns.
     """
-    context = axes[0][1].context
+    twist = presentation.alpha
+    context = presentation.context
     one = context.one
-    # Positions that hold the same basis and twist objects share an axis.
-    ids: dict[tuple[int, int], int] = {}
-    axis_ids = tuple(ids.setdefault((id(space), id(twist)), len(ids)) for space, twist in axes)
-    twists = {aid: twist for aid, (_, twist) in zip(axis_ids, axes)}
-    nodes, compiled = _compile(tuple(plans), axis_ids)
+    signs = presentation.sign_table()
+    nodes, compiled = _compile(tuple(plans))
 
     # Children are interned before their parents, so one forward pass gives
     # each node its support.
     support: list[set[int]] = []
     for name, a, b in nodes:
         if name is None:
-            found = {k for v in twists[a].images(b) for k in v}
+            found = {k for v in twist.images(a) for k in v}
         elif b is None:
             found = {k for x in support[a] for k, _ in ops[name][x]}
         else:
@@ -838,16 +831,7 @@ def term_failures(
             found = {k for x in support[a] for y, cell in ops[name][x] if y in right for k, _ in cell}
         support.append(found)
 
-    plan = [
-        [
-            (coeff, root, order, tuple(
-                (bichar.table(axes[p][0].degrees, axes[q][0].degrees), p, q) for p, q in pairs
-            ))
-            for coeff, root, order, pairs in terms
-            if support[root]
-        ]
-        for terms in compiled
-    ]
+    plan = [[term for term in terms if support[term[1]]] for terms in compiled]
     scales = {
         c: context.scalar(c)
         for terms in plan
@@ -857,17 +841,17 @@ def term_failures(
     }
     # Nodes, their maps and right-operand indexes (built on first use by
     # _node_map), and what building them reads.
-    state = (nodes, [None] * len(nodes), [None] * len(nodes), ops, twists, one)
+    state = (nodes, [None] * len(nodes), [None] * len(nodes), ops, twist, one)
 
     failed: Failures = {}
     for c, terms in enumerate(plan):
         total: dict[tuple[int, ...], Vec] = {}
-        for coeff, root, order, sign_of in terms:
+        for coeff, root, order, pairs in terms:
             for k, vec in _node_map(root, state).items():
                 t = k if order is None else tuple([k[j] for j in order])
                 s = coeff
-                for table, p, q in sign_of:
-                    s *= table[t[p]][t[q]]
+                for p, q in pairs:
+                    s *= signs[t[p]][t[q]]
                 if s != 1 and s != -1:
                     scale = scales[s]
                     vec = {k2: scale * v for k2, v in vec.items()}
@@ -905,21 +889,20 @@ class Check(NamedTuple):
 
 def run_checks(
     checks: Sequence[Check],
-    axes: Sequence[tuple[GradedSpace, LinearMap]],
+    presentation: AlgebraPresentation,
     ops: Mapping[Hashable, Rows | Columns],
-    bichar: Bicharacter,
     space: GradedSpace,
 ) -> list[CheckReport]:
-    """Evaluate a suite of checks in one :func:`term_failures` pass and
-    report each in order.
+    """Evaluate a suite of checks in one :func:`term_failures` pass on
+    ``presentation`` and report each in order.
 
-    A report is PASS, or FAIL with the basis names (``axes[p][0].names``)
-    of the check's lexicographically smallest failing index tuple and its
-    defect there, a vector of ``space``.  Every check is settled when the
-    pass ends, so each report's ``seconds`` is the time of the whole pass.
+    A report is PASS, or FAIL with the basis names of the check's
+    lexicographically smallest failing index tuple and its defect there, a
+    vector of ``space`` (a morphism's target).  Every check is settled when
+    the pass ends, so each report's ``seconds`` is the time of the whole pass.
     """
     started = time.perf_counter()
-    failed = term_failures([c.plan for c in checks], axes, ops, bichar)
+    failed = term_failures([c.plan for c in checks], presentation, ops)
     seconds = time.perf_counter() - started
     reports = []
     for n, c in enumerate(checks):
@@ -932,7 +915,7 @@ def run_checks(
                 c.check,
                 FAIL,
                 c.roles,
-                witness=tuple(axis[0].names[i] for axis, i in zip(axes, t)),
+                witness=tuple(presentation.names[i] for i in t),
                 defect=vec_to_names(space, found[t]),
                 detail=c.detail,
                 seconds=seconds,
@@ -978,8 +961,7 @@ def multiplicative_checks(
         ops[("p", role)] = presentation.product(role).row_cells
         binding = (("a", ("p", role)), ("b", ("p", role)), ("f", "f"))
         checks.append(Check(f"multiplicative[{role}]", (_PRODUCT_ARM, binding)))
-    axis = (presentation.space, presentation.alpha)
-    return run_checks(checks, (axis, axis), ops, presentation.bichar, presentation.space)
+    return run_checks(checks, presentation, ops, presentation.space)
 
 
 def is_multiplicative(presentation: AlgebraPresentation, role: str) -> CheckReport:
@@ -995,9 +977,8 @@ def is_derivation(
     [row] = presentation.bichar.table((derivation.degree,), presentation.space.degrees)
     signs = tuple(((i, presentation.context.scalar(s)),) for i, s in enumerate(row))
     ops = {"a": presentation.product(role).row_cells, "f": derivation.columns, "s": signs}
-    axis = (presentation.space, presentation.alpha)
     check = Check(f"derivation[{role}]", (_LEIBNIZ, tuple((name, name) for name in ops)))
-    [report] = run_checks([check], (axis, axis), ops, presentation.bichar, presentation.space)
+    [report] = run_checks([check], presentation, ops, presentation.space)
     return report
 
 
@@ -1022,8 +1003,7 @@ def morphism_suite(
         binding = (("a", ("a", role)), ("b", ("b", role)), ("f", "f"))
         checks.append(Check(f"morphism:product[{role}]", (_PRODUCT_ARM, binding)))
     checks.append(Check("morphism:twist", (_TWIST_ARM, (("f", "f"), ("g", "g")))))
-    axis = (source.space, source.alpha)
-    reports = run_checks(checks, (axis, axis), ops, source.bichar, target.space)
+    reports = run_checks(checks, source, ops, target.space)
     return SuiteReport(kind="morphism", checks=reports)
 
 

@@ -264,8 +264,7 @@ def _evaluate(
         Check(tag, (spec.terms, binding), roles=binding)
         for spec, (tag, binding) in zip(specs, members)
     ]
-    axes = ((presentation.space, presentation.alpha),) * max(spec.arity for spec in specs)
-    reports = run_checks(checks, axes, ops, presentation.bichar, presentation.space)
+    reports = run_checks(checks, presentation, ops, presentation.space)
     return dict(zip(members, reports))
 
 

@@ -2,7 +2,8 @@
 
 Everything here is written the slow, obvious way on purpose: structure
 constants are expanded to dense nested lists, multiplication is a literal
-triple loop over the nonzero coordinates, and each identity is re-derived
+triple loop over the nonzero coordinates, the twist a matrix-vector
+product over them, and each identity is re-derived
 from its formula without touching the kernel's defect expressions.  Verdicts
 and witnesses must agree with the kernel exactly.
 
@@ -42,7 +43,8 @@ def dense_alpha(A: AlgebraPresentation):
 
 def d_apply(rows, x):
     n = len(rows)
-    return [sum((rows[r][c] * x[c] for c in range(n)), rows[r][0].context.zero) for r in range(n)]
+    nonzero = [c for c in range(n) if not x[c].is_zero()]
+    return [sum((rows[r][c] * x[c] for c in nonzero), rows[r][0].context.zero) for r in range(n)]
 
 
 def d_mul(table, x, y):
@@ -305,8 +307,8 @@ class DenseOracle:
 
 def _suite_references(total, suite):
     """Each member identity of ``suite`` by tag: its defect on every tuple
-    of ``total`` as the dense oracle evaluates it, its index sizes, its
-    axes' names and the space its defects lie in."""
+    of ``total`` as the dense oracle evaluates it, its index sizes, the
+    basis names of its witnesses and the space its defects lie in."""
     oracle = DenseOracle(total)
     references = {}
     for tag, override in SUITE_MEMBERS[suite]:
@@ -316,7 +318,7 @@ def _suite_references(total, suite):
         def defect(t, tag=tag, roles=roles):
             return {k: s for k, s in enumerate(oracle.defect(tag, roles, t)) if s.terms}
 
-        references[tag] = (defect, (total.dim,) * spec.arity, (total.names,) * spec.arity, total.space)
+        references[tag] = (defect, (total.dim,) * spec.arity, total.names, total.space)
     return references
 
 

@@ -136,14 +136,13 @@ def _assert_oracle_agrees(B, oracle, report):
                 oracle.al(oracle.mul(role, x, y)), oracle.mul(role, oracle.al(x), oracle.al(y))
             ))
 
-        found, arity = smallest_failure((B.dim, B.dim), defect), 2
+        found = smallest_failure((B.dim, B.dim), defect)
     else:
         spec, roles = IDENTITY_CATALOG[report.check], dict(report.roles)
         t = oracle.check(report.check, roles, spec.arity)
         found = None if t is None else (t, _vec(oracle.defect(report.check, roles, t)))
-        arity = spec.arity
     assert found is not None, report.describe()
-    assert_reports_failure(report, found, [B.names] * arity, B.space)
+    assert_reports_failure(report, found, B.names, B.space)
 
 
 @pytest.mark.parametrize("name, A", _fixtures(), ids=[name for name, _ in _fixtures()])
@@ -196,10 +195,10 @@ def test_bimodule_verdicts_survive_an_even_change_of_basis(name, A, kind, seed):
     references = bimodule_references(B, moved, kind)
     for report in after.checks:
         if not report.passed:
-            defect, sizes, axes, space = references[report.check]
+            defect, sizes, names, space = references[report.check]
             found = smallest_failure(sizes, defect)
             assert found is not None, report.describe()
-            assert_reports_failure(report, found, axes, space)
+            assert_reports_failure(report, found, names, space)
 
 
 def _seeded_map(source, target, ctx, degree, seed):
@@ -238,7 +237,7 @@ def test_derivation_verdicts_survive_an_even_change_of_basis(name, A, seed):
             before, after = is_derivation(A, role, D), is_derivation(B, role, moved)
             assert (after.check, after.status) == (before.check, before.status)
             found = smallest_failure((B.dim, B.dim), leibniz(B, role, moved))
-            assert_reports_failure(after, found, (B.names, B.names), B.space)
+            assert_reports_failure(after, found, B.names, B.space)
 
 
 def _morphism_candidates(A, seed):
@@ -332,7 +331,7 @@ def test_matched_pair_verdicts_survive_an_even_change_of_basis(name, A, kind, bu
     references = matched_pair_references(moved, kind)
     for report in after.checks:
         if not report.passed:
-            defect, sizes, axes, space = references[report.check]
+            defect, sizes, names, space = references[report.check]
             found = smallest_failure(sizes, defect)
             assert found is not None, report.describe()
-            assert_reports_failure(report, found, axes, space)
+            assert_reports_failure(report, found, names, space)

@@ -139,8 +139,8 @@ def assert_checks_match(report, references):
     tuple and defect, and every reference has its check."""
     assert sorted(c.check for c in report.checks) == sorted(references)
     for c in report.checks:
-        defect, sizes, axes, space = references[c.check]
-        assert_reports_failure(c, smallest_failure(sizes, defect), axes, space)
+        defect, sizes, names, space = references[c.check]
+        assert_reports_failure(c, smallest_failure(sizes, defect), names, space)
 
 
 @settings(max_examples=150)
@@ -217,9 +217,8 @@ def assert_every_defect_matches(total, suite, references):
     for tag, override in SUITE_MEMBERS[suite]:
         ops = {name: total.product(role).row_cells for name, role in _binding(tag, override)}
         spec = IDENTITY_CATALOG[tag]
-        axes = ((total.space, total.alpha),) * spec.arity
         defect, sizes, _, _ = references[tag]
-        assert every_failure(spec.terms, axes, ops, total.bichar) == _every_defect(sizes, defect), tag
+        assert every_failure(spec.terms, total, ops) == _every_defect(sizes, defect), tag
 
 
 @settings(max_examples=60)
@@ -284,9 +283,8 @@ def test_pruned_pass_matches_dense_oracle(A):
     specs = [spec for spec in IDENTITY_CATALOG.values() if spec.arity < 4 or A.dim <= 3]
     checks = [Check(spec.tag, (spec.terms, spec.defaults)) for spec in specs]
     ops = {role: A.product(role).row_cells for role in A.roles}
-    axes = ((A.space, A.alpha),) * max(spec.arity for spec in specs)
     oracle = DenseOracle(A)
-    for spec, report in zip(specs, run_checks(checks, axes, ops, A.bichar, A.space)):
+    for spec, report in zip(specs, run_checks(checks, A, ops, A.space)):
         assert report.check == spec.tag
         roles = dict(spec.defaults)
         t = oracle.check(spec.tag, roles, spec.arity)
@@ -294,7 +292,7 @@ def test_pruned_pass_matches_dense_oracle(A):
         if t is not None:
             defect = oracle.defect(spec.tag, roles, t)
             found = (t, {k: s for k, s in enumerate(defect) if s.terms})
-        assert_reports_failure(report, found, [A.names] * spec.arity, A.space)
+        assert_reports_failure(report, found, A.names, A.space)
 
 
 _entry = st.sampled_from([1, -1, 2])
@@ -365,7 +363,8 @@ def test_random_plans_on_sparse_data_match_the_tree_formula(payload):
         if total:
             want[t] = total
     ops = {"a": products["a"].row_cells, "b": products["b"].row_cells, "f": f.columns}
-    assert every_failure(tuple(terms), ((space, alpha),) * arity, ops, bichar) == want
+    A = AlgebraPresentation(space, bichar, ctx, {}, alpha)
+    assert every_failure(tuple(terms), A, ops) == want
 
 
 def test_a_map_node_support_follows_its_columns():
@@ -384,8 +383,8 @@ def test_a_map_node_support_follows_its_columns():
     }
     x, y, z = positions(3)
     a, b, g = (operation(name) for name in "abf")
-    axes = ((space, LinearMap.identity(space, ctx)),) * 3
-    assert every_failure(((1, (), b(g(a(x, y)), z)),), axes, ops, bichar) == {(0, 0, 0): {2: one}}
+    A = AlgebraPresentation(space, bichar, ctx, {}, LinearMap.identity(space, ctx))
+    assert every_failure(((1, (), b(g(a(x, y)), z)),), A, ops) == {(0, 0, 0): {2: one}}
 
 
 def test_terms_with_a_support_that_cancel_still_pass(monkeypatch):
@@ -411,14 +410,12 @@ def test_terms_with_a_support_that_cancel_still_pass(monkeypatch):
     joins = []
     join = core._join
     monkeypatch.setattr(core, "_join", lambda *args: joins.append(1) or join(*args))
-    axes = ((A.space, A.alpha),) * 2
-    names = [A.names] * 2
-    reports = run_checks(checks, axes, {"dot": dot.row_cells}, A.bichar, A.space)
+    reports = run_checks(checks, A, {"dot": dot.row_cells}, A.space)
     for report in reports:
-        assert_reports_failure(report, None, names, A.space)
+        assert_reports_failure(report, None, A.names, A.space)
     assert joins
     # The same plans fail once the cancellation is broken.
     B = perturb(A, "dot", 1, 2, 2, 1)
-    reports = run_checks(checks, axes, {"dot": B.product("dot").row_cells}, B.bichar, B.space)
+    reports = run_checks(checks, B, {"dot": B.product("dot").row_cells}, B.space)
     for report, found in zip(reports, [((0, 2), {2: one}), ((1, 2), {2: one})]):
-        assert_reports_failure(report, found, names, B.space)
+        assert_reports_failure(report, found, B.names, B.space)

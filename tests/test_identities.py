@@ -335,7 +335,7 @@ class TestPoissonLeibnizConvention:
         spec = IDENTITY_CATALOG["POISSON_LEIBNIZ"]
         # every nonzero catalog defect, by tuple; the rest are zero
         ops = {slot: A.product(role).row_cells for slot, role in spec.defaults}
-        catalog = every_failure(spec.terms, ((A.space, A.alpha),) * 3, ops, A.bichar)
+        catalog = every_failure(spec.terms, A, ops)
         group = A.space.group
         for x in range(A.dim):
             for y in range(A.dim):

@@ -146,7 +146,7 @@ def test_compiling_new_plans():
 
     def compile_anew():
         core._compile.cache_clear()
-        core._compile(plans, (0,) * spec.arity)
+        core._compile(plans)
 
     assert_no_cycles(compile_anew)
 
@@ -232,7 +232,7 @@ def test_an_empty_left_operand_is_not_applied():
     plans = [(((1, (), a(inner, z)),), binding), (((1, (), f(inner)),), binding)]
     ops = {"a": A.product("dot").row_cells, "f": LinearMap.identity(A.space, A.context).columns}
     with node_evaluations() as calls:
-        assert term_failures(plans, ((A.space, A.alpha),) * 3, ops, A.bichar) == {}
+        assert term_failures(plans, A, ops) == {}
     assert calls == {"_join": 1}
 
 

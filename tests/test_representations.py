@@ -140,10 +140,10 @@ def test_doubled_novikov_bundle_witnesses_are_minimal(poly_deriv_3dim):
     references = bimodule_references(N, doubled, kind)
     assert [c.check for c in report.checks] == list(references)
     for check in report.checks:
-        defect, sizes, axes, space = references[check.check]
+        defect, sizes, names, space = references[check.check]
         found = smallest_failure(sizes, defect)
         assert found is not None
-        assert_reports_failure(check, found, axes, space)
+        assert_reports_failure(check, found, names, space)
 
 
 class TestPullback:

@@ -174,8 +174,7 @@ def test_one_pass_joins_each_bilinear_node_at_most_once(A):
         if {role for _, role in spec.defaults} <= set(A.roles) and (spec.arity < 4 or A.dim <= 4)
     ]
     checks = [core.Check(spec.tag, (spec.terms, spec.defaults)) for spec in specs]
-    arity = max(spec.arity for spec in specs)
-    nodes, _ = core._compile(tuple(c.plan for c in checks), (0,) * arity)
+    nodes, _ = core._compile(tuple(c.plan for c in checks))
     bilinear = sum(1 for name, _, b in nodes if name is not None and b is not None)
     ops = {role: A.product(role).row_cells for role in A.roles}
     joins = []
@@ -183,6 +182,6 @@ def test_one_pass_joins_each_bilinear_node_at_most_once(A):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(core, "_join", lambda rows, left, right, one: joins.append(
             (id(rows), id(left), id(right))) or join(rows, left, right, one))
-        core.run_checks(checks, ((A.space, A.alpha),) * arity, ops, A.bichar, A.space)
+        core.run_checks(checks, A, ops, A.space)
     assert len(joins) == len(set(joins))
     assert len(joins) <= bilinear

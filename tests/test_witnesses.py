@@ -97,7 +97,7 @@ def assert_morphism_witnesses(f, A, B):
     expected = [smallest_failure((A.dim, A.dim), product_arm(f, A, B, role)) for role in A.roles]
     expected.append(smallest_failure((A.dim,), twist_arm(f, A, B)))
     for check, found in zip(suite.checks, expected):
-        assert_reports_failure(check, found, (A.names, A.names), B.space)
+        assert_reports_failure(check, found, A.names, B.space)
     return expected
 
 
@@ -106,7 +106,7 @@ def test_multiplicative_witness_on_the_ledger_fixture(hnp_mult_4dim):
     for role in A.roles:
         found = smallest_failure((A.dim, A.dim), product_arm(A.alpha, A, A, role))
         assert found is not None
-        assert_reports_failure(is_multiplicative(A, role), found, (A.names, A.names), A.space)
+        assert_reports_failure(is_multiplicative(A, role), found, A.names, A.space)
 
 
 def test_derivation_witness(hnp_4dim):
@@ -115,7 +115,7 @@ def test_derivation_witness(hnp_4dim):
     for role in A.roles:
         found = smallest_failure((A.dim, A.dim), leibniz(A, role, D))
         assert found is not None
-        assert_reports_failure(is_derivation(A, role, D), found, (A.names, A.names), A.space)
+        assert_reports_failure(is_derivation(A, role, D), found, A.names, A.space)
 
 
 def test_morphism_product_and_twist_witnesses(hnp_4dim):
@@ -169,7 +169,7 @@ def test_closure_witnesses(fixture, subset, check, request):
     detail, found = expected
     assert report.check == check
     assert report.detail == detail
-    assert_reports_failure(report, found, (A.names,) * len(found[0]), A.space)
+    assert_reports_failure(report, found, A.names, A.space)
 
 
 @st.composite
@@ -201,7 +201,7 @@ def test_multiplicative_witnesses_of_random_maps(data, payload):
     for role in A.roles:
         found = smallest_failure((A.dim, A.dim), product_arm(m, A, A, role))
         report = reports[f"morphism:product[{role}]"]
-        assert_reports_failure(report, found, (A.names, A.names), A.space)
+        assert_reports_failure(report, found, A.names, A.space)
 
 
 @settings(max_examples=60)
@@ -226,7 +226,7 @@ def test_derivation_witnesses_of_nonzero_degree(grading, payload):
     for D in [D] + [LinearMap(A.space, A.space, A.context, cols, d) for cols in columns]:
         for role in A.roles:
             found = smallest_failure((A.dim, A.dim), leibniz(A, role, D))
-            assert_reports_failure(is_derivation(A, role, D), found, (A.names, A.names), A.space)
+            assert_reports_failure(is_derivation(A, role, D), found, A.names, A.space)
 
 
 def projection(A, Q):
@@ -281,7 +281,7 @@ def test_closure_witnesses_of_random_subsets(data, payload):
             continue
         detail, found = expected
         assert report.detail == detail
-        assert_reports_failure(report, found, (A.names,) * len(found[0]), A.space)
+        assert_reports_failure(report, found, A.names, A.space)
 
 
 def test_closure_stage_order_beats_tuple_order():
@@ -330,9 +330,9 @@ def test_matched_pair_witnesses():
     references = matched_pair_references(pair, MatchedPairKind.ASSOC)
     failures = []
     for check in report.checks:
-        defect, sizes, axes, space = references[check.check]
+        defect, sizes, names, space = references[check.check]
         found = smallest_failure(sizes, defect)
-        assert_reports_failure(check, found, axes, space)
+        assert_reports_failure(check, found, names, space)
         if found is not None:
             failures.append(check.check)
     assert [c.check for c in report.checks] == ["EPS_COMM", "HOM_ASSOC"]

@@ -130,23 +130,24 @@ def smallest_failure(sizes, defect):
     return None
 
 
-def every_failure(terms, axes, ops, bichar) -> dict:
-    """Every failing index tuple of one term plan, with its defect, as the
-    evaluator returns them.  ``ops`` is keyed by the operation names of
-    the terms."""
+def every_failure(terms, presentation, ops) -> dict:
+    """Every failing index tuple of one term plan on ``presentation``'s
+    basis, with its defect, as the evaluator returns them.  ``ops`` is
+    keyed by the operation names of the terms."""
     plan = (terms, tuple((name, name) for name in ops))
-    return term_failures((plan,), axes, ops, bichar).get(0, {})
+    return term_failures((plan,), presentation, ops).get(0, {})
 
 
-def assert_reports_failure(report, found, axes, space):
+def assert_reports_failure(report, found, names, space):
     """``report`` is PASS iff ``found`` is None, else FAIL at exactly that
-    tuple with exactly that defect, written as basis name -> scalar text."""
+    tuple, written in the basis ``names``, with exactly that defect,
+    written as basis name -> scalar text."""
     if found is None:
         assert report.passed, report.describe()
         return
     t, d = found
     assert report.status == "fail", report.describe()
-    assert report.witness == tuple(names[i] for names, i in zip(axes, t))
+    assert report.witness == tuple(names[i] for i in t)
     assert report.defect == tuple((space.names[k], str(d[k])) for k in sorted(d))
 
 
