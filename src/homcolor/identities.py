@@ -12,12 +12,13 @@ preconditions) evaluates all its members in one
 expanded only over nonzero structure constants and twist images, and each
 subtree map built once for every member that holds it, so its cost follows
 the nonzero cells, not dim^arity, and GI_2..GI_4 are decided at every
-dimension.  The pass builds each member's report, and
-:func:`check_identity` hands it out in the suite's order; called directly,
-:func:`check_identity` evaluates its identity as a suite of one.  A
-failure carries the lexicographically smallest failing tuple together with
-its defect vector, and a report's ``seconds`` is the time of the suite's
-whole pass.
+dimension.  Inside a suite, a member's report is the suite's:
+:func:`check_identity` looks it up; called directly, it evaluates its
+identity as a suite of one.  A pass reads its roles in sorted order, so a
+missing one is named the same way under every hash seed.  A failure
+carries the lexicographically smallest failing tuple together with its
+defect vector, and a report's ``seconds`` is the time of the suite's whole
+pass.
 """
 
 from __future__ import annotations
@@ -53,12 +54,12 @@ __all__ = [
     "required_roles",
 ]
 
-# The suite whose member reports are being handed out: its presentation,
-# the roles whose twist it verified multiplicative, and each member's report
-# (see _evaluate) keyed by tag and role binding.  Set only while run_suite or
-# check_gi_identities collects its reports through check_identity.
-_SUITE: ContextVar[tuple[AlgebraPresentation | None, frozenset[str], Mapping]] = ContextVar(
-    "homcolor_suite", default=(None, frozenset(), {})
+# The suite whose member reports are being handed out: its presentation and
+# each member's report (see _evaluate) keyed by tag and role binding.  Set
+# only while run_suite or check_gi_identities collects its reports through
+# check_identity.
+_SUITE: ContextVar[tuple[AlgebraPresentation | None, Mapping]] = ContextVar(
+    "homcolor_suite", default=(None, {})
 )
 
 
@@ -222,24 +223,11 @@ def required_roles(kind: StructureKind) -> tuple[str, ...]:
                          for _, role in _binding(tag, override)}))
 
 
-def _bind_slots(defaults, overrides: Mapping | None, owner: str, what: str) -> dict[str, str]:
-    """Slots bound to products: ``defaults`` (a mapping or its pairs) updated
-    by ``overrides``, which are refused for a slot not in ``defaults`` as
-    "<owner> has no <what> slots [...]"."""
-    binding = dict(defaults)
-    if overrides:
-        unknown = set(overrides) - set(binding)
-        if unknown:
-            raise ValueError(f"{owner} has no {what} slots {sorted(unknown)}")
-        binding.update(overrides)
-    return binding
-
-
 def _binding(tag: str, roles: Mapping[str, str] | None) -> tuple[tuple[str, str], ...]:
-    """The identity's role slots bound to products (see :func:`_bind_slots`),
-    as sorted (slot, role) pairs.
-    Bindings are kept per tag and override; a refusal is raised again on
-    each call."""
+    """The identity's role slots bound to products, as sorted (slot, role)
+    pairs: its defaults updated by ``roles``, which are refused for a slot
+    the identity does not have.  Bindings are kept per tag and override; a
+    refusal is raised again on each call."""
     return _bound(tag, frozenset(roles.items()) if roles else frozenset())
 
 
@@ -249,20 +237,25 @@ def _bound(tag: str, override: frozenset) -> tuple[tuple[str, str], ...]:
         spec = IDENTITY_CATALOG[tag]
     except KeyError:
         raise KeyError(f"unknown identity tag {tag!r}") from None
-    return tuple(sorted(_bind_slots(spec.defaults, dict(override), tag, "role").items()))
+    binding = dict(spec.defaults)
+    unknown = {slot for slot, _ in override} - set(binding)
+    if unknown:
+        raise ValueError(f"{tag} has no role slots {sorted(unknown)}")
+    binding.update(override)
+    return tuple(sorted(binding.items()))
 
 
 def _evaluate(
     presentation: AlgebraPresentation, members: list[tuple[str, tuple[tuple[str, str], ...]]]
 ) -> dict[tuple[str, tuple[tuple[str, str], ...]], CheckReport]:
     """Evaluate the (tag, binding) members together in one
-    :func:`~homcolor.core.run_checks` pass; map each member to its report."""
-    specs = [IDENTITY_CATALOG[tag] for tag, _ in members]
-    roles = {role for _, binding in members for _, role in binding}
+    :func:`~homcolor.core.run_checks` pass, reading roles in sorted order;
+    map each member to its report."""
+    roles = sorted({role for _, binding in members for _, role in binding})
     ops = {role: presentation.product(role).row_cells for role in roles}
     checks = [
-        Check(tag, (spec.terms, binding), roles=binding)
-        for spec, (tag, binding) in zip(specs, members)
+        Check(tag, (IDENTITY_CATALOG[tag].terms, binding), roles=binding)
+        for tag, binding in members
     ]
     reports = run_checks(checks, presentation, ops, presentation.space)
     return dict(zip(members, reports))
@@ -273,50 +266,42 @@ def check_identity(
 ) -> CheckReport:
     """Evaluate one catalogued identity on every basis tuple of its arity.
 
-    Called by :func:`run_suite` or :func:`check_gi_identities`, it reports
-    the evaluation that the suite made for all its members together; called
-    directly, it evaluates the identity as a suite of one.
+    Inside :func:`run_suite` or :func:`check_gi_identities`, it returns the
+    suite's report for this member.  Called directly, it checks the twist
+    precondition of GI_1..GI_4, then evaluates the identity as a suite of one.
     """
-    role_items = _binding(tag, roles)
-    spec = IDENTITY_CATALOG[tag]
-    used = {role for _, role in role_items}
-    for role in used:
-        presentation.product(role)  # raises MissingRoleError
-
-    suite, verified_roles, evaluated = _SUITE.get()
-    if suite is not presentation:
-        verified_roles, evaluated = frozenset(), {}
-    if spec.needs_multiplicative and not used <= verified_roles:
+    binding = _binding(tag, roles)
+    member = (tag, binding)
+    suite, evaluated = _SUITE.get()
+    if suite is presentation and member in evaluated:
+        return evaluated[member]
+    if IDENTITY_CATALOG[tag].needs_multiplicative:
         started = time.perf_counter()
-        failed = [c for c in multiplicative_checks(presentation, sorted(used)) if not c.passed]
+        used = sorted({role for _, role in binding})
+        failed = [c for c in multiplicative_checks(presentation, used) if not c.passed]
         if failed:
             return CheckReport(
                 check=tag,
                 status=PRECONDITION_FAILED,
-                roles=role_items,
+                roles=binding,
                 detail="identity assumes a multiplicative twist",
                 preconditions=tuple(failed),
                 seconds=time.perf_counter() - started,
             )
-
-    member = (tag, role_items)
-    report = evaluated.get(member)
-    if report is None:
-        report = _evaluate(presentation, [member])[member]
-    return report
+    return _evaluate(presentation, [member])[member]
 
 
 def _suite_report(
     presentation: AlgebraPresentation,
     kind: str,
     members: tuple[tuple[str, Mapping[str, str]], ...],
-    verified_roles: frozenset[str],
 ) -> SuiteReport:
     """Evaluate the (tag, role override) members in one pass, then collect
-    each member's report through :func:`check_identity`."""
+    each member's report through :func:`check_identity`.  No structure kind
+    holds a member that assumes a multiplicative twist, and
+    :func:`check_gi_identities` verifies the twist before its call."""
     bound = [(tag, _binding(tag, override)) for tag, override in members]
-    evaluated = _evaluate(presentation, bound)
-    token = _SUITE.set((presentation, verified_roles, evaluated))
+    token = _SUITE.set((presentation, _evaluate(presentation, bound)))
     try:
         report = SuiteReport(kind=kind)
         for tag, override in members:
@@ -328,9 +313,7 @@ def _suite_report(
 
 def run_suite(presentation: AlgebraPresentation, kind: StructureKind) -> SuiteReport:
     """All member identities of a structure kind; verdict is the conjunction."""
-    for role in required_roles(kind):
-        presentation.product(role)
-    return _suite_report(presentation, kind.value, SUITE_MEMBERS[kind], frozenset())
+    return _suite_report(presentation, kind.value, SUITE_MEMBERS[kind])
 
 
 _GI_MEMBERS = tuple((tag, {}) for tag in ("GI_1", "GI_2", "GI_3", "GI_4"))
@@ -359,4 +342,4 @@ def check_gi_identities(presentation: AlgebraPresentation) -> SuiteReport:
         return report
     # The twist was just verified multiplicative for both products, so
     # GI_1..GI_4 skip the precondition scan they run when called directly.
-    return _suite_report(presentation, "gi", _GI_MEMBERS, frozenset({"dot", "bracket"}))
+    return _suite_report(presentation, "gi", _GI_MEMBERS)

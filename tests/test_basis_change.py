@@ -9,8 +9,9 @@ The twist's multiplicativity for every role, checked on its own, keeps its
 status too, and a failure gives the smallest failing pair of a direct
 computation of alpha(x o y) - alpha(x) o alpha(y).  Every fixture's
 regular bundle (no fixture carries a ``module`` block), on the fixture and on
-the fixture with a corner constant bumped, is rewritten in a seeded even
-basis of the algebra and another of the module: under every applicable
+the fixture with a corner constant bumped, and the pullback along the twist
+of two multiplicative fixtures, a bundle that is not regular, are rewritten
+in a seeded even basis of the algebra and another of the module: under every applicable
 bimodule kind each condition keeps its status, and a failure gives the
 smallest failing tuple and defect of its identity on the new data's
 semidirect sum, by the dense oracle.  A derivation D becomes P^-1 D P, and a morphism f from A to B
@@ -170,23 +171,48 @@ def test_multiplicativity_survives_an_even_change_of_basis(name, A, seed):
         _assert_oracle_agrees(B, oracle, report)
 
 
+def _pullback(A, kind):
+    """A acting on itself through its twist, x by the product with alpha(x):
+    a bundle whose rows are not the regular ones unless alpha is 1."""
+    return pullback_bundle(A.alpha, A, A, kind)
+
+
+_PULLBACK_FIXTURES = ("gd_multiplicative_4dim.json", "hnp_admissible_mult_synth_4dim.json")
+
+
 def _bimodule_cases():
-    """Each fixture under each kind its products allow, plain and with a
-    corner constant bumped, which makes most conditions fail."""
-    return [
-        (f"{name}-{kind.value}{suffix}", B, kind)
+    """Each fixture's regular bundle under each kind its products allow,
+    plain and with a corner constant bumped, which makes most conditions
+    fail; and the pullback along the twist of two multiplicative fixtures."""
+    cases = [
+        (name, A, kind)
         for name, A in _fixtures()
         for kind in BimoduleKind
         if set(BIMODULE_TABLE[kind].slots.values()) <= set(A.roles)
+    ]
+    return [
+        (f"{name}-{kind.value}{suffix}", B, kind, regular_bundle)
+        for name, A, kind in cases
         for suffix, B in (("", A), ("-bumped", bump_corner(A)))
+    ] + [
+        (f"{name}-{kind.value}-pullback", A, kind, _pullback)
+        for name, A, kind in cases
+        if name in _PULLBACK_FIXTURES
     ]
 
 
-@pytest.mark.parametrize("name, A, kind", _bimodule_cases(), ids=[n for n, _, _ in _bimodule_cases()])
+@pytest.mark.parametrize(
+    "name, A, kind, build", _bimodule_cases(), ids=[n for n, _, _, _ in _bimodule_cases()]
+)
 @settings(max_examples=10)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_bimodule_verdicts_survive_an_even_change_of_basis(name, A, kind, seed):
-    bundle = regular_bundle(A, kind)
+def test_bimodule_verdicts_survive_an_even_change_of_basis(name, A, kind, build, seed):
+    bundle = build(A, kind)
+    if build is _pullback:
+        regular = regular_bundle(A, kind)
+        assert [bundle.row_cells(n) for n in bundle.actions] != [
+            regular.row_cells(n) for n in regular.actions
+        ]
     P, _ = even_basis_change(A.space, A.context, seed)
     Q, Q_inv = even_basis_change(bundle.module, A.context, seed + 1)
     B, moved = change_basis(A, seed), change_bundle_basis(bundle, P, Q, Q_inv)

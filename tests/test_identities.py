@@ -1,5 +1,10 @@
 """Identity catalog, suites, witnesses, and oracle agreement."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -45,6 +50,71 @@ def test_fixture_suites_pass(fixture_name, kind, request):
     A = request.getfixturevalue(fixture_name)
     suite = run_suite(A, kind)
     assert suite.passed, suite.describe()
+
+
+def test_no_suite_member_assumes_a_multiplicative_twist():
+    # A suite hands out its one pass's reports without a twist precondition,
+    # which is sound only while no structure kind holds such a member.
+    assumed = [(kind, tag) for kind, members in SUITE_MEMBERS.items()
+               for tag, _ in members if IDENTITY_CATALOG[tag].needs_multiplicative]
+    assert assumed == []
+
+
+def test_suites_report_each_member_through_check_identity(monkeypatch, hnp_mult_synth_4dim):
+    """run_suite and check_gi_identities call identities.check_identity once
+    per member, in member order, with the suite's presentation (what a
+    tracer wrapping it counts)."""
+    pair = hc.commutator_bracket(hnp_mult_synth_4dim, "diamond")
+    calls = []
+    real = identities.check_identity
+
+    def recording(presentation, tag, *rest, **options):
+        calls.append((presentation, tag, *rest, *options.values()))
+        return real(presentation, tag, *rest, **options)
+
+    monkeypatch.setattr(identities, "check_identity", recording)
+    for kind in StructureKind:
+        calls.clear()
+        run_suite(pair, kind)
+        assert [(p is pair, tag, roles) for p, tag, roles in calls] == [
+            (True, tag, override) for tag, override in SUITE_MEMBERS[kind]
+        ], kind
+    calls.clear()
+    suite = check_gi_identities(pair)
+    assert suite.passed, suite.describe()
+    members = SUITE_MEMBERS[StructureKind.TRANSPOSED_POISSON] + identities._GI_MEMBERS
+    assert [(p is pair, tag, roles) for p, tag, roles in calls] == [
+        (True, tag, override) for tag, override in members
+    ]
+
+
+_MISSING_ROLE_PROBE = """
+import sys
+from homcolor.identities import check_identity
+from homcolor.serialize import load_presentation_file
+A = load_presentation_file(sys.argv[1])[0].with_products({})
+for tag in ("HNP_COMPAT_1", "GI_1"):
+    try:
+        check_identity(A, tag)
+    except Exception as error:
+        print(tag, error)
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "4"])
+def test_a_missing_role_is_named_in_sorted_order(seed, fixtures_dir):
+    """The first missing role in sorted order is named, whatever the string
+    hash seed: 'diamond' before 'dot', 'bracket' before 'dot'."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _MISSING_ROLE_PROBE, str(fixtures_dir / "assoc_3dim.json")],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+    )
+    assert done.stdout.splitlines() == [
+        "HNP_COMPAT_1 presentation has no product 'diamond'; available: []",
+        "GI_1 presentation has no product 'bracket'; available: []",
+    ]
 
 
 class TestCatalog:
@@ -111,23 +181,21 @@ class TestCheckIdentity:
             with pytest.raises(ValueError, match=r"HOM_ASSOC has no role slots \['bogus'\]"):
                 check_identity(assoc_3dim, "HOM_ASSOC", {"bogus": "dot"})
 
-    def test_suite_members_are_bound_once(self, monkeypatch, hnp_4dim):
+    def test_suite_members_are_bound_once(self, hnp_4dim):
         """Each (tag, role override) is bound on first use only, and each
         kind's roles are read once."""
         kind = StructureKind.ADMISSIBLE_HNP
         identities._bound.cache_clear()
         first = [c.to_dict() for c in run_suite(hnp_4dim, kind).checks]
-        binds = []
-        inner = identities._bind_slots
-        monkeypatch.setattr(identities, "_bind_slots", lambda *a: binds.append(a) or inner(*a))
+        misses = identities._bound.cache_info().misses
         assert [c.to_dict() for c in run_suite(hnp_4dim, kind).checks] == first
         assert required_roles(kind) == ("diamond", "dot")
-        assert binds == []
+        assert identities._bound.cache_info().misses == misses
         # A binding not seen before is made once, then kept.
         for _ in range(2):
             report = check_identity(hnp_4dim, "HOM_ASSOC", {"product": "diamond"})
             assert dict(report.roles) == {"product": "diamond"}
-        assert binds == [(IDENTITY_CATALOG["HOM_ASSOC"].defaults, {"product": "diamond"}, "HOM_ASSOC", "role")]
+        assert identities._bound.cache_info().misses == misses + 1
 
     def test_role_override(self, hnp_4dim):
         report = check_identity(hnp_4dim, "NOVIKOV_RCOMM", roles={"product": "diamond"})

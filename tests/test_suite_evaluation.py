@@ -118,7 +118,7 @@ def test_mixed_arity_gi_pass_equals_members(name, payload):
     # multiplicative for every product, so the direct calls evaluate too.
     A = load(name)
     A = payload.draw(perturbed(A.with_products(A.products, LinearMap.identity(A.space, A.context))))
-    suite = _suite_report(A, "gi", _GI_MEMBERS, frozenset({"dot", "bracket"}))
+    suite = _suite_report(A, "gi", _GI_MEMBERS)
     assert [c.to_dict() for c in suite.checks] == members_one_by_one(A, _GI_MEMBERS)
 
 
@@ -128,7 +128,7 @@ def test_gi_members_failing_at_different_first_indices():
     A = load("gd_4dim.json")
     A = perturb(A.with_products(A.products, LinearMap.identity(A.space, A.context)),
                 "bracket", 2, 0, 2, 1)
-    suite = _suite_report(A, "gi", _GI_MEMBERS, frozenset({"dot", "bracket"}))
+    suite = _suite_report(A, "gi", _GI_MEMBERS)
     assert [c.to_dict() for c in suite.checks] == members_one_by_one(A, _GI_MEMBERS)
     assert [c.witness[0] if c.witness else None for c in suite.checks] == ["e1", None, None, "e3"]
 
