@@ -16,10 +16,10 @@ from typing import Callable, Mapping, NamedTuple
 
 from .constructions import (
     MatchedPairKind,
+    _checked_double,
     commutator_bracket,
     derived_algebra,
     double_suite_kind,
-    matched_pair_double,
     novikov_from_derivation,
     quotient,
     tensor_product,
@@ -29,7 +29,7 @@ from .constructions import (
 from .core import AlgebraPresentation
 from .identities import StructureKind, check_gi_identities, run_suite
 from .reports import FAIL, PASS, PRECONDITION_FAILED, PreconditionError, SuiteReport, json_text
-from .representations import BimoduleKind, check_bimodule
+from .representations import BIMODULE_TABLE, BimoduleKind, check_bimodule
 from .serialize import (
     LoadError,
     _read_json,
@@ -103,36 +103,52 @@ def cmd_check(args) -> int:
 
 
 # Each construct builder reads its inputs and options from ``args``, which
-# its subparser declares with the construction's defaults.
+# its subparser declares with the construction's defaults.  It returns the
+# result and, when the build checked the result with a structure suite,
+# that suite's report, labelled as run_suite labels it; otherwise None.
+Built = tuple[AlgebraPresentation, SuiteReport | None]
+
 
 def _input(path: str) -> AlgebraPresentation:
     return load_presentation_file(path)[0]
 
 
-def _twist(args) -> AlgebraPresentation:
+def _twist(args) -> Built:
     presentation = _input(args.input)
     twist_map = load_linear_map(args.map, presentation) if args.map else presentation.alpha
-    return yau_twist(presentation, twist_map, force=args.force)
+    return yau_twist(presentation, twist_map, force=args.force), None
 
 
-def _semidirect(args) -> AlgebraPresentation:
+def _semidirect(args) -> Built:
     presentation, bundle = load_presentation_file(args.input)
     if bundle is None:
         raise LoadError("input has no 'module' block, required for semidirect")
-    return semidirect_sum(presentation, bundle, BIMODULE_KINDS[args.kind], force=args.force)
+    kind = BIMODULE_KINDS[args.kind]
+    total = semidirect_sum(presentation, bundle, kind, force=args.force)
+    # The bundle keeps the reports of the kind's suite on the sum, so this
+    # check evaluates nothing.
+    checks = check_bimodule(presentation, bundle, kind).checks
+    return total, SuiteReport(BIMODULE_TABLE[kind].suite.value, checks)
 
 
-def _derivation_product(args) -> AlgebraPresentation:
+def _matched_pair(args) -> Built:
+    kind = MATCHED_KINDS[args.kind]
+    pair = load_matched_pair_file(args.input)
+    double, report = _checked_double(pair, kind, refuse=not args.force)
+    return double, SuiteReport(double_suite_kind(kind).value, report.checks)
+
+
+def _derivation_product(args) -> Built:
     presentation = _input(args.input)
     derivation = load_linear_map(args.map, presentation)
-    return novikov_from_derivation(presentation, derivation, args.to_role, args.force)
+    return novikov_from_derivation(presentation, derivation, args.to_role, args.force), None
 
 
-def _tensor(args) -> AlgebraPresentation:
+def _tensor(args) -> Built:
     # A factor named twice is read once; tensor_product then checks it once.
     left = _input(args.left)
     right = left if args.right == args.left else _input(args.right)
-    return tensor_product(left, right, force=args.force)
+    return tensor_product(left, right, force=args.force), None
 
 
 def _names(text: str) -> list[str]:
@@ -149,7 +165,7 @@ class _Construction(NamedTuple):
     its --kind choices, the suite that --verify auto runs for a kind, if it
     has one, and the options it cannot run without."""
 
-    build: Callable[[argparse.Namespace], AlgebraPresentation]
+    build: Callable[[argparse.Namespace], Built]
     reads: tuple[str, ...]
     defaults: Mapping[str, str] = {}
     inputs: tuple[str, ...] = ("input",)
@@ -160,26 +176,25 @@ class _Construction(NamedTuple):
 
 _CONSTRUCTIONS = {
     "commutator": _Construction(
-        lambda args: commutator_bracket(_input(args.input), args.from_role, args.to_role),
+        lambda args: (commutator_bracket(_input(args.input), args.from_role, args.to_role), None),
         ("--from", "--to"), {"to_role": "bracket"},
     ),
     "twist": _Construction(_twist, ("--force", "--map")),
     "derived": _Construction(
-        lambda args: derived_algebra(_input(args.input), args.type, args.n, force=args.force),
+        lambda args: (derived_algebra(_input(args.input), args.type, args.n, force=args.force), None),
         ("--force", "--type", "--n"),
     ),
     "semidirect": _Construction(
         _semidirect, ("--force", "--kind"), {"kind": "assoc_bimodule"}, kinds=BIMODULE_KINDS
     ),
     "matched-pair": _Construction(
-        lambda args: matched_pair_double(
-            load_matched_pair_file(args.input), MATCHED_KINDS[args.kind], force=args.force
-        ),
-        ("--force", "--kind"), {"kind": "hnp"}, kinds=MATCHED_KINDS, auto=double_suite_kind,
+        _matched_pair, ("--force", "--kind"), {"kind": "hnp"}, kinds=MATCHED_KINDS,
+        auto=double_suite_kind,
     ),
     "tensor": _Construction(_tensor, ("--force",), inputs=("left", "right")),
     "quotient": _Construction(
-        lambda args: quotient(_input(args.input), args.ideal), ("--ideal",), requires=("--ideal",)
+        lambda args: (quotient(_input(args.input), args.ideal), None), ("--ideal",),
+        requires=("--ideal",),
     ),
     "derivation-product": _Construction(
         _derivation_product, ("--force", "--to", "--map"), {"to_role": "diamond"},
@@ -202,7 +217,7 @@ _OPTIONS = {
 
 def cmd_construct(args) -> int:
     spec = _CONSTRUCTIONS[args.name]
-    result = spec.build(args)
+    result, checked = spec.build(args)
 
     if args.out:
         dump_presentation_file(result, args.out)
@@ -211,7 +226,8 @@ def cmd_construct(args) -> int:
         return EXIT_PASS
     verify = args.verify
     kind = spec.auto(spec.kinds[args.kind]) if verify == "auto" else STRUCTURE_KINDS[verify]
-    suite = run_suite(result, kind)
+    # A build that checked its result with this suite hands its report on.
+    suite = checked if checked is not None and checked.kind == kind.value else run_suite(result, kind)
     print(suite.describe())
     return _STATUS_EXIT[suite.status]
 

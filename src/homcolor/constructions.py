@@ -38,12 +38,14 @@ from typing import Iterable
 from .core import (
     AlgebraPresentation,
     BilinearProduct,
+    Cell,
     Check,
     GradedSpace,
     LinearMap,
     Term,
     Vec,
     _TWIST_ARM,
+    _freeze,
     _map_scalars,
     is_derivation,
     is_morphism,
@@ -58,8 +60,6 @@ from .representations import (
     BIMODULE_TABLE,
     ActionBundle,
     BimoduleKind,
-    Pairs,
-    _accumulate,
     _checked_sum,
     _semidirect,
     check_bimodule,
@@ -83,6 +83,28 @@ __all__ = [
     "novikov_from_derivation",
 ]
 
+Entries = dict[tuple[int, int], dict[int, Scalar]]
+
+
+def _accumulate(entries: Entries, i: int, j: int, vec: Vec) -> None:
+    if not vec:
+        return
+    cell = entries.setdefault((i, j), {})
+    for k, s in vec.items():
+        prev = cell.get(k)
+        s = s if prev is None else prev + s
+        if s.is_zero():
+            cell.pop(k, None)
+        else:
+            cell[k] = s
+
+
+def _graded(space: GradedSpace, context, entries: Entries) -> BilinearProduct:
+    """The product of ``entries``, which a construction accumulated from
+    graded cells, so that every entry is graded; nothing is checked."""
+    return BilinearProduct._frozen(space, context, {key: _freeze(cell) for key, cell in entries.items()})
+
+
 # -- commutator functor ---------------------------------------------------------
 
 
@@ -97,11 +119,11 @@ def commutator_bracket(
         raise ValueError(f"presentation already has a product {to_role!r}")
     # Cell (i, j) of o adds e_i o e_j to [e_i, e_j] and -eps(j, i) e_i o e_j to [e_j, e_i].
     signs = presentation.sign_table()
-    entries: dict[tuple[int, int], dict[int, Scalar]] = {}
+    entries: Entries = {}
     for (i, j), cell in product.table.items():
         _accumulate(entries, i, j, dict(cell))
         _accumulate(entries, j, i, {k: -s for k, s in cell} if signs[j][i] == 1 else dict(cell))
-    bracket = BilinearProduct(presentation.space, presentation.context, entries)
+    bracket = _graded(presentation.space, presentation.context, entries)
     products = dict(presentation.products)
     products[to_role] = bracket
     return presentation.with_products(products)
@@ -120,10 +142,13 @@ def yau_twist(
     When the current twist is the identity this is the classical twist along
     an algebra endomorphism; composing onto the existing twist lets twists be
     iterated.  The theorem assumes ``twist`` is a verified morphism.
+    ``force`` takes an unverified map, but never one that is not even.
     """
     morphism = is_morphism(twist, presentation, presentation)
     if not morphism.passed and not force:
         raise PreconditionError("twist map is not a verified morphism", (morphism,))
+    if not twist.is_even:
+        raise ValueError(f"yau twist needs an even map, got one of degree {twist.degree}")
     return _composed(presentation, twist, twist.compose(presentation.alpha))
 
 
@@ -154,12 +179,13 @@ def derived_algebra(
 def _composed(
     presentation: AlgebraPresentation, m: LinearMap, alpha: LinearMap
 ) -> AlgebraPresentation:
-    """Every product composed with ``m``, x o' y = m(x o y), and the twist ``alpha``."""
+    """Every product composed with ``m``, x o' y = m(x o y), and the twist
+    ``alpha``.  ``m`` is even, so every composed cell is graded."""
     products = {
-        role: BilinearProduct(
+        role: BilinearProduct._frozen(
             presentation.space,
             presentation.context,
-            {key: m.apply(dict(cell)) for key, cell in product.table.items()},
+            {key: _freeze(m.apply(dict(cell))) for key, cell in product.table.items()},
         )
         for role, product in presentation.products.items()
     }
@@ -241,11 +267,15 @@ def double_suite_kind(kind: MatchedPairKind) -> StructureKind:
 
 
 def _checked_double(
-    pair: MatchedPairData, kind: MatchedPairKind
+    pair: MatchedPairData, kind: MatchedPairKind, refuse: bool = False
 ) -> tuple[AlgebraPresentation, SuiteReport]:
-    """The double A (+) B and its kind's suite on it."""
+    """The double A (+) B and its kind's suite on it; with ``refuse``, a
+    double that fails the suite raises instead."""
     double, checks = _checked_sum(pair.a, (pair.ab, pair.ba), MATCHED_PAIR_TABLE[kind], pair.b)
-    return double, SuiteReport(kind=f"matched_pair[{kind.value}]", checks=checks)
+    report = SuiteReport(kind=f"matched_pair[{kind.value}]", checks=checks)
+    if refuse and not report.passed:
+        raise PreconditionError("matched-pair conditions fail", (report,))
+    return double, report
 
 
 def check_matched_pair(
@@ -266,10 +296,7 @@ def matched_pair_double(
     """The double A (+) B: each side keeps its products, and both cross
     bundles add their cells by the cross rule.  The double is built once
     and its own suite is the check."""
-    double, report = _checked_double(pair, kind)
-    if not report.passed and not force:
-        raise PreconditionError("matched-pair conditions fail", (report,))
-    return double
+    return _checked_double(pair, kind, refuse=not force)[0]
 
 
 # -- tensor products ---------------------------------------------------------------
@@ -316,12 +343,13 @@ def tensor_product(
         for p1 in range(nL)
         for p2 in range(nR)
     ]
-    space = GradedSpace(group, names, degrees)
+    # Distinct names joined from valid ones, and reduced degrees.
+    space = GradedSpace._frozen(group, names, degrees)
 
     def idx(p1: int, p2: int) -> int:
         return p1 * nR + p2
 
-    def pair_vec(v1: Pairs, v2: Pairs, sign: int) -> Vec:
+    def pair_vec(v1: Cell, v2: Cell, sign: int) -> Vec:
         out: Vec = {}
         for k1, c1 in v1:
             for k2, c2 in v2:
@@ -332,25 +360,24 @@ def tensor_product(
     # signs[p2][q1] is eps(deg e_p2 of the right factor, deg e_q1 of the left).
     signs = left.bichar.table(right.space.degrees, left.space.degrees)
 
-    def cross(*factors) -> dict[tuple[int, int], dict[int, Scalar]]:
+    def cross(*factors) -> BilinearProduct:
         """(e_p1 e_p2)(e_q1 e_q2) = eps(p2, q1) (e_p1 e_q1)(e_p2 e_q2), summed
         over every pair of nonzero cells of each pair of factor tables."""
-        entries: dict[tuple[int, int], dict[int, Scalar]] = {}
+        entries: Entries = {}
         for t1, t2 in factors:
             for (p1, q1), c1 in t1.items():
                 for (p2, q2), c2 in t2.items():
                     sign = signs[p2][q1]
                     _accumulate(entries, idx(p1, p2), idx(q1, q2), pair_vec(c1, c2, sign))
-        return entries
+        return _graded(space, ctx, entries)
 
     dot1, dot2 = left.product("dot").table, right.product("dot").table
     dia1, dia2 = left.product("diamond").table, right.product("diamond").table
-    products = {
-        "dot": BilinearProduct(space, ctx, cross((dot1, dot2))),
-        "diamond": BilinearProduct(space, ctx, cross((dia1, dot2), (dot1, dia2))),
-    }
-    alpha_columns = [pair_vec(c1, c2, 1) for c1 in left.alpha.columns for c2 in right.alpha.columns]
-    alpha = LinearMap(space, space, ctx, alpha_columns)
+    products = {"dot": cross((dot1, dot2)), "diamond": cross((dia1, dot2), (dot1, dia2))}
+    alpha_columns = [
+        _freeze(pair_vec(c1, c2, 1)) for c1 in left.alpha.columns for c2 in right.alpha.columns
+    ]
+    alpha = LinearMap._frozen(space, space, ctx, alpha_columns)
     return AlgebraPresentation(space, left.bichar, ctx, products, alpha)
 
 
@@ -440,31 +467,26 @@ def quotient(
     removed = set(_subset_indices(presentation, ideal_basis))
     kept = [i for i in range(presentation.dim) if i not in removed]
     reindex = {old: new for new, old in enumerate(kept)}
-    space = GradedSpace(
+    space = GradedSpace._frozen(
         presentation.space.group,
         [presentation.names[i] for i in kept],
         [presentation.space.degree(i) for i in kept],
     )
 
-    def project(vec: Vec) -> Vec:
-        return {reindex[k]: s for k, s in vec.items() if k not in removed}
+    # Reindexing keeps index order, so projected cells stay frozen.
+    def project(cell: Cell) -> Cell:
+        return tuple([(reindex[k], s) for k, s in cell if k not in removed])
 
-    products = {}
-    for role, product in presentation.products.items():
-        entries: dict[tuple[int, int], dict[int, Scalar]] = {}
-        for (i, j), cell in product.table.items():
-            if i in removed or j in removed:
-                continue
-            vec = project(dict(cell))
-            if vec:
-                entries[(reindex[i], reindex[j])] = vec
-        products[role] = BilinearProduct(space, presentation.context, entries)
-    alpha = LinearMap(
-        space,
-        space,
-        presentation.context,
-        [project(presentation.alpha_image(i)) for i in kept],
-    )
+    ctx = presentation.context
+    products = {
+        role: BilinearProduct._frozen(space, ctx, {
+            (reindex[i], reindex[j]): project(cell)
+            for (i, j), cell in product.table.items()
+            if i not in removed and j not in removed
+        })
+        for role, product in presentation.products.items()
+    }
+    alpha = LinearMap._frozen(space, space, ctx, [project(presentation.alpha.columns[i]) for i in kept])
     return AlgebraPresentation(space, presentation.bichar, presentation.context, products, alpha)
 
 
@@ -502,7 +524,7 @@ def novikov_from_derivation(
     if failed and not force:
         raise PreconditionError("derivation product hypotheses fail", tuple(failed))
 
-    entries: dict[tuple[int, int], dict[int, Scalar]] = {}
+    entries: Entries = {}
     n = presentation.dim
     for i in range(n):
         bi = {i: presentation.context.one}

@@ -7,6 +7,15 @@ and an even twisting map.  Vectors are sparse dicts mapping basis index to
 :class:`~homcolor.scalars.Scalar`; all operations are pure and presentations
 are immutable after validation, so they can be shared freely.
 
+The public constructors of :class:`GradedSpace`, :class:`LinearMap` and
+:class:`BilinearProduct` validate what they are given: basis names, degrees
+and the degree of every cell and map entry.  A builder whose output is
+graded by construction (sums, tensor products, quotients, twists, scalar
+maps, composed maps and powers) uses their internal ``_frozen``
+constructors instead, which take cells and columns frozen by
+:func:`_freeze` (sorted, without zero components), sort the table and
+check nothing.
+
 The checking code reads a presentation's frozen data directly: each
 product's ``table`` and each map's ``columns``, which nothing mutates; the
 public accessors (``mul``, ``mul_basis``, ``alpha_image``,
@@ -71,6 +80,9 @@ __all__ = [
 Vec = dict[int, Scalar]
 Rows = Sequence[Sequence[tuple[int, Sequence[tuple[int, Scalar]]]]]
 Columns = Sequence[Sequence[tuple[int, Scalar]]]
+# A frozen table cell or map column: (index, nonzero coefficient) pairs in
+# index order.
+Cell = tuple[tuple[int, Scalar], ...]
 ScalarLike = "Scalar | int | str | fractions.Fraction"
 
 _BASIS_NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -161,6 +173,19 @@ class GradedSpace:
         self.degrees = tuple(group.element(d) for d in degrees)
         self._index = {name: i for i, name in enumerate(names)}
 
+    @classmethod
+    def _frozen(
+        cls, group: AbelianGroup, names: Sequence[str], degrees: Sequence[GroupElement]
+    ) -> "GradedSpace":
+        """A space whose names are valid and distinct and whose degrees are
+        reduced elements of ``group`` by construction; nothing is checked."""
+        space = cls.__new__(cls)
+        space.group = group
+        space.names = tuple(names)
+        space.degrees = tuple(degrees)
+        space._index = {name: i for i, name in enumerate(space.names)}
+        return space
+
     @property
     def dim(self) -> int:
         return len(self.names)
@@ -240,6 +265,27 @@ class LinearMap:
         self._images: dict[int, tuple[Vec, ...]] = {}
 
     @classmethod
+    def _frozen(
+        cls,
+        source: GradedSpace,
+        target: GradedSpace,
+        context: ScalarContext,
+        columns: Sequence[Cell],
+        degree: GroupElement | None = None,
+    ) -> "LinearMap":
+        """A map whose frozen ``columns`` (see :func:`_freeze`) are
+        homogeneous of the reduced ``degree`` by construction; nothing is
+        checked."""
+        linear_map = cls.__new__(cls)
+        linear_map.source = source
+        linear_map.target = target
+        linear_map.context = context
+        linear_map.degree = source.group.zero if degree is None else degree
+        linear_map.columns = tuple(columns)
+        linear_map._images = {}
+        return linear_map
+
+    @classmethod
     def from_rows(
         cls,
         source: GradedSpace,
@@ -310,13 +356,14 @@ class LinearMap:
         """self after inner."""
         if inner.target != self.source:
             raise ValueError("maps are not composable")
-        columns = [self.apply(inner.image(i)) for i in range(inner.source.dim)]
+        columns = [_freeze(self.apply(inner.image(i))) for i in range(inner.source.dim)]
         degree = self.source.group.add(self.degree, inner.degree)
-        return LinearMap(inner.source, self.target, self.context, columns, degree)
+        return LinearMap._frozen(inner.source, self.target, self.context, columns, degree)
 
     def power(self, n: int) -> "LinearMap":
         degree = self.source.group.element(n * c for c in self.degree)
-        return LinearMap(self.source, self.target, self.context, self.images(n), degree)
+        columns = [_freeze(image) for image in self.images(n)]
+        return LinearMap._frozen(self.source, self.target, self.context, columns, degree)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -332,6 +379,12 @@ class LinearMap:
 
     def __repr__(self) -> str:
         return f"LinearMap({self.source!r} -> {self.target!r}, degree={self.degree})"
+
+
+def _freeze(vec: Mapping[int, Scalar]) -> Cell:
+    """The nonzero components of ``vec`` in index order: a frozen table cell
+    or map column, as the validating constructors store them."""
+    return tuple([(k, s) for k, s in sorted(vec.items()) if s.terms])
 
 
 def _apply_columns(columns: Columns, v: Vec) -> Vec:
@@ -394,6 +447,23 @@ class BilinearProduct:
         self.context = context
         self.table = table
         self._rows: Rows | None = None
+
+    @classmethod
+    def _frozen(
+        cls,
+        space: GradedSpace,
+        context: ScalarContext,
+        cells: Mapping[tuple[int, int], Cell],
+    ) -> "BilinearProduct":
+        """A product whose frozen ``cells`` (see :func:`_freeze`) are graded
+        by construction: the table is ``cells`` in row-major order without
+        its empty cells, and no degree is checked."""
+        product = cls.__new__(cls)
+        product.space = space
+        product.context = context
+        product.table = {key: cells[key] for key in sorted(cells) if cells[key]}
+        product._rows = None
+        return product
 
     @property
     def row_cells(self) -> Rows:
@@ -553,13 +623,13 @@ def _map_scalars(
     structure constant and every twist entry."""
     space = presentation.space
     products = {
-        role: BilinearProduct(space, context, {
-            key: {k: fn(s) for k, s in cell} for key, cell in product.table.items()
+        role: BilinearProduct._frozen(space, context, {
+            key: _freeze({k: fn(s) for k, s in cell}) for key, cell in product.table.items()
         })
         for role, product in presentation.products.items()
     }
-    columns = [{k: fn(s) for k, s in column} for column in presentation.alpha.columns]
-    alpha = LinearMap(space, space, context, columns)
+    columns = [_freeze({k: fn(s) for k, s in column}) for column in presentation.alpha.columns]
+    alpha = LinearMap._frozen(space, space, context, columns)
     return AlgebraPresentation(space, presentation.bichar, context, products, alpha)
 
 

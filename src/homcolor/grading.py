@@ -9,9 +9,9 @@ bimultiplicativity; the sign-only restriction covers every bundled fixture
 and keeps evaluation a parity count.
 
 Element reduction and addition are memoised in bounded caches: every space,
-map and product built by the loader or a construction reduces the degrees
-of its basis and cells, and a presentation has few distinct ones.  So are
-the sign tables that every check reads (:meth:`Bicharacter.table`).
+map and product built by the loader or a public constructor reduces the
+degrees of its basis and cells, and a presentation has few distinct ones.
+So are the sign tables that every check reads (:meth:`Bicharacter.table`).
 """
 
 from __future__ import annotations

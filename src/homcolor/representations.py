@@ -32,10 +32,11 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from .core import (
     AlgebraPresentation,
     BilinearProduct,
+    Cell,
     GradedSpace,
     LinearMap,
     Rows,
-    Vec,
+    _freeze,
     is_morphism,
 )
 from .identities import StructureKind, run_suite
@@ -149,27 +150,6 @@ def slot_actions(slots: Iterable[str]) -> tuple[str, ...]:
 
 
 # -- direct sums and their suites --------------------------------------------------
-#
-# A table cell or a map column: (basis index, coefficient) pairs.
-Pairs = Iterable[tuple[int, Scalar]]
-
-
-def _accumulate(
-    entries: dict[tuple[int, int], dict[int, Scalar]],
-    i: int,
-    j: int,
-    vec: Vec,
-) -> None:
-    if not vec:
-        return
-    cell = entries.setdefault((i, j), {})
-    for k, s in vec.items():
-        prev = cell.get(k)
-        s = s if prev is None else prev + s
-        if s.is_zero():
-            cell.pop(k, None)
-        else:
-            cell[k] = s
 
 
 def _join_spaces(
@@ -185,12 +165,30 @@ def _join_spaces(
             candidate += right_suffix
         names.append(candidate)
         taken.add(candidate)
-    degrees = list(left.degrees) + list(right.degrees)
-    return GradedSpace(left.group, names, degrees), left.dim
+    # Valid names with a valid suffix, all distinct, and reduced degrees.
+    return GradedSpace._frozen(left.group, names, left.degrees + right.degrees), left.dim
 
 
-def _shift(pairs: Pairs, offset: int, sign: int = 1) -> Vec:
-    return {k + offset: s if sign == 1 else -s for k, s in pairs}
+def _shift(cell: Cell, offset: int, sign: int = 1) -> Cell:
+    """A frozen cell or column with every index moved by ``offset`` and,
+    for ``sign`` -1, every coefficient negated; it stays frozen."""
+    if not offset and sign == 1:
+        return cell
+    return tuple([(k + offset, s if sign == 1 else -s) for k, s in cell])
+
+
+def _add_cell(cells: dict[tuple[int, int], Cell], key: tuple[int, int], cell: Cell) -> None:
+    """Add the frozen ``cell`` at ``key``; only a key that two sources hit
+    is summed and frozen again."""
+    prev = cells.get(key)
+    if prev is None:
+        cells[key] = cell
+        return
+    total = dict(prev)
+    for k, s in cell:
+        t = total.get(k)
+        total[k] = s if t is None else t + s
+    cells[key] = _freeze(total)
 
 
 def _direct_sum(
@@ -205,30 +203,32 @@ def _direct_sum(
     For a double, ``B`` is V's presentation and ``bundles[1]`` the actions of
     B on A; without ``B``, V multiplies to zero.  A name of V already taken
     on A gets the suffix ``_b`` in a double and ``_v`` in a semidirect sum.
+
+    Every cell is graded by construction, so the sum is assembled from
+    frozen cells: A's as they are, B's and each action's kept nonzero
+    images (see ActionBundle.row_cells) shifted onto V's indices.
     """
     space, offset = _join_spaces(A.space, bundles[0].module, "_v" if B is None else "_b")
     signs = A.bichar.table(space.degrees, space.degrees)
     products: dict[str, BilinearProduct] = {}
     for slot, role in slots.items():
-        entries = {key: dict(cell) for key, cell in A.product(role).table.items()}
+        cells = dict(A.product(role).table)
         if B is not None:
             for (i, j), cell in B.product(role).table.items():
-                entries[(offset + i, offset + j)] = _shift(cell, offset)
+                cells[(offset + i, offset + j)] = _shift(cell, offset)
         left, right, factor = SLOT_ACTIONS[slot]
-        # Each action adds the nonzero images of its kept rows (see
-        # ActionBundle.row_cells): x.y from ``left``, y.x from ``right``.
+        # x.y from ``left``, y.x from ``right``.
         for bundle, x0, y0 in zip(bundles, (0, offset), (offset, 0)):
             for x, row in enumerate(bundle.row_cells(left)):
                 for y, column in row:
-                    _accumulate(entries, x0 + x, y0 + y, _shift(column, y0))
+                    _add_cell(cells, (x0 + x, y0 + y), _shift(column, y0))
             for x, row in enumerate(bundle.row_cells(right)):
                 for y, column in row:
                     f = factor(signs[y0 + y][x0 + x])
-                    _accumulate(entries, y0 + y, x0 + x, _shift(column, y0, f))
-        products[role] = BilinearProduct(space, A.context, entries)
-    columns = [dict(c) for c in A.alpha.columns]
-    columns += [_shift(c, offset) for c in bundles[0].beta.columns]
-    alpha = LinearMap(space, space, A.context, columns)
+                    _add_cell(cells, (y0 + y, x0 + x), _shift(column, y0, f))
+        products[role] = BilinearProduct._frozen(space, A.context, cells)
+    columns = A.alpha.columns + tuple(_shift(c, offset) for c in bundles[0].beta.columns)
+    alpha = LinearMap._frozen(space, space, A.context, columns)
     return AlgebraPresentation(space, A.bichar, A.context, products, alpha)
 
 

@@ -24,9 +24,10 @@ Division is deliberately absent: identity checking never divides.
 
 A context keeps one shared ``zero`` and ``one``, which ``scalar`` and
 ``parse`` return for 0 and 1, so the kernel's ``is one`` shortcuts hold for
-every unit entry.  Both refer back to their context: a reference cycle of
-about five objects per context (per load and per ``union``), the only one a
-check leaves, kept on purpose.
+every unit entry.  Both refer back to their context, so contexts are
+interned: a declaration equal to an earlier one, after normalization,
+returns the earlier context, kept for the life of the process.  So a load
+or a ``union`` leaves no garbage, and equal contexts are one object.
 """
 
 from __future__ import annotations
@@ -145,6 +146,10 @@ def _check_independent(roots: list[tuple[str, Fraction]]) -> None:
             )
 
 
+# Every context made, by its normalized declaration (see ScalarContext).
+_CONTEXTS: dict[tuple, "ScalarContext"] = {}
+
+
 class ScalarContext:
     """Declared symbol universe for a family of scalars.
 
@@ -152,17 +157,26 @@ class ScalarContext:
     its positive rational radicand q, with the reduction rule r*r = q.  Root
     symbols sort before parameters in the monomial order (lexicographic on
     names inside each class), which fixes a deterministic term order.
+
+    Contexts are interned by their normalized declaration, the sorted
+    parameters and the roots with their radicands in coefficient form: an
+    equal declaration returns the context already made.  Only a valid
+    declaration is kept, so an invalid one raises on every call.
     """
 
     __slots__ = ("params", "roots", "_rank", "_key", "_zero", "_one")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         params: Iterable[str] = (),
         roots: Mapping[str, int | str | Fraction] | None = None,
     ):
         params = tuple(sorted(set(params)))
         root_items = {name: _as_fraction(q) for name, q in (roots or {}).items()}
+        key = (params, frozenset(root_items.items()))
+        found = _CONTEXTS.get(key)
+        if found is not None:
+            return found
         for name in (*params, *root_items):
             if not _NAME_RE.match(name):
                 raise ScalarError(f"invalid symbol name: {name!r}")
@@ -179,14 +193,21 @@ class ScalarContext:
             raise ScalarError("duplicate radicands make sqrt(q) syntax ambiguous")
         _check_independent(sorted(root_items.items()))
 
-        self.params = params
-        self.roots = dict(sorted(root_items.items()))
+        ctx = object.__new__(cls)
+        ctx.params = params
+        ctx.roots = dict(sorted(root_items.items()))
         # Roots rank before params; ties broken by name.
-        ordered = list(self.roots) + list(self.params)
-        self._rank = {name: i for i, name in enumerate(ordered)}
-        self._key = (self.params, tuple(self.roots.items()))
-        self._zero = Scalar(self, ())
-        self._one = Scalar(self, (((), 1),))
+        ordered = list(ctx.roots) + list(ctx.params)
+        ctx._rank = {name: i for i, name in enumerate(ordered)}
+        ctx._key = (ctx.params, tuple(ctx.roots.items()))
+        ctx._zero = Scalar(ctx, ())
+        ctx._one = Scalar(ctx, (((), 1),))
+        _CONTEXTS[key] = ctx
+        return ctx
+
+    def __reduce__(self):
+        # A copy is the interned context itself.
+        return ScalarContext, (self.params, self.roots)
 
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, ScalarContext) and self._key == other._key)
@@ -330,9 +351,10 @@ class Scalar:
             return self.context.scalar(other)
         return None
 
-    # Operands from the very same context skip ``_coerce``; equal-but-distinct
-    # and foreign contexts, ints and Fractions still go through it.  The fast
-    # paths below return the canonical form the general loops would build.
+    # Operands from the same context (equal contexts are one object, see
+    # ScalarContext) skip ``_coerce``; foreign contexts, ints and Fractions
+    # still go through it.  The fast paths below return the canonical form
+    # the general loops would build.
 
     def __add__(self, other: object) -> "Scalar":
         if type(other) is Scalar and other.context is self.context:

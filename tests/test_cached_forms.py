@@ -230,15 +230,21 @@ def test_regular_left_rows_are_the_product_rows(name, kind):
 
 @pytest.fixture
 def linear_maps(monkeypatch):
-    """The number of ``LinearMap`` constructions so far."""
+    """The number of ``LinearMap`` constructions so far, validated or
+    frozen (graded by construction)."""
     count = [0]
-    inner = LinearMap.__init__
+    inner, frozen = LinearMap.__init__, LinearMap._frozen.__func__
 
     def counted(self, *args, **kwargs):
         count[0] += 1
         inner(self, *args, **kwargs)
 
+    def counted_frozen(cls, *args, **kwargs):
+        count[0] += 1
+        return frozen(cls, *args, **kwargs)
+
     monkeypatch.setattr(LinearMap, "__init__", counted)
+    monkeypatch.setattr(LinearMap, "_frozen", classmethod(counted_frozen))
     return lambda: count[0]
 
 

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import homcolor as hc
-from homcolor import cli
+from homcolor import cli, core
 from homcolor.cli import main
 from homcolor.serialize import dump_matrix, dump_presentation, load_presentation_file
 
@@ -61,6 +61,52 @@ CONSTRUCT_ONLY = {
     **{flag: v for flag, v in OPTION_VALUES.items() if flag != "--kind"},
     **{alias: OPTION_VALUES[flag] for flag, alias in ALIASES.items()},
     "--out": ["o.json"], "--verify": ["hnp"],
+}
+
+
+def module_doc(A) -> dict:
+    """``A``'s document with the module block of its regular HNP bundle."""
+    bundle = hc.regular_bundle(A, hc.BimoduleKind.HNP_BIMODULE)
+    doc = dump_presentation(A)
+    doc["module"] = {
+        "basis": [{"name": f"v{i}", "deg": list(d)} for i, d in enumerate(A.space.degrees)],
+        "beta": dump_matrix(A.alpha),
+        "actions": {
+            name: {A.names[i]: dump_matrix(op) for i, op in enumerate(family)}
+            for name, family in bundle.actions.items()
+        },
+    }
+    return doc
+
+
+def _trivial(basis: list[str], products: dict) -> dict:
+    """A document over the trivial grading."""
+    return {
+        "format": 1, "group": {"torsion": [], "free": 0}, "bichar": [],
+        "basis": [{"name": name, "deg": []} for name in basis], "products": products,
+    }
+
+
+DOCS = {
+    # A Novikov algebra split into two subalgebras: its double passes.
+    "nov_split": {
+        "a": _trivial(["x0"], {"dot": []}),
+        "b": _trivial(["a0", "a1"], {"dot": [["a1", "a1", [["a0", "-1"], ["a1", "1"]]]]}),
+        "actions_a_on_b": {"l": {"x0": [["0", "-2"], ["0", "0"]]}, "r": {}},
+        "actions_b_on_a": {"l": {}, "r": {"a1": [["1"]]}},
+    },
+    # A pair whose double fails the Novikov suite.
+    "nov_rcomm": {
+        "a": _trivial(["x0"], {"dot": []}),
+        "b": _trivial(["a0", "a1"], {"dot": [["a1", "a1", [["a1", "1"]]]]}),
+        "actions_a_on_b": {"l": {}, "r": {"x0": [["0", "2"], ["0", "0"]]}},
+        "actions_b_on_a": {"l": {}, "r": {}},
+    },
+    # A zero module over A with x0.x1 = x1, which fails EPS_COMM.
+    "assoc_module": {
+        **_trivial(["x0", "x1"], {"dot": [["x0", "x1", [["x1", "1"]]]]}),
+        "module": {"basis": [{"name": "v0", "deg": []}], "beta": [["1"]], "actions": {"s": {}}},
+    },
 }
 
 
@@ -478,6 +524,17 @@ class TestConstruct:
             "--map", map_path, "--verify", "hnp",
         ) == 0
 
+    def test_twist_by_an_odd_map_file_exits_three(self, fixtures_dir, tmp_path, capsys):
+        # assoc_3dim.json: e1 has degree 0, e2 and e3 degree 1.
+        map_path = tmp_path / "odd.json"
+        map_path.write_text(json.dumps({"map": [[0, 0, 1], [0, 0, 1], [1, 0, 0]]}))
+        assert run(
+            "construct", "twist", fixtures_dir / "assoc_3dim.json", "--map", map_path, "--force",
+        ) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: map: map is not homogeneous of degree (0,): e1 -> e3\n"
+
     def test_derivation_product(self, fixtures_dir, tmp_path):
         map_path = tmp_path / "derivation.json"
         map_path.write_text(json.dumps({"map": [["0", "0", "0"], ["0", "1", "0"], ["0", "0", "2"]]}))
@@ -495,26 +552,50 @@ class TestConstruct:
         built, _ = load_presentation_file(out)
         assert built.products["diamond"] == P.products["diamond"]
 
-    def test_semidirect_from_module_block(self, fixtures_dir, tmp_path, hnp_4dim):
-        A = hnp_4dim
-        bundle = hc.regular_bundle(A, hc.BimoduleKind.HNP_BIMODULE)
-        doc = dump_presentation(A)
-        doc["module"] = {
-            "basis": [{"name": f"v{i}", "deg": list(d)} for i, d in enumerate(A.space.degrees)],
-            "beta": dump_matrix(A.alpha),
-            "actions": {
-                name: {
-                    A.names[i]: dump_matrix(op)
-                    for i, op in enumerate(family)
-                }
-                for name, family in bundle.actions.items()
-            },
-        }
+    def test_semidirect_from_module_block(self, tmp_path, hnp_4dim):
         path = tmp_path / "with_module.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(module_doc(hnp_4dim)))
         assert run(
             "construct", "semidirect", path, "--kind", "hnp_bimodule", "--verify", "hnp"
         ) == 0
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The evaluator passes (``core.term_failures`` calls) made so far."""
+        calls = []
+        original = core.term_failures
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(core, "term_failures", counted)
+        return calls
+
+    @pytest.mark.parametrize("doc, argv, suite, evaluations", [
+        ("hnp_module", ["semidirect", "--kind", "hnp_bimodule"], "hnp", 1),
+        ("assoc_module", ["semidirect", "--kind", "assoc_bimodule", "--force"], "eps_comm_assoc", 1),
+        ("nov_split", ["matched-pair", "--kind", "novikov"], "auto", 1),
+        ("nov_split", ["matched-pair", "--kind", "novikov"], "hom_novikov", 1),
+        ("nov_rcomm", ["matched-pair", "--kind", "novikov", "--force"], "auto", 1),
+        ("hnp_module", ["semidirect", "--kind", "hnp_bimodule"], "admissible_hnp", 2),
+        ("nov_split", ["matched-pair", "--kind", "novikov"], "eps_comm_assoc", 2),
+    ])
+    def test_verify_of_the_suite_the_build_checked_reuses_its_verdict(
+        self, tmp_path, capsys, passes, hnp_4dim, doc, argv, suite, evaluations
+    ):
+        """``--verify`` of the suite that the build checked its result with
+        makes no second pass; another suite is evaluated.  Either way the
+        output and the exit code are those of a fresh check of the written
+        result."""
+        path, out = tmp_path / "input.json", tmp_path / "out.json"
+        path.write_text(json.dumps(module_doc(hnp_4dim) if doc == "hnp_module" else DOCS[doc]))
+        code = run("construct", argv[0], path, *argv[1:], "--out", out, "--verify", suite)
+        assert len(passes) == evaluations
+        built = capsys.readouterr().out
+        kind = "hom_novikov" if suite == "auto" else suite
+        assert run("check", out, "--kind", kind) == code
+        assert built == f"wrote {out}\n" + capsys.readouterr().out
 
     def test_matched_pair_file(self, fixtures_dir, tmp_path, assoc_3dim):
         A = assoc_3dim

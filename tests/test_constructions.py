@@ -92,6 +92,19 @@ class TestYauTwist:
         forced = hc.yau_twist(A, A.alpha, force=True)
         assert forced.mul_basis("dot", 0, 1) == A.alpha.apply(A.mul_basis("dot", 0, 1))
 
+    def test_odd_map_refused_with_its_own_message(self, assoc_3dim):
+        # e1 has degree 0, e2 and e3 degree 1: e1 -> e3, e2 -> e1, e3 -> e1
+        # is odd and not a morphism; the odd zero map is a morphism.
+        A, one = assoc_3dim, assoc_3dim.context.one
+        odd = LinearMap(A.space, A.space, A.context, [{2: one}, {0: one}, {0: one}], degree=(1,))
+        zero = LinearMap.zero(A.space, A.space, A.context, degree=(1,))
+        with pytest.raises(PreconditionError, match="twist map is not a verified morphism"):
+            hc.yau_twist(A, odd)
+        for f, force in ((odd, True), (zero, False), (zero, True)):
+            with pytest.raises(ValueError) as refused:
+                hc.yau_twist(A, f, force=force)
+            assert str(refused.value) == "yau twist needs an even map, got one of degree (1,)"
+
     def test_commutator_and_twist_commute(self, novikov_3dim, hnp_transposed_4dim):
         for A, role in ((novikov_3dim, "dot"), (hnp_transposed_4dim, "diamond")):
             m = A.alpha

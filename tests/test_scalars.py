@@ -431,10 +431,11 @@ class TestFastPaths:
         assert (a + b).terms == naive_add(_CTX, a, b)
         assert (a - b).terms == naive_add(_CTX, a, b, -1)
 
-    def test_equal_but_distinct_contexts_combine(self):
+    def test_equal_declarations_give_one_context(self):
         first = ScalarContext(params=["lambda1"], roots={"sqrt2": 2})
-        second = ScalarContext(params=["lambda1"], roots={"sqrt2": 2})
-        assert first is not second and first == second
+        second = ScalarContext(params=["lambda1", "lambda1"], roots={"sqrt2": "2"})
+        assert first is second
+        assert ScalarContext(params=["lambda1"]).union(ScalarContext(roots={"sqrt2": 2})) is first
         a, two, one = first.parse("lambda1 + sqrt2"), second.scalar(2), second.one
         assert a * two == two * a == first.parse("2*lambda1 + 2*sqrt2")
         assert a * one == one * a == a

@@ -7,20 +7,33 @@ nonzero images.  Here every operator is recomputed as f(e_i) o e_j or
 e_j o f(e_i) over every basis pair, zero cells included, and every sum
 table is rebuilt from every column of every operator, for every fixture
 and bimodule kind and for f the identity, the twist and a seeded even
-integer map (forced where it is not a morphism)."""
+integer map (forced where it is not a morphism).
+
+The builders whose output is graded by construction (sums and doubles,
+tensor products, quotients, twists, derived algebras, commutator brackets,
+substitutions, composed maps and powers) freeze their tables without a
+degree check.  Every such object must equal, cell order and rows
+included, what the validating constructors build from its data."""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homcolor.constructions import (
     MATCHED_PAIR_TABLE,
     MatchedPairData,
     MatchedPairKind,
+    commutator_bracket,
+    derived_algebra,
     matched_pair_double,
+    quotient,
+    rebase_presentation,
     semidirect_sum,
+    tensor_product,
+    yau_twist,
 )
-from homcolor.core import BilinearProduct, LinearMap
+from homcolor.core import BilinearProduct, GradedSpace, LinearMap
 from homcolor.representations import (
     BIMODULE_TABLE,
     ActionBundle,
@@ -28,10 +41,18 @@ from homcolor.representations import (
     BimoduleKind,
     pullback_bundle,
     regular_bundle,
+    slot_actions,
 )
 from homcolor.reports import PreconditionError
-from homcolor.serialize import LoadError, load_presentation, load_presentation_file
+from homcolor.scalars import ScalarContext
+from homcolor.serialize import (
+    LoadError,
+    load_presentation,
+    load_presentation_file,
+    substitute_presentation,
+)
 from tests.conftest import FIXTURES
+from tests.test_properties import cross_action_family, pattern_algebra, pattern_pair
 
 MAPS = ("identity", "twist", "seeded")
 
@@ -166,6 +187,31 @@ def assert_sum_tables(total, A, bundles, slots, B=None):
     for role, entries in dense_sum_tables(A, bundles, slots, B).items():
         rebuilt = BilinearProduct(total.space, total.context, entries)
         assert total.product(role).table == rebuilt.table, role
+    assert_as_validated(total)
+
+
+def assert_map_as_validated(m: LinearMap, source=None, target=None):
+    """``m``'s columns, in order, are those the validating constructor
+    stores for them, between ``source`` and ``target`` (default: m's)."""
+    source, target = source or m.source, target or m.target
+    rebuilt = LinearMap(source, target, m.context, [dict(c) for c in m.columns], m.degree)
+    assert m.columns == rebuilt.columns
+    assert m.degree == rebuilt.degree and type(m.columns) is tuple
+
+
+def assert_as_validated(P):
+    """``P``'s space, its tables in their cell order, their rows and its
+    twist's columns equal what the validating constructors build from
+    its names, degrees, cells and columns."""
+    space = GradedSpace(P.space.group, P.space.names, P.space.degrees)
+    assert (P.space.names, P.space.degrees) == (space.names, space.degrees)
+    assert P.space._index == space._index
+    for role, product in P.products.items():
+        cells = {key: dict(cell) for key, cell in product.table.items()}
+        rebuilt = BilinearProduct(space, P.context, cells)
+        assert list(product.table.items()) == list(rebuilt.table.items()), role
+        assert product.row_cells == rebuilt.row_cells, role
+    assert_map_as_validated(P.alpha, space, space)
 
 
 CASES = [
@@ -235,3 +281,62 @@ def test_pullback_along_a_map_that_is_not_even_is_refused():
         with pytest.raises(ValueError) as refused:
             pullback_bundle(f, A, A, kind, force=force)
         assert str(refused.value) == message
+
+
+@given(data=pattern_pair(), kind=st.sampled_from(list(MatchedPairKind)), payload=st.data())
+@settings(max_examples=25)
+def test_generated_doubles_and_sums_equal_their_validating_rebuilds(data, kind, payload):
+    """Doubles with cross actions and sums with regular bundles of
+    generated pattern algebras, whose cross cells land on both sides."""
+    A, B, n_a = data
+    n_b = sum(1 for name in B.names if name.startswith("u"))
+    bimodule = MATCHED_PAIR_TABLE[kind]
+    names = slot_actions(BIMODULE_TABLE[bimodule].slots)
+    ab = payload.draw(cross_action_family((A, n_a), B.space, n_b, A.context, names))
+    ba = payload.draw(cross_action_family((B, n_b), A.space, n_a, A.context, names))
+    pair = MatchedPairData(
+        A, B,
+        ActionBundle(A.space, B.space, B.alpha, A.context, ab),
+        ActionBundle(B.space, A.space, A.alpha, A.context, ba),
+    )
+    assert_as_validated(matched_pair_double(pair, kind, force=True))
+    assert_as_validated(semidirect_sum(A, regular_bundle(A, bimodule), bimodule, force=True))
+
+
+@given(data=pattern_algebra())
+@settings(max_examples=25)
+def test_generated_quotients_equal_their_validating_rebuilds(data):
+    A, n_u = data
+    assert_as_validated(quotient(A, A.names[:n_u]))
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_constructions_equal_their_validating_rebuilds(name):
+    A = PRESENTATIONS[name]
+    for f in MAPS:
+        assert_as_validated(yau_twist(A, the_map(name, f), force=True))
+    for type_, n in ((1, 1), (1, 2), (2, 2)):
+        assert_as_validated(derived_algebra(A, type_, n, force=True))
+    for role in A.roles:
+        assert_as_validated(commutator_bracket(A, role, "pair"))
+    if {"dot", "diamond"} <= set(A.roles):
+        assert_as_validated(tensor_product(A, A, force=True))
+    for value in (0, 1, "-1/2"):
+        assert_as_validated(substitute_presentation(A, {p: value for p in A.context.params}))
+    wider = A.context.union(ScalarContext(["nu9"], {"sqrt7": 7}))
+    assert_as_validated(rebase_presentation(A, wider))
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_composed_maps_and_powers_equal_their_validating_rebuilds(name):
+    A = PRESENTATIONS[name]
+    maps = [the_map(name, f) for f in MAPS]
+    for m in maps:
+        for n in (0, 1, 2, 3, 5):
+            assert_map_as_validated(m.power(n))
+        for inner in maps:
+            assert_map_as_validated(m.compose(inner))
+
+
+def test_an_ideal_quotient_equals_its_validating_rebuild():
+    assert_as_validated(quotient(PRESENTATIONS["gd_4dim.json"], ["e4"]))
