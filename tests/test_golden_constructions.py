@@ -100,6 +100,9 @@ def cases() -> dict:
                     lambda P=P, k=kind, f=force: hc.matched_pair_double(_self_pair(P, k), k, force=f)
                 )
         out[f"{name} quotient"] = lambda P=P: hc.quotient(P, _first_ideal(P))
+        out[f"{name} derivation-product alpha forced"] = lambda P=P: hc.novikov_from_derivation(
+            P, P.alpha, "derived", force=True
+        )
     for left, (L, _) in fixtures.items():
         for right, (R, _) in fixtures.items():
             if L.context == R.context:
@@ -133,14 +136,14 @@ def test_construction_matches_golden(case):
 
 def _forced(case: str) -> str | None:
     """The ``force=True`` case of a refused ``force=False`` case that builds."""
-    if "error" not in _golden()[case] or not case.endswith(" force=False"):
+    if "error" not in _golden().get(case, {}) or not case.endswith(" force=False"):
         return None
     forced = case.removesuffix("False") + "True"
     return forced if "sha256" in _golden().get(forced, {}) else None
 
 
 @pytest.mark.parametrize(
-    "case", [case for case in cases() if "sha256" in _golden()[case] or _forced(case)]
+    "case", [case for case in cases() if "sha256" in _golden().get(case, {}) or _forced(case)]
 )
 def test_dumped_file_matches_golden(case, tmp_path):
     path = tmp_path / "out.json"
