@@ -27,6 +27,12 @@ of the kind, and a pair is matched when A (+) B is one, so
 :func:`~homcolor.representations.check_bimodule` and
 :func:`check_matched_pair` are that kind's suite run on the sum.  Each
 covers its sides' own suites and every tuple mixing them.
+
+Every table built here is assembled from frozen cells, each added at its
+key through :func:`~homcolor.core._add_cell`, which sums only a key that
+two cells hit: the commutator adds each cell at (i, j) and its signed copy
+at (j, i), the tensor product the cell of each pair of factor cells, and
+the derivation product each cell of dot scaled by an entry of D.
 """
 
 from __future__ import annotations
@@ -43,8 +49,8 @@ from .core import (
     GradedSpace,
     LinearMap,
     Term,
-    Vec,
     _TWIST_ARM,
+    _add_cell,
     _freeze,
     _map_scalars,
     is_derivation,
@@ -64,7 +70,6 @@ from .representations import (
     _semidirect,
     check_bimodule,
 )
-from .scalars import Scalar
 
 __all__ = [
     "commutator_bracket",
@@ -83,28 +88,6 @@ __all__ = [
     "novikov_from_derivation",
 ]
 
-Entries = dict[tuple[int, int], dict[int, Scalar]]
-
-
-def _accumulate(entries: Entries, i: int, j: int, vec: Vec) -> None:
-    if not vec:
-        return
-    cell = entries.setdefault((i, j), {})
-    for k, s in vec.items():
-        prev = cell.get(k)
-        s = s if prev is None else prev + s
-        if s.is_zero():
-            cell.pop(k, None)
-        else:
-            cell[k] = s
-
-
-def _graded(space: GradedSpace, context, entries: Entries) -> BilinearProduct:
-    """The product of ``entries``, which a construction accumulated from
-    graded cells, so that every entry is graded; nothing is checked."""
-    return BilinearProduct._frozen(space, context, {key: _freeze(cell) for key, cell in entries.items()})
-
-
 # -- commutator functor ---------------------------------------------------------
 
 
@@ -119,11 +102,11 @@ def commutator_bracket(
         raise ValueError(f"presentation already has a product {to_role!r}")
     # Cell (i, j) of o adds e_i o e_j to [e_i, e_j] and -eps(j, i) e_i o e_j to [e_j, e_i].
     signs = presentation.sign_table()
-    entries: Entries = {}
+    cells: dict[tuple[int, int], Cell] = {}
     for (i, j), cell in product.table.items():
-        _accumulate(entries, i, j, dict(cell))
-        _accumulate(entries, j, i, {k: -s for k, s in cell} if signs[j][i] == 1 else dict(cell))
-    bracket = _graded(presentation.space, presentation.context, entries)
+        _add_cell(cells, (i, j), cell)
+        _add_cell(cells, (j, i), tuple([(k, -s) for k, s in cell]) if signs[j][i] == 1 else cell)
+    bracket = BilinearProduct._frozen(presentation.space, presentation.context, cells)
     products = dict(presentation.products)
     products[to_role] = bracket
     return presentation.with_products(products)
@@ -346,16 +329,12 @@ def tensor_product(
     # Distinct names joined from valid ones, and reduced degrees.
     space = GradedSpace._frozen(group, names, degrees)
 
-    def idx(p1: int, p2: int) -> int:
-        return p1 * nR + p2
-
-    def pair_vec(v1: Cell, v2: Cell, sign: int) -> Vec:
-        out: Vec = {}
-        for k1, c1 in v1:
-            for k2, c2 in v2:
-                s = c1 * c2
-                out[idx(k1, k2)] = s if sign == 1 else -s
-        return out
+    def pair(v1: Cell, v2: Cell, sign: int = 1) -> Cell:
+        """The cell of v1 (x) v2 times ``sign``, already frozen: it is
+        row-major in (k1, k2), and no product of nonzero scalars is zero."""
+        if sign == 1:
+            return tuple([(k1 * nR + k2, c1 * c2) for k1, c1 in v1 for k2, c2 in v2])
+        return tuple([(k1 * nR + k2, -(c1 * c2)) for k1, c1 in v1 for k2, c2 in v2])
 
     # signs[p2][q1] is eps(deg e_p2 of the right factor, deg e_q1 of the left).
     signs = left.bichar.table(right.space.degrees, left.space.degrees)
@@ -363,20 +342,17 @@ def tensor_product(
     def cross(*factors) -> BilinearProduct:
         """(e_p1 e_p2)(e_q1 e_q2) = eps(p2, q1) (e_p1 e_q1)(e_p2 e_q2), summed
         over every pair of nonzero cells of each pair of factor tables."""
-        entries: Entries = {}
+        cells: dict[tuple[int, int], Cell] = {}
         for t1, t2 in factors:
             for (p1, q1), c1 in t1.items():
                 for (p2, q2), c2 in t2.items():
-                    sign = signs[p2][q1]
-                    _accumulate(entries, idx(p1, p2), idx(q1, q2), pair_vec(c1, c2, sign))
-        return _graded(space, ctx, entries)
+                    _add_cell(cells, (p1 * nR + p2, q1 * nR + q2), pair(c1, c2, signs[p2][q1]))
+        return BilinearProduct._frozen(space, ctx, cells)
 
     dot1, dot2 = left.product("dot").table, right.product("dot").table
     dia1, dia2 = left.product("diamond").table, right.product("diamond").table
     products = {"dot": cross((dot1, dot2)), "diamond": cross((dia1, dot2), (dot1, dia2))}
-    alpha_columns = [
-        _freeze(pair_vec(c1, c2, 1)) for c1 in left.alpha.columns for c2 in right.alpha.columns
-    ]
+    alpha_columns = [pair(c1, c2) for c1 in left.alpha.columns for c2 in right.alpha.columns]
     alpha = LinearMap._frozen(space, space, ctx, alpha_columns)
     return AlgebraPresentation(space, left.bichar, ctx, products, alpha)
 
@@ -524,13 +500,21 @@ def novikov_from_derivation(
     if failed and not force:
         raise PreconditionError("derivation product hypotheses fail", tuple(failed))
 
-    entries: Entries = {}
-    n = presentation.dim
-    for i in range(n):
-        bi = {i: presentation.context.one}
-        for j in range(n):
-            vec = presentation.mul("dot", bi, derivation.image(j))
-            _accumulate(entries, i, j, vec)
+    # e_i o e_j = e_i . D(e_j) sums d e_i . e_k over the entries d of D's
+    # column j, so each cell (i, k) of dot adds to (i, j) for each entry of
+    # D's row k.
+    one = presentation.context.one
+    by_row: list[list] = [[] for _ in range(presentation.dim)]
+    for j, column in enumerate(derivation.columns):
+        for k, d in column:
+            by_row[k].append((j, d))
+    cells: dict[tuple[int, int], Cell] = {}
+    for (i, k), cell in presentation.product("dot").table.items():
+        for j, d in by_row[k]:
+            scaled = cell if d is one else tuple([(m, d * s) for m, s in cell])
+            _add_cell(cells, (i, j), scaled)
+    # Built through the validating constructor: a forced D may be odd.
+    entries = {key: dict(cell) for key, cell in cells.items()}
     product = BilinearProduct(presentation.space, presentation.context, entries)
     products = dict(presentation.products)
     products[to_role] = product

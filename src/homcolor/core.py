@@ -14,7 +14,9 @@ graded by construction (sums, tensor products, quotients, twists, scalar
 maps, composed maps and powers) uses their internal ``_frozen``
 constructors instead, which take cells and columns frozen by
 :func:`_freeze` (sorted, without zero components), sort the table and
-check nothing.
+check nothing.  Every builder assembles its table the same way: it adds
+frozen cells through :func:`_add_cell`, which sums and freezes again only
+a key that two cells hit.
 
 The checking code reads a presentation's frozen data directly: each
 product's ``table`` and each map's ``columns``, which nothing mutates; the
@@ -385,6 +387,20 @@ def _freeze(vec: Mapping[int, Scalar]) -> Cell:
     """The nonzero components of ``vec`` in index order: a frozen table cell
     or map column, as the validating constructors store them."""
     return tuple([(k, s) for k, s in sorted(vec.items()) if s.terms])
+
+
+def _add_cell(cells: dict[Hashable, Cell], key: Hashable, cell: Cell) -> None:
+    """Add the frozen ``cell`` at ``key``; only a key that two sources hit
+    is summed and frozen again.  Every builder that sums cells does it here."""
+    prev = cells.get(key)
+    if prev is None:
+        cells[key] = cell
+        return
+    total = dict(prev)
+    for k, s in cell:
+        t = total.get(k)
+        total[k] = s if t is None else t + s
+    cells[key] = _freeze(total)
 
 
 def _apply_columns(columns: Columns, v: Vec) -> Vec:
@@ -1044,6 +1060,8 @@ def is_derivation(
     presentation: AlgebraPresentation, role: str, derivation: LinearMap
 ) -> CheckReport:
     """Twisted Leibniz rule D(x o y) = D(x) o y + eps(d, x) x o D(y), d = deg D."""
+    if derivation.source != presentation.space or derivation.target != presentation.space:
+        raise ValueError("map is not an endomorphism of the presentation's space")
     [row] = presentation.bichar.table((derivation.degree,), presentation.space.degrees)
     signs = tuple(((i, presentation.context.scalar(s)),) for i, s in enumerate(row))
     ops = {"a": presentation.product(role).row_cells, "f": derivation.columns, "s": signs}

@@ -4,7 +4,9 @@ An :class:`ActionBundle` packages a module space with its even twisting map
 and named actions, each stored as one sparse row table over the algebra
 basis; the operator of e_i shifts module degrees by deg(e_i), which is
 enforced at construction, so violations are load errors rather than check
-failures.  Regular and pullback bundles build their rows from nonzero cells.
+failures.  Regular and pullback bundles build their rows from nonzero cells;
+a pullback row, and a direct sum's table, add frozen cells through
+:func:`~homcolor.core._add_cell`, which sums only a key that two cells hit.
 
 Each bimodule kind is one entry of :data:`BIMODULE_TABLE`: its product
 slots with their default roles, and the suite its semidirect sum must pass.
@@ -33,15 +35,16 @@ from .core import (
     AlgebraPresentation,
     BilinearProduct,
     Cell,
+    Columns,
     GradedSpace,
     LinearMap,
     Rows,
-    _freeze,
+    _add_cell,
     is_morphism,
 )
 from .identities import StructureKind, run_suite
 from .reports import CheckReport, PreconditionError, SuiteReport
-from .scalars import Scalar, ScalarContext
+from .scalars import ScalarContext
 
 __all__ = [
     "ActionBundle",
@@ -177,20 +180,6 @@ def _shift(cell: Cell, offset: int, sign: int = 1) -> Cell:
     return tuple([(k + offset, s if sign == 1 else -s) for k, s in cell])
 
 
-def _add_cell(cells: dict[tuple[int, int], Cell], key: tuple[int, int], cell: Cell) -> None:
-    """Add the frozen ``cell`` at ``key``; only a key that two sources hit
-    is summed and frozen again."""
-    prev = cells.get(key)
-    if prev is None:
-        cells[key] = cell
-        return
-    total = dict(prev)
-    for k, s in cell:
-        t = total.get(k)
-        total[k] = s if t is None else t + s
-    cells[key] = _freeze(total)
-
-
 def _direct_sum(
     A: AlgebraPresentation,
     bundles: tuple[ActionBundle, ...],
@@ -296,7 +285,7 @@ def check_bimodule(
 def _multiplication_bundle(
     algebra_space: GradedSpace,
     presentation: AlgebraPresentation,
-    images: Sequence[Sequence[tuple[int, Scalar]]] | None,
+    images: Columns | None,
     kind: BimoduleKind,
 ) -> ActionBundle:
     """Actions on ``presentation`` by multiplying through ``images``, o the
@@ -326,20 +315,12 @@ def _multiplication_bundle(
                 continue
             family = []
             for image in images:
-                columns: dict[int, dict] = {}
+                columns: dict[int, Cell] = {}
                 for k, c in image:
                     for j, cell in rows[k]:
-                        column = columns.setdefault(j, {})
-                        for m, s in cell:
-                            t = s if c is one else c * s
-                            prev = column.get(m)
-                            column[m] = t if prev is None else prev + t
-                row = []
-                for j in sorted(columns):
-                    kept = tuple((m, s) for m, s in sorted(columns[j].items()) if not s.is_zero())
-                    if kept:
-                        row.append((j, kept))
-                family.append(tuple(row))
+                        scaled = cell if c is one else tuple([(m, c * s) for m, s in cell])
+                        _add_cell(columns, j, scaled)
+                family.append(tuple([(j, columns[j]) for j in sorted(columns) if columns[j]]))
             actions[name] = tuple(family)
     # Every operator of e_i shifts degrees by deg(e_i) (the products are
     # graded, each image of degree deg(e_i)), so the rows are not checked.

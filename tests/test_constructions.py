@@ -13,7 +13,7 @@ from homcolor.constructions import (
     MatchedPairKind,
     double_suite_kind,
 )
-from homcolor.core import AlgebraPresentation, BilinearProduct, LinearMap
+from homcolor.core import AlgebraPresentation, BilinearProduct, GradedSpace, LinearMap
 from homcolor.reports import PreconditionError
 from homcolor.identities import required_roles
 from homcolor.representations import (
@@ -522,6 +522,21 @@ class TestDerivationProduct:
         novikov = AlgebraPresentation(A.space, A.bichar, A.context,
                                       {"dot": out.products["diamond"]}, A.alpha)
         assert hc.run_suite(novikov, hc.StructureKind.HOM_NOVIKOV).passed
+
+    def test_a_map_into_another_space_is_refused(self, assoc_3dim):
+        # Into a 4-dim space, a map raised IndexError and a zero map passed
+        # as a derivation, and the forced product was built from it.
+        A = assoc_3dim
+        degrees = A.space.degrees + (A.space.degree(0),)
+        wider = GradedSpace(A.space.group, A.names + ("e4",), degrees)
+        rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]
+        into = LinearMap.from_rows(A.space, wider, A.context, rows)
+        refusal = "^map is not an endomorphism of the presentation's space$"
+        for m in (into, LinearMap.zero(A.space, wider, A.context)):
+            with pytest.raises(ValueError, match=refusal):
+                hc.is_derivation(A, "dot", m)
+            with pytest.raises(ValueError, match=refusal):
+                hc.novikov_from_derivation(A, m, force=True)
 
     def test_commutator_of_derivation_product(self, poly_deriv_3dim):
         P = poly_deriv_3dim
