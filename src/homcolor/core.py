@@ -14,9 +14,9 @@ graded by construction (sums, tensor products, quotients, twists, scalar
 maps, composed maps and powers) uses their internal ``_frozen``
 constructors instead, which take cells and columns frozen by
 :func:`_freeze` (sorted, without zero components), sort the table and
-check nothing.  Every builder assembles its table the same way: it adds
-frozen cells through :func:`_add_cell`, which sums and freezes again only
-a key that two cells hit.
+check nothing.  Every builder that sums cells adds frozen cells through
+:func:`_add_cell`, which sums and freezes again only a key that two cells
+hit.
 
 The checking code reads a presentation's frozen data directly: each
 product's ``table`` and each map's ``columns``, which nothing mutates; the

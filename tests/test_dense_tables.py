@@ -32,9 +32,7 @@ from homcolor.representations import (
     BimoduleKind,
     pullback_bundle,
 )
-from homcolor.serialize import LoadError, load_presentation_file
 
-from tests.conftest import FIXTURES
 from tests.dense_oracle import (
     d_add,
     d_apply,
@@ -45,21 +43,9 @@ from tests.dense_oracle import (
     dense_alpha,
     dense_product,
 )
+from tests.test_basis_change import _fixtures
 from tests.test_sparse_builders import seeded_map
 from tests.util import change_basis
-
-
-def _fixtures():
-    out = []
-    for path in sorted(FIXTURES.glob("*.json")):
-        if path.name == "manifest.json":
-            continue
-        try:
-            out.append((path.name, load_presentation_file(path)[0]))
-        except LoadError:
-            continue
-    return out
-
 
 FIXTURE_LIST = _fixtures()
 IDS = [name for name, _ in FIXTURE_LIST]
