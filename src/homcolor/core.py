@@ -330,25 +330,34 @@ class LinearMap:
 
     def images(self, power: int) -> tuple[Vec, ...]:
         """The basis images under this map applied ``power`` times, built once
-        per power, from the columns or by repeated squaring from the kept
-        images of ``power // 2``, and kept; callers must not mutate them."""
-        found = self._images.get(power)
+        per power, from the columns or by squaring the kept images of
+        ``power // 2``, and kept; callers must not mutate them.  The halvings
+        of ``power`` down to a kept one are squared back up in a loop, two
+        steps at most per binary digit, so no power is too deep to build."""
+        kept = self._images
+        found = kept.get(power)
         if found is None:
             if self.source != self.target:
                 raise ValueError("powers need an endomorphism")
             if power < 0:
                 raise ValueError("negative powers are not defined")
-            if power == 0:
-                found = tuple({i: self.context.one} for i in range(self.source.dim))
-            elif power == 1:
-                found = tuple(dict(c) for c in self.columns)
-            else:
-                half = self.images(power // 2)
-                columns = [tuple(v.items()) for v in half]
-                found = tuple(_apply_columns(columns, v) for v in half)
+            halvings = []
+            while power > 1 and power not in kept:
+                halvings.append(power)
+                power //= 2
+            found = kept.get(power)
+            if found is None:
+                if power == 0:
+                    found = tuple({i: self.context.one} for i in range(self.source.dim))
+                else:
+                    found = tuple(dict(c) for c in self.columns)
+                kept[power] = found
+            for power in reversed(halvings):
+                columns = [tuple(v.items()) for v in found]
+                found = tuple(_apply_columns(columns, v) for v in found)
                 if power % 2:
                     found = tuple(self.apply(v) for v in found)
-            self._images[power] = found
+                kept[power] = found
         return found
 
     def apply(self, v: Vec) -> Vec:
@@ -722,17 +731,38 @@ def operation(name: str) -> Callable[..., Tree]:
     return lambda *subtrees: (name, *subtrees)
 
 
+def _frozen_sum(vec: dict) -> Cell:
+    """The nonzero components of a summed ``vec``, in its order."""
+    return tuple([(k, t) for k, t in vec.items() if t.terms])
+
+
 def _apply(columns: Columns, sub: dict, one: Scalar) -> dict:
-    """Apply a linear map, ``columns[a]`` the image of e_a, to a subtree map."""
+    """Apply a linear map, ``columns[a]`` the image of e_a, to a subtree map.
+
+    A value that one column makes is that column as stored, or scaled when
+    its coefficient is not ``one``; only a value that two columns meet in is
+    summed in a dict and frozen without its zeros.
+    """
     out = {}
     for key, u in sub.items():
-        vec: dict = {}
-        for a, ua in u.items():
-            for k, c in columns[a]:
+        vec = None
+        for a, ua in u:
+            column = columns[a]
+            if not column:
+                continue
+            if vec is None:
+                vec = column if ua is one else tuple(
+                    [(k, ua if c is one else ua * c) for k, c in column]
+                )
+                continue
+            if type(vec) is not dict:
+                vec = dict(vec)
+            for k, c in column:
                 t = c if ua is one else ua if c is one else ua * c
                 prev = vec.get(k)
                 vec[k] = t if prev is None else prev + t
-        vec = {k: t for k, t in vec.items() if t.terms}
+        if type(vec) is dict:
+            vec = _frozen_sum(vec)
         if vec:
             out[key] = vec
     return out
@@ -742,14 +772,17 @@ def _join(rows: Rows, left: dict, right: dict, one: Scalar) -> dict:
     """Apply a bilinear operation to two subtree maps.
 
     A map sends a key, the indices at the subtree's free positions in order
-    of appearance, to the subtree's nonzero value there.  ``right`` is
-    indexed by basis index (b -> [(key, coefficient)]), so only nonzero
-    cells of nonzero components are visited.
+    of appearance, to the subtree's nonzero value there, a cell.  ``right``
+    is indexed by basis index (b -> [(key, coefficient)]), so only nonzero
+    cells of nonzero components are visited.  A value that one cell makes
+    is that cell as stored in ``rows``, or scaled when its factor is not
+    ``one``; only a value that a second cell meets is summed in a dict, and
+    frozen without its zeros once every cell is in.
     """
     out = {}
     for kl, u in left.items():
         acc: dict = {}
-        for a, ua in u.items():
+        for a, ua in u:
             for b, cell in rows[a]:
                 entries = right.get(b)
                 if entries is None:
@@ -758,15 +791,25 @@ def _join(rows: Rows, left: dict, right: dict, one: Scalar) -> dict:
                     s = wb if ua is one else ua if wb is one else ua * wb
                     vec = acc.get(kr)
                     if vec is None:
-                        vec = acc[kr] = {}
-                    for k, c in cell:
-                        t = c if s is one else s * c
-                        prev = vec.get(k)
-                        vec[k] = t if prev is None else prev + t
+                        acc[kr] = cell if s is one else tuple([(k, s * c) for k, c in cell])
+                        continue
+                    if type(vec) is not dict:
+                        vec = acc[kr] = dict(vec)
+                    if s is one:
+                        for k, c in cell:
+                            prev = vec.get(k)
+                            vec[k] = c if prev is None else prev + c
+                    else:
+                        for k, c in cell:
+                            c = s * c
+                            prev = vec.get(k)
+                            vec[k] = c if prev is None else prev + c
         for kr, vec in acc.items():
-            vec = {k: t for k, t in vec.items() if t.terms}
-            if vec:
-                out[kl + kr] = vec
+            if type(vec) is dict:
+                vec = _frozen_sum(vec)
+                if not vec:
+                    continue
+            out[kl + kr] = vec
     return out
 
 
@@ -803,7 +846,8 @@ def _compile(plans: tuple[Plan, ...]) -> tuple:
     so subtrees that differ only in which positions they hold, or in which
     plan and which name they come from, share one node and one map.  A
     node's map sends a key, the indices at the subtree's positions in order
-    of appearance, to the subtree's nonzero value there.  Returns the nodes
+    of appearance, to the subtree's nonzero value there: a cell, (index,
+    nonzero coefficient) pairs with distinct indices.  Returns the nodes
     (key or None, a, b) and per plan, per term, (coefficient, root node,
     key order of the positions or None when they appear in order, sign
     pairs left after cancelling repeats).
@@ -837,14 +881,17 @@ def _node_map(nid: int, state: tuple) -> dict:
     ``state`` is one :func:`term_failures` pass's (nodes, maps, index, ops,
     twist, one); ``index[nid]`` keeps the map of a right operand indexed
     by basis index, b -> [(key, coefficient)].  A node whose left map is
-    empty is empty, and its right subtree is not evaluated for it.
+    empty is empty, and its right subtree is not evaluated for it.  A
+    leaf's values are the twist's columns as stored for power 1, and its
+    kept images as cells for any other power.
     """
     nodes, maps, index, ops, twist, one = state
     found = maps[nid]
     if found is None:
         name, a, b = nodes[nid]  # a leaf's a: its twist power
         if name is None:
-            found = {(j,): v for j, v in enumerate(twist.images(a)) if v}
+            cells = twist.columns if a == 1 else [tuple(v.items()) for v in twist.images(a)]
+            found = {(j,): cell for j, cell in enumerate(cells) if cell}
         else:
             left = _node_map(a, state)
             if not left:
@@ -855,8 +902,8 @@ def _node_map(nid: int, state: tuple) -> dict:
                 right = index[b]
                 if right is None:
                     right = index[b] = {}
-                    for k, vec in _node_map(b, state).items():
-                        for i, s in vec.items():
+                    for k, cell in _node_map(b, state).items():
+                        for i, s in cell:
                             right.setdefault(i, []).append((k, s))
                 found = _join(ops[name], left, right, one)
         maps[nid] = found
@@ -883,7 +930,14 @@ def term_failures(
     whole index tuples, and each subtree's map is built at most once per
     call, shared by every term of every plan holding a subtree of that
     shape over the same rows (``(x.y).a(z)`` and ``(x.z).a(y)`` share one
-    map).  The pass builds no table of its own: rows are read from
+    map).  A map's values are cells: a value that one contribution makes is
+    that contribution's cell, read as stored (a table cell, a twist or map
+    column) or scaled when its factor is not one, and only a value that two
+    contributions meet in is summed, in one dict, and frozen without its
+    zeros.  Each plan's terms are then summed per index tuple; a component
+    whose sum cancels is deleted at once and a tuple left empty is dropped,
+    so what is left when the plan's terms are in is its failures.  The pass
+    builds no table of its own: rows are read from
     ``ops``, twist images from :meth:`LinearMap.images` and signs from
     :meth:`AlgebraPresentation.sign_table`, each built once and kept on its
     object or in the bicharacter's memo.
@@ -933,33 +987,45 @@ def term_failures(
     for c, terms in enumerate(plan):
         total: dict[tuple[int, ...], Vec] = {}
         for coeff, root, order, pairs in terms:
-            for k, vec in _node_map(root, state).items():
+            for k, cell in _node_map(root, state).items():
                 t = k if order is None else tuple([k[j] for j in order])
                 s = coeff
                 for p, q in pairs:
                     s *= signs[t[p]][t[q]]
                 if s != 1 and s != -1:
                     scale = scales[s]
-                    vec = {k2: scale * v for k2, v in vec.items()}
+                    cell = [(k2, scale * v) for k2, v in cell]
                     s = 1
                 acc = total.get(t)
                 if acc is None:
-                    total[t] = dict(vec) if s == 1 else {k2: -v for k2, v in vec.items()}
-                elif s == 1:
-                    for k2, v in vec.items():
+                    total[t] = dict(cell) if s == 1 else {k2: -v for k2, v in cell}
+                    continue
+                if s == 1:
+                    for k2, v in cell:
                         prev = acc.get(k2)
-                        acc[k2] = v if prev is None else prev + v
+                        if prev is None:
+                            acc[k2] = v
+                        else:
+                            v = prev + v
+                            if v.terms:
+                                acc[k2] = v
+                            else:
+                                del acc[k2]
                 else:
-                    for k2, v in vec.items():
+                    for k2, v in cell:
                         prev = acc.get(k2)
-                        acc[k2] = -v if prev is None else prev - v
-        found = {}
-        for t, acc in total.items():
-            vec = {k: v for k, v in acc.items() if v.terms}
-            if vec:
-                found[t] = vec
-        if found:
-            failed[c] = found
+                        if prev is None:
+                            acc[k2] = -v
+                        else:
+                            v = prev - v
+                            if v.terms:
+                                acc[k2] = v
+                            else:
+                                del acc[k2]
+                if not acc:
+                    del total[t]
+        if total:
+            failed[c] = total
     return failed
 
 

@@ -409,6 +409,22 @@ class TestConstruct:
             "--type", "2", "--n", "16",
         ) == 0
 
+    def test_derived_type_two_of_order_1200_on_an_identity_twist(self, fixtures_dir, tmp_path):
+        # k = 2^1200 - 1 is 1200 halvings deep; the twist is the identity, so
+        # the derived algebra is the input.  Run as the console script runs.
+        out = tmp_path / "derived.json"
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from homcolor.cli import main; sys.exit(main())",
+             "construct", "derived", str(fixtures_dir / "poly_deriv_3dim.json"),
+             "--type", "2", "--n", "1200", "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        built, _ = load_presentation_file(out)
+        fixture, _ = load_presentation_file(fixtures_dir / "poly_deriv_3dim.json")
+        assert built.products == fixture.products and built.alpha == fixture.alpha
+
     def test_failed_dump_leaves_the_out_file_as_it_was(self, fixtures_dir, tmp_path, capsys):
         # At n = 14 the twist's entries have about 9,900 digits, past the
         # integer-to-text limit, so the document cannot be written.

@@ -100,6 +100,9 @@ class TestApply:
         space = GradedSpace(group, ["e1", "e2"], [[0], [1]])
         ident = LinearMap.identity(space, ctx)
         assert ident.power(3000) == ident
+        # 1200 halvings deep: squared back up in a loop, not by recursion.
+        fresh = LinearMap.identity(space, ctx)
+        assert fresh.power(2**1200 - 1) == ident
 
     @pytest.mark.parametrize("k", [*range(10), 31])
     def test_images_by_squaring_equal_single_applications(self, assoc_3dim, k):

@@ -11,6 +11,11 @@ so that members often fail at tuples with different first indices while
 others pass.  On an annihilator pattern the pass builds no map of a term
 that is zero on every tuple, and one pass joins each bilinear subtree at
 most once.
+
+A node map's values are cells, tuples of (index, nonzero scalar) with
+distinct indices: a product of two plain basis elements holds its table's
+own cells, on a dense basis too no value keeps a zero, and a plan's sum per
+tuple keeps exactly the components that do not cancel.
 """
 
 import pytest
@@ -31,8 +36,11 @@ from homcolor.identities import (
 from homcolor.scalars import ScalarContext
 
 from tests.conftest import load
+from tests.dense_oracle import d_basis, d_mul, dense_product
+from tests.test_basis_change import _suites
+from tests.test_dense_tables import FIXTURE_LIST as DENSE
 from tests.test_properties import pattern_algebra
-from tests.util import graded_targets, perturb
+from tests.util import change_basis, graded_targets, perturb
 
 FIXTURES = (
     "assoc_3dim.json",
@@ -185,3 +193,90 @@ def test_one_pass_joins_each_bilinear_node_at_most_once(A):
         core.run_checks(checks, A, ops, A.space)
     assert len(joins) == len(set(joins))
     assert len(joins) <= bilinear
+
+
+def recorded_maps(patch) -> list:
+    """Record (node, nodes, ops, map) for every node map that a pass hands
+    out, by wrapping ``core._node_map``, which builds each map once."""
+    seen = []
+    build = core._node_map
+
+    def record(nid, state):
+        found = build(nid, state)
+        seen.append((state[0][nid], state[0], state[3], found))
+        return found
+
+    patch.setattr(core, "_node_map", record)
+    return seen
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_plain_products_hold_the_tables_own_cells(name):
+    # x.y of two untwisted leaves reads each cell as stored, not a copy.
+    A = load(name)
+    plain = (None, 0, None)
+    held = 0
+    for kind in hc.StructureKind:
+        if not set(required_roles(kind)) <= set(A.roles):
+            continue
+        with pytest.MonkeyPatch.context() as patch:
+            seen = recorded_maps(patch)
+            hc.run_suite(A, kind)
+        for (op, a, b), nodes, ops, found in seen:
+            if op is None or b is None or nodes[a] != plain or nodes[b] != plain:
+                continue
+            for (i, j), value in found.items():
+                assert value is dict(ops[op][i])[j]
+                held += 1
+    assert held
+
+
+@pytest.mark.parametrize("name, A", DENSE, ids=[name for name, _ in DENSE])
+@settings(max_examples=3)
+@given(seed=st.integers(min_value=0, max_value=2**16))
+def test_node_values_on_a_dense_basis_are_cells(name, A, seed):
+    B = change_basis(A, seed)
+    for _, run in _suites(B):
+        with pytest.MonkeyPatch.context() as patch:
+            seen = recorded_maps(patch)
+            run(B)
+        for _, _, _, found in seen:
+            for value in found.values():
+                assert type(value) is tuple and value
+                indices = [k for k, _ in value]
+                assert len(set(indices)) == len(indices)
+                assert all(s.terms for _, s in value)
+
+
+_x2, _y2 = core.positions(2)
+_o, _P, _Q = (core.operation(name) for name in ("o", "P", "Q"))
+# x.y - Q(x.y) is P(x.y): the components outside the subset cancel.
+_KEEPS_SUBSET = ((1, (), _o(_x2, _y2)), (-1, (), _Q(_o(_x2, _y2))))
+# x.y - Q(x.y) - P(x.y) cancels on every tuple.
+_CANCELS = _KEEPS_SUBSET + ((-1, (), _P(_o(_x2, _y2))),)
+
+
+@settings(max_examples=40)
+@given(data=st.data(), seed=st.integers(min_value=0, max_value=2**16))
+def test_tuple_sums_keep_exactly_the_components_that_do_not_cancel(data, seed):
+    _, A = data.draw(st.sampled_from(DENSE))
+    B = change_basis(A, seed)
+    role = data.draw(st.sampled_from(B.roles))
+    subset = data.draw(st.sets(st.integers(0, B.dim - 1)))
+    one = B.context.one
+    ops = {
+        "o": B.product(role).row_cells,
+        "P": [((i, one),) if i in subset else () for i in range(B.dim)],
+        "Q": [() if i in subset else ((i, one),) for i in range(B.dim)],
+    }
+    binding = (("P", "P"), ("Q", "Q"), ("o", "o"))
+    failed = core.term_failures([(_KEEPS_SUBSET, binding), (_CANCELS, binding)], B, ops)
+    table = dense_product(B, role)
+    want = {}
+    for i in range(B.dim):
+        for j in range(B.dim):
+            value = d_mul(table, d_basis(B, i), d_basis(B, j))
+            kept = {k: s for k, s in enumerate(value) if k in subset and s.terms}
+            if kept:
+                want[(i, j)] = kept
+    assert failed == ({0: want} if want else {})
