@@ -296,7 +296,13 @@ class LinearMap:
         rows: Sequence[Sequence[ScalarLike]],
         degree: GroupElement | None = None,
     ) -> "LinearMap":
-        """Build from a dense row-major matrix (rows indexed by target basis)."""
+        """Build from a dense row-major matrix (rows indexed by target basis).
+
+        This method checks the shape and parses each entry through
+        ``context.scalar``; the validating constructor then checks that the
+        map is homogeneous of ``degree``.  The document loader does not come through here: its ``_matrix``
+        checks and parses each entry itself, once, and hands the columns
+        straight to the validating constructor."""
         if len(rows) != target.dim or any(len(row) != source.dim for row in rows):
             raise ValueError(f"matrix must be {target.dim}x{source.dim} row-major")
         columns: list[dict[int, Scalar]] = [{} for _ in range(source.dim)]

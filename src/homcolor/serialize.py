@@ -82,28 +82,34 @@ def _read_json(path) -> Any:
         raise LoadError(f"{path}: {_reason(exc)}") from exc
 
 
-def _object(value: Any, where: str) -> dict:
+# Each reader checks a value where it reads it and formats the value's
+# location only in the branch that refuses it: a ``spot`` argument is a
+# ``str.format`` template of the location, filled in from the values ``at``.
+
+
+def _object(value: Any, spot: str, *at) -> dict:
     if not isinstance(value, dict):
-        raise LoadError(f"{where or 'document'}: expected an object")
+        raise LoadError(f"{spot.format(*at) or 'document'}: expected an object")
     return value
 
 
-def _list(value: Any, where: str) -> list:
+def _list(value: Any, spot: str, *at) -> list:
     if not isinstance(value, list):
-        raise LoadError(f"{where}: expected a list")
+        raise LoadError(f"{spot.format(*at)}: expected a list")
     return value
 
 
-def _int(value: Any, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise LoadError(f"{where}: expected an integer, got {value!r}")
-    return value
+def _is_int(value: Any) -> bool:
+    """A JSON integer: an int that is not a boolean."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _name(value: Any, where: str) -> str:
-    if not isinstance(value, str):
-        raise LoadError(f"{where}: expected a basis name, got {value!r}")
-    return value
+def _ints(values: Any, spot: str, *at) -> list:
+    """The list of integers ``values`` at ``spot``; entry k is at ``spot[k]``."""
+    for k, value in enumerate(_list(values, spot, *at)):
+        if not _is_int(value):
+            raise LoadError(f"{spot.format(*at)}[{k}]: expected an integer, got {value!r}")
+    return values
 
 
 def _get(doc: Mapping, field: str, where: str):
@@ -113,8 +119,8 @@ def _get(doc: Mapping, field: str, where: str):
 
 
 def _context_from(doc: Mapping, where: str = "") -> ScalarContext:
-    params = _list(doc.get("params", []), f"{where}params")
-    roots = _object(doc.get("roots", {}), f"{where}roots")
+    params = _list(doc.get("params", []), "{}params", where)
+    roots = _object(doc.get("roots", {}), "{}roots", where)
     for k, name in enumerate(params):
         if not isinstance(name, str):
             raise LoadError(f"{where}params[{k}]: expected a name, got {name!r}")
@@ -127,15 +133,24 @@ def _context_from(doc: Mapping, where: str = "") -> ScalarContext:
         raise LoadError(f"{where}params/roots: {exc}") from exc
 
 
-def _scalar(ctx: ScalarContext, value: Any, where: str) -> Scalar:
+def _scalar(ctx: ScalarContext, value: Any, spot: str, *at) -> Scalar:
     # Only exact values: a JSON float such as 1.5 (or a boolean) is refused,
     # not truncated by int().
-    if not isinstance(value, (int, str)) or isinstance(value, bool):
-        raise LoadError(f"{where}: expected an integer or a scalar string, got {value!r}")
     try:
-        return ctx.scalar(value)
+        if isinstance(value, str):
+            return ctx.parse(value)
+        if _is_int(value):
+            return ctx.scalar(value)
     except (ScalarError, ValueError) as exc:
-        raise LoadError(f"{where}: {_reason(exc)}") from exc
+        raise LoadError(f"{spot.format(*at)}: {_reason(exc)}") from exc
+    raise LoadError(f"{spot.format(*at)}: expected an integer or a scalar string, got {value!r}")
+
+
+def _unnamed(name: Any, where: str) -> LoadError:
+    """The refusal of ``name``, which a space's index does not hold."""
+    if not isinstance(name, str):
+        return LoadError(f"{where}: expected a basis name, got {name!r}")
+    return LoadError(f"{where}: unknown basis element {name!r}")
 
 
 def _matrix(
@@ -143,19 +158,37 @@ def _matrix(
     source: GradedSpace,
     target: GradedSpace,
     rows: Any,
-    where: str,
-    degree=None,
+    degree,
+    spot: str,
+    *at,
 ) -> LinearMap:
+    """The map of the row-major matrix document ``rows`` (rows indexed by
+    ``target``'s basis) at ``spot``.  This reader checks and parses each
+    entry once, skipping the text ``"0"``, and gathers the nonzero ones into
+    columns; the validating ``LinearMap`` then checks that the map is
+    homogeneous of ``degree`` (None for even).  Entries are read in
+    row-major order before the shape is checked, so a bad entry is named
+    even in a ragged matrix."""
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise LoadError(f"{where}: expected a row-major matrix")
-    scalars = [
-        [_scalar(ctx, entry, f"{where}[{r}][{c}]") for c, entry in enumerate(row)]
-        for r, row in enumerate(rows)
-    ]
+        raise LoadError(f"{spot.format(*at)}: expected a row-major matrix")
+    width = source.dim
+    shaped = len(rows) == target.dim
+    columns: list[dict[int, Scalar]] = [{} for _ in range(width)]
+    entry_spot = spot + "[{}][{}]"
+    for r, row in enumerate(rows):
+        shaped = shaped and len(row) == width
+        for c, entry in enumerate(row):
+            if entry == "0":
+                continue
+            s = _scalar(ctx, entry, entry_spot, *at, r, c)
+            if s.terms and shaped:
+                columns[c][r] = s
+    if not shaped:
+        raise LoadError(f"{spot.format(*at)}: matrix must be {target.dim}x{width} row-major")
     try:
-        return LinearMap.from_rows(source, target, ctx, scalars, degree)
+        return LinearMap(source, target, ctx, columns, degree)
     except ValueError as exc:
-        raise LoadError(f"{where}: {exc}") from exc
+        raise LoadError(f"{spot.format(*at)}: {exc}") from exc
 
 
 def _space_from(group: AbelianGroup, basis: Any, where: str) -> GradedSpace:
@@ -163,51 +196,50 @@ def _space_from(group: AbelianGroup, basis: Any, where: str) -> GradedSpace:
         raise LoadError(f"{where}basis: expected a non-empty list")
     names, degrees = [], []
     for k, item in enumerate(basis):
-        spot = f"{where}basis[{k}]"
-        item = _object(item, spot)
-        names.append(_name(_get(item, "name", f"{spot}."), f"{spot}.name"))
-        deg = _list(_get(item, "deg", f"{spot}."), f"{spot}.deg")
-        degrees.append([_int(c, f"{spot}.deg[{m}]") for m, c in enumerate(deg)])
+        _object(item, "{}basis[{}]", where, k)
+        if "name" not in item:
+            raise LoadError(f"missing field {where}basis[{k}].name")
+        name = item["name"]
+        if not isinstance(name, str):
+            raise LoadError(f"{where}basis[{k}].name: expected a basis name, got {name!r}")
+        if "deg" not in item:
+            raise LoadError(f"missing field {where}basis[{k}].deg")
+        names.append(name)
+        degrees.append(_ints(item["deg"], "{}basis[{}].deg", where, k))
     try:
         return GradedSpace(group, names, degrees)
     except ValueError as exc:
         raise LoadError(f"{where}basis: {exc}") from exc
 
 
-def _index(space: GradedSpace, name: Any, where: str) -> int:
-    try:
-        return space.index(_name(name, where))
-    except KeyError as exc:
-        raise LoadError(f"{where}: {exc.args[0]}") from exc
-
-
 def load_presentation(doc: Mapping, where: str = "") -> AlgebraPresentation:
     """Build a presentation from a parsed JSON document."""
-    doc = _object(doc, where.rstrip("."))
-    if doc.get("format", FORMAT_VERSION) != FORMAT_VERSION:
-        raise LoadError(f"{where}format: unsupported version {doc.get('format')!r}")
-    group_doc = _object(_get(doc, "group", where), f"{where}group")
-    torsion = _list(group_doc.get("torsion", []), f"{where}group.torsion")
-    torsion = tuple(_int(m, f"{where}group.torsion[{k}]") for k, m in enumerate(torsion))
-    free = _int(group_doc.get("free", 0), f"{where}group.free")
+    doc = _object(doc, "{}", where.rstrip("."))
+    version = doc.get("format", FORMAT_VERSION)
+    if not _is_int(version) or version != FORMAT_VERSION:
+        raise LoadError(f"{where}format: unsupported version {version!r}")
+    group_doc = _object(_get(doc, "group", where), "{}group", where)
+    torsion = tuple(_ints(group_doc.get("torsion", []), "{}group.torsion", where))
+    free = group_doc.get("free", 0)
+    if not _is_int(free):
+        raise LoadError(f"{where}group.free: expected an integer, got {free!r}")
     try:
         group = AbelianGroup(torsion=torsion, free=free)
     except ValueError as exc:
         raise LoadError(f"{where}group: {exc}") from exc
-    rows = _list(_get(doc, "bichar", where), f"{where}bichar")
-    matrix = [
-        [_int(v, f"{where}bichar[{i}][{j}]") for j, v in enumerate(_list(row, f"{where}bichar[{i}]"))]
-        for i, row in enumerate(rows)
-    ]
+    rows = _list(_get(doc, "bichar", where), "{}bichar", where)
+    for i, row in enumerate(rows):
+        _ints(row, "{}bichar[{}]", where, i)
     try:
-        bichar = Bicharacter(group, matrix)
+        bichar = Bicharacter(group, rows)
     except ValueError as exc:
         raise LoadError(f"{where}bichar: {exc}") from exc
     ctx = _context_from(doc, where)
     space = _space_from(group, _get(doc, "basis", where), where)
+    index = space._index
 
     products = {}
-    roles = _object(_get(doc, "products", where), f"{where}products")
+    roles = _object(_get(doc, "products", where), "{}products", where)
     for role, rules in sorted(roles.items(), key=lambda kv: role_sort_key(kv[0])):
         if not role:
             raise LoadError(f"{where}products: invalid role name: {role!r}")
@@ -215,20 +247,24 @@ def load_presentation(doc: Mapping, where: str = "") -> AlgebraPresentation:
         if not isinstance(rules, list):
             raise LoadError(f"{where}products.{role}: expected a list of rules")
         for k, rule in enumerate(rules):
-            spot = f"{where}products.{role}[{k}]"
             if not (isinstance(rule, list) and len(rule) == 3 and isinstance(rule[2], list)):
-                raise LoadError(f"{spot}: expected [left, right, [[name, scalar], ...]]")
+                raise LoadError(f"{where}products.{role}[{k}]: expected [left, right, [[name, scalar], ...]]")
             left, right, cell = rule
-            i, j = _index(space, left, spot), _index(space, right, spot)
+            i = index.get(left) if isinstance(left, str) else None
+            j = index.get(right) if isinstance(right, str) else None
+            if i is None or j is None:
+                raise _unnamed(right if i is not None else left, f"{where}products.{role}[{k}]")
             vec = entries.setdefault((i, j), {})
             for m, component in enumerate(cell):
-                where_m = f"{spot} component {m}"
                 if not (isinstance(component, list) and len(component) == 2):
-                    raise LoadError(f"{where_m}: expected [name, scalar]")
+                    raise LoadError(f"{where}products.{role}[{k}] component {m}: expected [name, scalar]")
                 name, value = component
-                target = _index(space, name, where_m)
-                s = _scalar(ctx, value, where_m)
-                vec[target] = vec.get(target, ctx.zero) + s
+                target = index.get(name) if isinstance(name, str) else None
+                if target is None:
+                    raise _unnamed(name, f"{where}products.{role}[{k}] component {m}")
+                s = _scalar(ctx, value, "{}products.{}[{}] component {}", where, role, k, m)
+                held = vec.get(target)
+                vec[target] = s if held is None else held + s
         try:
             products[role] = BilinearProduct(space, ctx, entries)
         except ValueError as exc:
@@ -236,18 +272,18 @@ def load_presentation(doc: Mapping, where: str = "") -> AlgebraPresentation:
 
     alpha = None
     if "alpha" in doc:
-        alpha = _matrix(ctx, space, space, doc["alpha"], f"{where}alpha")
+        alpha = _matrix(ctx, space, space, doc["alpha"], None, "{}alpha", where)
     # Every part above meets the presentation's rules, so it cannot refuse them.
     return AlgebraPresentation(space, bichar, ctx, products, alpha)
 
 
 def load_bundle(doc: Mapping, presentation: AlgebraPresentation, where: str = "module.") -> ActionBundle:
     """Build the optional ``module`` block against a loaded presentation."""
-    doc = _object(doc, where.rstrip("."))
+    doc = _object(doc, "{}", where.rstrip("."))
     ctx = presentation.context
     module = _space_from(presentation.space.group, _get(doc, "basis", where), where)
-    beta = _matrix(ctx, module, module, _get(doc, "beta", where), f"{where}beta")
-    actions = _action_families(_get(doc, "actions", where), presentation, module, f"{where}actions")
+    beta = _matrix(ctx, module, module, _get(doc, "beta", where), None, "{}beta", where)
+    actions = _action_families(_get(doc, "actions", where), presentation, module, "{}actions", where)
     try:
         return ActionBundle(presentation.space, module, beta, ctx, actions)
     except ValueError as exc:
@@ -255,26 +291,25 @@ def load_bundle(doc: Mapping, presentation: AlgebraPresentation, where: str = "m
 
 
 def _action_families(
-    doc: Any, presentation: AlgebraPresentation, module: GradedSpace, where: str
+    doc: Any, presentation: AlgebraPresentation, module: GradedSpace, spot: str, *at
 ) -> dict[str, list[LinearMap]]:
-    """The action families of the object ``doc``, at the path ``where``:
-    per action role, one operator on ``module`` per basis element of
-    ``presentation``, zero where the element is not listed."""
+    """The action families of the object ``doc``, at ``spot``: per action
+    role, one operator on ``module`` per basis element of ``presentation``,
+    zero where the element is not listed."""
     ctx = presentation.context
     actions: dict[str, list[LinearMap]] = {}
-    for name, per_basis in sorted(_object(doc, where).items()):
+    for name, per_basis in sorted(_object(doc, spot, *at).items()):
         if name not in slot_actions(SLOT_ACTIONS):
-            raise LoadError(f"{where}.{name}: unknown action role")
-        per_basis = _object(per_basis, f"{where}.{name}")
+            raise LoadError(f"{spot.format(*at)}.{name}: unknown action role")
+        per_basis = _object(per_basis, spot + ".{}", *at, name)
         family = []
-        for i, basis_name in enumerate(presentation.names):
-            degree = presentation.space.degree(i)
+        for basis_name, degree in zip(presentation.names, presentation.space.degrees):
             rows = per_basis.get(basis_name)
             if rows is None:
                 family.append(LinearMap.zero(module, module, ctx, degree))
             else:
-                spot = f"{where}.{name}.{basis_name}"
-                family.append(_matrix(ctx, module, module, rows, spot, degree))
+                op = _matrix(ctx, module, module, rows, degree, spot + ".{}.{}", *at, name, basis_name)
+                family.append(op)
         actions[name] = family
     return actions
 
@@ -314,6 +349,7 @@ def load_linear_map(path, presentation: AlgebraPresentation) -> LinearMap:
         presentation.space,
         presentation.space,
         _get(_object(_read_json(path), ""), "map", ""),
+        None,
         "map",
     )
 

@@ -100,6 +100,13 @@ class TestErrors:
     def test_unsupported_format_version(self):
         with pytest.raises(LoadError, match="format"):
             load_presentation({"format": 99})
+        # Only the JSON integer 1 is version 1: a boolean or a float equal
+        # to it is refused, as is its text.
+        for version, shown in [(True, "True"), (1.0, "1.0"), ("1", "'1'")]:
+            with pytest.raises(LoadError) as caught:
+                load_presentation(_small_doc(format=version))
+            assert str(caught.value) == f"format: unsupported version {shown}"
+        assert load_presentation(_small_doc(format=1)) == load_presentation(_small_doc())
 
     def test_bad_alpha_matrix(self):
         doc = {
@@ -207,6 +214,56 @@ class TestRefusals:
         doc = {"basis": [{"name": "v1", "deg": [0]}], "beta": [["1"]], "actions": {"s": []}}
         with pytest.raises(LoadError, match=r"module\.actions\.s"):
             load_bundle(doc, hnp_4dim)
+
+
+class TestMatrixEntries:
+    """The loader checks and parses each matrix entry once and hands the
+    nonzero ones to the validating ``LinearMap``; the result is the map that
+    ``LinearMap.from_rows`` builds from the same rows."""
+
+    ZEROS = ["0", "-0", "00", "lambda1 - lambda1", "0 * lambda1", 0]
+
+    @pytest.mark.parametrize("zero", ZEROS)
+    def test_zero_entries_are_dropped_even_where_not_homogeneous(self, zero):
+        # e1 is even and e2 odd, so the off-diagonal entries of the even
+        # twist are at non-homogeneous positions.
+        rows = [["1", zero], [zero, zero]]
+        A = load_presentation(_small_doc(params=["lambda1"], alpha=rows))
+        ctx = A.context
+        assert A.alpha.columns == (((0, ctx.one),), ())
+        assert A.alpha == hc.LinearMap.from_rows(A.space, A.space, ctx, rows)
+
+    @pytest.mark.parametrize("entry", ["lambda1", "1", "-0 + 2", 2])
+    def test_nonzero_entry_where_not_homogeneous_is_refused(self, entry):
+        with pytest.raises(LoadError) as caught:
+            load_presentation(_small_doc(params=["lambda1"], alpha=[["1", "0"], [entry, "1"]]))
+        assert str(caught.value) == "alpha: map is not homogeneous of degree (0,): e1 -> e2"
+
+    def test_module_actions_of_nonzero_degree_equal_their_from_rows_build(self, hnp_4dim):
+        A = hnp_4dim
+        odd = [n for n, d in zip(A.names, A.space.degrees) if d == (1,)]
+        even = [n for n, d in zip(A.names, A.space.degrees) if d == (0,)]
+        per_basis = {
+            odd[0]: [["-0", "lambda1 + 1"], ["-2", "00"]],
+            odd[1]: [["0", 3], ["mu2 - mu2", "0"]],
+            even[0]: [["1", "lambda1 - lambda1"], [0, "-1/2"]],
+        }
+        doc = {
+            "basis": [{"name": "v1", "deg": [0]}, {"name": "v2", "deg": [1]}],
+            "beta": [["1", "0"], ["0", "-1"]],
+            "actions": {"s": per_basis},
+        }
+        bundle = load_bundle(doc, A)
+        for i, name in enumerate(A.names):
+            op = bundle.actions["s"][i]
+            degree = A.space.degree(i)
+            assert op.degree == degree
+            rows = per_basis.get(name, [["0", "0"], ["0", "0"]])
+            assert op == hc.LinearMap.from_rows(bundle.module, bundle.module, A.context, rows, degree)
+        assert bundle.actions["s"][A.names.index(odd[0])].columns == (
+            ((1, A.context.parse("-2")),),
+            ((0, A.context.parse("lambda1 + 1")),),
+        )
 
 
 def test_module_block_loads_and_checks(hnp_4dim, fixtures_dir):
