@@ -51,7 +51,7 @@ from .core import (
     Term,
     _TWIST_ARM,
     _add_cell,
-    _freeze,
+    _map_cell,
     _map_scalars,
     is_derivation,
     is_morphism,
@@ -168,7 +168,7 @@ def _composed(
         role: BilinearProduct._frozen(
             presentation.space,
             presentation.context,
-            {key: _freeze(m.apply(dict(cell))) for key, cell in product.table.items()},
+            {key: _map_cell(m.columns, cell) for key, cell in product.table.items()},
         )
         for role, product in presentation.products.items()
     }

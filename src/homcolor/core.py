@@ -264,7 +264,7 @@ class LinearMap:
         self.context = context
         self.degree = degree
         self.columns = tuple(frozen)
-        self._images: dict[int, tuple[Vec, ...]] = {}
+        self._images: dict[int, tuple[Cell, ...]] = {}
 
     @classmethod
     def _frozen(
@@ -334,12 +334,14 @@ class LinearMap:
     def image(self, i: int) -> Vec:
         return dict(self.columns[i])
 
-    def images(self, power: int) -> tuple[Vec, ...]:
-        """The basis images under this map applied ``power`` times, built once
-        per power, from the columns or by squaring the kept images of
-        ``power // 2``, and kept; callers must not mutate them.  The halvings
-        of ``power`` down to a kept one are squared back up in a loop, two
-        steps at most per binary digit, so no power is too deep to build."""
+    def images(self, power: int) -> tuple[Cell, ...]:
+        """The basis images under this map applied ``power`` times, as frozen
+        cells (see :func:`_freeze`), built once per power and kept: power 1
+        is ``columns`` itself, power 0 the identity's cells, and any other
+        power is squared, cell by cell, from the kept images of ``power //
+        2``.  The halvings of ``power`` down to a kept one are squared back
+        up in a loop, two steps at most per binary digit, so no power is too
+        deep to build."""
         kept = self._images
         found = kept.get(power)
         if found is None:
@@ -353,34 +355,31 @@ class LinearMap:
                 power //= 2
             found = kept.get(power)
             if found is None:
+                found = self.columns
                 if power == 0:
-                    found = tuple({i: self.context.one} for i in range(self.source.dim))
-                else:
-                    found = tuple(dict(c) for c in self.columns)
+                    found = tuple(((i, self.context.one),) for i in range(self.source.dim))
                 kept[power] = found
             for power in reversed(halvings):
-                columns = [tuple(v.items()) for v in found]
-                found = tuple(_apply_columns(columns, v) for v in found)
+                found = tuple([_map_cell(found, cell) for cell in found])
                 if power % 2:
-                    found = tuple(self.apply(v) for v in found)
+                    found = tuple([_map_cell(self.columns, cell) for cell in found])
                 kept[power] = found
         return found
 
     def apply(self, v: Vec) -> Vec:
-        return _apply_columns(self.columns, v)
+        return dict(_map_cell(self.columns, v.items()))
 
     def compose(self, inner: "LinearMap") -> "LinearMap":
         """self after inner."""
         if inner.target != self.source:
             raise ValueError("maps are not composable")
-        columns = [_freeze(self.apply(inner.image(i))) for i in range(inner.source.dim)]
+        columns = [_map_cell(self.columns, column) for column in inner.columns]
         degree = self.source.group.add(self.degree, inner.degree)
         return LinearMap._frozen(inner.source, self.target, self.context, columns, degree)
 
     def power(self, n: int) -> "LinearMap":
         degree = self.source.group.element(n * c for c in self.degree)
-        columns = [_freeze(image) for image in self.images(n)]
-        return LinearMap._frozen(self.source, self.target, self.context, columns, degree)
+        return LinearMap._frozen(self.source, self.target, self.context, self.images(n), degree)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -418,19 +417,16 @@ def _add_cell(cells: dict[Hashable, Cell], key: Hashable, cell: Cell) -> None:
     cells[key] = _freeze(total)
 
 
-def _apply_columns(columns: Columns, v: Vec) -> Vec:
-    """The image of ``v`` under the map whose e_i goes to ``columns[i]``."""
+def _map_cell(columns: Columns, cell: Iterable[tuple[int, Scalar]]) -> Cell:
+    """The frozen image of ``cell`` under the map whose e_i goes to
+    ``columns[i]``."""
     out: Vec = {}
-    for i, s in v.items():
+    for i, s in cell:
         for j, t in columns[i]:
             u = s * t
             prev = out.get(j)
-            u = u if prev is None else prev + u
-            if u.is_zero():
-                out.pop(j, None)
-            else:
-                out[j] = u
-    return out
+            out[j] = u if prev is None else prev + u
+    return _freeze(out)
 
 
 class BilinearProduct:
@@ -854,9 +850,11 @@ def _compile(plans: tuple[Plan, ...]) -> tuple:
     node's map sends a key, the indices at the subtree's positions in order
     of appearance, to the subtree's nonzero value there: a cell, (index,
     nonzero coefficient) pairs with distinct indices.  Returns the nodes
-    (key or None, a, b) and per plan, per term, (coefficient, root node,
-    key order of the positions or None when they appear in order, sign
-    pairs left after cancelling repeats).
+    (key or None, a, b) and per plan, per term, (sign, root node, key order
+    of the positions or None when they appear in order, sign pairs left
+    after cancelling repeats).  A term whose integer coefficient c is not
+    +-1 is emitted as |c| copies with the sign of c, so every compiled term
+    carries a sign only.
     """
     nodes: list[tuple] = []
     ids: dict[tuple, int] = {}
@@ -873,7 +871,8 @@ def _compile(plans: tuple[Plan, ...]) -> tuple:
                 raise ValueError(f"term {tree!r} must hold each of {arity} positions once")
             order = tuple(held.index(p) for p in range(arity))
             odd = tuple(sorted(pair for pair in set(pairs) if pairs.count(pair) % 2))
-            plan.append((coeff, root, None if order == tuple(range(arity)) else order, odd))
+            order = None if order == tuple(range(arity)) else order
+            plan.extend([(1 if coeff > 0 else -1, root, order, odd)] * abs(coeff))
         compiled.append(tuple(plan))
     return tuple(nodes), tuple(compiled)
 
@@ -888,16 +887,14 @@ def _node_map(nid: int, state: tuple) -> dict:
     twist, one); ``index[nid]`` keeps the map of a right operand indexed
     by basis index, b -> [(key, coefficient)].  A node whose left map is
     empty is empty, and its right subtree is not evaluated for it.  A
-    leaf's values are the twist's columns as stored for power 1, and its
-    kept images as cells for any other power.
+    leaf's values are the twist's kept images for its power, read as stored.
     """
     nodes, maps, index, ops, twist, one = state
     found = maps[nid]
     if found is None:
         name, a, b = nodes[nid]  # a leaf's a: its twist power
         if name is None:
-            cells = twist.columns if a == 1 else [tuple(v.items()) for v in twist.images(a)]
-            found = {(j,): cell for j, cell in enumerate(cells) if cell}
+            found = {(j,): cell for j, cell in enumerate(twist.images(a)) if cell}
         else:
             left = _node_map(a, state)
             if not left:
@@ -937,12 +934,14 @@ def term_failures(
     call, shared by every term of every plan holding a subtree of that
     shape over the same rows (``(x.y).a(z)`` and ``(x.z).a(y)`` share one
     map).  A map's values are cells: a value that one contribution makes is
-    that contribution's cell, read as stored (a table cell, a twist or map
-    column) or scaled when its factor is not one, and only a value that two
-    contributions meet in is summed, in one dict, and frozen without its
-    zeros.  Each plan's terms are then summed per index tuple; a component
-    whose sum cancels is deleted at once and a tuple left empty is dropped,
-    so what is left when the plan's terms are in is its failures.  The pass
+    that contribution's cell, read as stored (a table cell, a kept twist
+    image, a map column) or scaled when its factor is not one, and only a
+    value that two contributions meet in is summed, in one dict, and frozen
+    without its zeros.  Every compiled term carries a sign only (see
+    :func:`_compile`), so each plan's terms are then summed per index tuple
+    by adding or subtracting their cells; a component whose sum cancels is
+    deleted at once and a tuple left empty is dropped, so what is left when
+    the plan's terms are in is its failures.  The pass
     builds no table of its own: rows are read from
     ``ops``, twist images from :meth:`LinearMap.images` and signs from
     :meth:`AlgebraPresentation.sign_table`, each built once and kept on its
@@ -959,8 +958,7 @@ def term_failures(
     reference cycle, so they are freed the moment the pass returns.
     """
     twist = presentation.alpha
-    context = presentation.context
-    one = context.one
+    one = presentation.context.one
     signs = presentation.sign_table()
     nodes, compiled = _compile(tuple(plans))
 
@@ -969,7 +967,7 @@ def term_failures(
     support: list[set[int]] = []
     for name, a, b in nodes:
         if name is None:
-            found = {k for v in twist.images(a) for k in v}
+            found = {k for cell in twist.images(a) for k, _ in cell}
         elif b is None:
             found = {k for x in support[a] for k, _ in ops[name][x]}
         else:
@@ -978,13 +976,6 @@ def term_failures(
         support.append(found)
 
     plan = [[term for term in terms if support[term[1]]] for terms in compiled]
-    scales = {
-        c: context.scalar(c)
-        for terms in plan
-        for coeff, _, _, _ in terms
-        if coeff not in (1, -1)
-        for c in (coeff, -coeff)
-    }
     # Nodes, their maps and right-operand indexes (built on first use by
     # _node_map), and what building them reads.
     state = (nodes, [None] * len(nodes), [None] * len(nodes), ops, twist, one)
@@ -992,16 +983,12 @@ def term_failures(
     failed: Failures = {}
     for c, terms in enumerate(plan):
         total: dict[tuple[int, ...], Vec] = {}
-        for coeff, root, order, pairs in terms:
+        for sign, root, order, pairs in terms:
             for k, cell in _node_map(root, state).items():
                 t = k if order is None else tuple([k[j] for j in order])
-                s = coeff
+                s = sign
                 for p, q in pairs:
                     s *= signs[t[p]][t[q]]
-                if s != 1 and s != -1:
-                    scale = scales[s]
-                    cell = [(k2, scale * v) for k2, v in cell]
-                    s = 1
                 acc = total.get(t)
                 if acc is None:
                     total[t] = dict(cell) if s == 1 else {k2: -v for k2, v in cell}

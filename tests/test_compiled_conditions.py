@@ -296,6 +296,9 @@ def test_pruned_pass_matches_dense_oracle(A):
 
 
 _entry = st.sampled_from([1, -1, 2])
+# Term coefficients: every compiled term carries a sign only, so a
+# coefficient c is |c| copies of its term with the sign of c.
+_coefficient = st.sampled_from([1, -1, 2, -3])
 
 
 def _sparse_map(draw, space, ctx):
@@ -339,7 +342,7 @@ def test_random_plans_on_sparse_data_match_the_tree_formula(payload):
     alpha, f = _sparse_map(draw, space, ctx), _sparse_map(draw, space, ctx)
     products = {name: _sparse_product(draw, space, ctx) for name in "ab"}
     terms = [
-        (draw(_entry), (), _random_tree(draw, draw(st.permutations(range(arity)))))
+        (draw(_coefficient), (), _random_tree(draw, draw(st.permutations(range(arity)))))
         for _ in range(draw(st.integers(1, 3)))
     ]
     if draw(st.booleans()):
@@ -365,6 +368,33 @@ def test_random_plans_on_sparse_data_match_the_tree_formula(payload):
     ops = {"a": products["a"].row_cells, "b": products["b"].row_cells, "f": f.columns}
     A = AlgebraPresentation(space, bichar, ctx, {}, alpha)
     assert every_failure(tuple(terms), A, ops) == want
+
+
+def test_transposed_leibniz_compiles_its_two_term_to_two_unit_terms():
+    # 2 alpha(z).[x, y] is held twice, with sign +1, on one root node.
+    spec = IDENTITY_CATALOG["TRANSPOSED_LEIBNIZ"]
+    assert spec.terms[0][0] == 2
+    _, [plan] = core._compile(((spec.terms, spec.defaults),))
+    assert len(plan) == len(spec.terms) + 1
+    first, second = plan[:2]
+    assert first == second and first[0] == 1
+    assert all(term[0] in (1, -1) for term in plan)
+
+
+def test_a_coefficient_of_minus_three_is_three_negated_copies():
+    # x.y with the coefficient -3 fails where x.y is nonzero, with the
+    # defect of three copies of -(x.y), and so of -3 (x.y).
+    A = load("hnp_4dim.json")
+    ops = {"a": A.product("dot").row_cells}
+    x, y = positions(2)
+    tree = operation("a")(x, y)
+    minus_three = every_failure(((-3, (), tree),), A, ops)
+    assert minus_three
+    assert minus_three == every_failure(((-1, (), tree),) * 3, A, ops)
+    three = A.context.scalar(3)
+    assert minus_three == {
+        (i, j): {k: -(three * s) for k, s in cell} for (i, j), cell in A.product("dot").table.items()
+    }
 
 
 def test_a_map_node_support_follows_its_columns():

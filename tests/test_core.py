@@ -108,7 +108,9 @@ class TestApply:
     def test_images_by_squaring_equal_single_applications(self, assoc_3dim, k):
         # alpha(e2) = -e2 + e3 over Q(sqrt2), and a dense rational map: the
         # images of a fresh map, and of one that already holds lower
-        # powers, equal k single applications.
+        # powers, are frozen cells (sorted, zero-free) equal to k single
+        # applications, power(k) holds the kept images as its columns, and
+        # the images of power 1 are the columns themselves.
         group, _ = trivial_grading()
         ctx = hc.ScalarContext()
         space = GradedSpace(group, ["e1", "e2", "e3"], [[], [], []])
@@ -118,8 +120,14 @@ class TestApply:
             for _ in range(k):
                 want = [m.apply(v) for v in want]
             fresh = LinearMap(m.source, m.target, m.context, [dict(c) for c in m.columns])
-            assert list(fresh.images(k)) == want
-            assert list(m.images(k)) == want
+            for images in (fresh.images(k), m.images(k)):
+                assert [dict(c) for c in images] == want
+                for cell in images:
+                    assert type(cell) is tuple
+                    assert [i for i, _ in cell] == sorted({i for i, _ in cell})
+                    assert all(s.terms for _, s in cell)
+            assert m.power(k).columns is m.images(k)
+            assert m.images(1) is m.columns
 
     def test_images_and_powers_need_an_endomorphism(self):
         group, _ = super_z2()
