@@ -10,7 +10,6 @@ import tempfile
 from homcolor.cli import main
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-scratch = pathlib.Path(tempfile.mkdtemp())
 
 
 def run(*argv):
@@ -21,18 +20,20 @@ def run(*argv):
     return code
 
 
-run("check", FIXTURES / "hnp_4dim.json", "--kind", "hnp",
-    "--report", scratch / "hnp.json")
-run("check", FIXTURES / "hnp_4dim_perturbed.json", "--kind", "hnp",
-    "--report", scratch / "perturbed.json")
-run("check", FIXTURES / "hnp_4dim.json", "--kind", "hnp", "--subst", "lambda1=3/2")
-run("construct", "commutator", FIXTURES / "novikov_3dim.json",
-    "--from-role", "dot", "--out", scratch / "lie.json", "--verify", "hom_lie")
-run("construct", "derived", FIXTURES / "hnp_admissible_mult_synth_4dim.json",
-    "--type", "1", "--n", "2", "--verify", "admissible_hnp")
-run("construct", "tensor", FIXTURES / "hnp_admissible_4dim.json",
-    FIXTURES / "hnp_admissible_4dim.json", "--verify", "admissible_hnp")
-run("construct", "quotient", FIXTURES / "gd_4dim.json", "--ideal", "e4",
-    "--verify", "hom_gd")
-run("report", scratch / "hnp.json", scratch / "perturbed.json",
-    "--manifest", FIXTURES / "manifest.json")
+with tempfile.TemporaryDirectory() as scratch_dir:
+    scratch = pathlib.Path(scratch_dir)
+    run("check", FIXTURES / "hnp_4dim.json", "--kind", "hnp",
+        "--report", scratch / "hnp.json")
+    run("check", FIXTURES / "hnp_4dim_perturbed.json", "--kind", "hnp",
+        "--report", scratch / "perturbed.json")
+    run("check", FIXTURES / "hnp_4dim.json", "--kind", "hnp", "--subst", "lambda1=3/2")
+    run("construct", "commutator", FIXTURES / "novikov_3dim.json",
+        "--from-role", "dot", "--out", scratch / "lie.json", "--verify", "hom_lie")
+    run("construct", "derived", FIXTURES / "hnp_admissible_mult_synth_4dim.json",
+        "--type", "1", "--n", "2", "--verify", "admissible_hnp")
+    run("construct", "tensor", FIXTURES / "hnp_admissible_4dim.json",
+        FIXTURES / "hnp_admissible_4dim.json", "--verify", "admissible_hnp")
+    run("construct", "quotient", FIXTURES / "gd_4dim.json", "--ideal", "e4",
+        "--verify", "hom_gd")
+    run("report", scratch / "hnp.json", scratch / "perturbed.json",
+        "--manifest", FIXTURES / "manifest.json")

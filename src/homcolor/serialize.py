@@ -325,10 +325,14 @@ def load_matched_pair_file(path) -> MatchedPairData:
     """Read ``{"a": ..., "b": ..., "actions_a_on_b": ..., "actions_b_on_a": ...}``.
 
     Each action object has the layout of a ``module`` block's ``actions``;
-    the module is the other side's basis, twisted by its ``alpha``."""
+    the module is the other side's basis, twisted by its ``alpha``.  The
+    sides' grading groups and bicharacters are compared before any action
+    is read."""
     doc = _object(_read_json(path), "")
     a = load_presentation(_get(doc, "a", ""), "a.")
     b = load_presentation(_get(doc, "b", ""), "b.")
+    if a.space.group != b.space.group or a.bichar != b.bichar:
+        raise LoadError("matched pair sides use different grading contexts")
     ab = _action_families(_get(doc, "actions_a_on_b", ""), a, b.space, "actions_a_on_b")
     ba = _action_families(_get(doc, "actions_b_on_a", ""), b, a.space, "actions_b_on_a")
     try:

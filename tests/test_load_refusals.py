@@ -3,7 +3,8 @@
 Each row of ``REFUSALS`` changes one value of a valid document (or drops one
 field) and names the exact ``LoadError`` message the loader must give.  The
 documents are a presentation with a twist and a ``module`` block, a
-matched-pair document and a ``--map`` file over the presentation.
+matched-pair document (also with an action object that lists no operator)
+and a ``--map`` file over the presentation.
 """
 
 import copy
@@ -63,6 +64,15 @@ MATCHED_PAIR = {
     "actions_a_on_b": {"s": {"x1": [["2"]]}},
     "actions_b_on_a": {"s": {"y1": [["1", "0"], ["0", "-1"]]}},
 }
+
+# Sides b over another grading context than a's Z2 with eps(g, g) = -1.
+_SIDE_B_Z2_SQUARED = {
+    **_SIDE_B, "group": {"torsion": [], "free": 2}, "bichar": [[1, 1], [1, 1]],
+    "basis": [{"name": "y1", "deg": [0, 0]}],
+}
+_SIDE_B_Z3 = {**_SIDE_B, "group": {"torsion": [3], "free": 0}, "bichar": [[1]]}
+MATCHED_PAIR_UNLISTED = {**MATCHED_PAIR, "actions_a_on_b": {"s": {}}}
+OTHER_CONTEXT = "matched pair sides use different grading contexts"
 
 MAP = {"map": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "5"]]}
 
@@ -181,6 +191,11 @@ REFUSALS = [
     ("matched_pair", ("actions_b_on_a", "s", "y1", 1, 0), "4",
      "actions_b_on_a.s.y1: map is not homogeneous of degree (0,): x1 -> x2"),
     ("matched_pair", ("actions_b_on_a", "q"), {}, "actions_b_on_a.q: unknown action role"),
+    # Sides over different grading contexts, refused before any action is read.
+    ("matched_pair_unlisted", ("b",), _SIDE_B_Z2_SQUARED, OTHER_CONTEXT),
+    ("matched_pair", ("b",), _SIDE_B_Z2_SQUARED, OTHER_CONTEXT),
+    ("matched_pair", ("b",), _SIDE_B_Z3, OTHER_CONTEXT),
+    ("matched_pair", ("b", "bichar", 0, 0), 1, OTHER_CONTEXT),
     # A --map file over the presentation.
     ("map", (), [], "document: expected an object"),
     ("map", ("map",), DROP, "missing field map"),
@@ -211,7 +226,7 @@ def _load(kind, doc, tmp_path):
     path.write_text(json.dumps(doc))
     if kind == "presentation":
         return load_presentation_file(path)
-    if kind == "matched_pair":
+    if kind.startswith("matched_pair"):
         return load_matched_pair_file(path)
     base = tmp_path / "base.json"
     base.write_text(json.dumps(PRESENTATION))
@@ -219,7 +234,12 @@ def _load(kind, doc, tmp_path):
     return load_linear_map(path, presentation)
 
 
-BASES = {"presentation": PRESENTATION, "matched_pair": MATCHED_PAIR, "map": MAP}
+BASES = {
+    "presentation": PRESENTATION,
+    "matched_pair": MATCHED_PAIR,
+    "matched_pair_unlisted": MATCHED_PAIR_UNLISTED,
+    "map": MAP,
+}
 
 
 @pytest.mark.parametrize("kind", sorted(BASES))
